@@ -100,14 +100,15 @@ chaos-soak:
 service-e2e:
 	$(GO) test -run TestServiceKillResumeE2E -count 1 .
 
-# bench-json re-measures the training hot-path benchmarks and writes
+# bench-json re-measures the training hot-path benchmarks at GOMAXPROCS=1
+# (what bench-gate compares against on any host) and writes
 # BENCH_tensor.json with the committed pre-optimisation baseline
 # (BENCH_baseline.txt) alongside the fresh numbers, then re-measures the
 # disabled-observability benchmarks into BENCH_obs.json — the committed
 # proof that tracing and health monitoring cost nothing when off.
 bench-json:
-	$(GO) test -run=^$$ -bench='BenchmarkMatMul$$|BenchmarkIm2ColBatch$$' -benchmem ./internal/tensor > bench-current.tmp
-	$(GO) test -run=^$$ -bench='BenchmarkConvForwardBackward$$|BenchmarkTrainStep$$' -benchmem ./internal/nn >> bench-current.tmp
+	GOMAXPROCS=1 $(GO) test -run=^$$ -bench='BenchmarkMatMul$$|BenchmarkIm2ColBatch$$' -benchmem ./internal/tensor > bench-current.tmp
+	GOMAXPROCS=1 $(GO) test -run=^$$ -bench='BenchmarkConvForwardBackward$$|BenchmarkTrainStep$$' -benchmem ./internal/nn >> bench-current.tmp
 	@{ \
 	  echo '{'; \
 	  echo '  "baseline": '; awk -f scripts/benchjson.awk BENCH_baseline.txt; \

@@ -190,11 +190,7 @@ func RunMicroCtx(ctx context.Context, cfg MicroConfig) (*Result, error) {
 // RealMicroTrainer trains decoded micro cells on a real dataset; it is
 // the micro-space counterpart of RealTrainer and shares its
 // configuration.
-type RealMicroTrainer struct {
-	cfg        RealTrainerConfig
-	train, val *dataset.Dataset
-	valBatches []nn.Batch
-}
+type RealMicroTrainer struct{ base *RealTrainer }
 
 // NewRealMicroTrainer validates the datasets against the decode
 // configuration.
@@ -204,20 +200,21 @@ func NewRealMicroTrainer(train, val *dataset.Dataset, cfg RealTrainerConfig) (*R
 	if err != nil {
 		return nil, err
 	}
-	return &RealMicroTrainer{cfg: base.cfg, train: base.train, val: base.val, valBatches: base.valBatches}, nil
+	return &RealMicroTrainer{base: base}, nil
 }
 
 // TrainSamples implements MicroTrainer.
-func (t *RealMicroTrainer) TrainSamples() int { return t.train.Len() }
+func (t *RealMicroTrainer) TrainSamples() int { return t.base.TrainSamples() }
 
 // NewModel implements MicroTrainer.
 func (t *RealMicroTrainer) NewModel(g *genome.MicroGenome, seed int64) (Trainable, error) {
 	rng := rand.New(rand.NewSource(seed))
-	net, err := genome.DecodeMicro(g, t.cfg.Decode, rng)
+	cfg := t.base.cfg
+	net, err := genome.DecodeMicro(g, cfg.Decode, rng)
 	if err != nil {
 		return nil, err
 	}
-	opt, err := nn.NewSGD(t.cfg.LR, t.cfg.Momentum, t.cfg.WeightDecay)
+	opt, err := nn.NewSGD(cfg.LR, cfg.Momentum, cfg.WeightDecay)
 	if err != nil {
 		return nil, err
 	}
@@ -225,6 +222,5 @@ func (t *RealMicroTrainer) NewModel(g *genome.MicroGenome, seed int64) (Trainabl
 	if err != nil {
 		return nil, err
 	}
-	proxy := &RealTrainer{cfg: t.cfg, train: t.train, val: t.val, valBatches: t.valBatches}
-	return &realModel{trainer: proxy, net: net, opt: opt, rng: rng, flops: flops}, nil
+	return &realModel{trainer: t.base, net: net, opt: opt, rng: rng, flops: flops}, nil
 }

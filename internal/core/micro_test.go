@@ -6,11 +6,9 @@ import (
 	"testing"
 
 	"a4nn/internal/commons"
-	"a4nn/internal/dataset"
 	"a4nn/internal/genome"
 	"a4nn/internal/nsga"
 	"a4nn/internal/predict"
-	"a4nn/internal/xfel"
 )
 
 // microCurveTrainer is a deterministic surrogate for micro-workflow tests.
@@ -122,24 +120,7 @@ func TestRealMicroTrainerEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real training in -short mode")
 	}
-	params := xfel.DefaultSimulatorParams()
-	params.Size = 16
-	sim, err := xfel.NewSimulator(3, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pats, err := sim.GenerateBatch(1, 160, xfel.HighBeam)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds, err := dataset.FromPatterns(pats)
-	if err != nil {
-		t.Fatal(err)
-	}
-	train, val, err := ds.Split(0.8, rand.New(rand.NewSource(2)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	train, val := highBeamSplit16(t, 160)
 	trainer, err := NewRealMicroTrainer(train, val, RealTrainerConfig{
 		Decode: genome.DecodeConfig{InShape: []int{1, 16, 16}, Widths: []int{4, 8}, NumClasses: 2},
 		LR:     0.08,

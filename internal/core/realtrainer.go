@@ -55,10 +55,14 @@ func (c *RealTrainerConfig) withDefaults() RealTrainerConfig {
 type RealTrainer struct {
 	cfg        RealTrainerConfig
 	train, val *dataset.Dataset
-	valBatches []nn.Batch
+	// Unshuffled evaluation batches, built once and shared read-only by
+	// every model: the whole validation split, and the training split or
+	// its EvalTrainSubset-sample stride subset.
+	valBatches, trainEvalBatches []nn.Batch
 }
 
-// NewRealTrainer validates the datasets against the decode configuration.
+// NewRealTrainer validates the datasets against the decode configuration
+// and builds the evaluation batches.
 func NewRealTrainer(train, val *dataset.Dataset, cfg RealTrainerConfig) (*RealTrainer, error) {
 	c := cfg.withDefaults()
 	if train == nil || val == nil {
@@ -79,7 +83,22 @@ func NewRealTrainer(train, val *dataset.Dataset, cfg RealTrainerConfig) (*RealTr
 	if err != nil {
 		return nil, err
 	}
-	return &RealTrainer{cfg: c, train: train, val: val, valBatches: valBatches}, nil
+	evalSet := train
+	if n := train.Len(); n > c.EvalTrainSubset {
+		idx := make([]int, c.EvalTrainSubset)
+		stride := n / c.EvalTrainSubset
+		for i := range idx {
+			idx[i] = i * stride
+		}
+		if evalSet, err = train.Subset(idx); err != nil {
+			return nil, err
+		}
+	}
+	trainEvalBatches, err := evalSet.Batches(c.BatchSize, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &RealTrainer{cfg: c, train: train, val: val, valBatches: valBatches, trainEvalBatches: trainEvalBatches}, nil
 }
 
 // TrainSamples implements Trainer.
@@ -129,7 +148,7 @@ func (m *realModel) TrainEpoch() (EpochMetrics, error) {
 	if err != nil {
 		return EpochMetrics{}, err
 	}
-	trainAcc, err := m.trainAccuracy()
+	trainAcc, err := nn.EvaluateClassifier(m.net, m.trainer.trainEvalBatches)
 	if err != nil {
 		return EpochMetrics{}, err
 	}
@@ -138,33 +157,6 @@ func (m *realModel) TrainEpoch() (EpochMetrics, error) {
 		return EpochMetrics{}, err
 	}
 	return EpochMetrics{TrainLoss: loss, TrainAccuracy: trainAcc, ValAccuracy: valAcc}, nil
-}
-
-// trainAccuracy estimates training accuracy on a bounded subset.
-func (m *realModel) trainAccuracy() (float64, error) {
-	n := m.trainer.train.Len()
-	cap := m.trainer.cfg.EvalTrainSubset
-	if n <= cap {
-		batches, err := m.trainer.train.Batches(m.trainer.cfg.BatchSize, nil)
-		if err != nil {
-			return 0, err
-		}
-		return nn.EvaluateClassifier(m.net, batches)
-	}
-	idx := make([]int, cap)
-	stride := n / cap
-	for i := range idx {
-		idx[i] = i * stride
-	}
-	sub, err := m.trainer.train.Subset(idx)
-	if err != nil {
-		return 0, err
-	}
-	batches, err := sub.Batches(m.trainer.cfg.BatchSize, nil)
-	if err != nil {
-		return 0, err
-	}
-	return nn.EvaluateClassifier(m.net, batches)
 }
 
 // SaveState implements Trainable.

@@ -248,24 +248,7 @@ func TestRealTrainerEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real training in -short mode")
 	}
-	simParams := xfel.DefaultSimulatorParams()
-	simParams.Size = 16
-	sim, err := xfel.NewSimulator(3, simParams)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pats, err := sim.GenerateBatch(1, 120, xfel.HighBeam)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds, err := dataset.FromPatterns(pats)
-	if err != nil {
-		t.Fatal(err)
-	}
-	train, val, err := ds.Split(0.8, rand.New(rand.NewSource(2)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	train, val := highBeamSplit16(t, 120)
 	trainer, err := NewRealTrainer(train, val, RealTrainerConfig{
 		Decode: genome.DecodeConfig{InShape: []int{1, 16, 16}, Widths: []int{4, 8, 8}, NumClasses: 2},
 	})

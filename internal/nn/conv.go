@@ -8,11 +8,10 @@ import (
 	"a4nn/internal/tensor"
 )
 
-// Conv2D is a 2-D convolution over NCHW batches, implemented as a batched
-// im2col + matrix multiplication so the blocked parallel GEMM kernel does
-// the heavy lifting. All intermediate matrices live in pooled buffers that
-// are reused across training steps; a steady-state forward/backward pair
-// allocates nothing.
+// Conv2D is a 2-D convolution over NCHW batches, run by the fused
+// per-sample im2col → GEMM kernels of internal/tensor. All buffers are
+// pooled and reused across training steps; a steady-state forward/backward
+// pair allocates no tensor storage.
 type Conv2D struct {
 	InC, OutC   int
 	KH, KW      int
@@ -20,13 +19,12 @@ type Conv2D struct {
 	W           *Param // (OutC, InC·KH·KW)
 	B           *Param // (OutC)
 
-	// Reusable kernel workspace. cols doubles as the forward cache the
-	// backward pass consumes; the rest are scratch recycled every call.
-	cols  *tensor.Tensor // (InC·KH·KW, N·OH·OW) batched im2col
-	prod  *tensor.Tensor // (OutC, N·OH·OW) forward GEMM output
+	// Reusable kernel workspace. cols is written by training forwards only
+	// and consumed by the backward pass; the rest is recycled every call.
+	cols  *tensor.Tensor // (InC·KH·KW, N·OH·OW) batched im2col, for dW
+	tiles *tensor.Tensor // (chunks, InC·KH·KW, OH·OW) fused-kernel scratch
 	y     *tensor.Tensor // (N, OutC, OH, OW) layer output
 	g     *tensor.Tensor // (OutC, N·OH·OW) rearranged output gradient
-	dcols *tensor.Tensor // (InC·KH·KW, N·OH·OW) column gradient
 	dw    *tensor.Tensor // (OutC, InC·KH·KW) weight-gradient scratch
 	dx    *tensor.Tensor // (N, InC, H, W) input gradient
 
@@ -103,33 +101,16 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
 	ckk := c.InC * c.KH * c.KW
 	spat := oh * ow
 
-	// Batched im2col straight into the strided column slots: column s of
-	// sample i lands in column i·spat+s, with no per-sample intermediate.
-	c.cols = ws.Obtain(c.cols, ckk, n*spat)
-	if err := tensor.Im2ColBatchInto(x, c.cols, c.KH, c.KW, c.Stride, c.Pad); err != nil {
-		return nil, fmt.Errorf("nn: %s forward im2col: %w", c.Name(), err)
+	c.y = ws.Obtain(c.y, n, c.OutC, oh, ow)
+	c.tiles = ws.Obtain(c.tiles, tensor.ConvTiles(n), ckk, spat)
+	var cols *tensor.Tensor
+	if train {
+		c.cols = ws.Obtain(c.cols, ckk, n*spat)
+		cols = c.cols
 	}
-
-	c.prod = ws.Obtain(c.prod, c.OutC, n*spat)
-	if err := tensor.MatMulInto(c.W.Value, c.cols, c.prod); err != nil {
+	if err := tensor.ConvForward(x, c.W.Value, c.B.Value, c.y, cols, c.tiles, c.KH, c.KW, c.Stride, c.Pad); err != nil {
 		return nil, fmt.Errorf("nn: %s forward: %w", c.Name(), err)
 	}
-
-	// Rearrange (OutC, N·spat) → (N, OutC, OH, OW) and add bias; every
-	// element of y is written.
-	c.y = ws.Obtain(c.y, n, c.OutC, oh, ow)
-	pd, yd, bd := c.prod.Data(), c.y.Data(), c.B.Value.Data()
-	for f := 0; f < c.OutC; f++ {
-		bias := bd[f]
-		for i := 0; i < n; i++ {
-			src := pd[f*n*spat+i*spat : f*n*spat+(i+1)*spat]
-			dst := yd[i*c.OutC*spat+f*spat : i*c.OutC*spat+(f+1)*spat]
-			for s, v := range src {
-				dst[s] = v + bias
-			}
-		}
-	}
-
 	if train {
 		c.batch, c.inH, c.inW, c.outH, c.outW = n, h, w, oh, ow
 		c.trained = true
@@ -139,7 +120,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
 
 // Backward implements Layer.
 func (c *Conv2D) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
-	if !c.trained || c.cols == nil {
+	if !c.trained {
 		return nil, fmt.Errorf("nn: %s: Backward without prior training Forward", c.Name())
 	}
 	n, oh, ow := c.batch, c.outH, c.outW
@@ -173,15 +154,10 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
 		bg[f] += s
 	}
 
-	// dcols = Wᵀ · G, then the batched col2im scatters every sample's
-	// columns straight from their strided slots into dx.
-	c.dcols = ws.Obtain(c.dcols, c.InC*c.KH*c.KW, n*spat)
-	if err := tensor.MatMulTransAInto(c.W.Value, c.g, c.dcols); err != nil {
-		return nil, fmt.Errorf("nn: %s backward dcols: %w", c.Name(), err)
-	}
 	c.dx = ws.Obtain(c.dx, n, c.InC, c.inH, c.inW)
-	if err := tensor.Col2ImBatchFrom(c.dcols, c.dx, c.KH, c.KW, c.Stride, c.Pad); err != nil {
-		return nil, fmt.Errorf("nn: %s backward col2im: %w", c.Name(), err)
+	c.tiles = ws.Obtain(c.tiles, tensor.ConvTiles(n), c.InC*c.KH*c.KW, spat)
+	if err := tensor.ConvBackwardData(grad, c.W.Value, c.dx, c.tiles, c.KH, c.KW, c.Stride, c.Pad); err != nil {
+		return nil, fmt.Errorf("nn: %s backward data: %w", c.Name(), err)
 	}
 	return c.dx, nil
 }

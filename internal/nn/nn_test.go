@@ -53,6 +53,57 @@ func TestConv2DShapes(t *testing.T) {
 	}
 }
 
+// TestConv2DEvalForward pins the two forward modes to each other: an
+// evaluation forward (scratch tile only) equals the training forward (which
+// also fills the dW cache) bit for bit, cannot stand in for it, and leaves
+// the cache of a pending backward pass alone.
+func TestConv2DEvalForward(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	conv, err := NewConv2D(rng, 3, 5, 3, 3, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := tensor.Randn(rng, 0, 1, 5, 3, 7, 6)
+	grad := tensor.Randn(rng, 0, 1, 5, 5, 7, 6)
+
+	evalY, err := conv.Forward(x, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evalY = evalY.Clone()
+	if _, err := conv.Backward(grad); err == nil {
+		t.Fatal("Backward after an evaluation-only Forward must error")
+	}
+	trainY, err := conv.Forward(x, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range trainY.Data() {
+		if math.Float64bits(v) != math.Float64bits(evalY.Data()[i]) {
+			t.Fatalf("element %d: training forward %v, evaluation forward %v", i, v, evalY.Data()[i])
+		}
+	}
+	if _, err := conv.Backward(grad); err != nil {
+		t.Fatal(err)
+	}
+	want := conv.W.Grad.Clone()
+
+	// Same step with an evaluation forward of other data in between.
+	conv.W.ZeroGrad()
+	if _, err := conv.Forward(x, true); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conv.Forward(tensor.Randn(rng, 0, 1, 5, 3, 7, 6), false); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conv.Backward(grad); err != nil {
+		t.Fatal(err)
+	}
+	if !conv.W.Grad.Equal(want, 0) {
+		t.Fatal("an evaluation forward changed the weight gradient of the pending backward pass")
+	}
+}
+
 func TestConv2DBiasApplied(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	conv, err := NewConv2D(rng, 1, 1, 1, 1, 1, 0)

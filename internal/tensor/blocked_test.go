@@ -292,54 +292,6 @@ func TestIm2ColBatchIntoMatchesReference(t *testing.T) {
 	}
 }
 
-func TestCol2ImBatchFromMatchesReference(t *testing.T) {
-	cases := []struct{ n, c, h, w, kh, kw, stride, pad int }{
-		{1, 1, 4, 4, 3, 3, 1, 1},
-		{3, 2, 7, 5, 3, 3, 2, 1},
-		{4, 3, 8, 8, 2, 2, 2, 0},
-	}
-	for _, tc := range cases {
-		oh, err := ConvOutSize(tc.h, tc.kh, tc.stride, tc.pad)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ow, err := ConvOutSize(tc.w, tc.kw, tc.stride, tc.pad)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ckk, spat := tc.c*tc.kh*tc.kw, oh*ow
-		rng := rand.New(rand.NewSource(12))
-		cols := Randn(rng, 0, 1, ckk, tc.n*spat)
-		sampleLen := tc.c * tc.h * tc.w
-
-		// Reference: per-sample Col2Im of each strided slot.
-		want := New(tc.n, tc.c, tc.h, tc.w)
-		for s := 0; s < tc.n; s++ {
-			sub := New(ckk, spat)
-			for r := 0; r < ckk; r++ {
-				copy(sub.data[r*spat:(r+1)*spat], cols.data[r*tc.n*spat+s*spat:r*tc.n*spat+(s+1)*spat])
-			}
-			img, err := Col2Im(sub, tc.c, tc.h, tc.w, tc.kh, tc.kw, tc.stride, tc.pad)
-			if err != nil {
-				t.Fatal(err)
-			}
-			copy(want.data[s*sampleLen:(s+1)*sampleLen], img.data)
-		}
-
-		for _, workers := range []int{1, 8} {
-			old := SetMaxWorkers(workers)
-			dst := New(tc.n, tc.c, tc.h, tc.w)
-			fillNaN(dst)
-			if err := Col2ImBatchFrom(cols, dst, tc.kh, tc.kw, tc.stride, tc.pad); err != nil {
-				SetMaxWorkers(old)
-				t.Fatal(err)
-			}
-			SetMaxWorkers(old)
-			requireBitEqual(t, dst, want, fmt.Sprintf("Col2ImBatchFrom %+v workers=%d", tc, workers))
-		}
-	}
-}
-
 func TestWorkspaceGetPut(t *testing.T) {
 	w := NewWorkspace()
 	a := w.Get(3, 5)

@@ -27,91 +27,96 @@ func ConvOutSize(in, kernel, stride, pad int) (int, error) {
 // the (F, C·kh·kw) filter matrix with the column matrix. Out-of-bounds
 // (padded) positions contribute zeros.
 func Im2Col(x *Tensor, kh, kw, stride, pad int) (*Tensor, error) {
-	if x.Rank() != 3 {
-		return nil, fmt.Errorf("tensor: Im2Col requires rank-3 input (C,H,W), got %v", x.shape)
-	}
-	c, h, w := x.shape[0], x.shape[1], x.shape[2]
-	oh, err := ConvOutSize(h, kh, stride, pad)
+	g, err := newConvGeom("Im2Col", x, 3, kh, kw, stride, pad)
 	if err != nil {
 		return nil, err
 	}
-	ow, err := ConvOutSize(w, kw, stride, pad)
-	if err != nil {
-		return nil, err
-	}
-	cols := New(c*kh*kw, oh*ow)
-	im2colStrided(x.data, cols.data, 0, oh*ow, c, h, w, kh, kw, stride, pad, oh, ow)
+	cols := New(g.ckk, g.spat)
+	im2colStrided(x.data, cols.data, 0, g.spat, g)
 	return cols, nil
 }
 
 // Im2ColBatchInto unrolls every sample of an NCHW batch x (N, C, H, W)
 // directly into cols, a (C·kh·kw, N·oh·ow) matrix in which sample i's
 // columns occupy the strided slot [i·oh·ow, (i+1)·oh·ow) of every row —
-// the exact layout the batched convolution GEMM consumes. Every element of
-// cols is overwritten (padded positions with zeros), so cols may come from
-// a workspace uninitialised. Samples are unrolled in parallel on the
-// shared worker pool, bounded by SetMaxWorkers.
+// the layout the convolution weight-gradient product consumes. Every
+// element of cols is overwritten (padded positions with zeros), so cols
+// may come from a workspace uninitialised. Samples are unrolled in
+// parallel on the shared worker pool, bounded by SetMaxWorkers.
 func Im2ColBatchInto(x, cols *Tensor, kh, kw, stride, pad int) error {
-	if x.Rank() != 4 {
-		return fmt.Errorf("tensor: Im2ColBatchInto requires rank-4 input (N,C,H,W), got %v", x.shape)
-	}
-	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
-	oh, err := ConvOutSize(h, kh, stride, pad)
+	g, err := newConvGeom("Im2ColBatchInto", x, 4, kh, kw, stride, pad)
 	if err != nil {
 		return err
 	}
-	ow, err := ConvOutSize(w, kw, stride, pad)
-	if err != nil {
-		return err
+	if cols.Rank() != 2 || cols.shape[0] != g.ckk || cols.shape[1] != g.n*g.spat {
+		return fmt.Errorf("tensor: Im2ColBatchInto expects cols of shape (%d,%d), got %v", g.ckk, g.n*g.spat, cols.shape)
 	}
-	spat := oh * ow
-	if cols.Rank() != 2 || cols.shape[0] != c*kh*kw || cols.shape[1] != n*spat {
-		return fmt.Errorf("tensor: Im2ColBatchInto expects cols of shape (%d,%d), got %v", c*kh*kw, n*spat, cols.shape)
-	}
-	sampleLen := c * h * w
-	rowStride := n * spat
-	parallelRange(n, 2, func(lo, hi int) {
+	parallelRange(g.n, 2, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			im2colStrided(x.data[i*sampleLen:(i+1)*sampleLen], cols.data, i*spat, rowStride, c, h, w, kh, kw, stride, pad, oh, ow)
+			im2colStrided(x.data[i*g.sample:(i+1)*g.sample], cols.data, i*g.spat, g.n*g.spat, g)
 		}
 	})
 	return nil
+}
+
+// convSpan returns the output positions [lo, hi) within [0, out) whose
+// input position o·stride+d falls inside [0, in); every other output
+// position reads padding. lo == hi when there are none.
+func convSpan(in, d, stride, out int) (lo, hi int) {
+	lo = max((-d+stride-1)/stride, 0)
+	return lo, max(min((in-d+stride-1)/stride, out), lo)
 }
 
 // im2colStrided writes one sample's column matrix into cols, where row r
 // of the logical (C·kh·kw, oh·ow) matrix lives at offset r·rowStride+off.
 // With off=0 and rowStride=oh·ow this is the dense single-sample layout;
 // Im2ColBatchInto passes the batched stride so no intermediate copy is
-// needed.
-func im2colStrided(x, cols []float64, off, rowStride, c, h, w, kh, kw, stride, pad, oh, ow int) {
-	ncols := oh * ow
-	for ch := 0; ch < c; ch++ {
+// needed. Each output row is a run of one input row between two bands of
+// padding: the bands are cleared and the run gathered with no per-pixel
+// bounds test. At stride 1 (all genome.Decode emits) the run is a copy,
+// and when the output is as wide as the input successive runs are
+// contiguous: one copy fills the matrix row, then the wrapped edge
+// columns are re-zeroed.
+func im2colStrided(x, cols []float64, off, rowStride int, g convGeom) {
+	h, w, kh, kw, stride, pad, oh, ow := g.h, g.w, g.kh, g.kw, g.stride, g.pad, g.oh, g.ow
+	for ch := 0; ch < g.c; ch++ {
 		img := x[ch*h*w : (ch+1)*h*w]
 		for ky := 0; ky < kh; ky++ {
+			oy0, oy1 := convSpan(h, ky-pad, stride, oh)
 			for kx := 0; kx < kw; kx++ {
 				r := (ch*kh+ky)*kw + kx
-				row := cols[r*rowStride+off : r*rowStride+off+ncols]
-				idx := 0
-				for oy := 0; oy < oh; oy++ {
-					iy := oy*stride - pad + ky
-					if iy < 0 || iy >= h {
-						for ox := 0; ox < ow; ox++ {
-							row[idx] = 0
-							idx++
-						}
-						continue
-					}
-					base := iy * w
-					for ox := 0; ox < ow; ox++ {
-						ix := ox*stride - pad + kx
-						if ix < 0 || ix >= w {
-							row[idx] = 0
-						} else {
-							row[idx] = img[base+ix]
-						}
-						idx++
-					}
+				row := cols[r*rowStride+off:][:oh*ow]
+				lo, hi := convSpan(w, kx-pad, stride, ow)
+				if lo == hi || oy0 == oy1 {
+					clear(row)
+					continue
 				}
+				if stride == 1 && ow == w {
+					j0, j1 := oy0*ow+lo, (oy1-1)*ow+hi
+					clear(row[:j0])
+					copy(row[j0:j1], img[j0+(ky-pad)*w+kx-pad:])
+					clear(row[j1:])
+					for oy := oy0; oy < oy1; oy++ {
+						clear(row[oy*ow : oy*ow+lo])
+						clear(row[oy*ow+hi : (oy+1)*ow])
+					}
+					continue
+				}
+				clear(row[:oy0*ow])
+				for oy := oy0; oy < oy1; oy++ {
+					dst := row[oy*ow : (oy+1)*ow]
+					base := (oy*stride+ky-pad)*w + kx - pad
+					clear(dst[:lo])
+					if stride == 1 {
+						copy(dst[lo:hi], img[base+lo:])
+					} else {
+						for ox := lo; ox < hi; ox++ {
+							dst[ox] = img[base+ox*stride]
+						}
+					}
+					clear(dst[hi:])
+				}
+				clear(row[oy1*ow:])
 			}
 		}
 	}
@@ -121,83 +126,47 @@ func im2colStrided(x, cols []float64, off, rowStride, c, h, w, kh, kw, stride, p
 // shape (C, H, W), accumulating overlapping contributions. It is the adjoint
 // of Im2Col and is used in the convolution backward pass.
 func Col2Im(cols *Tensor, c, h, w, kh, kw, stride, pad int) (*Tensor, error) {
-	oh, err := ConvOutSize(h, kh, stride, pad)
-	if err != nil {
-		return nil, err
-	}
-	ow, err := ConvOutSize(w, kw, stride, pad)
-	if err != nil {
-		return nil, err
-	}
-	if cols.Rank() != 2 || cols.shape[0] != c*kh*kw || cols.shape[1] != oh*ow {
-		return nil, fmt.Errorf("tensor: Col2Im expects cols of shape (%d,%d), got %v", c*kh*kw, oh*ow, cols.shape)
-	}
 	img := New(c, h, w)
-	col2imStrided(cols.data, img.data, 0, oh*ow, c, h, w, kh, kw, stride, pad, oh, ow)
+	g, err := newConvGeom("Col2Im", img, 3, kh, kw, stride, pad)
+	if err != nil {
+		return nil, err
+	}
+	if cols.Rank() != 2 || cols.shape[0] != g.ckk || cols.shape[1] != g.spat {
+		return nil, fmt.Errorf("tensor: Col2Im expects cols of shape (%d,%d), got %v", g.ckk, g.spat, cols.shape)
+	}
+	col2imStrided(cols.data, img.data, 0, g.spat, g)
 	return img, nil
-}
-
-// Col2ImBatchFrom is the adjoint of Im2ColBatchInto: it gathers every
-// sample's columns from their strided slots of cols (C·kh·kw, N·oh·ow) and
-// scatter-accumulates them into dst (N, C, H, W), which is zeroed first.
-// Samples write disjoint regions of dst, so they run in parallel on the
-// shared worker pool.
-func Col2ImBatchFrom(cols, dst *Tensor, kh, kw, stride, pad int) error {
-	if dst.Rank() != 4 {
-		return fmt.Errorf("tensor: Col2ImBatchFrom requires rank-4 dst (N,C,H,W), got %v", dst.shape)
-	}
-	n, c, h, w := dst.shape[0], dst.shape[1], dst.shape[2], dst.shape[3]
-	oh, err := ConvOutSize(h, kh, stride, pad)
-	if err != nil {
-		return err
-	}
-	ow, err := ConvOutSize(w, kw, stride, pad)
-	if err != nil {
-		return err
-	}
-	spat := oh * ow
-	if cols.Rank() != 2 || cols.shape[0] != c*kh*kw || cols.shape[1] != n*spat {
-		return fmt.Errorf("tensor: Col2ImBatchFrom expects cols of shape (%d,%d), got %v", c*kh*kw, n*spat, cols.shape)
-	}
-	sampleLen := c * h * w
-	rowStride := n * spat
-	parallelRange(n, 2, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out := dst.data[i*sampleLen : (i+1)*sampleLen]
-			for j := range out {
-				out[j] = 0
-			}
-			col2imStrided(cols.data, out, i*spat, rowStride, c, h, w, kh, kw, stride, pad, oh, ow)
-		}
-	})
-	return nil
 }
 
 // col2imStrided scatter-accumulates one sample's columns (row r of the
 // logical matrix at offset r·rowStride+off) into the (C, H, W) image img,
-// which the caller has zeroed.
-func col2imStrided(cols, img []float64, off, rowStride, c, h, w, kh, kw, stride, pad, oh, ow int) {
-	ncols := oh * ow
-	for ch := 0; ch < c; ch++ {
+// which the caller has zeroed. It walks the same runs as im2colStrided, so
+// each image element receives its terms in (ky, kx, oy, ox) order.
+func col2imStrided(cols, img []float64, off, rowStride int, g convGeom) {
+	h, w, kh, kw, stride, pad, oh, ow := g.h, g.w, g.kh, g.kw, g.stride, g.pad, g.oh, g.ow
+	for ch := 0; ch < g.c; ch++ {
 		out := img[ch*h*w : (ch+1)*h*w]
 		for ky := 0; ky < kh; ky++ {
+			oy0, oy1 := convSpan(h, ky-pad, stride, oh)
 			for kx := 0; kx < kw; kx++ {
+				lo, hi := convSpan(w, kx-pad, stride, ow)
+				if lo == hi {
+					continue
+				}
 				r := (ch*kh+ky)*kw + kx
-				row := cols[r*rowStride+off : r*rowStride+off+ncols]
-				idx := 0
-				for oy := 0; oy < oh; oy++ {
-					iy := oy*stride - pad + ky
-					if iy < 0 || iy >= h {
-						idx += ow
-						continue
-					}
-					base := iy * w
-					for ox := 0; ox < ow; ox++ {
-						ix := ox*stride - pad + kx
-						if ix >= 0 && ix < w {
-							out[base+ix] += row[idx]
+				row := cols[r*rowStride+off:][:oh*ow]
+				for oy := oy0; oy < oy1; oy++ {
+					src := row[oy*ow+lo : oy*ow+hi]
+					base := (oy*stride+ky-pad)*w + kx - pad + lo*stride
+					if stride == 1 {
+						dst := out[base:][:len(src)]
+						for j, v := range src {
+							dst[j] += v
 						}
-						idx++
+					} else {
+						for j, v := range src {
+							out[base+j*stride] += v
+						}
 					}
 				}
 			}

@@ -19,7 +19,7 @@ import "fmt"
 const (
 	gemmBlockK = 128
 	// gemmBlockN is the column-panel width used when parallelising short,
-	// very wide products (conv layers) across workers.
+	// wide products (conv weight gradients) across workers.
 	gemmBlockN = 256
 	// transBBlockK bounds the dot-product segments of the a·bᵀ kernel so
 	// one A segment plus four B segments stay in L1.
@@ -122,8 +122,8 @@ func MatMulTransBInto(a, b, dst *Tensor) error {
 
 // gemmParallel splits the m×n output across the worker pool: over row
 // chunks when there are enough rows to feed every worker a register-tiled
-// group, otherwise over column panels (the conv layers produce short, very
-// wide products — a handful of filter rows times N·OH·OW columns).
+// group, otherwise over column panels (a conv layer's weight gradient is a
+// short, wide product — a handful of filter rows times C·kh·kw columns).
 func gemmParallel(m, n int, panel func(i0, i1, j0, j1 int)) {
 	if m >= 4*maxWorkers || n <= gemmBlockN {
 		parallelRange(m, 8, func(lo, hi int) { panel(lo, hi, 0, n) })

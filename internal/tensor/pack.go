@@ -124,7 +124,7 @@ func packedGemm(a, b, c []float64, m, k, n int, aTrans, bTrans bool) {
 	workers := maxWorkers
 	// Row slabs unless the product is too short to feed every worker a
 	// packMR-tall slab of its own — the conv layers' few-filters ×
-	// N·OH·OW products — in which case split columns.
+	// C·kh·kw weight-gradient products — in which case split columns.
 	if m >= packMR*workers || m >= n {
 		parallelAligned(m, packMR, func(lo, hi int) { slab(lo, hi, 0, n) })
 		return

@@ -58,81 +58,62 @@ func parallelFor(n int, body func(lo, hi int)) {
 	parallelRange(n, minParallel, body)
 }
 
-// parallelRange is parallelFor with an explicit inline threshold, for
-// loops whose per-item work is heavy (e.g. one im2col per batch sample):
-// such loops are worth splitting even at very small n.
-//
-// Chunks are executed on the persistent worker pool; the calling goroutine
-// always runs the first chunk itself. If the pool's queue is full the
-// remaining chunks also run inline, which keeps nested or heavily
-// concurrent callers deadlock-free. Bodies must not themselves depend on
-// running in a particular goroutine.
 // parallelAligned splits [0, n) across the worker pool in chunks
 // rounded up to a multiple of align, so tiled kernels see whole tiles
 // everywhere except the final chunk. Used by the packed GEMM, whose
 // slab boundaries would otherwise force edge micro-kernels mid-matrix.
 func parallelAligned(n, align int, body func(lo, hi int)) {
-	workers := maxWorkers
-	if workers > n/align {
-		workers = n / align
-	}
+	workers := min(maxWorkers, n/align)
 	if workers <= 1 {
 		body(0, n)
 		return
 	}
-	ensurePool()
 	chunk := (n + workers - 1) / workers
-	chunk = (chunk + align - 1) / align * align
-	var wg sync.WaitGroup
-	for lo := chunk; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		task := func(lo, hi int) func() {
-			return func() {
-				defer wg.Done()
-				body(lo, hi)
-			}
-		}(lo, hi)
-		select {
-		case poolTasks <- task:
-		default:
-			task()
-		}
-	}
-	body(0, chunk)
-	wg.Wait()
+	forkJoin(n, (chunk+align-1)/align*align, body)
 }
 
+// rangeChunk returns the chunk length parallelRange(n, minPar, …) splits
+// [0, n) into (n itself when the loop runs inline), so a body can index
+// per-chunk scratch by lo/chunk.
+func rangeChunk(n, minPar int) int {
+	workers := min(maxWorkers, n)
+	if workers <= 1 || n < minPar {
+		return n
+	}
+	return (n + workers - 1) / workers
+}
+
+// parallelRange is parallelFor with an explicit inline threshold, for
+// loops whose per-item work is heavy (e.g. one im2col per batch sample):
+// such loops are worth splitting even at very small n.
 func parallelRange(n, minPar int, body func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	workers := maxWorkers
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || n < minPar {
-		body(0, n)
+	if chunk := rangeChunk(n, minPar); chunk < n {
+		forkJoin(n, chunk, body)
 		return
 	}
+	body(0, n)
+}
+
+// forkJoin runs body over [0, n) in chunks of the given length (< n) and
+// waits for all of them. Chunks are executed on the persistent worker
+// pool; the calling goroutine always runs the first chunk itself. If the
+// pool's queue is full the remaining chunks also run inline, which keeps
+// nested or heavily concurrent callers deadlock-free. Bodies must not
+// themselves depend on running in a particular goroutine.
+func forkJoin(n, chunk int, body func(lo, hi int)) {
 	ensurePool()
-	chunk := (n + workers - 1) / workers
 	var wg sync.WaitGroup
 	for lo := chunk; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
 		wg.Add(1)
 		task := func(lo, hi int) func() {
 			return func() {
 				defer wg.Done()
 				body(lo, hi)
 			}
-		}(lo, hi)
+		}(lo, min(lo+chunk, n))
 		select {
 		case poolTasks <- task:
 		default:

@@ -22,7 +22,11 @@ if [ -z "$budget" ]; then
     exit 1
 fi
 
-out=$("${GO:-go}" test -run '^$' -bench 'BenchmarkTrainStep$|BenchmarkDisabledProfiler$' -benchmem ./internal/nn)
+# Pinned to GOMAXPROCS=1, like the committed budget: every parallelRange
+# fork allocates its task closures, so the count grows with the worker
+# count and a multi-core host would fail a single-core budget. The
+# variable, not -cpu, because the tensor worker bound is read at start-up.
+out=$(GOMAXPROCS=1 "${GO:-go}" test -run '^$' -bench 'BenchmarkTrainStep$|BenchmarkDisabledProfiler$' -benchmem ./internal/nn)
 echo "$out"
 measured=$(echo "$out" | awk '/^BenchmarkTrainStep(-[0-9]+)?[ \t]/ {
     for (i = 3; i < NF; i++) if ($(i+1) == "allocs/op") print $i
