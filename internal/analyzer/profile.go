@@ -108,9 +108,6 @@ func FormatLayerProfile(snap *obs.Snapshot) string {
 	if calls := snap.Gauges["a4nn_tensor_matmul_calls"]; calls > 0 {
 		fmt.Fprintf(&sb, " · GEMM kernels: %.0f calls, %.1f GFLOPs",
 			calls, snap.Gauges["a4nn_tensor_matmul_flops"]/1e9)
-		if packed := snap.Gauges["a4nn_tensor_matmul_packed_calls"]; packed > 0 {
-			fmt.Fprintf(&sb, " (%.0f packed)", packed)
-		}
 	}
 	sb.WriteString("\n")
 	return sb.String()

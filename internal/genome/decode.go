@@ -80,10 +80,27 @@ type PhaseBlock struct {
 	proj       *convUnit
 	nodes      []*convUnit // indexed by node id; nil when inactive
 
-	// forward caches
-	x0      *tensor.Tensor
-	nodeIn  []*tensor.Tensor
-	nodeOut []*tensor.Tensor
+	// Per-node working lists and the buffers behind them, reused step
+	// after step. outs[j] is node j's output of the current Forward and
+	// grads[j] its output gradient of the current Backward; both may
+	// point at a layer's own buffer. ins[j] backs the summed input of a
+	// node with several predecessors, acc[j] the summed gradient of a
+	// node that feeds others, sum and dx0 the block's output and the
+	// gradient of the projected input.
+	outs, grads []*tensor.Tensor
+	ins, acc    []*tensor.Tensor
+	sum, dx0    *tensor.Tensor
+	trained     bool // a training Forward has filled the units' caches
+}
+
+// ws recycles the block buffers of discarded networks, like nn's layers.
+var ws = tensor.NewWorkspace()
+
+// copyInto returns buf, recycled through ws, holding a copy of src.
+func copyInto(buf, src *tensor.Tensor) *tensor.Tensor {
+	buf = ws.Obtain(buf, src.Shape()...)
+	copy(buf.Data(), src.Data())
+	return buf
 }
 
 // NewPhaseBlock decodes one phase of the genome into a block with the
@@ -99,8 +116,11 @@ func NewPhaseBlock(rng *rand.Rand, g *Genome, phase, inC, width int) (*PhaseBloc
 	if err != nil {
 		return nil, err
 	}
+	n := g.NodesPerPhase
 	b := &PhaseBlock{inC: inC, width: width, topo: g.topology(phase), proj: proj,
-		nodes: make([]*convUnit, g.NodesPerPhase)}
+		nodes: make([]*convUnit, n),
+		outs:  make([]*tensor.Tensor, n), grads: make([]*tensor.Tensor, n),
+		ins: make([]*tensor.Tensor, n), acc: make([]*tensor.Tensor, n)}
 	for j, active := range b.topo.active {
 		if !active {
 			continue
@@ -184,114 +204,102 @@ func (b *PhaseBlock) FLOPs(in []int) int64 {
 	return total
 }
 
-// Forward implements nn.Layer.
+// Forward implements nn.Layer. The result lives in a buffer of the block
+// (or of one of its units) that the next Forward overwrites.
 func (b *PhaseBlock) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
 	x0, err := b.proj.forward(x, train)
 	if err != nil {
 		return nil, fmt.Errorf("genome: %s proj: %w", b.Name(), err)
 	}
 	if train {
-		b.x0 = x0
-		b.nodeIn = make([]*tensor.Tensor, len(b.nodes))
-		b.nodeOut = make([]*tensor.Tensor, len(b.nodes))
+		b.trained = true
 	}
-	anyActive := false
-	for _, u := range b.nodes {
-		if u != nil {
-			anyActive = true
-			break
-		}
-	}
-	if !anyActive {
+	if len(b.topo.outs) == 0 {
 		return x0, nil
 	}
 
-	outs := make([]*tensor.Tensor, len(b.nodes))
 	for j, u := range b.nodes {
 		if u == nil {
 			continue
 		}
-		var in *tensor.Tensor
-		if preds := b.topo.preds[j]; len(preds) == 0 {
-			in = x0
-		} else {
-			in = outs[preds[0]].Clone()
+		in := x0
+		if preds := b.topo.preds[j]; len(preds) == 1 {
+			in = b.outs[preds[0]]
+		} else if len(preds) > 1 {
+			b.ins[j] = copyInto(b.ins[j], b.outs[preds[0]])
+			in = b.ins[j]
 			for _, i := range preds[1:] {
-				in.AddScaled(outs[i], 1)
+				in.AddScaled(b.outs[i], 1)
 			}
 		}
-		out, err := u.forward(in, train)
-		if err != nil {
+		if b.outs[j], err = u.forward(in, train); err != nil {
 			return nil, fmt.Errorf("genome: %s node %d: %w", b.Name(), j, err)
 		}
-		outs[j] = out
-		if train {
-			b.nodeIn[j] = in
-			b.nodeOut[j] = out
-		}
 	}
 
-	sum := outs[b.topo.outs[0]].Clone()
-	for _, j := range b.topo.outs[1:] {
-		sum.AddScaled(outs[j], 1)
+	sinks := b.topo.outs
+	if len(sinks) == 1 && !b.topo.skip {
+		return b.outs[sinks[0]], nil
+	}
+	b.sum = copyInto(b.sum, b.outs[sinks[0]])
+	for _, j := range sinks[1:] {
+		b.sum.AddScaled(b.outs[j], 1)
 	}
 	if b.topo.skip {
-		sum.AddScaled(x0, 1)
+		b.sum.AddScaled(x0, 1)
 	}
-	return sum, nil
+	return b.sum, nil
 }
 
-// Backward implements nn.Layer.
+// Backward implements nn.Layer. It reads only grad and the caches the
+// units filled on the last training Forward, so evaluation Forwards in
+// between do not disturb it.
 func (b *PhaseBlock) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
-	if b.x0 == nil {
+	if !b.trained {
 		return nil, fmt.Errorf("genome: %s: Backward without prior training Forward", b.Name())
 	}
-	anyActive := false
-	for _, u := range b.nodes {
-		if u != nil {
-			anyActive = true
-			break
-		}
-	}
-	if !anyActive {
+	if len(b.topo.outs) == 0 {
 		return b.proj.backward(grad)
 	}
 
-	nodeGrad := make([]*tensor.Tensor, len(b.nodes))
-	dx0 := tensor.New(b.x0.Shape()...)
+	// Nodes keep the phase's shape, so x0's gradient has grad's. It is
+	// summed from zero, not copied from its first term: 0 + (−0) is +0.
+	b.dx0 = ws.ObtainZeroed(b.dx0, grad.Shape()...)
+	clear(b.grads)
 	for _, j := range b.topo.outs {
-		nodeGrad[j] = grad.Clone()
+		b.grads[j] = grad // a sink feeds no node: nothing is added to it
 	}
 	if b.topo.skip {
-		dx0.AddScaled(grad, 1)
+		b.dx0.AddScaled(grad, 1)
 	}
 	for j := len(b.nodes) - 1; j >= 0; j-- {
 		u := b.nodes[j]
 		if u == nil {
 			continue
 		}
-		if nodeGrad[j] == nil {
+		if b.grads[j] == nil {
 			// Every active node feeds some sink, so this is unreachable;
 			// guard anyway to fail loudly rather than nil-panic.
 			return nil, fmt.Errorf("genome: %s node %d received no gradient", b.Name(), j)
 		}
-		din, err := u.backward(nodeGrad[j])
+		din, err := u.backward(b.grads[j])
 		if err != nil {
 			return nil, fmt.Errorf("genome: %s node %d backward: %w", b.Name(), j, err)
 		}
 		if preds := b.topo.preds[j]; len(preds) == 0 {
-			dx0.AddScaled(din, 1)
+			b.dx0.AddScaled(din, 1)
 		} else {
 			for _, i := range preds {
-				if nodeGrad[i] == nil {
-					nodeGrad[i] = din.Clone()
+				if b.grads[i] == nil {
+					b.acc[i] = copyInto(b.acc[i], din)
+					b.grads[i] = b.acc[i]
 				} else {
-					nodeGrad[i].AddScaled(din, 1)
+					b.grads[i].AddScaled(din, 1)
 				}
 			}
 		}
 	}
-	return b.proj.backward(dx0)
+	return b.proj.backward(b.dx0)
 }
 
 // DecodeConfig controls genome decoding.

@@ -3,6 +3,7 @@ package genome
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -393,6 +394,108 @@ func TestDecodeDeterministic(t *testing.T) {
 	}
 	if n1.ID != g.Hash() {
 		t.Fatal("network ID must be the genome hash")
+	}
+}
+
+// phaseTopologies are the block shapes with distinct buffer use: the diamond
+// with a residual skip (summed node input, summed gradient, summed output),
+// a chain (every tensor handed straight on), two sinks, and the empty DAG.
+var phaseTopologies = []string{"1100111", "1010010", "1100000", "0000000"}
+
+func requireSameBits(t *testing.T, label string, got, want *tensor.Tensor) {
+	t.Helper()
+	if !got.SameShape(want) {
+		t.Fatalf("%s: shape %v, want %v", label, got.Shape(), want.Shape())
+	}
+	for i, w := range want.Data() {
+		if math.Float64bits(got.Data()[i]) != math.Float64bits(w) {
+			t.Fatalf("%s: element %d = %v, want %v (bitwise)", label, i, got.Data()[i], w)
+		}
+	}
+}
+
+// TestPhaseBlockEvalBetweenForwardAndBackward: the block's reused buffers
+// hold nothing Backward needs, so an evaluation Forward — of another batch
+// size, overwriting every forward buffer — between a training Forward and
+// its Backward leaves every gradient bit-identical.
+func TestPhaseBlockEvalBetweenForwardAndBackward(t *testing.T) {
+	for _, bits := range phaseTopologies {
+		g, err := Parse(bits, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := rand.New(rand.NewSource(31))
+		x := tensor.Randn(data, 0, 1, 3, 2, 6, 6)
+		other := tensor.Randn(data, 0, 1, 5, 2, 6, 6)
+		grad := tensor.Randn(data, 0, 1, 3, 4, 6, 6)
+		run := func(interleave bool) (*PhaseBlock, *tensor.Tensor) {
+			block, err := NewPhaseBlock(rand.New(rand.NewSource(32)), g, 0, 2, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := block.Forward(x, true); err != nil {
+				t.Fatal(err)
+			}
+			if interleave {
+				if _, err := block.Forward(other, false); err != nil {
+					t.Fatal(err)
+				}
+			}
+			dx, err := block.Backward(grad)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return block, dx
+		}
+		plain, wantDx := run(false)
+		mixed, gotDx := run(true)
+		requireSameBits(t, bits+" dx", gotDx, wantDx)
+		for i, p := range plain.Params() {
+			requireSameBits(t, bits+" "+p.Name, mixed.Params()[i].Grad, p.Grad)
+		}
+	}
+}
+
+// TestPhaseBlockReusesBuffers: in steady state a training step hands back
+// the same output and input-gradient storage as the step before and
+// allocates far less than one activation tensor.
+func TestPhaseBlockReusesBuffers(t *testing.T) {
+	defer tensor.SetMaxWorkers(tensor.SetMaxWorkers(1))
+	for _, bits := range phaseTopologies {
+		g, err := Parse(bits, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(33))
+		block, err := NewPhaseBlock(rng, g, 0, 2, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := tensor.Randn(rng, 0, 1, 8, 2, 16, 16)
+		grad := tensor.Randn(rng, 0, 1, 8, 8, 16, 16)
+		step := func() (y, dx *float64) {
+			out, err := block.Forward(x, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			din, err := block.Backward(grad)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return &out.Data()[0], &din.Data()[0]
+		}
+		step()
+		y1, dx1 := step()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		y2, dx2 := step()
+		runtime.ReadMemStats(&after)
+		if y1 != y2 || dx1 != dx2 {
+			t.Fatalf("%s: a steady-state step moved its output or input-gradient buffer", bits)
+		}
+		if got, tensorBytes := after.TotalAlloc-before.TotalAlloc, uint64(8*grad.Len()); got > tensorBytes/4 {
+			t.Fatalf("%s: a steady-state step allocated %d B; one activation tensor is %d B", bits, got, tensorBytes)
+		}
 	}
 }
 

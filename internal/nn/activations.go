@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"a4nn/internal/tensor"
@@ -9,7 +10,10 @@ import (
 
 // ReLU is the rectified linear activation applied element-wise; it works
 // on tensors of any rank. Its output and gradient buffers are pooled and
-// reused across steps.
+// reused across steps. Both passes are branch-free — the sign of an
+// activation is a coin toss no predictor learns — which also means a NaN
+// input is passed on as NaN (max(NaN, 0)) rather than zeroed; its gradient
+// is still zero.
 type ReLU struct {
 	mask []bool // forward cache: which inputs were positive
 	y    *tensor.Tensor
@@ -35,26 +39,20 @@ func (r *ReLU) FLOPs(in []int) int64 { return int64(shapeProduct(in)) }
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
 	r.y = ws.Obtain(r.y, x.Shape()...)
 	xd, yd := x.Data(), r.y.Data()
-	if train {
-		if cap(r.mask) < len(xd) {
-			r.mask = make([]bool, len(xd))
+	yd = yd[:len(xd)]
+	if !train {
+		for i, v := range xd {
+			yd[i] = max(v, 0)
 		}
-		r.mask = r.mask[:len(xd)]
+		return r.y, nil
 	}
-	// The pooled buffer arrives with stale contents, so both branches
-	// write their element.
+	if cap(r.mask) < len(xd) {
+		r.mask = make([]bool, len(xd))
+	}
+	r.mask = r.mask[:len(xd)]
 	for i, v := range xd {
-		if v > 0 {
-			yd[i] = v
-			if train {
-				r.mask[i] = true
-			}
-		} else {
-			yd[i] = 0
-			if train {
-				r.mask[i] = false
-			}
-		}
+		yd[i] = max(v, 0)
+		r.mask[i] = v > 0
 	}
 	return r.y, nil
 }
@@ -66,12 +64,15 @@ func (r *ReLU) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
 	}
 	r.dx = ws.Obtain(r.dx, grad.Shape()...)
 	gd, dd := grad.Data(), r.dx.Data()
+	gd, dd = gd[:len(r.mask)], dd[:len(r.mask)]
 	for i, m := range r.mask {
+		// keep is all ones where the input was positive: the gradient's
+		// bits pass or are cleared to +0 without a branch on the data.
+		var keep uint64
 		if m {
-			dd[i] = gd[i]
-		} else {
-			dd[i] = 0
+			keep = 1
 		}
+		dd[i] = math.Float64frombits(math.Float64bits(gd[i]) & -keep)
 	}
 	return r.dx, nil
 }

@@ -162,6 +162,42 @@ func TestReLUForward(t *testing.T) {
 	}
 }
 
+// TestReLUSpecialValues pins the branch-free passes bit for bit on the
+// inputs where max and a sign test could disagree: both zeros rectify to
+// +0 and block the gradient, a denormal and +Inf pass, and a NaN input
+// comes out NaN with a zero gradient. Evaluation and training agree.
+func TestReLUSpecialValues(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	x := tensor.MustFromSlice([]float64{negZero, 0, math.NaN(), -1, 2, math.Inf(1), math.Inf(-1), 5e-324, -5e-324}, 9)
+	wantY := []float64{0, 0, math.NaN(), 0, 2, math.Inf(1), 0, 5e-324, 0}
+	grad := tensor.MustFromSlice([]float64{1, -2, 3, 4, -5, negZero, 7, math.Inf(-1), math.NaN()}, 9)
+	wantDx := []float64{0, 0, 0, 0, -5, negZero, 0, math.Inf(-1), 0}
+	sameBits := func(got, want float64) bool {
+		return math.Float64bits(got) == math.Float64bits(want) || (math.IsNaN(got) && math.IsNaN(want))
+	}
+	r := NewReLU()
+	for _, train := range []bool{false, true} {
+		y, err := r.Forward(x, train)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, want := range wantY {
+			if !sameBits(y.Data()[i], want) {
+				t.Fatalf("train=%v: relu(%v) = %v, want %v", train, x.Data()[i], y.Data()[i], want)
+			}
+		}
+	}
+	dx, err := r.Backward(grad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range wantDx {
+		if !sameBits(dx.Data()[i], want) {
+			t.Fatalf("relu'(%v)·%v = %v, want %v", x.Data()[i], grad.Data()[i], dx.Data()[i], want)
+		}
+	}
+}
+
 func TestDropout(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	if _, err := NewDropout(rng, 1.0); err == nil {

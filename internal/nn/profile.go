@@ -33,9 +33,8 @@ type Profiler struct {
 	mu    sync.Mutex
 	kinds map[string]*layerInstr
 
-	matmulCalls  *obs.Gauge
-	matmulFLOPs  *obs.Gauge
-	matmulPacked *obs.Gauge
+	matmulCalls *obs.Gauge
+	matmulFLOPs *obs.Gauge
 }
 
 // layerInstr holds the resolved handles of one layer kind.
@@ -53,11 +52,10 @@ func NewProfiler(reg *obs.Registry) *Profiler {
 		return nil
 	}
 	return &Profiler{
-		reg:          reg,
-		kinds:        make(map[string]*layerInstr),
-		matmulCalls:  reg.Gauge("a4nn_tensor_matmul_calls"),
-		matmulFLOPs:  reg.Gauge("a4nn_tensor_matmul_flops"),
-		matmulPacked: reg.Gauge("a4nn_tensor_matmul_packed_calls"),
+		reg:         reg,
+		kinds:       make(map[string]*layerInstr),
+		matmulCalls: reg.Gauge("a4nn_tensor_matmul_calls"),
+		matmulFLOPs: reg.Gauge("a4nn_tensor_matmul_flops"),
 	}
 }
 
@@ -90,7 +88,6 @@ func (p *Profiler) SyncKernelCounters() {
 	calls, flops := tensor.KernelCounters()
 	p.matmulCalls.Set(float64(calls))
 	p.matmulFLOPs.Set(float64(flops))
-	p.matmulPacked.Set(float64(tensor.PackedKernelCalls()))
 }
 
 // layerKind maps a layer Name() to its metric label: the name up to

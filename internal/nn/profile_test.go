@@ -126,9 +126,6 @@ func TestProfilerCoversEveryLayerType(t *testing.T) {
 	if got := reg.Gauge("a4nn_tensor_matmul_flops").Value(); got != float64(flops) {
 		t.Fatalf("a4nn_tensor_matmul_flops gauge = %v, want %d", got, flops)
 	}
-	if got := reg.Gauge("a4nn_tensor_matmul_packed_calls").Value(); got != float64(tensor.PackedKernelCalls()) {
-		t.Fatalf("a4nn_tensor_matmul_packed_calls gauge = %v, want %d", got, tensor.PackedKernelCalls())
-	}
 }
 
 // TestProfilerFLOPsScaleWithBatch pins the accounting contract: booked

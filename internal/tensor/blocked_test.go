@@ -94,10 +94,25 @@ func requireClose(t *testing.T, got, want *Tensor, relTol float64, label string)
 	}
 }
 
+// bothKernels runs body with the axpy kernels package init selected (the
+// assembly on an AVX2 machine) and again with the portable loops forced,
+// so every bit-equality matrix below holds for both.
+func bothKernels(t *testing.T, body func(t *testing.T)) {
+	t.Run("dispatched", body)
+	t.Run("portable", func(t *testing.T) {
+		old2, old1 := axpy2, axpy1
+		axpy2, axpy1 = axpy2Go, axpy1Go
+		defer func() { axpy2, axpy1 = old2, old1 }()
+		body(t)
+	})
+}
+
+type gemmShape struct{ m, k, n int }
+
 // gemmSizes exercises the kernel edge cases: tiny products, odd row counts
 // that leave a remainder after 2-row pairing, dimensions straddling the
 // gemmBlockK boundary, and the short-and-wide shape conv layers produce.
-var gemmSizes = []struct{ m, k, n int }{
+var gemmSizes = []gemmShape{
 	{1, 1, 1},
 	{3, 5, 7},
 	{17, 33, 9},
@@ -107,49 +122,53 @@ var gemmSizes = []struct{ m, k, n int }{
 }
 
 func TestMatMulIntoMatchesNaive(t *testing.T) {
-	for _, sz := range gemmSizes {
-		rng := rand.New(rand.NewSource(7))
-		a := Randn(rng, 0, 1, sz.m, sz.k)
-		b := Randn(rng, 0, 1, sz.k, sz.n)
-		want := matMulRef(a, b)
-		for _, workers := range []int{1, 8} {
-			old := SetMaxWorkers(workers)
-			dst := New(sz.m, sz.n)
-			fillNaN(dst)
-			if err := MatMulInto(a, b, dst); err != nil {
+	bothKernels(t, func(t *testing.T) {
+		for _, sz := range gemmSizes {
+			rng := rand.New(rand.NewSource(7))
+			a := Randn(rng, 0, 1, sz.m, sz.k)
+			b := Randn(rng, 0, 1, sz.k, sz.n)
+			want := matMulRef(a, b)
+			for _, workers := range []int{1, 8} {
+				old := SetMaxWorkers(workers)
+				dst := New(sz.m, sz.n)
+				fillNaN(dst)
+				if err := MatMulInto(a, b, dst); err != nil {
+					SetMaxWorkers(old)
+					t.Fatal(err)
+				}
 				SetMaxWorkers(old)
-				t.Fatal(err)
+				requireBitEqual(t, dst, want, fmt.Sprintf("MatMulInto %dx%dx%d workers=%d", sz.m, sz.k, sz.n, workers))
 			}
-			SetMaxWorkers(old)
-			requireBitEqual(t, dst, want, fmt.Sprintf("MatMulInto %dx%dx%d workers=%d", sz.m, sz.k, sz.n, workers))
 		}
-	}
+	})
 }
 
 func TestMatMulTransAIntoMatchesNaive(t *testing.T) {
-	for _, sz := range gemmSizes {
-		rng := rand.New(rand.NewSource(8))
-		a := Randn(rng, 0, 1, sz.k, sz.m)
-		b := Randn(rng, 0, 1, sz.k, sz.n)
-		want := matMulTransARef(a, b)
-		for _, workers := range []int{1, 8} {
-			old := SetMaxWorkers(workers)
-			dst := New(sz.m, sz.n)
-			fillNaN(dst)
-			if err := MatMulTransAInto(a, b, dst); err != nil {
+	bothKernels(t, func(t *testing.T) {
+		for _, sz := range gemmSizes {
+			rng := rand.New(rand.NewSource(8))
+			a := Randn(rng, 0, 1, sz.k, sz.m)
+			b := Randn(rng, 0, 1, sz.k, sz.n)
+			want := matMulTransARef(a, b)
+			for _, workers := range []int{1, 8} {
+				old := SetMaxWorkers(workers)
+				dst := New(sz.m, sz.n)
+				fillNaN(dst)
+				if err := MatMulTransAInto(a, b, dst); err != nil {
+					SetMaxWorkers(old)
+					t.Fatal(err)
+				}
 				SetMaxWorkers(old)
-				t.Fatal(err)
+				requireBitEqual(t, dst, want, fmt.Sprintf("MatMulTransAInto %dx%dx%d workers=%d", sz.m, sz.k, sz.n, workers))
 			}
-			SetMaxWorkers(old)
-			requireBitEqual(t, dst, want, fmt.Sprintf("MatMulTransAInto %dx%dx%d workers=%d", sz.m, sz.k, sz.n, workers))
 		}
-	}
+	})
 }
 
 func TestMatMulTransBIntoMatchesNaive(t *testing.T) {
 	// Include k > transBBlockK so the k-blocked partial sums are exercised;
 	// re-association there permits a tiny tolerance.
-	sizes := append(append([]struct{ m, k, n int }{}, gemmSizes...), struct{ m, k, n int }{6, 1500, 11})
+	sizes := append(append([]gemmShape{}, gemmSizes...), gemmShape{6, 1500, 11})
 	for _, sz := range sizes {
 		rng := rand.New(rand.NewSource(9))
 		a := Randn(rng, 0, 1, sz.m, sz.k)
@@ -169,60 +188,101 @@ func TestMatMulTransBIntoMatchesNaive(t *testing.T) {
 	}
 }
 
-// forcePacked routes every product through the packed BLIS-style path
-// for the duration of the test, regardless of size.
-func forcePacked(t *testing.T) {
-	t.Helper()
-	old := packedMinOps
-	packedMinOps = 1
-	t.Cleanup(func() { packedMinOps = old })
+// adversarialShapes sweeps the dimensions that break tiled kernels:
+// degenerate products (a dimension of 1), primes that divide no tile, sizes
+// that straddle each boundary — the row pair, the a·bᵀ column quad,
+// gemmBlockK, transBBlockK, the switch from row to column split at 2, 3 and
+// 8 workers — and the products of 4 MFLOP and more that used to leave
+// these kernels for the packed path, among them the weight-gradient shape
+// of a 4-filter layer that the column split exists for.
+var adversarialShapes = []gemmShape{
+	// Degenerate: one dimension collapses to a single row/column/term.
+	{1, 1, 1},
+	{1, 300, 5},
+	{1, 7, 1024},
+	{33, 1, 300},
+	{130, 257, 1},
+	{1, 1, 9},
+	// Primes.
+	{3, 5, 7},
+	{31, 37, 41},
+	{127, 13, 31},
+	// Straddle the row pair and the column quad.
+	{5, 20, 3},
+	{6, 20, 4},
+	{7, 20, 5},
+	// Straddle gemmBlockK and transBBlockK.
+	{8, gemmBlockK - 1, 12},
+	{8, gemmBlockK, 12},
+	{8, gemmBlockK + 1, 12},
+	{8, 2*gemmBlockK + 1, 12},
+	{3, transBBlockK - 1, 9},
+	{3, transBBlockK + 1, 9},
+	// Wide rows: one axpy call over a thousand columns, and one short of it.
+	{3, 9, 1023},
+	{3, 9, 1025},
+	// Straddle the row/column split (m around 4·workers).
+	{7, 32, 40},
+	{8, 32, 40},
+	{11, 32, 40},
+	{12, 32, 40},
+	{31, 32, 40},
+	{32, 32, 40},
+	// 4 MFLOP and more.
+	{128, 128, 128},
+	{130, 257, 63},
+	{33, 1500, 70},
+	{8, 2048, 150},
+	{4, 8192, 36},
 }
 
-// TestPackedMatchesNaive re-runs the equivalence matrix with the packed
-// path forced for every size, for all three variants. The packed kernels
-// keep the naive accumulation order per element, so all three — including
-// A·Bᵀ, whose classic fallback only matches to 1e-12 — must be bitwise.
-func TestPackedMatchesNaive(t *testing.T) {
-	forcePacked(t)
-	sizes := append(append([]struct{ m, k, n int }{}, gemmSizes...), struct{ m, k, n int }{6, 1500, 11})
-	for _, sz := range sizes {
-		rng := rand.New(rand.NewSource(13))
-		a := Randn(rng, 0, 1, sz.m, sz.k)
-		b := Randn(rng, 0, 1, sz.k, sz.n)
-		at := New(sz.k, sz.m)
-		bt := New(sz.n, sz.k)
-		for i := 0; i < sz.m; i++ {
-			for p := 0; p < sz.k; p++ {
-				at.data[p*sz.m+i] = a.data[i*sz.k+p]
-			}
-		}
-		for p := 0; p < sz.k; p++ {
-			for j := 0; j < sz.n; j++ {
-				bt.data[j*sz.k+p] = b.data[p*sz.n+j]
-			}
-		}
-		want := matMulRef(a, b)
-		for _, workers := range []int{1, 8} {
-			old := SetMaxWorkers(workers)
-			for _, v := range []struct {
+// TestBlockedAdversarialShapes holds every shape above, every variant,
+// both kernels and 1, 2, 3 and 8 workers to the naive reference: a·b and
+// aᵀ·b bit for bit, a·bᵀ bit for bit while k fits one transBBlockK segment
+// and within its documented 1e-12 beyond, and at every worker count bit
+// for bit the serial result.
+func TestBlockedAdversarialShapes(t *testing.T) {
+	bothKernels(t, func(t *testing.T) {
+		for _, sz := range adversarialShapes {
+			rng := rand.New(rand.NewSource(int64(sz.m*1000003 + sz.k*1009 + sz.n)))
+			a := Randn(rng, 0, 1, sz.m, sz.k)
+			b := Randn(rng, 0, 1, sz.k, sz.n)
+			at, _ := Transpose2D(a)
+			bt, _ := Transpose2D(b)
+			want := matMulRef(a, b)
+			variants := []struct {
 				name string
 				run  func(dst *Tensor) error
 			}{
 				{"MatMulInto", func(dst *Tensor) error { return MatMulInto(a, b, dst) }},
 				{"MatMulTransAInto", func(dst *Tensor) error { return MatMulTransAInto(at, b, dst) }},
 				{"MatMulTransBInto", func(dst *Tensor) error { return MatMulTransBInto(a, bt, dst) }},
-			} {
-				dst := New(sz.m, sz.n)
-				fillNaN(dst)
-				if err := v.run(dst); err != nil {
-					SetMaxWorkers(old)
-					t.Fatal(err)
-				}
-				requireBitEqual(t, dst, want, fmt.Sprintf("packed %s %dx%dx%d workers=%d", v.name, sz.m, sz.k, sz.n, workers))
 			}
-			SetMaxWorkers(old)
+			for _, v := range variants {
+				var serial *Tensor
+				for _, workers := range []int{1, 2, 3, 8} {
+					label := fmt.Sprintf("%s %dx%dx%d workers=%d", v.name, sz.m, sz.k, sz.n, workers)
+					old := SetMaxWorkers(workers)
+					dst := New(sz.m, sz.n)
+					fillNaN(dst)
+					err := v.run(dst)
+					SetMaxWorkers(old)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if serial == nil {
+						serial = dst
+					}
+					requireBitEqual(t, dst, serial, label+" against workers=1")
+					if v.name == "MatMulTransBInto" && sz.k > transBBlockK {
+						requireClose(t, dst, want, 1e-12, label)
+					} else {
+						requireBitEqual(t, dst, want, label)
+					}
+				}
+			}
 		}
-	}
+	})
 }
 
 // TestMatMulIntoWorkerInvariance pins the bitwise-reproducibility claim

@@ -79,81 +79,83 @@ var convCases = []struct{ n, c, h, w, outC, kh, kw, stride, pad int }{
 // reference: element-wise im2col, the naive i-p-j product, bias; the naive
 // Wᵀ·grad product and element-wise col2im.
 func TestConvFusedMatchesReference(t *testing.T) {
-	for _, tc := range convCases {
-		rng := rand.New(rand.NewSource(21))
-		oh, err := ConvOutSize(tc.h, tc.kh, tc.stride, tc.pad)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ow, err := ConvOutSize(tc.w, tc.kw, tc.stride, tc.pad)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ckk, spat, sample := tc.c*tc.kh*tc.kw, oh*ow, tc.c*tc.h*tc.w
-		x := Randn(rng, 0, 1, tc.n, tc.c, tc.h, tc.w)
-		w := Randn(rng, 0, 1, tc.outC, ckk)
-		// Zero weights exercise the kernels' skip of all-zero row pairs.
-		w.data[0], w.data[ckk%len(w.data)] = 0, 0
-		bias := Randn(rng, 0, 1, tc.outC)
-		grad := Randn(rng, 0, 1, tc.n, tc.outC, oh, ow)
-
-		wantY := New(tc.n, tc.outC, oh, ow)
-		wantCols := New(ckk, tc.n*spat)
-		wantDx := New(tc.n, tc.c, tc.h, tc.w)
-		for i := 0; i < tc.n; i++ {
-			xi := MustFromSlice(x.data[i*sample:(i+1)*sample], tc.c, tc.h, tc.w)
-			ci := im2colRef(xi, tc.kh, tc.kw, tc.stride, tc.pad, oh, ow)
-			single, err := Im2Col(xi, tc.kh, tc.kw, tc.stride, tc.pad)
+	bothKernels(t, func(t *testing.T) {
+		for _, tc := range convCases {
+			rng := rand.New(rand.NewSource(21))
+			oh, err := ConvOutSize(tc.h, tc.kh, tc.stride, tc.pad)
 			if err != nil {
 				t.Fatal(err)
 			}
-			requireBitEqual(t, single, ci, fmt.Sprintf("Im2Col %+v", tc))
-			yi := matMulRef(w, ci)
-			for f := 0; f < tc.outC; f++ {
-				for s := 0; s < spat; s++ {
-					wantY.data[(i*tc.outC+f)*spat+s] = yi.data[f*spat+s] + bias.data[f]
+			ow, err := ConvOutSize(tc.w, tc.kw, tc.stride, tc.pad)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ckk, spat, sample := tc.c*tc.kh*tc.kw, oh*ow, tc.c*tc.h*tc.w
+			x := Randn(rng, 0, 1, tc.n, tc.c, tc.h, tc.w)
+			w := Randn(rng, 0, 1, tc.outC, ckk)
+			// Zero weights exercise the kernels' skip of all-zero row pairs.
+			w.data[0], w.data[ckk%len(w.data)] = 0, 0
+			bias := Randn(rng, 0, 1, tc.outC)
+			grad := Randn(rng, 0, 1, tc.n, tc.outC, oh, ow)
+
+			wantY := New(tc.n, tc.outC, oh, ow)
+			wantCols := New(ckk, tc.n*spat)
+			wantDx := New(tc.n, tc.c, tc.h, tc.w)
+			for i := 0; i < tc.n; i++ {
+				xi := MustFromSlice(x.data[i*sample:(i+1)*sample], tc.c, tc.h, tc.w)
+				ci := im2colRef(xi, tc.kh, tc.kw, tc.stride, tc.pad, oh, ow)
+				single, err := Im2Col(xi, tc.kh, tc.kw, tc.stride, tc.pad)
+				if err != nil {
+					t.Fatal(err)
 				}
+				requireBitEqual(t, single, ci, fmt.Sprintf("Im2Col %+v", tc))
+				yi := matMulRef(w, ci)
+				for f := 0; f < tc.outC; f++ {
+					for s := 0; s < spat; s++ {
+						wantY.data[(i*tc.outC+f)*spat+s] = yi.data[f*spat+s] + bias.data[f]
+					}
+				}
+				for r := 0; r < ckk; r++ {
+					copy(wantCols.data[r*tc.n*spat+i*spat:][:spat], ci.data[r*spat:])
+				}
+				gi := MustFromSlice(grad.data[i*tc.outC*spat:(i+1)*tc.outC*spat], tc.outC, spat)
+				di := matMulTransARef(w, gi)
+				img := col2imRef(di, tc.c, tc.h, tc.w, tc.kh, tc.kw, tc.stride, tc.pad, oh, ow)
+				back, err := Col2Im(di, tc.c, tc.h, tc.w, tc.kh, tc.kw, tc.stride, tc.pad)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireBitEqual(t, back, img, fmt.Sprintf("Col2Im %+v", tc))
+				copy(wantDx.data[i*sample:], img.data)
 			}
-			for r := 0; r < ckk; r++ {
-				copy(wantCols.data[r*tc.n*spat+i*spat:][:spat], ci.data[r*spat:])
-			}
-			gi := MustFromSlice(grad.data[i*tc.outC*spat:(i+1)*tc.outC*spat], tc.outC, spat)
-			di := matMulTransARef(w, gi)
-			img := col2imRef(di, tc.c, tc.h, tc.w, tc.kh, tc.kw, tc.stride, tc.pad, oh, ow)
-			back, err := Col2Im(di, tc.c, tc.h, tc.w, tc.kh, tc.kw, tc.stride, tc.pad)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireBitEqual(t, back, img, fmt.Sprintf("Col2Im %+v", tc))
-			copy(wantDx.data[i*sample:], img.data)
-		}
 
-		for _, workers := range []int{1, 2, 3, 8} {
-			label := fmt.Sprintf("%+v workers=%d", tc, workers)
-			old := SetMaxWorkers(workers)
-			tiles := New(ConvTiles(tc.n), ckk, spat)
-			y, cols, dx := New(tc.n, tc.outC, oh, ow), New(ckk, tc.n*spat), New(tc.n, tc.c, tc.h, tc.w)
-			fillNaN(tiles)
-			fillNaN(y)
-			fillNaN(cols)
-			errTrain := ConvForward(x, w, bias, y, cols, tiles, tc.kh, tc.kw, tc.stride, tc.pad)
-			evalY := New(tc.n, tc.outC, oh, ow)
-			fillNaN(tiles)
-			fillNaN(evalY)
-			errEval := ConvForward(x, w, bias, evalY, nil, tiles, tc.kh, tc.kw, tc.stride, tc.pad)
-			fillNaN(tiles)
-			fillNaN(dx)
-			errBack := ConvBackwardData(grad, w, dx, tiles, tc.kh, tc.kw, tc.stride, tc.pad)
-			SetMaxWorkers(old)
-			if errTrain != nil || errEval != nil || errBack != nil {
-				t.Fatalf("%s: train %v, eval %v, backward %v", label, errTrain, errEval, errBack)
+			for _, workers := range []int{1, 2, 3, 8} {
+				label := fmt.Sprintf("%+v workers=%d", tc, workers)
+				old := SetMaxWorkers(workers)
+				tiles := New(ConvTiles(tc.n), ckk, spat)
+				y, cols, dx := New(tc.n, tc.outC, oh, ow), New(ckk, tc.n*spat), New(tc.n, tc.c, tc.h, tc.w)
+				fillNaN(tiles)
+				fillNaN(y)
+				fillNaN(cols)
+				errTrain := ConvForward(x, w, bias, y, cols, tiles, tc.kh, tc.kw, tc.stride, tc.pad)
+				evalY := New(tc.n, tc.outC, oh, ow)
+				fillNaN(tiles)
+				fillNaN(evalY)
+				errEval := ConvForward(x, w, bias, evalY, nil, tiles, tc.kh, tc.kw, tc.stride, tc.pad)
+				fillNaN(tiles)
+				fillNaN(dx)
+				errBack := ConvBackwardData(grad, w, dx, tiles, tc.kh, tc.kw, tc.stride, tc.pad)
+				SetMaxWorkers(old)
+				if errTrain != nil || errEval != nil || errBack != nil {
+					t.Fatalf("%s: train %v, eval %v, backward %v", label, errTrain, errEval, errBack)
+				}
+				requireBitEqual(t, y, wantY, "ConvForward y "+label)
+				requireBitEqual(t, cols, wantCols, "ConvForward cols "+label)
+				requireBitEqual(t, evalY, wantY, "ConvForward eval y "+label)
+				requireBitEqual(t, dx, wantDx, "ConvBackwardData "+label)
 			}
-			requireBitEqual(t, y, wantY, "ConvForward y "+label)
-			requireBitEqual(t, cols, wantCols, "ConvForward cols "+label)
-			requireBitEqual(t, evalY, wantY, "ConvForward eval y "+label)
-			requireBitEqual(t, dx, wantDx, "ConvBackwardData "+label)
 		}
-	}
+	})
 }
 
 func TestConvFusedShapeErrors(t *testing.T) {

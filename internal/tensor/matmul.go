@@ -8,19 +8,17 @@ import "fmt"
 //   - a gemmBlockK-row panel of B revisited by every row pair of A spans
 //     128·n·8 B — for the matrix widths the conv/dense layers produce it
 //     stays L2-resident across the whole sweep over A;
-//   - the two C rows a register-tiled row pair updates stream alongside
-//     exactly one B row, keeping the inner loop at three active memory
-//     streams (measured faster here than a four-row tile, which adds two
-//     more store streams per loop and stalls the store ports).
+//   - the two C rows a row pair updates stream alongside exactly one B
+//     row, keeping the inner loop (axpy2) at three active memory streams.
+//     With the portable Go loop that measured faster than a four-row
+//     tile, which adds two more store streams per loop and stalls the
+//     store ports; the assembly axpy2 keeps the same two-row shape, and
+//     is not to be widened without a number of its own.
 //
-// The micro-kernel unrolls two rows of A so each loaded element of B is
-// reused twice from registers, halving the dominant memory traffic of
-// the naive i-p-j loop.
+// Pairing two rows of A reuses each loaded element of B twice from
+// registers, halving the dominant memory traffic of the naive i-p-j loop.
 const (
 	gemmBlockK = 128
-	// gemmBlockN is the column-panel width used when parallelising short,
-	// wide products (conv weight gradients) across workers.
-	gemmBlockN = 256
 	// transBBlockK bounds the dot-product segments of the a·bᵀ kernel so
 	// one A segment plus four B segments stay in L1.
 	transBBlockK = 1024
@@ -30,9 +28,7 @@ const (
 // dst (m×n), overwriting dst, with cache-blocked, register-tiled inner
 // loops. dst must not alias a or b. Per-element accumulation order matches
 // the naive i-p-j loop, so results are bitwise identical to the reference
-// under any worker count. Products above packedMinOps flops dispatch to
-// the BLIS-style packed path (pack.go); smaller ones keep the classic
-// blocked kernels below.
+// under any worker count and with either form of the axpy kernel.
 func MatMulInto(a, b, dst *Tensor) error {
 	if a.Rank() != 2 || b.Rank() != 2 || dst.Rank() != 2 {
 		return fmt.Errorf("tensor: MatMulInto requires rank-2 tensors, got %v, %v, %v", a.shape, b.shape, dst.shape)
@@ -47,11 +43,6 @@ func MatMulInto(a, b, dst *Tensor) error {
 	}
 	dst.Zero()
 	countMatMul(m, n, k)
-	if usePacked(m, k, n) {
-		countMatMulPacked()
-		packedGemm(a.data, b.data, dst.data, m, k, n, false, false)
-		return nil
-	}
 	gemmParallel(m, n, func(i0, i1, j0, j1 int) {
 		gemmPanel(a.data, b.data, dst.data, k, n, i0, i1, j0, j1)
 	})
@@ -60,8 +51,8 @@ func MatMulInto(a, b, dst *Tensor) error {
 
 // MatMulTransAInto computes dst = aᵀ·b with a (k×m), b (k×n), dst (m×n),
 // overwriting dst, without materialising the transpose. dst must not alias
-// a or b. Results are bitwise identical to the naive reference; large
-// products take the packed path like MatMulInto.
+// a or b. Results are bitwise identical to the naive reference, as for
+// MatMulInto.
 func MatMulTransAInto(a, b, dst *Tensor) error {
 	if a.Rank() != 2 || b.Rank() != 2 || dst.Rank() != 2 {
 		return fmt.Errorf("tensor: MatMulTransAInto requires rank-2 tensors, got %v, %v, %v", a.shape, b.shape, dst.shape)
@@ -76,11 +67,6 @@ func MatMulTransAInto(a, b, dst *Tensor) error {
 	}
 	dst.Zero()
 	countMatMul(m, n, k)
-	if usePacked(m, k, n) {
-		countMatMulPacked()
-		packedGemm(a.data, b.data, dst.data, m, k, n, true, false)
-		return nil
-	}
 	gemmParallel(m, n, func(i0, i1, j0, j1 int) {
 		gemmTransAPanel(a.data, b.data, dst.data, k, m, n, i0, i1, j0, j1)
 	})
@@ -89,12 +75,11 @@ func MatMulTransAInto(a, b, dst *Tensor) error {
 
 // MatMulTransBInto computes dst = a·bᵀ with a (m×k), b (n×k), dst (m×n),
 // overwriting dst, without materialising the transpose. dst must not alias
-// a or b. Large products take the packed path, which keeps the naive
-// per-element accumulation order and is therefore bitwise identical to
-// the reference; the small-matrix fallback blocks the k dimension, where
-// accumulation order differs from the naive single-accumulator dot
-// product by at most the usual float64 re-association error (≪ 1e-12
-// relative).
+// a or b. Each element is a dot product accumulated in ascending p within
+// transBBlockK-long segments of k whose partial sums are then added in
+// order: bitwise identical to the naive single-accumulator dot product for
+// k ≤ transBBlockK, and within the usual float64 re-association error
+// (≪ 1e-12 relative) beyond it. Results do not depend on the worker count.
 func MatMulTransBInto(a, b, dst *Tensor) error {
 	if a.Rank() != 2 || b.Rank() != 2 || dst.Rank() != 2 {
 		return fmt.Errorf("tensor: MatMulTransBInto requires rank-2 tensors, got %v, %v, %v", a.shape, b.shape, dst.shape)
@@ -109,11 +94,6 @@ func MatMulTransBInto(a, b, dst *Tensor) error {
 	}
 	dst.Zero()
 	countMatMul(m, n, k)
-	if usePacked(m, k, n) {
-		countMatMulPacked()
-		packedGemm(a.data, b.data, dst.data, m, k, n, false, true)
-		return nil
-	}
 	gemmParallel(m, n, func(i0, i1, j0, j1 int) {
 		gemmTransBPanel(a.data, b.data, dst.data, k, n, i0, i1, j0, j1)
 	})
@@ -121,26 +101,22 @@ func MatMulTransBInto(a, b, dst *Tensor) error {
 }
 
 // gemmParallel splits the m×n output across the worker pool: over row
-// chunks when there are enough rows to feed every worker a register-tiled
-// group, otherwise over column panels (a conv layer's weight gradient is a
-// short, wide product — a handful of filter rows times C·kh·kw columns).
+// chunks when there are enough rows to feed every worker a few row pairs,
+// otherwise over columns (a conv layer's weight gradient is a short
+// product — a handful of filter rows times C·kh·kw columns). Columns are
+// split in quads, so every worker's share of the a·bᵀ kernel is whole
+// four-dot groups. Either way each output element has exactly one owner
+// and k is never split, so the split cannot change a result.
 func gemmParallel(m, n int, panel func(i0, i1, j0, j1 int)) {
-	if m >= 4*maxWorkers || n <= gemmBlockN {
+	if m >= 4*maxWorkers {
 		parallelRange(m, 8, func(lo, hi int) { panel(lo, hi, 0, n) })
 		return
 	}
-	nb := (n + gemmBlockN - 1) / gemmBlockN
-	parallelRange(nb, 2, func(lo, hi int) {
-		j1 := hi * gemmBlockN
-		if j1 > n {
-			j1 = n
-		}
-		panel(0, m, lo*gemmBlockN, j1)
-	})
+	parallelRange((n+3)/4, 2, func(lo, hi int) { panel(0, m, 4*lo, min(4*hi, n)) })
 }
 
 // gemmPanel accumulates C[i0:i1, j0:j1] += A[i0:i1, :]·B[:, j0:j1] over
-// pre-zeroed C, with k blocked and two rows register-tiled. Hoisting the
+// pre-zeroed C, with k blocked and rows taken in pairs. Hoisting the
 // A-row segments as slices lets the compiler keep the pp index
 // bounds-check free in the hot loop.
 func gemmPanel(a, b, c []float64, k, n, i0, i1, j0, j1 int) {
@@ -160,11 +136,7 @@ func gemmPanel(a, b, c []float64, k, n, i0, i1, j0, j1 int) {
 				if v0 == 0 && v1 == 0 {
 					continue
 				}
-				brow := b[(p0+pp)*n+j0 : (p0+pp)*n+j1]
-				for j, bv := range brow {
-					c0[j] += v0 * bv
-					c1[j] += v1 * bv
-				}
+				axpy2(c0, c1, b[(p0+pp)*n+j0:(p0+pp)*n+j1], v0, v1)
 			}
 		}
 		for ; i < i1; i++ {
@@ -174,10 +146,7 @@ func gemmPanel(a, b, c []float64, k, n, i0, i1, j0, j1 int) {
 				if av == 0 {
 					continue
 				}
-				brow := b[p*n+j0 : p*n+j1]
-				for j, bv := range brow {
-					crow[j] += av * bv
-				}
+				axpy1(crow, b[p*n+j0:p*n+j1], av)
 			}
 		}
 	}
@@ -202,11 +171,7 @@ func gemmTransAPanel(a, b, c []float64, k, m, n, i0, i1, j0, j1 int) {
 				if v0 == 0 && v1 == 0 {
 					continue
 				}
-				brow := b[p*n+j0 : p*n+j1]
-				for j, bv := range brow {
-					c0[j] += v0 * bv
-					c1[j] += v1 * bv
-				}
+				axpy2(c0, c1, b[p*n+j0:p*n+j1], v0, v1)
 			}
 		}
 		for ; i < i1; i++ {
@@ -216,10 +181,7 @@ func gemmTransAPanel(a, b, c []float64, k, m, n, i0, i1, j0, j1 int) {
 				if av == 0 {
 					continue
 				}
-				brow := b[p*n+j0 : p*n+j1]
-				for j, bv := range brow {
-					crow[j] += av * bv
-				}
+				axpy1(crow, b[p*n+j0:p*n+j1], av)
 			}
 		}
 	}

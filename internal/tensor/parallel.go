@@ -58,20 +58,6 @@ func parallelFor(n int, body func(lo, hi int)) {
 	parallelRange(n, minParallel, body)
 }
 
-// parallelAligned splits [0, n) across the worker pool in chunks
-// rounded up to a multiple of align, so tiled kernels see whole tiles
-// everywhere except the final chunk. Used by the packed GEMM, whose
-// slab boundaries would otherwise force edge micro-kernels mid-matrix.
-func parallelAligned(n, align int, body func(lo, hi int)) {
-	workers := min(maxWorkers, n/align)
-	if workers <= 1 {
-		body(0, n)
-		return
-	}
-	chunk := (n + workers - 1) / workers
-	forkJoin(n, (chunk+align-1)/align*align, body)
-}
-
 // rangeChunk returns the chunk length parallelRange(n, minPar, …) splits
 // [0, n) into (n itself when the loop runs inline), so a body can index
 // per-chunk scratch by lo/chunk.

@@ -11,7 +11,6 @@ var (
 	kernelCountersOn atomic.Bool
 	matmulCalls      atomic.Int64
 	matmulFLOPs      atomic.Int64
-	matmulPacked     atomic.Int64
 )
 
 // EnableKernelCounters switches GEMM call/FLOP accounting on or off.
@@ -27,18 +26,16 @@ func KernelCounters() (calls, flops int64) {
 	return matmulCalls.Load(), matmulFLOPs.Load()
 }
 
-// PackedKernelCalls returns how many of those invocations took the
-// BLIS-style packed path (the rest ran the classic blocked kernels
-// below the packedMinOps threshold). The split tells the profiler — and
-// anyone reading metrics.json — whether a workload's GEMM time is
-// governed by the packed kernels or by small-matrix fallbacks.
-func PackedKernelCalls() int64 { return matmulPacked.Load() }
+// PackedKernelCalls is always 0: the packed GEMM path it counted is gone.
+// It stays only because benchmark/ (frozen while it defines the repository
+// benchmark) compiles against it, so tensor.gemm_packed_share reads 0,
+// which is the truth; a later benchmark change retires both.
+func PackedKernelCalls() int64 { return 0 }
 
 // ResetKernelCounters zeroes the kernel totals.
 func ResetKernelCounters() {
 	matmulCalls.Store(0)
 	matmulFLOPs.Store(0)
-	matmulPacked.Store(0)
 }
 
 // countMatMul books one m×k · k×n product.
@@ -48,12 +45,4 @@ func countMatMul(m, n, k int) {
 	}
 	matmulCalls.Add(1)
 	matmulFLOPs.Add(2 * int64(m) * int64(n) * int64(k))
-}
-
-// countMatMulPacked books one product dispatched to the packed path.
-func countMatMulPacked() {
-	if !kernelCountersOn.Load() {
-		return
-	}
-	matmulPacked.Add(1)
 }

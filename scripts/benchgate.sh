@@ -154,7 +154,7 @@ echo "benchgate: ok — disabled history store $histallocs allocs/op"
 # The GEMM throughput floor: BenchmarkMatMul/1024 must hold at least
 # half the committed current GFLOP/s from BENCH_tensor.json. Half, not
 # unity, because shared-runner throughput swings ±30% run to run — a
-# real regression (losing the packed path, a serialized kernel, a
+# real regression (losing the SIMD kernel, a serialized kernel, a
 # tiling bug) costs far more than 2×. The measurement is pinned to
 # GOMAXPROCS=1 so the parallel GEMM's fan-out cannot inflate the number
 # on wide runners: the floor compares single-core throughput against a
