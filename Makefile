@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci lint vet build test race race-broker race-health race-sched race-obs race-tsdb bench bench-smoke bench-gate bench-json chaos-soak service-e2e clean
+.PHONY: ci lint vet build test race race-broker race-health race-sched race-obs race-tsdb fuzz-smoke bench bench-smoke bench-gate bench-json chaos-soak service-e2e clean
 
 # ci is the gate for every change: formatting and static analysis, a
 # full build, the test suite under the race detector (plus a dedicated
@@ -9,12 +9,13 @@ GO ?= go
 # health monitors and alert manager against a fault-injected search,
 # and a stress pass over the fair-share fleet scheduler and job
 # manager), a one-iteration benchmark smoke run so the hot-path
-# benchmarks cannot silently rot, the allocation-regression gates on
+# benchmarks cannot silently rot, ten seconds of real fuzzing per
+# on-disk decoder, the allocation-regression gates on
 # the training and observability hot paths, the crash-recovery soak
 # that kills the real CLI at seeded crash points and resumes it to
 # completion, and the service e2e that kills a live multi-job
 # a4nn-serve and resumes every submission.
-ci: lint build race race-broker race-health race-sched race-obs race-tsdb bench-smoke bench-gate chaos-soak service-e2e
+ci: lint build race race-broker race-health race-sched race-obs race-tsdb fuzz-smoke bench-smoke bench-gate chaos-soak service-e2e
 
 # lint fails on unformatted files (gofmt -l) and vet findings.
 lint: vet
@@ -71,6 +72,16 @@ race-tsdb:
 # detector, since both sit on the journal hot path of every tenant.
 race-obs:
 	$(GO) test -race -run 'Scope|Recorder' -count 5 ./internal/obs
+
+# fuzz-smoke mutates the input of every decoder of bytes read back from
+# disk for a bounded time; the plain test suite only replays each
+# target's seed corpus. One target per invocation, as -fuzz requires.
+fuzz-smoke:
+	$(GO) test -run=^$$ -fuzz='^FuzzReadEvents$$' -fuzztime=10s ./internal/obs
+	$(GO) test -run=^$$ -fuzz='^FuzzDecodeBundle$$' -fuzztime=10s ./internal/obs
+	$(GO) test -run=^$$ -fuzz='^FuzzDecodeCheckpoint$$' -fuzztime=10s ./internal/commons
+	$(GO) test -run=^$$ -fuzz='^FuzzReadAlerts$$' -fuzztime=10s ./internal/health
+	$(GO) test -run=^$$ -fuzz='^FuzzDecodeBlocks$$' -fuzztime=10s ./internal/tsdb
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .

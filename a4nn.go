@@ -96,6 +96,11 @@ type (
 	Genome = genome.Genome
 	// MicroGenome encodes one cell of the micro search space.
 	MicroGenome = genome.MicroGenome
+	// MacroSpace and MicroSpace are the two search spaces a Config's or
+	// MicroConfig's Space field selects: genome shape, variation
+	// operators and mutation rate.
+	MacroSpace = genome.MacroSpace
+	MicroSpace = genome.MicroSpace
 	// DecodeConfig shapes decoded networks.
 	DecodeConfig = genome.DecodeConfig
 	// NASConfig mirrors Table 2 (population, offspring, generations).
@@ -359,8 +364,8 @@ func NewFleet(capacity int) (*Fleet, error) { return sched.NewFleet(capacity) }
 // ReadJobManifests scans a jobs root for per-job manifests.
 func ReadJobManifests(root string) ([]JobManifest, error) { return jobs.ReadManifests(root) }
 
-// BuildJobSearchConfig assembles the core Config a job submission runs
-// — identical to the same-flag cmd/a4nn invocation, which is what makes
+// BuildJobSearchConfig assembles the core Config a job submission runs;
+// cmd/a4nn builds its search with the same call, which is what makes
 // service results byte-comparable to solo runs.
 func BuildJobSearchConfig(jc JobConfig) (Config, error) { return jobs.BuildSearchConfig(jc) }
 

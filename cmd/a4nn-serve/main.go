@@ -48,6 +48,7 @@ import (
 	"a4nn/internal/health"
 	"a4nn/internal/jobs"
 	"a4nn/internal/obs"
+	"a4nn/internal/runenv"
 	"a4nn/internal/tsdb"
 	"a4nn/internal/webui"
 )
@@ -120,15 +121,32 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	// One service-level observer backs both modes: -jobs rolls every
-	// job's metrics scope up into its registry (served on /metrics with
-	// `job="id"` labels, bounded by live jobs), and -follow pumps the
-	// followed journal through it.
-	var observer *obs.Observer
+	// One service-level run environment backs every mode: -jobs rolls
+	// every job's metrics scope up into its registry (served on /metrics
+	// with `job="id"` labels, bounded by live jobs), -follow pumps the
+	// followed journal through it (with -health, into a sidecar engine
+	// watching the stream the dashboard renders, so a plain viewer doubles
+	// as the alerting endpoint for a search running elsewhere), and
+	// -history samples the roll-up into <store>/series.a4ts, feeding
+	// /api/query and the historical charts across restarts. The store
+	// belongs to the runs it holds, so the series file is all this process
+	// writes there.
+	var env *runenv.Stack
 	if *jobsOn || *follow || *histEvery > 0 {
-		observer = obs.NewObserver()
-		srv.SetObserver(observer)
+		opts := runenv.Options{History: *histEvery, SeriesOnly: true}
+		if *healthOn {
+			cfg, err := health.ParseConfig(*healthCfg)
+			if err != nil {
+				fatal(err)
+			}
+			opts.Health = &cfg
+		}
+		if env, err = runenv.Open(*storeDir, opts); err != nil {
+			fatal(err)
+		}
+		srv.SetObserver(env.Observer())
 	}
+	observer := env.Observer()
 
 	var manager *jobs.Manager
 	if *jobsOn {
@@ -156,59 +174,35 @@ func main() {
 			*fleetN, ln.Addr(), ln.Addr())
 	}
 
-	// Service-level run history: sample the roll-up registry (job scopes
-	// included, plus a fleet snapshot refreshed just before each sample)
-	// into <store>/series.a4ts, feeding /api/query and the historical
-	// charts on /dashboard and /fleet across restarts.
-	var histDB *tsdb.DB
-	var histSampler *tsdb.Sampler
 	if *histEvery > 0 {
-		histDB, err = tsdb.Open(*storeDir)
-		if err != nil {
-			fatal(err)
-		}
-		histSampler = tsdb.NewSampler(histDB, observer.Registry(), *histEvery)
 		if manager != nil {
+			// A fleet snapshot refreshed just before each sample, so slot
+			// history is captured even when no job event fires near the tick.
 			fleet := manager.Fleet()
 			reg := observer.Registry()
-			histSampler.SetPreSample(func() {
+			env.Sampler().SetPreSample(func() {
 				fs := fleet.Status()
 				reg.Gauge("a4nn_fleet_capacity_slots").Set(float64(fs.Capacity))
 				reg.Gauge("a4nn_fleet_in_use_slots").Set(float64(fs.InUse))
 				reg.Gauge("a4nn_fleet_waiting_jobs").Set(float64(fs.Waiting))
 			})
 		}
-		histSampler.Start()
-		srv.SetHistory(histDB)
+		srv.SetHistory(env.History())
 		fmt.Printf("history sampling every %s into %s\n", *histEvery, filepath.Join(*storeDir, tsdb.SeriesFile))
 	}
-
+	if *healthOn {
+		srv.SetHealth(env.Health())
+		fmt.Printf("health monitor on — http://%s/healthz\n", ln.Addr())
+	}
 	if *follow {
 		// Follow mode tails the journal a concurrently running `a4nn
 		// -events` search appends to, so this viewer process serves the
 		// live dashboard for a run it did not start.
-		if *healthOn {
-			// Sidecar monitoring: the engine watches the same event stream
-			// the dashboard renders, so a plain viewer process doubles as
-			// the alerting endpoint for a search running elsewhere.
-			cfg, err := health.ParseConfig(*healthCfg)
-			if err != nil {
-				fatal(err)
-			}
-			eng, err := health.New(cfg, observer)
-			if err != nil {
-				fatal(err)
-			}
-			eng.Start()
-			defer eng.Close()
-			srv.SetHealth(eng)
-			fmt.Printf("health monitor on — http://%s/healthz\n", ln.Addr())
-		}
 		go obs.FollowFile(ctx, filepath.Join(*storeDir, obs.EventsFile), observer.Journal(), 0)
 		fmt.Printf("following %s — live dashboard on http://%s/dashboard\n",
 			filepath.Join(*storeDir, obs.EventsFile), ln.Addr())
 	}
-	httpSrv := &http.Server{Handler: srv}
+	httpSrv := webui.NewHTTPServer(srv)
 	done := make(chan error, 1)
 	go func() { done <- httpSrv.Serve(ln) }()
 	select {
@@ -233,17 +227,11 @@ func main() {
 			}
 		}
 	}
-	// Seal the service history last (after the manager closed its per-job
-	// stores): one final sample, flush, release the file. A relaunch with
-	// the same -store appends to the same series files, so range queries
-	// span restarts.
-	if histSampler != nil {
-		histSampler.Close()
-	}
-	if histDB != nil {
-		if err := histDB.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "a4nn-serve: history:", err)
-		}
+	// Close the service environment last, after the manager closed its
+	// per-job ones. A relaunch with the same -store appends to the same
+	// series files, so range queries span restarts.
+	if err := env.Close(); err != nil {
+		fmt.Fprintln(os.Stderr, "a4nn-serve:", err)
 	}
 }
 

@@ -1,10 +1,10 @@
 // Micro search space (advanced): this example composes the workflow's
 // pieces by hand — NSGA-II, the prediction engine's Algorithm-1
-// orchestrator, the device pool, and real training — over NSGA-Net's
+// orchestrator, the device pool, and the real trainer — over NSGA-Net's
 // *micro* (cell-based) search space, which the paper's evaluation does
 // not use but its NAS supports. It shows that every component is
 // independently reusable. For the one-call version of the same search,
-// use a4nn.RunMicro with a4nn.NewRealMicroTrainer.
+// hand the same trainer to a4nn.RunMicro.
 package main
 
 import (
@@ -15,59 +15,10 @@ import (
 	"sync/atomic"
 
 	"a4nn"
-	"a4nn/internal/dataset"
 	"a4nn/internal/genome"
-	"a4nn/internal/nn"
 	"a4nn/internal/nsga"
 	"a4nn/internal/sched"
 )
-
-// microModel adapts a decoded micro network to the orchestrator's
-// Trainable interface.
-type microModel struct {
-	net        *nn.Network
-	opt        nn.Optimizer
-	train, val *dataset.Dataset
-	rng        *rand.Rand
-	flops      int64
-}
-
-func (m *microModel) TrainEpoch() (a4nn.EpochMetrics, error) {
-	batches, err := m.train.Batches(32, m.rng)
-	if err != nil {
-		return a4nn.EpochMetrics{}, err
-	}
-	loss, err := nn.TrainEpoch(m.net, m.opt, batches)
-	if err != nil {
-		return a4nn.EpochMetrics{}, err
-	}
-	vb, err := m.val.Batches(32, nil)
-	if err != nil {
-		return a4nn.EpochMetrics{}, err
-	}
-	acc, err := nn.EvaluateClassifier(m.net, vb)
-	if err != nil {
-		return a4nn.EpochMetrics{}, err
-	}
-	return a4nn.EpochMetrics{TrainLoss: loss, ValAccuracy: acc, TrainAccuracy: acc}, nil
-}
-func (m *microModel) SaveState() ([]byte, error) { return m.net.SaveState() }
-func (m *microModel) FLOPs() int64               { return m.flops }
-func (m *microModel) NumParams() int             { return m.net.NumParams() }
-func (m *microModel) Describe() string           { return m.net.Describe() }
-
-// microOps plugs the micro variation operators into NSGA-II.
-type microOps struct{ nodes int }
-
-func (o microOps) Random(rng *rand.Rand) (*genome.MicroGenome, error) {
-	return genome.NewRandomMicro(rng, o.nodes)
-}
-func (o microOps) Crossover(rng *rand.Rand, a, b *genome.MicroGenome) (*genome.MicroGenome, error) {
-	return genome.CrossoverMicro(rng, a, b)
-}
-func (o microOps) Mutate(rng *rand.Rand, g *genome.MicroGenome) (*genome.MicroGenome, error) {
-	return g.Mutate(rng, 0.15), nil
-}
 
 func main() {
 	const maxEpochs = 10
@@ -95,30 +46,26 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	decode := genome.DecodeConfig{InShape: []int{1, 16, 16}, Widths: []int{6, 12}, NumClasses: 2}
+	// The real trainer decodes each cell and trains it with SGD.
+	trainer, err := a4nn.NewRealMicroTrainer(train, val, a4nn.RealTrainerConfig{
+		Decode: a4nn.DecodeConfig{InShape: []int{1, 16, 16}, Widths: []int{6, 12}, NumClasses: 2},
+		LR:     0.08,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	var totalEpochs, terminated, built atomic.Int64 // tasks run on two devices concurrently
 	evaluator := nsga.EvaluatorFunc[*genome.MicroGenome](func(gen int, cands []*genome.MicroGenome) ([][]float64, error) {
 		objs := make([][]float64, len(cands))
 		tasks := make([]sched.Task, len(cands))
 		for i, g := range cands {
-			i, g := i, g
 			tasks[i] = func(tc sched.TaskCtx) (float64, error) {
 				dev := tc.Dev
-				rng := rand.New(rand.NewSource(int64(gen*100 + i)))
-				net, err := genome.DecodeMicro(g, decode, rng)
+				model, err := trainer.NewModel(g, int64(gen*100+i))
 				if err != nil {
 					return 0, err
 				}
-				opt, err := nn.NewSGD(0.08, 0.9, 0)
-				if err != nil {
-					return 0, err
-				}
-				flops, err := net.FLOPs()
-				if err != nil {
-					return 0, err
-				}
-				model := &microModel{net: net, opt: opt, train: train, val: val, rng: rng, flops: flops}
 				orch := &a4nn.Orchestrator{Engine: engine, MaxEpochs: maxEpochs}
 				out, err := orch.TrainModel(tc.Ctx, model, dev, train.Len(), nil)
 				if err != nil {
@@ -129,9 +76,10 @@ func main() {
 				if out.Terminated {
 					terminated.Add(1)
 				}
-				objs[i] = []float64{100 - out.FinalFitness, float64(flops) / 1e6}
+				mflops := float64(model.FLOPs()) / 1e6
+				objs[i] = []float64{100 - out.FinalFitness, mflops}
 				fmt.Printf("gen %d cell %-40s fitness %5.1f%%  %.2f MFLOPs  epochs %d\n",
-					gen, g, out.FinalFitness, float64(flops)/1e6, out.EpochsTrained)
+					gen, g, out.FinalFitness, mflops, out.EpochsTrained)
 				return out.SimSeconds, nil
 			}
 		}
@@ -143,7 +91,7 @@ func main() {
 
 	res, err := nsga.Run[*genome.MicroGenome](
 		nsga.Config{PopulationSize: 4, Offspring: 4, Generations: 2, Seed: 11},
-		microOps{nodes: 3}, evaluator)
+		genome.MicroSpace{CellNodes: 3}, evaluator)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -17,6 +17,8 @@ import (
 	"math/rand"
 
 	"a4nn/internal/genome"
+	"a4nn/internal/nn"
+	"a4nn/internal/nsga"
 )
 
 // EpochMetrics reports one training epoch of one model.
@@ -45,36 +47,39 @@ type Trainable interface {
 	Describe() string
 }
 
-// Trainer creates Trainables from genomes. Implementations must be safe
-// for concurrent NewModel calls (models for one generation are built on
-// multiple devices at once).
-type Trainer interface {
+// Arch is what the workflow needs of a candidate architecture, whatever
+// its search space: a stable identity for the data commons and an
+// encoding for the lineage record.
+type Arch interface {
+	Hash() string
+	String() string
+}
+
+// SearchSpace is one architecture encoding as the workflow sees it: the
+// variation operators NSGA-II drives, validation of the space's own
+// parameters, and decoding a genome into a trainable network (what
+// RealTrainerOf trains). genome.MacroSpace and genome.MicroSpace are the
+// two implementations.
+type SearchSpace[G Arch] interface {
+	nsga.Operators[G]
+	Validate() error
+	Decode(g G, cfg genome.DecodeConfig, rng *rand.Rand) (*nn.Network, error)
+}
+
+// TrainerOf creates Trainables from genomes of one search space.
+// Implementations must be safe for concurrent NewModel calls (models for
+// one generation are built on multiple devices at once).
+type TrainerOf[G Arch] interface {
 	// NewModel builds a fresh model for the genome; seed makes weight
 	// initialisation (or surrogate curves) deterministic.
-	NewModel(g *genome.Genome, seed int64) (Trainable, error)
+	NewModel(g G, seed int64) (Trainable, error)
 	// TrainSamples is the training-set size, used for the simulated
 	// per-epoch cost model.
 	TrainSamples() int
 }
 
-// genomeOps adapts the genome package's variation operators to
-// nsga.Operators.
-type genomeOps struct {
-	phases, nodes int
-	mutationRate  float64
-}
-
-// Random implements nsga.Operators.
-func (o genomeOps) Random(rng *rand.Rand) (*genome.Genome, error) {
-	return genome.NewRandom(rng, o.phases, o.nodes)
-}
-
-// Crossover implements nsga.Operators.
-func (o genomeOps) Crossover(rng *rand.Rand, a, b *genome.Genome) (*genome.Genome, error) {
-	return genome.Crossover(rng, a, b)
-}
-
-// Mutate implements nsga.Operators.
-func (o genomeOps) Mutate(rng *rand.Rand, g *genome.Genome) (*genome.Genome, error) {
-	return g.Mutate(rng, o.mutationRate), nil
-}
+// Trainer and MicroTrainer are the trainers of the macro and micro spaces.
+type (
+	Trainer      = TrainerOf[*genome.Genome]
+	MicroTrainer = TrainerOf[*genome.MicroGenome]
+)

@@ -27,7 +27,7 @@ func microTestConfig() MicroConfig {
 		NAS:       nsga.Config{PopulationSize: 4, Offspring: 4, Generations: 2, Seed: 3},
 		Engine:    &engineCfg,
 		MaxEpochs: 25,
-		CellNodes: 3,
+		Space:     genome.MicroSpace{},
 		Devices:   1,
 		Trainer:   microCurveTrainer{samples: 100},
 		Beam:      "high",
@@ -42,15 +42,12 @@ func TestRunMicroWorkflow(t *testing.T) {
 	if len(res.Models) != 8 {
 		t.Fatalf("evaluated %d models", len(res.Models))
 	}
-	if res.MicroNAS == nil || res.NAS != nil {
-		t.Fatal("micro result must populate MicroNAS only")
-	}
 	if res.TerminatedEarly == 0 {
 		t.Fatal("clean curves must terminate early")
 	}
 	for _, m := range res.Models {
-		if m.Micro == nil || m.Genome != nil {
-			t.Fatal("micro models must carry Micro genomes")
+		if m.Genome != nil || m.Record.NodesPerPhase != 0 {
+			t.Fatal("micro models must not carry macro genomes")
 		}
 		if err := m.Record.Validate(); err != nil {
 			t.Fatal(err)
@@ -62,26 +59,18 @@ func TestRunMicroWorkflow(t *testing.T) {
 	}
 }
 
+// TestRunMicroValidation: RunMicro is Run instantiated, so
+// TestWorkflowValidation covers the shared checks; only the space differs.
 func TestRunMicroValidation(t *testing.T) {
 	cfg := microTestConfig()
+	cfg.Space = genome.MicroSpace{MutationRate: 2}
+	if _, err := RunMicro(cfg); err == nil {
+		t.Fatal("mutation rate > 1 must fail")
+	}
+	cfg = microTestConfig()
 	cfg.Trainer = nil
 	if _, err := RunMicro(cfg); err == nil {
 		t.Fatal("nil trainer must fail")
-	}
-	cfg = microTestConfig()
-	cfg.Devices = 0
-	if _, err := RunMicro(cfg); err == nil {
-		t.Fatal("0 devices must fail")
-	}
-	cfg = microTestConfig()
-	cfg.MaxEpochs = 0
-	if _, err := RunMicro(cfg); err == nil {
-		t.Fatal("0 epochs must fail")
-	}
-	cfg = microTestConfig()
-	cfg.MutationRate = 2
-	if _, err := RunMicro(cfg); err == nil {
-		t.Fatal("mutation rate > 1 must fail")
 	}
 }
 
@@ -134,7 +123,7 @@ func TestRealMicroTrainerEndToEnd(t *testing.T) {
 		NAS:       nsga.Config{PopulationSize: 3, Offspring: 3, Generations: 2, Seed: 5},
 		Engine:    &engineCfg,
 		MaxEpochs: 6,
-		CellNodes: 2,
+		Space:     genome.MicroSpace{CellNodes: 2},
 		Devices:   2,
 		Trainer:   trainer,
 		Beam:      "high",

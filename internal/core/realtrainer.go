@@ -49,21 +49,41 @@ func (c *RealTrainerConfig) withDefaults() RealTrainerConfig {
 	return r
 }
 
-// RealTrainer trains decoded genomes on a real dataset with the
-// from-scratch NN engine. It is safe for concurrent NewModel calls; the
-// underlying datasets are shared read-only.
-type RealTrainer struct {
-	cfg        RealTrainerConfig
-	train, val *dataset.Dataset
+// RealTrainerOf trains decoded genomes of one search space on a real
+// dataset with the from-scratch NN engine. It is safe for concurrent
+// NewModel calls; the underlying datasets are shared read-only.
+type RealTrainerOf[G Arch] struct {
+	space SearchSpace[G]
+	realData
+}
+
+// RealTrainer is the real trainer of the macro space.
+type RealTrainer = RealTrainerOf[*genome.Genome]
+
+// realData is what every model of a real trainer shares.
+type realData struct {
+	cfg   RealTrainerConfig
+	train *dataset.Dataset
 	// Unshuffled evaluation batches, built once and shared read-only by
 	// every model: the whole validation split, and the training split or
 	// its EvalTrainSubset-sample stride subset.
 	valBatches, trainEvalBatches []nn.Batch
 }
 
-// NewRealTrainer validates the datasets against the decode configuration
-// and builds the evaluation batches.
+// NewRealTrainer returns a trainer of macro-space genomes.
 func NewRealTrainer(train, val *dataset.Dataset, cfg RealTrainerConfig) (*RealTrainer, error) {
+	return NewRealTrainerOf[*genome.Genome](genome.MacroSpace{}, train, val, cfg)
+}
+
+// NewRealMicroTrainer returns a trainer of micro-space cells.
+func NewRealMicroTrainer(train, val *dataset.Dataset, cfg RealTrainerConfig) (*RealTrainerOf[*genome.MicroGenome], error) {
+	return NewRealTrainerOf[*genome.MicroGenome](genome.MicroSpace{}, train, val, cfg)
+}
+
+// NewRealTrainerOf validates the datasets against the decode
+// configuration and builds the evaluation batches; models are decoded by
+// space.
+func NewRealTrainerOf[G Arch](space SearchSpace[G], train, val *dataset.Dataset, cfg RealTrainerConfig) (*RealTrainerOf[G], error) {
 	c := cfg.withDefaults()
 	if train == nil || val == nil {
 		return nil, fmt.Errorf("core: RealTrainer needs train and val datasets")
@@ -98,16 +118,17 @@ func NewRealTrainer(train, val *dataset.Dataset, cfg RealTrainerConfig) (*RealTr
 	if err != nil {
 		return nil, err
 	}
-	return &RealTrainer{cfg: c, train: train, val: val, valBatches: valBatches, trainEvalBatches: trainEvalBatches}, nil
+	return &RealTrainerOf[G]{space: space,
+		realData: realData{cfg: c, train: train, valBatches: valBatches, trainEvalBatches: trainEvalBatches}}, nil
 }
 
-// TrainSamples implements Trainer.
-func (t *RealTrainer) TrainSamples() int { return t.train.Len() }
+// TrainSamples implements TrainerOf.
+func (t *RealTrainerOf[G]) TrainSamples() int { return t.train.Len() }
 
-// NewModel implements Trainer.
-func (t *RealTrainer) NewModel(g *genome.Genome, seed int64) (Trainable, error) {
+// NewModel implements TrainerOf.
+func (t *RealTrainerOf[G]) NewModel(g G, seed int64) (Trainable, error) {
 	rng := rand.New(rand.NewSource(seed))
-	net, err := genome.Decode(g, t.cfg.Decode, rng)
+	net, err := t.space.Decode(g, t.cfg.Decode, rng)
 	if err != nil {
 		return nil, err
 	}
@@ -119,12 +140,12 @@ func (t *RealTrainer) NewModel(g *genome.Genome, seed int64) (Trainable, error) 
 	if err != nil {
 		return nil, err
 	}
-	return &realModel{trainer: t, net: net, opt: opt, rng: rng, flops: flops}, nil
+	return &realModel{trainer: &t.realData, net: net, opt: opt, rng: rng, flops: flops}, nil
 }
 
 // realModel is one decoded network mid-training.
 type realModel struct {
-	trainer *RealTrainer
+	trainer *realData
 	net     *nn.Network
 	opt     nn.Optimizer
 	rng     *rand.Rand

@@ -17,31 +17,14 @@ import (
 	"a4nn/internal/sched"
 )
 
-// archInfo carries the search-space-agnostic identity of one candidate
-// architecture through evaluation.
-type archInfo struct {
-	hash, encoding string
-	nodesPerPhase  int                 // macro only; 0 for micro
-	macro          *genome.Genome      // nil for micro candidates
-	micro          *genome.MicroGenome // nil for macro candidates
-}
-
-// runner holds the state shared by every generation of a search: the
-// device pool, the prediction engine, accounting, and the common
-// train-or-replay task logic. Both Run (macro) and RunMicro (micro) are
-// thin wrappers around it.
-type runner struct {
-	maxEpochs      int
-	beam           string
-	store          storeLike
-	snapshotEpochs bool
-	checkpoints    bool
-	resume         bool
-	onModel        func(*ModelResult)
-	replayFrom     storeLike
-	samples        int
-	seed           int64
-	gate           GenerationGate
+// runner holds the state shared by every generation of a search: its
+// configuration, the device pool, the prediction engine, accounting, and
+// the train-or-replay task logic.
+type runner[G Arch] struct {
+	cfg ConfigOf[G]
+	// replayFrom is where finished models replay from: cfg.ReplayFrom,
+	// or the run's own store under Resume; nil trains everything.
+	replayFrom *commons.Store
 
 	pool         *sched.Pool
 	engine       *predict.Engine
@@ -54,105 +37,64 @@ type runner struct {
 	interactionSecs []float64
 }
 
-// storeLike is the slice of commons.Store the runner uses; an interface so
-// a nil *commons.Store stays nil-checkable in one place.
-type storeLike interface {
-	GetRecord(id string) (*lineage.Record, error)
-	PutRecord(r *lineage.Record) error
-	PutSnapshot(id string, epoch int, state []byte) error
-	GetCheckpoint(id string) (*commons.Checkpoint, error)
-	PutCheckpoint(cp *commons.Checkpoint) error
-	DeleteCheckpoint(id string) error
-	QuarantineRecord(id, reason string) (string, error)
-	QuarantineCheckpoint(id, reason string) (string, error)
+// macroOf returns g itself when it is a macro-space genome and nil for
+// any other space. The lineage format is macro-specific in one field —
+// a bit-string encoding does not parse back without NodesPerPhase — and
+// ModelResult.Genome hands the genome to the analyzer.
+func macroOf(g any) *genome.Genome {
+	m, _ := g.(*genome.Genome)
+	return m
 }
 
-// runnerParams bundles the knobs shared by the macro and micro search
-// entry points.
-type runnerParams struct {
-	engineCfg   *predict.Config
-	maxEpochs   int
-	devices     int
-	throughput  float64
-	beam        string
-	store       storeLike
-	replay      storeLike
-	snapshots   bool
-	checkpoints bool
-	resume      bool
-	onModel     func(*ModelResult)
-	samples     int
-	seed        int64
-
-	faults      *sched.FaultPlan
-	retry       sched.RetryPolicy
-	taskTimeout float64 // per-attempt simulated deadline (0 = none)
-
-	observer *obs.Observer  // nil disables metrics and span tracing
-	gate     GenerationGate // nil dispatches generations unconditionally
-}
-
-// newRunner validates the shared knobs and assembles the runner.
-func newRunner(p runnerParams) (*runner, error) {
-	if p.maxEpochs < 1 {
-		return nil, fmt.Errorf("core: MaxEpochs must be ≥ 1, got %d", p.maxEpochs)
-	}
-	if p.devices < 1 {
-		return nil, fmt.Errorf("core: Devices must be ≥ 1, got %d", p.devices)
-	}
-	pool, err := sched.NewPool(p.devices, p.throughput)
+// newRunner assembles the runner of a validated configuration.
+func newRunner[G Arch](cfg ConfigOf[G]) (*runner[G], error) {
+	pool, err := sched.NewPool(cfg.Devices, cfg.Throughput)
 	if err != nil {
 		return nil, err
 	}
-	if err := pool.SetFaultPlan(p.faults); err != nil {
+	if err := pool.SetFaultPlan(cfg.Faults); err != nil {
 		return nil, err
 	}
-	if err := pool.SetRetryPolicy(p.retry); err != nil {
+	if err := pool.SetRetryPolicy(cfg.Retry); err != nil {
 		return nil, err
 	}
-	if err := pool.SetTaskDeadline(p.taskTimeout); err != nil {
+	if err := pool.SetTaskDeadline(cfg.TaskTimeoutSeconds); err != nil {
 		return nil, err
 	}
-	pool.SetObserver(p.observer)
-	r := &runner{
-		maxEpochs:      p.maxEpochs,
-		beam:           p.beam,
-		store:          p.store,
-		snapshotEpochs: p.snapshots,
-		checkpoints:    p.checkpoints,
-		resume:         p.resume,
-		onModel:        p.onModel,
-		replayFrom:     p.replay,
-		samples:        p.samples,
-		seed:           p.seed,
-		gate:           p.gate,
-		pool:           pool,
-		res:            &Result{},
-		instruments:    NewInstruments(p.observer),
-		journal:        p.observer.Journal(),
+	pool.SetObserver(cfg.Obs)
+	r := &runner[G]{
+		cfg:         cfg,
+		replayFrom:  cfg.ReplayFrom,
+		pool:        pool,
+		res:         &Result{},
+		instruments: NewInstruments(cfg.Obs),
+		journal:     cfg.Obs.Journal(),
 	}
-	if p.engineCfg != nil {
-		engine, err := predict.NewEngine(*p.engineCfg)
+	if cfg.Resume {
+		r.replayFrom = cfg.Store
+	}
+	if cfg.Engine != nil {
+		engine, err := predict.NewEngine(*cfg.Engine)
 		if err != nil {
 			return nil, err
 		}
-		if reg := p.observer.Registry(); reg != nil {
+		if reg := cfg.Obs.Registry(); reg != nil {
 			engine.SetMetrics(predict.Metrics{
 				Predictions:  reg.Counter("a4nn_predict_predictions_total"),
 				FitFailures:  reg.Counter("a4nn_predict_fit_failures_total"),
 				Convergences: reg.Counter("a4nn_predict_convergences_total"),
-				Events:       p.observer.Journal(),
+				Events:       cfg.Obs.Journal(),
 			})
 		}
 		r.engine = engine
 		r.engineParams = &lineage.EngineParams{
-			Family:     p.engineCfg.Family.Name(),
-			CMin:       p.engineCfg.CMin,
-			EPred:      p.engineCfg.EPred,
-			N:          p.engineCfg.N,
-			R:          p.engineCfg.R,
-			MinFitness: p.engineCfg.MinFitness,
-			MaxFitness: p.engineCfg.MaxFitness,
+			Family:     cfg.Engine.Family.Name(),
+			CMin:       cfg.Engine.CMin,
+			EPred:      cfg.Engine.EPred,
+			N:          cfg.Engine.N,
+			R:          cfg.Engine.R,
+			MinFitness: cfg.Engine.MinFitness,
+			MaxFitness: cfg.Engine.MaxFitness,
 		}
 	}
 	return r, nil
@@ -175,19 +117,18 @@ func classifyTaskError(err error) error {
 
 // evaluateGeneration trains (or replays) one generation of candidates
 // across the pool and returns the NSGA objective vectors.
-func (r *runner) evaluateGeneration(ctx context.Context, gen int, infos []archInfo,
-	newModel func(info archInfo, seed int64) (Trainable, error)) ([][]float64, error) {
-	tasks := make([]sched.Task, len(infos))
-	results := make([]*ModelResult, len(infos))
-	for i, info := range infos {
-		i, info := i, info
+func (r *runner[G]) evaluateGeneration(ctx context.Context, gen int, cands []G) ([][]float64, error) {
+	tasks := make([]sched.Task, len(cands))
+	results := make([]*ModelResult, len(cands))
+	for i, g := range cands {
+		hash, encoding := g.Hash(), g.String()
 		tasks[i] = func(tc sched.TaskCtx) (float64, error) {
 			dev := tc.Dev
-			recID := fmt.Sprintf("%s-g%02d-i%02d", info.hash, gen, i)
+			recID := fmt.Sprintf("%s-g%02d-i%02d", hash, gen, i)
 			if r.replayFrom != nil {
 				rec, err := r.replayFrom.GetRecord(recID)
-				if err == nil && rec.Genome == info.encoding {
-					mr := r.modelResult(info, rec, rec.FinalFitness)
+				if err == nil && rec.Genome == encoding {
+					mr := r.modelResult(g, rec, rec.FinalFitness)
 					r.mu.Lock()
 					results[i] = mr
 					r.res.TotalEpochs += rec.EpochsTrained()
@@ -196,12 +137,12 @@ func (r *runner) evaluateGeneration(ctx context.Context, gen int, infos []archIn
 					}
 					r.res.Replayed++
 					r.mu.Unlock()
-					if r.onModel != nil {
-						r.onModel(mr)
+					if r.cfg.OnModel != nil {
+						r.cfg.OnModel(mr)
 					}
 					return rec.SimSeconds(), nil
 				}
-				if err != nil && errors.Is(err, commons.ErrCorrupt) && r.resume {
+				if err != nil && errors.Is(err, commons.ErrCorrupt) && r.cfg.Resume {
 					// A torn record can't be replayed; move it aside so the
 					// retrained model's record can commit in its place.
 					r.quarantine(r.replayFrom.QuarantineRecord, recID, "record", err)
@@ -211,72 +152,75 @@ func (r *runner) evaluateGeneration(ctx context.Context, gen int, infos []archIn
 			// genome on a different accelerator is a different stochastic
 			// realisation, which is how the paper's 1- vs 4-GPU runs come
 			// to differ in epoch savings (§4.3.2).
-			seed := r.seed*1_000_003 + int64(gen)*10_007 + int64(i)*101 + int64(dev.ID)
+			freshSeed := r.cfg.NAS.Seed*1_000_003 + int64(gen)*10_007 + int64(i)*101 + int64(dev.ID)
+			seed := freshSeed
 			// A mid-training checkpoint, when valid, supplies the model's
 			// original seed and completed epochs: training continues from
 			// the crash instead of restarting, reproducing the fault-free
 			// trajectory exactly.
 			var resumeCp *commons.Checkpoint
-			if r.resume && r.checkpoints && r.store != nil {
-				cp, err := r.store.GetCheckpoint(recID)
+			if r.cfg.Resume && r.cfg.Checkpoints && r.cfg.Store != nil {
+				cp, err := r.cfg.Store.GetCheckpoint(recID)
 				switch {
-				case err == nil && cp.Genome == info.encoding && cp.Epoch <= r.maxEpochs:
+				case err == nil && cp.Genome == encoding && cp.Epoch <= r.cfg.MaxEpochs:
 					resumeCp = cp
 					seed = cp.Seed
 				case errors.Is(err, commons.ErrCorrupt):
-					r.quarantine(r.store.QuarantineCheckpoint, recID, "checkpoint", err)
+					r.quarantine(r.cfg.Store.QuarantineCheckpoint, recID, "checkpoint", err)
 				}
 			}
-			model, err := newModel(info, seed)
+			model, err := r.cfg.Trainer.NewModel(g, seed)
 			if err != nil {
-				return 0, fmt.Errorf("core: build model for %s: %w", info.hash, err)
+				return 0, fmt.Errorf("core: build model for %s: %w", hash, err)
 			}
 			if resumeCp != nil {
 				if err := ResumeModel(model, resumeCp); err != nil {
 					// The checkpointed state can't be trusted (a digest
 					// mismatch or restore failure): quarantine it and train
 					// fresh with this attempt's own seed.
-					r.quarantine(r.store.QuarantineCheckpoint, recID, "checkpoint", err)
+					r.quarantine(r.cfg.Store.QuarantineCheckpoint, recID, "checkpoint", err)
 					resumeCp = nil
-					seed = r.seed*1_000_003 + int64(gen)*10_007 + int64(i)*101 + int64(dev.ID)
-					if model, err = newModel(info, seed); err != nil {
-						return 0, fmt.Errorf("core: rebuild model for %s: %w", info.hash, err)
+					seed = freshSeed
+					if model, err = r.cfg.Trainer.NewModel(g, seed); err != nil {
+						return 0, fmt.Errorf("core: rebuild model for %s: %w", hash, err)
 					}
 				}
 			}
 			rec := &lineage.Record{
-				ID:            recID,
-				Genome:        info.encoding,
-				NodesPerPhase: info.nodesPerPhase,
-				Generation:    gen,
-				Architecture:  model.Describe(),
-				NumParams:     model.NumParams(),
-				FLOPs:         model.FLOPs(),
-				Beam:          r.beam,
-				DeviceID:      dev.ID,
-				Attempt:       tc.Attempt,
-				Engine:        r.engineParams,
-				CreatedAt:     time.Now(),
+				ID:           recID,
+				Genome:       encoding,
+				Generation:   gen,
+				Architecture: model.Describe(),
+				NumParams:    model.NumParams(),
+				FLOPs:        model.FLOPs(),
+				Beam:         r.cfg.Beam,
+				DeviceID:     dev.ID,
+				Attempt:      tc.Attempt,
+				Engine:       r.engineParams,
+				CreatedAt:    time.Now(),
+			}
+			if m := macroOf(g); m != nil {
+				rec.NodesPerPhase = m.NodesPerPhase
 			}
 			if tc.SlowFactor > 1 {
 				rec.SlowFactor = tc.SlowFactor
 			}
 			orch := &Orchestrator{
 				Engine:          r.engine,
-				MaxEpochs:       r.maxEpochs,
+				MaxEpochs:       r.cfg.MaxEpochs,
 				SlowFactor:      tc.SlowFactor,
 				DeadlineSeconds: tc.DeadlineSeconds,
 				Obs:             r.instruments,
 				Seed:            seed,
 				ResumeFrom:      resumeCp,
 			}
-			if r.store != nil && r.snapshotEpochs {
-				orch.Snapshots = r.store.PutSnapshot
+			if r.cfg.Store != nil && r.cfg.SnapshotEpochs {
+				orch.Snapshots = r.cfg.Store.PutSnapshot
 			}
-			if r.store != nil && r.checkpoints {
-				orch.Checkpoint = r.store.PutCheckpoint
+			if r.cfg.Store != nil && r.cfg.Checkpoints {
+				orch.Checkpoint = r.cfg.Store.PutCheckpoint
 			}
-			outcome, err := orch.TrainModel(tc.Ctx, model, dev, r.samples, rec)
+			outcome, err := orch.TrainModel(tc.Ctx, model, dev, r.cfg.Trainer.TrainSamples(), rec)
 			if err != nil {
 				// Nothing has been committed for this attempt; report the
 				// partial simulated cost so the scheduler can account for
@@ -287,8 +231,8 @@ func (r *runner) evaluateGeneration(ctx context.Context, gen int, infos []archIn
 				}
 				return cost, classifyTaskError(err)
 			}
-			if r.store != nil {
-				if err := r.store.PutRecord(rec); err != nil {
+			if r.cfg.Store != nil {
+				if err := r.cfg.Store.PutRecord(rec); err != nil {
 					return outcome.SimSeconds, err
 				}
 				if err := chaos.Point(chaos.PointModelPostRecord); err != nil {
@@ -296,13 +240,13 @@ func (r *runner) evaluateGeneration(ctx context.Context, gen int, infos []archIn
 					// stale checkpoint below is cleaned up by recovery.
 					return outcome.SimSeconds, err
 				}
-				if r.checkpoints {
+				if r.cfg.Checkpoints {
 					// Best effort: a leftover checkpoint for a committed
 					// record is detected as stale and removed by recovery.
-					r.store.DeleteCheckpoint(recID)
+					r.cfg.Store.DeleteCheckpoint(recID)
 				}
 			}
-			mr := r.modelResult(info, rec, outcome.FinalFitness)
+			mr := r.modelResult(g, rec, outcome.FinalFitness)
 			r.mu.Lock()
 			results[i] = mr
 			r.res.TotalEpochs += outcome.EpochsTrained
@@ -316,8 +260,8 @@ func (r *runner) evaluateGeneration(ctx context.Context, gen int, infos []archIn
 			r.res.Overhead.Interactions += outcome.Interactions
 			r.interactionSecs = append(r.interactionSecs, outcome.InteractionSeconds...)
 			r.mu.Unlock()
-			if r.onModel != nil {
-				r.onModel(mr)
+			if r.cfg.OnModel != nil {
+				r.cfg.OnModel(mr)
 			}
 			return outcome.SimSeconds, nil
 		}
@@ -329,8 +273,8 @@ func (r *runner) evaluateGeneration(ctx context.Context, gen int, infos []archIn
 	// its fair-share slots; the release at the generation barrier is the
 	// only preemption point, so the pool's deterministic schedule (and
 	// the search's results) are exactly the ungated ones.
-	if r.gate != nil {
-		release, err := r.gate(ctx, gen, len(infos))
+	if r.cfg.Gate != nil {
+		release, err := r.cfg.Gate(ctx, gen, len(cands))
 		if err != nil {
 			return nil, err
 		}
@@ -346,9 +290,9 @@ func (r *runner) evaluateGeneration(ctx context.Context, gen int, infos []archIn
 	if err := chaos.Point(chaos.PointGenerationCommit); err != nil {
 		return nil, err
 	}
-	objs := make([][]float64, len(infos))
+	objs := make([][]float64, len(cands))
 	r.mu.Lock()
-	if r.res.Replayed-replayedBefore == len(infos) {
+	if r.res.Replayed-replayedBefore == len(cands) {
 		r.res.GenerationsReplayed++
 	}
 	for i, mr := range results {
@@ -372,7 +316,7 @@ func (r *runner) evaluateGeneration(ctx context.Context, gen int, infos []archIn
 // pareto_update event. The analyzer package has the full-featured
 // frontier, but it sits above core in the import graph; this local scan
 // keeps the dependency arrow pointing the right way. Caller holds r.mu.
-func (r *runner) paretoFrontLocked() []obs.ParetoPoint {
+func (r *runner[G]) paretoFrontLocked() []obs.ParetoPoint {
 	models := r.res.Models
 	front := make([]obs.ParetoPoint, 0, 8)
 	for i, m := range models {
@@ -397,7 +341,7 @@ func (r *runner) paretoFrontLocked() []obs.ParetoPoint {
 // quarantine moves a corrupt file aside via the store's quarantine
 // method, counting it and surfacing the action as a recovery journal
 // event (which the health engine turns into an alert).
-func (r *runner) quarantine(move func(id, reason string) (string, error), id, kind string, cause error) {
+func (r *runner[G]) quarantine(move func(id, reason string) (string, error), id, kind string, cause error) {
 	reason := commons.CorruptionReason(cause)
 	dest, err := move(id, reason)
 	if err != nil {
@@ -416,7 +360,7 @@ func (r *runner) quarantine(move func(id, reason string) (string, error), id, ki
 }
 
 // attachRecovery folds a resume preflight's report into the result.
-func (r *runner) attachRecovery(rep *RecoveryReport) {
+func (r *runner[G]) attachRecovery(rep *RecoveryReport) {
 	if rep == nil {
 		return
 	}
@@ -427,10 +371,9 @@ func (r *runner) attachRecovery(rep *RecoveryReport) {
 }
 
 // modelResult assembles a ModelResult from a record.
-func (r *runner) modelResult(info archInfo, rec *lineage.Record, fitness float64) *ModelResult {
+func (r *runner[G]) modelResult(g G, rec *lineage.Record, fitness float64) *ModelResult {
 	return &ModelResult{
-		Genome:  info.macro,
-		Micro:   info.micro,
+		Genome:  macroOf(g),
 		Record:  rec,
 		Fitness: fitness,
 		MFLOPs:  float64(rec.FLOPs) / 1e6,
@@ -438,7 +381,7 @@ func (r *runner) modelResult(info archInfo, rec *lineage.Record, fitness float64
 }
 
 // finish completes the accounting and returns the result.
-func (r *runner) finish() *Result {
+func (r *runner[G]) finish() *Result {
 	// The engine's measured overhead counts toward wall time (§4.3.1).
 	r.pool.AddOverhead(r.res.Overhead.TotalSeconds)
 	r.res.Totals = r.pool.Totals()

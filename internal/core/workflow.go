@@ -13,8 +13,9 @@ import (
 	"a4nn/internal/sched"
 )
 
-// Config assembles a full A4NN (or standalone-NAS) run.
-type Config struct {
+// ConfigOf assembles a full A4NN (or standalone-NAS) run over the search
+// space of genomes G.
+type ConfigOf[G Arch] struct {
 	// NAS is the NSGA-II configuration (Table 2).
 	NAS nsga.Config
 	// Engine configures the prediction engine (Table 1); nil runs the
@@ -22,18 +23,15 @@ type Config struct {
 	Engine *predict.Config
 	// MaxEpochs is the full per-network training budget (Table 2: 25).
 	MaxEpochs int
-	// Phases and NodesPerPhase shape the search space (Table 2: 4 nodes;
-	// NSGA-Net's macro space uses 3 phases).
-	Phases, NodesPerPhase int
-	// MutationRate is the per-bit flip probability; 0 selects
-	// 1/(bits per genome), one expected flip per child.
-	MutationRate float64
+	// Space is the search space: its shape, variation operators and
+	// mutation rate (genome.MacroSpace, genome.MicroSpace).
+	Space SearchSpace[G]
 	// Devices is the accelerator count (the paper evaluates 1 and 4).
 	Devices int
 	// Throughput is the per-device FLOPs/s; 0 selects sched.DefaultThroughput.
 	Throughput float64
 	// Trainer builds models from genomes.
-	Trainer Trainer
+	Trainer TrainerOf[G]
 	// Beam labels the dataset variant in lineage records.
 	Beam string
 	// Store, when non-nil, receives every record trail; SnapshotEpochs
@@ -89,6 +87,13 @@ type Config struct {
 	Gate GenerationGate
 }
 
+// Config and MicroConfig are the configurations of a search over the
+// macro space (the paper's) and over the micro, cell-based space.
+type (
+	Config      = ConfigOf[*genome.Genome]
+	MicroConfig = ConfigOf[*genome.MicroGenome]
+)
+
 // GenerationGate admits one generation of tasks and returns the release
 // to call when the generation's barrier is reached. Returning an error
 // aborts the search (a canceled or evicted job).
@@ -100,18 +105,17 @@ type GenerationGate func(ctx context.Context, gen, tasks int) (release func(), e
 func DefaultConfig(trainer Trainer) Config {
 	engineCfg := predict.DefaultConfig()
 	return Config{
-		NAS:           nsga.DefaultConfig(),
-		Engine:        &engineCfg,
-		MaxEpochs:     25,
-		Phases:        3,
-		NodesPerPhase: 4,
-		Devices:       1,
-		Trainer:       trainer,
+		NAS:       nsga.DefaultConfig(),
+		Engine:    &engineCfg,
+		MaxEpochs: 25,
+		Space:     genome.MacroSpace{Phases: 3, NodesPerPhase: 4},
+		Devices:   1,
+		Trainer:   trainer,
 	}
 }
 
 // Validate reports the first problem with the configuration, or nil.
-func (c Config) Validate() error {
+func (c ConfigOf[G]) Validate() error {
 	if err := c.NAS.Validate(); err != nil {
 		return err
 	}
@@ -123,8 +127,11 @@ func (c Config) Validate() error {
 	if c.MaxEpochs < 1 {
 		return fmt.Errorf("core: MaxEpochs must be ≥ 1, got %d", c.MaxEpochs)
 	}
-	if c.Phases < 1 || c.NodesPerPhase < 1 {
-		return fmt.Errorf("core: need ≥ 1 phases and nodes, got %d, %d", c.Phases, c.NodesPerPhase)
+	if c.Space == nil {
+		return fmt.Errorf("core: Space must be set")
+	}
+	if err := c.Space.Validate(); err != nil {
+		return err
 	}
 	if c.Devices < 1 {
 		return fmt.Errorf("core: Devices must be ≥ 1, got %d", c.Devices)
@@ -132,36 +139,25 @@ func (c Config) Validate() error {
 	if c.Trainer == nil {
 		return fmt.Errorf("core: Trainer must be set")
 	}
-	if c.MutationRate < 0 || c.MutationRate > 1 {
-		return fmt.Errorf("core: MutationRate %v outside [0,1]", c.MutationRate)
-	}
-	return validateFaultKnobs(c.Resume, c.Checkpoints, c.Store != nil, c.ReplayFrom != nil,
-		c.Faults, c.Retry, c.TaskTimeoutSeconds)
-}
-
-// validateFaultKnobs checks the fault-tolerance configuration shared by
-// the macro and micro workflows.
-func validateFaultKnobs(resume, checkpoints, hasStore, hasReplay bool,
-	faults *sched.FaultPlan, retry sched.RetryPolicy, timeout float64) error {
-	if resume && !hasStore {
+	if c.Resume && c.Store == nil {
 		return fmt.Errorf("core: Resume requires Store")
 	}
-	if checkpoints && !hasStore {
+	if c.Checkpoints && c.Store == nil {
 		return fmt.Errorf("core: Checkpoints requires Store")
 	}
-	if resume && hasReplay {
+	if c.Resume && c.ReplayFrom != nil {
 		return fmt.Errorf("core: Resume and ReplayFrom are mutually exclusive (Resume replays from Store)")
 	}
-	if faults != nil {
-		if err := faults.Validate(); err != nil {
+	if c.Faults != nil {
+		if err := c.Faults.Validate(); err != nil {
 			return err
 		}
 	}
-	if err := retry.Validate(); err != nil {
+	if err := c.Retry.Validate(); err != nil {
 		return err
 	}
-	if timeout < 0 {
-		return fmt.Errorf("core: negative TaskTimeoutSeconds %v", timeout)
+	if c.TaskTimeoutSeconds < 0 {
+		return fmt.Errorf("core: negative TaskTimeoutSeconds %v", c.TaskTimeoutSeconds)
 	}
 	return nil
 }
@@ -169,9 +165,9 @@ func validateFaultKnobs(resume, checkpoints, hasStore, hasReplay bool,
 // ModelResult pairs an evaluated genome with its record trail and
 // objectives.
 type ModelResult struct {
-	// Genome is set for macro-space searches; Micro for micro-space ones.
+	// Genome is the evaluated genome of a macro-space search (nil in any
+	// other space; Record.Genome holds every space's encoding).
 	Genome  *genome.Genome
-	Micro   *genome.MicroGenome
 	Record  *lineage.Record
 	Fitness float64 // validation accuracy (percent) reported to the NAS
 	MFLOPs  float64 // FLOPs / 1e6, the second NAS objective
@@ -188,10 +184,6 @@ type OverheadStats struct {
 
 // Result is the outcome of one workflow run.
 type Result struct {
-	// NAS holds the NSGA-II populations and the full evaluation log
-	// (macro searches); MicroNAS is its micro-space counterpart.
-	NAS      *nsga.Result[*genome.Genome]
-	MicroNAS *nsga.Result[*genome.MicroGenome]
 	// Models holds one entry per evaluated network, in evaluation order.
 	Models []*ModelResult
 	// Totals is the resource manager's simulated accounting.
@@ -247,22 +239,15 @@ func (r *Result) TerminationEpochs() []int {
 // evaluator trains each generation across the device pool under
 // Algorithm 1 and returns (100−fitness, MFLOPs) to the NAS; lineage
 // records flow to the data commons.
-func Run(cfg Config) (*Result, error) {
+func Run[G Arch](cfg ConfigOf[G]) (*Result, error) {
 	return RunCtx(context.Background(), cfg)
 }
 
 // RunCtx is Run with cancellation: when ctx is canceled, in-flight
 // training stops between epochs and the run returns the context error.
-func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
+func RunCtx[G Arch](ctx context.Context, cfg ConfigOf[G]) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.MutationRate == 0 {
-		cfg.MutationRate = 1 / float64(cfg.Phases*genome.BitsPerPhase(cfg.NodesPerPhase))
-	}
-	replay := nilableStore(cfg.ReplayFrom)
-	if cfg.Resume {
-		replay = nilableStore(cfg.Store)
 	}
 	var recovery *RecoveryReport
 	if cfg.Resume {
@@ -273,75 +258,43 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 		recovery = rep
 	}
 	ctx = obs.WithTracer(ctx, cfg.Obs.Tracer())
-	r, err := newRunner(runnerParams{
-		engineCfg:   cfg.Engine,
-		maxEpochs:   cfg.MaxEpochs,
-		devices:     cfg.Devices,
-		throughput:  cfg.Throughput,
-		beam:        cfg.Beam,
-		store:       nilableStore(cfg.Store),
-		replay:      replay,
-		snapshots:   cfg.SnapshotEpochs,
-		checkpoints: cfg.Checkpoints,
-		resume:      cfg.Resume,
-		onModel:     cfg.OnModel,
-		samples:     cfg.Trainer.TrainSamples(),
-		seed:        cfg.NAS.Seed,
-		faults:      cfg.Faults,
-		retry:       cfg.Retry,
-		taskTimeout: cfg.TaskTimeoutSeconds,
-		observer:    cfg.Obs,
-		gate:        cfg.Gate,
-	})
+	r, err := newRunner(cfg)
 	if err != nil {
 		return nil, err
 	}
 	r.attachRecovery(recovery)
 	r.journal.Emit(obs.Event{Type: obs.EventRunStart, Devices: cfg.Devices, Epochs: cfg.MaxEpochs})
 
-	evaluator := nsga.EvaluatorFunc[*genome.Genome](func(gen int, cands []*genome.Genome) ([][]float64, error) {
-		infos := make([]archInfo, len(cands))
-		for i, g := range cands {
-			infos[i] = archInfo{hash: g.Hash(), encoding: g.String(), nodesPerPhase: g.NodesPerPhase, macro: g}
-		}
-		return r.evaluateGeneration(ctx, gen, infos, func(info archInfo, seed int64) (Trainable, error) {
-			return cfg.Trainer.NewModel(info.macro, seed)
-		})
+	evaluator := nsga.EvaluatorFunc[G](func(gen int, cands []G) ([][]float64, error) {
+		return r.evaluateGeneration(ctx, gen, cands)
 	})
-
-	ops := genomeOps{phases: cfg.Phases, nodes: cfg.NodesPerPhase, mutationRate: cfg.MutationRate}
-	nasRes, err := nsga.Run[*genome.Genome](cfg.NAS, ops, evaluator)
-	if err != nil {
+	if _, err := nsga.Run[G](cfg.NAS, cfg.Space, evaluator); err != nil {
 		r.journal.Emit(obs.Event{Type: obs.EventRunEnd, Err: err.Error()})
 		return nil, err
 	}
 	res := r.finish()
-	res.NAS = nasRes
-	r.emitRunEnd(res, cfg.MaxEpochs)
+	r.emitRunEnd(res)
 	return res, nil
 }
 
+// RunMicro executes a search over the micro (cell-based) space.
+func RunMicro(cfg MicroConfig) (*Result, error) { return Run(cfg) }
+
+// RunMicroCtx is RunMicro with cancellation.
+func RunMicroCtx(ctx context.Context, cfg MicroConfig) (*Result, error) { return RunCtx(ctx, cfg) }
+
 // emitRunEnd publishes the run's closing event with the headline
 // accounting the dashboard's savings ticker sums up.
-func (r *runner) emitRunEnd(res *Result, maxEpochs int) {
+func (r *runner[G]) emitRunEnd(res *Result) {
 	r.journal.Emit(obs.Event{
 		Type:        obs.EventRunEnd,
 		Tasks:       len(res.Models),
 		Epochs:      res.TotalEpochs,
-		SavedEpochs: len(res.Models)*maxEpochs - res.TotalEpochs,
+		SavedEpochs: len(res.Models)*r.cfg.MaxEpochs - res.TotalEpochs,
 		WallSeconds: res.Totals.WallSeconds,
 		IdleSeconds: res.Totals.IdleSeconds,
 		LostSeconds: res.Totals.LostSeconds,
 		Retries:     res.Totals.Retries,
 		Faults:      res.Totals.Faults,
 	})
-}
-
-// nilableStore converts a possibly-nil *commons.Store into a
-// possibly-nil storeLike (a typed-nil interface would defeat nil checks).
-func nilableStore(s *commons.Store) storeLike {
-	if s == nil {
-		return nil
-	}
-	return s
 }

@@ -205,20 +205,22 @@ func TestWorkflowValidation(t *testing.T) {
 		t.Fatal("0 epochs must fail")
 	}
 	cfg = testConfig()
-	cfg.MutationRate = 2
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("mutation rate > 1 must fail")
-	}
-	cfg = testConfig()
 	bad := predict.Config{}
 	cfg.Engine = &bad
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("invalid engine config must fail")
 	}
+	// The space validates its own parameters (genome.TestSpaceContract);
+	// the configuration must pass its verdict on.
 	cfg = testConfig()
-	cfg.Phases = 0
+	cfg.Space = genome.MacroSpace{Phases: 0, NodesPerPhase: 4}
 	if _, err := Run(cfg); err == nil {
-		t.Fatal("0 phases must fail")
+		t.Fatal("invalid space must fail")
+	}
+	cfg = testConfig()
+	cfg.Space = nil
+	if _, err := Run(cfg); err == nil {
+		t.Fatal("nil space must fail")
 	}
 }
 

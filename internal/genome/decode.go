@@ -341,39 +341,7 @@ func Decode(g *Genome, cfg DecodeConfig, rng *rand.Rand) (*nn.Network, error) {
 	if len(cfg.Widths) != len(g.Phases) {
 		return nil, fmt.Errorf("genome: %d widths for %d phases", len(cfg.Widths), len(g.Phases))
 	}
-	if len(cfg.InShape) != 3 {
-		return nil, fmt.Errorf("genome: InShape must be (C,H,W), got %v", cfg.InShape)
-	}
-	if cfg.NumClasses < 2 {
-		return nil, fmt.Errorf("genome: NumClasses must be ≥ 2, got %d", cfg.NumClasses)
-	}
-	var layers []nn.Layer
-	inC := cfg.InShape[0]
-	h, w := cfg.InShape[1], cfg.InShape[2]
-	for p, width := range cfg.Widths {
-		block, err := NewPhaseBlock(rng, g, p, inC, width)
-		if err != nil {
-			return nil, err
-		}
-		layers = append(layers, block)
-		inC = width
-		if p < len(cfg.Widths)-1 {
-			if h < 2 || w < 2 {
-				return nil, fmt.Errorf("genome: input %v too small for %d pooled phases", cfg.InShape, len(cfg.Widths))
-			}
-			pool, err := nn.NewMaxPool2D(2, 2)
-			if err != nil {
-				return nil, err
-			}
-			layers = append(layers, pool)
-			h, w = h/2, w/2
-		}
-	}
-	layers = append(layers, nn.NewGlobalAvgPool2D())
-	dense, err := nn.NewDense(rng, inC, cfg.NumClasses)
-	if err != nil {
-		return nil, err
-	}
-	layers = append(layers, dense)
-	return nn.NewNetwork(g.Hash(), cfg.InShape, layers...)
+	return stack(g.Hash(), cfg, rng, func(p, inC, width int) (nn.Layer, error) {
+		return NewPhaseBlock(rng, g, p, inC, width)
+	})
 }

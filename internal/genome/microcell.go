@@ -340,42 +340,7 @@ func DecodeMicro(g *MicroGenome, cfg DecodeConfig, rng *rand.Rand) (*nn.Network,
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	if len(cfg.InShape) != 3 {
-		return nil, fmt.Errorf("genome: InShape must be (C,H,W), got %v", cfg.InShape)
-	}
-	if cfg.NumClasses < 2 {
-		return nil, fmt.Errorf("genome: NumClasses must be ≥ 2, got %d", cfg.NumClasses)
-	}
-	if len(cfg.Widths) == 0 {
-		return nil, fmt.Errorf("genome: no stage widths")
-	}
-	var layers []nn.Layer
-	inC := cfg.InShape[0]
-	h, w := cfg.InShape[1], cfg.InShape[2]
-	for s, width := range cfg.Widths {
-		cell, err := NewMicroCell(rng, g, inC, width)
-		if err != nil {
-			return nil, err
-		}
-		layers = append(layers, cell)
-		inC = width
-		if s < len(cfg.Widths)-1 {
-			if h < 2 || w < 2 {
-				return nil, fmt.Errorf("genome: input %v too small for %d pooled stages", cfg.InShape, len(cfg.Widths))
-			}
-			pool, err := nn.NewMaxPool2D(2, 2)
-			if err != nil {
-				return nil, err
-			}
-			layers = append(layers, pool)
-			h, w = h/2, w/2
-		}
-	}
-	layers = append(layers, nn.NewGlobalAvgPool2D())
-	dense, err := nn.NewDense(rng, inC, cfg.NumClasses)
-	if err != nil {
-		return nil, err
-	}
-	layers = append(layers, dense)
-	return nn.NewNetwork(g.Hash(), cfg.InShape, layers...)
+	return stack(g.Hash(), cfg, rng, func(_, inC, width int) (nn.Layer, error) {
+		return NewMicroCell(rng, g, inC, width)
+	})
 }

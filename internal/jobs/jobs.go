@@ -31,6 +31,7 @@ import (
 	"a4nn/internal/health"
 	"a4nn/internal/obs"
 	"a4nn/internal/predict"
+	"a4nn/internal/runenv"
 	"a4nn/internal/sched"
 	"a4nn/internal/simtrain"
 	"a4nn/internal/tsdb"
@@ -134,10 +135,10 @@ func (c Config) Validate() error {
 }
 
 // BuildSearchConfig assembles the core workflow configuration a job
-// runs — exactly the one `cmd/a4nn` builds for the same flags, which is
-// what makes job results comparable (byte-identical, single device) to
-// single-job CLI runs. Store, Obs, Gate, Resume, and Checkpoints are
-// the manager's to set.
+// runs. `cmd/a4nn` builds its search with the same call from its flags,
+// which is what makes job results comparable (byte-identical, single
+// device) to single-job CLI runs. Store, Obs, Gate, Resume, and
+// Checkpoints are the caller's to set.
 func BuildSearchConfig(jc Config) (core.Config, error) {
 	beam, err := xfel.ParseBeam(jc.Beam)
 	if err != nil {
@@ -206,14 +207,11 @@ type Job struct {
 	progress Progress
 	resumes  int
 
-	dir      string
-	cancel   context.CancelFunc
-	observer *obs.Observer
-	health   *health.Engine
-	scope    *obs.Registry // per-job metrics scope; survives Retire
-	recorder *obs.Recorder
-	history  *tsdb.DB // per-job series store; nil while not running
-	done     chan struct{}
+	dir     string
+	cancel  context.CancelFunc
+	env     *runenv.Stack // per-job run environment; nil until the search starts, readable after Close
+	history *tsdb.DB      // env's live series store; nil while not running
+	done    chan struct{}
 }
 
 // Status snapshots the job.
@@ -472,9 +470,9 @@ func (m *Manager) run(ctx context.Context, job *Job, resume bool) {
 	writeManifest(job.dir, manifestOf(job.Status()))
 }
 
-// runSearch builds the per-job isolated commons, observer, and health
-// engine, then runs the gated search.
-func (m *Manager) runSearch(ctx context.Context, job *Job, resume bool) error {
+// runSearch opens the per-job commons and run environment, then runs
+// the gated search.
+func (m *Manager) runSearch(ctx context.Context, job *Job, resume bool) (err error) {
 	cfg, err := BuildSearchConfig(job.cfg)
 	if err != nil {
 		return err
@@ -484,92 +482,49 @@ func (m *Manager) runSearch(ctx context.Context, job *Job, resume bool) error {
 		return err
 	}
 
-	// Per-job observability: the journal, metrics, spans, and alerts all
-	// live inside the job's own directory, so the SSE stream, dashboard,
-	// and health endpoints are namespaced by construction. The metrics
-	// registry is a child scope of the service registry: the job's
-	// series roll up into the shared /metrics as `...{job="id"}` while
-	// the job is live, and Retire below removes them when it is not, so
-	// service cardinality is bounded by concurrent jobs.
-	scope := m.reg.Scope("job", job.id)
-	observer := obs.NewObserverWith(scope)
-	if err := observer.Journal().OpenFile(filepath.Join(job.dir, obs.EventsFile)); err != nil {
-		m.reg.Retire("job", job.id)
-		return err
-	}
-	defer observer.Journal().Close()
-	defer m.reg.Retire("job", job.id)
-	// Evict any SSE followers still attached to the job's broker —
-	// terminal jobs must not pin subscriber goroutines.
-	defer observer.Journal().Broker().CloseAll()
-
-	// The flight recorder is the job's black box: armed for the whole
-	// search, it turns a chaos kill, a fatal error, or an unresolved
-	// critical shutdown into a postmortem bundle under the job's own
-	// directory.
-	recorder := obs.NewRecorder(obs.RecorderConfig{
-		Dir:          job.dir,
-		Registry:     scope,
-		Tracer:       observer.Tracer(),
-		ManifestPath: filepath.Join(job.dir, ManifestFile),
-	})
-	observer.AttachRecorder(recorder)
-	recorder.Arm()
-	recorder.Start(0)
-	defer recorder.Close()
-
-	// Per-job run history: sample the job's metrics scope into a series
-	// store inside the job directory, so /api/jobs/{id}/query can chart
-	// it live and OpenRead can serve it after the job is terminal. The
-	// sampler closes (taking one final sample and flushing) before the
-	// store, and both before the scope retires above.
-	var hdb *tsdb.DB
-	if m.history > 0 {
-		hdb, err = tsdb.Open(job.dir)
-		if err != nil {
-			return err
-		}
-		defer hdb.Close()
-		sampler := tsdb.NewSampler(hdb, scope, m.history)
-		sampler.Start()
-		defer sampler.Close()
-		defer func() {
-			job.mu.Lock()
-			job.history = nil
-			job.mu.Unlock()
-		}()
-	}
-
+	// Per-job observability: the journal, metrics, spans, alerts, history
+	// and postmortem bundles all live inside the job's own directory, so
+	// the SSE stream, dashboard, and health endpoints are namespaced by
+	// construction. The metrics registry is a child scope of the service
+	// registry: the job's series roll up into the shared /metrics as
+	// `...{job="id"}` while the job is live and are retired when it is
+	// not, so service cardinality is bounded by concurrent jobs.
 	healthCfg := m.healthCfg
-	healthCfg.DiskPath = job.dir
 	if m.slo != nil && healthCfg.SLO == nil {
 		healthCfg.SLO = m.slo
 	}
-	eng, err := health.New(healthCfg, observer)
+	env, err := runenv.Open(job.dir, runenv.Options{
+		Parent:       m.reg,
+		ScopeLabel:   "job",
+		ScopeValue:   job.id,
+		Events:       true,
+		History:      m.history,
+		Health:       &healthCfg,
+		ManifestPath: filepath.Join(job.dir, ManifestFile),
+	})
 	if err != nil {
 		return err
 	}
-	if err := eng.OpenAlertsFile(filepath.Join(job.dir, health.AlertsFile)); err != nil {
-		return err
-	}
-	eng.Start()
-	// Drain the engine before the journal closes so final alert
-	// transitions land in the job's events.jsonl and alerts.jsonl.
-	defer eng.Close()
-
 	job.mu.Lock()
-	job.observer = observer
-	job.health = eng
-	job.scope = scope
-	job.recorder = recorder
-	job.history = hdb
+	job.env = env
+	job.history = env.History()
 	job.mu.Unlock()
+	// Teardown in runenv's order (DESIGN §7); the live store is
+	// unpublished first so JobHistory reopens the sealed file instead.
+	defer func() {
+		job.mu.Lock()
+		job.history = nil
+		job.mu.Unlock()
+		if cerr := env.Close(); err == nil {
+			err = cerr
+		}
+	}()
 
 	cfg.Store = store
 	cfg.Throughput = m.throughput
 	cfg.Checkpoints = true
 	cfg.Resume = resume
-	cfg.Obs = observer
+	cfg.Obs = env.Observer()
 	cfg.Gate = func(gctx context.Context, gen, tasks int) (func(), error) {
 		release, err := m.fleet.Acquire(gctx, job.id, job.cfg.Devices)
 		if err != nil {
@@ -605,15 +560,10 @@ func (m *Manager) runSearch(ctx context.Context, job *Job, resume bool) error {
 		// A genuine failure (not a cancel/drain) is a fatal path for this
 		// job: leave a black-box bundle next to the records it died on.
 		if ctx.Err() == nil {
-			if _, derr := recorder.Dump(fmt.Sprintf("job %s failed: %v", job.id, err)); derr != nil {
+			if _, derr := env.Recorder().Dump(fmt.Sprintf("job %s failed: %v", job.id, err)); derr != nil {
 				fmt.Fprintln(os.Stderr, "jobs: postmortem dump failed:", derr)
 			}
 		}
-		return err
-	}
-	// Flush spans.jsonl and metrics.json next to the records so
-	// `a4nn-analyze telemetry` works per job.
-	if err := observer.FlushTo(job.dir); err != nil {
 		return err
 	}
 	job.mu.Lock()
@@ -759,10 +709,7 @@ func (m *Manager) Journal(id string) (*obs.Journal, error) {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.observer == nil {
-		return nil, nil
-	}
-	return j.observer.Journal(), nil
+	return j.env.Observer().Journal(), nil
 }
 
 // JobRegistry returns a job's metrics scope (nil until its search has
@@ -776,7 +723,7 @@ func (m *Manager) JobRegistry(id string) (*obs.Registry, error) {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.scope, nil
+	return j.env.Observer().Registry(), nil
 }
 
 // JobHistory returns a job's run-history store for the namespaced
@@ -812,7 +759,7 @@ func (m *Manager) HealthEngine(id string) (*health.Engine, error) {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.health, nil
+	return j.env.Health(), nil
 }
 
 // Dir returns a job's commons directory.

@@ -556,45 +556,6 @@ func TestTrainEpochValidation(t *testing.T) {
 	}
 }
 
-func BenchmarkConvForward(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	conv, err := NewConv2D(rng, 8, 16, 3, 3, 1, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := tensor.Randn(rng, 0, 1, 8, 8, 16, 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := conv.Forward(x, false); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTrainEpochSmallCNN(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	conv, _ := NewConv2D(rng, 1, 4, 3, 3, 1, 1)
-	pool, _ := NewMaxPool2D(2, 2)
-	dense, _ := NewDense(rng, 4*8*8, 2)
-	net, err := NewNetwork("bench", []int{1, 16, 16}, conv, NewReLU(), pool, NewFlatten(), dense)
-	if err != nil {
-		b.Fatal(err)
-	}
-	opt, _ := NewSGD(0.01, 0.9, 0)
-	x := tensor.Randn(rng, 0, 1, 16, 1, 16, 16)
-	labels := make([]int, 16)
-	for i := range labels {
-		labels[i] = i % 2
-	}
-	batches := []Batch{{X: x, Labels: labels}}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := TrainEpoch(net, opt, batches); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func TestAvgPoolForwardKnown(t *testing.T) {
 	p, err := NewAvgPool2D(2, 2)
 	if err != nil {

@@ -523,6 +523,11 @@ func DecodeBundleBytes(data []byte) (*Postmortem, error) {
 	if err := json.Unmarshal(meta, &pm.Meta); err != nil {
 		return nil, fmt.Errorf("bad meta section: %v", err)
 	}
+	// A checksummed section of some other JSON under the meta name
+	// unmarshals cleanly into an all-zero header.
+	if pm.Meta.Version != int(version) {
+		return nil, fmt.Errorf("meta section version %d under bundle version %d", pm.Meta.Version, version)
+	}
 	return pm, nil
 }
 

@@ -180,6 +180,9 @@ func (s *Span) SetAttr(key, val string) {
 
 // SetInt attaches an integer attribute.
 func (s *Span) SetInt(key string, v int) {
+	if s == nil {
+		return
+	}
 	s.SetAttr(key, strconv.Itoa(v))
 }
 

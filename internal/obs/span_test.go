@@ -85,7 +85,7 @@ func TestDisabledTracingIsFree(t *testing.T) {
 	ctx := context.Background()
 	allocs := testing.AllocsPerRun(1000, func() {
 		sctx, s := StartSpan(ctx, "epoch")
-		s.SetInt("epoch", 3)
+		s.SetInt("epoch", 12345) // ≥ 100: strconv.Itoa allocates past its small-int table
 		s.SetFloat("val_acc", 91.5)
 		s.End()
 		if sctx != ctx {

@@ -426,24 +426,3 @@ func TestParallelForEdgeCases(t *testing.T) {
 		}
 	}
 }
-
-func BenchmarkMatMul128(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	x := Randn(rng, 0, 1, 128, 128)
-	y := Randn(rng, 0, 1, 128, 128)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MustMatMul(x, y)
-	}
-}
-
-func BenchmarkIm2Col32(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	x := Randn(rng, 0, 1, 8, 32, 32)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Im2Col(x, 3, 3, 1, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -40,12 +40,15 @@ func NewSampler(db *DB, reg *obs.Registry, interval time.Duration) *Sampler {
 
 // SetPreSample installs a hook that runs before every sample pass.
 // a4nn-serve uses it to refresh the fleet gauges so slot history is
-// captured even when no job event happens to fire near the tick.
+// captured even when no job event happens to fire near the tick. Safe
+// to call on a started sampler.
 func (s *Sampler) SetPreSample(fn func()) {
 	if s == nil {
 		return
 	}
+	s.mu.Lock()
 	s.pre = fn
+	s.mu.Unlock()
 }
 
 // SetRetention installs a retention policy, applied periodically from
@@ -101,8 +104,11 @@ func (s *Sampler) SampleNow() {
 	if s == nil {
 		return
 	}
-	if s.pre != nil {
-		s.pre()
+	s.mu.Lock()
+	pre := s.pre
+	s.mu.Unlock()
+	if pre != nil {
+		pre()
 	}
 	t := time.Now().UnixMilli()
 	s.reg.VisitSeries(func(name string, v float64) {

@@ -3,9 +3,10 @@
 # BenchmarkTrainStep and fails when allocs/op exceeds the committed
 # "current" value in BENCH_tensor.json, and re-runs the disabled-path
 # observability benchmarks (BenchmarkDisabledProfiler in internal/nn,
-# BenchmarkDisabledHealth in internal/health, BenchmarkDisabledHistory
-# in internal/tsdb, and friends) and fails unless each costs exactly 0
-# allocs/op. Run via `make bench-gate`.
+# BenchmarkDisabledObs in internal/obs, BenchmarkDisabledHealth in
+# internal/health, BenchmarkDisabledHistory in internal/tsdb, and
+# friends) and fails unless each costs exactly 0 allocs/op. Run via
+# `make bench-gate`.
 set -eu
 
 budget=$(awk '/"current"/ { c = 1 }
@@ -59,97 +60,57 @@ if [ "$profiler" -gt 0 ]; then
 fi
 echo "benchgate: ok — disabled profiler $profiler allocs/op"
 
+# zero_allocs BENCH PKG WHAT fails unless BENCH in PKG reports exactly
+# 0 allocs/op; WHAT names the disabled path in the messages.
+zero_allocs() {
+    zout=$("${GO:-go}" test -run '^$' -bench "$1\$" -benchmem "$2")
+    echo "$zout"
+    zallocs=$(echo "$zout" | awk -v b="$1" '$1 ~ "^" b "(-[0-9]+)?$" {
+        for (i = 3; i < NF; i++) if ($(i+1) == "allocs/op") print $i
+    }')
+    if [ -z "$zallocs" ]; then
+        echo "benchgate: $1 reported no allocs/op" >&2
+        exit 1
+    fi
+    if [ "$zallocs" -gt 0 ]; then
+        echo "benchgate: FAIL — $3 allocates $zallocs/op, must be 0" >&2
+        exit 1
+    fi
+    echo "benchgate: ok — $3 $zallocs allocs/op"
+}
+
+# The disabled instrumentation the hot loops pay must be free: a
+# would-be span with an integer attribute plus nil counter, gauge and
+# histogram updates are nil-receiver branches, so a run with no
+# observer pays nothing per epoch.
+zero_allocs BenchmarkDisabledObs ./internal/obs "disabled span and instruments"
+
 # The disabled health monitor must be equally free: with no engine
 # attached, Engine.Observe is one nil check, so workflows that never
 # pass -health pay nothing for the alerting pipeline.
-hout=$("${GO:-go}" test -run '^$' -bench 'BenchmarkDisabledHealth$' -benchmem ./internal/health)
-echo "$hout"
-healthallocs=$(echo "$hout" | awk '/^BenchmarkDisabledHealth(-[0-9]+)?[ \t]/ {
-    for (i = 3; i < NF; i++) if ($(i+1) == "allocs/op") print $i
-}')
-if [ -z "$healthallocs" ]; then
-    echo "benchgate: BenchmarkDisabledHealth reported no allocs/op" >&2
-    exit 1
-fi
-if [ "$healthallocs" -gt 0 ]; then
-    echo "benchgate: FAIL — disabled health monitor allocates $healthallocs/op, must be 0" >&2
-    exit 1
-fi
-echo "benchgate: ok — disabled health monitor $healthallocs allocs/op"
+zero_allocs BenchmarkDisabledHealth ./internal/health "disabled health monitor"
 
 # Disarmed crash points must be free too: every durable-state
 # transition calls chaos.Point, so with no -chaos plan installed the
 # check is one atomic load and zero allocations.
-cout=$("${GO:-go}" test -run '^$' -bench 'BenchmarkDisabledChaos$' -benchmem ./internal/chaos)
-echo "$cout"
-chaosallocs=$(echo "$cout" | awk '/^BenchmarkDisabledChaos(-[0-9]+)?[ \t]/ {
-    for (i = 3; i < NF; i++) if ($(i+1) == "allocs/op") print $i
-}')
-if [ -z "$chaosallocs" ]; then
-    echo "benchgate: BenchmarkDisabledChaos reported no allocs/op" >&2
-    exit 1
-fi
-if [ "$chaosallocs" -gt 0 ]; then
-    echo "benchgate: FAIL — disarmed chaos point allocates $chaosallocs/op, must be 0" >&2
-    exit 1
-fi
-echo "benchgate: ok — disarmed chaos point $chaosallocs allocs/op"
+zero_allocs BenchmarkDisabledChaos ./internal/chaos "disarmed chaos point"
 
 # The detached flight recorder must be free on the journal hot path:
 # Journal.Emit with no recorder attached pays one atomic load and a
 # nil-receiver branch, so runs that never arm a black box record
 # events at zero extra allocations.
-rout=$("${GO:-go}" test -run '^$' -bench 'BenchmarkDisabledRecorder$' -benchmem ./internal/obs)
-echo "$rout"
-recallocs=$(echo "$rout" | awk '/^BenchmarkDisabledRecorder(-[0-9]+)?[ \t]/ {
-    for (i = 3; i < NF; i++) if ($(i+1) == "allocs/op") print $i
-}')
-if [ -z "$recallocs" ]; then
-    echo "benchgate: BenchmarkDisabledRecorder reported no allocs/op" >&2
-    exit 1
-fi
-if [ "$recallocs" -gt 0 ]; then
-    echo "benchgate: FAIL — detached flight recorder allocates $recallocs/op, must be 0" >&2
-    exit 1
-fi
-echo "benchgate: ok — detached flight recorder $recallocs allocs/op"
+zero_allocs BenchmarkDisabledRecorder ./internal/obs "detached flight recorder"
 
 # A disabled SLO monitor (no -slo spec) must cost nothing: observe and
 # check on a nil monitor are one nil check each, so the objective
 # machinery is free for every run that sets no objectives.
-sout=$("${GO:-go}" test -run '^$' -bench 'BenchmarkDisabledSLO$' -benchmem ./internal/health)
-echo "$sout"
-sloallocs=$(echo "$sout" | awk '/^BenchmarkDisabledSLO(-[0-9]+)?[ \t]/ {
-    for (i = 3; i < NF; i++) if ($(i+1) == "allocs/op") print $i
-}')
-if [ -z "$sloallocs" ]; then
-    echo "benchgate: BenchmarkDisabledSLO reported no allocs/op" >&2
-    exit 1
-fi
-if [ "$sloallocs" -gt 0 ]; then
-    echo "benchgate: FAIL — disabled SLO monitor allocates $sloallocs/op, must be 0" >&2
-    exit 1
-fi
-echo "benchgate: ok — disabled SLO monitor $sloallocs allocs/op"
+zero_allocs BenchmarkDisabledSLO ./internal/health "disabled SLO monitor"
 
 # A disabled run-history store must be free on the metrics hot path:
 # with no -history flag the sampler and store are nil, and both
 # SampleNow and Append are a single nil-receiver branch, so runs that
 # record no history pay nothing for the time-series machinery.
-yout=$("${GO:-go}" test -run '^$' -bench 'BenchmarkDisabledHistory$' -benchmem ./internal/tsdb)
-echo "$yout"
-histallocs=$(echo "$yout" | awk '/^BenchmarkDisabledHistory(-[0-9]+)?[ \t]/ {
-    for (i = 3; i < NF; i++) if ($(i+1) == "allocs/op") print $i
-}')
-if [ -z "$histallocs" ]; then
-    echo "benchgate: BenchmarkDisabledHistory reported no allocs/op" >&2
-    exit 1
-fi
-if [ "$histallocs" -gt 0 ]; then
-    echo "benchgate: FAIL — disabled history store allocates $histallocs/op, must be 0" >&2
-    exit 1
-fi
-echo "benchgate: ok — disabled history store $histallocs allocs/op"
+zero_allocs BenchmarkDisabledHistory ./internal/tsdb "disabled history store"
 
 # The GEMM throughput floor: BenchmarkMatMul/1024 must hold at least
 # half the committed current GFLOP/s from BENCH_tensor.json. Half, not
