@@ -17,11 +17,20 @@ GO ?= go
 # a4nn-serve and resumes every submission.
 ci: lint build race race-broker race-health race-sched race-obs race-tsdb fuzz-smoke bench-smoke bench-gate chaos-soak service-e2e
 
-# lint fails on unformatted files (gofmt -l) and vet findings.
+# lint fails on unformatted files (gofmt -l), vet findings, and on a
+# file protocol written outside internal/durable: temp files, O_APPEND
+# handles and CRC framing have one implementation each (the checkpoint
+# envelope's CRC in commons/checkpoint.go is the one exception), so a
+# second copy cannot appear unreviewed.
 lint: vet
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt required on:"; echo "$$unformatted"; exit 1; \
+	fi
+	@stray=$$(grep -rnE 'os\.CreateTemp\(|os\.O_APPEND|crc32\.' --include='*.go' . \
+		| grep -vE '^\./internal/durable/|_test\.go:|^\./internal/commons/checkpoint\.go:.*crc32\.'); \
+	if [ -n "$$stray" ]; then \
+		echo "file protocol outside internal/durable:"; echo "$$stray"; exit 1; \
 	fi
 
 vet:
@@ -82,6 +91,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz='^FuzzDecodeCheckpoint$$' -fuzztime=10s ./internal/commons
 	$(GO) test -run=^$$ -fuzz='^FuzzReadAlerts$$' -fuzztime=10s ./internal/health
 	$(GO) test -run=^$$ -fuzz='^FuzzDecodeBlocks$$' -fuzztime=10s ./internal/tsdb
+	$(GO) test -run=^$$ -fuzz='^FuzzNextSection$$' -fuzztime=10s ./internal/durable
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .

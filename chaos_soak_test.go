@@ -4,8 +4,8 @@ package a4nn
 // points, relaunch it with -resume until the search completes, and
 // assert the crash-consistency contract — the journal sequence stays
 // monotone, no model retrains epochs its checkpoint already covers,
-// every store file still decodes, and the final Pareto front is
-// byte-identical to a fault-free run with the same seed.
+// every store file still decodes, no temp file is left, and the final
+// Pareto front is byte-identical to a fault-free run with the same seed.
 //
 // `go test` runs a handful of plans; `make chaos-soak` sets
 // CHAOS_SOAK_ITERS=20 for the acceptance sweep.
@@ -174,7 +174,8 @@ func soakOnePlan(t *testing.T, bin, plan string, rearm bool, refFront string) in
 		}
 	}
 
-	// 4. Every record decodes and no checkpoint outlives its record.
+	// 4. Every record decodes, no checkpoint outlives its record, and no
+	// temp file of a killed write outlives the resume that followed it.
 	cstore, err := OpenCommons(store)
 	if err != nil {
 		t.Fatalf("plan %q: reopen store: %v", plan, err)
@@ -196,6 +197,12 @@ func soakOnePlan(t *testing.T, bin, plan string, rearm bool, refFront string) in
 	} else if len(cps) != 0 {
 		t.Errorf("plan %q: %d checkpoint(s) left after a completed run: %v", plan, len(cps), cps)
 	}
+	filepath.WalkDir(store, func(path string, d os.DirEntry, err error) error {
+		if err == nil && strings.Contains(d.Name(), ".tmp-") {
+			t.Errorf("plan %q: temp file %s left after a completed run", plan, path)
+		}
+		return nil
+	})
 	return crashes
 }
 

@@ -21,8 +21,9 @@ type RecoverySummary struct {
 	ResumedEpochs int
 	// Quarantined counts corrupt files moved to .corrupt/, Lost counts
 	// records the journal saw finish but the crash destroyed, Stale
-	// counts leftover checkpoints for already-committed records.
-	Quarantined, Lost, Stale int
+	// counts leftover checkpoints for already-committed records, Temps
+	// counts temp files of writes killed before their rename.
+	Quarantined, Lost, Stale, Temps int
 	// AlertCmdRuns counts -alert-cmd executions logged to the journal.
 	AlertCmdRuns int
 }
@@ -41,6 +42,8 @@ func RecoveryOf(events []obs.Event) RecoverySummary {
 			switch e.Reason {
 			case "stale":
 				r.Stale++
+			case "temp":
+				r.Temps += e.Count
 			case "lost":
 				r.Lost++
 			default:
@@ -72,6 +75,9 @@ func (r RecoverySummary) String() string {
 	}
 	if r.Stale > 0 {
 		fmt.Fprintf(&b, ", stale checkpoints cleaned %d", r.Stale)
+	}
+	if r.Temps > 0 {
+		fmt.Fprintf(&b, ", orphan temp files removed %d", r.Temps)
 	}
 	if r.AlertCmdRuns > 0 {
 		fmt.Fprintf(&b, ", alert commands run %d", r.AlertCmdRuns)

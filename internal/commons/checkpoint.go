@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"a4nn/internal/chaos"
+	"a4nn/internal/durable"
 	"a4nn/internal/lineage"
 )
 
@@ -237,7 +238,7 @@ func (s *Store) PutCheckpoint(c *Checkpoint) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := atomicWrite(s.checkpointPath(c.ID), data, 0o644,
+	if err := durable.AtomicWrite(s.checkpointPath(c.ID), data, 0o644, false,
 		chaos.PointCheckpointPreRename, chaos.PointCheckpointPostRename); err != nil {
 		return fmt.Errorf("commons: write checkpoint %s: %w", c.ID, err)
 	}
@@ -335,7 +336,7 @@ const IndexFile = "index.json"
 func (s *Store) WriteIndex(data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := atomicWrite(filepath.Join(s.root, IndexFile), data, 0o644, "", ""); err != nil {
+	if err := durable.AtomicWrite(filepath.Join(s.root, IndexFile), data, 0o644, false, "", ""); err != nil {
 		return fmt.Errorf("commons: write index: %w", err)
 	}
 	return nil

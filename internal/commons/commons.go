@@ -16,6 +16,7 @@ import (
 	"sync"
 
 	"a4nn/internal/chaos"
+	"a4nn/internal/durable"
 	"a4nn/internal/lineage"
 )
 
@@ -57,39 +58,6 @@ func (s *Store) snapshotPath(id string, epoch int) string {
 	return filepath.Join(s.root, "models", id, fmt.Sprintf("epoch_%03d.bin", epoch))
 }
 
-// atomicWrite writes data to path via a temp file in the same directory
-// renamed into place, so a crash mid-write can never leave a torn file.
-// pre and post name the chaos crash points straddling the rename — the
-// two instants whose crash semantics differ (old file still visible vs
-// new file committed but unreported); both are no-ops unless a crash
-// plan is armed.
-func atomicWrite(path string, data []byte, perm os.FileMode, pre, post string) error {
-	dir, base := filepath.Split(path)
-	tmp, err := os.CreateTemp(dir, base+".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Chmod(perm); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := chaos.Point(pre); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
-	return chaos.Point(post)
-}
-
 // PutRecord writes (or replaces) a record trail. The write is atomic: a
 // kill mid-write leaves either the previous record or the new one, never
 // a torn file that would poison replay/resume.
@@ -100,7 +68,7 @@ func (s *Store) PutRecord(r *lineage.Record) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := atomicWrite(s.recordPath(r.ID), data, 0o644,
+	if err := durable.AtomicWrite(s.recordPath(r.ID), data, 0o644, false,
 		chaos.PointRecordPreRename, chaos.PointRecordPostRename); err != nil {
 		return fmt.Errorf("commons: write record %s: %w", r.ID, err)
 	}
@@ -134,7 +102,7 @@ func (s *Store) PutSnapshot(id string, epoch int, state []byte) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("commons: create model dir for %s: %w", id, err)
 	}
-	if err := atomicWrite(s.snapshotPath(id, epoch), state, 0o644,
+	if err := durable.AtomicWrite(s.snapshotPath(id, epoch), state, 0o644, false,
 		chaos.PointSnapshotPreRename, ""); err != nil {
 		return fmt.Errorf("commons: write snapshot %s@%d: %w", id, epoch, err)
 	}
@@ -161,8 +129,11 @@ func (s *Store) Snapshots(id string) ([]int, error) {
 	}
 	var epochs []int
 	for _, e := range entries {
+		// Sscanf ignores whatever follows ".bin" (an orphan temp file, a
+		// stray copy), so only the exact name PutSnapshot writes counts.
 		var epoch int
-		if _, err := fmt.Sscanf(e.Name(), "epoch_%d.bin", &epoch); err == nil {
+		if _, err := fmt.Sscanf(e.Name(), "epoch_%d.bin", &epoch); err == nil &&
+			e.Name() == filepath.Base(s.snapshotPath(id, epoch)) {
 			epochs = append(epochs, epoch)
 		}
 	}

@@ -347,3 +347,47 @@ func TestConcurrentWrites(t *testing.T) {
 		t.Fatalf("store has %d records", len(ids))
 	}
 }
+
+// TestListingsIgnoreOrphanTempFiles plants what a kill between temp
+// write and rename leaves behind (until the next resume sweeps it): no
+// listing may mistake a leftover, or any other near-miss name, for data.
+func TestListingsIgnoreOrphanTempFiles(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutSnapshot("m1", 3, []byte("state-3")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutRecord(record("r0", "low", 90, 2, false)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(s.Root(), "models", "m2"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, rel := range []string{
+		"models/m1/epoch_003.bin.tmp-1", // same epoch as a committed snapshot
+		"models/m1/epoch_004.bin.tmp-22",
+		"models/m1/epoch_5.binx",
+		"models/m1/epoch_6.bin",           // not the zero-padded name PutSnapshot writes
+		"models/m2/epoch_001.bin.tmp-333", // only the temp exists
+		"records/r0.json.tmp-4",
+		"checkpoints/r1.ckpt.tmp-5",
+	} {
+		if err := os.WriteFile(filepath.Join(s.Root(), rel), []byte("torn"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if epochs, err := s.Snapshots("m1"); err != nil || len(epochs) != 1 || epochs[0] != 3 {
+		t.Fatalf("Snapshots(m1) = %v, %v; want [3]", epochs, err)
+	}
+	if epochs, err := s.Snapshots("m2"); err != nil || len(epochs) != 0 {
+		t.Fatalf("Snapshots(m2) = %v, %v; want none", epochs, err)
+	}
+	if ids, _ := s.List(); len(ids) != 1 {
+		t.Fatalf("List = %v, want [r0]", ids)
+	}
+	if ids, _ := s.Checkpoints(); len(ids) != 0 {
+		t.Fatalf("Checkpoints = %v, want none", ids)
+	}
+}

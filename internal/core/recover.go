@@ -1,8 +1,9 @@
 package core
 
 // Corruption recovery: the preflight a resumed run performs before
-// touching the search. Every record and checkpoint on disk is decoded;
-// torn or tampered files are quarantined with a typed reason, stale
+// touching the search. Temp files of writes killed before their rename
+// are deleted; every record and checkpoint on disk is decoded; torn or
+// tampered files are quarantined with a typed reason, stale
 // checkpoints (their record already committed) are removed, and the
 // model index is rebuilt — cross-checked against events.jsonl, whose
 // model_done events reveal records the dying run committed in memory
@@ -17,6 +18,7 @@ import (
 	"sort"
 
 	"a4nn/internal/commons"
+	"a4nn/internal/durable"
 	"a4nn/internal/obs"
 )
 
@@ -46,11 +48,14 @@ type RecoveryReport struct {
 	// LostRecords lists models the event journal saw finish but whose
 	// records are missing from disk; the resumed search retrains them.
 	LostRecords []string `json:"lost_records,omitempty"`
+	// TempsRemoved counts the temp files of writes killed before their
+	// rename that the pass deleted from the store.
+	TempsRemoved int `json:"temps_removed,omitempty"`
 }
 
 // Clean reports whether recovery found nothing to repair.
 func (r *RecoveryReport) Clean() bool {
-	return r == nil || (len(r.Quarantined) == 0 && r.StaleCheckpoints == 0 && len(r.LostRecords) == 0)
+	return r == nil || (len(r.Quarantined) == 0 && r.StaleCheckpoints == 0 && len(r.LostRecords) == 0 && r.TempsRemoved == 0)
 }
 
 // indexEntry is one model in the rebuilt index.json.
@@ -90,6 +95,19 @@ func RecoverStore(store *commons.Store, journal *obs.Journal) (*RecoveryReport, 
 			Reason: reason,
 			Path:   dest,
 			Msg:    fmt.Sprintf("quarantined corrupt %s %s (%s)", kind, id, reason),
+		})
+	}
+
+	var err error
+	if rep.TempsRemoved, err = durable.RemoveTemps(store.Root()); err != nil {
+		return nil, fmt.Errorf("core: recovery temp sweep: %w", err)
+	}
+	if rep.TempsRemoved > 0 {
+		journal.Emit(obs.Event{
+			Type:   obs.EventRecovery,
+			Reason: "temp",
+			Count:  rep.TempsRemoved,
+			Msg:    fmt.Sprintf("removed %d orphan temp file(s) of writes killed before their rename", rep.TempsRemoved),
 		})
 	}
 

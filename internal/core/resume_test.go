@@ -419,6 +419,46 @@ func TestRecoverStore(t *testing.T) {
 	}
 }
 
+// TestRecoverStoreRemovesOrphanTemps: temp files of writes killed before
+// their rename are the only damage; the pass deletes them, reports the
+// count under one recovery event, and a second pass is clean.
+func TestRecoverStoreRemovesOrphanTemps(t *testing.T) {
+	dir := t.TempDir()
+	store, err := commons.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.PutSnapshot("m", 1, []byte("s")); err != nil {
+		t.Fatal(err)
+	}
+	orphans := []string{"records/a.json.tmp-1", "checkpoints/a.ckpt.tmp-2", "models/m/epoch_002.bin.tmp-3", "job.json.tmp-4"}
+	for _, rel := range orphans {
+		if err := os.WriteFile(filepath.Join(dir, rel), []byte("half"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j := obs.NewJournal(16)
+	rep, err := RecoverStore(store, j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.TempsRemoved != len(orphans) || rep.Clean() {
+		t.Fatalf("report %+v, want %d temps removed and not clean", rep, len(orphans))
+	}
+	events := j.Since(0)
+	if len(events) != 1 || events[0].Type != obs.EventRecovery || events[0].Reason != "temp" || events[0].Count != len(orphans) {
+		t.Fatalf("events = %+v, want one recovery event counting the temps", events)
+	}
+	for _, rel := range orphans {
+		if _, err := os.Stat(filepath.Join(dir, rel)); !os.IsNotExist(err) {
+			t.Errorf("%s survived recovery (%v)", rel, err)
+		}
+	}
+	if rep2, err := RecoverStore(store, j); err != nil || !rep2.Clean() {
+		t.Fatalf("second pass = %+v, %v; want clean", rep2, err)
+	}
+}
+
 func TestCheckpointsRequireStore(t *testing.T) {
 	cfg := testConfig()
 	cfg.Checkpoints = true

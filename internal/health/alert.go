@@ -1,14 +1,13 @@
 package health
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
 	"time"
 
 	"a4nn/internal/chaos"
+	"a4nn/internal/durable"
 	"a4nn/internal/obs"
 )
 
@@ -95,7 +94,7 @@ const maxResolvedHistory = 256
 type manager struct {
 	resolveAfter int
 	journal      *obs.Journal
-	file         *os.File
+	file         *durable.Log
 	now          func() time.Time
 	// notify, when set, receives every alert transition (the exec
 	// sink's hook). Called under the engine mutex; must not block.
@@ -130,15 +129,15 @@ func newManager(resolveAfter int, o *obs.Observer) *manager {
 	}
 }
 
-// openFile attaches the append-only alerts sink.
+// openFile attaches the append-only alerts sink. A torn final line of
+// a crashed run is newline-terminated first, so the next transition
+// is not glued onto the fragment and lost with it.
 func (m *manager) openFile(path string) error {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := durable.OpenLog(path, durable.TerminateLine)
 	if err != nil {
 		return fmt.Errorf("health: open alerts file: %w", err)
 	}
-	if m.file != nil {
-		m.file.Close()
-	}
+	m.file.Close()
 	m.file = f
 	return nil
 }
@@ -156,7 +155,7 @@ func (m *manager) persist(a *Alert) {
 		err = chaos.Point(chaos.PointAlertsAppend)
 	}
 	if err == nil {
-		_, err = m.file.Write(append(line, '\n'))
+		err = m.file.Append(append(line, '\n'))
 	}
 	if err != nil {
 		m.fileErrs.Inc()
@@ -286,16 +285,10 @@ func (m *manager) status() Status {
 // into the file (their fire lines carry Count 1), syncs, and releases
 // the sink.
 func (m *manager) close() error {
-	if m.file == nil {
-		return nil
-	}
 	for _, id := range sortedAlertIDs(m.active) {
 		m.persist(m.active[id])
 	}
-	err := m.file.Sync()
-	if cerr := m.file.Close(); err == nil {
-		err = cerr
-	}
+	err := m.file.Close()
 	m.file = nil
 	return err
 }
@@ -314,27 +307,15 @@ func sortedAlertIDs(m map[string]*Alert) []string {
 // so a re-fired alert reads as its most recent lifecycle). Blank and
 // torn lines are skipped. Alerts return ordered by FiredAt, then ID.
 func ReadAlerts(path string) ([]Alert, error) {
-	f, err := os.Open(path)
+	lines, err := durable.ReadJSONL[Alert](path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
 	latest := make(map[string]Alert)
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
+	for _, a := range lines {
+		if a.ID != "" { // a foreign line that happens to be JSON
+			latest[a.ID] = a
 		}
-		var a Alert
-		if err := json.Unmarshal(line, &a); err != nil || a.ID == "" {
-			continue // torn or foreign line
-		}
-		latest[a.ID] = a
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("health: read alerts: %w", err)
 	}
 	out := make([]Alert, 0, len(latest))
 	for _, a := range latest {

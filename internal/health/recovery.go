@@ -9,14 +9,16 @@ import (
 // recoveryMon surfaces crash-recovery activity as alerts: quarantined
 // corrupt files and lost records warn (the store took damage — worth a
 // human look even though the run repaired itself), while checkpoint
-// resumes and stale-checkpoint cleanup are normal recovery mechanics
-// and only show in the monitor detail. Findings fire on the check
-// following the event and then go quiet, so the alert resolves through
-// flap suppression once recovery stops finding damage.
+// resumes, stale-checkpoint cleanup and orphan temp files swept are
+// normal recovery mechanics and only show in the monitor detail.
+// Findings fire on the check following the event and then go quiet, so
+// the alert resolves through flap suppression once recovery stops
+// finding damage.
 type recoveryMon struct {
 	quarantined int
 	lost        int
 	stale       int
+	temps       int
 	resumes     int
 
 	pendingDamage int // quarantine/lost events since the last check
@@ -34,6 +36,8 @@ func (r *recoveryMon) observe(e obs.Event) {
 		switch e.Reason {
 		case "stale":
 			r.stale++
+		case "temp":
+			r.temps += e.Count
 		case "lost":
 			r.lost++
 			r.pendingDamage++
@@ -60,9 +64,9 @@ func (r *recoveryMon) check(out []finding) []finding {
 }
 
 func (r *recoveryMon) detail() string {
-	if r.quarantined == 0 && r.lost == 0 && r.stale == 0 && r.resumes == 0 {
+	if r.quarantined == 0 && r.lost == 0 && r.stale == 0 && r.temps == 0 && r.resumes == 0 {
 		return "no recovery activity"
 	}
-	return fmt.Sprintf("%d quarantined, %d lost records, %d stale checkpoints cleaned, %d checkpoint resumes",
-		r.quarantined, r.lost, r.stale, r.resumes)
+	return fmt.Sprintf("%d quarantined, %d lost records, %d stale checkpoints cleaned, %d orphan temp files removed, %d checkpoint resumes",
+		r.quarantined, r.lost, r.stale, r.temps, r.resumes)
 }

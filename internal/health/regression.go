@@ -9,6 +9,7 @@ import (
 	"strings"
 	"time"
 
+	"a4nn/internal/durable"
 	"a4nn/internal/obs"
 )
 
@@ -55,13 +56,15 @@ func LoadBaseline(path string) (Baseline, error) {
 	return b, nil
 }
 
-// Save writes the baseline as indented JSON.
+// Save atomically replaces path with the baseline as indented JSON, so
+// a kill mid-save leaves the previous baseline for the next
+// -regress-baseline run rather than a torn one it refuses to load.
 func (b Baseline) Save(path string) error {
 	data, err := json.MarshalIndent(b, "", "  ")
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return durable.AtomicWrite(path, append(data, '\n'), 0o644, false, "", "")
 }
 
 // DirectionFor guesses a series' regression direction from its name:

@@ -1,6 +1,7 @@
 package health
 
 import (
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -140,6 +141,33 @@ func TestBaselineSaveLoadRoundTrip(t *testing.T) {
 	}
 	if _, err := LoadBaseline(filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Fatal("missing baseline loaded")
+	}
+}
+
+// TestBaselineSaveFailureKeepsOldBaseline makes the replace fail before
+// its rename (the temp name outgrows the file system's name limit, which
+// unlike a read-only directory also stops root): the committed baseline
+// must still load and no temp file may stay behind.
+func TestBaselineSaveFailureKeepsOldBaseline(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, strings.Repeat("b", 250))
+	old := Baseline{CreatedMS: 1, Series: map[string]BaselineSeries{"x_p99": {Mean: 1.5}}}
+	if err := old.Save(filepath.Join(dir, "short.json")); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(filepath.Join(dir, "short.json"), path); err != nil {
+		t.Fatal(err)
+	}
+	next := Baseline{CreatedMS: 2, Series: map[string]BaselineSeries{"y_p99": {Mean: 9}}}
+	if err := next.Save(path); err == nil {
+		t.Fatal("Save over an unwritable temp name reported success")
+	}
+	got, err := LoadBaseline(path)
+	if err != nil || got.CreatedMS != 1 || got.Series["x_p99"].Mean != 1.5 {
+		t.Fatalf("baseline after the failed save = %+v, %v; want the old one", got, err)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+		t.Fatalf("directory holds %d entries after the failed save, want 1", len(entries))
 	}
 }
 

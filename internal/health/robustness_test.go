@@ -327,6 +327,35 @@ func TestAlertsAppendChaosPoint(t *testing.T) {
 	}
 }
 
+// TestAlertsFileTornTailKeepsNextAlert reopens an alerts file whose last
+// append was killed mid-line: the first transition of the resumed run
+// must land on its own line, not glued onto the fragment and skipped
+// with it.
+func TestAlertsFileTornTailKeepsNextAlert(t *testing.T) {
+	path := filepath.Join(t.TempDir(), AlertsFile)
+	torn := `{"id":"old","monitor":"old","severity":"info","msg":"m","count":1,"fired_at":1,"updated_at":1}` + "\n" + `{"id":"devi`
+	if err := os.WriteFile(path, []byte(torn), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	e, _ := testEngine(t, testConfig())
+	if err := e.OpenAlertsFile(path); err != nil {
+		t.Fatal(err)
+	}
+	fireWarning(e)
+	// Read before Close: its snapshot of active alerts would re-append
+	// the lost line and hide the gap a kill here would leave.
+	alerts, err := ReadAlerts(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(alerts) != 2 || alerts[0].ID != "old" || alerts[1].ID != "devices/capacity" {
+		t.Fatalf("alerts = %+v, want the old one and the one fired after the torn tail", alerts)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func FuzzReadAlerts(f *testing.F) {
 	f.Add([]byte(`{"id":"a","monitor":"m","severity":"warning","msg":"x","count":1,"fired_at":1,"updated_at":1}` + "\n"))
 	f.Add([]byte(`{"id":"a","count":1,"fired_at":1}` + "\n" + `{"id":"a","count":2,"fired_at":1,"resolved":true}` + "\n"))

@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"sort"
 	"time"
+
+	"a4nn/internal/durable"
 )
 
 // ManifestFile is the per-job state record inside the job's directory.
@@ -48,28 +50,11 @@ func writeManifest(dir string, m Manifest) error {
 	if err != nil {
 		return fmt.Errorf("jobs: marshal manifest: %w", err)
 	}
-	tmp, err := os.CreateTemp(dir, ManifestFile+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("jobs: %w", err)
-	}
-	name := tmp.Name()
-	if _, err := tmp.Write(append(data, '\n')); err != nil {
-		tmp.Close()
-		os.Remove(name)
+	// The one replace-writer that fsyncs before its rename: losing a
+	// lifecycle transition to a power cut would resume the wrong jobs.
+	// Mode 0600 is what the manifest has always been published with.
+	if err := durable.AtomicWrite(filepath.Join(dir, ManifestFile), append(data, '\n'), 0o600, true, "", ""); err != nil {
 		return fmt.Errorf("jobs: write manifest: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return fmt.Errorf("jobs: sync manifest: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		return fmt.Errorf("jobs: close manifest: %w", err)
-	}
-	if err := os.Rename(name, filepath.Join(dir, ManifestFile)); err != nil {
-		os.Remove(name)
-		return fmt.Errorf("jobs: publish manifest: %w", err)
 	}
 	return nil
 }

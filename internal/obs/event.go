@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -11,6 +10,7 @@ import (
 	"time"
 
 	"a4nn/internal/chaos"
+	"a4nn/internal/durable"
 )
 
 // EventsFile holds the run's event journal as JSON Lines, appended
@@ -140,7 +140,7 @@ type Journal struct {
 	head   int     // index of the oldest stored event
 	n      int     // number of stored events
 	next   uint64  // next sequence number to assign (starts at 1)
-	file   *os.File
+	file   *durable.Log
 	broker *Broker
 	buf    []byte // marshal scratch, reused under mu
 
@@ -206,15 +206,12 @@ func (j *Journal) OpenFile(path string) error {
 	if j == nil {
 		return fmt.Errorf("obs: OpenFile on nil journal")
 	}
-	last, torn := scanTail(path)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	last := lastSeq(path)
+	// A torn final line of a crashed run is newline-terminated, so the
+	// next append starts on its own line instead of gluing onto garbage.
+	f, err := durable.OpenLog(path, durable.TerminateLine)
 	if err != nil {
 		return fmt.Errorf("obs: open events file: %w", err)
-	}
-	if torn {
-		// Terminate the torn final line of a crashed run, so the next
-		// append starts on its own line instead of gluing onto garbage.
-		f.Write([]byte{'\n'})
 	}
 	j.mu.Lock()
 	old := j.file
@@ -223,26 +220,22 @@ func (j *Journal) OpenFile(path string) error {
 		j.next = last + 1
 	}
 	j.mu.Unlock()
-	if old != nil {
-		old.Close()
-	}
+	old.Close()
 	return nil
 }
 
-// scanTail inspects the final window of an events file, returning the
-// highest valid sequence number (0 when the file is missing, empty, or
-// unreadable) and whether the file ends mid-line — the signature of a
-// crash during an append. Only the tail is scanned, so opening a
-// long-lived journal stays O(1).
-func scanTail(path string) (last uint64, torn bool) {
+// lastSeq returns the highest valid sequence number in the final window
+// of an events file (0 when the file is missing, empty, or unreadable).
+// Only the tail is scanned, so opening a long-lived journal stays O(1).
+func lastSeq(path string) (last uint64) {
 	f, err := os.Open(path)
 	if err != nil {
-		return 0, false
+		return 0
 	}
 	defer f.Close()
 	st, err := f.Stat()
 	if err != nil || st.Size() == 0 {
-		return 0, false
+		return 0
 	}
 	const window = 256 * 1024
 	off := st.Size() - window
@@ -251,26 +244,18 @@ func scanTail(path string) (last uint64, torn bool) {
 	}
 	buf := make([]byte, st.Size()-off)
 	if _, err := f.ReadAt(buf, off); err != nil {
-		return 0, false
+		return 0
 	}
-	torn = buf[len(buf)-1] != '\n'
-	lines := bytes.Split(buf, []byte{'\n'})
-	if off > 0 && len(lines) > 0 {
-		lines = lines[1:] // first line of a mid-file window may be partial
+	if off > 0 {
+		// The first line of a mid-file window may be partial.
+		_, buf, _ = bytes.Cut(buf, []byte{'\n'})
 	}
-	for _, line := range lines {
-		if len(line) == 0 {
-			continue
-		}
-		var e Event
-		if err := json.Unmarshal(line, &e); err != nil {
-			continue // torn tail or foreign line
-		}
+	for _, e := range durable.DecodeJSONL[Event](buf) {
 		if e.Seq > last {
 			last = e.Seq
 		}
 	}
-	return last, torn
+	return last
 }
 
 // Sync forces the attached events file to stable storage (no-op when
@@ -282,9 +267,6 @@ func (j *Journal) Sync() error {
 	j.mu.Lock()
 	f := j.file
 	j.mu.Unlock()
-	if f == nil {
-		return nil
-	}
 	return f.Sync()
 }
 
@@ -298,14 +280,7 @@ func (j *Journal) Close() error {
 	f := j.file
 	j.file = nil
 	j.mu.Unlock()
-	if f == nil {
-		return nil
-	}
-	err := f.Sync()
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return f.Close()
 }
 
 // Emit assigns the next sequence number and timestamp to e, records it
@@ -327,7 +302,7 @@ func (j *Journal) Emit(e Event) {
 			var line []byte
 			if line, err = json.Marshal(e); err == nil {
 				j.buf = append(append(j.buf[:0], line...), '\n')
-				_, err = j.file.Write(j.buf)
+				err = j.file.Append(j.buf)
 			}
 		}
 		if err != nil {
@@ -425,27 +400,5 @@ func (j *Journal) Emitted() uint64 {
 // ReadEvents loads an events JSONL file, skipping blank lines and a
 // torn final line (the crash case for an append-only sink).
 func ReadEvents(path string) ([]Event, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var out []Event
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var e Event
-		if err := json.Unmarshal(line, &e); err != nil {
-			continue // torn or foreign line
-		}
-		out = append(out, e)
-	}
-	if err := sc.Err(); err != nil {
-		return out, fmt.Errorf("obs: read events: %w", err)
-	}
-	return out, nil
+	return durable.ReadJSONL[Event](path)
 }

@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+
+	"a4nn/internal/durable"
 )
 
 // File names of the per-run telemetry sinks, written into the run's
@@ -99,14 +101,14 @@ func (o *Observer) FlushTo(dir string) error {
 	if err != nil {
 		return fmt.Errorf("obs: marshal spans: %w", err)
 	}
-	if err := atomicWrite(filepath.Join(dir, SpansFile), spans); err != nil {
+	if err := durable.AtomicWrite(filepath.Join(dir, SpansFile), spans, 0o644, false, "", ""); err != nil {
 		return fmt.Errorf("obs: write %s: %w", SpansFile, err)
 	}
 	var buf bytes.Buffer
 	if err := o.reg.WriteJSON(&buf); err != nil {
 		return fmt.Errorf("obs: marshal metrics: %w", err)
 	}
-	if err := atomicWrite(filepath.Join(dir, MetricsFile), buf.Bytes()); err != nil {
+	if err := durable.AtomicWrite(filepath.Join(dir, MetricsFile), buf.Bytes(), 0o644, false, "", ""); err != nil {
 		return fmt.Errorf("obs: write %s: %w", MetricsFile, err)
 	}
 	// The event journal is append-per-event already; just push it to
@@ -116,29 +118,6 @@ func (o *Observer) FlushTo(dir string) error {
 		return fmt.Errorf("obs: sync %s: %w", EventsFile, err)
 	}
 	return nil
-}
-
-// atomicWrite writes data to path via a temp file in the same directory
-// renamed into place.
-func atomicWrite(path string, data []byte) error {
-	dir, base := filepath.Split(path)
-	tmp, err := os.CreateTemp(dir, base+".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Chmod(0o644); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
 }
 
 // Handler serves the observer's live endpoints:

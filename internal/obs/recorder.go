@@ -22,8 +22,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -31,6 +29,7 @@ import (
 	"time"
 
 	"a4nn/internal/chaos"
+	"a4nn/internal/durable"
 )
 
 // PostmortemDir is the subdirectory bundles are written into, next to
@@ -40,8 +39,10 @@ const PostmortemDir = "postmortem"
 // BundleVersion is the current postmortem bundle format version.
 const BundleVersion = 1
 
-// bundleMagic opens every bundle file.
+// bundleMagic opens every bundle file, followed by the u32 version.
 var bundleMagic = [4]byte{'A', '4', 'P', 'M'}
+
+const bundleHeaderSize = len(bundleMagic) + 4
 
 // Bundle section names. Decoders must tolerate unknown sections (a
 // newer writer) and missing ones (a section whose source was empty).
@@ -345,9 +346,7 @@ func (r *Recorder) Dump(reason string) (string, error) {
 
 // encode frames the recorder's state into bundle bytes.
 func (r *Recorder) encode(reason string) []byte {
-	var buf bytes.Buffer
-	buf.Write(bundleMagic[:])
-	binary.Write(&buf, binary.LittleEndian, uint32(BundleVersion))
+	buf := binary.LittleEndian.AppendUint32(append([]byte(nil), bundleMagic[:]...), BundleVersion)
 
 	meta, _ := json.Marshal(BundleMeta{
 		Version:      BundleVersion,
@@ -356,11 +355,11 @@ func (r *Recorder) encode(reason string) []byte {
 		PID:          os.Getpid(),
 		GoVersion:    runtime.Version(),
 	})
-	writeSection(&buf, SectionMeta, meta)
+	buf = durable.AppendSection(buf, SectionMeta, meta)
 
 	stack := make([]byte, 1<<20)
 	stack = stack[:runtime.Stack(stack, true)]
-	writeSection(&buf, SectionGoroutines, stack)
+	buf = durable.AppendSection(buf, SectionGoroutines, stack)
 
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
@@ -373,7 +372,7 @@ func (r *Recorder) encode(reason string) []byte {
 		PauseTotalNs: ms.PauseTotalNs,
 		Goroutines:   runtime.NumGoroutine(),
 	})
-	writeSection(&buf, SectionHeap, heap)
+	buf = durable.AppendSection(buf, SectionHeap, heap)
 
 	r.mu.Lock()
 	events := make([]Event, 0, r.n)
@@ -389,25 +388,25 @@ func (r *Recorder) encode(reason string) []byte {
 		samples = append(samples, r.snaps[(r.shead+i)%len(r.snaps)])
 	}
 	r.mu.Unlock()
-	writeSection(&buf, SectionEvents, marshalJSONL(events))
-	writeSection(&buf, SectionAlerts, marshalJSONL(alerts))
-	writeSection(&buf, SectionMetricsHistory, marshalJSONL(samples))
+	buf = durable.AppendSection(buf, SectionEvents, marshalJSONL(events))
+	buf = durable.AppendSection(buf, SectionAlerts, marshalJSONL(alerts))
+	buf = durable.AppendSection(buf, SectionMetricsHistory, marshalJSONL(samples))
 
 	if r.cfg.Tracer != nil {
 		if spans, err := r.cfg.Tracer.MarshalJSONL(); err == nil {
-			writeSection(&buf, SectionSpans, spans)
+			buf = durable.AppendSection(buf, SectionSpans, spans)
 		}
 	}
 	if r.cfg.Registry != nil {
 		snap, _ := json.Marshal(r.cfg.Registry.Snapshot())
-		writeSection(&buf, SectionMetrics, snap)
+		buf = durable.AppendSection(buf, SectionMetrics, snap)
 	}
 	if r.cfg.ManifestPath != "" {
 		if man, err := os.ReadFile(r.cfg.ManifestPath); err == nil {
-			writeSection(&buf, SectionManifest, man)
+			buf = durable.AppendSection(buf, SectionManifest, man)
 		}
 	}
-	return buf.Bytes()
+	return buf
 }
 
 // marshalJSONL renders a slice as JSON Lines.
@@ -427,16 +426,6 @@ func marshalJSONL[T any](items []T) []byte {
 // maxSectionName bounds a decoded section-name length; anything longer
 // is garbage, not a bundle.
 const maxSectionName = 256
-
-// writeSection frames one named section: u32 name length, name, u32
-// payload length, payload, u32 CRC-32 (IEEE) of the payload.
-func writeSection(buf *bytes.Buffer, name string, payload []byte) {
-	binary.Write(buf, binary.LittleEndian, uint32(len(name)))
-	buf.WriteString(name)
-	binary.Write(buf, binary.LittleEndian, uint32(len(payload)))
-	buf.Write(payload)
-	binary.Write(buf, binary.LittleEndian, crc32.ChecksumIEEE(payload))
-}
 
 // Postmortem is one decoded bundle.
 type Postmortem struct {
@@ -466,55 +455,30 @@ func DecodeBundle(path string) (*Postmortem, error) {
 // DecodeBundleBytes decodes bundle bytes. Torn, truncated, or
 // corrupted input returns an error — never a panic and never silently
 // wrong data: every length is bounds-checked against the remaining
-// input and every payload is CRC-verified.
+// input and every payload is CRC-verified. The returned sections alias
+// data.
 func DecodeBundleBytes(data []byte) (*Postmortem, error) {
-	rd := bytes.NewReader(data)
-	var magic [4]byte
-	if _, err := io.ReadFull(rd, magic[:]); err != nil {
-		return nil, fmt.Errorf("bundle too short for magic")
+	if len(data) < bundleHeaderSize {
+		return nil, fmt.Errorf("bundle too short for its %d-byte header", bundleHeaderSize)
 	}
-	if magic != bundleMagic {
-		return nil, fmt.Errorf("bad magic %q", magic[:])
+	if [4]byte(data[:4]) != bundleMagic {
+		return nil, fmt.Errorf("bad magic %q", data[:4])
 	}
-	var version uint32
-	if err := binary.Read(rd, binary.LittleEndian, &version); err != nil {
-		return nil, fmt.Errorf("bundle too short for version")
-	}
+	version := binary.LittleEndian.Uint32(data[4:bundleHeaderSize])
 	if version == 0 || version > BundleVersion {
 		return nil, fmt.Errorf("unsupported bundle version %d", version)
 	}
 	pm := &Postmortem{Sections: make(map[string][]byte)}
-	for rd.Len() > 0 {
-		var nameLen uint32
-		if err := binary.Read(rd, binary.LittleEndian, &nameLen); err != nil {
-			return nil, fmt.Errorf("torn section header")
+	for rest := data[bundleHeaderSize:]; len(rest) > 0; {
+		name, payload, n, err := durable.NextSection(rest)
+		if err != nil {
+			return nil, err
 		}
-		if nameLen == 0 || nameLen > maxSectionName || int(nameLen) > rd.Len() {
-			return nil, fmt.Errorf("section name length %d out of range", nameLen)
+		if len(name) == 0 || len(name) > maxSectionName {
+			return nil, fmt.Errorf("section name length %d out of range", len(name))
 		}
-		name := make([]byte, nameLen)
-		if _, err := io.ReadFull(rd, name); err != nil {
-			return nil, fmt.Errorf("torn section name")
-		}
-		var payloadLen uint32
-		if err := binary.Read(rd, binary.LittleEndian, &payloadLen); err != nil {
-			return nil, fmt.Errorf("section %s: torn payload length", name)
-		}
-		if int64(payloadLen) > int64(rd.Len()) {
-			return nil, fmt.Errorf("section %s: payload length %d exceeds remaining %d", name, payloadLen, rd.Len())
-		}
-		payload := make([]byte, payloadLen)
-		if _, err := io.ReadFull(rd, payload); err != nil {
-			return nil, fmt.Errorf("section %s: torn payload", name)
-		}
-		var sum uint32
-		if err := binary.Read(rd, binary.LittleEndian, &sum); err != nil {
-			return nil, fmt.Errorf("section %s: torn checksum", name)
-		}
-		if got := crc32.ChecksumIEEE(payload); got != sum {
-			return nil, fmt.Errorf("section %s: checksum mismatch (got %08x want %08x)", name, got, sum)
-		}
-		pm.Sections[string(name)] = payload
+		pm.Sections[name] = payload
+		rest = rest[n:]
 	}
 	meta, ok := pm.Sections[SectionMeta]
 	if !ok {
@@ -532,18 +496,20 @@ func DecodeBundleBytes(data []byte) (*Postmortem, error) {
 }
 
 // Events parses the bundle's event-ring section (nil when absent).
-func (p *Postmortem) Events() []Event { return decodeJSONL[Event](p.Sections[SectionEvents]) }
+func (p *Postmortem) Events() []Event { return durable.DecodeJSONL[Event](p.Sections[SectionEvents]) }
 
 // Alerts parses the bundle's active-alert section (nil when absent).
-func (p *Postmortem) Alerts() []Event { return decodeJSONL[Event](p.Sections[SectionAlerts]) }
+func (p *Postmortem) Alerts() []Event { return durable.DecodeJSONL[Event](p.Sections[SectionAlerts]) }
 
 // Spans parses the bundle's span section (nil when absent).
-func (p *Postmortem) Spans() []SpanRecord { return decodeJSONL[SpanRecord](p.Sections[SectionSpans]) }
+func (p *Postmortem) Spans() []SpanRecord {
+	return durable.DecodeJSONL[SpanRecord](p.Sections[SectionSpans])
+}
 
 // MetricsHistory parses the periodic snapshot section (nil when
 // absent).
 func (p *Postmortem) MetricsHistory() []MetricsSample {
-	return decodeJSONL[MetricsSample](p.Sections[SectionMetricsHistory])
+	return durable.DecodeJSONL[MetricsSample](p.Sections[SectionMetricsHistory])
 }
 
 // Heap parses the heap-stats section (zero value when absent).
@@ -551,23 +517,6 @@ func (p *Postmortem) Heap() HeapStats {
 	var h HeapStats
 	json.Unmarshal(p.Sections[SectionHeap], &h)
 	return h
-}
-
-// decodeJSONL parses a JSONL payload, skipping torn or foreign lines
-// the way ReadEvents does.
-func decodeJSONL[T any](data []byte) []T {
-	var out []T
-	for _, line := range bytes.Split(data, []byte{'\n'}) {
-		if len(line) == 0 {
-			continue
-		}
-		var v T
-		if err := json.Unmarshal(line, &v); err != nil {
-			continue
-		}
-		out = append(out, v)
-	}
-	return out
 }
 
 // FindBundles returns every postmortem bundle under dir's postmortem

@@ -6,9 +6,9 @@
 // `a4nn-analyze series` subcommand, and the health engine's cross-run
 // regression monitor.
 //
-// The on-disk format follows the flight recorder's framing discipline
-// (internal/obs/recorder.go): a fixed header, then self-describing
-// CRC-framed blocks, appended with O_APPEND writes so a SIGKILL can
+// The on-disk format is a fixed header, then self-describing CRC-framed
+// blocks (internal/durable's section framing, shared with the flight
+// recorder's bundles), appended through a durable.Log so a SIGKILL can
 // only ever tear the final block. Block payloads are Gorilla-style
 // compressed: delta-of-delta timestamps and XOR'd float bits, which
 // squeezes a steady sampling interval over slowly-moving metrics to a
@@ -19,19 +19,19 @@ package tsdb
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"math/bits"
+
+	"a4nn/internal/durable"
 )
 
 const (
 	fileMagic   = "A4TS"
 	fileVersion = 1
 
-	// maxSeriesName bounds block name fields, mirroring the flight
-	// recorder's section-name cap: a larger length in the framing is
-	// corruption, not a long name.
+	// maxSeriesName bounds block name fields: a larger length in the
+	// framing is corruption, not a long name.
 	maxSeriesName = 256
 
 	// maxChunkSamples bounds the sample count claimed by a block
@@ -46,16 +46,10 @@ func headerBytes() []byte {
 	return binary.LittleEndian.AppendUint32(b, fileVersion)
 }
 
-// appendBlock frames one sealed chunk: u32 name length, series name,
-// u32 payload length, payload, u32 CRC-32 (IEEE) of the payload. The
-// layout matches the flight recorder's writeSection so both artifacts
-// share one corruption-detection story.
+// appendBlock frames one sealed chunk as a durable section named after
+// its series.
 func appendBlock(dst []byte, name string, payload []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(name)))
-	dst = append(dst, name...)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = append(dst, payload...)
-	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
+	return durable.AppendSection(dst, name, payload)
 }
 
 // Block is one decoded on-disk chunk of a series.
@@ -84,34 +78,19 @@ func DecodeBlocks(data []byte) (blocks []Block, good int, err error) {
 	}
 	good = headLen
 	for good < len(data) {
-		rest := data[good:]
-		if len(rest) < 4 {
-			return blocks, good, fmt.Errorf("tsdb: torn block frame at offset %d", good)
+		name, payload, n, err := durable.NextSection(data[good:])
+		if err != nil {
+			return blocks, good, fmt.Errorf("tsdb: block at offset %d: %w", good, err)
 		}
-		nameLen := binary.LittleEndian.Uint32(rest)
-		if nameLen == 0 || nameLen > maxSeriesName || int64(nameLen) > int64(len(rest)-4) {
-			return blocks, good, fmt.Errorf("tsdb: bad name length %d at offset %d", nameLen, good)
+		if len(name) == 0 || len(name) > maxSeriesName {
+			return blocks, good, fmt.Errorf("tsdb: bad name length %d at offset %d", len(name), good)
 		}
-		name := string(rest[4 : 4+nameLen])
-		rest = rest[4+nameLen:]
-		if len(rest) < 4 {
-			return blocks, good, fmt.Errorf("tsdb: torn block %q at offset %d", name, good)
-		}
-		payloadLen := binary.LittleEndian.Uint32(rest)
-		if int64(payloadLen) > int64(len(rest)-4) || len(rest)-4-int(payloadLen) < 4 {
-			return blocks, good, fmt.Errorf("tsdb: torn payload for %q at offset %d", name, good)
-		}
-		payload := rest[4 : 4+payloadLen]
-		sum := binary.LittleEndian.Uint32(rest[4+payloadLen:])
-		if crc32.ChecksumIEEE(payload) != sum {
-			return blocks, good, fmt.Errorf("tsdb: CRC mismatch for %q at offset %d", name, good)
-		}
-		ts, vs, derr := decodeChunk(payload)
-		if derr != nil {
-			return blocks, good, fmt.Errorf("tsdb: block %q at offset %d: %w", name, good, derr)
+		ts, vs, err := decodeChunk(payload)
+		if err != nil {
+			return blocks, good, fmt.Errorf("tsdb: block %q at offset %d: %w", name, good, err)
 		}
 		blocks = append(blocks, Block{Series: name, Times: ts, Values: vs})
-		good += 4 + int(nameLen) + 4 + int(payloadLen) + 4
+		good += n
 	}
 	return blocks, good, nil
 }

@@ -2,9 +2,10 @@ package tsdb
 
 import (
 	"errors"
-	"os"
 	"sort"
 	"time"
+
+	"a4nn/internal/durable"
 )
 
 // ErrNoSeries is returned by Query for a series the store has never
@@ -196,8 +197,8 @@ type Retention struct {
 }
 
 // Compact applies a retention policy and rewrites the store atomically
-// (temp file + rename, the observer's FlushTo discipline), then
-// reopens the append handle so sampling continues uninterrupted.
+// (durable.AtomicWrite), then reopens the append handle so sampling
+// continues uninterrupted.
 func (db *DB) Compact(nowMS int64, pol Retention) error {
 	if db == nil {
 		return nil
@@ -249,20 +250,22 @@ func (db *DB) Compact(nowMS int64, pol Retention) error {
 		}
 		s.persisted = len(s.ts)
 	}
-	tmp := db.path + ".tmp"
-	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
+	if err := durable.AtomicWrite(db.path, buf, 0o644, false, "", ""); err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, db.path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
+	// The old handle now points at the unlinked inode. If the renamed
+	// file cannot be reopened, sealing stops (db.f is nil) and the error
+	// stays in db.werr for Flush/Close to report, rather than later
+	// seals succeeding into a file nobody can read.
 	old := db.f
-	f, err := os.OpenFile(db.path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
+	var err error
+	if db.f, err = durable.OpenLog(db.path, int64(len(buf))); err != nil {
+		if db.werr == nil {
+			db.werr = err
+		}
+		old.Close()
 		return err
 	}
-	db.f = f
 	return old.Close()
 }
 

@@ -9,6 +9,8 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"a4nn/internal/durable"
 )
 
 // SeriesFile is the on-disk name of a run's series store inside its
@@ -52,7 +54,7 @@ type memSeries struct {
 type DB struct {
 	mu      sync.Mutex
 	path    string
-	f       *os.File // nil for read-only stores
+	f       *durable.Log // nil for read-only stores
 	series  map[string]*memSeries
 	seal    int
 	werr    error // first append-path write error, surfaced by Flush/Close
@@ -77,38 +79,28 @@ func OpenFile(path string, o Options) (*DB, error) {
 	}
 	db := &DB{path: path, series: make(map[string]*memSeries), seal: seal}
 	data, err := os.ReadFile(path)
-	fresh := errors.Is(err, fs.ErrNotExist) || (err == nil && len(data) == 0)
-	if err != nil && !fresh {
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return nil, err
 	}
-	if fresh {
-		f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := f.Write(headerBytes()); err != nil {
-			f.Close()
-			return nil, err
-		}
-		db.f = f
-	} else {
-		blocks, good, derr := DecodeBlocks(data)
-		if derr != nil && good == 0 {
+	good := 0 // a missing or empty file starts from its header
+	if len(data) > 0 {
+		blocks, n, derr := DecodeBlocks(data)
+		if derr != nil && n == 0 {
 			// The header itself is unreadable: refuse to clobber what
 			// might be someone else's file.
 			return nil, fmt.Errorf("tsdb: %s: %w", path, derr)
 		}
 		db.load(blocks)
-		if good < len(data) {
-			if err := os.Truncate(path, int64(good)); err != nil {
-				return nil, err
-			}
-		}
-		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
+		good = n
+	}
+	if db.f, err = durable.OpenLog(path, int64(good)); err != nil {
+		return nil, err
+	}
+	if good == 0 {
+		if err := db.f.Append(headerBytes()); err != nil {
+			db.f.Close()
 			return nil, err
 		}
-		db.f = f
 	}
 	openDBs.Add(1)
 	db.counted = true
@@ -199,7 +191,7 @@ func (db *DB) sealLocked(name string, s *memSeries) error {
 		return nil
 	}
 	payload := encodeChunk(s.ts[s.persisted:], s.vs[s.persisted:])
-	if _, err := db.f.Write(appendBlock(nil, name, payload)); err != nil {
+	if err := db.f.Append(appendBlock(nil, name, payload)); err != nil {
 		return err
 	}
 	s.persisted = len(s.ts)
@@ -213,10 +205,13 @@ func (db *DB) Flush() error {
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return db.flushLocked()
+	return db.flushLocked(db.f.Sync)
 }
 
-func (db *DB) flushLocked() error {
+// flushLocked seals every series' buffered tail, then makes it durable
+// through end: the log's Sync, or on the way out its Close (which syncs
+// once itself).
+func (db *DB) flushLocked(end func() error) error {
 	if db.closed || db.f == nil {
 		return db.werr
 	}
@@ -225,7 +220,7 @@ func (db *DB) flushLocked() error {
 			db.werr = err
 		}
 	}
-	if err := db.f.Sync(); err != nil && db.werr == nil {
+	if err := end(); err != nil && db.werr == nil {
 		db.werr = err
 	}
 	return db.werr
@@ -241,12 +236,7 @@ func (db *DB) Close() error {
 	if db.closed {
 		return db.werr
 	}
-	err := db.flushLocked()
-	if db.f != nil {
-		if cerr := db.f.Close(); err == nil {
-			err = cerr
-		}
-	}
+	err := db.flushLocked(db.f.Close)
 	db.closed = true
 	if db.counted {
 		db.counted = false

@@ -18,6 +18,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -27,7 +28,27 @@ import (
 type serveProc struct {
 	cmd  *exec.Cmd
 	addr string
-	out  *bytes.Buffer
+	out  *lockedBuffer
+}
+
+// lockedBuffer collects the server's output for failure messages: the
+// stdout scanner below and os/exec's stderr copier write it from two
+// goroutines while the test may already be reading it.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
 }
 
 var serveAddrRe = regexp.MustCompile(`on http://([0-9.]+:[0-9]+)`)
@@ -38,7 +59,7 @@ func startServe(t *testing.T, bin, store string, extra ...string) *serveProc {
 	t.Helper()
 	args := append([]string{"-store", store, "-jobs", "-fleet", "2", "-addr", "127.0.0.1:0"}, extra...)
 	cmd := exec.Command(bin, args...)
-	var buf bytes.Buffer
+	var buf lockedBuffer
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -52,7 +73,7 @@ func startServe(t *testing.T, bin, store string, extra ...string) *serveProc {
 		sc := bufio.NewScanner(stdout)
 		for sc.Scan() {
 			line := sc.Text()
-			buf.WriteString(line + "\n")
+			buf.Write([]byte(line + "\n"))
 			if m := serveAddrRe.FindStringSubmatch(line); m != nil {
 				select {
 				case addrCh <- m[1]:
