@@ -97,9 +97,12 @@ bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
 
 # bench-smoke runs every tensor/nn microbenchmark for a single iteration
-# under -short (skips the 1024 GEMM), as a correctness check in ci.
+# under -short (skips the 1024 GEMM), as a correctness check in ci, and
+# likewise the prediction engine's: the LM fit, one engine interaction, a
+# tracker replaying a 25-epoch history, and a surrogate model's set-up.
 bench-smoke:
 	$(GO) test -short -run=^$$ -bench=. -benchtime=1x ./internal/tensor ./internal/nn
+	$(GO) test -short -run=^$$ -bench=. -benchtime=1x -benchmem ./internal/fit ./internal/predict ./internal/simtrain
 
 # bench-gate fails when BenchmarkTrainStep allocates more per step than
 # the committed BENCH_tensor.json current value — the PR-2 zero-alloc

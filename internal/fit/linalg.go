@@ -29,48 +29,66 @@ func SolveLinear(a [][]float64, b []float64) ([]float64, error) {
 	if len(b) != n {
 		return nil, fmt.Errorf("fit: matrix is %d×%d but rhs has length %d", n, len(a[0]), len(b))
 	}
-	// Work on copies: augmented matrix m = [A | b].
-	m := make([][]float64, n)
-	for i := range m {
+	// Work on a copy: augmented matrix [A | b].
+	aug := make([]float64, n*(n+1))
+	for i := range a {
 		if len(a[i]) != n {
 			return nil, fmt.Errorf("fit: row %d has length %d, want %d", i, len(a[i]), n)
 		}
-		m[i] = make([]float64, n+1)
-		copy(m[i], a[i])
-		m[i][n] = b[i]
+		copy(aug[i*(n+1):], a[i])
+		aug[i*(n+1)+n] = b[i]
 	}
+	x := make([]float64, n)
+	if err := eliminate(aug, n, x); err != nil {
+		return nil, err
+	}
+	return x, nil
+}
+
+// eliminate solves the system held as the row-major n×(n+1) augmented
+// matrix aug = [A | b] into x by Gaussian elimination with partial
+// pivoting, overwriting aug.
+func eliminate(aug []float64, n int, x []float64) error {
+	w := n + 1
 	for col := 0; col < n; col++ {
 		// Partial pivot: find the largest |entry| in this column.
 		pivot := col
 		for r := col + 1; r < n; r++ {
-			if math.Abs(m[r][col]) > math.Abs(m[pivot][col]) {
+			if math.Abs(aug[r*w+col]) > math.Abs(aug[pivot*w+col]) {
 				pivot = r
 			}
 		}
-		if math.Abs(m[pivot][col]) < 1e-14 {
-			return nil, ErrSingular
+		if math.Abs(aug[pivot*w+col]) < 1e-14 {
+			return ErrSingular
 		}
-		m[col], m[pivot] = m[pivot], m[col]
-		inv := 1 / m[col][col]
+		if pivot != col {
+			pr, cr := aug[pivot*w:(pivot+1)*w], aug[col*w:(col+1)*w]
+			for c := range cr {
+				cr[c], pr[c] = pr[c], cr[c]
+			}
+		}
+		top := aug[col*w : (col+1)*w]
+		inv := 1 / top[col]
 		for r := col + 1; r < n; r++ {
-			f := m[r][col] * inv
+			row := aug[r*w : (r+1)*w]
+			f := row[col] * inv
 			if f == 0 {
 				continue
 			}
 			for c := col; c <= n; c++ {
-				m[r][c] -= f * m[col][c]
+				row[c] -= f * top[c]
 			}
 		}
 	}
-	x := make([]float64, n)
 	for i := n - 1; i >= 0; i-- {
-		s := m[i][n]
+		row := aug[i*w : (i+1)*w]
+		s := row[n]
 		for j := i + 1; j < n; j++ {
-			s -= m[i][j] * x[j]
+			s -= row[j] * x[j]
 		}
-		x[i] = s / m[i][i]
+		x[i] = s / row[i]
 	}
-	return x, nil
+	return nil
 }
 
 // LeastSquares solves the over-determined system X·β ≈ y in the

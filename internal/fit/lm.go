@@ -81,8 +81,62 @@ type LMResult struct {
 
 // CurveFit fits model to the observations (xs, ys) starting from p0 using
 // Levenberg–Marquardt with a numeric central-difference Jacobian. p0 is not
-// modified. The fit requires at least len(p0) observations.
+// modified. The fit requires at least len(p0) observations. It is
+// Workspace.Fit on a fresh workspace, for callers that fit once.
 func CurveFit(model Func, xs, ys []float64, p0 []float64, opts *LMOptions) (LMResult, error) {
+	var w Workspace
+	res, err := w.Fit(func(params, xs, out []float64) {
+		for i, x := range xs {
+			out[i] = model(params, x)
+		}
+	}, xs, ys, p0, opts)
+	res.Params = append([]float64(nil), res.Params...)
+	return res, err
+}
+
+// Workspace holds every buffer a Levenberg–Marquardt fit needs, so a
+// caller that fits repeatedly (the prediction engine refits a growing
+// history after every epoch) allocates them once. The zero value is ready
+// to use; it grows to the largest problem it has seen. A Workspace serves
+// one fit at a time.
+type Workspace struct {
+	buf []float64 // backs every slice below
+
+	resid, trialResid []float64 // m: residuals at params and at trial
+	plus, minus       []float64 // m: model values at params[j] ± h
+	jac               []float64 // m×np Jacobian of the model wrt params
+	jtj               []float64 // np×np normal matrix JᵀJ
+	aug               []float64 // np×(np+1) damped system [JᵀJ + λD | Jᵀr]
+	jtr, delta        []float64 // np: right-hand side and LM step
+	params, trial     []float64 // np: current and trial parameters
+	probe             []float64 // np: params with one entry displaced by ±h
+}
+
+// reserve points the workspace's slices at room for m observations of an
+// np-parameter model. Their contents are whatever the last fit left.
+func (w *Workspace) reserve(m, np int) {
+	need := 4*m + m*np + np*np + np*(np+1) + 5*np
+	if cap(w.buf) < need {
+		// Twice the need: a history that grows by one observation per fit
+		// reallocates a few times, not every time.
+		w.buf = make([]float64, 2*need)
+	}
+	rest := w.buf[:need]
+	take := func(n int) []float64 {
+		s := rest[:n:n]
+		rest = rest[n:]
+		return s
+	}
+	w.resid, w.trialResid, w.plus, w.minus = take(m), take(m), take(m), take(m)
+	w.jac, w.jtj, w.aug = take(m*np), take(np*np), take(np*(np+1))
+	w.jtr, w.delta, w.params, w.trial, w.probe = take(np), take(np), take(np), take(np), take(np)
+}
+
+// Fit is CurveFit for a model in batch form — model fills out[i] with the
+// curve's value at xs[i] — reusing the workspace's buffers: a fit on a
+// workspace that has seen a problem this large allocates nothing.
+// LMResult.Params aliases the workspace and is overwritten by its next Fit.
+func (w *Workspace) Fit(model func(params, xs, out []float64), xs, ys, p0 []float64, opts *LMOptions) (LMResult, error) {
 	o := opts.withDefaults()
 	if len(xs) != len(ys) {
 		return LMResult{}, fmt.Errorf("fit: %d xs but %d ys", len(xs), len(ys))
@@ -102,62 +156,55 @@ func CurveFit(model Func, xs, ys []float64, p0 []float64, opts *LMOptions) (LMRe
 		return LMResult{}, fmt.Errorf("fit: %d weights for %d observations", len(o.Weights), m)
 	}
 
-	params := append([]float64(nil), p0...)
+	w.reserve(m, np)
+	params, trial, delta := w.params, w.trial, w.delta
+	resid, trialResid := w.resid, w.trialResid
+	copy(params, p0)
 	o.project(params)
-	resid := make([]float64, m)
-	sse := residuals(model, params, xs, ys, o.Weights, resid)
+	sse := w.residuals(model, params, xs, ys, o.Weights, resid)
 	if math.IsNaN(sse) || math.IsInf(sse, 0) {
 		return LMResult{}, errors.New("fit: model not finite at initial parameters")
 	}
 
 	lambda := o.InitialLambda
-	jac := make([][]float64, m) // m×np Jacobian of the model wrt params
-	for i := range jac {
-		jac[i] = make([]float64, np)
-	}
-	trial := make([]float64, np)
-	trialResid := make([]float64, m)
-
+	jac, jtj, jtr, aug := w.jac, w.jtj, w.jtr, w.aug
 	res := LMResult{Params: params, Residual: sse}
 	for iter := 0; iter < o.MaxIterations; iter++ {
 		res.Iterations = iter + 1
-		numericJacobian(model, params, xs, o.Weights, jac, o.Epsilon)
+		w.jacobian(model, xs, o.Weights, o.Epsilon)
 
 		// Normal equations with LM damping: (JᵀJ + λ·diag(JᵀJ))·δ = Jᵀr.
-		jtj := make([][]float64, np)
-		jtr := make([]float64, np)
-		for i := 0; i < np; i++ {
-			jtj[i] = make([]float64, np)
-		}
+		clear(jtj)
+		clear(jtr)
 		for r := 0; r < m; r++ {
-			row := jac[r]
+			row := jac[r*np : (r+1)*np]
 			for i := 0; i < np; i++ {
 				for j := i; j < np; j++ {
-					jtj[i][j] += row[i] * row[j]
+					jtj[i*np+j] += row[i] * row[j]
 				}
 				jtr[i] += row[i] * resid[r]
 			}
 		}
 		for i := 0; i < np; i++ {
 			for j := 0; j < i; j++ {
-				jtj[i][j] = jtj[j][i]
+				jtj[i*np+j] = jtj[j*np+i]
 			}
 		}
 
 		improved := false
 		// Try increasingly damped steps until one improves the residual.
 		for attempt := 0; attempt < 12; attempt++ {
-			damped := make([][]float64, np)
 			for i := 0; i < np; i++ {
-				damped[i] = append([]float64(nil), jtj[i]...)
-				d := jtj[i][i]
+				row := aug[i*(np+1) : (i+1)*(np+1)]
+				copy(row, jtj[i*np:(i+1)*np])
+				d := jtj[i*np+i]
 				if d == 0 {
 					d = 1e-12
 				}
-				damped[i][i] += lambda * d
+				row[i] += lambda * d
+				row[np] = jtr[i]
 			}
-			delta, err := SolveLinear(damped, jtr)
-			if err != nil {
+			if err := eliminate(aug, np, delta); err != nil {
 				lambda *= 10
 				continue
 			}
@@ -165,7 +212,7 @@ func CurveFit(model Func, xs, ys []float64, p0 []float64, opts *LMOptions) (LMRe
 				trial[i] = params[i] + delta[i]
 			}
 			o.project(trial)
-			trialSSE := residuals(model, trial, xs, ys, o.Weights, trialResid)
+			trialSSE := w.residuals(model, trial, xs, ys, o.Weights, trialResid)
 			if !math.IsNaN(trialSSE) && trialSSE < sse {
 				rel := (sse - trialSSE) / math.Max(sse, 1e-300)
 				copy(params, trial)
@@ -180,7 +227,6 @@ func CurveFit(model Func, xs, ys []float64, p0 []float64, opts *LMOptions) (LMRe
 			}
 			lambda *= 10
 		}
-		res.Params = params
 		res.Residual = sse
 		if res.Converged || !improved {
 			// No further progress possible (or converged): stop. A stall
@@ -202,10 +248,11 @@ func CurveFit(model Func, xs, ys []float64, p0 []float64, opts *LMOptions) (LMRe
 // residuals fills out[i] = √wᵢ·(ys[i] − model(params, xs[i])) and returns
 // the weighted sum of squares (NaN if the model produced a non-finite
 // value). A nil ws means unit weights.
-func residuals(model Func, params, xs, ys, ws, out []float64) float64 {
+func (w *Workspace) residuals(model func(params, xs, out []float64), params, xs, ys, ws, out []float64) float64 {
+	vals := w.plus // free between Jacobians
+	model(params, xs, vals)
 	sse := 0.0
-	for i, x := range xs {
-		v := model(params, x)
+	for i, v := range vals {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return math.NaN()
 		}
@@ -219,31 +266,32 @@ func residuals(model Func, params, xs, ys, ws, out []float64) float64 {
 	return sse
 }
 
-// numericJacobian fills jac[i][j] = √wᵢ·∂model(params, xs[i])/∂params[j]
-// using central differences with per-parameter scaled steps. A nil ws
-// means unit weights.
-func numericJacobian(model Func, params, xs, ws []float64, jac [][]float64, eps float64) {
-	np := len(params)
-	p := append([]float64(nil), params...)
+// jacobian fills jac[i][j] = √wᵢ·∂model(params, xs[i])/∂params[j] at the
+// workspace's current params using central differences with per-parameter
+// scaled steps. A nil ws means unit weights.
+func (w *Workspace) jacobian(model func(params, xs, out []float64), xs, ws []float64, eps float64) {
+	np := len(w.params)
+	p := w.probe
+	copy(p, w.params)
 	for j := 0; j < np; j++ {
 		h := eps * math.Max(1, math.Abs(p[j]))
 		orig := p[j]
 		p[j] = orig + h
-		for i, x := range xs {
-			jac[i][j] = model(p, x)
-		}
+		model(p, xs, w.plus)
 		p[j] = orig - h
+		model(p, xs, w.minus)
 		inv := 1 / (2 * h)
-		for i, x := range xs {
-			jac[i][j] = (jac[i][j] - model(p, x)) * inv
+		for i := range xs {
+			w.jac[i*np+j] = (w.plus[i] - w.minus[i]) * inv
 		}
 		p[j] = orig
 	}
 	if ws != nil {
-		for i := range jac {
+		for i := range xs {
 			sw := math.Sqrt(math.Max(ws[i], 0))
-			for j := range jac[i] {
-				jac[i][j] *= sw
+			row := w.jac[i*np : (i+1)*np]
+			for j := range row {
+				row[j] *= sw
 			}
 		}
 	}

@@ -16,12 +16,18 @@ type convUnit struct {
 	relu *nn.ReLU
 }
 
-func newConvUnit(rng *rand.Rand, inC, outC, k, pad int) (*convUnit, error) {
-	conv, err := nn.NewConv2D(rng, inC, outC, k, k, 1, pad)
+// squareConv is the geometry of the convolutions both spaces decode to:
+// k×k at stride 1.
+func squareConv(inC, outC, k, pad int) nn.ConvGeom {
+	return nn.ConvGeom{InC: inC, OutC: outC, KH: k, KW: k, Stride: 1, Pad: pad}
+}
+
+func newConvUnit(rng *rand.Rand, g nn.ConvGeom) (*convUnit, error) {
+	conv, err := nn.NewConv2D(rng, g.InC, g.OutC, g.KH, g.KW, g.Stride, g.Pad)
 	if err != nil {
 		return nil, err
 	}
-	bn, err := nn.NewBatchNorm2D(outC)
+	bn, err := nn.NewBatchNorm2D(g.OutC)
 	if err != nil {
 		return nil, err
 	}
@@ -57,13 +63,22 @@ func (u *convUnit) params() []*nn.Param {
 	return append(ps, u.bn.Params()...)
 }
 
-func (u *convUnit) flops(in []int) int64 {
-	total := u.conv.FLOPs(in)
-	out, err := u.conv.OutShape(in)
+func (u *convUnit) flops(in []int) int64 { return unitFLOPs(u.conv.ConvGeom, in) }
+
+// unitFLOPs is the per-sample cost of a convUnit around conv: the
+// convolution, then batch norm and ReLU over its output.
+func unitFLOPs(conv nn.ConvGeom, in []int) int64 {
+	total := conv.FLOPs(in)
+	out, err := conv.OutShape(in)
 	if err != nil {
 		return total
 	}
-	return total + u.bn.FLOPs(out) + u.relu.FLOPs(out)
+	return total + nn.BatchNormGeom{C: conv.OutC}.FLOPs(out) + new(nn.ReLU).FLOPs(out)
+}
+
+// unitParams is the number of trainable scalars of a convUnit around conv.
+func unitParams(conv nn.ConvGeom) int {
+	return conv.NumParams() + nn.BatchNormGeom{C: conv.OutC}.NumParams()
 }
 
 // PhaseBlock is one decoded phase: an input-projection unit followed by
@@ -75,10 +90,9 @@ func (u *convUnit) flops(in []int) int64 {
 // unit alone, which is how all-zero genomes stay trainable while costing
 // the fewest FLOPs.
 type PhaseBlock struct {
-	inC, width int
-	topo       phaseTopology
-	proj       *convUnit
-	nodes      []*convUnit // indexed by node id; nil when inactive
+	phaseGeom
+	proj  *convUnit
+	nodes []*convUnit // indexed by node id; nil when inactive
 
 	// Per-node working lists and the buffers behind them, reused step
 	// after step. outs[j] is node j's output of the current Forward and
@@ -103,21 +117,43 @@ func copyInto(buf, src *tensor.Tensor) *tensor.Tensor {
 	return buf
 }
 
+// phaseGeom is a phase's geometry: its channel counts and active DAG,
+// which fix the block's name, output shape, cost and parameter count
+// before any unit exists. PhaseBlock embeds it, so a decoded block
+// reports exactly what Cost computes.
+type phaseGeom struct {
+	inC, width int
+	topo       phaseTopology
+}
+
+func newPhaseGeom(g *Genome, phase, inC, width int) (phaseGeom, error) {
+	if phase < 0 || phase >= len(g.Phases) {
+		return phaseGeom{}, fmt.Errorf("genome: phase %d out of range [0,%d)", phase, len(g.Phases))
+	}
+	if inC <= 0 || width <= 0 {
+		return phaseGeom{}, fmt.Errorf("genome: PhaseBlock needs positive channels, got in=%d width=%d", inC, width)
+	}
+	return phaseGeom{inC: inC, width: width, topo: g.topology(phase)}, nil
+}
+
+// proj and node are the convolutions of the input-projection unit and of
+// every active node.
+func (b phaseGeom) proj() nn.ConvGeom { return squareConv(b.inC, b.width, 1, 0) }
+func (b phaseGeom) node() nn.ConvGeom { return squareConv(b.width, b.width, 3, 1) }
+
 // NewPhaseBlock decodes one phase of the genome into a block with the
 // given input channels and phase width.
 func NewPhaseBlock(rng *rand.Rand, g *Genome, phase, inC, width int) (*PhaseBlock, error) {
-	if phase < 0 || phase >= len(g.Phases) {
-		return nil, fmt.Errorf("genome: phase %d out of range [0,%d)", phase, len(g.Phases))
+	geom, err := newPhaseGeom(g, phase, inC, width)
+	if err != nil {
+		return nil, err
 	}
-	if inC <= 0 || width <= 0 {
-		return nil, fmt.Errorf("genome: PhaseBlock needs positive channels, got in=%d width=%d", inC, width)
-	}
-	proj, err := newConvUnit(rng, inC, width, 1, 0)
+	proj, err := newConvUnit(rng, geom.proj())
 	if err != nil {
 		return nil, err
 	}
 	n := g.NodesPerPhase
-	b := &PhaseBlock{inC: inC, width: width, topo: g.topology(phase), proj: proj,
+	b := &PhaseBlock{phaseGeom: geom, proj: proj,
 		nodes: make([]*convUnit, n),
 		outs:  make([]*tensor.Tensor, n), grads: make([]*tensor.Tensor, n),
 		ins: make([]*tensor.Tensor, n), acc: make([]*tensor.Tensor, n)}
@@ -125,7 +161,7 @@ func NewPhaseBlock(rng *rand.Rand, g *Genome, phase, inC, width int) (*PhaseBloc
 		if !active {
 			continue
 		}
-		u, err := newConvUnit(rng, width, width, 3, 1)
+		u, err := newConvUnit(rng, geom.node())
 		if err != nil {
 			return nil, err
 		}
@@ -135,14 +171,14 @@ func NewPhaseBlock(rng *rand.Rand, g *Genome, phase, inC, width int) (*PhaseBloc
 }
 
 // Name implements nn.Layer.
-func (b *PhaseBlock) Name() string {
-	n := 0
-	for _, a := range b.topo.active {
-		if a {
-			n++
-		}
-	}
-	return fmt.Sprintf("phase(w=%d,nodes=%d,skip=%t)", b.width, n, b.topo.skip)
+func (b phaseGeom) Name() string {
+	return fmt.Sprintf("phase(w=%d,nodes=%d,skip=%t)", b.width, b.topo.activeNodes(), b.topo.skip)
+}
+
+// numParams counts the trainable scalars of the projection unit and of
+// one unit per active node.
+func (b phaseGeom) numParams() int {
+	return unitParams(b.proj()) + b.topo.activeNodes()*unitParams(b.node())
 }
 
 // Params implements nn.Layer.
@@ -170,7 +206,7 @@ func (b *PhaseBlock) StateTensors() []*tensor.Tensor {
 }
 
 // OutShape implements nn.Layer.
-func (b *PhaseBlock) OutShape(in []int) ([]int, error) {
+func (b phaseGeom) OutShape(in []int) ([]int, error) {
 	if len(in) != 3 || in[0] != b.inC {
 		return nil, fmt.Errorf("genome: %s expects (%d,H,W) input, got %v", b.Name(), b.inC, in)
 	}
@@ -178,18 +214,18 @@ func (b *PhaseBlock) OutShape(in []int) ([]int, error) {
 }
 
 // FLOPs implements nn.Layer.
-func (b *PhaseBlock) FLOPs(in []int) int64 {
+func (b phaseGeom) FLOPs(in []int) int64 {
 	if _, err := b.OutShape(in); err != nil {
 		return 0
 	}
-	total := b.proj.flops(in)
+	total := unitFLOPs(b.proj(), in)
 	nodeIn := []int{b.width, in[1], in[2]}
 	spat := int64(in[1] * in[2])
-	for j, u := range b.nodes {
-		if u == nil {
+	for j, active := range b.topo.active {
+		if !active {
 			continue
 		}
-		total += u.flops(nodeIn)
+		total += unitFLOPs(b.node(), nodeIn)
 		// Summing k>1 predecessor maps costs (k−1)·width·H·W adds.
 		if k := len(b.topo.preds[j]); k > 1 {
 			total += int64(k-1) * int64(b.width) * spat
@@ -330,18 +366,86 @@ func PaperDecodeConfig() DecodeConfig {
 	return DecodeConfig{InShape: []int{1, 128, 128}, Widths: []int{16, 32, 64}, NumClasses: 2}
 }
 
+// Validate reports the first problem with the configuration that no
+// genome can fix, or nil: the checks every decode and Cost start with.
+func (cfg DecodeConfig) Validate() error {
+	if len(cfg.InShape) != 3 {
+		return fmt.Errorf("genome: InShape must be (C,H,W), got %v", cfg.InShape)
+	}
+	if cfg.NumClasses < 2 {
+		return fmt.Errorf("genome: NumClasses must be ≥ 2, got %d", cfg.NumClasses)
+	}
+	if len(cfg.Widths) == 0 {
+		return fmt.Errorf("genome: no stage widths")
+	}
+	h, w := cfg.InShape[1], cfg.InShape[2]
+	for range cfg.Widths[1:] {
+		if h < 2 || w < 2 {
+			return fmt.Errorf("genome: input %v too small for %d pooled stages", cfg.InShape, len(cfg.Widths))
+		}
+		h, w = h/2, w/2
+	}
+	return nil
+}
+
+// decodable reports why g cannot be decoded under cfg, or nil.
+func decodable(g *Genome, cfg DecodeConfig) error {
+	if err := g.Validate(); err != nil {
+		return err
+	}
+	if len(cfg.Widths) != len(g.Phases) {
+		return fmt.Errorf("genome: %d widths for %d phases", len(cfg.Widths), len(g.Phases))
+	}
+	return nil
+}
+
 // Decode builds a trainable network from the genome: one PhaseBlock per
 // phase with 2×2 max pooling between phases, then global average pooling
 // and a dense classifier. Weights are initialised from rng; the network
 // ID is the genome hash.
 func Decode(g *Genome, cfg DecodeConfig, rng *rand.Rand) (*nn.Network, error) {
-	if err := g.Validate(); err != nil {
+	if err := decodable(g, cfg); err != nil {
 		return nil, err
-	}
-	if len(cfg.Widths) != len(g.Phases) {
-		return nil, fmt.Errorf("genome: %d widths for %d phases", len(cfg.Widths), len(g.Phases))
 	}
 	return stack(g.Hash(), cfg, rng, func(p, inC, width int) (nn.Layer, error) {
 		return NewPhaseBlock(rng, g, p, inC, width)
 	})
+}
+
+// Cost is what a surrogate needs of Decode(g, cfg, rng) without the
+// network: the summary's FLOPs, Params and Describe() equal the decoded
+// network's FLOPs(), NumParams() and Describe(), computed from shapes
+// alone — no weight is drawn or allocated. It visits the stage sequence
+// Decode visits and prices each stage with the geometry the layers
+// themselves report, and fails exactly when Decode would.
+func Cost(g *Genome, cfg DecodeConfig) (*nn.Summary, error) {
+	if err := decodable(g, cfg); err != nil {
+		return nil, err
+	}
+	c := coster{g: g, sum: nn.NewSummary(g.Hash(), cfg.InShape)}
+	if err := walkStages(cfg, &c); err != nil {
+		return nil, err
+	}
+	return c.sum, nil
+}
+
+// coster is the stageVisitor behind Cost.
+type coster struct {
+	g   *Genome
+	sum *nn.Summary
+}
+
+func (c *coster) block(i, inC, width int) error {
+	geom, err := newPhaseGeom(c.g, i, inC, width)
+	if err != nil {
+		return err
+	}
+	return c.sum.Add(geom, geom.numParams())
+}
+
+func (c *coster) fixed(l nn.Layer) error { return c.sum.Add(l, 0) }
+
+func (c *coster) classifier(in, classes int) error {
+	d := nn.DenseGeom{In: in, Out: classes}
+	return c.sum.Add(d, d.NumParams())
 }

@@ -229,13 +229,15 @@ func (g *Genome) topology(phase int) phaseTopology {
 
 // ActiveNodes returns how many nodes of the phase participate in the
 // decoded network (0 means the phase decodes to its single fallback node).
-func (g *Genome) ActiveNodes(phase int) int {
-	t := g.topology(phase)
-	c := 0
+func (g *Genome) ActiveNodes(phase int) int { return g.topology(phase).activeNodes() }
+
+// activeNodes counts the nodes that take part in the phase.
+func (t phaseTopology) activeNodes() int {
+	n := 0
 	for _, a := range t.active {
 		if a {
-			c++
+			n++
 		}
 	}
-	return c
+	return n
 }

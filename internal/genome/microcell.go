@@ -23,9 +23,9 @@ func newMicroOp(rng *rand.Rand, op Op, width int) (*microOp, error) {
 	switch op {
 	case OpIdentity:
 	case OpConv3x3:
-		m.conv, err = newConvUnit(rng, width, width, 3, 1)
+		m.conv, err = newConvUnit(rng, squareConv(width, width, 3, 1))
 	case OpConv5x5:
-		m.conv, err = newConvUnit(rng, width, width, 5, 2)
+		m.conv, err = newConvUnit(rng, squareConv(width, width, 5, 2))
 	case OpMaxPool3x3:
 		m.mp, err = nn.NewMaxPool2DPadded(3, 1, 1)
 	case OpAvgPool3x3:
@@ -116,7 +116,7 @@ func NewMicroCell(rng *rand.Rand, g *MicroGenome, inC, width int) (*MicroCell, e
 	if inC <= 0 || width <= 0 {
 		return nil, fmt.Errorf("genome: MicroCell needs positive channels, got in=%d width=%d", inC, width)
 	}
-	proj, err := newConvUnit(rng, inC, width, 1, 0)
+	proj, err := newConvUnit(rng, squareConv(inC, width, 1, 0))
 	if err != nil {
 		return nil, err
 	}
@@ -132,7 +132,7 @@ func NewMicroCell(rng *rand.Rand, g *MicroGenome, inC, width int) (*MicroCell, e
 		}
 		c.ops = append(c.ops, [2]*microOp{op1, op2})
 	}
-	combine, err := newConvUnit(rng, len(c.outNodes)*width, width, 1, 0)
+	combine, err := newConvUnit(rng, squareConv(len(c.outNodes)*width, width, 1, 0))
 	if err != nil {
 		return nil, err
 	}

@@ -102,47 +102,84 @@ func validRate(r float64) error {
 	return nil
 }
 
-// stack assembles the network both spaces decode to: one block per entry
-// of cfg.Widths with 2×2 max pooling between blocks, then global average
-// pooling and a dense classifier. block builds stage i's layer; blocks
-// and the classifier draw their weights from rng in stage order.
-func stack(id string, cfg DecodeConfig, rng *rand.Rand, block func(i, inC, width int) (nn.Layer, error)) (*nn.Network, error) {
-	if len(cfg.InShape) != 3 {
-		return nil, fmt.Errorf("genome: InShape must be (C,H,W), got %v", cfg.InShape)
+// stageVisitor receives, in order, the stage sequence both spaces decode
+// to: one block per entry of cfg.Widths with 2×2 max pooling between
+// blocks, then global average pooling and a dense classifier.
+type stageVisitor interface {
+	// block is stage i's block, from inC channels to width.
+	block(i, inC, width int) error
+	// fixed is a layer the sequence fixes by itself: it has no weights.
+	fixed(l nn.Layer) error
+	// classifier is the dense head, from in features to classes.
+	classifier(in, classes int) error
+}
+
+// walkStages validates cfg and shows v every stage. It is the one place
+// the sequence is written down: decoding and Cost are its two visitors.
+func walkStages(cfg DecodeConfig, v stageVisitor) error {
+	if err := cfg.Validate(); err != nil {
+		return err
 	}
-	if cfg.NumClasses < 2 {
-		return nil, fmt.Errorf("genome: NumClasses must be ≥ 2, got %d", cfg.NumClasses)
-	}
-	if len(cfg.Widths) == 0 {
-		return nil, fmt.Errorf("genome: no stage widths")
-	}
-	var layers []nn.Layer
 	inC := cfg.InShape[0]
-	h, w := cfg.InShape[1], cfg.InShape[2]
 	for i, width := range cfg.Widths {
-		b, err := block(i, inC, width)
-		if err != nil {
-			return nil, err
+		if err := v.block(i, inC, width); err != nil {
+			return err
 		}
-		layers = append(layers, b)
 		inC = width
 		if i < len(cfg.Widths)-1 {
-			if h < 2 || w < 2 {
-				return nil, fmt.Errorf("genome: input %v too small for %d pooled stages", cfg.InShape, len(cfg.Widths))
-			}
 			pool, err := nn.NewMaxPool2D(2, 2)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			layers = append(layers, pool)
-			h, w = h/2, w/2
+			if err := v.fixed(pool); err != nil {
+				return err
+			}
 		}
 	}
-	layers = append(layers, nn.NewGlobalAvgPool2D())
-	dense, err := nn.NewDense(rng, inC, cfg.NumClasses)
+	if err := v.fixed(nn.NewGlobalAvgPool2D()); err != nil {
+		return err
+	}
+	return v.classifier(inC, cfg.NumClasses)
+}
+
+// builder is the stageVisitor that decodes: it collects trainable layers,
+// blocks from newBlock and the classifier drawing their weights from rng
+// in stage order.
+type builder struct {
+	rng      *rand.Rand
+	newBlock func(i, inC, width int) (nn.Layer, error)
+	layers   []nn.Layer
+}
+
+func (b *builder) block(i, inC, width int) error {
+	l, err := b.newBlock(i, inC, width)
 	if err != nil {
+		return err
+	}
+	b.layers = append(b.layers, l)
+	return nil
+}
+
+func (b *builder) fixed(l nn.Layer) error {
+	b.layers = append(b.layers, l)
+	return nil
+}
+
+func (b *builder) classifier(in, classes int) error {
+	dense, err := nn.NewDense(b.rng, in, classes)
+	if err != nil {
+		return err
+	}
+	b.layers = append(b.layers, dense)
+	return nil
+}
+
+// stack assembles the network both spaces decode to (see stageVisitor);
+// block builds stage i's layer.
+func stack(id string, cfg DecodeConfig, rng *rand.Rand, block func(i, inC, width int) (nn.Layer, error)) (*nn.Network, error) {
+	b := builder{rng: rng, newBlock: block}
+	if err := walkStages(cfg, &b); err != nil {
 		return nil, err
 	}
-	layers = append(layers, dense)
-	return nn.NewNetwork(id, cfg.InShape, layers...)
+	return nn.NewNetwork(id, cfg.InShape, b.layers...)
 }

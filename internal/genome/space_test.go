@@ -59,6 +59,7 @@ func TestSpaceContract(t *testing.T) {
 			golden:      0x2e9f3f955ae6e46c,
 		})
 	})
+	t.Run("cost", checkCost)
 	for _, bad := range []interface{ Validate() error }{
 		MacroSpace{Phases: 0, NodesPerPhase: 4},
 		MacroSpace{Phases: 3, NodesPerPhase: 0},
@@ -144,5 +145,101 @@ func checkSpace[G validGenome](t *testing.T, c spaceCase[G]) {
 	h.Write(state)
 	if h.Sum64() != c.golden {
 		t.Errorf("decoded network state hashes to %#x, recorded %#x", h.Sum64(), c.golden)
+	}
+}
+
+// checkCost holds Cost to Decode: the same FLOPs, parameter count and
+// Describe text byte for byte wherever Decode succeeds, and an error
+// wherever Decode fails.
+func checkCost(t *testing.T) {
+	same := func(g *Genome, cfg DecodeConfig) {
+		t.Helper()
+		net, err := Decode(g, cfg, rand.New(rand.NewSource(1)))
+		if err != nil {
+			t.Fatalf("%s: %v", g, err)
+		}
+		flops, err := net.FLOPs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cost, err := Cost(g, cfg)
+		if err != nil {
+			t.Fatalf("%s: Decode succeeds but Cost fails: %v", g, err)
+		}
+		if cost.FLOPs != flops || cost.Params != net.NumParams() || cost.Describe() != net.Describe() {
+			t.Fatalf("%s under %+v: Cost = %d FLOPs, %d params\n%s\nDecode = %d FLOPs, %d params\n%s",
+				g, cfg, cost.FLOPs, cost.Params, cost.Describe(), flops, net.NumParams(), net.Describe())
+		}
+	}
+	uniform := func(phases, nodes int, bit byte) *Genome {
+		g := &Genome{NodesPerPhase: nodes}
+		for p := 0; p < phases; p++ {
+			bits := make([]byte, BitsPerPhase(nodes))
+			for i := range bits {
+				bits[i] = bit
+			}
+			g.Phases = append(g.Phases, bits)
+		}
+		return g
+	}
+	// The paper-scale config decodes 128×128 networks: a few random genomes
+	// and the two extremes there, the bulk at laptop scale.
+	paper, laptop := PaperDecodeConfig(), DefaultDecodeConfig()
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 40; i++ {
+		g, err := NewRandom(rng, 3, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same(g, laptop)
+		if i < 4 {
+			same(g, paper)
+		}
+	}
+	for _, bit := range []byte{0, 1} { // projection-only phases; every node and skip on
+		same(uniform(3, 4, bit), laptop)
+		same(uniform(3, 4, bit), paper)
+	}
+	// Every single-phase bit pattern at 4 nodes.
+	one := DecodeConfig{InShape: []int{2, 9, 7}, Widths: []int{5}, NumClasses: 3}
+	for pattern := 0; pattern < 1<<7; pattern++ {
+		bits := make([]byte, 7)
+		for i := range bits {
+			bits[i] = byte(pattern >> i & 1)
+		}
+		same(&Genome{NodesPerPhase: 4, Phases: [][]byte{bits}}, one)
+	}
+	// One to four phases, other node counts.
+	for phases := 1; phases <= 4; phases++ {
+		cfg := DecodeConfig{InShape: []int{1, 16, 16}, Widths: []int{4, 6, 8, 10}[:phases], NumClasses: 2}
+		for _, nodes := range []int{1, 3, 5} {
+			g, err := NewRandom(rng, phases, nodes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			same(g, cfg)
+		}
+	}
+
+	g := uniform(3, 4, 1)
+	for name, cfg := range map[string]DecodeConfig{
+		"rank-2 input":         {InShape: []int{16, 16}, Widths: []int{4, 8, 8}, NumClasses: 2},
+		"one class":            {InShape: []int{1, 16, 16}, Widths: []int{4, 8, 8}, NumClasses: 1},
+		"no widths":            {InShape: []int{1, 16, 16}, NumClasses: 2},
+		"widths ≠ phases":      {InShape: []int{1, 16, 16}, Widths: []int{4, 8}, NumClasses: 2},
+		"input too small":      {InShape: []int{1, 2, 2}, Widths: []int{4, 8, 8}, NumClasses: 2},
+		"zero-sized input":     {InShape: []int{1, 0, 16}, Widths: []int{4, 8, 8}, NumClasses: 2},
+		"non-positive width":   {InShape: []int{1, 16, 16}, Widths: []int{4, 0, 8}, NumClasses: 2},
+		"non-positive channel": {InShape: []int{0, 16, 16}, Widths: []int{4, 8, 8}, NumClasses: 2},
+	} {
+		_, derr := Decode(g, cfg, rand.New(rand.NewSource(1)))
+		_, cerr := Cost(g, cfg)
+		if derr == nil || cerr == nil || derr.Error() != cerr.Error() {
+			t.Errorf("%s: Decode error %v, Cost error %v; want the same error", name, derr, cerr)
+		}
+	}
+	bad := &Genome{NodesPerPhase: 4, Phases: [][]byte{{9}}}
+	if _, err := Cost(bad, laptop); err == nil {
+		t.Error("Cost must reject an invalid genome")
 	}
 }

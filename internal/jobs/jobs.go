@@ -342,6 +342,18 @@ func (m *Manager) submit(jc Config, resume bool) (Status, error) {
 	if jc.Devices > m.fleet.Capacity() {
 		return Status{}, fmt.Errorf("jobs: job needs %d devices, fleet has %d", jc.Devices, m.fleet.Capacity())
 	}
+	if !resume {
+		// Refuse now what the search would refuse at start, before the job
+		// has a directory, a manifest or a place in the fleet. A recovered
+		// manifest was accepted once and runs to its own verdict.
+		cfg, err := BuildSearchConfig(jc)
+		if err != nil {
+			return Status{}, err
+		}
+		if err := cfg.Validate(); err != nil {
+			return Status{}, fmt.Errorf("jobs: %w", err)
+		}
+	}
 	if jc.ID == "" {
 		jc.ID = newJobID()
 	}

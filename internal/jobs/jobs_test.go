@@ -293,6 +293,11 @@ func TestManagerSubmitErrors(t *testing.T) {
 		{"bad id", Config{ID: "../escape"}, "must match"},
 		{"bad priority", Config{Priority: 100}, "priority"},
 		{"too wide", Config{Devices: 3}, "fleet has 2"},
+		// What the search itself would refuse is refused at submit.
+		{"negative population", Config{ID: "neg-pop", Population: -3, Epochs: -1}, "population"},
+		{"negative offspring", Config{ID: "neg-off", Offspring: -1}, "offspring"},
+		{"negative generations", Config{ID: "neg-gen", Generations: -2}, "generations"},
+		{"negative epochs", Config{ID: "neg-ep", Epochs: -1}, "≥ 1, got -1"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -300,6 +305,19 @@ func TestManagerSubmitErrors(t *testing.T) {
 				t.Fatalf("err = %v, want containing %q", err, tc.want)
 			}
 		})
+	}
+	// A refused submission leaves nothing behind: no job, no directory.
+	if got := len(m.List()); got != 1 {
+		t.Errorf("%d jobs listed after refused submissions, want only \"dup\"", got)
+	}
+	entries, err := os.ReadDir(m.root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if e.Name() != "dup" {
+			t.Errorf("refused submission left %s in the root", e.Name())
+		}
 	}
 
 	m.Drain()

@@ -8,16 +8,25 @@ import (
 	"a4nn/internal/tensor"
 )
 
+// ConvGeom is a convolution's geometry: what a Conv2D is before it has
+// weights — its name, shape arithmetic, per-sample cost and parameter
+// count. Conv2D embeds it, so the layer's Name, OutShape and FLOPs are
+// these, and genome.Cost prices a network from the same methods without
+// drawing a weight.
+type ConvGeom struct {
+	InC, OutC   int
+	KH, KW      int
+	Stride, Pad int
+}
+
 // Conv2D is a 2-D convolution over NCHW batches, run by the fused
 // per-sample im2col → GEMM kernels of internal/tensor. All buffers are
 // pooled and reused across training steps; a steady-state forward/backward
 // pair allocates no tensor storage.
 type Conv2D struct {
-	InC, OutC   int
-	KH, KW      int
-	Stride, Pad int
-	W           *Param // (OutC, InC·KH·KW)
-	B           *Param // (OutC)
+	ConvGeom
+	W *Param // (OutC, InC·KH·KW)
+	B *Param // (OutC)
 
 	// Reusable kernel workspace. cols is written by training forwards only
 	// and consumed by the backward pass; the rest is recycled every call.
@@ -42,19 +51,25 @@ func NewConv2D(rng *rand.Rand, inC, outC, kh, kw, stride, pad int) (*Conv2D, err
 	if stride <= 0 || pad < 0 {
 		return nil, fmt.Errorf("nn: Conv2D invalid stride=%d pad=%d", stride, pad)
 	}
-	fanIn := inC * kh * kw
-	std := math.Sqrt(2.0 / float64(fanIn))
-	w := tensor.Randn(rng, 0, std, outC, fanIn)
+	g := ConvGeom{InC: inC, OutC: outC, KH: kh, KW: kw, Stride: stride, Pad: pad}
+	std := math.Sqrt(2.0 / float64(g.fanIn()))
+	w := tensor.Randn(rng, 0, std, outC, g.fanIn())
 	b := tensor.New(outC)
 	return &Conv2D{
-		InC: inC, OutC: outC, KH: kh, KW: kw, Stride: stride, Pad: pad,
-		W: newParam(fmt.Sprintf("conv%dx%d.W", kh, kw), w),
-		B: newParam(fmt.Sprintf("conv%dx%d.B", kh, kw), b),
+		ConvGeom: g,
+		W:        newParam(fmt.Sprintf("conv%dx%d.W", kh, kw), w),
+		B:        newParam(fmt.Sprintf("conv%dx%d.B", kh, kw), b),
 	}, nil
 }
 
+// fanIn is the number of inputs to one output element, the width of W.
+func (c ConvGeom) fanIn() int { return c.InC * c.KH * c.KW }
+
+// NumParams is the size of W (OutC, InC·KH·KW) plus B (OutC).
+func (c ConvGeom) NumParams() int { return c.OutC*c.fanIn() + c.OutC }
+
 // Name implements Layer.
-func (c *Conv2D) Name() string {
+func (c ConvGeom) Name() string {
 	return fmt.Sprintf("conv%dx%d(%d->%d,s%d,p%d)", c.KH, c.KW, c.InC, c.OutC, c.Stride, c.Pad)
 }
 
@@ -62,7 +77,7 @@ func (c *Conv2D) Name() string {
 func (c *Conv2D) Params() []*Param { return []*Param{c.W, c.B} }
 
 // OutShape implements Layer.
-func (c *Conv2D) OutShape(in []int) ([]int, error) {
+func (c ConvGeom) OutShape(in []int) ([]int, error) {
 	if len(in) != 3 || in[0] != c.InC {
 		return nil, errShape(c.Name(), []int{c.InC, -1, -1}, in)
 	}
@@ -78,7 +93,7 @@ func (c *Conv2D) OutShape(in []int) ([]int, error) {
 }
 
 // FLOPs implements Layer: 2·InC·KH·KW multiply-adds per output element.
-func (c *Conv2D) FLOPs(in []int) int64 {
+func (c ConvGeom) FLOPs(in []int) int64 {
 	out, err := c.OutShape(in)
 	if err != nil {
 		return 0

@@ -8,13 +8,16 @@ import (
 	"a4nn/internal/tensor"
 )
 
+// DenseGeom is a fully connected layer's geometry; see ConvGeom.
+type DenseGeom struct{ In, Out int }
+
 // Dense is a fully connected layer y = x·Wᵀ + b over batches of shape
 // (N, In); W has shape (Out, In). Output and gradient buffers come from
 // the shared workspace and are reused across steps.
 type Dense struct {
-	In, Out int
-	W       *Param
-	B       *Param
+	DenseGeom
+	W *Param
+	B *Param
 
 	x  *tensor.Tensor // forward cache (borrowed from upstream layer)
 	y  *tensor.Tensor // (N, Out) pooled output
@@ -29,20 +32,23 @@ func NewDense(rng *rand.Rand, in, out int) (*Dense, error) {
 	}
 	std := math.Sqrt(2.0 / float64(in))
 	return &Dense{
-		In: in, Out: out,
-		W: newParam("dense.W", tensor.Randn(rng, 0, std, out, in)),
-		B: newParam("dense.B", tensor.New(out)),
+		DenseGeom: DenseGeom{In: in, Out: out},
+		W:         newParam("dense.W", tensor.Randn(rng, 0, std, out, in)),
+		B:         newParam("dense.B", tensor.New(out)),
 	}, nil
 }
 
 // Name implements Layer.
-func (d *Dense) Name() string { return fmt.Sprintf("dense(%d->%d)", d.In, d.Out) }
+func (d DenseGeom) Name() string { return fmt.Sprintf("dense(%d->%d)", d.In, d.Out) }
+
+// NumParams is the size of W (Out, In) plus B (Out).
+func (d DenseGeom) NumParams() int { return d.Out*d.In + d.Out }
 
 // Params implements Layer.
 func (d *Dense) Params() []*Param { return []*Param{d.W, d.B} }
 
 // OutShape implements Layer.
-func (d *Dense) OutShape(in []int) ([]int, error) {
+func (d DenseGeom) OutShape(in []int) ([]int, error) {
 	if len(in) != 1 || in[0] != d.In {
 		return nil, errShape(d.Name(), []int{d.In}, in)
 	}
@@ -50,7 +56,7 @@ func (d *Dense) OutShape(in []int) ([]int, error) {
 }
 
 // FLOPs implements Layer: 2·In MACs + 1 bias add per output unit.
-func (d *Dense) FLOPs(in []int) int64 {
+func (d DenseGeom) FLOPs(in []int) int64 {
 	if _, err := d.OutShape(in); err != nil {
 		return 0
 	}

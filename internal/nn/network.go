@@ -105,43 +105,90 @@ func (n *Network) NumParams() int {
 // single sample. The experiment harness reports MFLOPs (FLOPs/1e6), which
 // is the unit the paper's accuracy-vs-FLOPS Pareto plots use.
 func (n *Network) FLOPs() (int64, error) {
-	shape := n.InShape
-	var total int64
-	for i, l := range n.Layers {
-		total += l.FLOPs(shape)
-		out, err := l.OutShape(shape)
-		if err != nil {
-			return 0, fmt.Errorf("nn: network %q layer %d (%s): %w", n.ID, i, l.Name(), err)
-		}
-		shape = out
+	s, err := n.summary()
+	if err != nil {
+		return 0, err
 	}
-	return total, nil
+	return s.FLOPs, nil
 }
 
 // Describe renders a one-line-per-layer architecture summary.
 func (n *Network) Describe() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "network %q input %v\n", n.ID, n.InShape)
-	shape := n.InShape
-	for i, l := range n.Layers {
-		out, err := l.OutShape(shape)
-		if err != nil {
-			fmt.Fprintf(&b, "  %2d %-28s <shape error: %v>\n", i, l.Name(), err)
-			return b.String()
-		}
-		fmt.Fprintf(&b, "  %2d %-28s %v -> %v\n", i, l.Name(), shape, out)
-		shape = out
-	}
-	fmt.Fprintf(&b, "params=%d flops=%d\n", n.NumParams(), mustFLOPs(n))
-	return b.String()
+	s, _ := n.summary() // a shape error is part of the text
+	return s.Describe()
 }
 
-func mustFLOPs(n *Network) int64 {
-	f, err := n.FLOPs()
-	if err != nil {
-		return -1
+// summary runs the network's layers through a Summary.
+func (n *Network) summary() (*Summary, error) {
+	s := NewSummary(n.ID, n.InShape)
+	for _, l := range n.Layers {
+		params := 0
+		for _, p := range l.Params() {
+			params += p.Value.Len()
+		}
+		if err := s.Add(l, params); err != nil {
+			return s, err
+		}
 	}
-	return f
+	return s, nil
+}
+
+// Geometry is a layer without its weights: the name, per-sample shape
+// arithmetic and cost a Summary is built from. Every Layer is one; so are
+// the weight-free ConvGeom, BatchNormGeom and DenseGeom.
+type Geometry interface {
+	Name() string
+	OutShape(in []int) ([]int, error)
+	FLOPs(in []int) int64
+}
+
+// Summary is what Network.FLOPs, NumParams and Describe report, built one
+// stage at a time from geometry alone: the surrogate trainer needs exactly
+// these three of a decoded network, and reads them through genome.Cost
+// without the network.
+type Summary struct {
+	// FLOPs and Params total the stages added so far.
+	FLOPs  int64
+	Params int
+
+	id     string
+	shape  []int // per-sample input shape of the next stage
+	stages int
+	failed bool
+	text   strings.Builder
+}
+
+// NewSummary starts the summary of network id over per-sample inputs of
+// shape inShape.
+func NewSummary(id string, inShape []int) *Summary {
+	s := &Summary{id: id, shape: inShape}
+	fmt.Fprintf(&s.text, "network %q input %v\n", id, inShape)
+	return s
+}
+
+// Add appends the next stage, which holds params trainable scalars. It
+// fails when the stage does not accept the shape the stages so far produce.
+func (s *Summary) Add(g Geometry, params int) error {
+	out, err := g.OutShape(s.shape)
+	if err != nil {
+		s.failed = true
+		fmt.Fprintf(&s.text, "  %2d %-28s <shape error: %v>\n", s.stages, g.Name(), err)
+		return fmt.Errorf("nn: network %q layer %d (%s): %w", s.id, s.stages, g.Name(), err)
+	}
+	fmt.Fprintf(&s.text, "  %2d %-28s %v -> %v\n", s.stages, g.Name(), s.shape, out)
+	s.FLOPs += g.FLOPs(s.shape)
+	s.Params += params
+	s.shape = out
+	s.stages++
+	return nil
+}
+
+// Describe renders the stages added so far, one line each, and the totals.
+func (s *Summary) Describe() string {
+	if s.failed {
+		return s.text.String()
+	}
+	return s.text.String() + fmt.Sprintf("params=%d flops=%d\n", s.Params, s.FLOPs)
 }
 
 // Stateful is implemented by layers carrying non-trainable state that

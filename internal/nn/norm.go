@@ -7,12 +7,16 @@ import (
 	"a4nn/internal/tensor"
 )
 
+// BatchNormGeom is a batch normalisation's geometry over C channels; see
+// ConvGeom.
+type BatchNormGeom struct{ C int }
+
 // BatchNorm2D normalises each channel of an NCHW batch to zero mean and
 // unit variance using batch statistics during training (while maintaining
 // running statistics for evaluation), then applies a learned affine
 // transform gamma·x̂ + beta.
 type BatchNorm2D struct {
-	C        int
+	BatchNormGeom
 	Eps      float64
 	Momentum float64 // running-stat update rate, typically 0.1
 
@@ -42,7 +46,7 @@ func NewBatchNorm2D(c int) (*BatchNorm2D, error) {
 		return nil, fmt.Errorf("nn: BatchNorm2D invalid channels %d", c)
 	}
 	return &BatchNorm2D{
-		C: c, Eps: 1e-5, Momentum: 0.1,
+		BatchNormGeom: BatchNormGeom{C: c}, Eps: 1e-5, Momentum: 0.1,
 		Gamma:       newParam("bn.gamma", tensor.Ones(c)),
 		Beta:        newParam("bn.beta", tensor.New(c)),
 		RunningMean: tensor.New(c),
@@ -51,13 +55,16 @@ func NewBatchNorm2D(c int) (*BatchNorm2D, error) {
 }
 
 // Name implements Layer.
-func (b *BatchNorm2D) Name() string { return fmt.Sprintf("bn(%d)", b.C) }
+func (b BatchNormGeom) Name() string { return fmt.Sprintf("bn(%d)", b.C) }
+
+// NumParams is the size of Gamma plus Beta.
+func (b BatchNormGeom) NumParams() int { return 2 * b.C }
 
 // Params implements Layer.
 func (b *BatchNorm2D) Params() []*Param { return []*Param{b.Gamma, b.Beta} }
 
 // OutShape implements Layer.
-func (b *BatchNorm2D) OutShape(in []int) ([]int, error) {
+func (b BatchNormGeom) OutShape(in []int) ([]int, error) {
 	if len(in) != 3 || in[0] != b.C {
 		return nil, errShape(b.Name(), []int{b.C, -1, -1}, in)
 	}
@@ -65,7 +72,7 @@ func (b *BatchNorm2D) OutShape(in []int) ([]int, error) {
 }
 
 // FLOPs implements Layer: normalise + affine ≈ 4 ops per element.
-func (b *BatchNorm2D) FLOPs(in []int) int64 { return 4 * int64(shapeProduct(in)) }
+func (b BatchNormGeom) FLOPs(in []int) int64 { return 4 * int64(shapeProduct(in)) }
 
 // Forward implements Layer.
 func (b *BatchNorm2D) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {

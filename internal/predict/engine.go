@@ -145,8 +145,14 @@ func (e *Engine) Predict(history []float64) (pred float64, ok bool) {
 // PredictAt fits the family to arbitrary (epoch, fitness) pairs and
 // evaluates the fitted curve at epoch x. It is the engine's low-level
 // entry point; Predict wraps it for the dense 1..e histories produced by
-// Algorithm 1.
+// Algorithm 1. Both are stateless and fit on a throw-away workspace; a
+// Tracker, which refits one growing history, keeps its own.
 func (e *Engine) PredictAt(xs, ys []float64, x float64) (pred float64, ok bool) {
+	return e.predictAt(new(fit.Workspace), xs, ys, x)
+}
+
+// predictAt is PredictAt fitting on the caller's workspace.
+func (e *Engine) predictAt(w *fit.Workspace, xs, ys []float64, x float64) (pred float64, ok bool) {
 	fam := e.cfg.Family
 	if len(xs) != len(ys) || len(xs) < fam.NumParams() {
 		return 0, false
@@ -190,10 +196,11 @@ func (e *Engine) PredictAt(xs, ys []float64, x float64) (pred float64, ok bool) 
 		if scale != 1 && len(p0) > 1 {
 			p0[1] *= scale // perturb the rate-like parameter
 		}
-		res, err := fit.CurveFit(fam.Eval, xs, ys, p0, opts)
+		res, err := w.Fit(fam.EvalBatch, xs, ys, p0, opts)
 		if err == nil && res.Residual < best {
 			best = res.Residual
-			bestParams = res.Params
+			// res.Params is the workspace's; the next start overwrites it.
+			bestParams = append(bestParams[:0], res.Params...)
 		}
 		// First fit good enough (≥95% of variance explained): accept.
 		if si == 0 && bestParams != nil && best <= 0.05*variance {
@@ -256,6 +263,11 @@ type Tracker struct {
 	// produced, for lineage records and Figure-2-style plots.
 	PredEpochs []int
 	converged  bool
+
+	// xs is the epoch ramp 1..len(H) the fits run over and ws their
+	// buffers; both grow with the history and are reused by every Observe.
+	xs []float64
+	ws fit.Workspace
 }
 
 // NewTracker returns a Tracker bound to the engine.
@@ -270,9 +282,15 @@ func (t *Tracker) Observe(fitness float64) (converged bool) {
 		return true
 	}
 	t.H = append(t.H, fitness)
-	if p, ok := t.engine.Predict(t.H); ok {
-		t.P = append(t.P, p)
-		t.PredEpochs = append(t.PredEpochs, len(t.H))
+	for len(t.xs) < len(t.H) { // one step per Observe; the whole ramp after Restore
+		t.xs = append(t.xs, float64(len(t.xs)+1))
+	}
+	cfg := &t.engine.cfg
+	if len(t.H) >= cfg.CMin {
+		if p, ok := t.engine.predictAt(&t.ws, t.xs[:len(t.H)], t.H, float64(cfg.EPred)); ok {
+			t.P = append(t.P, p)
+			t.PredEpochs = append(t.PredEpochs, len(t.H))
+		}
 	}
 	t.converged = t.engine.Converged(t.P)
 	if t.converged {

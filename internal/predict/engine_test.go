@@ -339,6 +339,57 @@ func BenchmarkEngineInteraction(b *testing.B) {
 	}
 }
 
+// neverConverging is the paper's configuration with a window no history
+// fills, so a tracker runs the engine at every epoch it is shown.
+func neverConverging() Config {
+	cfg := DefaultConfig()
+	cfg.N = 1000
+	return cfg
+}
+
+// BenchmarkTrackerObserve replays one 25-epoch history through a fresh
+// Tracker: the 23 engine interactions of a model that trains to the end,
+// on the buffers one tracker keeps across them.
+func BenchmarkTrackerObserve(b *testing.B) {
+	e := mustEngineQuick(neverConverging())
+	ys := synthCurve(93, 0.4, 1.5, 25, 0.25, rand.New(rand.NewSource(1)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr := NewTracker(e)
+		for _, y := range ys {
+			tr.Observe(y)
+		}
+		if len(tr.P) != 23 {
+			b.Fatalf("%d predictions, want 23", len(tr.P))
+		}
+	}
+}
+
+// TestTrackerObserveAllocs bounds what one engine interaction allocates
+// once a tracker's buffers are warm: the initial guess and its
+// linearisation (PolyFit's design matrix grows with the history), the
+// start vector, the kept parameters and the fit options — not the fit,
+// which runs on the tracker's workspace.
+func TestTrackerObserveAllocs(t *testing.T) {
+	e := mustEngine(t, neverConverging())
+	ys := synthCurve(93, 0.4, 1.5, 25, 0.25, rand.New(rand.NewSource(1)))
+	tr := NewTracker(e)
+	next := 0
+	observe := func() {
+		tr.Observe(ys[next])
+		next++
+	}
+	for next < 12 {
+		observe()
+	}
+	allocs := testing.AllocsPerRun(12, observe) // epochs 13–25 (one warm-up call)
+	if allocs > 36 {
+		t.Errorf("a steady-state Tracker.Observe made %v allocations, want ≤ 36", allocs)
+	}
+	t.Logf("%v allocations per Observe", allocs)
+}
+
 func TestLogisticFamilyFits(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Family = Logistic{}

@@ -27,6 +27,10 @@ type CurveFamily interface {
 	NumParams() int
 	// Eval evaluates the curve at epoch x.
 	Eval(params []float64, x float64) float64
+	// EvalBatch evaluates the curve at every epoch of xs into out, exactly
+	// as Eval would one at a time. The fit evaluates whole histories, and
+	// this form costs it one dynamic call per history, not per point.
+	EvalBatch(params, xs, out []float64)
 	// InitialGuess seeds the nonlinear fit from the observed partial
 	// learning curve (xs = epochs, ys = fitness values).
 	InitialGuess(xs, ys []float64) []float64
@@ -47,13 +51,21 @@ func (ExpApproach) Name() string { return "a-b^(c-x)" }
 // NumParams implements CurveFamily.
 func (ExpApproach) NumParams() int { return 3 }
 
+// expApproach is F(x) = a − e^{β(c−x)}.
+func expApproach(a, beta, c, x float64) float64 {
+	// Capped to avoid overflow to +Inf; the fit rejects such steps anyway.
+	return a - math.Exp(min(beta*(c-x), 700))
+}
+
 // Eval implements CurveFamily: F(x) = a − e^{β(c−x)}.
-func (ExpApproach) Eval(p []float64, x float64) float64 {
-	e := p[1] * (p[2] - x)
-	if e > 700 { // avoid overflow to +Inf; the fit rejects such steps anyway
-		e = 700
+func (ExpApproach) Eval(p []float64, x float64) float64 { return expApproach(p[0], p[1], p[2], x) }
+
+// EvalBatch implements CurveFamily.
+func (ExpApproach) EvalBatch(p, xs, out []float64) {
+	a, beta, c := p[0], p[1], p[2]
+	for i, x := range xs {
+		out[i] = expApproach(a, beta, c, x)
 	}
-	return p[0] - math.Exp(e)
 }
 
 // InitialGuess implements CurveFamily. It seeds a just above the best
@@ -114,12 +126,23 @@ func (PowerLaw) Name() string { return "a-b*x^(-c)" }
 // NumParams implements CurveFamily.
 func (PowerLaw) NumParams() int { return 3 }
 
-// Eval implements CurveFamily: F(x) = a − b·x^(−c), defined for x > 0.
-func (PowerLaw) Eval(p []float64, x float64) float64 {
+// powerLaw is F(x) = a − b·x^(−c), defined for x > 0.
+func powerLaw(a, b, c, x float64) float64 {
 	if x <= 0 {
 		x = 1e-9
 	}
-	return p[0] - p[1]*math.Pow(x, -p[2])
+	return a - b*math.Pow(x, -c)
+}
+
+// Eval implements CurveFamily: F(x) = a − b·x^(−c), defined for x > 0.
+func (PowerLaw) Eval(p []float64, x float64) float64 { return powerLaw(p[0], p[1], p[2], x) }
+
+// EvalBatch implements CurveFamily.
+func (PowerLaw) EvalBatch(p, xs, out []float64) {
+	a, b, c := p[0], p[1], p[2]
+	for i, x := range xs {
+		out[i] = powerLaw(a, b, c, x)
+	}
 }
 
 // InitialGuess implements CurveFamily: a just above the best observation,
@@ -154,6 +177,13 @@ func (LastValue) NumParams() int { return 1 }
 
 // Eval implements CurveFamily: the single parameter is the prediction.
 func (LastValue) Eval(p []float64, x float64) float64 { return p[0] }
+
+// EvalBatch implements CurveFamily.
+func (f LastValue) EvalBatch(p, xs, out []float64) {
+	for i, x := range xs {
+		out[i] = f.Eval(p, x)
+	}
+}
 
 // InitialGuess implements CurveFamily.
 func (LastValue) InitialGuess(xs, ys []float64) []float64 {

@@ -18,13 +18,20 @@ func (Logistic) Name() string { return "a/(1+e^-k(x-m))" }
 // NumParams implements CurveFamily.
 func (Logistic) NumParams() int { return 3 }
 
+// logistic is F(x) = a / (1 + e^{−k(x−m)}).
+func logistic(a, k, m, x float64) float64 {
+	return a / (1 + math.Exp(min(-k*(x-m), 700)))
+}
+
 // Eval implements CurveFamily.
-func (Logistic) Eval(p []float64, x float64) float64 {
-	e := -p[1] * (x - p[2])
-	if e > 700 {
-		e = 700
+func (Logistic) Eval(p []float64, x float64) float64 { return logistic(p[0], p[1], p[2], x) }
+
+// EvalBatch implements CurveFamily.
+func (Logistic) EvalBatch(p, xs, out []float64) {
+	a, k, m := p[0], p[1], p[2]
+	for i, x := range xs {
+		out[i] = logistic(a, k, m, x)
 	}
-	return p[0] / (1 + math.Exp(e))
 }
 
 // InitialGuess implements CurveFamily: a slightly above the best

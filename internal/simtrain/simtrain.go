@@ -177,6 +177,9 @@ func New(profile BeamProfile, decode genome.DecodeConfig, samples int) (*Trainer
 	if samples < 1 {
 		return nil, fmt.Errorf("simtrain: samples must be ≥ 1, got %d", samples)
 	}
+	if err := decode.Validate(); err != nil {
+		return nil, err
+	}
 	return &Trainer{profile: profile, decode: decode, samples: samples}, nil
 }
 
@@ -194,16 +197,11 @@ func (t *Trainer) TrainSamples() int { return t.samples }
 // deterministically from (genome, seed), with the genome's capacity
 // (active nodes, FLOPs) nudging the achievable accuracy — bigger
 // architectures tend to learn more, which is what gives the NAS a real
-// accuracy/FLOPs trade-off to explore.
+// accuracy/FLOPs trade-off to explore. The network itself is never built:
+// a surrogate model needs its cost and description, which genome.Cost
+// reads off the shapes.
 func (t *Trainer) NewModel(g *genome.Genome, seed int64) (core.Trainable, error) {
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	net, err := genome.Decode(g, t.decode, rand.New(rand.NewSource(seed)))
-	if err != nil {
-		return nil, err
-	}
-	flops, err := net.FLOPs()
+	cost, err := genome.Cost(g, t.decode)
 	if err != nil {
 		return nil, err
 	}
@@ -226,9 +224,9 @@ func (t *Trainer) NewModel(g *genome.Genome, seed int64) (core.Trainable, error)
 	}
 	m := &model{
 		trainer: t,
-		flops:   flops,
-		params:  net.NumParams(),
-		desc:    net.Describe(),
+		flops:   cost.FLOPs,
+		params:  cost.Params,
+		desc:    cost.Describe(),
 		rng:     rng,
 		noise:   p.Noise,
 		rho:     rho,

@@ -2,7 +2,12 @@ package simtrain
 
 import (
 	"context"
+	"fmt"
+	"hash/fnv"
+	"math"
 	"math/rand"
+	"runtime"
+	"sort"
 	"testing"
 
 	"a4nn/internal/core"
@@ -50,6 +55,9 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(ProfileFor(xfel.LowBeam), genome.DefaultDecodeConfig(), -1); err == nil {
 		t.Fatal("negative samples must fail")
+	}
+	if _, err := New(ProfileFor(xfel.LowBeam), genome.DecodeConfig{}, 0); err == nil {
+		t.Fatal("a decode configuration no genome can be priced under must fail")
 	}
 	tr, err := New(ProfileFor(xfel.LowBeam), genome.DefaultDecodeConfig(), 0)
 	if err != nil {
@@ -121,6 +129,16 @@ func TestModelMetadata(t *testing.T) {
 	}
 	if m.FLOPs() <= 0 || m.NumParams() <= 0 || m.Describe() == "" {
 		t.Fatalf("metadata missing: flops=%d params=%d", m.FLOPs(), m.NumParams())
+	}
+	// The model never builds its network; it must still report the
+	// network's numbers.
+	net, err := genome.Decode(g, genome.PaperDecodeConfig(), rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if flops, err := net.FLOPs(); err != nil || m.FLOPs() != flops || m.NumParams() != net.NumParams() || m.Describe() != net.Describe() {
+		t.Fatalf("model reports flops=%d params=%d\n%s\ndecoded network has flops=%d (%v) params=%d\n%s",
+			m.FLOPs(), m.NumParams(), m.Describe(), flops, err, net.NumParams(), net.Describe())
 	}
 	// Paper-scale FLOPs land in the hundreds of MFLOPs.
 	mflops := float64(m.FLOPs()) / 1e6
@@ -338,5 +356,89 @@ func TestSurrogateMatchesRealTrainerQualitatively(t *testing.T) {
 	}
 	if f, ok := tr.FinalFitness(); !ok || f < 0 || f > 100 {
 		t.Fatalf("engine on real curve produced %v, %v", f, ok)
+	}
+}
+
+// TestSurrogateGoldenBits is TestRealTrainerGoldenBits for the surrogate
+// path: one paper-scale search per beam (Tables 1 and 2: 100 models, NAS
+// seeds 1–3, one device) must evaluate the same models to the same bits as
+// it did before the engine and NewModel were made cheap. search is the
+// benchmark's fingerprint, FNV-64a over the sorted lines
+// `id|generation|epochs|fitness bits|FLOPs`; arch extends each line with
+// the parameter count and the architecture text, the other two values a
+// lineage record takes from NewModel. The fits run the prediction engine,
+// so the values hold on amd64 only (other ports fuse multiply-adds).
+func TestSurrogateGoldenBits(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("golden bits recorded on amd64")
+	}
+	want := []struct {
+		beam         xfel.BeamIntensity
+		search, arch uint64
+	}{
+		{xfel.LowBeam, 0x59b5d01c1953fac2, 0xb26f17f48bc37f8d},
+		{xfel.MediumBeam, 0x608d25ff47b5f552, 0x0ac8c95fed073970},
+		{xfel.HighBeam, 0x89dd7dcf69c0f435, 0x7d33beabedee2eb2},
+	}
+	for i, w := range want {
+		tr, err := ForBeam(w.beam)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := core.DefaultConfig(tr)
+		cfg.NAS.Seed = int64(1 + i)
+		cfg.Beam = w.beam.String()
+		res, err := core.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Models) != 100 {
+			t.Fatalf("%s: %d models, want 100", w.beam, len(res.Models))
+		}
+		search := make([]string, len(res.Models))
+		arch := make([]string, len(res.Models))
+		for j, m := range res.Models {
+			r := m.Record
+			search[j] = fmt.Sprintf("%s|%d|%d|%016x|%d", r.ID, r.Generation, r.EpochsTrained(),
+				math.Float64bits(r.FinalFitness), r.FLOPs)
+			arch[j] = fmt.Sprintf("%s|%d|%s", search[j], r.NumParams, r.Architecture)
+		}
+		if got := hashSorted(search); got != w.search {
+			t.Errorf("%s: search fingerprint %#x, want %#x", w.beam, got, w.search)
+		}
+		if got := hashSorted(arch); got != w.arch {
+			t.Errorf("%s: architecture fingerprint %#x, want %#x", w.beam, got, w.arch)
+		}
+	}
+}
+
+// hashSorted is FNV-64a over the sorted lines, each newline-terminated.
+func hashSorted(lines []string) uint64 {
+	sort.Strings(lines)
+	h := fnv.New64a()
+	for _, l := range lines {
+		h.Write([]byte(l))
+		h.Write([]byte{'\n'})
+	}
+	return h.Sum64()
+}
+
+// BenchmarkNewModel prices and seeds one surrogate model at paper scale,
+// the per-model set-up of every surrogate search.
+func BenchmarkNewModel(b *testing.B) {
+	tr, err := ForBeam(xfel.MediumBeam)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := genome.Parse("1011011|0110101|1110110", 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := tr.NewModel(g, int64(i)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -164,6 +164,7 @@ func TestJobAPIErrors(t *testing.T) {
 		{"invalid beam", "POST", "/api/jobs", `{"beam":"blinding"}`, http.StatusBadRequest, "beam"},
 		{"invalid id", "POST", "/api/jobs", `{"id":"../escape"}`, http.StatusBadRequest, "must match"},
 		{"too many devices", "POST", "/api/jobs", `{"devices":5}`, http.StatusBadRequest, "fleet has 2"},
+		{"search it would refuse to run", "POST", "/api/jobs", `{"population":-3,"epochs":-1}`, http.StatusBadRequest, "population"},
 		{"duplicate job id", "POST", "/api/jobs", smallJobBody, http.StatusConflict, "already exists"},
 		{"cancel unknown job", "DELETE", "/api/jobs/ghost", "", http.StatusNotFound, "unknown job"},
 		{"cancel completed job", "DELETE", "/api/jobs/alpha", "", http.StatusConflict, "already finished"},

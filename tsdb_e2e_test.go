@@ -33,7 +33,7 @@ func TestHistoryKillResumeE2E(t *testing.T) {
 	store := scratchDir(t, "store")
 	seriesPath := filepath.Join(store, tsdb.SeriesFile)
 	args := []string{"-beam", "medium", "-population", "10", "-offspring", "10",
-		"-generations", "40", "-seed", "11", "-store", store, "-checkpoints",
+		"-generations", "20", "-seed", "11", "-store", store, "-checkpoints",
 		"-history", "-history-interval", "25ms"}
 
 	cmd := exec.Command(bins["a4nn"], args...)
@@ -144,9 +144,12 @@ func TestRegressionBaselineE2E(t *testing.T) {
 	bins := buildTools(t, "a4nn", "a4nn-analyze")
 	work := scratchDir(t, "work")
 	basePath := filepath.Join(work, "base.json")
+	// 186 surrogate models take about half a second: the regression
+	// monitor needs five 25 ms samples and then three evaluations beyond
+	// tolerance, on a series that only starts with the first generation.
 	searchArgs := func(store string) []string {
 		return []string{"-beam", "medium", "-population", "6", "-offspring", "6",
-			"-generations", "10", "-seed", "11", "-store", store,
+			"-generations", "30", "-seed", "11", "-store", store,
 			"-history", "-history-interval", "25ms"}
 	}
 
