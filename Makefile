@@ -70,8 +70,8 @@ race-sched:
 	$(GO) test -race -count 3 ./internal/jobs
 
 # race-tsdb stresses the run-history store: the sampler goroutine
-# appending concurrently with queries, flushes, and compaction, since
-# every dashboard range query races the sampling tick.
+# appending concurrently with queries and flushes, since every
+# dashboard range query races the sampling tick.
 race-tsdb:
 	$(GO) test -race -count 3 ./internal/tsdb
 

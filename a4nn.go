@@ -409,8 +409,8 @@ func ChaosPoints() []string { return chaos.Points() }
 
 // RecoverCommons scans a commons store for crash damage — torn records,
 // corrupt or stale checkpoints, records the journal saw finish but the
-// disk lost — quarantines what cannot be trusted, rebuilds index.json,
-// and reports what it did. Run automatically by Config.Resume; exposed
+// disk lost — quarantines what cannot be trusted and reports what it
+// did. Run automatically by Config.Resume; exposed
 // for offline repair.
 func RecoverCommons(store *Store, journal *Journal) (*RecoveryReport, error) {
 	return core.RecoverStore(store, journal)

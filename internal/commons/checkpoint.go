@@ -328,16 +328,3 @@ func (s *Store) QuarantineCheckpoint(id, reason string) (string, error) {
 	defer s.mu.Unlock()
 	return s.quarantine(s.checkpointPath(id), reason)
 }
-
-// IndexFile is the rebuilt model index, under the store root.
-const IndexFile = "index.json"
-
-// WriteIndex atomically replaces the store's model index.
-func (s *Store) WriteIndex(data []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := durable.AtomicWrite(filepath.Join(s.root, IndexFile), data, 0o644, false, "", ""); err != nil {
-		return fmt.Errorf("commons: write index: %w", err)
-	}
-	return nil
-}

@@ -45,9 +45,6 @@ func TestGoldenBytes(t *testing.T) {
 		{"PutSnapshot file", func() []byte {
 			return readBack(s.snapshotPath("m", 3), s.PutSnapshot("m", 3, []byte("epoch-3 state\x00\x01")))
 		}, "106c9fe8ae7d69936f987ec54d8c56edee320ce10bce3f95f843ac05a078b357"},
-		{"WriteIndex file", func() []byte {
-			return readBack(s.root+"/"+IndexFile, s.WriteIndex([]byte("{\n  \"records\": 0\n}")))
-		}, "afb1acd33764010f0f67a3c93c75188c96c7e672c95fb40a9db1de8918467ebe"},
 	}
 	for _, c := range cases {
 		sum := sha256.Sum256(c.bytes())

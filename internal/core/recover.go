@@ -5,13 +5,12 @@ package core
 // are deleted; every record and checkpoint on disk is decoded; torn or
 // tampered files are quarantined with a typed reason, stale
 // checkpoints (their record already committed) are removed, and the
-// model index is rebuilt — cross-checked against events.jsonl, whose
+// valid records are cross-checked against events.jsonl, whose
 // model_done events reveal records the dying run committed in memory
 // but lost on disk. Each action is surfaced as a recovery journal
 // event, which the health engine turns into alerts.
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -58,19 +57,10 @@ func (r *RecoveryReport) Clean() bool {
 	return r == nil || (len(r.Quarantined) == 0 && r.StaleCheckpoints == 0 && len(r.LostRecords) == 0 && r.TempsRemoved == 0)
 }
 
-// indexEntry is one model in the rebuilt index.json.
-type indexEntry struct {
-	ID         string  `json:"id"`
-	Generation int     `json:"gen"`
-	Fitness    float64 `json:"fitness"`
-	Epochs     int     `json:"epochs"`
-	Terminated bool    `json:"terminated,omitempty"`
-}
-
 // RecoverStore scans a commons store for crash damage and repairs what
-// it can, emitting one recovery event per action into journal (nil-safe)
-// and atomically rebuilding <root>/index.json. It is idempotent: a
-// second pass over a recovered store finds nothing.
+// it can, emitting one recovery event per action into journal
+// (nil-safe). It is idempotent: a second pass over a recovered store
+// finds nothing.
 func RecoverStore(store *commons.Store, journal *obs.Journal) (*RecoveryReport, error) {
 	if store == nil {
 		return nil, fmt.Errorf("core: RecoverStore needs a store")
@@ -115,20 +105,13 @@ func RecoverStore(store *commons.Store, journal *obs.Journal) (*RecoveryReport, 
 	if err != nil {
 		return nil, err
 	}
-	valid := make(map[string]*indexEntry, len(ids))
+	valid := make(map[string]bool, len(ids))
 	for _, id := range ids {
-		rec, err := store.GetRecord(id)
-		if err != nil {
+		if _, err := store.GetRecord(id); err != nil {
 			note(id, "record", err)
 			continue
 		}
-		valid[id] = &indexEntry{
-			ID:         id,
-			Generation: rec.Generation,
-			Fitness:    rec.FinalFitness,
-			Epochs:     rec.EpochsTrained(),
-			Terminated: rec.Terminated,
-		}
+		valid[id] = true
 	}
 	rep.Records = len(valid)
 
@@ -141,7 +124,7 @@ func RecoverStore(store *commons.Store, journal *obs.Journal) (*RecoveryReport, 
 			note(id, "checkpoint", err)
 			continue
 		}
-		if _, done := valid[id]; done {
+		if valid[id] {
 			// The record committed; the crash hit between commit and
 			// checkpoint cleanup.
 			if err := store.DeleteCheckpoint(id); err == nil {
@@ -160,7 +143,7 @@ func RecoverStore(store *commons.Store, journal *obs.Journal) (*RecoveryReport, 
 
 	// Cross-check against the event journal: a model_done event without
 	// a record on disk is work the dying run lost (e.g. a crash straight
-	// after the journal append). Those models retrain; the index notes
+	// after the journal append). Those models retrain; the report lists
 	// them so operators can see what the crash cost.
 	eventsPath := filepath.Join(store.Root(), obs.EventsFile)
 	if events, err := obs.ReadEvents(eventsPath); err == nil {
@@ -170,7 +153,7 @@ func RecoverStore(store *commons.Store, journal *obs.Journal) (*RecoveryReport, 
 				continue
 			}
 			seen[e.Model] = true
-			if _, ok := valid[e.Model]; !ok {
+			if !valid[e.Model] {
 				rep.LostRecords = append(rep.LostRecords, e.Model)
 			}
 		}
@@ -187,23 +170,5 @@ func RecoverStore(store *commons.Store, journal *obs.Journal) (*RecoveryReport, 
 		return nil, fmt.Errorf("core: recovery journal scan: %w", err)
 	}
 
-	entries := make([]*indexEntry, 0, len(valid))
-	for _, e := range valid {
-		entries = append(entries, e)
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].ID < entries[j].ID })
-	index := struct {
-		Records     int           `json:"records"`
-		Checkpoints int           `json:"checkpoints"`
-		Lost        []string      `json:"lost,omitempty"`
-		Models      []*indexEntry `json:"models"`
-	}{Records: rep.Records, Checkpoints: rep.Checkpoints, Lost: rep.LostRecords, Models: entries}
-	data, err := json.MarshalIndent(index, "", "  ")
-	if err != nil {
-		return nil, fmt.Errorf("core: marshal index: %w", err)
-	}
-	if err := store.WriteIndex(data); err != nil {
-		return nil, err
-	}
 	return rep, nil
 }

@@ -49,9 +49,6 @@ type execJob struct {
 }
 
 func newExecSink(cmd string, interval time.Duration, o *obs.Observer) *execSink {
-	if interval <= 0 {
-		interval = 10 * time.Second
-	}
 	reg := o.Registry()
 	s := &execSink{
 		cmd:      cmd,

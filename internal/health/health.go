@@ -29,8 +29,6 @@ package health
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -38,71 +36,56 @@ import (
 )
 
 // Config tunes the monitors and the alert lifecycle. The zero value of
-// any field selects its default; DefaultConfig returns them all.
+// a tunable selects its default; every tunable's -health-config key and
+// default is a row of configKnobs, and DefaultConfig returns them all.
 type Config struct {
 	// DivergenceWindow is how many consecutive epochs of rising loss
-	// fire the divergence alert (default 3).
+	// fire the divergence alert.
 	DivergenceWindow int
 	// DivergenceDrop is the accuracy collapse threshold: points below
-	// the model's best validation accuracy (default 20).
+	// the model's best validation accuracy.
 	DivergenceDrop float64
-	// PlateauWindow and PlateauEpsilon define a flat learning curve:
-	// accuracy moving ≤ Epsilon points across Window epochs (defaults
-	// 8 and 0.05).
-	PlateauWindow  int
-	PlateauEpsilon float64
-	// CalibrationWindow and CalibrationTolerance bound the prediction
-	// engine's rolling mean |predicted − actual| at termination
-	// (defaults 8 terminations and 5 accuracy points).
-	CalibrationWindow    int
-	CalibrationTolerance float64
+	// PlateauWindow is how many epochs of accuracy moving at most
+	// plateauEpsilon points make a flat learning curve.
+	PlateauWindow int
+	// CalibrationWindow is how many terminations the prediction
+	// engine's rolling mean |predicted − actual| spans.
+	CalibrationWindow int
 	// MinCapacity is the alive/total device fraction below which pool
-	// degradation escalates from warning to critical (default 0.5).
+	// degradation escalates from warning to critical.
 	MinCapacity float64
 	// StragglerRate is the warning threshold on straggler events per
-	// device-generation (default 0.3).
+	// device-generation.
 	StragglerRate float64
-	// QueueFactor and QueueMinWait gate queue-saturation alerts: a
-	// generation's mean queue wait must exceed Factor × the warmup
-	// baseline and the MinWait absolute floor in simulated seconds
-	// (defaults 3 and 1).
-	QueueFactor  float64
-	QueueMinWait float64
 	// SampleInterval throttles the runtime/metrics sampler and paces
-	// the engine's periodic check when no events flow (default 5s).
+	// the engine's periodic check when no events flow.
 	SampleInterval time.Duration
 	// MaxGoroutines, HeapGrowthFactor, and GCPauseP99 are the runtime
-	// sampler's warning thresholds (defaults 2000, ×4, 50ms). Zero
-	// keeps the default; a negative MaxGoroutines disables that check.
+	// sampler's warning thresholds; a negative MaxGoroutines disables
+	// that check.
 	MaxGoroutines    int
 	HeapGrowthFactor float64
 	GCPauseP99       time.Duration
 	// RSSWarnMB/RSSCritMB bound the process resident set size in MiB
-	// (defaults 4096 and 8192) and FDWarn/FDCrit the open file
-	// descriptor count (defaults 512 and 960) — OS-level leaks the Go
-	// heap metrics can't see (mmap growth, cgo, leaked sockets or
-	// journal handles). Zero keeps the default; a negative warn value
-	// disables that pair; both checks stay silent on platforms without
-	// a readable /proc/self.
+	// and FDWarn/FDCrit the open file descriptor count — OS-level leaks
+	// the Go heap metrics can't see (mmap growth, cgo, leaked sockets or
+	// journal handles). A negative warn value disables that pair; both
+	// checks stay silent on platforms without a readable /proc/self.
 	RSSWarnMB int
 	RSSCritMB int
 	FDWarn    int
 	FDCrit    int
 	// ResolveAfter is the flap-suppression window: an active alert
 	// resolves only after this many consecutive checks in which its
-	// monitor stayed quiet (default 3).
+	// monitor stayed quiet.
 	ResolveAfter int
-	// SubscriberBuffer sizes the engine's broker subscription; the
-	// default (4096) comfortably holds a generation's burst.
-	SubscriberBuffer int
 	// AlertCommand, when non-empty, is a shell command executed (via
 	// `sh -c`) on every alert transition: the alert JSON arrives on
 	// stdin and A4NN_ALERT_* environment variables carry the headline
 	// fields. Execution is asynchronous and never blocks a check cycle.
 	AlertCommand string
-	// AlertCommandInterval rate-limits AlertCommand per alert ID
-	// (default 10s); transitions inside the window are counted as
-	// dropped, not queued.
+	// AlertCommandInterval rate-limits AlertCommand per alert ID;
+	// transitions inside the window are counted as dropped, not queued.
 	AlertCommandInterval time.Duration
 	// EmitRuntimeSamples publishes each runtime sample as a
 	// runtime_sample journal event, so a cross-process follower
@@ -114,8 +97,7 @@ type Config struct {
 	// store's durability is worthless on a full disk).
 	DiskPath string
 	// DiskWarnFrac and DiskCritFrac are the free-space fractions below
-	// which the disk monitor warns / goes critical (defaults 0.10 and
-	// 0.03).
+	// which the disk monitor warns / goes critical.
 	DiskWarnFrac float64
 	DiskCritFrac float64
 	// SLO, when non-nil, enables the service-level-objective monitor
@@ -127,222 +109,31 @@ type Config struct {
 	Regression *RegressionConfig
 }
 
-// DefaultConfig returns the default thresholds described on Config.
-func DefaultConfig() Config {
-	return Config{
-		DivergenceWindow:     3,
-		DivergenceDrop:       20,
-		PlateauWindow:        8,
-		PlateauEpsilon:       0.05,
-		CalibrationWindow:    8,
-		CalibrationTolerance: 5,
-		MinCapacity:          0.5,
-		StragglerRate:        0.3,
-		QueueFactor:          3,
-		QueueMinWait:         1,
-		SampleInterval:       5 * time.Second,
-		MaxGoroutines:        2000,
-		HeapGrowthFactor:     4,
-		GCPauseP99:           50 * time.Millisecond,
-		RSSWarnMB:            4096,
-		RSSCritMB:            8192,
-		FDWarn:               512,
-		FDCrit:               960,
-		ResolveAfter:         3,
-		SubscriberBuffer:     4096,
-		AlertCommandInterval: 10 * time.Second,
-		DiskWarnFrac:         0.10,
-		DiskCritFrac:         0.03,
-	}
-}
+// subscriberBuffer sizes the engine's broker subscription: it
+// comfortably holds a generation's burst.
+const subscriberBuffer = 4096
 
-// withDefaults fills zero fields from DefaultConfig.
+// DefaultConfig returns every tunable at its default.
+func DefaultConfig() Config { return Config{}.withDefaults() }
+
+// withDefaults fills unset tunables from configKnobs.
 func (c Config) withDefaults() Config {
-	d := DefaultConfig()
-	if c.DivergenceWindow <= 0 {
-		c.DivergenceWindow = d.DivergenceWindow
-	}
-	if c.DivergenceDrop <= 0 {
-		c.DivergenceDrop = d.DivergenceDrop
-	}
-	if c.PlateauWindow <= 0 {
-		c.PlateauWindow = d.PlateauWindow
-	}
-	if c.PlateauEpsilon <= 0 {
-		c.PlateauEpsilon = d.PlateauEpsilon
-	}
-	if c.CalibrationWindow <= 0 {
-		c.CalibrationWindow = d.CalibrationWindow
-	}
-	if c.CalibrationTolerance <= 0 {
-		c.CalibrationTolerance = d.CalibrationTolerance
-	}
-	if c.MinCapacity <= 0 {
-		c.MinCapacity = d.MinCapacity
-	}
-	if c.StragglerRate <= 0 {
-		c.StragglerRate = d.StragglerRate
-	}
-	if c.QueueFactor <= 0 {
-		c.QueueFactor = d.QueueFactor
-	}
-	if c.QueueMinWait <= 0 {
-		c.QueueMinWait = d.QueueMinWait
-	}
-	if c.SampleInterval <= 0 {
-		c.SampleInterval = d.SampleInterval
-	}
-	if c.MaxGoroutines == 0 {
-		c.MaxGoroutines = d.MaxGoroutines
-	}
-	if c.HeapGrowthFactor <= 0 {
-		c.HeapGrowthFactor = d.HeapGrowthFactor
-	}
-	if c.GCPauseP99 <= 0 {
-		c.GCPauseP99 = d.GCPauseP99
-	}
-	if c.RSSWarnMB == 0 {
-		c.RSSWarnMB = d.RSSWarnMB
-	}
-	if c.RSSCritMB == 0 {
-		c.RSSCritMB = d.RSSCritMB
-	}
-	if c.FDWarn == 0 {
-		c.FDWarn = d.FDWarn
-	}
-	if c.FDCrit == 0 {
-		c.FDCrit = d.FDCrit
-	}
-	if c.ResolveAfter <= 0 {
-		c.ResolveAfter = d.ResolveAfter
-	}
-	if c.SubscriberBuffer <= 0 {
-		c.SubscriberBuffer = d.SubscriberBuffer
-	}
-	if c.AlertCommandInterval <= 0 {
-		c.AlertCommandInterval = d.AlertCommandInterval
-	}
-	if c.DiskWarnFrac <= 0 {
-		c.DiskWarnFrac = d.DiskWarnFrac
-	}
-	if c.DiskCritFrac <= 0 {
-		c.DiskCritFrac = d.DiskCritFrac
-	}
+	fill(&c, configKnobs)
 	return c
 }
 
 // ParseConfig parses the compact CLI specification accepted by
 // -health-config, mirroring the fault-plan syntax: key=value pairs
-// separated by ';' or ','. Keys:
-//
-//	divergence-window=3   divergence-drop=20
-//	plateau-window=8      plateau-eps=0.05
-//	calibration-window=8  calibration-tol=5
-//	min-capacity=0.5      straggler-rate=0.3
-//	queue-factor=3        queue-min-wait=1
-//	sample-ms=5000        max-goroutines=2000
-//	heap-growth=4         gc-pause-ms=50
-//	rss-warn-mb=4096      rss-crit-mb=8192
-//	fd-warn=512           fd-crit=960
-//	resolve-after=3       alert-cmd-ms=10000
-//	disk-warn=0.10        disk-crit=0.03
-//
-// Unset keys keep their defaults. An empty spec returns DefaultConfig.
+// separated by ';' or ',', e.g. "divergence-window=5;min-capacity=0.6".
+// The keys and their defaults are the rows of configKnobs; unset keys
+// keep their defaults, so an empty spec returns DefaultConfig.
 func ParseConfig(spec string) (Config, error) {
 	cfg := DefaultConfig()
-	for _, kv := range strings.FieldsFunc(spec, func(r rune) bool { return r == ';' || r == ',' }) {
-		kv = strings.TrimSpace(kv)
-		if kv == "" {
-			continue
-		}
-		key, val, ok := strings.Cut(kv, "=")
-		if !ok {
-			return cfg, fmt.Errorf("health: bad config entry %q (want key=value)", kv)
-		}
-		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
-		intVal := func(dst *int) error {
-			n, err := strconv.Atoi(val)
-			if err != nil || n <= 0 {
-				return fmt.Errorf("health: %s wants a positive integer, got %q", key, val)
-			}
-			*dst = n
-			return nil
-		}
-		floatVal := func(dst *float64) error {
-			f, err := strconv.ParseFloat(val, 64)
-			if err != nil || f <= 0 {
-				return fmt.Errorf("health: %s wants a positive number, got %q", key, val)
-			}
-			*dst = f
-			return nil
-		}
-		msVal := func(dst *time.Duration) error {
-			f, err := strconv.ParseFloat(val, 64)
-			if err != nil || f <= 0 {
-				return fmt.Errorf("health: %s wants positive milliseconds, got %q", key, val)
-			}
-			*dst = time.Duration(f * float64(time.Millisecond))
-			return nil
-		}
-		var err error
-		switch key {
-		case "divergence-window":
-			err = intVal(&cfg.DivergenceWindow)
-		case "divergence-drop":
-			err = floatVal(&cfg.DivergenceDrop)
-		case "plateau-window":
-			err = intVal(&cfg.PlateauWindow)
-		case "plateau-eps":
-			err = floatVal(&cfg.PlateauEpsilon)
-		case "calibration-window":
-			err = intVal(&cfg.CalibrationWindow)
-		case "calibration-tol":
-			err = floatVal(&cfg.CalibrationTolerance)
-		case "min-capacity":
-			err = floatVal(&cfg.MinCapacity)
-		case "straggler-rate":
-			err = floatVal(&cfg.StragglerRate)
-		case "queue-factor":
-			err = floatVal(&cfg.QueueFactor)
-		case "queue-min-wait":
-			err = floatVal(&cfg.QueueMinWait)
-		case "sample-ms":
-			err = msVal(&cfg.SampleInterval)
-		case "max-goroutines":
-			err = intVal(&cfg.MaxGoroutines)
-		case "heap-growth":
-			err = floatVal(&cfg.HeapGrowthFactor)
-		case "gc-pause-ms":
-			err = msVal(&cfg.GCPauseP99)
-		case "rss-warn-mb":
-			err = intVal(&cfg.RSSWarnMB)
-		case "rss-crit-mb":
-			err = intVal(&cfg.RSSCritMB)
-		case "fd-warn":
-			err = intVal(&cfg.FDWarn)
-		case "fd-crit":
-			err = intVal(&cfg.FDCrit)
-		case "resolve-after":
-			err = intVal(&cfg.ResolveAfter)
-		case "alert-cmd-ms":
-			err = msVal(&cfg.AlertCommandInterval)
-		case "disk-warn":
-			err = floatVal(&cfg.DiskWarnFrac)
-		case "disk-crit":
-			err = floatVal(&cfg.DiskCritFrac)
-		default:
-			err = fmt.Errorf("health: unknown config key %q", key)
-		}
-		if err != nil {
-			return cfg, err
-		}
+	if err := parseSpec(spec, "config", configKnobs, &cfg); err != nil {
+		return cfg, err
 	}
 	if cfg.MinCapacity > 1 {
 		return cfg, fmt.Errorf("health: min-capacity is a fraction, got %v", cfg.MinCapacity)
-	}
-	if cfg.DiskWarnFrac >= 1 || cfg.DiskCritFrac >= 1 {
-		return cfg, fmt.Errorf("health: disk watermarks are fractions, got warn=%v crit=%v",
-			cfg.DiskWarnFrac, cfg.DiskCritFrac)
 	}
 	if cfg.DiskCritFrac >= cfg.DiskWarnFrac {
 		return cfg, fmt.Errorf("health: disk-crit (%v) must be below disk-warn (%v)",
@@ -442,7 +233,7 @@ func New(cfg Config, o *obs.Observer) (*Engine, error) {
 			newPlateau(cfg),
 			newCalibration(cfg),
 			newDevicepool(cfg),
-			newQueuewait(cfg, reg),
+			newQueuewait(reg),
 			newBackpressure(reg),
 			newRuntimeMon(cfg, reg, o.Journal()),
 			newRecoveryMon(),
@@ -533,7 +324,7 @@ func (e *Engine) Start() {
 		e.mu.Unlock()
 		return
 	}
-	sub := e.obs.Journal().Subscribe(e.cfg.SubscriberBuffer)
+	sub := e.obs.Journal().Subscribe(subscriberBuffer)
 	done := make(chan struct{})
 	e.sub, e.done = sub, done
 	interval := e.cfg.SampleInterval

@@ -314,3 +314,58 @@ func TestParseConfig(t *testing.T) {
 		t.Fatalf("empty spec: %v", err)
 	}
 }
+
+// TestKnobTables pins the knob tables: keys are unique, the defaults are
+// the ones the engine has always run with, a spec naming every key at
+// its default parses to DefaultConfig, limits keep a negative (disabled)
+// value through the fill, and the keys of deleted knobs are refused.
+func TestKnobTables(t *testing.T) {
+	want := Config{
+		DivergenceWindow: 3, DivergenceDrop: 20, PlateauWindow: 8, CalibrationWindow: 8,
+		MinCapacity: 0.5, StragglerRate: 0.3, SampleInterval: 5 * time.Second,
+		MaxGoroutines: 2000, HeapGrowthFactor: 4, GCPauseP99: 50 * time.Millisecond,
+		RSSWarnMB: 4096, RSSCritMB: 8192, FDWarn: 512, FDCrit: 960, ResolveAfter: 3,
+		AlertCommandInterval: 10 * time.Second, DiskWarnFrac: 0.10, DiskCritFrac: 0.03,
+	}
+	if got := DefaultConfig(); got != want {
+		t.Fatalf("DefaultConfig() = %+v\nwant %+v", got, want)
+	}
+	var spec []string
+	seen := map[string]bool{}
+	for _, k := range configKnobs {
+		if seen[k.key] {
+			t.Fatalf("config key %q twice", k.key)
+		}
+		seen[k.key] = true
+		spec = append(spec, k.key+"="+k.def)
+	}
+	if got, err := ParseConfig(strings.Join(spec, ";")); err != nil || got != want {
+		t.Fatalf("every key at its default = %+v, %v", got, err)
+	}
+	c := Config{MaxGoroutines: -1, RSSWarnMB: -1, FDWarn: -1, DivergenceWindow: -4}.withDefaults()
+	if c.MaxGoroutines != -1 || c.RSSWarnMB != -1 || c.FDWarn != -1 || c.DivergenceWindow != 3 {
+		t.Fatalf("negative values after the fill: %+v", c)
+	}
+	for _, key := range []string{"plateau-eps", "calibration-tol", "queue-factor", "queue-min-wait"} {
+		if _, err := ParseConfig(key + "=1"); err == nil {
+			t.Errorf("deleted key %q accepted", key)
+		}
+	}
+
+	seen = map[string]bool{}
+	for _, k := range sloKnobs {
+		if seen[k.key] {
+			t.Fatalf("slo key %q twice", k.key)
+		}
+		seen[k.key] = true
+		if k.def != "" {
+			if err := k.set(&SLO{}, k.def); err != nil {
+				t.Fatalf("slo default: %v", err)
+			}
+		}
+	}
+	if got := (SLO{EventDropRate: 0.01}).withDefaults(); got != (SLO{EventDropRate: 0.01,
+		Objective: 0.99, FastWindow: time.Minute, SlowWindow: 10 * time.Minute, FastBurn: 14, SlowBurn: 6}) {
+		t.Fatalf("SLO defaults = %+v", got)
+	}
+}

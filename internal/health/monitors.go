@@ -119,17 +119,20 @@ func (d *divergence) detail() string {
 
 // --- learning-curve plateau ----------------------------------------------
 
+// plateauEpsilon is the most a plateaued curve's accuracy moves, in
+// points, across PlateauWindow epochs.
+const plateauEpsilon = 0.05
+
 // plateau reports (info) models whose validation accuracy has moved
-// less than Epsilon points across the last Window epochs — curves the
-// prediction engine should be terminating.
+// less than plateauEpsilon points across the last PlateauWindow epochs
+// — curves the prediction engine should be terminating.
 type plateau struct {
 	window int
-	eps    float64
 	models map[string][]float64 // rolling acc window per in-flight model
 }
 
 func newPlateau(cfg Config) *plateau {
-	return &plateau{window: cfg.PlateauWindow, eps: cfg.PlateauEpsilon, models: make(map[string][]float64)}
+	return &plateau{window: cfg.PlateauWindow, models: make(map[string][]float64)}
 }
 
 func (p *plateau) name() string { return "plateau" }
@@ -161,12 +164,12 @@ func (p *plateau) check(out []finding) []finding {
 		for _, v := range w[1:] {
 			lo, hi = math.Min(lo, v), math.Max(hi, v)
 		}
-		if hi-lo <= p.eps {
+		if hi-lo <= plateauEpsilon {
 			out = append(out, finding{
 				Monitor: p.name(), Key: id, Severity: SevInfo,
 				Message: fmt.Sprintf("model %s plateaued: accuracy moved %.3f points over %d epochs",
 					id, hi-lo, p.window),
-				Value: hi - lo, Threshold: p.eps,
+				Value: hi - lo, Threshold: plateauEpsilon,
 			})
 		}
 	}
@@ -175,18 +178,21 @@ func (p *plateau) check(out []finding) []finding {
 
 func (p *plateau) detail() string {
 	return fmt.Sprintf("%d models in flight; flat means < %.2f points over %d epochs",
-		len(p.models), p.eps, p.window)
+		len(p.models), plateauEpsilon, p.window)
 }
 
 // --- prediction-engine calibration ---------------------------------------
 
+// calibrationTolerance bounds the prediction engine's rolling mean
+// |predicted − actual| at termination, in accuracy points.
+const calibrationTolerance float64 = 5
+
 // calibration watches predict_terminate events: the engine's converged
 // prediction next to the accuracy actually observed at termination. A
-// rolling mean |predicted − actual| above Tolerance means the engine
-// is terminating models on bad extrapolations.
+// rolling mean |predicted − actual| above calibrationTolerance means the
+// engine is terminating models on bad extrapolations.
 type calibration struct {
 	window int
-	tol    float64
 	errs   []float64 // rolling ring
 	next   int
 	filled bool
@@ -194,8 +200,7 @@ type calibration struct {
 }
 
 func newCalibration(cfg Config) *calibration {
-	return &calibration{window: cfg.CalibrationWindow, tol: cfg.CalibrationTolerance,
-		errs: make([]float64, 0, cfg.CalibrationWindow)}
+	return &calibration{window: cfg.CalibrationWindow, errs: make([]float64, 0, cfg.CalibrationWindow)}
 }
 
 func (c *calibration) name() string { return "calibration" }
@@ -233,12 +238,12 @@ func (c *calibration) check(out []finding) []finding {
 	if !c.filled {
 		return out
 	}
-	if mean := c.mean(); mean > c.tol {
+	if mean := c.mean(); mean > calibrationTolerance {
 		out = append(out, finding{
 			Monitor: c.name(), Severity: SevWarning,
 			Message: fmt.Sprintf("prediction engine miscalibrated: mean |predicted−actual| %.2f points over last %d terminations (tolerance %.2f)",
-				mean, c.window, c.tol),
-			Value: mean, Threshold: c.tol,
+				mean, c.window, calibrationTolerance),
+			Value: mean, Threshold: calibrationTolerance,
 		})
 	}
 	return out
@@ -246,7 +251,7 @@ func (c *calibration) check(out []finding) []finding {
 
 func (c *calibration) detail() string {
 	return fmt.Sprintf("%d terminations observed; rolling mean error %.2f points over window %d (tolerance %.2f)",
-		c.total, c.mean(), c.window, c.tol)
+		c.total, c.mean(), c.window, calibrationTolerance)
 }
 
 // --- device-pool degradation ---------------------------------------------
@@ -325,15 +330,20 @@ func (dp *devicepool) detail() string {
 
 // --- queue saturation -----------------------------------------------------
 
+// queueFactor multiplies the warmup baseline; queueMinWait is in
+// simulated seconds.
+const (
+	queueFactor  float64 = 3
+	queueMinWait float64 = 1
+)
+
 // queuewait samples the scheduler's queue-wait histogram from the
 // registry. The first generation establishes the warmup baseline; a
-// later generation whose mean wait exceeds Factor × baseline (and the
-// MinWait absolute floor) means tasks are piling up faster than the
-// pool drains them.
+// later generation whose mean wait exceeds queueFactor × baseline (and
+// the queueMinWait absolute floor) means tasks are piling up faster
+// than the pool drains them.
 type queuewait struct {
-	factor  float64
-	minWait float64
-	hist    *obs.Histogram
+	hist *obs.Histogram
 
 	baseMean  float64
 	baseSet   bool
@@ -343,12 +353,8 @@ type queuewait struct {
 	genSet    bool
 }
 
-func newQueuewait(cfg Config, reg *obs.Registry) *queuewait {
-	return &queuewait{
-		factor:  cfg.QueueFactor,
-		minWait: cfg.QueueMinWait,
-		hist:    reg.Histogram("a4nn_sched_queue_wait_sim_seconds", obs.SecondsBuckets),
-	}
+func newQueuewait(reg *obs.Registry) *queuewait {
+	return &queuewait{hist: reg.Histogram("a4nn_sched_queue_wait_sim_seconds", obs.SecondsBuckets)}
 }
 
 func (q *queuewait) name() string { return "queue" }
@@ -377,12 +383,12 @@ func (q *queuewait) check(out []finding) []finding {
 	if !q.baseSet || !q.genSet {
 		return out
 	}
-	if q.genMean > q.minWait && q.genMean > q.factor*q.baseMean {
+	if q.genMean > queueMinWait && q.genMean > queueFactor*q.baseMean {
 		out = append(out, finding{
 			Monitor: q.name(), Severity: SevWarning,
 			Message: fmt.Sprintf("queue saturated: mean wait %.1fs this generation vs %.1fs warmup baseline (threshold ×%.1f)",
-				q.genMean, q.baseMean, q.factor),
-			Value: q.genMean, Threshold: q.factor * q.baseMean,
+				q.genMean, q.baseMean, queueFactor),
+			Value: q.genMean, Threshold: queueFactor * q.baseMean,
 		})
 	}
 	return out

@@ -27,8 +27,8 @@ type BaselineSeries struct {
 	// Direction is "higher-worse" (latencies, queue waits — the
 	// default) or "lower-worse" (throughput, accuracy, savings).
 	Direction string `json:"direction,omitempty"`
-	// Tolerance overrides the monitor-wide relative tolerance for this
-	// series (0 inherits).
+	// Tolerance overrides regressionTolerance for this series (0
+	// inherits).
 	Tolerance float64 `json:"tolerance,omitempty"`
 }
 
@@ -96,27 +96,32 @@ func BaselineFrom(q QueryFunc, series []string, fromMS, toMS int64) Baseline {
 	return b
 }
 
+// The regression monitor compares the trailing regressionWindow of each
+// live series, once it holds regressionMinSamples samples, against its
+// baseline; a deviation beyond regressionTolerance (relative: 0.25 is
+// 25% worse than baseline) counts toward a regression. The last two are
+// the defaults of RegressionConfig's tunables.
+const (
+	regressionWindow       = time.Minute
+	regressionTolerance    = 0.25
+	regressionMinSamples   = 5
+	regressionSustain      = 3
+	regressionEvalInterval = 5 * time.Second
+)
+
 // RegressionConfig wires the cross-run regression monitor.
 type RegressionConfig struct {
 	Baseline Baseline
 	// Query reads the live run's history (typically tsdb.DB.Mean).
 	Query QueryFunc
-	// Window is the trailing live window compared against the baseline
-	// (default 60s).
-	Window time.Duration
-	// Tolerance is the relative deviation that counts as a regression
-	// (default 0.25 = 25% worse than baseline).
-	Tolerance float64
 	// Sustain is how many consecutive evaluations a series must exceed
-	// tolerance before a finding fires (default 3) — one slow window
-	// is noise, three in a row is a regression.
+	// tolerance before a finding fires (0: regressionSustain) — one
+	// slow window is noise, several in a row are a regression.
 	Sustain int
-	// MinSamples is the fewest live samples a window needs before it
-	// is judged at all (default 5).
-	MinSamples int
 	// EvalInterval throttles evaluation: check() runs on every journal
-	// event, but windows only move at the sampling cadence (default
-	// 5s; tests use 0 to evaluate every check).
+	// event, but windows only move at the sampling cadence (0:
+	// regressionEvalInterval; a negative interval evaluates every
+	// check).
 	EvalInterval time.Duration
 	// now overrides the wall clock in tests.
 	now func() time.Time
@@ -137,22 +142,13 @@ type regression struct {
 }
 
 func newRegression(cfg RegressionConfig) *regression {
-	if cfg.Window <= 0 {
-		cfg.Window = time.Minute
-	}
-	if cfg.Tolerance <= 0 {
-		cfg.Tolerance = 0.25
-	}
 	if cfg.Sustain <= 0 {
-		cfg.Sustain = 3
-	}
-	if cfg.MinSamples <= 0 {
-		cfg.MinSamples = 5
+		cfg.Sustain = regressionSustain
 	}
 	if cfg.EvalInterval < 0 {
 		cfg.EvalInterval = 0
 	} else if cfg.EvalInterval == 0 {
-		cfg.EvalInterval = 5 * time.Second
+		cfg.EvalInterval = regressionEvalInterval
 	}
 	if cfg.now == nil {
 		cfg.now = time.Now
@@ -177,17 +173,17 @@ func (r *regression) check(out []finding) []finding {
 	r.evals++
 	r.cached = r.cached[:0]
 	to := now.UnixMilli()
-	from := to - r.cfg.Window.Milliseconds()
+	from := to - regressionWindow.Milliseconds()
 	for _, name := range r.names {
 		base := r.cfg.Baseline.Series[name]
 		mean, n := r.cfg.Query(name, from, to)
-		if n < r.cfg.MinSamples || base.Mean == 0 || math.IsNaN(mean) {
+		if n < regressionMinSamples || base.Mean == 0 || math.IsNaN(mean) {
 			r.streak[name] = 0
 			continue
 		}
 		tol := base.Tolerance
 		if tol <= 0 {
-			tol = r.cfg.Tolerance
+			tol = regressionTolerance
 		}
 		dev := (mean - base.Mean) / math.Abs(base.Mean)
 		if base.Direction == "lower-worse" {
@@ -202,18 +198,18 @@ func (r *regression) check(out []finding) []finding {
 			continue
 		}
 		worse := "above"
-		limit := base.Mean * (1 + tol)
+		bound := base.Mean * (1 + tol)
 		if base.Direction == "lower-worse" {
 			worse = "below"
-			limit = base.Mean * (1 - tol)
+			bound = base.Mean * (1 - tol)
 		}
 		r.cached = append(r.cached, finding{
 			Monitor: r.name(), Key: name, Severity: SevWarning,
 			Message: fmt.Sprintf(
 				"regression: %s mean %.4g over last %s is %.0f%% %s baseline %.4g (tolerance %.0f%%, %d windows sustained)",
-				name, mean, r.cfg.Window, math.Abs(dev)*100, worse, base.Mean,
+				name, mean, regressionWindow, math.Abs(dev)*100, worse, base.Mean,
 				tol*100, r.streak[name]),
-			Value: mean, Threshold: limit,
+			Value: mean, Threshold: bound,
 		})
 	}
 	return append(out, r.cached...)
@@ -221,5 +217,5 @@ func (r *regression) check(out []finding) []finding {
 
 func (r *regression) detail() string {
 	return fmt.Sprintf("%d baseline series, window %s, tolerance %.0f%%, %d evaluations",
-		len(r.names), r.cfg.Window, r.cfg.Tolerance*100, r.evals)
+		len(r.names), regressionWindow, regressionTolerance*100, r.evals)
 }

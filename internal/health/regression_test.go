@@ -109,7 +109,7 @@ func TestRegressionLowerWorseAndMinSamples(t *testing.T) {
 			"a4nn_fleet_gflops": {Mean: 40, Direction: "lower-worse"},
 			"a4nn_thin":         {Mean: 1},
 		}},
-		Query: hist.query, Sustain: 1, MinSamples: 5, EvalInterval: -1,
+		Query: hist.query, Sustain: 1, EvalInterval: -1,
 	})
 	e.Check()
 	got := regressionAlerts(e)

@@ -20,7 +20,6 @@ package health
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 	"time"
 
@@ -29,7 +28,8 @@ import (
 
 // SLO declares a job's service-level objectives. Zero-valued
 // objectives are disabled; at least one must be set (ParseSLO
-// enforces this).
+// enforces this). Every field's -slo key, and the tuning fields'
+// defaults, are the rows of sloKnobs.
 type SLO struct {
 	// QueueWaitP99 is the target bound, in simulated seconds, that the
 	// Objective fraction of generation queue waits must stay under.
@@ -41,114 +41,36 @@ type SLO struct {
 	// EventDropRate is the tolerated fraction of journal events dropped
 	// by the broker fanout; the rate itself is the error budget.
 	EventDropRate float64
-	// Objective is the compliance goal for QueueWaitP99 (default 0.99;
-	// the error budget is 1 − Objective).
+	// Objective is the compliance goal for QueueWaitP99; the error
+	// budget is 1 − Objective.
 	Objective float64
-	// FastWindow and SlowWindow bound the burn-rate measurements
-	// (defaults 1m and 10m).
+	// FastWindow and SlowWindow bound the burn-rate measurements.
 	FastWindow time.Duration
 	SlowWindow time.Duration
 	// FastBurn and SlowBurn are the burn-rate multipliers above which
-	// the fast window pages critical and the slow window warns
-	// (defaults 14 and 6, the SRE-book pairing).
+	// the fast window pages critical and the slow window warns (by
+	// default the SRE-book pairing).
 	FastBurn float64
 	SlowBurn float64
 }
 
 // withDefaults fills zero tuning fields (objectives stay as declared).
 func (s SLO) withDefaults() SLO {
-	if s.Objective <= 0 {
-		s.Objective = 0.99
-	}
-	if s.FastWindow <= 0 {
-		s.FastWindow = time.Minute
-	}
-	if s.SlowWindow <= 0 {
-		s.SlowWindow = 10 * time.Minute
-	}
-	if s.FastBurn <= 0 {
-		s.FastBurn = 14
-	}
-	if s.SlowBurn <= 0 {
-		s.SlowBurn = 6
-	}
+	fill(&s, sloKnobs)
 	return s
 }
 
 // ParseSLO parses the compact -slo specification: key=value pairs
-// separated by ';' or ','. Keys:
-//
-//	queue_wait_p99=2s     queue-wait bound (duration, simulated seconds)
-//	job_turnaround=10m    whole-search wall-clock deadline (duration)
-//	event_drop_rate=0.01  tolerated journal-drop fraction
-//	objective=0.99        queue-wait compliance goal
-//	fast_window=1m        fast burn window       fast_burn=14
-//	slow_window=10m       slow burn window       slow_burn=6
-//
-// At least one of the three objectives must be set.
+// separated by ';' or ',', e.g.
+// "queue_wait_p99=2s,job_turnaround=10m,event_drop_rate=0.01". The keys
+// are the rows of sloKnobs: the three objectives — queue_wait_p99 and
+// job_turnaround take durations, event_drop_rate a fraction — of which
+// at least one must be set, and the burn-rate tuning, which keeps its
+// defaults unless set.
 func ParseSLO(spec string) (*SLO, error) {
-	s := SLO{}
-	for _, kv := range strings.FieldsFunc(spec, func(r rune) bool { return r == ';' || r == ',' }) {
-		kv = strings.TrimSpace(kv)
-		if kv == "" {
-			continue
-		}
-		key, val, ok := strings.Cut(kv, "=")
-		if !ok {
-			return nil, fmt.Errorf("health: bad slo entry %q (want key=value)", kv)
-		}
-		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
-		durVal := func(dst *time.Duration) error {
-			d, err := time.ParseDuration(val)
-			if err != nil || d <= 0 {
-				return fmt.Errorf("health: slo %s wants a positive duration, got %q", key, val)
-			}
-			*dst = d
-			return nil
-		}
-		fracVal := func(dst *float64) error {
-			f, err := strconv.ParseFloat(val, 64)
-			if err != nil || f <= 0 || f >= 1 {
-				return fmt.Errorf("health: slo %s wants a fraction in (0,1), got %q", key, val)
-			}
-			*dst = f
-			return nil
-		}
-		floatVal := func(dst *float64) error {
-			f, err := strconv.ParseFloat(val, 64)
-			if err != nil || f <= 0 {
-				return fmt.Errorf("health: slo %s wants a positive number, got %q", key, val)
-			}
-			*dst = f
-			return nil
-		}
-		var err error
-		switch key {
-		case "queue_wait_p99":
-			var d time.Duration
-			if err = durVal(&d); err == nil {
-				s.QueueWaitP99 = d.Seconds()
-			}
-		case "job_turnaround":
-			err = durVal(&s.JobTurnaround)
-		case "event_drop_rate":
-			err = fracVal(&s.EventDropRate)
-		case "objective":
-			err = fracVal(&s.Objective)
-		case "fast_window":
-			err = durVal(&s.FastWindow)
-		case "slow_window":
-			err = durVal(&s.SlowWindow)
-		case "fast_burn":
-			err = floatVal(&s.FastBurn)
-		case "slow_burn":
-			err = floatVal(&s.SlowBurn)
-		default:
-			err = fmt.Errorf("health: unknown slo key %q", key)
-		}
-		if err != nil {
-			return nil, err
-		}
+	var s SLO
+	if err := parseSpec(spec, "slo", sloKnobs, &s); err != nil {
+		return nil, err
 	}
 	if s.QueueWaitP99 <= 0 && s.JobTurnaround <= 0 && s.EventDropRate <= 0 {
 		return nil, fmt.Errorf("health: slo spec %q declares no objective (set queue_wait_p99, job_turnaround, or event_drop_rate)", spec)

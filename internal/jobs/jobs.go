@@ -237,8 +237,6 @@ type Options struct {
 	Root string
 	// FleetSlots is the shared device fleet's capacity (default 4).
 	FleetSlots int
-	// Throughput is the per-device FLOPs/s (0: sched default).
-	Throughput float64
 	// HealthConfig tunes each job's in-situ health engine; the zero
 	// value uses the defaults.
 	HealthConfig health.Config
@@ -262,13 +260,12 @@ type Options struct {
 // Manager owns the job table, the shared fleet, and one goroutine per
 // running search.
 type Manager struct {
-	root       string
-	fleet      *sched.Fleet
-	throughput float64
-	healthCfg  health.Config
-	slo        *health.SLO
-	history    time.Duration
-	reg        *obs.Registry // parent of every job's metrics scope
+	root      string
+	fleet     *sched.Fleet
+	healthCfg health.Config
+	slo       *health.SLO
+	history   time.Duration
+	reg       *obs.Registry // parent of every job's metrics scope
 
 	mu       sync.Mutex
 	jobs     map[string]*Job
@@ -298,14 +295,13 @@ func NewManager(opts Options) (*Manager, error) {
 		reg = obs.NewRegistry()
 	}
 	return &Manager{
-		root:       opts.Root,
-		fleet:      fleet,
-		throughput: opts.Throughput,
-		healthCfg:  opts.HealthConfig,
-		slo:        opts.SLO,
-		history:    opts.History,
-		reg:        reg,
-		jobs:       make(map[string]*Job),
+		root:      opts.Root,
+		fleet:     fleet,
+		healthCfg: opts.HealthConfig,
+		slo:       opts.SLO,
+		history:   opts.History,
+		reg:       reg,
+		jobs:      make(map[string]*Job),
 	}, nil
 }
 
@@ -533,7 +529,6 @@ func (m *Manager) runSearch(ctx context.Context, job *Job, resume bool) (err err
 	}()
 
 	cfg.Store = store
-	cfg.Throughput = m.throughput
 	cfg.Checkpoints = true
 	cfg.Resume = resume
 	cfg.Obs = env.Observer()

@@ -3,9 +3,6 @@ package tsdb
 import (
 	"errors"
 	"sort"
-	"time"
-
-	"a4nn/internal/durable"
 )
 
 // ErrNoSeries is returned by Query for a series the store has never
@@ -15,7 +12,7 @@ var ErrNoSeries = errors.New("tsdb: unknown series")
 // Point is one query-result sample. Gap marks a point separated from
 // its predecessor by at least one empty step (raw queries: by more
 // than 4× the median sample spacing) — the query-side record of a
-// crash, a pause, or retention-trimmed history.
+// crash or a pause.
 type Point struct {
 	T   int64   `json:"t"` // unix milliseconds (bucket start when stepped)
 	V   float64 `json:"v"`
@@ -182,109 +179,6 @@ func (db *DB) Mean(series string, fromMS, toMS int64) (float64, int) {
 		sum += p.V
 	}
 	return sum / float64(len(res.Points)), len(res.Points)
-}
-
-// Retention bounds a store's on-disk history.
-type Retention struct {
-	// MaxAge drops samples older than now-MaxAge entirely (0 keeps
-	// everything).
-	MaxAge time.Duration
-	// DownsampleAfter replaces samples older than now-DownsampleAfter
-	// with per-DownsampleStep bucket means (0 never downsamples).
-	DownsampleAfter time.Duration
-	// DownsampleStep is the aged-bucket width (default one minute).
-	DownsampleStep time.Duration
-}
-
-// Compact applies a retention policy and rewrites the store atomically
-// (durable.AtomicWrite), then reopens the append handle so sampling
-// continues uninterrupted.
-func (db *DB) Compact(nowMS int64, pol Retention) error {
-	if db == nil {
-		return nil
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return errors.New("tsdb: compact on closed store")
-	}
-	if db.f == nil {
-		return errors.New("tsdb: compact on read-only store")
-	}
-	step := pol.DownsampleStep.Milliseconds()
-	if step <= 0 {
-		step = time.Minute.Milliseconds()
-	}
-	for _, s := range db.series {
-		ts, vs := s.ts, s.vs
-		if pol.MaxAge > 0 {
-			cut := nowMS - pol.MaxAge.Milliseconds()
-			lo := sort.Search(len(ts), func(i int) bool { return ts[i] >= cut })
-			ts, vs = ts[lo:], vs[lo:]
-		}
-		if pol.DownsampleAfter > 0 {
-			aged := nowMS - pol.DownsampleAfter.Milliseconds()
-			split := sort.Search(len(ts), func(i int) bool { return ts[i] >= aged })
-			dts, dvs := downsample(ts[:split], vs[:split], step)
-			ts = append(dts, ts[split:]...)
-			vs = append(dvs, vs[split:]...)
-		}
-		s.ts = append([]int64(nil), ts...)
-		s.vs = append([]float64(nil), vs...)
-		s.persisted = 0
-	}
-	for name, s := range db.series {
-		if len(s.ts) == 0 {
-			delete(db.series, name)
-		}
-	}
-	buf := headerBytes()
-	for _, name := range db.sortedNamesLocked() {
-		s := db.series[name]
-		for lo := 0; lo < len(s.ts); lo += maxChunkSamples {
-			hi := lo + maxChunkSamples
-			if hi > len(s.ts) {
-				hi = len(s.ts)
-			}
-			buf = appendBlock(buf, name, encodeChunk(s.ts[lo:hi], s.vs[lo:hi]))
-		}
-		s.persisted = len(s.ts)
-	}
-	if err := durable.AtomicWrite(db.path, buf, 0o644, false, "", ""); err != nil {
-		return err
-	}
-	// The old handle now points at the unlinked inode. If the renamed
-	// file cannot be reopened, sealing stops (db.f is nil) and the error
-	// stays in db.werr for Flush/Close to report, rather than later
-	// seals succeeding into a file nobody can read.
-	old := db.f
-	var err error
-	if db.f, err = durable.OpenLog(db.path, int64(len(buf))); err != nil {
-		if db.werr == nil {
-			db.werr = err
-		}
-		old.Close()
-		return err
-	}
-	return old.Close()
-}
-
-// downsample collapses samples into step-aligned bucket means.
-func downsample(ts []int64, vs []float64, stepMS int64) ([]int64, []float64) {
-	var ots []int64
-	var ovs []float64
-	for i := 0; i < len(ts); {
-		b := ts[i] - floorMod(ts[i], stepMS)
-		sum, n := 0.0, 0
-		for i < len(ts) && ts[i] < b+stepMS {
-			sum += vs[i]
-			n++
-			i++
-		}
-		ots = append(ots, b)
-		ovs = append(ovs, sum/float64(n))
-	}
-	return ots, ovs
 }
 
 // floorMod is a non-negative modulus (timestamps are positive in

@@ -12,10 +12,6 @@ import (
 // history per series (plus whatever the interval itself hides).
 const flushEveryTicks = 8
 
-// compactEveryTicks is how often a retention policy (when set) is
-// applied — rare, because Compact rewrites the file.
-const compactEveryTicks = 720
-
 // Sampler periodically walks an obs.Registry and appends every series
 // to a DB. A nil *Sampler is a valid disabled sampler: SampleNow and
 // Close are one-branch no-ops, keeping the -history-off path free.
@@ -24,7 +20,6 @@ type Sampler struct {
 	reg      *obs.Registry
 	interval time.Duration
 	pre      func()
-	retain   Retention
 	mu       sync.Mutex
 	stop     chan struct{}
 	done     chan struct{}
@@ -49,15 +44,6 @@ func (s *Sampler) SetPreSample(fn func()) {
 	s.mu.Lock()
 	s.pre = fn
 	s.mu.Unlock()
-}
-
-// SetRetention installs a retention policy, applied periodically from
-// the sampling goroutine. Call before Start.
-func (s *Sampler) SetRetention(r Retention) {
-	if s == nil {
-		return
-	}
-	s.retain = r
 }
 
 // Start launches the sampling goroutine. Call at most once.
@@ -89,9 +75,6 @@ func (s *Sampler) loop(stop, done chan struct{}) {
 			n++
 			if n%flushEveryTicks == 0 {
 				s.db.Flush()
-			}
-			if n%compactEveryTicks == 0 && (s.retain.MaxAge > 0 || s.retain.DownsampleAfter > 0) {
-				s.db.Compact(time.Now().UnixMilli(), s.retain)
 			}
 		}
 	}

@@ -17,11 +17,11 @@ import (
 // commons (or job) directory, next to events.jsonl and alerts.jsonl.
 const SeriesFile = "series.a4ts"
 
-// DefaultSealSamples is how many samples a series buffers before its
-// run is compressed and appended as one CRC-framed block. Small on
+// sealSamples is how many samples a series buffers before its run is
+// compressed and appended as one CRC-framed block. Small on
 // purpose: at the default 5s sampling interval a block seals every
 // ~80s, bounding what a SIGKILL can lose to one short, queryable gap.
-const DefaultSealSamples = 16
+const sealSamples = 16
 
 // openDBs counts writable DBs that have been opened and not yet
 // closed, mirroring obs.ArmedRecorders: the job-manager leak test
@@ -33,8 +33,8 @@ func OpenDBs() int { return int(openDBs.Load()) }
 
 // Options tunes a writable store.
 type Options struct {
-	// SealSamples overrides DefaultSealSamples (tests use tiny values
-	// to force frequent blocks).
+	// SealSamples overrides sealSamples (tests use tiny values to force
+	// frequent blocks).
 	SealSamples int
 }
 
@@ -75,7 +75,7 @@ func Open(dir string) (*DB, error) {
 func OpenFile(path string, o Options) (*DB, error) {
 	seal := o.SealSamples
 	if seal <= 0 {
-		seal = DefaultSealSamples
+		seal = sealSamples
 	}
 	db := &DB{path: path, series: make(map[string]*memSeries), seal: seal}
 	data, err := os.ReadFile(path)
@@ -112,11 +112,7 @@ func OpenFile(path string, o Options) (*DB, error) {
 // count toward OpenDBs. Used by a4nn-analyze and by the web UI when
 // serving history for a job that is no longer running.
 func OpenRead(dir string) (*DB, error) {
-	return OpenReadFile(filepath.Join(dir, SeriesFile))
-}
-
-// OpenReadFile is OpenRead with an explicit file path.
-func OpenReadFile(path string) (*DB, error) {
+	path := filepath.Join(dir, SeriesFile)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err

@@ -237,66 +237,6 @@ func TestMeanAndBounds(t *testing.T) {
 	}
 }
 
-func TestCompactRetentionAndDownsample(t *testing.T) {
-	dir := t.TempDir()
-	db, err := OpenFile(filepath.Join(dir, SeriesFile), Options{SealSamples: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	now := int64(1_000_000_000)
-	// 100 samples, one per second, ending at now.
-	for i := 0; i < 100; i++ {
-		db.Append("c", now-int64(100-i)*1000, float64(i))
-	}
-	pol := Retention{
-		MaxAge:          80 * time.Second,
-		DownsampleAfter: 40 * time.Second,
-		DownsampleStep:  10 * time.Second,
-	}
-	if err := db.Compact(now, pol); err != nil {
-		t.Fatal(err)
-	}
-	res, err := db.Query("c", 0, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 40 recent raw samples survive; the 40s..80s band collapses to
-	// ~4 ten-second buckets.
-	raw := 0
-	for _, p := range res.Points {
-		if p.T >= now-40*1000 {
-			raw++
-		}
-	}
-	if raw != 40 {
-		t.Fatalf("recent raw samples = %d, want 40", raw)
-	}
-	if aged := len(res.Points) - raw; aged < 4 || aged > 5 {
-		t.Fatalf("aged buckets = %d, want ~4", aged)
-	}
-	for i := 1; i < len(res.Points); i++ {
-		if res.Points[i].T <= res.Points[i-1].T {
-			t.Fatalf("compacted series not monotone at %d: %+v", i, res.Points)
-		}
-	}
-	// Appends continue after the rewrite, and reopen sees everything.
-	db.Append("c", now+1000, 999)
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	db2, err := OpenRead(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res2, err := db2.Query("c", 0, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res2.Points) != len(res.Points)+1 {
-		t.Fatalf("reopen after compact: %d points, want %d", len(res2.Points), len(res.Points)+1)
-	}
-}
-
 func TestSamplerVisitsRegistry(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(dir)
@@ -379,5 +319,4 @@ func TestNilDisabledStore(t *testing.T) {
 	s.Start()
 	s.Close()
 	s.SetPreSample(func() {})
-	s.SetRetention(Retention{})
 }
