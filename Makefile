@@ -60,13 +60,16 @@ race-health:
 	$(GO) test -race -count 3 ./internal/health
 	$(GO) test -race -run TestHealthMonitorEndToEnd -count 3 .
 
-# race-sched stresses the multi-tenant scheduling layer: high-count
-# runs of the fair-share fleet arbiter (whose grant path only races
-# under unlucky acquire/release/unregister interleavings) and the job
-# manager driving many concurrent gated searches, mirroring
+# race-sched stresses the scheduling layer: high-count runs of the
+# fair-share fleet arbiter (whose grant path only races under unlucky
+# acquire/release/unregister interleavings), the device pool's
+# width-invariance test at one and four cores (executors finish out of
+# order; outcomes must commit in take order), and the job manager
+# driving many concurrent gated searches, mirroring
 # race-broker/race-health.
 race-sched:
 	$(GO) test -race -run Fleet -count 5 ./internal/sched
+	$(GO) test -race -cpu 1,4 -count 5 -run Width ./internal/sched
 	$(GO) test -race -count 3 ./internal/jobs
 
 # race-tsdb stresses the run-history store: the sampler goroutine

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -73,9 +74,13 @@ func TestWorkflowFaultyRunMatchesFaultFreePareto(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// An injected fault's loss is sized by the mean of the attempts its
+	// generation already committed. Seed 6 injects into attempts taken
+	// after their generation's first commit, so the loss is nonzero
+	// whichever device finishes first.
 	faulty := faultTestConfig()
 	faulty.Faults = &sched.FaultPlan{
-		Seed:          5,
+		Seed:          6,
 		TransientProb: 0.10,
 		Crashes:       []sched.DeviceCrash{{Device: 1, Generation: 1, AfterTasks: 1}},
 	}
@@ -95,6 +100,16 @@ func TestWorkflowFaultyRunMatchesFaultFreePareto(t *testing.T) {
 	}
 	if res.Totals.LostSeconds <= 0 {
 		t.Fatal("faults cost no simulated time")
+	}
+	// The devices were busy with the trained work plus what the failed
+	// attempts lost.
+	trained := 0.0
+	for _, m := range res.Models {
+		trained += m.Record.SimSeconds()
+	}
+	if booked := res.Totals.BusySeconds - res.Totals.LostSeconds; math.Abs(booked-trained) > 1e-9*trained {
+		t.Fatalf("busy %v − lost %v = %v, want the %v trained seconds",
+			res.Totals.BusySeconds, res.Totals.LostSeconds, booked, trained)
 	}
 	if len(res.Models) != len(clean.Models) {
 		t.Fatalf("faulty run evaluated %d models, clean %d", len(res.Models), len(clean.Models))

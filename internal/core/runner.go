@@ -148,10 +148,12 @@ func (r *runner[G]) evaluateGeneration(ctx context.Context, gen int, cands []G) 
 					r.quarantine(r.replayFrom.QuarantineRecord, recID, "record", err)
 				}
 			}
-			// The device participates in the seed: training the same
-			// genome on a different accelerator is a different stochastic
-			// realisation, which is how the paper's 1- vs 4-GPU runs come
-			// to differ in epoch savings (§4.3.2).
+			// The virtual device participates in the seed: training the
+			// same genome on a different accelerator is a different
+			// stochastic realisation, which is how the paper's 1- vs 4-GPU
+			// runs come to differ in epoch savings (§4.3.2). Which
+			// executor goroutine trains the model does not: on one device
+			// the seed is fixed however many run at once.
 			freshSeed := r.cfg.NAS.Seed*1_000_003 + int64(gen)*10_007 + int64(i)*101 + int64(dev.ID)
 			seed := freshSeed
 			// A mid-training checkpoint, when valid, supplies the model's

@@ -45,8 +45,9 @@ type ConfigOf[G Arch] struct {
 	// Store.
 	Checkpoints bool
 	// OnModel, when non-nil, is invoked once per evaluated network as it
-	// finishes training — for progress reporting. With multiple devices
-	// it is called from multiple goroutines; implementations must be
+	// finishes training — for progress reporting. A generation's networks
+	// train concurrently at any device count, so it is called from
+	// several goroutines in completion order; implementations must be
 	// safe for concurrent use.
 	OnModel func(*ModelResult)
 	// ReplayFrom, when non-nil, replays record trails from a previous

@@ -200,11 +200,13 @@ func TestManagerConcurrentJobsMatchSoloRuns(t *testing.T) {
 func TestManagerCancel(t *testing.T) {
 	m := newTestManager(t, 1)
 	jc := smallJob("doomed", 7)
-	jc.Generations = 50 // long enough to cancel mid-flight
+	jc.Generations = 50
 	if _, err := m.Submit(jc); err != nil {
 		t.Fatal(err)
 	}
-	// Let it get going, then cancel.
+	// Once a model has trained, pause the job: it finishes the generation
+	// in flight and waits at the next boundary, so the cancel lands
+	// mid-search however fast the search runs.
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		st, err := m.Get("doomed")
@@ -219,12 +221,18 @@ func TestManagerCancel(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+	if err := m.Pause("doomed"); err != nil {
+		t.Fatalf("pause mid-search: %v", err)
+	}
 	if err := m.Cancel("doomed"); err != nil {
 		t.Fatal(err)
 	}
 	st := waitTerminal(t, m, "doomed")
 	if st.State != StateCanceled {
 		t.Fatalf("state = %s, want canceled", st.State)
+	}
+	if st.Progress.ModelsDone >= st.Progress.ModelsTotal {
+		t.Fatalf("canceled job trained all %d models", st.Progress.ModelsDone)
 	}
 	dir, _ := m.Dir("doomed")
 	man, err := ReadManifest(dir)
@@ -512,6 +520,20 @@ func TestConfigNormalizeValidate(t *testing.T) {
 	}
 }
 
+// hasHistory reports whether the job's history store holds a sample.
+func hasHistory(m *Manager, id string) bool {
+	db, err := m.JobHistory(id)
+	if err != nil || db == nil {
+		return false
+	}
+	for _, s := range db.Series() {
+		if s.Samples > 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // TestManagerObservabilityRelease is the leak test for the per-job
 // observability state: submitting and canceling a hundred jobs must
 // return the shared registry (scoped series), the crash-dump set
@@ -540,12 +562,17 @@ func TestManagerObservabilityRelease(t *testing.T) {
 	runtime.GC()
 	baselineGoroutines := runtime.NumGoroutine()
 
+	// Each job is paused as soon as it is submitted, so it can finish at
+	// most the generation it was already granted: every one of them is
+	// still live when the sweep below cancels it.
 	const n = 100
 	ids := make([]string, 0, n)
 	for i := 0; i < n; i++ {
 		jc := smallJob(fmt.Sprintf("leak-%03d", i), int64(i+1))
-		jc.Generations = 50 // long enough that cancellation wins the race
 		if _, err := m.Submit(jc); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Pause(jc.ID); err != nil {
 			t.Fatal(err)
 		}
 		ids = append(ids, jc.ID)
@@ -570,13 +597,23 @@ func TestManagerObservabilityRelease(t *testing.T) {
 		}
 	}
 
+	// The first job's sampler has stored history before it is canceled.
+	for !hasHistory(m, ids[0]) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s never sampled any history", ids[0])
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
 	for _, id := range ids {
-		if err := m.Cancel(id); err != nil && !errors.Is(err, ErrTerminal) {
+		if err := m.Cancel(id); err != nil {
 			t.Fatalf("cancel %s: %v", id, err)
 		}
 	}
 	for _, id := range ids {
-		waitTerminal(t, m, id)
+		if st := waitTerminal(t, m, id); st.State != StateCanceled {
+			t.Fatalf("%s ended %s, want canceled", id, st.State)
+		}
 	}
 
 	// The follower's channel must close — terminal jobs pin no

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -62,9 +63,12 @@ func TestRetryRecoversTransientFailure(t *testing.T) {
 	if err := p.SetRetryPolicy(RetryPolicy{MaxAttempts: 3}); err != nil {
 		t.Fatal(err)
 	}
+	var mu sync.Mutex
 	attempts := make(map[int]int)
 	flaky := func(tc TaskCtx) (float64, error) {
+		mu.Lock()
 		attempts[tc.Task]++
+		mu.Unlock()
 		if tc.Task == 1 && tc.Attempt == 1 {
 			return 0.5, Transient("flaky", fmt.Errorf("spurious"))
 		}
@@ -193,9 +197,12 @@ func TestExplicitCrashRedistributesWork(t *testing.T) {
 	if err := p.SetFaultPlan(plan); err != nil {
 		t.Fatal(err)
 	}
+	var mu sync.Mutex
 	perDev := make(map[int]int)
 	task := func(tc TaskCtx) (float64, error) {
+		mu.Lock()
 		perDev[tc.Dev.ID]++
+		mu.Unlock()
 		return 1, nil
 	}
 	tasks := make([]Task, 6)

@@ -5,12 +5,12 @@
 // — and it accounts for the generation barrier, whose end-of-generation
 // idle time the paper calls out.
 //
-// Devices are simulated accelerators. Tasks really execute (one worker
-// goroutine per device, so a 4-device pool genuinely trains four networks
-// concurrently), and each task reports its cost in simulated seconds —
-// computed by the caller from model FLOPs, dataset size, and the device
-// throughput — so that paper-scale wall-clock numbers (tens of hours on a
-// V100) are reproduced deterministically regardless of host speed.
+// Devices are virtual, executors real: the host's cores, not the device
+// count, set how many networks train at once (see RunGeneration). Each
+// task reports its cost in simulated seconds — computed by the caller
+// from model FLOPs, dataset size, and the device throughput — so that
+// paper-scale wall-clock numbers (tens of hours on a V100) are
+// reproduced deterministically regardless of host speed.
 //
 // The pool is fault-tolerant: an installed FaultPlan injects device
 // crashes, transient task errors, and straggler slowdowns; transient
@@ -26,10 +26,18 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"a4nn/internal/obs"
 )
+
+// executors counts the attempts running in every pool of the process, so
+// that concurrent searches (the job service's) share the cores instead of
+// each claiming all of them.
+var executors atomic.Int32
 
 // Device models one accelerator.
 type Device struct {
@@ -268,10 +276,8 @@ func (a *attemptMeta) excludeDev(id int) {
 	a.exclude[id] = true
 }
 
-// genRun is the mutable state of one RunGeneration call. Worker
-// goroutines (one per alive device) pull attempts FIFO from queue,
-// execute them for real, and advance per-device virtual clocks for the
-// simulated-time accounting.
+// genRun is the state of one RunGeneration call. Only its dispatcher
+// touches it: executors run an attempt and hand the outcome back.
 type genRun struct {
 	pool  *Pool
 	gen   int
@@ -280,32 +286,68 @@ type genRun struct {
 
 	obsv poolObs // snapshot of the pool's handles for this generation
 
-	mu         sync.Mutex
-	cond       *sync.Cond
-	queue      []*attemptMeta
-	remaining  int
-	done       []bool
-	durations  []float64
-	errs       []error
-	startAlive []bool
-	alive      []bool
-	vt         []float64 // per-device virtual clock within the generation
-	busyDev    []float64
-	aliveEnd   []float64 // virtual death time of devices crashing this generation
-	sumDur     float64   // successful-attempt duration statistics, for
-	nDur       int       // sizing injected-failure losses
-	retries    int
-	faults     int
-	lost       float64
-	budget     int // remaining retries this generation; -1 = unlimited
-	canceled   bool
+	devs      []*devRun // alive at generation start
+	running   int       // attempts whose executor has not returned
+	queue     []*attemptMeta
+	done      []bool
+	durations []float64
+	errs      []error
+	startDead []bool
+	alive     []bool
+	vt        []float64 // per-device virtual clock within the generation
+	busyDev   []float64
+	aliveEnd  []float64 // virtual death time of devices crashing this generation
+	sumDur    float64   // successful-attempt duration statistics, for
+	nDur      int       // sizing injected-failure losses
+	retries   int
+	faults    int
+	lost      float64
+	budget    int // remaining retries this generation; -1 = unlimited
 }
 
-// RunGeneration executes the tasks FIFO across the pool — each of the
-// pool's worker goroutines takes the next task as soon as it finishes its
-// previous one. Transient failures (injected by the fault plan or
-// returned by tasks via Transient) are retried under the retry policy; a
-// crashing device is drained and its work redistributed to survivors.
+// devRun is one virtual device within a generation: its fault-plan
+// fate and the attempts it has taken but not yet committed.
+type devRun struct {
+	dev        Device
+	slow       float64
+	crashAfter int
+	willCrash  bool
+	completed  int           // attempts committed
+	running    int           // taken attempts still executing
+	pending    []*attemptRun // taken, uncommitted, in take order
+}
+
+// attemptRun is one taken attempt: the TaskCtx fixed when it was taken
+// and, once its executor returns, the outcome.
+type attemptRun struct {
+	att      *attemptMeta
+	dev      *devRun
+	tc       TaskCtx
+	span     *obs.Span
+	injected bool // an injected transient fault: nothing executes
+	finished bool
+	dur      float64
+	err      error
+}
+
+// RunGeneration executes the tasks FIFO across the pool's virtual
+// devices on real executor goroutines. Transient failures (injected by
+// the fault plan or returned by tasks via Transient) are retried under
+// the retry policy; a crashing device is drained and its work
+// redistributed to survivors.
+//
+// Execution width is not device count. A dispatcher fixes each attempt's
+// TaskCtx when it takes it. With W = GOMAXPROCS and D devices alive at
+// the generation start, each device runs up to ⌈W/D⌉ attempts at once
+// (one if it is scheduled to crash) and commits their outcomes in take
+// order, like a reorder buffer, so every order-dependent effect is that
+// of the device running them one after another. At D = 1 a generation
+// thus runs W wide and bit-identical to GOMAXPROCS = 1; at D ≥ W each
+// device runs one attempt at a time, and which device takes the next
+// task is a race between real completions. Every device may always run
+// one attempt; a further one runs only while the attempts running in all
+// pools of the process number at most W, so concurrent searches share
+// the cores.
 //
 // All tasks run even if some fail: task errors are aggregated with
 // errors.Join and returned alongside the report, and the generation's
@@ -322,20 +364,28 @@ func (p *Pool) RunGeneration(ctx context.Context, tasks []Task) (*GenerationRepo
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	p.mu.Lock()
-	gen := p.nextGen
-	p.nextGen++
 	n := len(p.devices)
-	alive := make([]bool, n)
-	aliveCount := 0
-	for i := range p.devices {
-		alive[i] = !p.dead[i]
-		if alive[i] {
-			aliveCount++
-		}
+	g := &genRun{
+		pool:      p,
+		tasks:     tasks,
+		done:      make([]bool, len(tasks)),
+		durations: make([]float64, len(tasks)),
+		errs:      make([]error, len(tasks)),
+		alive:     make([]bool, n),
+		vt:        make([]float64, n),
+		busyDev:   make([]float64, n),
+		aliveEnd:  make([]float64, n),
+		budget:    -1,
 	}
-	obsv := p.obsv
+	p.mu.Lock()
+	g.gen, g.obsv = p.nextGen, p.obsv
+	p.nextGen++
+	g.startDead = append([]bool(nil), p.dead...)
+	for i := range g.alive {
+		g.alive[i] = !p.dead[i]
+	}
 	p.mu.Unlock()
+	gen, obsv, aliveCount := g.gen, g.obsv, g.aliveCount()
 	if aliveCount == 0 {
 		return nil, fmt.Errorf("sched: no alive devices (all %d crashed)", n)
 	}
@@ -343,6 +393,7 @@ func (p *Pool) RunGeneration(ctx context.Context, tasks []Task) (*GenerationRepo
 	// The generation span parents every task span dispatched below; its
 	// attributes carry the simulated accounting for telemetry.
 	ctx, gspan := obs.StartSpan(ctx, obs.SpanGeneration)
+	g.ctx = ctx
 	obsv.journal.Emit(obs.Event{
 		Type:    obs.EventGenerationStart,
 		Gen:     gen,
@@ -350,93 +401,54 @@ func (p *Pool) RunGeneration(ctx context.Context, tasks []Task) (*GenerationRepo
 		Devices: aliveCount,
 	})
 
-	g := &genRun{
-		pool:       p,
-		gen:        gen,
-		tasks:      tasks,
-		ctx:        ctx,
-		obsv:       obsv,
-		remaining:  len(tasks),
-		done:       make([]bool, len(tasks)),
-		durations:  make([]float64, len(tasks)),
-		errs:       make([]error, len(tasks)),
-		startAlive: append([]bool(nil), alive...),
-		alive:      alive,
-		vt:         make([]float64, n),
-		busyDev:    make([]float64, n),
-		aliveEnd:   make([]float64, n),
-		budget:     -1,
-	}
-	g.cond = sync.NewCond(&g.mu)
 	if p.retry.Budget > 0 {
 		g.budget = p.retry.Budget
 	}
 	for i := range tasks {
 		g.queue = append(g.queue, &attemptMeta{task: i, attempt: 1})
 	}
-
-	// Wake waiting workers when the context is canceled.
-	stop := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			g.mu.Lock()
-			g.canceled = true
-			g.cond.Broadcast()
-			g.mu.Unlock()
-		case <-stop:
-		}
-	}()
-
-	var wg sync.WaitGroup
 	for i, dev := range p.devices {
-		if !alive[i] {
+		if !g.alive[i] {
 			continue
 		}
-		wg.Add(1)
-		go func(dev Device) {
-			defer wg.Done()
-			g.work(dev)
-		}(dev)
+		// The device's fate this generation, from the fault plan.
+		d := &devRun{dev: dev, slow: 1}
+		if p.plan != nil {
+			d.crashAfter, d.willCrash = p.plan.crashPoint(gen, dev.ID)
+			d.slow = p.plan.slowFactor(gen, dev.ID)
+		}
+		if d.slow > 1 {
+			obsv.stragglers.Inc()
+			obsv.journal.Emit(obs.Event{Type: obs.EventStraggler, Gen: gen, Device: dev.ID, SlowFactor: d.slow})
+		}
+		g.devs = append(g.devs, d)
 	}
-	wg.Wait()
-	close(stop)
+	g.dispatch(runtime.GOMAXPROCS(0))
 
-	// Tasks left behind by cancellation or total device loss.
-	for i := range tasks {
-		if !g.done[i] {
-			if err := ctx.Err(); err != nil {
-				g.errs[i] = fmt.Errorf("sched: task %d: %w", i, err)
-			} else {
-				g.errs[i] = fmt.Errorf("sched: task %d: no alive device left", i)
-			}
+	for i := range g.errs {
+		switch {
+		case g.done[i]: // finished, or failed with its error
+		case ctx.Err() != nil: // left behind by cancellation
+			g.errs[i] = fmt.Errorf("sched: task %d: %w", i, ctx.Err())
+		default:
+			g.errs[i] = fmt.Errorf("sched: task %d: no alive device left", i)
 		}
 	}
-	var taskErrs []error
-	for _, e := range g.errs {
-		if e != nil {
-			taskErrs = append(taskErrs, e)
-		}
-	}
-	err := errors.Join(taskErrs...)
+	err := errors.Join(g.errs...) // drops the nil errors of tasks that succeeded
 
 	var rep *GenerationReport
 	if g.retries == 0 && g.faults == 0 {
 		// Fault-free: reconstruct the deterministic FIFO list schedule
 		// over the devices that were alive at generation start.
-		rep = p.simulateFIFOOn(g.startAlive, g.durations)
+		rep = simulateFIFO(g.startDead, g.durations)
 	} else {
 		rep = g.report()
 	}
 
+	aliveAfter := g.aliveCount()
 	p.mu.Lock()
-	aliveAfter := 0
-	for i := range g.alive {
-		if !g.alive[i] {
-			p.dead[i] = true
-		} else {
-			aliveAfter++
-		}
+	for i, a := range g.alive {
+		p.dead[i] = p.dead[i] || !a
 	}
 	p.wall += rep.WallSeconds
 	busy := 0.0
@@ -463,9 +475,7 @@ func (p *Pool) RunGeneration(ctx context.Context, tasks []Task) (*GenerationRepo
 		if rep.WallSeconds > 0 && i < len(obsv.devUtil) {
 			obsv.devUtil[i].Set(100 * b / rep.WallSeconds)
 		}
-		if i < len(p.devices) {
-			flops += b * p.devices[i].Throughput
-		}
+		flops += b * p.devices[i].Throughput
 	}
 	// Effective simulated throughput this generation: FLOPs actually
 	// processed over the generation makespan — the GFLOP/s trajectory
@@ -497,185 +507,197 @@ func (p *Pool) RunGeneration(ctx context.Context, tasks []Task) (*GenerationRepo
 	return rep, err
 }
 
-// work is one device's dispatch loop.
-func (g *genRun) work(dev Device) {
-	p := g.pool
-	completed := 0
-	crashAfter, willCrash := 0, false
-	if p.plan != nil {
-		crashAfter, willCrash = p.plan.crashPoint(g.gen, dev.ID)
-	}
-	slow := 1.0
-	if p.plan != nil {
-		slow = p.plan.slowFactor(g.gen, dev.ID)
-	}
-	if slow > 1 {
-		g.obsv.stragglers.Inc()
-		g.obsv.journal.Emit(obs.Event{
-			Type:       obs.EventStraggler,
-			Gen:        g.gen,
-			Device:     dev.ID,
-			SlowFactor: slow,
-		})
-	}
-
-	g.mu.Lock()
-	defer g.mu.Unlock()
+// dispatch runs the generation on up to cores executors: it commits
+// every outcome it can, takes attempts onto devices with spare width,
+// then waits for an executor to return — until nothing runs, which
+// happens once every task is done or the context is canceled and the
+// executors have drained.
+func (g *genRun) dispatch(cores int) {
+	width := (cores + len(g.devs) - 1) / len(g.devs)
+	finished := make(chan *attemptRun)
 	for {
-		if g.remaining == 0 || g.canceled {
-			// A scheduled crash that never found its mid-generation
-			// trigger (the device never reached its quota) still fires
-			// at the barrier, so the next generation sees the device
-			// gone; no in-flight work is lost in that case.
-			if willCrash && g.aliveCount() > 1 {
-				g.faults++
-				g.obsv.faults.Inc()
-				g.obsv.journal.Emit(obs.Event{
-					Type:   obs.EventTaskFault,
-					Gen:    g.gen,
-					Device: dev.ID,
-					Err:    "device crash at generation barrier",
-				})
-				g.markDead(dev)
-			}
-			return
+		for g.commit() || g.take(cores, width, finished) {
 		}
-		att := g.pop(dev.ID)
-		if att == nil {
-			g.cond.Wait()
-			continue
+		if g.running == 0 {
+			break
 		}
-		// Crash mid-generation: the device dies taking the popped
-		// attempt down with it; the lost work is requeued at the head
-		// (it was next in FIFO order) for the survivors.
-		if willCrash && completed >= crashAfter && g.aliveCount() > 1 {
-			loss := p.plan.failPointLoss(g.meanDur())
-			g.busyDev[dev.ID] += loss
-			g.vt[dev.ID] += loss
-			g.lost += loss
-			g.faults++
-			g.retries++
-			g.obsv.faults.Inc()
-			g.obsv.retries.Inc()
-			g.obsv.journal.Emit(obs.Event{
-				Type:       obs.EventTaskFault,
-				Gen:        g.gen,
-				Task:       att.task,
-				Attempt:    att.attempt,
-				Device:     dev.ID,
-				SimSeconds: loss,
-				Err:        "device crash",
-			})
-			att.excludeDev(dev.ID)
-			g.queue = append([]*attemptMeta{att}, g.queue...)
-			g.markDead(dev)
-			g.cond.Broadcast()
-			return
-		}
-		// Injected transient failure: the attempt dies before the task
-		// runs, wasting a deterministic fraction of a typical attempt.
-		if p.plan != nil && p.plan.transient(g.gen, att.task, att.attempt) {
-			loss := p.plan.failPointLoss(g.meanDur())
-			g.busyDev[dev.ID] += loss
-			g.vt[dev.ID] += loss
-			completed++
-			g.fail(att, dev, loss, Transient("injected", ErrInjectedFault))
-			continue
-		}
-
-		start := g.vt[dev.ID]
-		if att.notBefore > start {
-			start = att.notBefore
-		}
-		// The task span parents the orchestrator's epoch spans (via
-		// tc.Ctx) and the orchestrator annotates it with epochs trained
-		// and saved; queue_wait_s is the simulated time the task waited
-		// behind the FIFO queue.
-		tctx, tspan := obs.StartSpan(g.ctx, obs.SpanTask)
-		tspan.SetInt("gen", g.gen)
-		tspan.SetInt("task", att.task)
-		tspan.SetInt("attempt", att.attempt)
-		tspan.SetInt("device", dev.ID)
-		tspan.SetFloat("queue_wait_s", start)
-		g.obsv.dispatches.Inc()
-		g.obsv.queueWait.Observe(start)
-		tc := TaskCtx{
-			Ctx:             tctx,
-			Dev:             dev,
-			Generation:      g.gen,
-			Task:            att.task,
-			Attempt:         att.attempt,
-			SlowFactor:      slow,
-			DeadlineSeconds: p.deadline,
-		}
-		g.mu.Unlock()
-		dispatch := obs.Event{
-			Type:    obs.EventTaskDispatch,
-			Gen:     g.gen,
-			Task:    att.task,
-			Attempt: att.attempt,
-			Device:  dev.ID,
-		}
-		if slow > 1 {
-			dispatch.SlowFactor = slow
-		}
-		g.obsv.journal.Emit(dispatch)
-		dur, err := g.tasks[att.task](tc)
-		tspan.SetFloat("sim_s", dur)
-		if err != nil {
-			tspan.SetAttr("error", err.Error())
-		}
-		tspan.End()
-		g.mu.Lock()
-		completed++
-		g.busyDev[dev.ID] += dur
-		g.vt[dev.ID] = start + dur
-		switch {
-		case err == nil:
-			g.done[att.task] = true
-			g.durations[att.task] = dur
-			g.sumDur += dur
-			g.nDur++
-			g.remaining--
-			g.obsv.taskLatency.Observe(dur)
-			if g.remaining == 0 {
-				g.cond.Broadcast()
-			}
-		case IsTransient(err) && g.ctx.Err() == nil:
-			g.fail(att, dev, dur, err)
-		default:
-			g.errs[att.task] = fmt.Errorf("sched: task %d (attempt %d): %w", att.task, att.attempt, err)
-			g.done[att.task] = true
-			g.remaining--
-			if g.remaining == 0 {
-				g.cond.Broadcast()
-			}
+		r := <-finished
+		r.finished = true
+		r.dev.running--
+		g.running--
+	}
+	// A scheduled crash that never found its mid-generation trigger (the
+	// device never reached its quota) still fires at the barrier, so the
+	// next generation sees the device gone; no work is lost in that case.
+	for _, d := range g.devs {
+		if d.willCrash && g.alive[d.dev.ID] && g.aliveCount() > 1 {
+			g.fault(obs.Event{Device: d.dev.ID, Err: "device crash at generation barrier"})
+			g.markDead(d.dev)
 		}
 	}
 }
 
+// take hands queued attempts, FIFO and one per device per round, to the
+// alive devices with spare width until none can take another. A device
+// scheduled to crash holds one attempt at a time, so its crash fires
+// exactly when it would were it running them one after another. A device
+// running an attempt takes another only if an executor is free among the
+// process's cores. Reports whether anything was taken.
+func (g *genRun) take(cores, width int, finished chan<- *attemptRun) (took bool) {
+	for more := true; more && g.ctx.Err() == nil; {
+		more = false
+		for _, d := range g.devs {
+			if !g.alive[d.dev.ID] || d.running >= width || d.willCrash && len(d.pending) > 0 {
+				continue
+			}
+			if n := executors.Add(1); d.running > 0 && int(n) > cores {
+				executors.Add(-1)
+				continue
+			}
+			att := g.pop(d.dev.ID)
+			if att == nil || !g.start(d, att, finished) {
+				executors.Add(-1)
+			}
+			if att != nil {
+				more, took = true, true
+			}
+		}
+	}
+	return took
+}
+
+// start takes one attempt onto the device: it crashes the device, or
+// queues an injected fault, or fixes the TaskCtx and starts an executor.
+// Reports whether it started one.
+func (g *genRun) start(d *devRun, att *attemptMeta, finished chan<- *attemptRun) bool {
+	p, dev := g.pool, d.dev
+	// Crash mid-generation: the device dies taking the popped attempt
+	// down with it; the lost work is requeued at the head (it was next
+	// in FIFO order) for the survivors.
+	if d.willCrash && d.completed >= d.crashAfter && g.aliveCount() > 1 {
+		loss := p.plan.failPointLoss(g.meanDur())
+		g.busyDev[dev.ID] += loss
+		g.vt[dev.ID] += loss
+		g.lost += loss
+		g.retries++
+		g.obsv.retries.Inc()
+		g.fault(obs.Event{Task: att.task, Attempt: att.attempt, Device: dev.ID, SimSeconds: loss, Err: "device crash"})
+		att.excludeDev(dev.ID)
+		g.queue = append([]*attemptMeta{att}, g.queue...)
+		g.markDead(dev)
+		return false
+	}
+	r := &attemptRun{att: att, dev: d}
+	d.pending = append(d.pending, r)
+	// Injected transient failure: the attempt dies before the task runs;
+	// its loss is sized when it commits.
+	if p.plan != nil && p.plan.transient(g.gen, att.task, att.attempt) {
+		r.injected, r.finished = true, true
+		return false
+	}
+	// The task span parents the orchestrator's epoch spans (via tc.Ctx)
+	// and the orchestrator annotates it with epochs trained and saved.
+	tctx, tspan := obs.StartSpan(g.ctx, obs.SpanTask)
+	tspan.SetInt("gen", g.gen)
+	tspan.SetInt("task", att.task)
+	tspan.SetInt("attempt", att.attempt)
+	tspan.SetInt("device", dev.ID)
+	r.span = tspan
+	r.tc = TaskCtx{
+		Ctx:             tctx,
+		Dev:             dev,
+		Generation:      g.gen,
+		Task:            att.task,
+		Attempt:         att.attempt,
+		SlowFactor:      d.slow,
+		DeadlineSeconds: p.deadline,
+	}
+	d.running++
+	g.running++
+	go func() {
+		r.dur, r.err = g.tasks[r.tc.Task](r.tc)
+		executors.Add(-1)
+		finished <- r
+	}()
+	return true
+}
+
+// commit applies, device by device, each outcome at the head of the
+// device's take order whose executor has returned. Reports whether it
+// applied any.
+func (g *genRun) commit() (did bool) {
+	for _, d := range g.devs {
+		for len(d.pending) > 0 && d.pending[0].finished {
+			r := d.pending[0]
+			d.pending = d.pending[1:]
+			d.completed++
+			g.apply(r)
+			did = true
+		}
+	}
+	return did
+}
+
+// apply books one outcome in simulated time, as the device's next
+// attempt after everything it committed before.
+func (g *genRun) apply(r *attemptRun) {
+	att, dev := r.att, r.dev.dev
+	if r.injected {
+		loss := g.pool.plan.failPointLoss(g.meanDur())
+		g.busyDev[dev.ID] += loss
+		g.vt[dev.ID] += loss
+		g.fail(att, dev, loss, Transient("injected", ErrInjectedFault))
+		return
+	}
+	// queue_wait_s is the simulated time the task waited behind the FIFO
+	// queue; the span ends here, so it also covers the real time the
+	// outcome waited for its turn to commit.
+	start := max(g.vt[dev.ID], att.notBefore)
+	r.span.SetFloat("queue_wait_s", start)
+	r.span.SetFloat("sim_s", r.dur)
+	if r.err != nil {
+		r.span.SetAttr("error", r.err.Error())
+	}
+	r.span.End()
+	g.obsv.dispatches.Inc()
+	g.obsv.queueWait.Observe(start)
+	dispatch := obs.Event{
+		Type:    obs.EventTaskDispatch,
+		Gen:     g.gen,
+		Task:    att.task,
+		Attempt: att.attempt,
+		Device:  dev.ID,
+	}
+	if r.tc.SlowFactor > 1 {
+		dispatch.SlowFactor = r.tc.SlowFactor
+	}
+	g.obsv.journal.Emit(dispatch)
+	g.busyDev[dev.ID] += r.dur
+	g.vt[dev.ID] = start + r.dur
+	switch {
+	case r.err == nil:
+		g.done[att.task] = true
+		g.durations[att.task] = r.dur
+		g.sumDur += r.dur
+		g.nDur++
+		g.obsv.taskLatency.Observe(r.dur)
+	case IsTransient(r.err) && g.ctx.Err() == nil:
+		g.fail(att, dev, r.dur, r.err)
+	default:
+		g.errs[att.task] = fmt.Errorf("sched: task %d (attempt %d): %w", att.task, att.attempt, r.err)
+		g.done[att.task] = true
+	}
+}
+
 // fail books a transient failure: retry with backoff on another device
-// when attempts and budget remain, otherwise fail the task. Callers hold
-// g.mu.
+// when attempts and budget remain, otherwise fail the task.
 func (g *genRun) fail(att *attemptMeta, dev Device, cost float64, cause error) {
-	g.faults++
 	g.lost += cost
-	g.obsv.faults.Inc()
-	g.obsv.journal.Emit(obs.Event{
-		Type:       obs.EventTaskFault,
-		Gen:        g.gen,
-		Task:       att.task,
-		Attempt:    att.attempt,
-		Device:     dev.ID,
-		SimSeconds: cost,
-		Err:        cause.Error(),
-	})
+	g.fault(obs.Event{Task: att.task, Attempt: att.attempt, Device: dev.ID, SimSeconds: cost, Err: cause.Error()})
 	maxAttempts := g.pool.retry.maxAttempts(g.pool.plan != nil)
 	if att.attempt >= maxAttempts || g.budget == 0 {
 		g.errs[att.task] = fmt.Errorf("sched: task %d failed after %d attempt(s): %w", att.task, att.attempt, cause)
 		g.done[att.task] = true
-		g.remaining--
-		g.cond.Broadcast()
 		return
 	}
 	if g.budget > 0 {
@@ -694,13 +716,19 @@ func (g *genRun) fail(att *attemptMeta, dev Device, cost float64, cause error) {
 		Device:  dev.ID,
 	})
 	g.queue = append(g.queue, att)
-	g.cond.Broadcast()
+}
+
+// fault counts a fault and journals it as a task_fault event.
+func (g *genRun) fault(e obs.Event) {
+	g.faults++
+	g.obsv.faults.Inc()
+	e.Type, e.Gen = obs.EventTaskFault, g.gen
+	g.obsv.journal.Emit(e)
 }
 
 // pop removes and returns the first queued attempt eligible for the
 // device. An attempt whose exclusions cover every alive device has its
 // exclusions cleared (better a previously failed device than deadlock).
-// Callers hold g.mu.
 func (g *genRun) pop(devID int) *attemptMeta {
 	for qi, att := range g.queue {
 		if att.exclude[devID] {
@@ -750,15 +778,9 @@ func (g *genRun) meanDur() float64 {
 // report assembles the accounting of a generation that saw faults or
 // retries, following the dynamic schedule the dispatcher produced.
 func (g *genRun) report() *GenerationReport {
-	wall := 0.0
-	for _, t := range g.vt {
-		if t > wall {
-			wall = t
-		}
-	}
-	idle := 0.0
+	wall, idle := slices.Max(g.vt), 0.0
 	for i := range g.pool.devices {
-		if !g.startAlive[i] {
+		if g.startDead[i] {
 			continue
 		}
 		end := wall
@@ -778,27 +800,18 @@ func (g *genRun) report() *GenerationReport {
 	}
 }
 
-// simulateFIFO assigns tasks in order, each to the device that becomes
-// available first (ties to the lowest ID), and computes the makespan.
-func (p *Pool) simulateFIFO(durations []float64) *GenerationReport {
-	all := make([]bool, len(p.devices))
-	for i := range all {
-		all[i] = true
-	}
-	return p.simulateFIFOOn(all, durations)
-}
-
-// simulateFIFOOn restricts the FIFO list schedule to the devices marked
-// alive; DeviceBusy still spans the whole pool (dead devices stay 0).
-func (p *Pool) simulateFIFOOn(alive []bool, durations []float64) *GenerationReport {
+// simulateFIFO assigns tasks in order, each to the alive device that
+// becomes available first (ties to the lowest ID), and computes the
+// makespan; DeviceBusy spans every device (dead ones stay 0).
+func simulateFIFO(dead []bool, durations []float64) *GenerationReport {
 	var idx []int
-	for i, a := range alive {
-		if a {
+	for i, d := range dead {
+		if !d {
 			idx = append(idx, i)
 		}
 	}
 	avail := make([]float64, len(idx))
-	busy := make([]float64, len(p.devices))
+	busy := make([]float64, len(dead))
 	for _, d := range durations {
 		best := 0
 		for j := 1; j < len(avail); j++ {
@@ -809,15 +822,18 @@ func (p *Pool) simulateFIFOOn(alive []bool, durations []float64) *GenerationRepo
 		avail[best] += d
 		busy[idx[best]] += d
 	}
-	wall := 0.0
-	for _, a := range avail {
-		if a > wall {
-			wall = a
+	return barrierReport(durations, busy, dead)
+}
+
+// barrierReport is the accounting of a static schedule that kept each
+// device busy for busy[i] seconds: the generation ends when the busiest
+// device does, and every alive device idles until then.
+func barrierReport(durations, busy []float64, dead []bool) *GenerationReport {
+	wall, idle := slices.Max(busy), 0.0
+	for i, b := range busy {
+		if !dead[i] {
+			idle += wall - b
 		}
-	}
-	idle := 0.0
-	for _, i := range idx {
-		idle += wall - busy[i]
 	}
 	return &GenerationReport{
 		TaskSeconds: append([]float64(nil), durations...),

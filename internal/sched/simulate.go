@@ -7,14 +7,13 @@ import "fmt"
 // returns its accounting. It runs no tasks; use it for what-if analysis
 // and the scheduling ablation.
 func SimulateFIFO(n int, durations []float64) (*GenerationReport, error) {
-	p, err := NewPool(n, 1)
-	if err != nil {
-		return nil, err
+	if n < 1 {
+		return nil, fmt.Errorf("sched: need ≥ 1 device, got %d", n)
 	}
 	if len(durations) == 0 {
 		return nil, fmt.Errorf("sched: no durations")
 	}
-	return p.simulateFIFO(durations), nil
+	return simulateFIFO(make([]bool, n), durations), nil
 }
 
 // SimulateRoundRobin computes a static round-robin schedule (task k on
@@ -33,20 +32,5 @@ func SimulateRoundRobin(n int, durations []float64) (*GenerationReport, error) {
 	for i, d := range durations {
 		busy[i%n] += d
 	}
-	wall := 0.0
-	for _, b := range busy {
-		if b > wall {
-			wall = b
-		}
-	}
-	idle := 0.0
-	for _, b := range busy {
-		idle += wall - b
-	}
-	return &GenerationReport{
-		TaskSeconds: append([]float64(nil), durations...),
-		DeviceBusy:  busy,
-		WallSeconds: wall,
-		IdleSeconds: idle,
-	}, nil
+	return barrierReport(durations, busy, make([]bool, n)), nil
 }

@@ -13,6 +13,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"os/exec"
 	"path/filepath"
@@ -147,8 +148,23 @@ func postJob(t *testing.T, p *serveProc, body string) {
 	}
 }
 
+// postJobAction POSTs /api/jobs/{id}/{action} (pause, resume) and
+// requires it to succeed.
+func postJobAction(t *testing.T, p *serveProc, id, action string) {
+	t.Helper()
+	resp, err := http.Post(p.url("/api/jobs/"+id+"/"+action), "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		body, _ := io.ReadAll(resp.Body)
+		t.Fatalf("%s %s: %d %s", action, id, resp.StatusCode, body)
+	}
+}
+
 // e2eJob is the submission both service jobs and the reference solo
-// runs share: long enough (48 models) that the kill lands mid-run.
+// runs share.
 func e2eJob(id string, seed int64) JobConfig {
 	return JobConfig{
 		ID: id, Beam: "medium", Devices: 1,
@@ -200,17 +216,22 @@ func TestServiceKillResumeE2E(t *testing.T) {
 	postJob(t, p, e2eJobBody(jobA))
 	postJob(t, p, e2eJobBody(jobB))
 
-	// Wait until both searches are genuinely mid-run, then kill the
-	// process without any cleanup.
+	// Pause each search as soon as it has trained a model. A paused job
+	// finishes the generation in flight and then waits for its next fleet
+	// grant, so however fast the searches run, the kill below lands while
+	// both are mid-search — usually inside that last generation.
+	ids := []string{"job-a", "job-b"}
+	paused := map[string]bool{}
 	deadline := time.Now().Add(60 * time.Second)
-	for {
-		a, errA := getJob(t, p, "job-a")
-		b, errB := getJob(t, p, "job-b")
-		if errA == nil && errB == nil && a.Progress.ModelsDone >= 1 && b.Progress.ModelsDone >= 1 {
-			break
+	for len(paused) < len(ids) {
+		for _, id := range ids {
+			if st, err := getJob(t, p, id); err == nil && !paused[id] && st.Progress.ModelsDone >= 1 {
+				postJobAction(t, p, id, "pause")
+				paused[id] = true
+			}
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("jobs never started: %v %v\n%s", errA, errB, p.out.String())
+			t.Fatalf("jobs never started (paused: %v)\n%s", paused, p.out.String())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -229,13 +250,24 @@ func TestServiceKillResumeE2E(t *testing.T) {
 	}
 	for _, m := range manifests {
 		if m.State.Terminal() {
-			t.Logf("job %s finished before the kill (state %s)", m.Config.ID, m.State)
+			t.Fatalf("job %s finished before the kill (state %s)", m.Config.ID, m.State)
 		}
 	}
 
 	// Restart with -resume: every interrupted job continues from its
-	// journal, checkpoints, and completed records.
+	// journal, checkpoints, and completed records. A job paused when it
+	// was killed comes back paused; resume both once recovery has them.
 	p2 := startServe(t, bins["a4nn-serve"], store, "-resume")
+	deadline = time.Now().Add(60 * time.Second)
+	for _, id := range ids {
+		for st, err := getJob(t, p2, id); err != nil || st.State != "paused"; st, err = getJob(t, p2, id) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s not recovered paused: %+v %v\n%s", id, st, err, p2.out.String())
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		postJobAction(t, p2, id, "resume")
+	}
 	deadline = time.Now().Add(120 * time.Second)
 	for {
 		a, errA := getJob(t, p2, "job-a")

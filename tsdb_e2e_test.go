@@ -7,6 +7,8 @@ package a4nn
 // run's own.
 
 import (
+	"context"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -16,6 +18,7 @@ import (
 	"time"
 
 	"a4nn/internal/health"
+	"a4nn/internal/runenv"
 	"a4nn/internal/tsdb"
 )
 
@@ -144,46 +147,92 @@ func TestRegressionBaselineE2E(t *testing.T) {
 	bins := buildTools(t, "a4nn", "a4nn-analyze")
 	work := scratchDir(t, "work")
 	basePath := filepath.Join(work, "base.json")
-	// 186 surrogate models take about half a second: the regression
-	// monitor needs five 25 ms samples and then three evaluations beyond
-	// tolerance, on a series that only starts with the first generation.
-	searchArgs := func(store string) []string {
-		return []string{"-beam", "medium", "-population", "6", "-offspring", "6",
-			"-generations", "30", "-seed", "11", "-store", store,
-			"-history", "-history-interval", "25ms"}
+	const key = "a4nn_sched_effective_gflops"
+	job := JobConfig{Beam: "medium", Devices: 1, Population: 6, Offspring: 6, Generations: 30, Epochs: 25, Seed: 11}
+	// The ambient monitors (disk, RSS, file descriptors) are pushed out of
+	// reach so the state of the host cannot decide the status asserted
+	// below.
+	healthSpec := "sample-ms=50," +
+		"disk-warn=1e-9,disk-crit=1e-10,rss-warn-mb=1000000,rss-crit-mb=2000000,fd-warn=1000000,fd-crit=2000000"
+	regressed := func(env *runenv.Stack) *health.Alert {
+		for _, a := range env.Health().ActiveAlerts() {
+			if a.ID == "regression/"+key {
+				return &a
+			}
+		}
+		return nil
+	}
+
+	// search runs the job in process, recording its history into dir and
+	// judging it against base when one is given. A series mean sampled on
+	// a clock weighs each generation by how long it ran, so here only the
+	// generation gate samples: three times at every generation boundary,
+	// and on while hold keeps a generation waiting. Two runs' series then
+	// agree however fast either searched.
+	search := func(dir string, base *health.Baseline, hold func(env *runenv.Stack, gen int) bool) *runenv.Stack {
+		opts := runenv.Options{History: time.Hour} // the sampler's ticker never fires
+		if base != nil {
+			hc, err := ParseHealthConfig(healthSpec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hc.Regression = &health.RegressionConfig{Baseline: *base, EvalInterval: 5 * time.Millisecond}
+			opts.Health = &hc
+		}
+		env, err := runenv.Open(dir, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer env.Close()
+		cfg, err := BuildJobSearchConfig(job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Obs = env.Observer()
+		cfg.Gate = func(_ context.Context, gen, _ int) (func(), error) {
+			deadline := time.Now().Add(time.Minute)
+			for i := 0; i < 3 || hold != nil && hold(env, gen); i++ {
+				if time.Now().After(deadline) {
+					return nil, fmt.Errorf("generation %d still held after a minute", gen)
+				}
+				// Samples of a series need distinct millisecond stamps.
+				time.Sleep(time.Millisecond)
+				env.Sampler().SampleNow()
+			}
+			return func() {}, nil
+		}
+		if _, err := RunCtx(context.Background(), cfg); err != nil {
+			t.Fatal(err)
+		}
+		if err := env.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return env
 	}
 
 	// Reference run → committed baseline.
-	run(t, bins["a4nn"], searchArgs(filepath.Join(work, "ref"))...)
+	search(filepath.Join(work, "ref"), nil, nil)
 	out := run(t, bins["a4nn-analyze"], "-store", filepath.Join(work, "ref"),
 		"-baseline-out", basePath, "series")
 	if !strings.Contains(out, "baseline over") {
 		t.Fatalf("baseline export output:\n%s", out)
 	}
-
-	// An identical run judged against that baseline stays silent: same
-	// seed, same shape, no regression to find. The ambient monitors (disk,
-	// RSS, file descriptors) are pushed out of reach so the state of the
-	// host cannot decide the overall status asserted below.
-	healthArgs := []string{"-health", "-health-config", "sample-ms=50," +
-		"disk-warn=1e-9,disk-crit=1e-10,rss-warn-mb=1000000,rss-crit-mb=2000000,fd-warn=1000000,fd-crit=2000000"}
-	out = run(t, bins["a4nn"], append(append(searchArgs(filepath.Join(work, "same")),
-		healthArgs...), "-regress-baseline", basePath)...)
-	if !strings.Contains(out, "health: ok (0 active") {
-		t.Fatalf("run against own baseline not healthy:\n%s", out)
-	}
-	if strings.Contains(out, "[warning] regression/") || strings.Contains(out, "[critical] regression/") {
-		t.Fatalf("regression alert against own baseline:\n%s", out)
-	}
-
-	// Degrade the committed throughput: pretend the baseline run was 10×
-	// faster. The live run now reads as a sustained lower-worse
-	// regression and must end with the alert active.
 	base, err := health.LoadBaseline(basePath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const key = "a4nn_sched_effective_gflops"
+
+	// An identical run judged against that baseline stays silent: same
+	// seed, same shape, no regression to find.
+	if active := search(filepath.Join(work, "same"), &base, nil).Health().ActiveAlerts(); len(active) != 0 {
+		t.Fatalf("run against own baseline not healthy: %+v", active)
+	}
+
+	// Degrade the committed throughput: pretend the baseline run was 10×
+	// faster. The live run now reads as a sustained lower-worse
+	// regression and must end with the alert active. The monitor needs
+	// five samples of a series that starts with the first generation, then
+	// three evaluations beyond tolerance; generation 1 waits for them.
 	bs, ok := base.Series[key]
 	if !ok {
 		t.Fatalf("baseline missing %s (series: %v)", key, len(base.Series))
@@ -193,12 +242,24 @@ func TestRegressionBaselineE2E(t *testing.T) {
 	}
 	bs.Mean *= 10
 	base.Series = map[string]health.BaselineSeries{key: bs}
+	slow := search(filepath.Join(work, "slow"), &base, func(env *runenv.Stack, gen int) bool {
+		return gen == 1 && regressed(env) == nil
+	})
+	if a := regressed(slow); a == nil || !strings.Contains(a.Message, "below baseline") {
+		t.Fatalf("degraded baseline's regression alert not active at the end: %+v", slow.Health().ActiveAlerts())
+	}
+
+	// The command loads the degraded baseline and prints the alert. It has
+	// no gate: at a 5 ms cadence the monitor needs about 40 ms of a search
+	// that lasts several times that.
 	degradedPath := filepath.Join(work, "degraded.json")
 	if err := base.Save(degradedPath); err != nil {
 		t.Fatal(err)
 	}
-	out = run(t, bins["a4nn"], append(append(searchArgs(filepath.Join(work, "slow")),
-		healthArgs...), "-regress-baseline", degradedPath)...)
+	out = run(t, bins["a4nn"], "-beam", "medium", "-population", "6", "-offspring", "6",
+		"-generations", "30", "-seed", "11", "-store", filepath.Join(work, "cli"),
+		"-history", "-history-interval", "5ms", "-health", "-health-config", healthSpec,
+		"-regress-baseline", degradedPath)
 	if !strings.Contains(out, "regression/"+key) || !strings.Contains(out, "below baseline") {
 		t.Fatalf("degraded baseline raised no regression alert:\n%s", out)
 	}
