@@ -21,7 +21,9 @@ ci: lint build race race-broker race-health race-sched race-obs race-tsdb fuzz-s
 # file protocol written outside internal/durable: temp files, O_APPEND
 # handles and CRC framing have one implementation each (the checkpoint
 # envelope's CRC in commons/checkpoint.go is the one exception), so a
-# second copy cannot appear unreviewed.
+# second copy cannot appear unreviewed. It also holds the health engine
+# to one clock: internal/health declares one func() time.Time (Engine.now)
+# and reads time.Now nowhere but in New, where that seam is set.
 lint: vet
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -31,6 +33,12 @@ lint: vet
 		| grep -vE '^\./internal/durable/|_test\.go:|^\./internal/commons/checkpoint\.go:.*crc32\.'); \
 	if [ -n "$$stray" ]; then \
 		echo "file protocol outside internal/durable:"; echo "$$stray"; exit 1; \
+	fi
+	@seams=$$(grep -nE 'func\(\) time\.Time' $$(ls internal/health/*.go | grep -v _test.go)); \
+	clocks=$$(grep -nE 'time\.Now' $$(ls internal/health/*.go | grep -v _test.go) \
+		| grep -vE '^internal/health/health\.go:[0-9]+:[[:space:]]*now: +time\.Now,$$'); \
+	if [ $$(printf '%s' "$$seams" | grep -c .) -gt 1 ] || [ -n "$$clocks" ]; then \
+		echo "internal/health reads time outside Engine.now:"; echo "$$seams"; echo "$$clocks"; exit 1; \
 	fi
 
 vet:

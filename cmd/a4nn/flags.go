@@ -27,7 +27,6 @@ type flagSpec struct {
 	Checkpoints bool   // -checkpoints
 	Resume      bool   // -resume
 	Chaos       string // -chaos
-	AlertCmd    string // -alert-cmd
 	History     bool   // -history
 	HistorySet  bool   // -history-interval explicitly set
 	Baseline    string // -regress-baseline
@@ -64,9 +63,6 @@ func validateFlags(f flagSpec) (warnings []string, err error) {
 	}
 	if f.Checkpoints && f.Store == "" {
 		return nil, errors.New("-checkpoints needs -store (checkpoints live inside the data commons)")
-	}
-	if f.AlertCmd != "" && !f.Health {
-		return nil, errors.New("-alert-cmd needs -health (alerts come from the health monitor)")
 	}
 	if f.History && f.flushDir() == "" {
 		return nil, errors.New("-history needs a telemetry directory: set -store or -trace (the series file lives there)")

@@ -24,8 +24,6 @@ func TestValidateFlagsRejectsNoOpCombos(t *testing.T) {
 		{"health full", flagSpec{Health: true, HealthSpec: "resolve-after=2", Strict: true, Store: "runs"}, ""},
 		{"checkpoints without store", flagSpec{Checkpoints: true}, "-checkpoints needs"},
 		{"checkpoints with store", flagSpec{Checkpoints: true, Store: "runs"}, ""},
-		{"alert-cmd without health", flagSpec{AlertCmd: "notify-send a4nn"}, "-alert-cmd needs"},
-		{"alert-cmd with health", flagSpec{AlertCmd: "notify-send a4nn", Health: true, Store: "runs"}, ""},
 		{"history without sink", flagSpec{History: true}, "-history needs"},
 		{"history with store", flagSpec{History: true, Store: "runs"}, ""},
 		{"history with trace", flagSpec{History: true, Trace: "tel"}, ""},

@@ -55,7 +55,6 @@ func main() {
 		resume      = flag.Bool("resume", false, "recover and replay completed work from -store before training (crash recovery)")
 		checkpoints = flag.Bool("checkpoints", false, "persist per-epoch model checkpoints so -resume continues inside an interrupted generation (requires -store)")
 		chaosSpec   = flag.String("chaos", "", `crash-injection plan for fault drills, e.g. "crash=commons.record.pre_rename@3;seed=7" (see a4nn.ChaosPoints)`)
-		alertCmd    = flag.String("alert-cmd", "", `shell command run on health alert transitions with A4NN_ALERT_* env and the alert JSON on stdin (requires -health)`)
 		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProfile  = flag.String("memprofile", "", "write a heap profile to this file at exit")
 		metricsAddr = flag.String("metrics-addr", "", `serve /metrics, /metrics.json, /debug/spans, the /events SSE stream and the /dashboard page on this address (e.g. ":9090")`)
@@ -95,7 +94,6 @@ func main() {
 		Checkpoints: *checkpoints,
 		Resume:      *resume,
 		Chaos:       *chaosSpec,
-		AlertCmd:    *alertCmd,
 		History:     *historyOn,
 		HistorySet:  historySet,
 		Baseline:    *baselineIn,
@@ -165,7 +163,6 @@ func main() {
 			if err != nil {
 				fatal(err)
 			}
-			healthCfg.AlertCommand = *alertCmd
 			if *sloSpec != "" {
 				slo, err := health.ParseSLO(*sloSpec)
 				if err != nil {

@@ -24,8 +24,6 @@ type RecoverySummary struct {
 	// counts leftover checkpoints for already-committed records, Temps
 	// counts temp files of writes killed before their rename.
 	Quarantined, Lost, Stale, Temps int
-	// AlertCmdRuns counts -alert-cmd executions logged to the journal.
-	AlertCmdRuns int
 }
 
 // RecoveryOf folds a journal's events into a recovery summary.
@@ -49,8 +47,6 @@ func RecoveryOf(events []obs.Event) RecoverySummary {
 			default:
 				r.Quarantined++
 			}
-		case obs.EventAlertCmd:
-			r.AlertCmdRuns++
 		}
 	}
 	return r
@@ -78,9 +74,6 @@ func (r RecoverySummary) String() string {
 	}
 	if r.Temps > 0 {
 		fmt.Fprintf(&b, ", orphan temp files removed %d", r.Temps)
-	}
-	if r.AlertCmdRuns > 0 {
-		fmt.Fprintf(&b, ", alert commands run %d", r.AlertCmdRuns)
 	}
 	return b.String()
 }

@@ -1,9 +1,11 @@
 package health
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"a4nn/internal/chaos"
@@ -95,10 +97,6 @@ type manager struct {
 	resolveAfter int
 	journal      *obs.Journal
 	file         *durable.Log
-	now          func() time.Time
-	// notify, when set, receives every alert transition (the exec
-	// sink's hook). Called under the engine mutex; must not block.
-	notify func(a Alert, transition string)
 
 	active   map[string]*Alert
 	healthy  map[string]int // consecutive clean checks per active alert
@@ -117,7 +115,6 @@ func newManager(resolveAfter int, o *obs.Observer) *manager {
 	return &manager{
 		resolveAfter:  resolveAfter,
 		journal:       o.Journal(),
-		now:           time.Now,
 		active:        make(map[string]*Alert),
 		healthy:       make(map[string]int),
 		firedInfo:     reg.Counter(`a4nn_health_alerts_fired_total{severity="info"}`),
@@ -179,11 +176,11 @@ func (m *manager) firedCounter(s Severity) *obs.Counter {
 // quiet for resolveAfter consecutive checks resolve. Fire and resolve
 // transitions append to alerts.jsonl and re-emit as journal events, so
 // the SSE stream and follow mode carry them.
-func (m *manager) apply(findings []finding) {
+func (m *manager) apply(at time.Time, findings []finding) {
 	if len(findings) == 0 && len(m.active) == 0 {
-		return // healthy steady state: no transitions, no timestamping
+		return // healthy steady state: no transitions
 	}
-	now := m.now().UnixNano()
+	now := at.UnixNano()
 	seen := make(map[string]bool, len(findings))
 	for _, f := range findings {
 		id := f.id()
@@ -200,9 +197,6 @@ func (m *manager) apply(findings []finding) {
 				m.firedCounter(f.Severity).Inc()
 				m.persist(a)
 				m.emit(obs.EventAlert, a)
-				if m.notify != nil {
-					m.notify(*a, "escalated")
-				}
 			}
 			continue
 		}
@@ -223,9 +217,6 @@ func (m *manager) apply(findings []finding) {
 		m.activeGauge.Set(float64(len(m.active)))
 		m.persist(a)
 		m.emit(obs.EventAlert, a)
-		if m.notify != nil {
-			m.notify(*a, "fired")
-		}
 	}
 	for id, a := range m.active {
 		if seen[id] {
@@ -248,9 +239,6 @@ func (m *manager) apply(findings []finding) {
 		m.activeGauge.Set(float64(len(m.active)))
 		m.persist(a)
 		m.emit(obs.EventAlertResolved, a)
-		if m.notify != nil {
-			m.notify(*a, "resolved")
-		}
 	}
 }
 
@@ -285,7 +273,12 @@ func (m *manager) status() Status {
 // into the file (their fire lines carry Count 1), syncs, and releases
 // the sink.
 func (m *manager) close() error {
-	for _, id := range sortedAlertIDs(m.active) {
+	ids := make([]string, 0, len(m.active))
+	for id := range m.active {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
 		m.persist(m.active[id])
 	}
 	err := m.file.Close()
@@ -293,13 +286,22 @@ func (m *manager) close() error {
 	return err
 }
 
-func sortedAlertIDs(m map[string]*Alert) []string {
-	ids := make([]string, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
+// activeByFired copies the active alerts in FiredAt, then ID order.
+func (m *manager) activeByFired() []Alert {
+	out := make([]Alert, 0, len(m.active))
+	for _, a := range m.active {
+		out = append(out, *a)
 	}
-	sort.Strings(ids)
-	return ids
+	slices.SortFunc(out, byFired)
+	return out
+}
+
+// byFired orders alerts by FiredAt, then ID.
+func byFired(a, b Alert) int {
+	if c := cmp.Compare(a.FiredAt, b.FiredAt); c != 0 {
+		return c
+	}
+	return strings.Compare(a.ID, b.ID)
 }
 
 // ReadAlerts loads an alerts.jsonl file, folding the per-transition
@@ -321,11 +323,6 @@ func ReadAlerts(path string) ([]Alert, error) {
 	for _, a := range latest {
 		out = append(out, a)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].FiredAt != out[j].FiredAt {
-			return out[i].FiredAt < out[j].FiredAt
-		}
-		return out[i].ID < out[j].ID
-	})
+	slices.SortFunc(out, byFired)
 	return out, nil
 }

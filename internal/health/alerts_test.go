@@ -9,14 +9,23 @@ import (
 	"a4nn/internal/obs"
 )
 
+// tickManager is a manager whose check cycles come 1 ns apart: apply
+// hands the wrapped manager the next instant, as the engine would.
+type tickManager struct {
+	*manager
+	tick int64
+}
+
+func (m *tickManager) apply(findings []finding) {
+	m.tick++
+	m.manager.apply(time.Unix(0, m.tick), findings)
+}
+
 // testManager builds a manager with a deterministic clock.
-func testManager(t *testing.T, resolveAfter int) (*manager, *obs.Observer) {
+func testManager(t *testing.T, resolveAfter int) (*tickManager, *obs.Observer) {
 	t.Helper()
 	o := obs.NewObserver()
-	m := newManager(resolveAfter, o)
-	tick := int64(0)
-	m.now = func() time.Time { tick++; return time.Unix(0, tick) }
-	return m, o
+	return &tickManager{manager: newManager(resolveAfter, o)}, o
 }
 
 func TestManagerFireDedupResolve(t *testing.T) {

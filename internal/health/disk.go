@@ -23,14 +23,11 @@ type diskUsage struct {
 type diskMon struct {
 	path               string
 	warnFrac, critFrac float64
-	interval           time.Duration
+	every              cadence
 	// statfs is injectable for tests; the default is the platform
 	// syscall (a stub returning an error where unsupported).
 	statfs func(path string) (diskUsage, error)
-	now    func() time.Time
 
-	last    time.Time
-	sampled bool
 	free    float64 // available fraction of the filesystem
 	statErr error
 
@@ -42,9 +39,8 @@ func newDiskMon(cfg Config, reg *obs.Registry) *diskMon {
 		path:     cfg.DiskPath,
 		warnFrac: cfg.DiskWarnFrac,
 		critFrac: cfg.DiskCritFrac,
-		interval: cfg.SampleInterval,
+		every:    cadence{every: cfg.SampleInterval},
 		statfs:   statfsImpl,
-		now:      time.Now,
 		gFree:    reg.Gauge("a4nn_health_disk_free_fraction"),
 	}
 }
@@ -53,13 +49,10 @@ func (d *diskMon) name() string { return "disk" }
 
 func (d *diskMon) observe(obs.Event) {}
 
-func (d *diskMon) sample() {
-	now := d.now()
-	if d.sampled && now.Sub(d.last) < d.interval {
+func (d *diskMon) sample(now time.Time) {
+	if !d.every.due(now) {
 		return
 	}
-	d.last = now
-	d.sampled = true
 	u, err := d.statfs(d.path)
 	d.statErr = err
 	if err != nil || u.totalBytes == 0 {
@@ -69,8 +62,8 @@ func (d *diskMon) sample() {
 	d.gFree.Set(d.free)
 }
 
-func (d *diskMon) check(out []finding) []finding {
-	d.sample()
+func (d *diskMon) check(now time.Time, out []finding) []finding {
+	d.sample(now)
 	if d.statErr != nil {
 		return append(out, finding{
 			Monitor: d.name(), Key: "stat", Severity: SevWarning,
@@ -98,7 +91,7 @@ func (d *diskMon) check(out []finding) []finding {
 }
 
 func (d *diskMon) detail() string {
-	if !d.sampled {
+	if d.every.last.IsZero() {
 		return "not sampled yet"
 	}
 	if d.statErr != nil {

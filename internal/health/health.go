@@ -22,6 +22,10 @@
 // events (so the SSE stream and follow mode carry them for free), and
 // surface via the /healthz and /api/alerts handlers.
 //
+// The engine owns time: it reads its clock once per check cycle and
+// hands that instant to the monitors and the alert manager, which never
+// read the clock themselves.
+//
 // Like the rest of the observability stack, disabled health is free: a
 // nil *Engine's Observe is one nil check and zero allocations
 // (BenchmarkDisabledHealth, gated by make bench-gate).
@@ -79,14 +83,6 @@ type Config struct {
 	// resolves only after this many consecutive checks in which its
 	// monitor stayed quiet.
 	ResolveAfter int
-	// AlertCommand, when non-empty, is a shell command executed (via
-	// `sh -c`) on every alert transition: the alert JSON arrives on
-	// stdin and A4NN_ALERT_* environment variables carry the headline
-	// fields. Execution is asynchronous and never blocks a check cycle.
-	AlertCommand string
-	// AlertCommandInterval rate-limits AlertCommand per alert ID;
-	// transitions inside the window are counted as dropped, not queued.
-	AlertCommandInterval time.Duration
 	// EmitRuntimeSamples publishes each runtime sample as a
 	// runtime_sample journal event, so a cross-process follower
 	// (a4nn-serve -follow -health) monitors the producer's runtime
@@ -205,10 +201,11 @@ type Engine struct {
 	cfg Config
 	obs *obs.Observer
 
+	now func() time.Time // the one clock, read once per check; tests step it
+
 	mu       sync.Mutex
 	monitors []monitor
 	mgr      *manager
-	sink     *execSink
 	scratch  []finding // reused across checks
 	sub      *obs.Subscriber
 	done     chan struct{}
@@ -228,6 +225,7 @@ func New(cfg Config, o *obs.Observer) (*Engine, error) {
 	e := &Engine{
 		cfg: cfg,
 		obs: o,
+		now: time.Now,
 		monitors: []monitor{
 			newDivergence(cfg),
 			newPlateau(cfg),
@@ -245,14 +243,10 @@ func New(cfg Config, o *obs.Observer) (*Engine, error) {
 		e.monitors = append(e.monitors, newDiskMon(cfg, reg))
 	}
 	if cfg.SLO != nil {
-		e.monitors = append(e.monitors, newSLOMon(*cfg.SLO, reg, nil))
+		e.monitors = append(e.monitors, newSLOMon(*cfg.SLO, reg))
 	}
 	if cfg.Regression != nil && cfg.Regression.Query != nil {
 		e.monitors = append(e.monitors, newRegression(*cfg.Regression))
-	}
-	if cfg.AlertCommand != "" {
-		e.sink = newExecSink(cfg.AlertCommand, cfg.AlertCommandInterval, o)
-		e.mgr.notify = e.sink.notify
 	}
 	return e, nil
 }
@@ -300,14 +294,15 @@ func (e *Engine) Check() {
 	e.mu.Unlock()
 }
 
-// checkLocked gathers every monitor's findings and applies them to the
-// alert manager. Caller holds e.mu.
+// checkLocked reads the clock once, gathers every monitor's findings at
+// that instant and applies them to the alert manager. Caller holds e.mu.
 func (e *Engine) checkLocked() {
+	now := e.now()
 	e.scratch = e.scratch[:0]
 	for _, m := range e.monitors {
-		e.scratch = m.check(e.scratch)
+		e.scratch = m.check(now, e.scratch)
 	}
-	e.mgr.apply(e.scratch)
+	e.mgr.apply(now, e.scratch)
 	e.checks.Inc()
 }
 
@@ -366,16 +361,9 @@ func (e *Engine) Close() error {
 		<-done
 	}
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	e.checkLocked()
-	err := e.mgr.close()
-	sink := e.sink
-	e.sink = nil
-	e.mgr.notify = nil
-	e.mu.Unlock()
-	// The sink drains outside the engine mutex: a slow alert command
-	// must not stall Observe on another goroutine.
-	sink.close()
-	return err
+	return e.mgr.close()
 }
 
 // Status returns the aggregate status (StatusOK on a nil engine).
@@ -396,12 +384,7 @@ func (e *Engine) ActiveAlerts() []Alert {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	out := make([]Alert, 0, len(e.mgr.active))
-	for _, id := range sortedAlertIDs(e.mgr.active) {
-		out = append(out, *e.mgr.active[id])
-	}
-	sortAlerts(out)
-	return out
+	return e.mgr.activeByFired()
 }
 
 // ResolvedAlerts returns the bounded in-memory resolved history,
@@ -475,22 +458,6 @@ func (e *Engine) Report() Report {
 			Detail: m.detail(),
 		})
 	}
-	for _, id := range sortedAlertIDs(e.mgr.active) {
-		rep.Alerts = append(rep.Alerts, *e.mgr.active[id])
-	}
-	sortAlerts(rep.Alerts)
+	rep.Alerts = e.mgr.activeByFired()
 	return rep
-}
-
-// sortAlerts orders by FiredAt then ID.
-func sortAlerts(alerts []Alert) {
-	for i := 1; i < len(alerts); i++ {
-		for j := i; j > 0; j-- {
-			a, b := &alerts[j-1], &alerts[j]
-			if a.FiredAt < b.FiredAt || (a.FiredAt == b.FiredAt && a.ID <= b.ID) {
-				break
-			}
-			alerts[j-1], alerts[j] = *b, *a
-		}
-	}
 }

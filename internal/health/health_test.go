@@ -31,6 +31,13 @@ func testEngine(t *testing.T, cfg Config) (*Engine, *obs.Observer) {
 	return e, o
 }
 
+// stepClock makes e's clock advance by step on every read, from a fixed
+// start, so each check cycle lands step after the previous one.
+func stepClock(e *Engine, step time.Duration) {
+	t := time.Unix(1_700_000_000, 0)
+	e.now = func() time.Time { t = t.Add(step); return t }
+}
+
 // activeIDs snapshots the engine's active alert IDs.
 func activeIDs(e *Engine) map[string]Alert {
 	out := map[string]Alert{}
@@ -325,7 +332,7 @@ func TestKnobTables(t *testing.T) {
 		MinCapacity: 0.5, StragglerRate: 0.3, SampleInterval: 5 * time.Second,
 		MaxGoroutines: 2000, HeapGrowthFactor: 4, GCPauseP99: 50 * time.Millisecond,
 		RSSWarnMB: 4096, RSSCritMB: 8192, FDWarn: 512, FDCrit: 960, ResolveAfter: 3,
-		AlertCommandInterval: 10 * time.Second, DiskWarnFrac: 0.10, DiskCritFrac: 0.03,
+		DiskWarnFrac: 0.10, DiskCritFrac: 0.03,
 	}
 	if got := DefaultConfig(); got != want {
 		t.Fatalf("DefaultConfig() = %+v\nwant %+v", got, want)
@@ -346,9 +353,10 @@ func TestKnobTables(t *testing.T) {
 	if c.MaxGoroutines != -1 || c.RSSWarnMB != -1 || c.FDWarn != -1 || c.DivergenceWindow != 3 {
 		t.Fatalf("negative values after the fill: %+v", c)
 	}
-	for _, key := range []string{"plateau-eps", "calibration-tol", "queue-factor", "queue-min-wait"} {
-		if _, err := ParseConfig(key + "=1"); err == nil {
-			t.Errorf("deleted key %q accepted", key)
+	for _, spec := range []string{"plateau-eps=1", "calibration-tol=1", "queue-factor=1", "queue-min-wait=1",
+		"alert-cmd-ms=1000"} {
+		if _, err := ParseConfig(spec); err == nil || !strings.Contains(err.Error(), "unknown config key") {
+			t.Errorf("deleted key %q: err = %v, want unknown config key", spec, err)
 		}
 	}
 

@@ -51,7 +51,6 @@ var configKnobs = []knob[Config]{
 	{"fd-warn", limit, "512", func(c *Config) any { return &c.FDWarn }},
 	{"fd-crit", limit, "960", func(c *Config) any { return &c.FDCrit }},
 	{"resolve-after", integer, "3", func(c *Config) any { return &c.ResolveAfter }},
-	{"alert-cmd-ms", millis, "10000", func(c *Config) any { return &c.AlertCommandInterval }},
 	{"disk-warn", fraction, "0.10", func(c *Config) any { return &c.DiskWarnFrac }},
 	{"disk-crit", fraction, "0.03", func(c *Config) any { return &c.DiskCritFrac }},
 }

@@ -3,18 +3,38 @@ package health
 import (
 	"fmt"
 	"math"
+	"time"
 
 	"a4nn/internal/obs"
 )
 
 // monitor is one in-situ anomaly detector. observe feeds it a journal
-// event; check appends its current findings. Both run under the
-// engine's mutex, single-threaded, so monitors keep plain state.
+// event; check appends its findings as of the cycle's instant now. Both
+// run under the engine's mutex, single-threaded, so monitors keep plain
+// state.
 type monitor interface {
 	name() string
 	observe(e obs.Event)
-	check(out []finding) []finding
+	check(now time.Time, out []finding) []finding
 	detail() string
+}
+
+// cadence paces work that should happen at most once per interval of
+// engine time (a runtime or disk sample, an SLO ring push, a regression
+// evaluation). The first call is always due.
+type cadence struct {
+	every time.Duration
+	last  time.Time
+}
+
+// due reports whether every has passed since the last due instant, and
+// if so makes now the last one.
+func (c *cadence) due(now time.Time) bool {
+	if !c.last.IsZero() && now.Sub(c.last) < c.every {
+		return false
+	}
+	c.last = now
+	return true
 }
 
 // --- training divergence -------------------------------------------------
@@ -85,7 +105,7 @@ func (d *divergence) observe(e obs.Event) {
 	}
 }
 
-func (d *divergence) check(out []finding) []finding {
+func (d *divergence) check(_ time.Time, out []finding) []finding {
 	for id, st := range d.models {
 		switch {
 		case st.nan:
@@ -155,7 +175,7 @@ func (p *plateau) observe(e obs.Event) {
 	}
 }
 
-func (p *plateau) check(out []finding) []finding {
+func (p *plateau) check(_ time.Time, out []finding) []finding {
 	for id, w := range p.models {
 		if len(w) < p.window {
 			continue
@@ -234,7 +254,7 @@ func (c *calibration) mean() float64 {
 	return sum / float64(len(c.errs))
 }
 
-func (c *calibration) check(out []finding) []finding {
+func (c *calibration) check(_ time.Time, out []finding) []finding {
 	if !c.filled {
 		return out
 	}
@@ -295,7 +315,7 @@ func (dp *devicepool) observe(e obs.Event) {
 	}
 }
 
-func (dp *devicepool) check(out []finding) []finding {
+func (dp *devicepool) check(_ time.Time, out []finding) []finding {
 	if dp.total > 0 && dp.alive < dp.total {
 		capacity := float64(dp.alive) / float64(dp.total)
 		sev := SevWarning
@@ -379,7 +399,7 @@ func (q *queuewait) observe(e obs.Event) {
 	q.genSet = true
 }
 
-func (q *queuewait) check(out []finding) []finding {
+func (q *queuewait) check(_ time.Time, out []finding) []finding {
 	if !q.baseSet || !q.genSet {
 		return out
 	}
@@ -428,7 +448,7 @@ func (b *backpressure) name() string { return "backpressure" }
 
 func (b *backpressure) observe(obs.Event) {}
 
-func (b *backpressure) check(out []finding) []finding {
+func (b *backpressure) check(_ time.Time, out []finding) []finding {
 	if d := b.dropped.Value(); d > b.lastDropped {
 		b.lastDropped = d
 		b.dropFresh = true

@@ -41,6 +41,7 @@ func TestRSSAndFDThresholds(t *testing.T) {
 	cfg.FDWarn = 100
 	cfg.FDCrit = 200
 	e, _ := testEngine(t, cfg)
+	stepClock(e, time.Second) // every check takes a fresh sample
 	mon := grabRuntimeMon(t, e)
 
 	// Warn-level readings.
@@ -56,7 +57,6 @@ func TestRSSAndFDThresholds(t *testing.T) {
 
 	// Crossing the critical thresholds escalates.
 	mon.procRead = func() (uint64, int, bool) { return 25 << 20, 250, true }
-	mon.last = time.Time{} // force a fresh sample
 	e.Check()
 	ids = activeIDs(e)
 	if a := ids["runtime/rss"]; a.Severity != SevCritical {

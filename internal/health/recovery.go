@@ -2,6 +2,7 @@ package health
 
 import (
 	"fmt"
+	"time"
 
 	"a4nn/internal/obs"
 )
@@ -50,7 +51,7 @@ func (r *recoveryMon) observe(e obs.Event) {
 	}
 }
 
-func (r *recoveryMon) check(out []finding) []finding {
+func (r *recoveryMon) check(_ time.Time, out []finding) []finding {
 	if r.pendingDamage > 0 {
 		out = append(out, finding{
 			Monitor: r.name(), Key: "damage", Severity: SevWarning,

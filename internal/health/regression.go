@@ -99,8 +99,8 @@ func BaselineFrom(q QueryFunc, series []string, fromMS, toMS int64) Baseline {
 // The regression monitor compares the trailing regressionWindow of each
 // live series, once it holds regressionMinSamples samples, against its
 // baseline; a deviation beyond regressionTolerance (relative: 0.25 is
-// 25% worse than baseline) counts toward a regression. The last two are
-// the defaults of RegressionConfig's tunables.
+// 25% worse than baseline) counts toward a regression, and
+// regressionSustain in a row fire it: one slow window is noise.
 const (
 	regressionWindow       = time.Minute
 	regressionTolerance    = 0.25
@@ -114,62 +114,46 @@ type RegressionConfig struct {
 	Baseline Baseline
 	// Query reads the live run's history (typically tsdb.DB.Mean).
 	Query QueryFunc
-	// Sustain is how many consecutive evaluations a series must exceed
-	// tolerance before a finding fires (0: regressionSustain) — one
-	// slow window is noise, several in a row are a regression.
-	Sustain int
-	// EvalInterval throttles evaluation: check() runs on every journal
-	// event, but windows only move at the sampling cadence (0:
-	// regressionEvalInterval; a negative interval evaluates every
-	// check).
+	// EvalInterval paces evaluation: check runs on every journal event,
+	// but windows only move at the sampling cadence (unset:
+	// regressionEvalInterval).
 	EvalInterval time.Duration
-	// now overrides the wall clock in tests.
-	now func() time.Time
 }
 
 // regression compares the live run's recent series means against a
-// committed baseline and fires a warning after Sustain consecutive
-// windows beyond tolerance. Sustained-streak semantics mirror the
-// divergence monitor; the finding routes through the same alert
-// manager (and -alert-cmd sink) as every other monitor.
+// committed baseline and fires a warning after regressionSustain
+// consecutive windows beyond tolerance. Sustained-streak semantics mirror
+// the divergence monitor; the finding routes through the same alert
+// manager as every other monitor.
 type regression struct {
-	cfg      RegressionConfig
-	names    []string // sorted baseline keys, for deterministic output
-	lastEval time.Time
-	streak   map[string]int
-	cached   []finding
-	evals    int
+	cfg    RegressionConfig
+	names  []string // sorted baseline keys, for deterministic output
+	eval   cadence
+	streak map[string]int
+	cached []finding
+	evals  int
 }
 
 func newRegression(cfg RegressionConfig) *regression {
-	if cfg.Sustain <= 0 {
-		cfg.Sustain = regressionSustain
-	}
-	if cfg.EvalInterval < 0 {
-		cfg.EvalInterval = 0
-	} else if cfg.EvalInterval == 0 {
+	if cfg.EvalInterval <= 0 {
 		cfg.EvalInterval = regressionEvalInterval
-	}
-	if cfg.now == nil {
-		cfg.now = time.Now
 	}
 	names := make([]string, 0, len(cfg.Baseline.Series))
 	for name := range cfg.Baseline.Series {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	return &regression{cfg: cfg, names: names, streak: make(map[string]int)}
+	return &regression{cfg: cfg, names: names, eval: cadence{every: cfg.EvalInterval},
+		streak: make(map[string]int)}
 }
 
 func (r *regression) name() string      { return "regression" }
 func (r *regression) observe(obs.Event) {}
 
-func (r *regression) check(out []finding) []finding {
-	now := r.cfg.now()
-	if !r.lastEval.IsZero() && now.Sub(r.lastEval) < r.cfg.EvalInterval {
+func (r *regression) check(now time.Time, out []finding) []finding {
+	if !r.eval.due(now) {
 		return append(out, r.cached...)
 	}
-	r.lastEval = now
 	r.evals++
 	r.cached = r.cached[:0]
 	to := now.UnixMilli()
@@ -194,7 +178,7 @@ func (r *regression) check(out []finding) []finding {
 			continue
 		}
 		r.streak[name]++
-		if r.streak[name] < r.cfg.Sustain {
+		if r.streak[name] < regressionSustain {
 			continue
 		}
 		worse := "above"

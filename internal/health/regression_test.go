@@ -29,6 +29,7 @@ func regressionEngine(t *testing.T, cfg RegressionConfig) *Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
+	stepClock(e, regressionEvalInterval) // every check evaluates
 	t.Cleanup(func() { e.Close() })
 	return e
 }
@@ -53,9 +54,7 @@ func TestRegressionFiresAgainstDegradedBaseline(t *testing.T) {
 		Baseline: Baseline{Series: map[string]BaselineSeries{
 			"a4nn_sched_queue_wait_sim_seconds_p99": {Mean: 1.0},
 		}},
-		Query:        hist.query,
-		Sustain:      3,
-		EvalInterval: -1, // evaluate on every check
+		Query: hist.query,
 	})
 	e.Check()
 	e.Check()
@@ -89,7 +88,7 @@ func TestRegressionSilentAgainstOwnBaseline(t *testing.T) {
 		t.Fatalf("accuracy direction = %q", base.Series["a4nn_train_last_accuracy_percent"].Direction)
 	}
 	e := regressionEngine(t, RegressionConfig{
-		Baseline: base, Query: hist.query, Sustain: 1, EvalInterval: -1,
+		Baseline: base, Query: hist.query,
 	})
 	for i := 0; i < 5; i++ {
 		e.Check()
@@ -109,9 +108,11 @@ func TestRegressionLowerWorseAndMinSamples(t *testing.T) {
 			"a4nn_fleet_gflops": {Mean: 40, Direction: "lower-worse"},
 			"a4nn_thin":         {Mean: 1},
 		}},
-		Query: hist.query, Sustain: 1, EvalInterval: -1,
+		Query: hist.query,
 	})
-	e.Check()
+	for range regressionSustain {
+		e.Check()
+	}
 	got := regressionAlerts(e)
 	if len(got) != 1 {
 		t.Fatalf("alerts = %+v", got)
@@ -182,17 +183,15 @@ func TestRegressionEvalThrottle(t *testing.T) {
 		Baseline:     Baseline{Series: map[string]BaselineSeries{"s": {Mean: 1}}},
 		Query:        q,
 		EvalInterval: 10 * time.Second,
-		now:          func() time.Time { return now },
 	}
 	r := newRegression(cfg)
-	r.check(nil)
-	r.check(nil)
-	r.check(nil)
+	r.check(now, nil)
+	r.check(now, nil)
+	r.check(now, nil)
 	if calls != 1 {
 		t.Fatalf("query ran %d times inside one eval interval", calls)
 	}
-	now = now.Add(11 * time.Second)
-	r.check(nil)
+	r.check(now.Add(11*time.Second), nil)
 	if calls != 2 {
 		t.Fatalf("query ran %d times after the interval elapsed", calls)
 	}

@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -18,118 +17,6 @@ import (
 func fireWarning(e *Engine) {
 	e.Observe(obs.Event{Type: obs.EventRunStart, Devices: 4})
 	e.Observe(obs.Event{Type: obs.EventGenerationStart, Gen: 1, Devices: 3})
-}
-
-func TestExecSinkRunsCommandOnTransitions(t *testing.T) {
-	cfg := testConfig()
-	cfg.AlertCommand = "true"
-	cfg.AlertCommandInterval = time.Nanosecond // rate limit out of the way
-	e, _ := testEngine(t, cfg)
-
-	var mu sync.Mutex
-	type call struct {
-		env   []string
-		stdin string
-	}
-	var calls []call
-	e.sink.run = func(cmd string, env []string, stdin []byte) (int, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		calls = append(calls, call{env: env, stdin: string(stdin)})
-		return 0, nil
-	}
-
-	fireWarning(e)
-	if err := e.Close(); err != nil { // drains the sink queue
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(calls) != 1 {
-		t.Fatalf("command ran %d times, want 1", len(calls))
-	}
-	envStr := strings.Join(calls[0].env, "\n")
-	for _, want := range []string{
-		"A4NN_ALERT_ID=devices",
-		"A4NN_ALERT_SEVERITY=warning",
-		"A4NN_ALERT_TRANSITION=fired",
-	} {
-		if !strings.Contains(envStr, want) {
-			t.Fatalf("env missing %s:\n%s", want, envStr)
-		}
-	}
-	if !strings.Contains(calls[0].stdin, `"transition":"fired"`) ||
-		!strings.Contains(calls[0].stdin, `"id":"devices/capacity"`) {
-		t.Fatalf("stdin payload = %s", calls[0].stdin)
-	}
-}
-
-func TestExecSinkRateLimitsPerAlert(t *testing.T) {
-	cfg := testConfig()
-	cfg.AlertCommand = "true"
-	cfg.AlertCommandInterval = time.Hour
-	e, _ := testEngine(t, cfg)
-	ran := 0
-	var mu sync.Mutex
-	e.sink.run = func(string, []string, []byte) (int, error) {
-		mu.Lock()
-		ran++
-		mu.Unlock()
-		return 0, nil
-	}
-	// Fire, resolve, and re-fire the same alert inside the window: only
-	// the first transition executes.
-	fireWarning(e)
-	e.Observe(obs.Event{Type: obs.EventGenerationStart, Gen: 2, Devices: 4})
-	e.Check()
-	fireWarning(e)
-	dropped := e.sink.dropped.Value()
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if ran != 1 {
-		t.Fatalf("command ran %d times inside the rate window, want 1", ran)
-	}
-	if dropped == 0 {
-		t.Fatal("rate-limited transitions not counted as dropped")
-	}
-}
-
-func TestExecSinkLogsExitCode(t *testing.T) {
-	cfg := testConfig()
-	cfg.AlertCommand = "exit 3"
-	cfg.AlertCommandInterval = time.Nanosecond
-	e, o := testEngine(t, cfg)
-	dir := t.TempDir()
-	if err := o.Journal().OpenFile(filepath.Join(dir, obs.EventsFile)); err != nil {
-		t.Fatal(err)
-	}
-	sink := e.sink
-	fireWarning(e) // default runShell executes the real `sh -c "exit 3"`
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got := sink.errs.Value(); got == 0 {
-		t.Fatal("nonzero exit not counted as an error")
-	}
-	if err := o.Journal().Close(); err != nil {
-		t.Fatal(err)
-	}
-	events, err := obs.ReadEvents(filepath.Join(dir, obs.EventsFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, ev := range events {
-		if ev.Type == obs.EventAlertCmd && strings.Contains(ev.Msg, "exit 3") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("no alert_cmd event logging the exit code; events = %+v", events)
-	}
 }
 
 func TestDiskMonitorWatermarks(t *testing.T) {
@@ -149,8 +36,7 @@ func TestDiskMonitorWatermarks(t *testing.T) {
 	mon.statfs = func(string) (diskUsage, error) {
 		return diskUsage{totalBytes: 100, availBytes: free}, nil
 	}
-	now := time.Now()
-	mon.now = func() time.Time { now = now.Add(cfg.SampleInterval + time.Second); return now }
+	stepClock(e, cfg.SampleInterval+time.Second) // every check samples the disk
 
 	e.Check()
 	if len(e.ActiveAlerts()) != 0 {

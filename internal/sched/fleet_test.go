@@ -2,6 +2,7 @@ package sched
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -101,6 +102,47 @@ func TestFleetAcquireCancel(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("canceled Acquire did not return")
+	}
+}
+
+// TestFleetAcquireCancelBeforeWait cancels the waiter's context after
+// the wait loop's ctx.Err() check and before cond.Wait: the cancel must
+// still wake the waiter rather than leave it blocked until some other
+// broadcast.
+func TestFleetAcquireCancelBeforeWait(t *testing.T) {
+	f, _ := NewFleet(1)
+	f.Register("hold", 1)
+	f.Register("wait", 1)
+	rel, err := f.Acquire(context.Background(), "hold", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rel()
+	ctx, cancel := context.WithCancel(context.Background())
+	var once sync.Once
+	beforeWait = func() {
+		once.Do(func() {
+			cancel()
+			// Give a wakeup sent without the lock time to land (and be
+			// lost) before this goroutine reaches Wait.
+			time.Sleep(20 * time.Millisecond)
+		})
+	}
+	defer func() { beforeWait = nil }()
+	errc := make(chan error, 1)
+	go func() {
+		_, err := f.Acquire(ctx, "wait", 1)
+		errc <- err
+	}()
+	select {
+	case err := <-errc:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("canceled Acquire returned %v, want context.Canceled", err)
+		}
+	case <-time.After(2 * time.Second):
+		rel() // the release broadcasts, so the stuck waiter can exit
+		<-errc
+		t.Fatal("a cancel landing just before Wait was lost")
 	}
 }
 

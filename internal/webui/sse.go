@@ -285,8 +285,6 @@ function handle(type, e) {
   case "recovery":
     if (e.reason !== "stale") { quarantined++; $("quar").textContent = quarantined; }
     logLine("recovery: " + (e.msg || e.reason || "")); break;
-  case "alert_cmd":
-    logLine(e.msg || "alert command ran"); break;
   case "run_end":
     logLine("run finished: " + (e.tasks || 0) + " models, " +
       (e.saved_epochs || 0) + " epochs saved"); break;
@@ -325,7 +323,7 @@ fetch(document.body.dataset.alerts).then(r => r.ok ? r.json() : null).then(d => 
 const types = ["run_start","run_end","generation_start","generation_end","task_dispatch",
   "task_retry","task_fault","straggler","epoch","model_done","predict_converge",
   "predict_terminate","pareto_update","alert","alert_resolved",
-  "model_resume","recovery","alert_cmd"];
+  "model_resume","recovery"];
 // backfill reseeds the charts from the history store's range-query API
 // (404/503 = history off, charts stay live-only). It runs on every SSE
 // open — page load AND reconnect — so a dropped connection or a server

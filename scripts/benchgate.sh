@@ -101,11 +101,6 @@ zero_allocs BenchmarkDisabledChaos ./internal/chaos "disarmed chaos point"
 # events at zero extra allocations.
 zero_allocs BenchmarkDisabledRecorder ./internal/obs "detached flight recorder"
 
-# A disabled SLO monitor (no -slo spec) must cost nothing: observe and
-# check on a nil monitor are one nil check each, so the objective
-# machinery is free for every run that sets no objectives.
-zero_allocs BenchmarkDisabledSLO ./internal/health "disabled SLO monitor"
-
 # A disabled run-history store must be free on the metrics hot path:
 # with no -history flag the sampler and store are nil, and both
 # SampleNow and Append are a single nil-receiver branch, so runs that
