@@ -19,9 +19,8 @@ ci: lint build race race-broker race-health race-sched race-obs race-tsdb fuzz-s
 
 # lint fails on unformatted files (gofmt -l), vet findings, and on a
 # file protocol written outside internal/durable: temp files, O_APPEND
-# handles and CRC framing have one implementation each (the checkpoint
-# envelope's CRC in commons/checkpoint.go is the one exception), so a
-# second copy cannot appear unreviewed. It also holds the health engine
+# handles and CRC framing have one implementation each, so a second
+# copy cannot appear unreviewed. It also holds the health engine
 # to one clock: internal/health declares one func() time.Time (Engine.now)
 # and reads time.Now nowhere but in New, where that seam is set.
 lint: vet
@@ -30,7 +29,7 @@ lint: vet
 		echo "gofmt required on:"; echo "$$unformatted"; exit 1; \
 	fi
 	@stray=$$(grep -rnE 'os\.CreateTemp\(|os\.O_APPEND|crc32\.' --include='*.go' . \
-		| grep -vE '^\./internal/durable/|_test\.go:|^\./internal/commons/checkpoint\.go:.*crc32\.'); \
+		| grep -vE '^\./internal/durable/|_test\.go:'); \
 	if [ -n "$$stray" ]; then \
 		echo "file protocol outside internal/durable:"; echo "$$stray"; exit 1; \
 	fi
@@ -110,10 +109,11 @@ bench:
 # bench-smoke runs every tensor/nn microbenchmark for a single iteration
 # under -short (skips the 1024 GEMM), as a correctness check in ci, and
 # likewise the prediction engine's: the LM fit, one engine interaction, a
-# tracker replaying a 25-epoch history, and a surrogate model's set-up.
+# tracker replaying a 25-epoch history, and a surrogate model's set-up;
+# and one model's checkpoint log (18 epoch appends, then the delete).
 bench-smoke:
 	$(GO) test -short -run=^$$ -bench=. -benchtime=1x ./internal/tensor ./internal/nn
-	$(GO) test -short -run=^$$ -bench=. -benchtime=1x -benchmem ./internal/fit ./internal/predict ./internal/simtrain
+	$(GO) test -short -run=^$$ -bench=. -benchtime=1x -benchmem ./internal/fit ./internal/predict ./internal/simtrain ./internal/commons
 
 # bench-gate fails when BenchmarkTrainStep allocates more per step than
 # the committed BENCH_tensor.json current value — the PR-2 zero-alloc

@@ -45,8 +45,8 @@ var soakSearchArgs = []string{
 var repeatablePoints = []string{
 	chaos.PointRecordPreRename,
 	chaos.PointRecordPostRename,
-	chaos.PointCheckpointPreRename,
-	chaos.PointCheckpointPostRename,
+	chaos.PointCheckpointPreWrite,
+	chaos.PointCheckpointPostWrite,
 	chaos.PointModelPostRecord,
 }
 
@@ -94,7 +94,7 @@ func TestChaosSoak(t *testing.T) {
 		// run), records once per model (18), generation commits 3 times.
 		visit := 2 + rng.Intn(4)
 		switch point {
-		case chaos.PointCheckpointPreRename, chaos.PointCheckpointPostRename:
+		case chaos.PointCheckpointPreWrite, chaos.PointCheckpointPostWrite:
 			visit = 10 + rng.Intn(30)
 		case chaos.PointGenerationCommit:
 			visit = 2 + rng.Intn(2)
@@ -142,6 +142,7 @@ func soakOnePlan(t *testing.T, bin, plan string, rearm bool, refFront string) in
 		}
 		t.Fatalf("plan %q attempt %d: unexpected failure: %v\n%s", plan, attempt, err, b)
 	}
+	t.Logf("plan %q: %d crash(es)", plan, crashes)
 
 	// 1. The final Pareto front is byte-identical to the fault-free run.
 	if got := paretoSection(t, out); got != refFront {

@@ -105,7 +105,7 @@ func main() {
 	printWarnings(warnings)
 
 	// Arm the crash plan before any durable-state transition so every
-	// journal append, record commit, and checkpoint rename is eligible.
+	// journal append, record commit, and checkpoint write is eligible.
 	if *chaosSpec != "" {
 		plan, err := a4nn.ParseChaosPlan(*chaosSpec)
 		if err != nil {

@@ -33,11 +33,12 @@ const (
 	PointRecordPostRename = "commons.record.post_rename"
 	// PointSnapshotPreRename fires before an epoch snapshot rename.
 	PointSnapshotPreRename = "commons.snapshot.pre_rename"
-	// PointCheckpointPreRename fires after a checkpoint's temp file is
-	// written but before the rename — the previous checkpoint survives.
-	PointCheckpointPreRename = "commons.checkpoint.pre_rename"
-	// PointCheckpointPostRename fires just after a checkpoint rename.
-	PointCheckpointPostRename = "commons.checkpoint.post_rename"
+	// PointCheckpointPreWrite fires before every checkpoint write — an
+	// epoch frame's append, or a whole file's rename — so the file still
+	// holds the previous epoch.
+	PointCheckpointPreWrite = "commons.checkpoint.pre_write"
+	// PointCheckpointPostWrite fires just after a checkpoint write lands.
+	PointCheckpointPostWrite = "commons.checkpoint.post_write"
 	// PointJournalAppend fires before an event line is appended to
 	// events.jsonl.
 	PointJournalAppend = "journal.append.pre_write"
@@ -55,15 +56,15 @@ const (
 
 // catalogue maps every valid point name to a one-line description.
 var catalogue = map[string]string{
-	PointRecordPreRename:      "before a lineage record rename",
-	PointRecordPostRename:     "after a lineage record rename",
-	PointSnapshotPreRename:    "before an epoch snapshot rename",
-	PointCheckpointPreRename:  "before a model checkpoint rename",
-	PointCheckpointPostRename: "after a model checkpoint rename",
-	PointJournalAppend:        "before an event journal append",
-	PointAlertsAppend:         "before an alert sink append",
-	PointGenerationCommit:     "after a generation's records commit",
-	PointModelPostRecord:      "after a record commits, before checkpoint cleanup",
+	PointRecordPreRename:     "before a lineage record rename",
+	PointRecordPostRename:    "after a lineage record rename",
+	PointSnapshotPreRename:   "before an epoch snapshot rename",
+	PointCheckpointPreWrite:  "before a model checkpoint append or rename",
+	PointCheckpointPostWrite: "after a model checkpoint append or rename",
+	PointJournalAppend:       "before an event journal append",
+	PointAlertsAppend:        "before an alert sink append",
+	PointGenerationCommit:    "after a generation's records commit",
+	PointModelPostRecord:     "after a record commits, before checkpoint cleanup",
 }
 
 // Points returns the catalogue's point names, sorted.
@@ -153,6 +154,10 @@ type pointState struct {
 type engine struct {
 	seed   int64
 	points map[string]*pointState
+	// crashing is set when a crash rule fires. Every later visit, on any
+	// goroutine, parks until the exit: a kill is an instant, so no
+	// durable transition lands while the crash hook runs.
+	crashing atomic.Bool
 }
 
 var active atomic.Pointer[engine]
@@ -201,8 +206,9 @@ func Installed() bool { return active.Load() != nil }
 // Point marks one visit to a named crash point. With no plan installed
 // it returns nil at the cost of a single atomic load. With a plan, a
 // matching crash rule prints one line to stderr and exits the process
-// with ExitCode; a matching err rule returns an InjectedError for the
-// caller to propagate as an I/O failure.
+// with ExitCode (other goroutines' visits park meanwhile); a matching
+// err rule returns an InjectedError for the caller to propagate as an
+// I/O failure.
 func Point(name string) error {
 	e := active.Load()
 	if e == nil {
@@ -212,6 +218,9 @@ func Point(name string) error {
 }
 
 func (e *engine) visit(name string) error {
+	if e.crashing.Load() {
+		select {}
+	}
 	ps := e.points[name]
 	if ps == nil {
 		return nil
@@ -226,6 +235,7 @@ func (e *engine) visit(name string) error {
 			continue
 		}
 		if r.mode == modeCrash {
+			e.crashing.Store(true)
 			fmt.Fprintf(os.Stderr, "chaos: crash at point %s (visit %d)\n", name, n)
 			if h := crashHook.Load(); h != nil {
 				(*h)()

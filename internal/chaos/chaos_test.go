@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 )
 
 // install arms a plan for one test and guarantees disarm + exit-stub
@@ -84,6 +85,32 @@ func TestCrashRuleExits(t *testing.T) {
 	}
 }
 
+// TestCrashParksOtherVisits: while an injected crash runs its hook, a
+// visit on another goroutine parks instead of letting a durable
+// transition land after the crash instant.
+func TestCrashParksOtherVisits(t *testing.T) {
+	stubExit(t)
+	plan, err := Parse("crash=" + PointGenerationCommit + "@1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	install(t, plan)
+	returned := make(chan struct{})
+	SetCrashHook(func() {
+		go func() {
+			Point(PointCheckpointPostWrite)
+			close(returned)
+		}()
+		select {
+		case <-returned:
+			t.Error("a visit returned while the crash hook ran")
+		case <-time.After(50 * time.Millisecond):
+		}
+	})
+	t.Cleanup(func() { SetCrashHook(nil) })
+	Point(PointGenerationCommit)
+}
+
 func TestInstallResetsCounters(t *testing.T) {
 	plan, err := Parse("err=" + PointAlertsAppend + "@1")
 	if err != nil {
@@ -157,7 +184,7 @@ func TestCatalogue(t *testing.T) {
 }
 
 func TestIsInjectedWrapped(t *testing.T) {
-	err := fmt.Errorf("write checkpoint: %w", &InjectedError{Point: PointCheckpointPreRename, Visit: 4})
+	err := fmt.Errorf("write checkpoint: %w", &InjectedError{Point: PointCheckpointPreWrite, Visit: 4})
 	if !IsInjected(err) {
 		t.Fatal("wrapped injected error not detected")
 	}

@@ -1,7 +1,12 @@
 package commons
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -9,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"a4nn/internal/durable"
 	"a4nn/internal/lineage"
 )
 
@@ -31,6 +37,91 @@ func testCheckpoint(id string, epoch int) *Checkpoint {
 		})
 	}
 	return c
+}
+
+// epochCheckpoints returns one model's checkpoint after each of n
+// epochs, as the training loop hands them to a CheckpointLog: each
+// extends the slices of the one before. A stateSize > 0 pads the state
+// to that many bytes, as real weights would.
+func epochCheckpoints(id string, n, stateSize int) []*Checkpoint {
+	var epochs []lineage.EpochEntry
+	var secs []float64
+	out := make([]*Checkpoint, n)
+	for e := 1; e <= n; e++ {
+		epochs = append(epochs, lineage.EpochEntry{
+			Epoch: e, TrainLoss: 1 / float64(e), TrainAccuracy: 40 + float64(e),
+			ValAccuracy: 50 + float64(e), Prediction: 60 + float64(e)/10, HasPrediction: e >= 3,
+			SimSeconds: 6.5,
+		})
+		secs = append(secs, 1e-4*float64(e))
+		state := []byte(fmt.Sprintf(`{"a":61.2,"epoch":%d}`, e))
+		if stateSize > len(state) {
+			state = append(state, bytes.Repeat([]byte{byte(e)}, stateSize-len(state))...)
+		}
+		out[e-1] = &Checkpoint{
+			ID: id, Genome: "1011-110", Generation: 2, Seed: 42424242, Epoch: e,
+			State: state, StateDigest: StateDigest(state), Epochs: epochs,
+			SimSeconds: 6.5 * float64(e), EngineSeconds: 2e-4 * float64(e),
+			Interactions: e, InteractionSeconds: secs,
+			SavedAt: time.Unix(1700000000+int64(e), 0).UTC(),
+		}
+	}
+	return out
+}
+
+// writeLog puts cps through one fresh CheckpointLog and returns the
+// file and its length after each Put.
+func writeLog(t testing.TB, s *Store, cps []*Checkpoint) (data []byte, ends []int) {
+	t.Helper()
+	w := s.CheckpointLog(cps[0].ID, nil)
+	path := s.checkpointPath(cps[0].ID)
+	for _, c := range cps {
+		if err := w.Put(c); err != nil {
+			t.Fatal(err)
+		}
+		st, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ends = append(ends, int(st.Size()))
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data, ends
+}
+
+// sameCheckpoint fails unless got encodes to the bytes want does.
+func sameCheckpoint(t *testing.T, label string, got, want *Checkpoint) {
+	t.Helper()
+	g, err := EncodeCheckpoint(got)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	w, err := EncodeCheckpoint(want)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if !bytes.Equal(g, w) {
+		t.Fatalf("%s: decoded checkpoint differs\ngot:  %s\nwant: %s", label, g, w)
+	}
+}
+
+// legacyEnvelope is a checkpoint in the retired single-envelope format:
+// "A4CK", version 1, payload length, CRC-32, JSON.
+func legacyEnvelope(t testing.TB, c *Checkpoint) []byte {
+	payload, err := json.Marshal(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := append([]byte("A4CK"), 1)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
+	return append(buf, payload...)
 }
 
 func TestCheckpointRoundTrip(t *testing.T) {
@@ -69,11 +160,13 @@ func TestDecodeCheckpointCorruption(t *testing.T) {
 	}{
 		{"empty", func(b []byte) []byte { return nil }, "truncated"},
 		{"short header", func(b []byte) []byte { return b[:7] }, "truncated"},
-		{"bad magic", func(b []byte) []byte { b[0] = 'X'; return b }, "magic"},
-		{"future version", func(b []byte) []byte { b[4] = 99; return b }, "version"},
+		{"bad magic", func(b []byte) []byte { b[5] = 'X'; return b }, "magic"},
+		{"legacy envelope", func([]byte) []byte { return legacyEnvelope(t, c) }, "magic"},
 		{"torn payload", func(b []byte) []byte { return b[:len(b)-5] }, "truncated"},
-		{"trailing junk", func(b []byte) []byte { return append(b, 0, 0) }, "length"},
 		{"bit flip", func(b []byte) []byte { b[20] ^= 0x40; return b }, "checksum"},
+		{"bad JSON", func([]byte) []byte { return durable.AppendSection(nil, headFrame, []byte("{")) }, "decode"},
+		{"invalid", func([]byte) []byte { return durable.AppendSection(nil, headFrame, []byte(`{"id":"m"}`)) }, "validate"},
+		{"second head", func(b []byte) []byte { return append(b, b...) }, "magic"},
 	}
 	for _, tc := range cases {
 		buf := tc.mutate(append([]byte(nil), data...))
@@ -93,6 +186,12 @@ func TestDecodeCheckpointCorruption(t *testing.T) {
 			t.Errorf("%s: CorruptionReason = %q", tc.name, CorruptionReason(err))
 		}
 	}
+	// Bytes after the last intact frame are a torn append, not damage.
+	got, err := DecodeCheckpoint("x.ckpt", append(append([]byte(nil), data...), 0, 0))
+	if err != nil {
+		t.Fatalf("trailing torn bytes: %v", err)
+	}
+	sameCheckpoint(t, "trailing torn bytes", got, c)
 }
 
 func TestStoreCheckpointCRUD(t *testing.T) {
@@ -135,8 +234,12 @@ func TestQuarantine(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A torn checkpoint is detected and quarantined with its reason.
+	valid, err := EncodeCheckpoint(testCheckpoint("torn", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
 	path := s.checkpointPath("torn")
-	if err := os.WriteFile(path, []byte("A4CK junk"), 0o644); err != nil {
+	if err := os.WriteFile(path, valid[:9], 0o644); err != nil {
 		t.Fatal(err)
 	}
 	_, err = s.GetCheckpoint("torn")
@@ -158,7 +261,7 @@ func TestQuarantine(t *testing.T) {
 	}
 
 	// Name collisions get a counter suffix instead of clobbering.
-	if err := os.WriteFile(path, []byte("A4CK junk"), 0o644); err != nil {
+	if err := os.WriteFile(path, valid[:9], 0o644); err != nil {
 		t.Fatal(err)
 	}
 	dest2, err := s.QuarantineCheckpoint("torn", "truncated")
@@ -204,6 +307,201 @@ func TestEncodeCheckpointValidates(t *testing.T) {
 	}
 }
 
+// TestCheckpointLogFoldEqualsPut: N per-epoch appends fold back into
+// the checkpoint PutCheckpoint would have written after the last epoch.
+func TestCheckpointLogFoldEqualsPut(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cps := epochCheckpoints("m-g03-i07", 18, 0)
+	writeLog(t, s, cps)
+	got, err := s.GetCheckpoint(cps[0].ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameCheckpoint(t, "fold of 18 appends", got, cps[17])
+
+	put, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := put.PutCheckpoint(cps[17]); err != nil {
+		t.Fatal(err)
+	}
+	want, err := put.GetCheckpoint(cps[0].ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameCheckpoint(t, "PutCheckpoint", got, want)
+}
+
+// TestCheckpointLogCutAtEveryOffset: a 3-frame file cut anywhere decodes
+// to its last intact prefix, or is corrupt when no frame is intact.
+func TestCheckpointLogCutAtEveryOffset(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cps := epochCheckpoints("m", 3, 0)
+	data, ends := writeLog(t, s, cps)
+	if ends[0] >= ends[1] || ends[1] >= ends[2] || ends[2] != len(data) {
+		t.Fatalf("frame ends %v over %d bytes: not three appends", ends, len(data))
+	}
+	for k := 0; k <= len(data); k++ {
+		got, err := DecodeCheckpoint("cut.ckpt", data[:k])
+		if k < ends[0] {
+			var ce *CorruptionError
+			if !errors.As(err, &ce) || got != nil {
+				t.Fatalf("cut at %d (no intact frame): %v, %v", k, got, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("cut at %d: %v", k, err)
+		}
+		j := 0
+		for j+1 < len(ends) && ends[j+1] <= k {
+			j++
+		}
+		sameCheckpoint(t, fmt.Sprintf("cut at %d", k), got, cps[j])
+		if got.size != int64(ends[j]) {
+			t.Fatalf("cut at %d: intact length %d, want %d", k, got.size, ends[j])
+		}
+	}
+}
+
+// TestCheckpointLogFlipEveryByte: any single damaged byte decodes to a
+// prefix that ends before it, or to a CorruptionError — never a panic or
+// wrong data.
+func TestCheckpointLogFlipEveryByte(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cps := epochCheckpoints("m", 3, 0)
+	data, ends := writeLog(t, s, cps)
+	for i := range data {
+		buf := append([]byte(nil), data...)
+		buf[i] ^= 0xFF
+		got, err := DecodeCheckpoint("flip.ckpt", buf)
+		if err != nil {
+			var ce *CorruptionError
+			if !errors.As(err, &ce) {
+				t.Fatalf("flip at %d: untyped error %v", i, err)
+			}
+			continue
+		}
+		j := -1
+		for k, end := range ends {
+			if int64(end) == got.size {
+				j = k
+			}
+		}
+		if j < 0 || got.size > int64(i) {
+			t.Fatalf("flip at %d: decoded %d bytes, not a prefix before the flip (frames end %v)", i, got.size, ends)
+		}
+		sameCheckpoint(t, fmt.Sprintf("flip at %d", i), got, cps[j])
+	}
+}
+
+// TestCheckpointLogRewritesPastBound: with weights-sized states a file
+// of appends would outgrow the checkpoint it holds; the log replaces it
+// with one frame instead, so it never exceeds twice that size.
+func TestCheckpointLogRewritesPastBound(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cps := epochCheckpoints("m", 6, 4096)
+	w := s.CheckpointLog("m", nil)
+	rewrites := 0
+	for i, c := range cps {
+		if err := w.Put(c); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(s.checkpointPath("m"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		one, err := EncodeCheckpoint(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(data) > 2*len(one) {
+			t.Fatalf("after epoch %d the file is %d bytes, over twice %d", i+1, len(data), len(one))
+		}
+		if i > 0 && bytes.Equal(data, one) {
+			rewrites++
+		}
+		got, err := DecodeCheckpoint("m", data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameCheckpoint(t, fmt.Sprintf("epoch %d", i+1), got, c)
+	}
+	if err := w.Remove(); err != nil {
+		t.Fatal(err)
+	}
+	if rewrites == 0 {
+		t.Fatal("the file was never rewritten as one frame")
+	}
+	if ids, _ := s.Checkpoints(); len(ids) != 0 {
+		t.Fatalf("Remove left %v", ids)
+	}
+}
+
+// TestCheckpointLogFreshAndResumed: a fresh log starts the file empty;
+// a resumed one cuts a torn tail and appends after the intact frames.
+func TestCheckpointLogFreshAndResumed(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cps := epochCheckpoints("m", 4, 0)
+	data, ends := writeLog(t, s, cps[:3])
+	path := s.checkpointPath("m")
+	torn := data[:ends[1]+(ends[2]-ends[1])/2]
+	if err := os.WriteFile(path, torn, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	from, err := s.GetCheckpoint("m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameCheckpoint(t, "torn third frame", from, cps[1])
+
+	// The resumed attempt retrains epoch 3 with the same slices.
+	w := s.CheckpointLog("m", from)
+	for _, c := range cps[2:] {
+		if err := w.Put(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.GetCheckpoint("m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameCheckpoint(t, "resumed", got, cps[3])
+	if after, _ := os.ReadFile(path); !bytes.Equal(after[:ends[2]], data) {
+		t.Fatal("the resumed log did not cut the torn frame before appending")
+	}
+
+	w = s.CheckpointLog("m", nil)
+	if err := w.Put(cps[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if after, _ := os.ReadFile(path); !bytes.Equal(after, data[:ends[0]]) {
+		t.Fatalf("a fresh log kept %d bytes, want its one frame (%d)", len(after), ends[0])
+	}
+}
+
 // FuzzDecodeCheckpoint asserts the frame reader never panics and always
 // classifies garbage as a typed corruption error.
 func FuzzDecodeCheckpoint(f *testing.F) {
@@ -218,10 +516,27 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	flipped := append([]byte(nil), valid...)
 	flipped[len(flipped)-3] ^= 0x10
 	f.Add(flipped)
+	s, err := Open(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	// A small three-frame log: the fuzzer stalls minimizing long inputs.
+	var tiny []*Checkpoint
+	var entries []lineage.EpochEntry
+	for e := 1; e <= 3; e++ {
+		entries = append(entries, lineage.EpochEntry{Epoch: e, ValAccuracy: float64(50 + e)})
+		tiny = append(tiny, &Checkpoint{ID: "m", Genome: "g", Epoch: e, Epochs: entries})
+	}
+	multi, ends := writeLog(f, s, tiny)
+	f.Add(multi)
+	f.Add(multi[:ends[1]+3])
+	mid := append([]byte(nil), multi...)
+	mid[ends[0]+20] ^= 0x01
+	f.Add(mid)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, err := DecodeCheckpoint("fuzz.ckpt", data)
 		if err == nil {
-			if c == nil || c.Validate() != nil {
+			if c == nil || c.Validate() != nil || c.size > int64(len(data)) {
 				t.Fatal("nil error with invalid checkpoint")
 			}
 			return
@@ -231,4 +546,28 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 			t.Fatalf("untyped decode error: %v", err)
 		}
 	})
+}
+
+// BenchmarkCheckpointModel is one surrogate model's checkpoint traffic
+// at paper scale: a fresh log, 18 epoch appends, and the delete that
+// follows its record's commit.
+func BenchmarkCheckpointModel(b *testing.B) {
+	s, err := Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	cps := epochCheckpoints("m-g03-i07", 18, 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w := s.CheckpointLog(cps[0].ID, nil)
+		for _, c := range cps {
+			if err := w.Put(c); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := w.Remove(); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -17,7 +17,10 @@ import (
 type SnapshotSink func(id string, epoch int, state []byte) error
 
 // CheckpointSink receives the model's full mid-training progress after
-// every epoch; the workflow wires it to the commons checkpoint store.
+// every epoch; the workflow wires it to the attempt's commons
+// CheckpointLog. cp.Epochs and cp.InteractionSeconds are the training
+// loop's own slices, which only ever grow: a sink that keeps cp must not
+// modify them.
 type CheckpointSink func(cp *commons.Checkpoint) error
 
 // TrainStepError marks a failure inside a single training epoch — the
@@ -259,11 +262,11 @@ func (o *Orchestrator) TrainModel(ctx context.Context, m Trainable, dev sched.De
 					Terminated:         converged,
 					State:              state,
 					StateDigest:        commons.StateDigest(state),
-					Epochs:             append([]lineage.EpochEntry(nil), rec.Epochs...),
+					Epochs:             rec.Epochs,
 					SimSeconds:         out.SimSeconds,
 					EngineSeconds:      out.EngineSeconds,
 					Interactions:       out.Interactions,
-					InteractionSeconds: append([]float64(nil), out.InteractionSeconds...),
+					InteractionSeconds: out.InteractionSeconds,
 					SavedAt:            time.Now(),
 				}
 				if err := o.Checkpoint(cp); err != nil {

@@ -2,7 +2,10 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -290,13 +293,15 @@ func TestWorkflowCorruptCheckpointQuarantined(t *testing.T) {
 	if err != nil || len(ckpts) == 0 {
 		t.Fatalf("checkpoints %v, err %v", ckpts, err)
 	}
-	// Flip a byte in the payload of the surviving checkpoint.
+	// Flip a byte in the payload of the surviving checkpoint's first
+	// frame: damage before the last frame is corruption, not a torn
+	// append (a damaged last frame would just be cut).
 	path := filepath.Join(store.Root(), "checkpoints", ckpts[0]+".ckpt")
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[len(data)-1] ^= 0xFF
+	data[20] ^= 0xFF
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -453,5 +458,191 @@ func TestCheckpointsRequireStore(t *testing.T) {
 	cfg.Checkpoints = true
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("Checkpoints without Store must fail validation")
+	}
+}
+
+// crashMidGeneration fails a checkpointed run at its third record
+// commit and returns the store with the checkpoints it left behind.
+func crashMidGeneration(t *testing.T) (*commons.Store, []string) {
+	t.Helper()
+	t.Cleanup(func() { chaos.Install(nil) })
+	store, err := commons.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig()
+	cfg.Store = store
+	cfg.Checkpoints = true
+	plan, err := chaos.Parse("err=" + chaos.PointRecordPreRename + "@3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	chaos.Install(plan)
+	_, err = Run(cfg)
+	chaos.Install(nil)
+	if !chaos.IsInjected(err) {
+		t.Fatalf("run should fail with the injected error: %v", err)
+	}
+	ckpts, err := store.Checkpoints()
+	if err != nil || len(ckpts) == 0 {
+		t.Fatalf("checkpoints %v, err %v", ckpts, err)
+	}
+	return store, ckpts
+}
+
+// resumeRun resumes a crashed store with a journal attached.
+func resumeRun(t *testing.T, store *commons.Store) (*Result, []obs.Event) {
+	t.Helper()
+	cfg := testConfig()
+	cfg.Store = store
+	cfg.Resume = true
+	cfg.Checkpoints = true
+	cfg.Obs = obs.NewObserver()
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, cfg.Obs.Journal().Since(0)
+}
+
+// TestWorkflowResumeAfterTornFrame: a kill mid-append leaves the last
+// frame torn; the model resumes at the epoch before it and trains no
+// epoch twice past that checkpoint.
+func TestWorkflowResumeAfterTornFrame(t *testing.T) {
+	clean, err := Run(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, ckpts := crashMidGeneration(t)
+	id := ckpts[0]
+	whole, err := store.GetCheckpoint(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(store.Root(), "checkpoints", id+".ckpt")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data[:len(data)-3], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	torn, err := store.GetCheckpoint(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if torn.Epoch != whole.Epoch-1 {
+		t.Fatalf("torn checkpoint reads epoch %d, want %d", torn.Epoch, whole.Epoch-1)
+	}
+
+	got, events := resumeRun(t, store)
+	if got.Resumed == 0 || got.Quarantined != 0 {
+		t.Fatalf("resumed %d, quarantined %d: want a resume and no quarantine", got.Resumed, got.Quarantined)
+	}
+	resumedAt := -1
+	for _, e := range events {
+		if e.Model != id {
+			continue
+		}
+		switch {
+		case e.Type == obs.EventModelResume:
+			resumedAt = e.Epoch
+		case e.Type == obs.EventEpoch && e.Epoch <= resumedAt:
+			t.Fatalf("epoch %d trained again past the checkpoint at epoch %d", e.Epoch, resumedAt)
+		}
+	}
+	if resumedAt != torn.Epoch {
+		t.Fatalf("%s resumed at epoch %d, want %d", id, resumedAt, torn.Epoch)
+	}
+	if c, g := strings.Join(paretoIDs(clean), ";"), strings.Join(paretoIDs(got), ";"); c != g {
+		t.Fatalf("Pareto front diverged after a torn-frame resume:\nclean:   %s\nresumed: %s", c, g)
+	}
+}
+
+// TestWorkflowLegacyCheckpointQuarantined: a checkpoint in the retired
+// "A4CK" envelope is never decoded as data; it is quarantined and its
+// model retrains.
+func TestWorkflowLegacyCheckpointQuarantined(t *testing.T) {
+	clean, err := Run(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, ckpts := crashMidGeneration(t)
+	cp, err := store.GetCheckpoint(ckpts[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := json.Marshal(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := append([]byte("A4CK"), 1)
+	legacy = binary.LittleEndian.AppendUint32(legacy, uint32(len(payload)))
+	legacy = binary.LittleEndian.AppendUint32(legacy, crc32.ChecksumIEEE(payload))
+	legacy = append(legacy, payload...)
+	for _, id := range ckpts {
+		if err := os.WriteFile(filepath.Join(store.Root(), "checkpoints", id+".ckpt"), legacy, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	got, _ := resumeRun(t, store)
+	if got.Resumed != 0 {
+		t.Fatalf("%d model(s) resumed from a legacy checkpoint", got.Resumed)
+	}
+	if got.Quarantined != len(ckpts) {
+		t.Fatalf("quarantined %d, want the %d legacy checkpoint(s)", got.Quarantined, len(ckpts))
+	}
+	for _, q := range got.Recovery.Quarantined {
+		if q.Kind != "checkpoint" || q.Reason != "magic" {
+			t.Fatalf("quarantined %+v, want a checkpoint with reason magic", q)
+		}
+	}
+	if c, g := strings.Join(paretoIDs(clean), ";"), strings.Join(paretoIDs(got), ";"); c != g {
+		t.Fatalf("Pareto front diverged after retraining:\nclean:   %s\nresumed: %s", c, g)
+	}
+}
+
+// TestWorkflowRetryStartsFresh: under Resume, a deadline-aborted
+// attempt's retry trains from epoch 1 as a plain run's would, instead
+// of continuing its own failed attempt's checkpoint with that
+// straggler's seed and inflated epoch cost.
+func TestWorkflowRetryStartsFresh(t *testing.T) {
+	store, err := commons.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := faultTestConfig()
+	cfg.Devices = 2
+	cfg.Faults = &sched.FaultPlan{Seed: 1, SlowdownProb: 0.5, SlowdownFactor: 3}
+	cfg.TaskTimeoutSeconds = 2
+	cfg.Retry = sched.RetryPolicy{MaxAttempts: 4}
+	cfg.Store = store
+	cfg.Checkpoints = true
+	cfg.Resume = true
+	cfg.Obs = obs.NewObserver()
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Totals.Retries == 0 {
+		t.Fatal("no attempt missed its deadline: nothing was retried")
+	}
+	if res.Resumed != 0 {
+		t.Fatalf("%d retries resumed their failed attempt's checkpoint", res.Resumed)
+	}
+	for _, e := range cfg.Obs.Journal().Since(0) {
+		if e.Type == obs.EventModelResume {
+			t.Fatalf("model_resume event for %s on a fresh store", e.Model)
+		}
+	}
+	for _, m := range res.Models {
+		ep := m.Record.Epochs
+		for _, e := range ep {
+			if e.SimSeconds != ep[0].SimSeconds {
+				t.Fatalf("%s: epoch %d cost %v, epoch 1 %v: priced by two attempts",
+					m.Record.ID, e.Epoch, e.SimSeconds, ep[0].SimSeconds)
+			}
+		}
 	}
 }

@@ -159,9 +159,11 @@ func (r *runner[G]) evaluateGeneration(ctx context.Context, gen int, cands []G) 
 			// A mid-training checkpoint, when valid, supplies the model's
 			// original seed and completed epochs: training continues from
 			// the crash instead of restarting, reproducing the fault-free
-			// trajectory exactly.
+			// trajectory exactly. Only a first attempt resumes: a retry's
+			// checkpoint is its own failed attempt's, which a plain run
+			// would not continue either.
 			var resumeCp *commons.Checkpoint
-			if r.cfg.Resume && r.cfg.Checkpoints && r.cfg.Store != nil {
+			if r.cfg.Resume && r.cfg.Checkpoints && r.cfg.Store != nil && tc.Attempt == 1 {
 				cp, err := r.cfg.Store.GetCheckpoint(recID)
 				switch {
 				case err == nil && cp.Genome == encoding && cp.Epoch <= r.cfg.MaxEpochs:
@@ -219,8 +221,14 @@ func (r *runner[G]) evaluateGeneration(ctx context.Context, gen int, cands []G) 
 			if r.cfg.Store != nil && r.cfg.SnapshotEpochs {
 				orch.Snapshots = r.cfg.Store.PutSnapshot
 			}
+			var ckpt *commons.CheckpointLog
 			if r.cfg.Store != nil && r.cfg.Checkpoints {
-				orch.Checkpoint = r.cfg.Store.PutCheckpoint
+				ckpt = r.cfg.Store.CheckpointLog(recID, resumeCp)
+				// A failed attempt leaves its frames for a resume; every
+				// one of them was written before Close, whose error tells
+				// the attempt nothing more.
+				defer ckpt.Close()
+				orch.Checkpoint = ckpt.Put
 			}
 			outcome, err := orch.TrainModel(tc.Ctx, model, dev, r.cfg.Trainer.TrainSamples(), rec)
 			if err != nil {
@@ -242,10 +250,10 @@ func (r *runner[G]) evaluateGeneration(ctx context.Context, gen int, cands []G) 
 					// stale checkpoint below is cleaned up by recovery.
 					return outcome.SimSeconds, err
 				}
-				if r.cfg.Checkpoints {
+				if ckpt != nil {
 					// Best effort: a leftover checkpoint for a committed
 					// record is detected as stale and removed by recovery.
-					r.cfg.Store.DeleteCheckpoint(recID)
+					ckpt.Remove()
 				}
 			}
 			mr := r.modelResult(g, rec, outcome.FinalFitness)
