@@ -151,9 +151,9 @@ type (
 	// journal; set Config.Obs (or MicroConfig.Obs) to instrument a run.
 	// A nil Observer disables observability at ~one branch per event.
 	Observer = obs.Observer
-	// Telemetry is a run's aggregate telemetry, loaded back from the
-	// spans and metrics files its observer flushed into the commons
-	// directory.
+	// Telemetry is a run's aggregate telemetry, folded from the event
+	// journal its observer appended to the commons directory, plus the
+	// metrics snapshot flushed next to it.
 	Telemetry = obs.Telemetry
 	// GenTelemetry aggregates one generation: device utilisation, queue
 	// wait, retries, and the prediction engine's epoch savings.
@@ -204,10 +204,10 @@ const AlertsFile = health.AlertsFile
 func ReadEvents(path string) ([]Event, error) { return obs.ReadEvents(path) }
 
 // NewObserver returns an observer with a fresh metrics registry, a
-// bounded span tracer, and an event journal. After a run, FlushTo
-// writes spans.jsonl and metrics.json atomically into a directory
-// LoadTelemetry can read back; attach Journal().OpenFile to also
-// persist the event stream.
+// bounded span tracer, and an event journal. Attach Journal().OpenFile
+// to persist the event stream as events.jsonl; after the run, FlushTo
+// writes metrics.json atomically beside it and syncs the journal, and
+// LoadTelemetry reads the directory back.
 func NewObserver() *Observer { return obs.NewObserver() }
 
 // EnableLayerProfiler installs the process-wide per-layer training
@@ -225,8 +225,9 @@ func DisableLayerProfiler() { nn.SetProfiler(nil) }
 // gauges; call before flushing metrics. No-op when profiling is off.
 func SyncLayerProfiler() { nn.ActiveProfiler().SyncKernelCounters() }
 
-// LoadTelemetry loads per-generation telemetry from a directory an
-// Observer flushed to (normally the run's commons directory).
+// LoadTelemetry folds per-generation telemetry from the events.jsonl in
+// dir (normally the run's commons directory), with the metrics snapshot
+// when one was flushed there.
 func LoadTelemetry(dir string) (*Telemetry, error) { return obs.LoadTelemetry(dir) }
 
 // DefaultHealthConfig returns the health monitor's default thresholds.

@@ -4,8 +4,9 @@ package a4nn
 // points, relaunch it with -resume until the search completes, and
 // assert the crash-consistency contract — the journal sequence stays
 // monotone, no model retrains epochs its checkpoint already covers,
-// every store file still decodes, no temp file is left, and the final
-// Pareto front is byte-identical to a fault-free run with the same seed.
+// every store file still decodes, no temp file is left, the final
+// Pareto front is byte-identical to a fault-free run with the same seed,
+// and the journal folds into that run's telemetry.
 //
 // `go test` runs a handful of plans; `make chaos-soak` sets
 // CHAOS_SOAK_ITERS=20 for the acceptance sweep.
@@ -17,6 +18,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -64,8 +66,12 @@ func TestChaosSoak(t *testing.T) {
 	// Fault-free reference: same seed, same search, no chaos.
 	refStore := filepath.Join(scratchDir(t, "ref"), "ref")
 	refOut := run(t, bins["a4nn"],
-		append(append([]string{}, soakSearchArgs...), "-store", refStore, "-checkpoints", "-events")...)
+		append(append([]string{}, soakSearchArgs...), "-store", refStore, "-checkpoints")...)
 	refFront := paretoSection(t, refOut)
+	refTel, err := LoadTelemetry(refStore)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	iters := 4
 	if s := os.Getenv("CHAOS_SOAK_ITERS"); s != "" {
@@ -101,7 +107,7 @@ func TestChaosSoak(t *testing.T) {
 		}
 		plan := fmt.Sprintf("crash=%s@%d;seed=%d", point, visit, rng.Int63())
 		t.Run(fmt.Sprintf("plan%02d", it), func(t *testing.T) {
-			totalCrashes += soakOnePlan(t, bins["a4nn"], plan, repeat, refFront)
+			totalCrashes += soakOnePlan(t, bins["a4nn"], plan, repeat, refFront, refTel)
 		})
 	}
 	if totalCrashes == 0 {
@@ -112,10 +118,10 @@ func TestChaosSoak(t *testing.T) {
 
 // soakOnePlan crashes and relaunches one store to completion and
 // checks the crash-consistency contract. Returns the crash count.
-func soakOnePlan(t *testing.T, bin, plan string, rearm bool, refFront string) int {
+func soakOnePlan(t *testing.T, bin, plan string, rearm bool, refFront string, refTel *Telemetry) int {
 	t.Helper()
 	store := filepath.Join(scratchDir(t, "plan"), "runs")
-	base := append(append([]string{}, soakSearchArgs...), "-store", store, "-checkpoints", "-events")
+	base := append(append([]string{}, soakSearchArgs...), "-store", store, "-checkpoints")
 
 	crashes := 0
 	var out string
@@ -204,7 +210,46 @@ func soakOnePlan(t *testing.T, bin, plan string, rearm bool, refFront string) in
 		}
 		return nil
 	})
+
+	// 5. The journal of every launch folds into the fault-free run's
+	// telemetry, and its totals into what the last launch printed.
+	tel, err := LoadTelemetry(store)
+	if err != nil {
+		t.Fatalf("plan %q: load telemetry: %v", plan, err)
+	}
+	if !slices.Equal(tel.Generations, refTel.Generations) {
+		t.Errorf("plan %q: telemetry diverged from the fault-free run\ngot:  %+v\nwant: %+v",
+			plan, tel.Generations, refTel.Generations)
+	}
+	if tel.EpochsTrained != refTel.EpochsTrained || tel.EpochsSaved != refTel.EpochsSaved || tel.Terminated != refTel.Terminated {
+		t.Errorf("plan %q: telemetry totals %d trained / %d saved / %d terminated, fault-free %d / %d / %d",
+			plan, tel.EpochsTrained, tel.EpochsSaved, tel.Terminated,
+			refTel.EpochsTrained, refTel.EpochsSaved, refTel.Terminated)
+	}
+	var trained, budget, terminated int
+	if _, err := fmt.Sscanf(outputLine(t, out, "training epochs:"), "training epochs: %d / %d", &trained, &budget); err != nil {
+		t.Fatalf("plan %q: parse epochs line: %v", plan, err)
+	}
+	if _, err := fmt.Sscanf(outputLine(t, out, "terminated early:"), "terminated early: %d", &terminated); err != nil {
+		t.Fatalf("plan %q: parse terminations line: %v", plan, err)
+	}
+	if tel.EpochsTrained != trained || tel.EpochsSaved != budget-trained || tel.Terminated != terminated {
+		t.Errorf("plan %q: telemetry totals %d trained / %d saved / %d terminated, stdout %d / %d / %d",
+			plan, tel.EpochsTrained, tel.EpochsSaved, tel.Terminated, trained, budget-trained, terminated)
+	}
 	return crashes
+}
+
+// outputLine returns the line of a run's stdout that starts with prefix.
+func outputLine(t *testing.T, out, prefix string) string {
+	t.Helper()
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, prefix) {
+			return line
+		}
+	}
+	t.Fatalf("no %q line in output:\n%s", prefix, out)
+	return ""
 }
 
 // paretoSection extracts the Pareto table from a run's stdout so two

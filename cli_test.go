@@ -132,7 +132,39 @@ func TestCLIPipeline(t *testing.T) {
 		t.Fatalf("diversity output:\n%s", out)
 	}
 
-	// 4. Replay the search from the commons: identical accounting,
+	// 4. -store alone leaves the run's telemetry: the journal is its one
+	//    JSON Lines record, beside the metrics snapshot.
+	if logs, _ := filepath.Glob(filepath.Join(store, "*.jsonl")); len(logs) != 1 || filepath.Base(logs[0]) != "events.jsonl" {
+		t.Fatalf("JSON Lines files in the store: %v, want only events.jsonl", logs)
+	}
+	if _, err := os.Stat(filepath.Join(store, "metrics.json")); err != nil {
+		t.Fatal(err)
+	}
+	out = run(t, bins["a4nn-analyze"], "-store", store, "telemetry")
+	if rows := tableRows(out); len(rows) != 2 || !strings.HasPrefix(rows[0], "0 ") || !strings.HasPrefix(rows[1], "1 ") {
+		t.Fatalf("telemetry rows %q, want one per generation:\n%s", rows, out)
+	}
+	// profile reads metrics.json alone; telemetry needs the journal.
+	if err := os.Remove(filepath.Join(store, "events.jsonl")); err != nil {
+		t.Fatal(err)
+	}
+	out = run(t, bins["a4nn-analyze"], "-store", store, "profile")
+	if !strings.Contains(out, "no layer profile") {
+		t.Fatalf("profile output:\n%s", out)
+	}
+	b, err := exec.Command(bins["a4nn-analyze"], "-store", store, "telemetry").CombinedOutput()
+	if err == nil || !strings.Contains(string(b), "-store") {
+		t.Fatalf("telemetry without a journal: err %v, want a hint naming -store:\n%s", err, b)
+	}
+	// The removed telemetry flags are unknown: flag's usage exit, 2.
+	for _, gone := range []string{"-events=true", "-trace=" + work} {
+		err := exec.Command(bins["a4nn"], gone).Run()
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+			t.Errorf("a4nn %s: %v, want exit status 2", gone, err)
+		}
+	}
+
+	// 5. Replay the search from the commons: identical accounting,
 	//    explicitly reported.
 	out = run(t, bins["a4nn"], "-beam", "medium", "-population", "4", "-offspring", "4",
 		"-generations", "2", "-seed", "5", "-replay", store)
@@ -141,9 +173,27 @@ func TestCLIPipeline(t *testing.T) {
 	}
 }
 
+// tableRows returns the data rows of the first table in an analyzer
+// output: the lines after its dashed rule, up to the first blank line.
+func tableRows(out string) []string {
+	var rows []string
+	inTable := false
+	for _, line := range strings.Split(out, "\n") {
+		switch {
+		case !inTable:
+			inTable = strings.HasPrefix(line, "---")
+		case line == "":
+			return rows
+		default:
+			rows = append(rows, line)
+		}
+	}
+	return rows
+}
+
 // TestCLISignalFlush interrupts a long search mid-run and checks that
-// the exit path still flushes every telemetry sink — spans, metrics,
-// events, and the health monitor's alerts.jsonl — before the process
+// the exit path still flushes every telemetry sink — the event journal,
+// metrics, and the health monitor's alerts.jsonl — before the process
 // dies, so a crashed or cancelled run is as analyzable as a finished one.
 func TestCLISignalFlush(t *testing.T) {
 	if testing.Short() {
@@ -155,7 +205,7 @@ func TestCLISignalFlush(t *testing.T) {
 	// A search far too large to finish: the interrupt must end it.
 	cmd := exec.Command(bins["a4nn"], "-beam", "medium", "-population", "100",
 		"-offspring", "100", "-generations", "500", "-seed", "7",
-		"-store", store, "-events", "-health")
+		"-store", store, "-health")
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	if err := cmd.Start(); err != nil {
@@ -189,7 +239,7 @@ func TestCLISignalFlush(t *testing.T) {
 	}
 
 	// Every sink flushed on the way out.
-	for _, name := range []string{"events.jsonl", "spans.jsonl", "metrics.json", "alerts.jsonl"} {
+	for _, name := range []string{"events.jsonl", "metrics.json", "alerts.jsonl"} {
 		if _, err := os.Stat(filepath.Join(store, name)); err != nil {
 			t.Errorf("%s not flushed after SIGINT: %v", name, err)
 		}

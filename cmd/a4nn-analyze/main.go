@@ -26,6 +26,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -148,19 +149,24 @@ func main() {
 		fmt.Print(analyzer.FormatTable(
 			[]string{"generation", "models", "best fitness %", "mean fitness %", "mean MFLOPs"}, rows))
 	case "telemetry":
-		// The observer flushes spans.jsonl and metrics.json next to the
-		// lineage records, so the store directory is the telemetry root.
+		// The run journals events.jsonl and flushes metrics.json next to
+		// the lineage records, so the store directory is the telemetry root.
 		t, err := obs.LoadTelemetry(*storeDir)
 		if err != nil {
-			fatal(fmt.Errorf("load telemetry: %w (record it with cmd/a4nn -store or -trace)", err))
+			fatal(fmt.Errorf("load telemetry: %w (record it with cmd/a4nn -store)", err))
 		}
 		fmt.Print(analyzer.FormatTelemetry(t))
 	case "profile":
-		t, err := obs.LoadTelemetry(*storeDir)
-		if err != nil {
-			fatal(fmt.Errorf("load telemetry: %w (record it with cmd/a4nn -profile-layers -store)", err))
+		// The layer profile lives in the metrics snapshot alone.
+		var snap obs.Snapshot
+		data, err := os.ReadFile(filepath.Join(*storeDir, obs.MetricsFile))
+		if err == nil {
+			err = json.Unmarshal(data, &snap)
 		}
-		fmt.Print(analyzer.FormatLayerProfile(&t.Metrics))
+		if err != nil {
+			fatal(fmt.Errorf("load metrics: %w (record them with cmd/a4nn -profile-layers -store)", err))
+		}
+		fmt.Print(analyzer.FormatLayerProfile(&snap))
 	case "health":
 		// The health engine appends alert transitions next to the lineage
 		// records; fold them into each alert's final state.
@@ -172,7 +178,7 @@ func main() {
 	case "recovery":
 		events, err := obs.ReadEvents(filepath.Join(*storeDir, obs.EventsFile))
 		if err != nil {
-			fatal(fmt.Errorf("load events: %w (record them with cmd/a4nn -events -store)", err))
+			fatal(fmt.Errorf("load events: %w (record them with cmd/a4nn -store)", err))
 		}
 		fmt.Print(analyzer.FormatRecovery(events))
 		// Checkpoints still on disk mean a run is in flight or a crash

@@ -196,7 +196,7 @@ func main() {
 	}
 	if *follow {
 		// Follow mode tails the journal a concurrently running `a4nn
-		// -events` search appends to, so this viewer process serves the
+		// -store` search appends to, so this viewer process serves the
 		// live dashboard for a run it did not start.
 		go obs.FollowFile(ctx, filepath.Join(*storeDir, obs.EventsFile), observer.Journal(), 0)
 		fmt.Printf("following %s — live dashboard on http://%s/dashboard\n",

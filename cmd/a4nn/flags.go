@@ -13,10 +13,8 @@ import (
 // but probably not what was meant. Pure function, unit-tested.
 type flagSpec struct {
 	Store       string // -store
-	Trace       string // -trace
 	MetricsAddr string // -metrics-addr
 	Snapshots   bool   // -snapshots
-	Events      bool   // -events
 	Pprof       bool   // -pprof
 	ProfLayers  bool   // -profile-layers
 	DataPath    string // -data
@@ -32,20 +30,9 @@ type flagSpec struct {
 	Baseline    string // -regress-baseline
 }
 
-// flushDir is where telemetry lands: -trace wins, else the commons.
-func (f flagSpec) flushDir() string {
-	if f.Trace != "" {
-		return f.Trace
-	}
-	return f.Store
-}
-
 // validateFlags returns an error for flag combinations that would
 // silently no-op and advisory warnings for dubious-but-legal ones.
 func validateFlags(f flagSpec) (warnings []string, err error) {
-	if f.Events && f.flushDir() == "" {
-		return nil, errors.New("-events needs a telemetry directory: set -store or -trace")
-	}
 	if f.Pprof && f.MetricsAddr == "" {
 		return nil, errors.New("-pprof needs -metrics-addr")
 	}
@@ -64,8 +51,8 @@ func validateFlags(f flagSpec) (warnings []string, err error) {
 	if f.Checkpoints && f.Store == "" {
 		return nil, errors.New("-checkpoints needs -store (checkpoints live inside the data commons)")
 	}
-	if f.History && f.flushDir() == "" {
-		return nil, errors.New("-history needs a telemetry directory: set -store or -trace (the series file lives there)")
+	if f.History && f.Store == "" {
+		return nil, errors.New("-history needs -store (the series file lives there)")
 	}
 	if f.HistorySet && !f.History {
 		return nil, errors.New("-history-interval needs -history")
@@ -84,9 +71,9 @@ func validateFlags(f flagSpec) (warnings []string, err error) {
 				"-chaos without -checkpoints: a relaunch with -resume replays committed records but retrains any model that was mid-training")
 		}
 	}
-	if f.Health && f.flushDir() == "" && f.MetricsAddr == "" && !f.Strict {
+	if f.Health && f.Store == "" && f.MetricsAddr == "" && !f.Strict {
 		warnings = append(warnings,
-			"-health without -store/-trace (alerts.jsonl), -metrics-addr (/healthz), or -health-strict only prints a summary at exit")
+			"-health without -store (alerts.jsonl), -metrics-addr (/healthz), or -health-strict only prints a summary at exit")
 	}
 	if f.ProfLayers && f.DataPath == "" {
 		warnings = append(warnings,

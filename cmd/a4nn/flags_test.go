@@ -12,9 +12,6 @@ func TestValidateFlagsRejectsNoOpCombos(t *testing.T) {
 		want string // substring of the error, "" for valid
 	}{
 		{"bare run", flagSpec{}, ""},
-		{"events without sink", flagSpec{Events: true}, "-events needs"},
-		{"events with store", flagSpec{Events: true, Store: "runs"}, ""},
-		{"events with trace", flagSpec{Events: true, Trace: "tel"}, ""},
 		{"pprof without metrics", flagSpec{Pprof: true}, "-pprof needs"},
 		{"pprof with metrics", flagSpec{Pprof: true, MetricsAddr: ":0"}, ""},
 		{"snapshots without store", flagSpec{Snapshots: true}, "-snapshots needs"},
@@ -26,7 +23,6 @@ func TestValidateFlagsRejectsNoOpCombos(t *testing.T) {
 		{"checkpoints with store", flagSpec{Checkpoints: true, Store: "runs"}, ""},
 		{"history without sink", flagSpec{History: true}, "-history needs"},
 		{"history with store", flagSpec{History: true, Store: "runs"}, ""},
-		{"history with trace", flagSpec{History: true, Trace: "tel"}, ""},
 		{"history-interval without history", flagSpec{HistorySet: true}, "-history-interval needs"},
 		{"history-interval with history", flagSpec{HistorySet: true, History: true, Store: "runs"}, ""},
 		{"baseline without history", flagSpec{Baseline: "base.json", Health: true, Store: "runs"}, "-regress-baseline needs -history"},
@@ -59,7 +55,6 @@ func TestValidateFlagsWarnings(t *testing.T) {
 	// Any one sink (or strict mode) silences it.
 	for _, f := range []flagSpec{
 		{Health: true, Store: "runs"},
-		{Health: true, Trace: "tel"},
 		{Health: true, MetricsAddr: ":0"},
 		{Health: true, Strict: true},
 	} {
@@ -68,14 +63,14 @@ func TestValidateFlagsWarnings(t *testing.T) {
 		}
 	}
 	// -profile-layers on the surrogate trainer does nothing.
-	w, err = validateFlags(flagSpec{ProfLayers: true, Trace: "tel"})
+	w, err = validateFlags(flagSpec{ProfLayers: true, Store: "runs"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(w) != 1 || !strings.Contains(w[0], "-profile-layers") {
 		t.Fatalf("warnings = %q", w)
 	}
-	if w, _ := validateFlags(flagSpec{ProfLayers: true, DataPath: "d.gob", Trace: "tel"}); len(w) != 0 {
+	if w, _ := validateFlags(flagSpec{ProfLayers: true, DataPath: "d.gob", Store: "runs"}); len(w) != 0 {
 		t.Errorf("profile-layers with -data warned: %q", w)
 	}
 	// An armed chaos plan always warns; without -checkpoints it also

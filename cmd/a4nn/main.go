@@ -30,6 +30,7 @@ import (
 	"a4nn/internal/analyzer"
 	"a4nn/internal/dataset"
 	"a4nn/internal/health"
+	"a4nn/internal/obs"
 	"a4nn/internal/runenv"
 	"a4nn/internal/tsdb"
 	"a4nn/internal/webui"
@@ -41,7 +42,7 @@ func main() {
 		devices     = flag.Int("devices", 1, "number of simulated accelerators")
 		standalone  = flag.Bool("standalone", false, "disable the prediction engine (baseline)")
 		dataPath    = flag.String("data", "", "dataset file from xfelgen; empty selects the surrogate trainer")
-		storeDir    = flag.String("store", "", "data commons directory for record trails")
+		storeDir    = flag.String("store", "", "data commons directory for record trails and the run's telemetry (events.jsonl, metrics.json)")
 		snapshots   = flag.Bool("snapshots", false, "also store per-epoch model states (requires -store)")
 		replayDir   = flag.String("replay", "", "replay record trails from this commons instead of retraining")
 		seed        = flag.Int64("seed", 1, "random seed")
@@ -58,15 +59,13 @@ func main() {
 		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProfile  = flag.String("memprofile", "", "write a heap profile to this file at exit")
 		metricsAddr = flag.String("metrics-addr", "", `serve /metrics, /metrics.json, /debug/spans, the /events SSE stream and the /dashboard page on this address (e.g. ":9090")`)
-		traceDir    = flag.String("trace", "", "flush spans.jsonl and metrics.json into this directory at exit (default: the -store directory)")
-		events      = flag.Bool("events", false, "append the structured event journal (events.jsonl) to the telemetry directory")
 		profLayers  = flag.Bool("profile-layers", false, "account per-layer forward/backward time and FLOPs (real training only, so pair with -data; see a4nn-analyze profile)")
 		pprofOn     = flag.Bool("pprof", false, "expose net/http/pprof on -metrics-addr (requires -metrics-addr); never enable on a publicly reachable address")
-		healthOn    = flag.Bool("health", false, "run the in-situ health monitor; alerts persist to alerts.jsonl with -store/-trace and serve at /healthz with -metrics-addr")
+		healthOn    = flag.Bool("health", false, "run the in-situ health monitor; alerts persist to alerts.jsonl with -store and serve at /healthz with -metrics-addr")
 		healthSpec  = flag.String("health-config", "", `health thresholds (requires -health), e.g. "divergence-window=5;min-capacity=0.6;gc-pause-ms=20"`)
 		sloSpec     = flag.String("slo", "", `service-level objectives with error-budget burn alerts (requires -health), e.g. "queue_wait_p99=2s,job_turnaround=10m,event_drop_rate=0.01"`)
 		strictOn    = flag.Bool("health-strict", false, "exit non-zero (code 3) when critical health alerts are still unresolved at the end of the run (requires -health)")
-		historyOn   = flag.Bool("history", false, "sample metrics into an on-disk time-series store (series.a4ts in the telemetry directory; query with a4nn-analyze series or GET /api/query)")
+		historyOn   = flag.Bool("history", false, "sample metrics into an on-disk time-series store (series.a4ts in the -store directory; query with a4nn-analyze series or GET /api/query)")
 		historyStep = flag.Duration("history-interval", 5*time.Second, "sampling interval for -history")
 		baselineIn  = flag.String("regress-baseline", "", "baseline JSON (from a4nn-analyze series -baseline-out) to compare live series against; sustained deviations alert through -health")
 	)
@@ -80,10 +79,8 @@ func main() {
 
 	spec := flagSpec{
 		Store:       *storeDir,
-		Trace:       *traceDir,
 		MetricsAddr: *metricsAddr,
 		Snapshots:   *snapshots,
-		Events:      *events,
 		Pprof:       *pprofOn,
 		ProfLayers:  *profLayers,
 		DataPath:    *dataPath,
@@ -146,12 +143,11 @@ func main() {
 		}
 	}
 	// The run environment (internal/runenv): observability is on whenever
-	// anything consumes it — a metrics listener, a telemetry directory
-	// (whose files `a4nn-analyze telemetry` reads back), the layer
-	// profiler, the health monitor or run history.
-	flushDir := spec.flushDir()
-	if *metricsAddr != "" || flushDir != "" || *profLayers || *healthOn || *historyOn {
-		opts := runenv.Options{Events: *events}
+	// anything consumes it — a metrics listener, the -store directory
+	// (whose journal `a4nn-analyze telemetry` folds), the layer profiler,
+	// the health monitor or run history.
+	if *metricsAddr != "" || *storeDir != "" || *profLayers || *healthOn || *historyOn {
+		var opts runenv.Options
 		if *historyOn {
 			opts.History = *historyStep
 			if opts.History <= 0 { // runenv reads 0 as off; the sampler's default, as before
@@ -170,10 +166,10 @@ func main() {
 				}
 				healthCfg.SLO = slo
 			}
-			// With the journal on, this process publishes its runtime samples
+			// With a journal file, this process publishes its runtime samples
 			// so cross-process followers (a4nn-serve -follow -health) monitor
 			// the producer's runtime, not their own.
-			healthCfg.EmitRuntimeSamples = *events
+			healthCfg.EmitRuntimeSamples = *storeDir != ""
 			// Cross-run regression detection: compare this run's sampled key
 			// series against a committed baseline; sustained deviations route
 			// through the same alert manager as every other monitor.
@@ -188,7 +184,7 @@ func main() {
 			}
 			opts.Health = &healthCfg
 		}
-		if env, err = runenv.Open(flushDir, opts); err != nil {
+		if env, err = runenv.Open(*storeDir, opts); err != nil {
 			fatal(err)
 		}
 	}
@@ -388,18 +384,15 @@ func main() {
 	if *storeDir != "" {
 		fmt.Printf("\nrecord trails written to %s\n", *storeDir)
 	}
-	if observer != nil && flushDir != "" {
-		files := "spans.jsonl, metrics.json"
-		if *events {
-			files += ", events.jsonl"
-		}
+	if *storeDir != "" {
+		files := obs.EventsFile + ", " + obs.MetricsFile
 		if healthEng != nil {
 			files += ", alerts.jsonl"
 		}
 		if historyDB != nil {
 			files += ", " + tsdb.SeriesFile
 		}
-		fmt.Printf("telemetry (%s) written to %s\n", files, flushDir)
+		fmt.Printf("telemetry (%s) written to %s\n", files, *storeDir)
 	}
 
 	if healthEng != nil {

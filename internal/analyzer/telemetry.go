@@ -13,7 +13,7 @@ import (
 // counterpart of the notebook's resource-usage plots (§2.4).
 func FormatTelemetry(t *obs.Telemetry) string {
 	if t == nil || len(t.Generations) == 0 {
-		return "no telemetry: no generation spans recorded (run cmd/a4nn with -store or -trace)\n"
+		return "no telemetry: no generation recorded in the journal (run cmd/a4nn with -store)\n"
 	}
 	var rows [][]string
 	for _, g := range t.Generations {
@@ -34,7 +34,7 @@ func FormatTelemetry(t *obs.Telemetry) string {
 	sb.WriteString(FormatTable([]string{
 		"gen", "tasks", "wall h", "util", "wait s", "epochs", "saved", "terminated", "retries", "faults"}, rows))
 	budget := t.EpochsTrained + t.EpochsSaved
-	fmt.Fprintf(&sb, "\nspans: %d · epochs trained: %d", t.Spans, t.EpochsTrained)
+	fmt.Fprintf(&sb, "\njournal lines: %d · epochs trained: %d", t.Spans, t.EpochsTrained)
 	if budget > 0 {
 		fmt.Fprintf(&sb, " · saved: %d (%.1f%% of budget)", t.EpochsSaved,
 			100*float64(t.EpochsSaved)/float64(budget))

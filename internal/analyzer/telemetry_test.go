@@ -32,7 +32,7 @@ func TestFormatTelemetry(t *testing.T) {
 	got := FormatTelemetry(tel)
 	for _, want := range []string{
 		"gen", "util", "85%", "90%",
-		"spans: 12", "epochs trained: 330",
+		"journal lines: 12", "epochs trained: 330",
 		"saved: 170 (34.0% of budget)", "terminated early: 11",
 	} {
 		if !strings.Contains(got, want) {

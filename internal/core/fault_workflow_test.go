@@ -84,10 +84,13 @@ func TestWorkflowFaultyRunMatchesFaultFreePareto(t *testing.T) {
 		TransientProb: 0.10,
 		Crashes:       []sched.DeviceCrash{{Device: 1, Generation: 1, AfterTasks: 1}},
 	}
+	dir := journaled(t, &faulty)
 	res, err := Run(faulty)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The journal's telemetry carries the retries and faults too.
+	checkTelemetryAgrees(t, dir, faulty, res)
 
 	if res.Totals.Faults == 0 {
 		t.Fatal("fault plan injected nothing")

@@ -1,17 +1,77 @@
 package core
 
 import (
+	"path/filepath"
 	"testing"
 
 	"a4nn/internal/obs"
 )
 
+// journaled gives cfg an observer whose journal appends to a fresh
+// directory, which it returns.
+func journaled(t *testing.T, cfg *Config) string {
+	t.Helper()
+	dir := t.TempDir()
+	cfg.Obs = obs.NewObserver()
+	if err := cfg.Obs.Journal().OpenFile(filepath.Join(dir, obs.EventsFile)); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cfg.Obs.Journal().Close() })
+	return dir
+}
+
+// checkTelemetryAgrees folds the run's journal and requires the
+// per-generation sums to equal the workflow's own accounting. Wall,
+// idle and busy are compared exactly: the pool and the fold both sum
+// them in generation order, and the pool adds the engine overhead to
+// the wall clock last.
+func checkTelemetryAgrees(t *testing.T, dir string, cfg Config, res *Result) *obs.Telemetry {
+	t.Helper()
+	if err := cfg.Obs.FlushTo(dir); err != nil {
+		t.Fatal(err)
+	}
+	tel, err := obs.LoadTelemetry(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tel.Generations) != cfg.NAS.Generations {
+		t.Fatalf("telemetry covers %d generations, want %d", len(tel.Generations), cfg.NAS.Generations)
+	}
+	var sum obs.GenTelemetry
+	for _, g := range tel.Generations {
+		sum.Tasks += g.Tasks
+		sum.WallSeconds += g.WallSeconds
+		sum.IdleSeconds += g.IdleSeconds
+		sum.BusySeconds += g.BusySeconds
+		sum.Retries += g.Retries
+		sum.Faults += g.Faults
+		sum.EpochsTrained += g.EpochsTrained
+		sum.EpochsSaved += g.EpochsSaved
+		sum.Terminated += g.Terminated
+	}
+	budget := len(res.Models) * cfg.MaxEpochs
+	if sum.EpochsTrained != res.TotalEpochs || sum.Terminated != res.TerminatedEarly || sum.EpochsSaved != budget-res.TotalEpochs {
+		t.Fatalf("telemetry epochs=%d terminated=%d saved=%d, want %d, %d and %d",
+			sum.EpochsTrained, sum.Terminated, sum.EpochsSaved, res.TotalEpochs, res.TerminatedEarly, budget-res.TotalEpochs)
+	}
+	if tel.EpochsTrained != sum.EpochsTrained || tel.EpochsSaved != sum.EpochsSaved || tel.Terminated != sum.Terminated {
+		t.Fatalf("run-level sums %+v disagree with the generations' %+v", tel, sum)
+	}
+	tot := res.Totals
+	if sum.Tasks != tot.Tasks || sum.WallSeconds+tot.OverheadSeconds != tot.WallSeconds ||
+		sum.IdleSeconds != tot.IdleSeconds || sum.BusySeconds != tot.BusySeconds ||
+		sum.Retries != tot.Retries || sum.Faults != tot.Faults {
+		t.Fatalf("telemetry sums %+v disagree with the pool's totals %+v", sum, tot)
+	}
+	return tel
+}
+
 // TestWorkflowObservability runs a full instrumented search and checks
-// that the metrics, spans, and flushed telemetry agree with the
+// that the metrics, spans, and journal-folded telemetry agree with the
 // workflow's own accounting.
 func TestWorkflowObservability(t *testing.T) {
 	cfg := testConfig()
-	cfg.Obs = obs.NewObserver()
+	dir := journaled(t, &cfg)
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -85,26 +145,8 @@ func TestWorkflowObservability(t *testing.T) {
 		}
 	}
 
-	// Flushed telemetry reproduces the run's savings accounting.
-	dir := t.TempDir()
-	if err := cfg.Obs.FlushTo(dir); err != nil {
-		t.Fatal(err)
-	}
-	tel, err := obs.LoadTelemetry(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tel.Generations) != cfg.NAS.Generations {
-		t.Fatalf("telemetry covers %d generations, want %d", len(tel.Generations), cfg.NAS.Generations)
-	}
-	if tel.EpochsTrained != res.TotalEpochs || tel.Terminated != res.TerminatedEarly {
-		t.Fatalf("telemetry epochs=%d terminated=%d, want %d and %d",
-			tel.EpochsTrained, tel.Terminated, res.TotalEpochs, res.TerminatedEarly)
-	}
-	wantSaved := len(res.Models)*cfg.MaxEpochs - res.TotalEpochs
-	if tel.EpochsSaved != wantSaved {
-		t.Fatalf("telemetry saved=%d, want %d", tel.EpochsSaved, wantSaved)
-	}
+	// The journal folds back into the run's own accounting.
+	tel := checkTelemetryAgrees(t, dir, cfg, res)
 	for _, g := range tel.Generations {
 		if g.Utilisation <= 0 || g.Utilisation > 1 {
 			t.Fatalf("generation %d utilisation %v", g.Generation, g.Utilisation)

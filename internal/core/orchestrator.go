@@ -181,7 +181,7 @@ func (o *Orchestrator) TrainModel(ctx context.Context, m Trainable, dev sched.De
 		}
 		// The epoch span measures the real epoch duration (training plus
 		// any prediction-engine interaction); the simulated cost travels
-		// as an attribute. With no tracer in ctx this is free.
+		// in the epoch event. With no tracer in ctx this is free.
 		_, espan := obs.StartSpan(ctx, obs.SpanEpoch)
 		espan.SetInt("epoch", e)
 		metrics, err := m.TrainEpoch()
@@ -198,7 +198,6 @@ func (o *Orchestrator) TrainModel(ctx context.Context, m Trainable, dev sched.De
 		// barrier — nothing has been committed to the record store yet.
 		if o.DeadlineSeconds > 0 && out.SimSeconds-resumedSim > o.DeadlineSeconds {
 			espan.SetAttr("error", "deadline")
-			espan.SetFloat("sim_s", epochCost)
 			espan.End()
 			return out, sched.Transient("deadline",
 				fmt.Errorf("core: %s at epoch %d: %.1f sim-seconds over %.1f: %w",
@@ -226,8 +225,6 @@ func (o *Orchestrator) TrainModel(ctx context.Context, m Trainable, dev sched.De
 				entry.HasPrediction = true
 			}
 		}
-		espan.SetFloat("val_acc", metrics.ValAccuracy)
-		espan.SetFloat("sim_s", epochCost)
 		espan.End()
 		o.Obs.observeEpoch(epochCost, metrics.ValAccuracy)
 		o.Obs.events().Emit(obs.Event{
@@ -317,15 +314,5 @@ func (o *Orchestrator) TrainModel(ctx context.Context, m Trainable, dev sched.De
 		Terminated: out.Terminated,
 		SimSeconds: out.SimSeconds,
 	})
-	// Annotate the scheduler's task span (when one encloses this call)
-	// with the training outcome, so per-generation telemetry can report
-	// prediction savings without re-reading lineage records.
-	if ts := obs.SpanFromContext(ctx); ts != nil {
-		ts.SetInt("epochs", out.EpochsTrained)
-		ts.SetInt("saved", o.MaxEpochs-out.EpochsTrained)
-		ts.SetBool("terminated", out.Terminated)
-		ts.SetFloat("fitness", out.FinalFitness)
-		ts.SetFloat("engine_s", out.EngineSeconds)
-	}
 	return out, nil
 }

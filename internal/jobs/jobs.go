@@ -490,7 +490,7 @@ func (m *Manager) runSearch(ctx context.Context, job *Job, resume bool) (err err
 		return err
 	}
 
-	// Per-job observability: the journal, metrics, spans, alerts, history
+	// Per-job observability: the journal, metrics, alerts, history
 	// and postmortem bundles all live inside the job's own directory, so
 	// the SSE stream, dashboard, and health endpoints are namespaced by
 	// construction. The metrics registry is a child scope of the service
@@ -505,7 +505,6 @@ func (m *Manager) runSearch(ctx context.Context, job *Job, resume bool) (err err
 		Parent:       m.reg,
 		ScopeLabel:   "job",
 		ScopeValue:   job.id,
-		Events:       true,
 		History:      m.history,
 		Health:       &healthCfg,
 		ManifestPath: filepath.Join(job.dir, ManifestFile),

@@ -112,7 +112,7 @@ func TestManagerSubmitAndComplete(t *testing.T) {
 	if len(events) == 0 {
 		t.Fatal("no journal events")
 	}
-	for _, name := range []string{"alerts.jsonl", "spans.jsonl", "metrics.json"} {
+	for _, name := range []string{"alerts.jsonl", "metrics.json"} {
 		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
 			t.Fatalf("missing %s: %v", name, err)
 		}

@@ -85,15 +85,18 @@ type Event struct {
 	SavedEpochs int     `json:"saved_epochs,omitempty"`
 	Terminated  bool    `json:"terminated,omitempty"`
 
-	SimSeconds  float64   `json:"sim_seconds,omitempty"`
-	WallSeconds float64   `json:"wall_seconds,omitempty"`
-	IdleSeconds float64   `json:"idle_seconds,omitempty"`
-	LostSeconds float64   `json:"lost_seconds,omitempty"`
-	DeviceBusy  []float64 `json:"device_busy,omitempty"`
-	Retries     int       `json:"retries,omitempty"`
-	Faults      int       `json:"faults,omitempty"`
-	SlowFactor  float64   `json:"slow_factor,omitempty"`
-	Err         string    `json:"err,omitempty"`
+	SimSeconds  float64 `json:"sim_seconds,omitempty"`
+	WallSeconds float64 `json:"wall_seconds,omitempty"`
+	IdleSeconds float64 `json:"idle_seconds,omitempty"`
+	LostSeconds float64 `json:"lost_seconds,omitempty"`
+	// MeanQueueWaitSeconds is a generation_end's mean simulated time a
+	// dispatched task waited behind the FIFO queue.
+	MeanQueueWaitSeconds float64   `json:"mean_queue_wait_seconds,omitempty"`
+	DeviceBusy           []float64 `json:"device_busy,omitempty"`
+	Retries              int       `json:"retries,omitempty"`
+	Faults               int       `json:"faults,omitempty"`
+	SlowFactor           float64   `json:"slow_factor,omitempty"`
+	Err                  string    `json:"err,omitempty"`
 
 	Front []ParetoPoint `json:"front,omitempty"`
 

@@ -8,13 +8,19 @@ import (
 
 // FuzzReadEvents asserts the journal reader never panics on torn,
 // truncated, or bit-flipped input: invalid lines are skipped, valid
-// ones decoded, and the only error surface is the line-length cap.
+// ones decoded, and the only error surface is the line-length cap. Each
+// decoded journal is also folded into telemetry, which must come out
+// with ascending generations and no negative count.
 func FuzzReadEvents(f *testing.F) {
 	f.Add([]byte(`{"seq":1,"t":1,"type":"run_start"}` + "\n" + `{"seq":2,"t":2,"type":"epoch","model":"m","epoch":1}` + "\n"))
 	f.Add([]byte(`{"seq":1,"t":1,"type":"run_start"}` + "\n" + `{"seq":2,"t":2,"ty`)) // torn tail
 	f.Add([]byte("\n\n\n"))
 	f.Add([]byte(`not json at all`))
 	f.Add([]byte{0xff, 0xfe, 0x00, '\n', '{', '}'})
+	f.Add([]byte(`{"seq":1,"type":"run_start","epochs":10}` + "\n" +
+		`{"seq":2,"type":"model_done","gen":1,"model":"a","epochs":12,"terminated":true}` + "\n" +
+		`{"seq":3,"type":"model_done","gen":-3,"model":"b","epochs":-4}` + "\n" +
+		`{"seq":4,"type":"generation_end","gen":1,"tasks":-1,"device_busy":[1,2],"retries":-2,"faults":9223372036854775807}` + "\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "events.jsonl")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -24,8 +30,17 @@ func FuzzReadEvents(f *testing.F) {
 		if err != nil {
 			return // oversized line: reported, never panicked
 		}
-		for _, e := range events {
-			_ = e.Seq // decoded events are usable
+		tel := AggregateEvents(events)
+		if tel.Spans != len(events) || tel.EpochsTrained < 0 || tel.EpochsSaved < 0 || tel.Terminated < 0 {
+			t.Fatalf("run totals %+v from %d events", tel, len(events))
+		}
+		for i, g := range tel.Generations {
+			if i > 0 && g.Generation <= tel.Generations[i-1].Generation {
+				t.Fatalf("generation %d after %d", g.Generation, tel.Generations[i-1].Generation)
+			}
+			if g.Tasks < 0 || g.Retries < 0 || g.Faults < 0 || g.EpochsTrained < 0 || g.EpochsSaved < 0 || g.Terminated < 0 {
+				t.Fatalf("negative count in %+v", g)
+			}
 		}
 	})
 }

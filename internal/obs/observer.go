@@ -10,14 +10,9 @@ import (
 	"a4nn/internal/durable"
 )
 
-// File names of the per-run telemetry sinks, written into the run's
-// commons directory alongside the lineage records.
-const (
-	// SpansFile holds the span ring as JSON Lines.
-	SpansFile = "spans.jsonl"
-	// MetricsFile holds the final registry snapshot as JSON.
-	MetricsFile = "metrics.json"
-)
+// MetricsFile holds a run's final registry snapshot as JSON, written
+// into its commons directory alongside the lineage records.
+const MetricsFile = "metrics.json"
 
 // Observer bundles a metrics registry, a span tracer, and an event
 // journal — the handle a run threads through the workflow. A nil
@@ -83,10 +78,10 @@ func (o *Observer) Journal() *Journal {
 	return o.journal
 }
 
-// FlushTo atomically writes the spans JSONL and the metrics snapshot
-// into dir (creating it if needed). Each file is written via a temp
-// file renamed into place, so a crash mid-flush can never leave a torn
-// sink next to the lineage records. A nil observer flushes nothing.
+// FlushTo atomically writes the metrics snapshot into dir (creating it
+// if needed) and syncs the event journal. The snapshot is written via a
+// temp file renamed into place, so a crash mid-flush can never leave a
+// torn file next to the lineage records. A nil observer flushes nothing.
 func (o *Observer) FlushTo(dir string) error {
 	if o == nil {
 		return nil
@@ -96,13 +91,6 @@ func (o *Observer) FlushTo(dir string) error {
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("obs: create flush dir: %w", err)
-	}
-	spans, err := o.tracer.MarshalJSONL()
-	if err != nil {
-		return fmt.Errorf("obs: marshal spans: %w", err)
-	}
-	if err := durable.AtomicWrite(filepath.Join(dir, SpansFile), spans, 0o644, false, "", ""); err != nil {
-		return fmt.Errorf("obs: write %s: %w", SpansFile, err)
 	}
 	var buf bytes.Buffer
 	if err := o.reg.WriteJSON(&buf); err != nil {

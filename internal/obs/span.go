@@ -11,14 +11,14 @@ import (
 	"time"
 )
 
-// SpanRecord is the completed, serialisable form of a span — one line
-// of the spans JSONL sink.
+// SpanRecord is the completed, serialisable form of a span — one entry
+// of /debug/spans and of a postmortem bundle's spans section.
 type SpanRecord struct {
 	ID     uint64 `json:"id"`
 	Parent uint64 `json:"parent,omitempty"`
 	Name   string `json:"name"`
 	// StartUnixNano and DurationNanos are real (wall-clock) time; the
-	// workflow's simulated-time accounting travels in Attrs.
+	// workflow's simulated-time accounting travels in the event journal.
 	StartUnixNano int64             `json:"start_unix_nano"`
 	DurationNanos int64             `json:"duration_ns"`
 	Attrs         map[string]string `json:"attrs,omitempty"`
@@ -138,13 +138,6 @@ func TracerFrom(ctx context.Context) *Tracer {
 	return t
 }
 
-// SpanFromContext returns the context's current (innermost) span, or
-// nil — for annotating a span started further up the call chain.
-func SpanFromContext(ctx context.Context) *Span {
-	s, _ := ctx.Value(spanKey{}).(*Span)
-	return s
-}
-
 // StartSpan starts a span named name under the context's current span
 // (if any) and returns a derived context carrying the new span as
 // parent for nested StartSpan calls. When the context carries no tracer
@@ -186,22 +179,6 @@ func (s *Span) SetInt(key string, v int) {
 	s.SetAttr(key, strconv.Itoa(v))
 }
 
-// SetFloat attaches a float attribute.
-func (s *Span) SetFloat(key string, v float64) {
-	if s == nil {
-		return
-	}
-	s.SetAttr(key, strconv.FormatFloat(v, 'g', -1, 64))
-}
-
-// SetBool attaches a boolean attribute.
-func (s *Span) SetBool(key string, v bool) {
-	if s == nil {
-		return
-	}
-	s.SetAttr(key, strconv.FormatBool(v))
-}
-
 // End completes the span and books it into the tracer. Ending twice is
 // a no-op.
 func (s *Span) End() {
@@ -211,23 +188,4 @@ func (s *Span) End() {
 	s.ended = true
 	s.rec.DurationNanos = time.Since(s.start).Nanoseconds()
 	s.tracer.add(s.rec)
-}
-
-// IntAttr parses an integer attribute of a completed span record;
-// missing or malformed attributes return 0.
-func (r SpanRecord) IntAttr(key string) int {
-	v, _ := strconv.Atoi(r.Attrs[key])
-	return v
-}
-
-// FloatAttr parses a float attribute; missing or malformed return 0.
-func (r SpanRecord) FloatAttr(key string) float64 {
-	v, _ := strconv.ParseFloat(r.Attrs[key], 64)
-	return v
-}
-
-// BoolAttr parses a boolean attribute; missing or malformed return false.
-func (r SpanRecord) BoolAttr(key string) bool {
-	v, _ := strconv.ParseBool(r.Attrs[key])
-	return v
 }

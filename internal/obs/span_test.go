@@ -12,9 +12,6 @@ func TestSpanParentChildOrdering(t *testing.T) {
 	gctx, gen := StartSpan(ctx, SpanGeneration)
 	tctx, task := StartSpan(gctx, SpanTask)
 	_, epoch := StartSpan(tctx, SpanEpoch)
-	if SpanFromContext(tctx) != task {
-		t.Fatal("SpanFromContext must return the innermost span")
-	}
 	epoch.SetInt("epoch", 1)
 	epoch.End()
 	task.End()
@@ -38,7 +35,7 @@ func TestSpanParentChildOrdering(t *testing.T) {
 	if spans[2].Parent != 0 {
 		t.Fatalf("root span has parent %d", spans[2].Parent)
 	}
-	if spans[0].IntAttr("epoch") != 1 {
+	if spans[0].Attrs["epoch"] != "1" {
 		t.Fatalf("epoch attrs %+v", spans[0].Attrs)
 	}
 }
@@ -65,17 +62,12 @@ func TestTracerRingBound(t *testing.T) {
 func TestSpanAttrTypes(t *testing.T) {
 	tr := NewTracer(4)
 	_, s := StartSpan(WithTracer(context.Background(), tr), "x")
-	s.SetFloat("f", 2.5)
-	s.SetBool("b", true)
+	s.SetInt("i", -7)
 	s.SetAttr("s", "v")
 	s.End()
 	spans, _ := tr.Snapshot()
-	rec := spans[0]
-	if rec.FloatAttr("f") != 2.5 || !rec.BoolAttr("b") || rec.Attrs["s"] != "v" {
+	if rec := spans[0]; len(rec.Attrs) != 2 || rec.Attrs["i"] != "-7" || rec.Attrs["s"] != "v" {
 		t.Fatalf("attrs %+v", rec.Attrs)
-	}
-	if rec.IntAttr("missing") != 0 || rec.FloatAttr("missing") != 0 || rec.BoolAttr("missing") {
-		t.Fatal("missing attrs must read as zero values")
 	}
 }
 
@@ -86,7 +78,7 @@ func TestDisabledTracingIsFree(t *testing.T) {
 	allocs := testing.AllocsPerRun(1000, func() {
 		sctx, s := StartSpan(ctx, "epoch")
 		s.SetInt("epoch", 12345) // ≥ 100: strconv.Itoa allocates past its small-int table
-		s.SetFloat("val_acc", 91.5)
+		s.SetAttr("error", "deadline")
 		s.End()
 		if sctx != ctx {
 			t.Fatal("disabled StartSpan must return ctx unchanged")
@@ -94,9 +86,6 @@ func TestDisabledTracingIsFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled tracing allocated %v per span, want 0", allocs)
-	}
-	if s := SpanFromContext(ctx); s != nil {
-		t.Fatal("no span expected in a bare context")
 	}
 }
 

@@ -1,26 +1,25 @@
 package obs
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
 )
 
-// Span names and attribute keys the instrumented workflow emits; the
-// telemetry loader keys off them.
+// Span names of the instrumented workflow: a generation span encloses
+// its task spans, each of which encloses the model's epoch spans.
 const (
 	SpanGeneration = "generation"
 	SpanTask       = "task"
 	SpanEpoch      = "epoch"
 )
 
-// GenTelemetry aggregates one generation's spans: the scheduler
-// accounting from its generation span plus the training/prediction
-// accounting summed over its task spans.
+// GenTelemetry aggregates one generation: the scheduler accounting from
+// its generation_end event plus the training/prediction accounting summed
+// over the model_done events of its models.
 type GenTelemetry struct {
 	Generation int `json:"generation"`
 	// Tasks counts the generation's training tasks.
@@ -50,11 +49,10 @@ type GenTelemetry struct {
 }
 
 // Telemetry is the per-run aggregate loaded back from a run's commons
-// directory — the analyzer's view of the spans JSONL and metrics
-// snapshot the workflow flushed.
+// directory — the analyzer's view of the event journal and metrics
+// snapshot the workflow left there.
 type Telemetry struct {
-	// Spans is the number of spans loaded; DroppedToRing is how many the
-	// bounded ring had discarded before the flush (0 when the run fit).
+	// Spans is the number of journal events folded.
 	Spans int `json:"spans"`
 	// Generations holds one aggregate per NAS generation, ascending.
 	Generations []GenTelemetry `json:"generations"`
@@ -67,44 +65,15 @@ type Telemetry struct {
 	Metrics Snapshot `json:"metrics"`
 }
 
-// ReadSpans parses a spans JSONL file.
-func ReadSpans(path string) ([]SpanRecord, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var spans []SpanRecord
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	line := 0
-	for sc.Scan() {
-		line++
-		b := bytes.TrimSpace(sc.Bytes())
-		if len(b) == 0 {
-			continue
-		}
-		var s SpanRecord
-		if err := json.Unmarshal(b, &s); err != nil {
-			return nil, fmt.Errorf("obs: %s line %d: %w", path, line, err)
-		}
-		spans = append(spans, s)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("obs: read %s: %w", path, err)
-	}
-	return spans, nil
-}
-
-// LoadTelemetry loads a run's telemetry from the directory its observer
-// flushed to (normally the commons root): spans from SpansFile and,
+// LoadTelemetry loads a run's telemetry from its directory (normally the
+// commons root): the per-generation table folded from EventsFile and,
 // when present, the final metrics snapshot from MetricsFile.
 func LoadTelemetry(dir string) (*Telemetry, error) {
-	spans, err := ReadSpans(filepath.Join(dir, SpansFile))
+	events, err := ReadEvents(filepath.Join(dir, EventsFile))
 	if err != nil {
 		return nil, err
 	}
-	t := AggregateSpans(spans)
+	t := AggregateEvents(events)
 	if data, err := os.ReadFile(filepath.Join(dir, MetricsFile)); err == nil {
 		if err := json.Unmarshal(data, &t.Metrics); err != nil {
 			return nil, fmt.Errorf("obs: %s: %w", MetricsFile, err)
@@ -113,56 +82,78 @@ func LoadTelemetry(dir string) (*Telemetry, error) {
 	return t, nil
 }
 
-// AggregateSpans computes the per-generation telemetry from a span set.
-func AggregateSpans(spans []SpanRecord) *Telemetry {
-	t := &Telemetry{Spans: len(spans)}
+// AggregateEvents folds a run's journal into per-generation telemetry.
+// A killed and resumed run journals some generations and models more than
+// once, so the fold keys by generation and by model ID: the last
+// generation_end of a generation supplies its scheduler accounting, and
+// the last model_done of a model its epochs and termination (a replayed
+// model emits none, so the line of the process that trained it stands).
+// A model's saved epochs are the budget of the run_start before its line
+// minus the epochs it trained.
+func AggregateEvents(events []Event) *Telemetry {
+	t := &Telemetry{Spans: len(events)}
 	gens := make(map[int]*GenTelemetry)
-	waitSum := make(map[int]float64)
-	waitN := make(map[int]int)
-	at := func(gen int) *GenTelemetry {
-		g, ok := gens[gen]
-		if !ok {
-			g = &GenTelemetry{Generation: gen}
-			gens[gen] = g
-		}
-		return g
-	}
-	for _, s := range spans {
-		switch s.Name {
-		case SpanGeneration:
-			g := at(s.IntAttr("gen"))
-			g.Tasks = s.IntAttr("tasks")
-			g.WallSeconds = s.FloatAttr("wall_s")
-			g.BusySeconds = s.FloatAttr("busy_s")
-			g.IdleSeconds = s.FloatAttr("idle_s")
-			g.Retries = s.IntAttr("retries")
-			g.Faults = s.IntAttr("faults")
-		case SpanTask:
-			gen := s.IntAttr("gen")
-			g := at(gen)
-			g.EpochsTrained += s.IntAttr("epochs")
-			g.EpochsSaved += s.IntAttr("saved")
-			if s.BoolAttr("terminated") {
-				g.Terminated++
+	models := make(map[string]GenTelemetry) // one model's share of its generation
+	budget := 0
+	for _, e := range events {
+		switch e.Type {
+		case EventRunStart:
+			budget = e.Epochs
+		case EventGenerationEnd:
+			g := &GenTelemetry{
+				Generation:           e.Gen,
+				Tasks:                count(e.Tasks),
+				WallSeconds:          e.WallSeconds,
+				IdleSeconds:          e.IdleSeconds,
+				MeanQueueWaitSeconds: e.MeanQueueWaitSeconds,
+				Retries:              count(e.Retries),
+				Faults:               count(e.Faults),
 			}
-			waitSum[gen] += s.FloatAttr("queue_wait_s")
-			waitN[gen]++
+			for _, b := range e.DeviceBusy {
+				g.BusySeconds += b
+			}
+			gens[e.Gen] = g
+		case EventModelDone:
+			m := GenTelemetry{
+				Generation:    e.Gen,
+				EpochsTrained: count(e.Epochs),
+				EpochsSaved:   count(budget - e.Epochs),
+			}
+			if e.Terminated {
+				m.Terminated = 1
+			}
+			models[e.Model] = m
 		}
 	}
-	for gen, g := range gens {
-		if n := waitN[gen]; n > 0 {
-			g.MeanQueueWaitSeconds = waitSum[gen] / float64(n)
+	for _, m := range models {
+		g, ok := gens[m.Generation]
+		if !ok {
+			g = &GenTelemetry{Generation: m.Generation}
+			gens[m.Generation] = g
 		}
+		g.EpochsTrained += m.EpochsTrained
+		g.EpochsSaved += m.EpochsSaved
+		g.Terminated += m.Terminated
+	}
+	for _, g := range gens {
 		if total := g.BusySeconds + g.IdleSeconds; total > 0 {
 			g.Utilisation = g.BusySeconds / total
 		}
-		t.EpochsTrained += g.EpochsTrained
-		t.EpochsSaved += g.EpochsSaved
-		t.Terminated += g.Terminated
 		t.Generations = append(t.Generations, *g)
 	}
 	sort.Slice(t.Generations, func(i, j int) bool {
 		return t.Generations[i].Generation < t.Generations[j].Generation
 	})
+	for _, g := range t.Generations {
+		t.EpochsTrained += g.EpochsTrained
+		t.EpochsSaved += g.EpochsSaved
+		t.Terminated += g.Terminated
+	}
 	return t
+}
+
+// count clamps a count read from the journal into [0, MaxInt32], so no
+// corrupt or hostile line can turn a sum negative or overflow it.
+func count(n int) int {
+	return min(max(n, 0), math.MaxInt32)
 }

@@ -3,52 +3,76 @@ package obs
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
+	"io/fs"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
 
 // emitRunSpans records the span shapes the instrumented workflow emits:
-// one generation span enclosing two task spans, with the simulated-time
-// accounting as attributes.
+// one generation span enclosing two task spans.
 func emitRunSpans(o *Observer) {
 	ctx := WithTracer(context.Background(), o.Tracer())
 	gctx, gen := StartSpan(ctx, SpanGeneration)
-	for i, saved := range []int{5, 0} {
+	for i := range 2 {
 		_, task := StartSpan(gctx, SpanTask)
-		task.SetInt("gen", 0)
 		task.SetInt("task", i)
-		task.SetFloat("queue_wait_s", float64(i*10))
-		task.SetInt("epochs", 25-saved)
-		task.SetInt("saved", saved)
-		task.SetBool("terminated", saved > 0)
 		task.End()
 	}
-	gen.SetInt("gen", 0)
-	gen.SetInt("tasks", 2)
-	gen.SetFloat("wall_s", 300)
-	gen.SetFloat("busy_s", 540)
-	gen.SetFloat("idle_s", 60)
-	gen.SetInt("retries", 1)
-	gen.SetInt("faults", 2)
 	gen.End()
+}
+
+// journalRun emits the journal of a two-generation search that was
+// killed inside generation 1 and resumed: the relaunch repeats run_start
+// and generation 0's generation_end, replays m0 and m1 (no model_done),
+// resumes m2 from its checkpoint and retrains m3, whose first line was
+// written before the kill.
+func journalRun(j *Journal) {
+	for _, e := range []Event{
+		{Type: EventRunStart, Epochs: 25},
+		{Type: EventModelDone, Gen: 0, Model: "m0", Epochs: 20, Terminated: true},
+		{Type: EventModelDone, Gen: 0, Model: "m1", Epochs: 25},
+		{Type: EventGenerationEnd, Gen: 0, Tasks: 2, WallSeconds: 300, IdleSeconds: 60,
+			DeviceBusy: []float64{240, 300}, MeanQueueWaitSeconds: 5, Retries: 1, Faults: 2},
+		{Type: EventModelDone, Gen: 1, Model: "m3", Epochs: 7, Terminated: true},
+		// The relaunch.
+		{Type: EventRunStart, Epochs: 25},
+		{Type: EventGenerationEnd, Gen: 0, Tasks: 2, WallSeconds: 300, IdleSeconds: 60,
+			DeviceBusy: []float64{240, 300}, MeanQueueWaitSeconds: 5, Retries: 1, Faults: 2},
+		{Type: EventModelResume, Gen: 1, Model: "m2", Epoch: 4},
+		{Type: EventModelDone, Gen: 1, Model: "m2", Epochs: 10, Terminated: true},
+		{Type: EventModelDone, Gen: 1, Model: "m3", Epochs: 25},
+		{Type: EventGenerationEnd, Gen: 1, Tasks: 2, WallSeconds: 200, DeviceBusy: []float64{200, 150},
+			IdleSeconds: 50, MeanQueueWaitSeconds: 12.5},
+	} {
+		j.Emit(e)
+	}
 }
 
 func TestFlushLoadTelemetryRoundTrip(t *testing.T) {
 	o := NewObserver()
-	o.Registry().Counter("a4nn_train_epochs_total").Add(45)
-	emitRunSpans(o)
-
 	dir := t.TempDir()
+	if err := o.Journal().OpenFile(filepath.Join(dir, EventsFile)); err != nil {
+		t.Fatal(err)
+	}
+	o.Registry().Counter("a4nn_train_epochs_total").Add(62)
+	emitRunSpans(o)
+	journalRun(o.Journal())
 	if err := o.FlushTo(dir); err != nil {
 		t.Fatal(err)
 	}
-	// No temp files may survive the atomic writes.
+	if err := o.Journal().Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The flush adds the metrics snapshot and nothing else: no span
+	// file, no temp file of the atomic write.
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -57,20 +81,20 @@ func TestFlushLoadTelemetryRoundTrip(t *testing.T) {
 	for _, e := range entries {
 		names = append(names, e.Name())
 	}
-	if len(names) != 2 || strings.Contains(strings.Join(names, " "), ".tmp-") {
-		t.Fatalf("flush dir contents %v, want exactly [metrics.json spans.jsonl]", names)
+	if !slices.Equal(names, []string{EventsFile, MetricsFile}) {
+		t.Fatalf("flush dir contents %v, want exactly [%s %s]", names, EventsFile, MetricsFile)
 	}
 
 	tel, err := LoadTelemetry(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tel.Spans != 3 || len(tel.Generations) != 1 {
-		t.Fatalf("telemetry spans=%d generations=%d", tel.Spans, len(tel.Generations))
+	if tel.Spans != 11 || len(tel.Generations) != 2 {
+		t.Fatalf("telemetry folded %d events into %d generations, want 11 and 2", tel.Spans, len(tel.Generations))
 	}
 	g := tel.Generations[0]
-	if g.Tasks != 2 || g.WallSeconds != 300 || g.Retries != 1 || g.Faults != 2 {
-		t.Fatalf("generation aggregate %+v", g)
+	if g.Tasks != 2 || g.WallSeconds != 300 || g.BusySeconds != 540 || g.Retries != 1 || g.Faults != 2 {
+		t.Fatalf("generation 0 aggregate %+v", g)
 	}
 	if want := 540.0 / 600.0; math.Abs(g.Utilisation-want) > 1e-12 {
 		t.Fatalf("utilisation %v, want %v", g.Utilisation, want)
@@ -78,30 +102,36 @@ func TestFlushLoadTelemetryRoundTrip(t *testing.T) {
 	if g.MeanQueueWaitSeconds != 5 {
 		t.Fatalf("mean queue wait %v, want 5", g.MeanQueueWaitSeconds)
 	}
+	// Each model counts once, by its last model_done: m3's retrained line
+	// replaces the one written before the kill.
 	if g.EpochsTrained != 45 || g.EpochsSaved != 5 || g.Terminated != 1 {
-		t.Fatalf("savings %+v", g)
+		t.Fatalf("generation 0 savings %+v", g)
 	}
-	if tel.EpochsTrained != 45 || tel.EpochsSaved != 5 || tel.Terminated != 1 {
+	if g := tel.Generations[1]; g.EpochsTrained != 35 || g.EpochsSaved != 15 || g.Terminated != 1 || g.MeanQueueWaitSeconds != 12.5 {
+		t.Fatalf("generation 1 aggregate %+v", g)
+	}
+	if tel.EpochsTrained != 80 || tel.EpochsSaved != 20 || tel.Terminated != 2 {
 		t.Fatalf("run-level sums %+v", tel)
 	}
-	if tel.Metrics.Counters["a4nn_train_epochs_total"] != 45 {
+	if tel.Metrics.Counters["a4nn_train_epochs_total"] != 62 {
 		t.Fatalf("metrics snapshot %+v", tel.Metrics.Counters)
 	}
 }
 
-func TestReadSpansRejectsMalformedLines(t *testing.T) {
+// TestLoadTelemetryNeedsJournal: a directory without an events.jsonl has
+// no telemetry, even with a metrics snapshot in it.
+func TestLoadTelemetryNeedsJournal(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, SpansFile)
-	if err := os.WriteFile(path, []byte("{\"id\":1,\"name\":\"x\"}\nnot json\n"), 0o644); err != nil {
+	if err := NewObserver().FlushTo(dir); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadSpans(path); err == nil {
-		t.Fatal("want an error for a malformed line")
+	if _, err := LoadTelemetry(dir); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("LoadTelemetry without a journal: err = %v, want not-exist", err)
 	}
 }
 
-func TestAggregateSpansEmpty(t *testing.T) {
-	tel := AggregateSpans(nil)
+func TestAggregateEventsEmpty(t *testing.T) {
+	tel := AggregateEvents(nil)
 	if tel.Spans != 0 || len(tel.Generations) != 0 {
 		t.Fatalf("empty aggregate %+v", tel)
 	}

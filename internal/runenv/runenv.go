@@ -1,6 +1,8 @@
 // Package runenv assembles the telemetry a run executes in — observer,
 // event journal file, flight recorder, history store and sampler, health
 // engine and alerts file — in one place, and takes it down in one order.
+// A stack with a directory always journals there: events.jsonl is the
+// run's record, the one `a4nn-analyze telemetry` folds.
 // cmd/a4nn, every job of jobs.Manager and a4nn-serve's service-level
 // observer all get theirs from Open.
 package runenv
@@ -25,8 +27,6 @@ type Options struct {
 	// the parent's output until Close retires the scope.
 	Parent                 *obs.Registry
 	ScopeLabel, ScopeValue string
-	// Events appends the event journal to obs.EventsFile in the directory.
-	Events bool
 	// History, when positive, samples the registry into tsdb.SeriesFile
 	// in the directory at this interval.
 	History time.Duration
@@ -61,12 +61,13 @@ type Stack struct {
 }
 
 // Open builds the run environment over dir, the directory its files go
-// to; dir may be empty when opts asks for none (no Events, no History).
+// to; dir may be empty when opts asks for no History, and then nothing
+// is written to disk.
 // When a step fails, everything the earlier steps opened is released
 // before the error is returned.
 func Open(dir string, opts Options) (*Stack, error) {
-	if dir == "" && (opts.Events || opts.History > 0) {
-		return nil, errors.New("runenv: events and history need a directory")
+	if dir == "" && opts.History > 0 {
+		return nil, errors.New("runenv: history needs a directory")
 	}
 	s := &Stack{opts: opts}
 	if !opts.SeriesOnly {
@@ -86,10 +87,8 @@ func (s *Stack) open(dir string) error {
 		if err := os.MkdirAll(s.dir, 0o755); err != nil {
 			return fmt.Errorf("runenv: %w", err)
 		}
-		if opts.Events {
-			if err := s.observer.Journal().OpenFile(filepath.Join(s.dir, obs.EventsFile)); err != nil {
-				return err
-			}
+		if err := s.observer.Journal().OpenFile(filepath.Join(s.dir, obs.EventsFile)); err != nil {
+			return err
 		}
 		// The flight recorder is the run's black box: armed until Close,
 		// it turns a fatal error, a chaos kill or an unresolved-critical
@@ -146,7 +145,7 @@ func (s *Stack) open(dir string) error {
 //  2. the sampler takes its final sample (after the engine's last
 //     regression query), then the history store flushes and closes;
 //  3. the flight recorder stops and disarms — it saw everything above;
-//  4. spans.jsonl and metrics.json are flushed and the journal synced;
+//  4. metrics.json is flushed and the journal synced;
 //  5. the journal's subscribers are evicted and its file released;
 //  6. the metrics scope is retired from its parent, last, so the roll-up
 //     showed the run for as long as any of it was live.

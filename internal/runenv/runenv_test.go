@@ -19,7 +19,6 @@ func everything(parent *obs.Registry, dir string) Options {
 		Parent:       parent,
 		ScopeLabel:   "job",
 		ScopeValue:   filepath.Base(dir),
-		Events:       true,
 		History:      time.Millisecond,
 		Health:       &health.Config{},
 		ManifestPath: filepath.Join(dir, "job.json"),
@@ -97,7 +96,7 @@ func TestOpenCloseReleasesEverything(t *testing.T) {
 
 	// The files a run leaves behind are complete and decodable.
 	dir := filepath.Join(root, "run", "a")
-	for _, name := range []string{obs.EventsFile, obs.SpansFile, obs.MetricsFile, health.AlertsFile, tsdb.SeriesFile} {
+	for _, name := range []string{obs.EventsFile, obs.MetricsFile, health.AlertsFile, tsdb.SeriesFile} {
 		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
 			t.Errorf("after Close: %v", err)
 		}
@@ -132,15 +131,13 @@ func TestOpenFailureLeaksNothing(t *testing.T) {
 				t.Fatalf("Open succeeded with a directory at %s", name)
 			}
 			base.check(t)
-			for _, flushed := range []string{obs.SpansFile, obs.MetricsFile} {
-				if _, err := os.Stat(filepath.Join(dir, flushed)); err == nil {
-					t.Errorf("failed Open flushed %s", flushed)
-				}
+			if _, err := os.Stat(filepath.Join(dir, obs.MetricsFile)); err == nil {
+				t.Errorf("failed Open flushed %s", obs.MetricsFile)
 			}
 		})
 	}
-	if _, err := Open("", Options{Events: true}); err == nil {
-		t.Error("Events without a directory must fail")
+	if _, err := Open("", Options{History: time.Second}); err == nil {
+		t.Error("History without a directory must fail")
 	}
 }
 
@@ -149,7 +146,7 @@ func TestOpenFailureLeaksNothing(t *testing.T) {
 // and a second Close must change nothing.
 func TestCloseDrainsHealthIntoOpenFiles(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{Events: true, Health: &health.Config{}})
+	s, err := Open(dir, Options{Health: &health.Config{}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -299,6 +299,8 @@ type genRun struct {
 	aliveEnd  []float64 // virtual death time of devices crashing this generation
 	sumDur    float64   // successful-attempt duration statistics, for
 	nDur      int       // sizing injected-failure losses
+	sumWait   float64   // queue wait summed over dispatched attempts
+	nWait     int
 	retries   int
 	faults    int
 	lost      float64
@@ -390,8 +392,7 @@ func (p *Pool) RunGeneration(ctx context.Context, tasks []Task) (*GenerationRepo
 		return nil, fmt.Errorf("sched: no alive devices (all %d crashed)", n)
 	}
 
-	// The generation span parents every task span dispatched below; its
-	// attributes carry the simulated accounting for telemetry.
+	// The generation span parents every task span dispatched below.
 	ctx, gspan := obs.StartSpan(ctx, obs.SpanGeneration)
 	g.ctx = ctx
 	obsv.journal.Emit(obs.Event{
@@ -451,11 +452,13 @@ func (p *Pool) RunGeneration(ctx context.Context, tasks []Task) (*GenerationRepo
 		p.dead[i] = p.dead[i] || !a
 	}
 	p.wall += rep.WallSeconds
+	// Summed per generation first, the way the generation_end's
+	// device_busy folds back into telemetry, so the two totals agree.
 	busy := 0.0
 	for _, b := range rep.DeviceBusy {
-		p.busy += b
 		busy += b
 	}
+	p.busy += busy
 	p.idle += rep.IdleSeconds
 	p.tasks += len(tasks)
 	p.retries += rep.Retries
@@ -484,15 +487,8 @@ func (p *Pool) RunGeneration(ctx context.Context, tasks []Task) (*GenerationRepo
 		obsv.gflops.Set(flops / rep.WallSeconds / 1e9)
 	}
 	gspan.SetInt("gen", gen)
-	gspan.SetInt("tasks", len(tasks))
-	gspan.SetFloat("wall_s", rep.WallSeconds)
-	gspan.SetFloat("busy_s", busy)
-	gspan.SetFloat("idle_s", rep.IdleSeconds)
-	gspan.SetFloat("lost_s", rep.LostSeconds)
-	gspan.SetInt("retries", rep.Retries)
-	gspan.SetInt("faults", rep.Faults)
 	gspan.End()
-	obsv.journal.Emit(obs.Event{
+	end := obs.Event{
 		Type:        obs.EventGenerationEnd,
 		Gen:         gen,
 		Tasks:       len(tasks),
@@ -503,7 +499,11 @@ func (p *Pool) RunGeneration(ctx context.Context, tasks []Task) (*GenerationRepo
 		DeviceBusy:  append([]float64(nil), rep.DeviceBusy...),
 		Retries:     rep.Retries,
 		Faults:      rep.Faults,
-	})
+	}
+	if g.nWait > 0 {
+		end.MeanQueueWaitSeconds = g.sumWait / float64(g.nWait)
+	}
+	obsv.journal.Emit(end)
 	return rep, err
 }
 
@@ -595,8 +595,7 @@ func (g *genRun) start(d *devRun, att *attemptMeta, finished chan<- *attemptRun)
 		r.injected, r.finished = true, true
 		return false
 	}
-	// The task span parents the orchestrator's epoch spans (via tc.Ctx)
-	// and the orchestrator annotates it with epochs trained and saved.
+	// The task span parents the orchestrator's epoch spans (via tc.Ctx).
 	tctx, tspan := obs.StartSpan(g.ctx, obs.SpanTask)
 	tspan.SetInt("gen", g.gen)
 	tspan.SetInt("task", att.task)
@@ -649,12 +648,12 @@ func (g *genRun) apply(r *attemptRun) {
 		g.fail(att, dev, loss, Transient("injected", ErrInjectedFault))
 		return
 	}
-	// queue_wait_s is the simulated time the task waited behind the FIFO
-	// queue; the span ends here, so it also covers the real time the
-	// outcome waited for its turn to commit.
+	// start is the simulated time the task waited behind the FIFO queue.
+	// The span ends here, so it also covers the real time the outcome
+	// waited for its turn to commit.
 	start := max(g.vt[dev.ID], att.notBefore)
-	r.span.SetFloat("queue_wait_s", start)
-	r.span.SetFloat("sim_s", r.dur)
+	g.sumWait += start
+	g.nWait++
 	if r.err != nil {
 		r.span.SetAttr("error", r.err.Error())
 	}
