@@ -10,7 +10,7 @@ GO ?= go
 # and a stress pass over the fair-share fleet scheduler and job
 # manager), a one-iteration benchmark smoke run so the hot-path
 # benchmarks cannot silently rot, ten seconds of real fuzzing per
-# on-disk decoder, the allocation-regression gates on
+# on-disk decoder and spec parser, the allocation-regression gates on
 # the training and observability hot paths, the crash-recovery soak
 # that kills the real CLI at seeded crash points and resumes it to
 # completion, and the service e2e that kills a live multi-job
@@ -93,8 +93,10 @@ race-obs:
 	$(GO) test -race -run 'Scope|Recorder' -count 5 ./internal/obs
 
 # fuzz-smoke mutates the input of every decoder of bytes read back from
-# disk for a bounded time; the plain test suite only replays each
-# target's seed corpus. One target per invocation, as -fuzz requires.
+# disk, and of every command-line spec parser (-faults, -chaos,
+# -health-config, -slo), for a bounded time; the plain test suite only
+# replays each target's seed corpus. One target per invocation, as -fuzz
+# requires.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz='^FuzzReadEvents$$' -fuzztime=10s ./internal/obs
 	$(GO) test -run=^$$ -fuzz='^FuzzDecodeBundle$$' -fuzztime=10s ./internal/obs
@@ -102,6 +104,10 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz='^FuzzReadAlerts$$' -fuzztime=10s ./internal/health
 	$(GO) test -run=^$$ -fuzz='^FuzzDecodeBlocks$$' -fuzztime=10s ./internal/tsdb
 	$(GO) test -run=^$$ -fuzz='^FuzzNextSection$$' -fuzztime=10s ./internal/durable
+	$(GO) test -run=^$$ -fuzz='^FuzzParseFaultPlan$$' -fuzztime=10s ./internal/sched
+	$(GO) test -run=^$$ -fuzz='^FuzzParseChaosPlan$$' -fuzztime=10s ./internal/chaos
+	$(GO) test -run=^$$ -fuzz='^FuzzParseHealthConfig$$' -fuzztime=10s ./internal/health
+	$(GO) test -run=^$$ -fuzz='^FuzzParseSLO$$' -fuzztime=10s ./internal/health
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .

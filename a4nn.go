@@ -25,7 +25,6 @@ package a4nn
 
 import (
 	"context"
-	"time"
 
 	"a4nn/internal/analyzer"
 	"a4nn/internal/chaos"
@@ -94,13 +93,6 @@ type (
 type (
 	// Genome encodes one architecture in the NSGA-Net macro space.
 	Genome = genome.Genome
-	// MicroGenome encodes one cell of the micro search space.
-	MicroGenome = genome.MicroGenome
-	// MacroSpace and MicroSpace are the two search spaces a Config's or
-	// MicroConfig's Space field selects: genome shape, variation
-	// operators and mutation rate.
-	MacroSpace = genome.MacroSpace
-	MicroSpace = genome.MicroSpace
 	// DecodeConfig shapes decoded networks.
 	DecodeConfig = genome.DecodeConfig
 	// NASConfig mirrors Table 2 (population, offspring, generations).
@@ -137,11 +129,6 @@ type (
 	FaultPlan = sched.FaultPlan
 	// DeviceCrash schedules one explicit device failure in a FaultPlan.
 	DeviceCrash = sched.DeviceCrash
-	// RetryPolicy tunes transient-failure retry (Config.Retry).
-	RetryPolicy = sched.RetryPolicy
-	// TaskCtx describes one dispatch of a task onto a device, for callers
-	// driving a sched pool directly.
-	TaskCtx = sched.TaskCtx
 )
 
 // Observability types (metrics registry, span tracing, run telemetry,
@@ -155,9 +142,6 @@ type (
 	// journal its observer appended to the commons directory, plus the
 	// metrics snapshot flushed next to it.
 	Telemetry = obs.Telemetry
-	// GenTelemetry aggregates one generation: device utilisation, queue
-	// wait, retries, and the prediction engine's epoch savings.
-	GenTelemetry = obs.GenTelemetry
 	// Journal is a run's structured event stream: every emit is appended
 	// to events.jsonl (when a file is attached) and fanned out to live
 	// subscribers without ever blocking the search.
@@ -166,8 +150,6 @@ type (
 	// dispatch/fault, epoch reports, prediction terminations, Pareto
 	// front updates, ...); consumers switch on Event.Type.
 	Event = obs.Event
-	// EventSubscriber is one live receiver on a journal's broker.
-	EventSubscriber = obs.Subscriber
 )
 
 // In-situ health monitoring (streaming anomaly detection over the event
@@ -183,8 +165,6 @@ type (
 	// HealthConfig tunes the monitors' thresholds and the alert
 	// lifecycle; the zero value of any field keeps its default.
 	HealthConfig = health.Config
-	// HealthStatus is the aggregate run health (ok/degraded/critical).
-	HealthStatus = health.Status
 	// HealthReport is the /healthz payload: aggregate status plus
 	// per-monitor detail and the active alerts.
 	HealthReport = health.Report
@@ -250,54 +230,19 @@ func NewHealthEngine(cfg HealthConfig, o *Observer) (*HealthEngine, error) {
 // into the latest state of each alert.
 func ReadAlerts(path string) ([]Alert, error) { return health.ReadAlerts(path) }
 
-// SLO is a per-run (or per-job) service-level objective set the health
-// engine tracks as error budgets with fast/slow burn-rate alerting.
-type SLO = health.SLO
-
-// ParseSLO parses the compact CLI objective specification, e.g.
-// "queue_wait_p99=2s,job_turnaround=10m,event_drop_rate=0.01".
-func ParseSLO(spec string) (*SLO, error) { return health.ParseSLO(spec) }
-
-// Run-history time series (an embedded, append-only store the sampler
-// fills from the metrics registry; see internal/tsdb).
-type (
-	// HistoryDB is an on-disk metrics time-series store: CRC-framed,
-	// delta-and-XOR-compressed blocks, torn-tail tolerant on reopen.
-	// A nil *HistoryDB ignores appends and answers queries empty.
-	HistoryDB = tsdb.DB
-	// HistorySampler periodically snapshots a metrics registry into a
-	// HistoryDB.
-	HistorySampler = tsdb.Sampler
-	// HistoryResult is one range-query response: step-aligned,
-	// gap-annotated points.
-	HistoryResult = tsdb.Result
-	// RegressionBaseline is a committed per-series reference (means and
-	// worse-directions) the health engine compares live runs against.
-	RegressionBaseline = health.Baseline
-)
+// HistoryDB is a run's on-disk metrics time-series store (see
+// internal/tsdb): CRC-framed, delta-and-XOR-compressed blocks, torn-tail
+// tolerant on reopen. A nil *HistoryDB ignores appends and answers
+// queries empty.
+type HistoryDB = tsdb.DB
 
 // SeriesFile is the history store's file name inside the telemetry
 // directory.
 const SeriesFile = tsdb.SeriesFile
 
-// OpenHistory opens (or creates) dir's series store for appending.
-func OpenHistory(dir string) (*HistoryDB, error) { return tsdb.Open(dir) }
-
 // OpenHistoryRead opens dir's series store read-only, tolerating a
 // torn tail from a crashed writer.
 func OpenHistoryRead(dir string) (*HistoryDB, error) { return tsdb.OpenRead(dir) }
-
-// NewHistorySampler samples the observer's registry into db every
-// interval once started. Close takes a final sample and flushes.
-func NewHistorySampler(db *HistoryDB, o *Observer, interval time.Duration) *HistorySampler {
-	return tsdb.NewSampler(db, o.Registry(), interval)
-}
-
-// LoadRegressionBaseline reads a baseline JSON written by
-// `a4nn-analyze series -baseline-out` (or RegressionBaseline.Save).
-func LoadRegressionBaseline(path string) (RegressionBaseline, error) {
-	return health.LoadBaseline(path)
-}
 
 // Postmortem is one decoded flight-recorder bundle — the black box a
 // dying run leaves behind under <dir>/postmortem.
@@ -315,52 +260,14 @@ func DecodePostmortem(path string) (*Postmortem, error) { return obs.DecodeBundl
 func ParseFaultPlan(spec string) (*FaultPlan, error) { return sched.ParseFaultPlan(spec) }
 
 // Multi-tenant job service (many concurrent searches over one shared
-// device fleet with weighted fair-share scheduling; see internal/jobs
-// and webui.Server.SetJobs for the HTTP surface).
+// device fleet; see internal/jobs and cmd/a4nn-serve -jobs).
 type (
-	// JobManager queues and runs submitted searches, each in its own
-	// isolated commons directory (records, journal, alerts, checkpoints),
-	// arbitrated per generation by a shared Fleet.
-	JobManager = jobs.Manager
-	// JobOptions configures a JobManager: the jobs root directory and
-	// the shared fleet's slot count.
-	JobOptions = jobs.Options
 	// JobConfig is one search submission (the POST /api/jobs body).
 	JobConfig = jobs.Config
-	// JobStatus is a job's externally visible state and live progress.
-	JobStatus = jobs.Status
-	// JobState is a job's lifecycle position:
-	// queued → running ⇄ paused → completed | failed | canceled.
-	JobState = jobs.State
 	// JobManifest is the durable per-job record (job.json) a killed
-	// service leaves behind for Recover.
+	// service leaves behind for a4nn-serve -jobs -resume.
 	JobManifest = jobs.Manifest
-	// Fleet arbitrates device slots across jobs with weighted
-	// fair-share (stride) scheduling; preemption happens at generation
-	// boundaries via Config.Gate.
-	Fleet = sched.Fleet
-	// FleetStatus is a point-in-time snapshot of the arbiter.
-	FleetStatus = sched.FleetStatus
-	// GenerationGate admits each generation before dispatch — the hook a
-	// multi-job scheduler uses to share one fleet across searches.
-	GenerationGate = core.GenerationGate
 )
-
-// Job lifecycle states.
-const (
-	JobQueued    = jobs.StateQueued
-	JobRunning   = jobs.StateRunning
-	JobPaused    = jobs.StatePaused
-	JobCompleted = jobs.StateCompleted
-	JobFailed    = jobs.StateFailed
-	JobCanceled  = jobs.StateCanceled
-)
-
-// NewJobManager builds the job service rooted at opts.Root.
-func NewJobManager(opts JobOptions) (*JobManager, error) { return jobs.NewManager(opts) }
-
-// NewFleet builds a shared device arbiter with the given slot capacity.
-func NewFleet(capacity int) (*Fleet, error) { return sched.NewFleet(capacity) }
 
 // ReadJobManifests scans a jobs root for per-job manifests.
 func ReadJobManifests(root string) ([]JobManifest, error) { return jobs.ReadManifests(root) }
@@ -370,25 +277,10 @@ func ReadJobManifests(root string) ([]JobManifest, error) { return jobs.ReadMani
 // service results byte-comparable to solo runs.
 func BuildJobSearchConfig(jc JobConfig) (Config, error) { return jobs.BuildSearchConfig(jc) }
 
-// Crash-consistency types (model-level checkpointing, corruption
-// recovery, and process-level fault injection; see internal/chaos and
-// DESIGN.md §8).
-type (
-	// Checkpoint is one model's durable mid-training progress: completed
-	// epochs, serialized weights with a digest, the predictor's curve
-	// observations, and the accounting needed to resume inside an
-	// interrupted generation (Config.Checkpoints).
-	Checkpoint = commons.Checkpoint
-	// RecoveryReport summarises the resume preflight: valid records and
-	// checkpoints, quarantined corrupt files, stale checkpoints removed,
-	// and records the journal saw finish but the crash lost.
-	RecoveryReport = core.RecoveryReport
-	// QuarantinedFile is one corrupt file recovery moved into .corrupt/.
-	QuarantinedFile = core.QuarantinedFile
-	// ChaosPlan is a parsed crash-injection plan; Install arms it
-	// process-wide.
-	ChaosPlan = chaos.Plan
-)
+// ChaosPlan is a parsed crash-injection plan (process-level fault
+// injection at named durable-state transitions; see internal/chaos and
+// DESIGN.md §8); InstallChaosPlan arms it process-wide.
+type ChaosPlan = chaos.Plan
 
 // ChaosExitCode is the process exit code of an injected crash (86),
 // distinguishing planned kills from real failures in soak harnesses.
@@ -408,15 +300,6 @@ func InstallChaosPlan(p *ChaosPlan) { chaos.Install(p) }
 // ChaosPoints returns the named crash points, sorted.
 func ChaosPoints() []string { return chaos.Points() }
 
-// RecoverCommons scans a commons store for crash damage — torn records,
-// corrupt or stale checkpoints, records the journal saw finish but the
-// disk lost — quarantines what cannot be trusted and reports what it
-// did. Run automatically by Config.Resume; exposed
-// for offline repair.
-func RecoverCommons(store *Store, journal *Journal) (*RecoveryReport, error) {
-	return core.RecoverStore(store, journal)
-}
-
 // DefaultDevice returns a single accelerator with the default (V100-like)
 // effective throughput.
 func DefaultDevice() Device { return Device{ID: 0, Throughput: sched.DefaultThroughput} }
@@ -431,11 +314,6 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) { return core.RunC
 // RunMicro executes a search over the micro (cell-based) space — the
 // same workflow applied to NSGA-Net's second encoding.
 func RunMicro(cfg MicroConfig) (*Result, error) { return core.RunMicro(cfg) }
-
-// RunMicroCtx is RunMicro with cancellation, mirroring RunCtx.
-func RunMicroCtx(ctx context.Context, cfg MicroConfig) (*Result, error) {
-	return core.RunMicroCtx(ctx, cfg)
-}
 
 // NewRealMicroTrainer returns a trainer that decodes micro cells into
 // CNNs and trains them by SGD on real data.

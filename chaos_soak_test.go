@@ -66,7 +66,7 @@ func TestChaosSoak(t *testing.T) {
 	// Fault-free reference: same seed, same search, no chaos.
 	refStore := filepath.Join(scratchDir(t, "ref"), "ref")
 	refOut := run(t, bins["a4nn"],
-		append(append([]string{}, soakSearchArgs...), "-store", refStore, "-checkpoints")...)
+		append(append([]string{}, soakSearchArgs...), "-store", refStore)...)
 	refFront := paretoSection(t, refOut)
 	refTel, err := LoadTelemetry(refStore)
 	if err != nil {
@@ -121,7 +121,7 @@ func TestChaosSoak(t *testing.T) {
 func soakOnePlan(t *testing.T, bin, plan string, rearm bool, refFront string, refTel *Telemetry) int {
 	t.Helper()
 	store := filepath.Join(scratchDir(t, "plan"), "runs")
-	base := append(append([]string{}, soakSearchArgs...), "-store", store, "-checkpoints")
+	base := append(append([]string{}, soakSearchArgs...), "-store", store)
 
 	crashes := 0
 	var out string

@@ -5,10 +5,16 @@ package a4nn
 // CLIs, the way a user would.
 
 import (
+	"bufio"
 	"bytes"
+	"io"
+	"io/fs"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -156,8 +162,9 @@ func TestCLIPipeline(t *testing.T) {
 	if err == nil || !strings.Contains(string(b), "-store") {
 		t.Fatalf("telemetry without a journal: err %v, want a hint naming -store:\n%s", err, b)
 	}
-	// The removed telemetry flags are unknown: flag's usage exit, 2.
-	for _, gone := range []string{"-events=true", "-trace=" + work} {
+	// The removed flags are unknown: flag's usage exit, 2.
+	for _, gone := range []string{"-events=true", "-trace=" + work,
+		"-cpuprofile=" + work + "/cpu", "-memprofile=" + work + "/mem", "-checkpoints", "-history-interval=1s"} {
 		err := exec.Command(bins["a4nn"], gone).Run()
 		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
 			t.Errorf("a4nn %s: %v, want exit status 2", gone, err)
@@ -255,6 +262,226 @@ func TestCLIExperimentsTables(t *testing.T) {
 	for _, want := range []string{"a-b^(c-x)", "population", "25"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("experiments output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// searchArgs is a four-model, two-generation surrogate search.
+func searchArgs(extra ...string) []string {
+	return append([]string{"-beam", "medium", "-population", "4", "-offspring", "4",
+		"-generations", "2", "-seed", "5"}, extra...)
+}
+
+// TestCLIFlags puts each a4nn flag that no other end-to-end test passes
+// on a command line, one short search per flag.
+func TestCLIFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI in -short mode")
+	}
+	bins := buildTools(t, "xfelgen", "a4nn", "a4nn-analyze")
+	work := t.TempDir()
+
+	// -standalone: the baseline trains every network to the last epoch.
+	out := run(t, bins["a4nn"], searchArgs("-standalone")...)
+	if !strings.Contains(out, "running standalone NSGA-Net") || !strings.Contains(out, "terminated early:   0 ") {
+		t.Errorf("-standalone output:\n%s", out)
+	}
+
+	// -snapshots: one model state per trained epoch.
+	store := filepath.Join(work, "snap")
+	run(t, bins["a4nn"], searchArgs("-store", store, "-snapshots")...)
+	cs, err := OpenCommons(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids, err := cs.List()
+	if err != nil || len(ids) != 8 {
+		t.Fatalf("snapshot store records %v, %v", ids, err)
+	}
+	for _, id := range ids {
+		rec, err := cs.GetRecord(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files, _ := filepath.Glob(filepath.Join(store, "models", id, "epoch_*.bin"))
+		if len(files) != rec.EpochsTrained() {
+			t.Errorf("model %s: %d snapshot files for %d trained epochs", id, len(files), rec.EpochsTrained())
+		}
+	}
+
+	// -faults with -retries and -task-timeout: the run survives the plan
+	// and reports what it cost.
+	out = run(t, bins["a4nn"], searchArgs("-devices", "2", "-faults", "transient=0.3;crash=1@1+1;seed=3",
+		"-retries", "5", "-task-timeout", "1e7")...)
+	if !strings.Contains(out, "reliability:") || !strings.Contains(out, "evaluated networks: 8") {
+		t.Errorf("-faults output:\n%s", out)
+	}
+
+	// -health-strict exits 3 on a critical alert still active at the end.
+	// These disk watermarks call any volume critically full; the health
+	// specs turn the monitor on without -health.
+	cmd := exec.Command(bins["a4nn"], searchArgs("-store", filepath.Join(work, "strict"), "-health-strict",
+		"-health-config", "disk-warn=0.999999;disk-crit=0.999998", "-slo", "job_turnaround=1h")...)
+	b, err := cmd.CombinedOutput()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 3 || !strings.Contains(string(b), "[critical] disk/space") {
+		t.Errorf("-health-strict: %v, want exit status 3 and a disk alert\n%s", err, b)
+	}
+
+	// -profile-layers with -data: a4nn-analyze profile reads a layer table
+	// out of the run's metrics.json.
+	ds := filepath.Join(work, "ds.gob")
+	run(t, bins["xfelgen"], "-beam", "medium", "-count", "40", "-size", "16", "-seed", "3", "-out", ds)
+	pstore := filepath.Join(work, "prof")
+	run(t, bins["a4nn"], "-data", ds, "-population", "2", "-offspring", "2", "-generations", "1",
+		"-epochs", "2", "-store", pstore, "-profile-layers")
+	out = run(t, bins["a4nn-analyze"], "-store", pstore, "profile")
+	if !strings.Contains(out, "fwd s") || !strings.Contains(out, "total layer time") || len(tableRows(out)) == 0 {
+		t.Errorf("profile after -profile-layers -data:\n%s", out)
+	}
+}
+
+// TestCLIMetricsAddr serves a live run's metrics on an ephemeral port:
+// /metrics always, the pprof index only with -pprof. The search is far
+// too long to finish; SIGINT ends it once the routes are checked.
+func TestCLIMetricsAddr(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI in -short mode")
+	}
+	bins := buildTools(t, "a4nn")
+	for _, pprofOn := range []bool{false, true} {
+		args := []string{"-beam", "medium", "-population", "100", "-offspring", "100",
+			"-generations", "500", "-seed", "7", "-metrics-addr", "127.0.0.1:0"}
+		want := http.StatusNotFound
+		if pprofOn {
+			args, want = append(args, "-pprof"), http.StatusOK
+		}
+		cmd := exec.Command(bins["a4nn"], args...)
+		addr, _ := startAndRead(t, cmd, regexp.MustCompile(`serving metrics on http://(\S+)/metrics`))
+		for path, code := range map[string]int{"/metrics": http.StatusOK, "/debug/pprof/": want} {
+			resp, err := http.Get("http://" + addr + path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != code {
+				t.Errorf("-pprof=%v: GET %s = %d, want %d", pprofOn, path, resp.StatusCode, code)
+			}
+		}
+		if err := cmd.Process.Signal(os.Interrupt); err != nil {
+			t.Fatal(err)
+		}
+		cmd.Wait() // non-zero: the interrupted search returns the context error
+	}
+}
+
+// TestCLIServeFollow starts a4nn-serve as a follower: -health-config
+// turns the monitor on without -health, and -history takes the same
+// duration syntax as a4nn -history. -health without -follow is refused.
+func TestCLIServeFollow(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI in -short mode")
+	}
+	bins := buildTools(t, "a4nn-serve")
+	store := t.TempDir()
+	cmd := exec.Command(bins["a4nn-serve"], "-store", store, "-addr", "127.0.0.1:0",
+		"-follow", "-health-config", "resolve-after=2", "-history", "1s")
+	_, out := startAndRead(t, cmd, regexp.MustCompile(`^(following) `))
+	for _, want := range []string{"history sampling every 1s", "health monitor on"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("a4nn-serve output missing %q:\n%s", want, out)
+		}
+	}
+	cmd.Process.Signal(os.Interrupt)
+	if err := cmd.Wait(); err != nil {
+		t.Errorf("a4nn-serve after SIGINT: %v", err)
+	}
+	b, err := exec.Command(bins["a4nn-serve"], "-store", store, "-health").CombinedOutput()
+	if err == nil || !strings.Contains(string(b), "needs -follow") {
+		t.Errorf("-health without -follow: %v\n%s", err, b)
+	}
+}
+
+// startAndRead starts cmd and reads its stdout until a line matches re;
+// it returns re's first group and the output up to that line, and keeps
+// draining stdout so the process never blocks on it. The process is
+// killed at cleanup if it is still running.
+func startAndRead(t *testing.T, cmd *exec.Cmd, re *regexp.Regexp) (group, out string) {
+	t.Helper()
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cmd.Process.Kill() })
+	var lines strings.Builder
+	sc := bufio.NewScanner(stdout)
+	for sc.Scan() {
+		lines.WriteString(sc.Text() + "\n")
+		if m := re.FindStringSubmatch(sc.Text()); m != nil {
+			go io.Copy(io.Discard, stdout)
+			return m[1], lines.String()
+		}
+	}
+	t.Fatalf("%s exited before printing a line matching %s:\n%s", filepath.Base(cmd.Path), re, lines.String())
+	return "", ""
+}
+
+// TestFlagCensus holds DESIGN.md's census to the binaries: the flags
+// each one's -h lists are exactly the census rows for it, and every test
+// a row names exists. A flag cannot come or go without its row.
+func TestFlagCensus(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI in -short mode")
+	}
+	bins := buildTools(t, "a4nn", "a4nn-serve")
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	census := map[string][]string{}
+	named := map[string]bool{}
+	row := regexp.MustCompile("^\\| `(a4nn|a4nn-serve)` \\| `-([a-z-]+)` \\|(.*)\\|$")
+	for _, line := range strings.Split(string(design), "\n") {
+		m := row.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		census[m[1]] = append(census[m[1]], m[2])
+		for _, name := range regexp.MustCompile(`\bTest\w+`).FindAllString(m[3], -1) {
+			named[name] = true
+		}
+	}
+	usage := regexp.MustCompile(`(?m)^  -([a-z-]+)`)
+	for _, bin := range []string{"a4nn", "a4nn-serve"} {
+		// -h prints the usage and exits; the status is flag's concern.
+		b, _ := exec.Command(bins[bin], "-h").CombinedOutput()
+		var flags []string
+		for _, m := range usage.FindAllStringSubmatch(string(b), -1) {
+			flags = append(flags, m[1])
+		}
+		rows := census[bin]
+		sort.Strings(flags)
+		sort.Strings(rows)
+		if strings.Join(flags, " ") != strings.Join(rows, " ") {
+			t.Errorf("%s -h lists %d flags %v\nDESIGN.md census has %d rows %v", bin, len(flags), flags, len(rows), rows)
+		}
+	}
+	defined := map[string]bool{}
+	filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		src, err := os.ReadFile(path)
+		for _, m := range regexp.MustCompile(`(?m)^func (Test\w+)\(`).FindAllStringSubmatch(string(src), -1) {
+			defined[m[1]] = true
+		}
+		return err
+	})
+	for name := range named {
+		if !defined[name] {
+			t.Errorf("DESIGN.md census names %s, which no test file defines", name)
 		}
 	}
 }

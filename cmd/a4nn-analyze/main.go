@@ -184,7 +184,7 @@ func main() {
 		// Checkpoints still on disk mean a run is in flight or a crash
 		// has not been resumed yet.
 		if ids, err := store.Checkpoints(); err == nil && len(ids) > 0 {
-			fmt.Printf("pending checkpoints: %d (resume with cmd/a4nn -resume -checkpoints)\n", len(ids))
+			fmt.Printf("pending checkpoints: %d (resume with cmd/a4nn -store DIR -resume)\n", len(ids))
 		}
 	case "jobs":
 		// The job service keeps one manifest per submission under

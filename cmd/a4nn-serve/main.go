@@ -58,8 +58,8 @@ func main() {
 		storeDir  = flag.String("store", "", "data commons directory (required)")
 		addr      = flag.String("addr", "localhost:8080", "listen address")
 		follow    = flag.Bool("follow", false, "tail the store's events.jsonl and stream it live on /events and /dashboard")
-		healthOn  = flag.Bool("health", false, "run the in-situ health monitor over the followed event stream and serve /healthz and /api/alerts (requires -follow)")
-		healthCfg = flag.String("health-config", "", `health thresholds (requires -health), e.g. "divergence-window=5;min-capacity=0.6"`)
+		healthOn  = flag.Bool("health", false, "run the in-situ health monitor over the followed event stream and serve /healthz and /api/alerts (requires -follow; -health-config implies it)")
+		healthCfg = flag.String("health-config", "", `health thresholds (implies -health), e.g. "divergence-window=5;min-capacity=0.6"`)
 		jobsOn    = flag.Bool("jobs", false, "accept search submissions on POST /api/jobs and run them in-process over a shared device fleet")
 		fleetN    = flag.Int("fleet", 4, "device slots in the shared fleet (requires -jobs)")
 		resumeOn  = flag.Bool("resume", false, "resume every non-terminal job found under <store>/jobs (requires -jobs)")
@@ -72,11 +72,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: a4nn-serve -store DIR [-addr host:port] [-follow [-health]]")
 		os.Exit(2)
 	}
+	*healthOn = *healthOn || *healthCfg != ""
 	if *healthOn && !*follow {
-		fatal(errors.New("-health needs -follow (the monitor consumes the live event stream)"))
-	}
-	if *healthCfg != "" && !*healthOn {
-		fatal(errors.New("-health-config needs -health"))
+		fatal(errors.New("-health (or -health-config) needs -follow (the monitor consumes the live event stream)"))
 	}
 	if !*jobsOn && *resumeOn {
 		fatal(errors.New("-resume needs -jobs (it recovers interrupted job submissions)"))

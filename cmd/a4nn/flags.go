@@ -18,15 +18,10 @@ type flagSpec struct {
 	Pprof       bool   // -pprof
 	ProfLayers  bool   // -profile-layers
 	DataPath    string // -data
-	Health      bool   // -health
-	HealthSpec  string // -health-config
-	SLOSpec     string // -slo
+	Health      bool   // -health, or any health spec that implies it
 	Strict      bool   // -health-strict
-	Checkpoints bool   // -checkpoints
-	Resume      bool   // -resume
 	Chaos       string // -chaos
-	History     bool   // -history
-	HistorySet  bool   // -history-interval explicitly set
+	History     bool   // -history > 0
 	Baseline    string // -regress-baseline
 }
 
@@ -39,37 +34,15 @@ func validateFlags(f flagSpec) (warnings []string, err error) {
 	if f.Snapshots && f.Store == "" {
 		return nil, errors.New("-snapshots needs -store (snapshots live inside the data commons)")
 	}
-	if f.HealthSpec != "" && !f.Health {
-		return nil, errors.New("-health-config needs -health")
-	}
-	if f.Strict && !f.Health {
-		return nil, errors.New("-health-strict needs -health")
-	}
-	if f.SLOSpec != "" && !f.Health {
-		return nil, errors.New("-slo needs -health (objectives are tracked by the health monitor)")
-	}
-	if f.Checkpoints && f.Store == "" {
-		return nil, errors.New("-checkpoints needs -store (checkpoints live inside the data commons)")
-	}
 	if f.History && f.Store == "" {
 		return nil, errors.New("-history needs -store (the series file lives there)")
-	}
-	if f.HistorySet && !f.History {
-		return nil, errors.New("-history-interval needs -history")
 	}
 	if f.Baseline != "" && !f.History {
 		return nil, errors.New("-regress-baseline needs -history (regressions are judged over sampled series)")
 	}
-	if f.Baseline != "" && !f.Health {
-		return nil, errors.New("-regress-baseline needs -health (regressions alert through the health monitor)")
-	}
 	if f.Chaos != "" {
 		warnings = append(warnings,
 			"-chaos is armed: this process will crash (exit 86) or fail I/O on purpose per the plan")
-		if f.Store != "" && !f.Checkpoints {
-			warnings = append(warnings,
-				"-chaos without -checkpoints: a relaunch with -resume replays committed records but retrains any model that was mid-training")
-		}
 	}
 	if f.Health && f.Store == "" && f.MetricsAddr == "" && !f.Strict {
 		warnings = append(warnings,

@@ -16,17 +16,10 @@ func TestValidateFlagsRejectsNoOpCombos(t *testing.T) {
 		{"pprof with metrics", flagSpec{Pprof: true, MetricsAddr: ":0"}, ""},
 		{"snapshots without store", flagSpec{Snapshots: true}, "-snapshots needs"},
 		{"snapshots with store", flagSpec{Snapshots: true, Store: "runs"}, ""},
-		{"health-config without health", flagSpec{HealthSpec: "resolve-after=2"}, "-health-config needs"},
-		{"health-strict without health", flagSpec{Strict: true}, "-health-strict needs"},
-		{"health full", flagSpec{Health: true, HealthSpec: "resolve-after=2", Strict: true, Store: "runs"}, ""},
-		{"checkpoints without store", flagSpec{Checkpoints: true}, "-checkpoints needs"},
-		{"checkpoints with store", flagSpec{Checkpoints: true, Store: "runs"}, ""},
+		{"health full", flagSpec{Health: true, Strict: true, Store: "runs"}, ""},
 		{"history without sink", flagSpec{History: true}, "-history needs"},
 		{"history with store", flagSpec{History: true, Store: "runs"}, ""},
-		{"history-interval without history", flagSpec{HistorySet: true}, "-history-interval needs"},
-		{"history-interval with history", flagSpec{HistorySet: true, History: true, Store: "runs"}, ""},
 		{"baseline without history", flagSpec{Baseline: "base.json", Health: true, Store: "runs"}, "-regress-baseline needs -history"},
-		{"baseline without health", flagSpec{Baseline: "base.json", History: true, Store: "runs"}, "-regress-baseline needs -health"},
 		{"baseline full", flagSpec{Baseline: "base.json", History: true, Health: true, Store: "runs"}, ""},
 	}
 	for _, tc := range cases {
@@ -73,20 +66,13 @@ func TestValidateFlagsWarnings(t *testing.T) {
 	if w, _ := validateFlags(flagSpec{ProfLayers: true, DataPath: "d.gob", Store: "runs"}); len(w) != 0 {
 		t.Errorf("profile-layers with -data warned: %q", w)
 	}
-	// An armed chaos plan always warns; without -checkpoints it also
-	// warns that a mid-training model will be retrained on resume.
+	// An armed chaos plan always warns, once: a -store run checkpoints, so
+	// a relaunch with -resume continues the model that was mid-training.
 	w, err = validateFlags(flagSpec{Chaos: "crash=core.generation.commit@1", Store: "runs"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(w) != 2 || !strings.Contains(w[0], "-chaos is armed") || !strings.Contains(w[1], "-checkpoints") {
-		t.Fatalf("chaos warnings = %q", w)
-	}
-	w, err = validateFlags(flagSpec{Chaos: "crash=core.generation.commit@1", Store: "runs", Checkpoints: true})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(w) != 1 || !strings.Contains(w[0], "-chaos is armed") {
-		t.Fatalf("chaos+checkpoints warnings = %q", w)
+		t.Fatalf("chaos warnings = %q", w)
 	}
 }

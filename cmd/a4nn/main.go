@@ -21,8 +21,6 @@ import (
 	netpprof "net/http/pprof"
 	"os"
 	"os/signal"
-	"runtime"
-	"runtime/pprof"
 	"syscall"
 	"time"
 
@@ -42,7 +40,7 @@ func main() {
 		devices     = flag.Int("devices", 1, "number of simulated accelerators")
 		standalone  = flag.Bool("standalone", false, "disable the prediction engine (baseline)")
 		dataPath    = flag.String("data", "", "dataset file from xfelgen; empty selects the surrogate trainer")
-		storeDir    = flag.String("store", "", "data commons directory for record trails and the run's telemetry (events.jsonl, metrics.json)")
+		storeDir    = flag.String("store", "", "data commons directory for record trails, per-epoch model checkpoints (so -resume continues inside an interrupted generation) and the run's telemetry (events.jsonl, metrics.json)")
 		snapshots   = flag.Bool("snapshots", false, "also store per-epoch model states (requires -store)")
 		replayDir   = flag.String("replay", "", "replay record trails from this commons instead of retraining")
 		seed        = flag.Int64("seed", 1, "random seed")
@@ -54,28 +52,19 @@ func main() {
 		retries     = flag.Int("retries", 0, "max attempts per task (0: 1, or 3 with -faults)")
 		taskTimeout = flag.Float64("task-timeout", 0, "per-attempt simulated deadline in seconds (0 = off)")
 		resume      = flag.Bool("resume", false, "recover and replay completed work from -store before training (crash recovery)")
-		checkpoints = flag.Bool("checkpoints", false, "persist per-epoch model checkpoints so -resume continues inside an interrupted generation (requires -store)")
 		chaosSpec   = flag.String("chaos", "", `crash-injection plan for fault drills, e.g. "crash=commons.record.pre_rename@3;seed=7" (see a4nn.ChaosPoints)`)
-		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memProfile  = flag.String("memprofile", "", "write a heap profile to this file at exit")
 		metricsAddr = flag.String("metrics-addr", "", `serve /metrics, /metrics.json, /debug/spans, the /events SSE stream and the /dashboard page on this address (e.g. ":9090")`)
 		profLayers  = flag.Bool("profile-layers", false, "account per-layer forward/backward time and FLOPs (real training only, so pair with -data; see a4nn-analyze profile)")
 		pprofOn     = flag.Bool("pprof", false, "expose net/http/pprof on -metrics-addr (requires -metrics-addr); never enable on a publicly reachable address")
-		healthOn    = flag.Bool("health", false, "run the in-situ health monitor; alerts persist to alerts.jsonl with -store and serve at /healthz with -metrics-addr")
-		healthSpec  = flag.String("health-config", "", `health thresholds (requires -health), e.g. "divergence-window=5;min-capacity=0.6;gc-pause-ms=20"`)
-		sloSpec     = flag.String("slo", "", `service-level objectives with error-budget burn alerts (requires -health), e.g. "queue_wait_p99=2s,job_turnaround=10m,event_drop_rate=0.01"`)
-		strictOn    = flag.Bool("health-strict", false, "exit non-zero (code 3) when critical health alerts are still unresolved at the end of the run (requires -health)")
-		historyOn   = flag.Bool("history", false, "sample metrics into an on-disk time-series store (series.a4ts in the -store directory; query with a4nn-analyze series or GET /api/query)")
-		historyStep = flag.Duration("history-interval", 5*time.Second, "sampling interval for -history")
-		baselineIn  = flag.String("regress-baseline", "", "baseline JSON (from a4nn-analyze series -baseline-out) to compare live series against; sustained deviations alert through -health")
+		healthFlag  = flag.Bool("health", false, "run the in-situ health monitor with default thresholds (every health flag below implies it); alerts persist to alerts.jsonl with -store and serve at /healthz with -metrics-addr")
+		healthSpec  = flag.String("health-config", "", `health thresholds, e.g. "divergence-window=5;min-capacity=0.6;gc-pause-ms=20"`)
+		sloSpec     = flag.String("slo", "", `service-level objectives with error-budget burn alerts, e.g. "queue_wait_p99=2s,job_turnaround=10m,event_drop_rate=0.01"`)
+		strictOn    = flag.Bool("health-strict", false, "exit non-zero (code 3) when critical health alerts are still unresolved at the end of the run")
+		history     = flag.Duration("history", 0, "sample metrics at this interval (e.g. 5s; 0 = off) into an on-disk time-series store: series.a4ts in the -store directory; query with a4nn-analyze series or GET /api/query")
+		baselineIn  = flag.String("regress-baseline", "", "baseline JSON (from a4nn-analyze series -baseline-out) to compare live series against (requires -history); sustained deviations alert through the health monitor")
 	)
 	flag.Parse()
-	historySet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "history-interval" {
-			historySet = true
-		}
-	})
+	healthOn := *healthFlag || *healthSpec != "" || *sloSpec != "" || *strictOn || *baselineIn != ""
 
 	spec := flagSpec{
 		Store:       *storeDir,
@@ -84,15 +73,10 @@ func main() {
 		Pprof:       *pprofOn,
 		ProfLayers:  *profLayers,
 		DataPath:    *dataPath,
-		Health:      *healthOn,
-		HealthSpec:  *healthSpec,
-		SLOSpec:     *sloSpec,
+		Health:      healthOn,
 		Strict:      *strictOn,
-		Checkpoints: *checkpoints,
-		Resume:      *resume,
 		Chaos:       *chaosSpec,
-		History:     *historyOn,
-		HistorySet:  historySet,
+		History:     *history > 0,
 		Baseline:    *baselineIn,
 	}
 	warnings, err := validateFlags(spec)
@@ -111,50 +95,13 @@ func main() {
 		a4nn.InstallChaosPlan(plan)
 	}
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fatal(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
-		}
-	}
-	profilesDone := false
-	stopProfiles = func() {
-		if profilesDone {
-			return
-		}
-		profilesDone = true
-		if *cpuProfile != "" {
-			pprof.StopCPUProfile()
-		}
-		if *memProfile != "" {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "a4nn:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // flush unreachable buffers so the profile shows live memory
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "a4nn:", err)
-			}
-		}
-	}
 	// The run environment (internal/runenv): observability is on whenever
 	// anything consumes it — a metrics listener, the -store directory
 	// (whose journal `a4nn-analyze telemetry` folds), the layer profiler,
 	// the health monitor or run history.
-	if *metricsAddr != "" || *storeDir != "" || *profLayers || *healthOn || *historyOn {
-		var opts runenv.Options
-		if *historyOn {
-			opts.History = *historyStep
-			if opts.History <= 0 { // runenv reads 0 as off; the sampler's default, as before
-				opts.History = 5 * time.Second
-			}
-		}
-		if *healthOn {
+	if *metricsAddr != "" || *storeDir != "" || *profLayers || healthOn || *history > 0 {
+		opts := runenv.Options{History: *history}
+		if healthOn {
 			healthCfg, err := a4nn.ParseHealthConfig(*healthSpec)
 			if err != nil {
 				fatal(err)
@@ -180,7 +127,7 @@ func main() {
 				}
 				// Re-judging more often than the sampler writes is useless;
 				// pace evaluation to the history cadence.
-				healthCfg.Regression = &health.RegressionConfig{Baseline: base, EvalInterval: *historyStep}
+				healthCfg.Regression = &health.RegressionConfig{Baseline: base, EvalInterval: *history}
 			}
 			opts.Health = &healthCfg
 		}
@@ -196,7 +143,7 @@ func main() {
 
 	// SIGINT/SIGTERM cancel the run context: in-flight training stops
 	// between epochs, the pool drains, and the exit path below still
-	// flushes telemetry and profiles before the process ends.
+	// flushes telemetry before the process ends.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 
@@ -256,7 +203,6 @@ func main() {
 		if err := env.Close(); err != nil {
 			fmt.Fprintln(os.Stderr, "a4nn:", err)
 		}
-		stopProfiles()
 	}
 	defer shutdown()
 
@@ -305,7 +251,7 @@ func main() {
 		}
 		cfg.Store = store
 		cfg.SnapshotEpochs = *snapshots
-		cfg.Checkpoints = *checkpoints
+		cfg.Checkpoints = true // as in every job: -resume continues mid-model
 	}
 	if *replayDir != "" {
 		replay, err := a4nn.OpenCommons(*replayDir)
@@ -336,7 +282,7 @@ func main() {
 	res, err := a4nn.RunCtx(ctx, cfg)
 	if err != nil {
 		if ctx.Err() != nil {
-			fmt.Fprintln(os.Stderr, "a4nn: interrupted — flushing telemetry and profiles")
+			fmt.Fprintln(os.Stderr, "a4nn: interrupted — flushing telemetry")
 		}
 		fatal(err)
 	}
@@ -416,14 +362,11 @@ func main() {
 	}
 }
 
-// stopProfiles flushes any active -cpuprofile/-memprofile output;
-// shutdown additionally flushes telemetry and closes the metrics
-// listener. Both are installed in main and must also run on the fatal
-// path, which bypasses deferred calls via os.Exit. Until main installs
-// the full version, shutdown at least stops profiles.
+// shutdown flushes telemetry and closes the metrics listener. main
+// installs it, and it must also run on the fatal path, which bypasses
+// deferred calls via os.Exit.
 var (
-	stopProfiles = func() {}
-	shutdown     = func() { stopProfiles() }
+	shutdown = func() {}
 	// env is the run environment (nil when nothing consumes telemetry);
 	// its flight recorder is the run's black box, which fatal paths dump
 	// before exiting.

@@ -136,7 +136,7 @@ func (p *Plan) Validate() error {
 			return fmt.Errorf("chaos: unknown crash point %q", name)
 		}
 		for _, r := range rules {
-			if r.visit == 0 && (r.prob <= 0 || r.prob > 1) {
+			if r.visit == 0 && !(r.prob > 0 && r.prob <= 1) { // NaN fails too
 				return fmt.Errorf("chaos: point %s probability %v outside (0,1]", name, r.prob)
 			}
 		}

@@ -2,6 +2,7 @@ package health
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -14,17 +15,24 @@ import (
 // these tables, so a key or a default is written here and nowhere else.
 
 // unit is how a knob's value reads in a spec and which values it takes.
+// No unit takes NaN or ±Inf.
 type unit int
 
 const (
 	integer  unit = iota // positive integer
 	limit                // positive integer; set in code, a negative disables the check
-	number               // positive number
+	number               // positive finite number
 	fraction             // number in (0,1)
-	millis               // positive milliseconds, held as a time.Duration
-	duration             // positive Go duration ("90s"), held as a time.Duration
-	seconds              // positive Go duration, held as float64 seconds
+	millis               // milliseconds in (0, maxTime], held as a time.Duration
+	duration             // Go duration ("90s") in (0, maxTime], held as a time.Duration
+	seconds              // Go duration in (0, maxTime], held as float64 seconds
 )
+
+// maxTime bounds every time-valued knob. A week is past any run the
+// engine watches, and below 2^51 ns a float64 of milliseconds or seconds
+// converts back to the same nanosecond count, so a parsed spec printed
+// again reads back unchanged.
+const maxTime = 7 * 24 * time.Hour
 
 // knob is one row of a table over the struct T it tunes.
 type knob[T any] struct {
@@ -82,37 +90,51 @@ func (k knob[T]) set(dst *T, val string) error {
 		*p = n
 	case *float64:
 		if k.unit == seconds {
-			d, err := time.ParseDuration(val)
-			if err != nil || d <= 0 {
-				return bad("a positive duration")
+			d, ok := parseTime(val, k.unit)
+			if !ok {
+				return bad("a positive duration up to a week")
 			}
 			*p = d.Seconds()
 			return nil
 		}
+		// Written as !(in range) so that NaN, which fails every
+		// comparison, is out of range too.
 		f, err := strconv.ParseFloat(val, 64)
-		if k.unit == fraction && (err != nil || f <= 0 || f >= 1) {
+		if k.unit == fraction && !(err == nil && f > 0 && f < 1) {
 			return bad("a fraction in (0,1)")
 		}
-		if err != nil || f <= 0 {
-			return bad("a positive number")
+		if err != nil || !(f > 0 && f <= math.MaxFloat64) {
+			return bad("a positive finite number")
 		}
 		*p = f
 	case *time.Duration:
-		if k.unit == millis {
-			f, err := strconv.ParseFloat(val, 64)
-			if err != nil || f <= 0 {
-				return bad("positive milliseconds")
-			}
-			*p = time.Duration(f * float64(time.Millisecond))
-			return nil
+		d, ok := parseTime(val, k.unit)
+		if !ok && k.unit == millis {
+			return bad("positive milliseconds up to a week")
 		}
-		d, err := time.ParseDuration(val)
-		if err != nil || d <= 0 {
-			return bad("a positive duration")
+		if !ok {
+			return bad("a positive duration up to a week")
 		}
 		*p = d
 	}
 	return nil
+}
+
+// parseTime reads a time-valued knob (milliseconds for millis, a Go
+// duration otherwise) and reports whether it lies in (0, maxTime].
+func parseTime(val string, u unit) (time.Duration, bool) {
+	if u == millis {
+		// Range-check the float before converting it: NaN, ±Inf and
+		// anything past maxTime would overflow time.Duration.
+		f, err := strconv.ParseFloat(val, 64)
+		if err != nil || !(f > 0 && f <= float64(maxTime/time.Millisecond)) {
+			return 0, false
+		}
+		d := time.Duration(math.Round(f * float64(time.Millisecond)))
+		return d, d > 0
+	}
+	d, err := time.ParseDuration(val)
+	return d, err == nil && d > 0 && d <= maxTime
 }
 
 // unset reports whether k's field of dst still needs its default: zero,

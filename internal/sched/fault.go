@@ -100,26 +100,28 @@ type FaultPlan struct {
 	FailPoint float64
 	// SlowdownProb is the per-device×generation straggler probability.
 	SlowdownProb float64
-	// SlowdownFactor is the cost multiplier of a slowed device
-	// (default 4).
+	// SlowdownFactor is the cost multiplier of a slowed device, in
+	// [1, maxSlowdownFactor] (default 4).
 	SlowdownFactor float64
 }
 
-// Validate reports the first problem with the plan, or nil.
+// maxSlowdownFactor bounds FaultPlan.SlowdownFactor: a device slower
+// than that is better modelled as crashed.
+const maxSlowdownFactor = 1000
+
+// Validate reports the first problem with the plan, or nil. Every range
+// check is written as !(in range), so NaN is out of every range.
 func (f *FaultPlan) Validate() error {
 	for name, p := range map[string]float64{
 		"CrashProb": f.CrashProb, "TransientProb": f.TransientProb,
-		"SlowdownProb": f.SlowdownProb,
+		"SlowdownProb": f.SlowdownProb, "FailPoint": f.FailPoint,
 	} {
-		if p < 0 || p > 1 {
+		if !(p >= 0 && p <= 1) {
 			return fmt.Errorf("sched: fault plan %s %v outside [0,1]", name, p)
 		}
 	}
-	if f.FailPoint < 0 || f.FailPoint > 1 {
-		return fmt.Errorf("sched: fault plan FailPoint %v outside [0,1]", f.FailPoint)
-	}
-	if f.SlowdownFactor != 0 && f.SlowdownFactor < 1 {
-		return fmt.Errorf("sched: SlowdownFactor %v must be ≥ 1", f.SlowdownFactor)
+	if f.SlowdownFactor != 0 && !(f.SlowdownFactor >= 1 && f.SlowdownFactor <= maxSlowdownFactor) {
+		return fmt.Errorf("sched: SlowdownFactor %v outside [1,%d]", f.SlowdownFactor, maxSlowdownFactor)
 	}
 	for _, c := range f.Crashes {
 		if c.Device < 0 || c.Generation < 0 {
@@ -207,7 +209,7 @@ func splitmix64(x uint64) uint64 {
 //	crash=D@G+K       ... after completing K attempts (default 1)
 //	crash=P           per-device×generation crash probability
 //	slowdown=P        per-device×generation straggler probability
-//	slowfactor=F      straggler cost multiplier (default 4)
+//	slowfactor=F      straggler cost multiplier in [1,1000] (default 4)
 //	failpoint=F       fraction of an attempt wasted per failure
 //
 // Example: "transient=0.05;crash=1@2;slowdown=0.1;seed=7".

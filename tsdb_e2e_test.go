@@ -36,8 +36,7 @@ func TestHistoryKillResumeE2E(t *testing.T) {
 	store := scratchDir(t, "store")
 	seriesPath := filepath.Join(store, tsdb.SeriesFile)
 	args := []string{"-beam", "medium", "-population", "10", "-offspring", "10",
-		"-generations", "20", "-seed", "11", "-store", store, "-checkpoints",
-		"-history", "-history-interval", "25ms"}
+		"-generations", "20", "-seed", "11", "-store", store, "-history", "25ms"}
 
 	cmd := exec.Command(bins["a4nn"], args...)
 	if err := cmd.Start(); err != nil {
@@ -258,7 +257,7 @@ func TestRegressionBaselineE2E(t *testing.T) {
 	}
 	out = run(t, bins["a4nn"], "-beam", "medium", "-population", "6", "-offspring", "6",
 		"-generations", "30", "-seed", "11", "-store", filepath.Join(work, "cli"),
-		"-history", "-history-interval", "5ms", "-health", "-health-config", healthSpec,
+		"-history", "5ms", "-health-config", healthSpec,
 		"-regress-baseline", degradedPath)
 	if !strings.Contains(out, "regression/"+key) || !strings.Contains(out, "below baseline") {
 		t.Fatalf("degraded baseline raised no regression alert:\n%s", out)
