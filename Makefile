@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci lint vet build test race race-broker race-health race-sched race-obs race-tsdb fuzz-smoke bench bench-smoke bench-gate bench-json chaos-soak service-e2e clean
+.PHONY: ci lint vet build test race race-broker race-health race-sched race-obs race-tsdb golden-nofma fuzz-smoke bench bench-smoke bench-gate bench-json chaos-soak service-e2e clean
 
 # ci is the gate for every change: formatting and static analysis, a
 # full build, the test suite under the race detector (plus a dedicated
@@ -11,18 +11,20 @@ GO ?= go
 # manager), a one-iteration benchmark smoke run so the hot-path
 # benchmarks cannot silently rot, ten seconds of real fuzzing per
 # on-disk decoder and spec parser, the allocation-regression gates on
-# the training and observability hot paths, the crash-recovery soak
-# that kills the real CLI at seeded crash points and resumes it to
-# completion, and the service e2e that kills a live multi-job
-# a4nn-serve and resumes every submission.
-ci: lint build race race-broker race-health race-sched race-obs race-tsdb fuzz-smoke bench-smoke bench-gate chaos-soak service-e2e
+# the training and observability hot paths, the golden-bits tests on an
+# FMA-less math.Exp, the crash-recovery soak that kills the real CLI at
+# seeded crash points and resumes it to completion, and the service e2e
+# that kills a live multi-job a4nn-serve and resumes every submission.
+ci: lint build race race-broker race-health race-sched race-obs race-tsdb golden-nofma fuzz-smoke bench-smoke bench-gate chaos-soak service-e2e
 
 # lint fails on unformatted files (gofmt -l), vet findings, and on a
 # file protocol written outside internal/durable: temp files, O_APPEND
 # handles and CRC framing have one implementation each, so a second
 # copy cannot appear unreviewed. It also holds the health engine
 # to one clock: internal/health declares one func() time.Time (Engine.now)
-# and reads time.Now nowhere but in New, where that seam is set.
+# and reads time.Now nowhere but in New, where that seam is set. And it
+# refuses math.Exp outside internal/tensor: tensor.Exp has the same bits
+# on every amd64 host, math.Exp has two sets (FMA or not).
 lint: vet
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -38,6 +40,10 @@ lint: vet
 		| grep -vE '^internal/health/health\.go:[0-9]+:[[:space:]]*now: +time\.Now,$$'); \
 	if [ $$(printf '%s' "$$seams" | grep -c .) -gt 1 ] || [ -n "$$clocks" ]; then \
 		echo "internal/health reads time outside Engine.now:"; echo "$$seams"; echo "$$clocks"; exit 1; \
+	fi
+	@exps=$$(grep -rnE 'math\.Exp\(' --include='*.go' . | grep -vE '^\./internal/tensor/|_test\.go:'); \
+	if [ -n "$$exps" ]; then \
+		echo "math.Exp outside internal/tensor (use tensor.Exp or tensor.ExpInto):"; echo "$$exps"; exit 1; \
 	fi
 
 vet:
@@ -92,11 +98,17 @@ race-tsdb:
 race-obs:
 	$(GO) test -race -run 'Scope|Recorder' -count 5 ./internal/obs
 
+# golden-nofma reruns the golden-bits tests with math.Exp on its
+# separately rounded path, as on an amd64 host without FMA: the recorded
+# bits must not depend on which path the host's math.Exp takes.
+golden-nofma:
+	GODEBUG=cpu.fma=off $(GO) test -count 1 -run GoldenBits ./internal/predict ./internal/simtrain ./internal/core
+
 # fuzz-smoke mutates the input of every decoder of bytes read back from
 # disk, and of every command-line spec parser (-faults, -chaos,
-# -health-config, -slo), for a bounded time; the plain test suite only
-# replays each target's seed corpus. One target per invocation, as -fuzz
-# requires.
+# -health-config, -slo), and the vector exponential against the scalar
+# one, for a bounded time; the plain test suite only replays each
+# target's seed corpus. One target per invocation, as -fuzz requires.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz='^FuzzReadEvents$$' -fuzztime=10s ./internal/obs
 	$(GO) test -run=^$$ -fuzz='^FuzzDecodeBundle$$' -fuzztime=10s ./internal/obs
@@ -108,15 +120,17 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz='^FuzzParseChaosPlan$$' -fuzztime=10s ./internal/chaos
 	$(GO) test -run=^$$ -fuzz='^FuzzParseHealthConfig$$' -fuzztime=10s ./internal/health
 	$(GO) test -run=^$$ -fuzz='^FuzzParseSLO$$' -fuzztime=10s ./internal/health
+	$(GO) test -run=^$$ -fuzz='^FuzzExpBits$$' -fuzztime=10s ./internal/tensor
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
 
-# bench-smoke runs every tensor/nn microbenchmark for a single iteration
-# under -short (skips the 1024 GEMM), as a correctness check in ci, and
-# likewise the prediction engine's: the LM fit, one engine interaction, a
-# tracker replaying a 25-epoch history, and a surrogate model's set-up;
-# and one model's checkpoint log (18 epoch appends, then the delete).
+# bench-smoke runs every tensor/nn microbenchmark (BenchmarkExpInto among
+# them) for a single iteration under -short (skips the 1024 GEMM), as a
+# correctness check in ci, and likewise the prediction engine's: the LM
+# fit, one engine interaction, a tracker replaying a 25-epoch history, and
+# a surrogate model's set-up; and one model's checkpoint log (18 epoch
+# appends, then the delete).
 bench-smoke:
 	$(GO) test -short -run=^$$ -bench=. -benchtime=1x ./internal/tensor ./internal/nn
 	$(GO) test -short -run=^$$ -bench=. -benchtime=1x -benchmem ./internal/fit ./internal/predict ./internal/simtrain ./internal/commons

@@ -26,6 +26,7 @@ import (
 	"a4nn/internal/predict"
 	"a4nn/internal/sched"
 	"a4nn/internal/simtrain"
+	"a4nn/internal/tensor"
 	"a4nn/internal/xfel"
 	"a4nn/internal/xpsi"
 )
@@ -165,7 +166,7 @@ func Fig2(seed int64) (*Fig2Result, error) {
 	tracker := predict.NewTracker(engine)
 	res := &Fig2Result{EPred: engine.Config().EPred}
 	for e := 1; e <= 25; e++ {
-		v := a - math.Exp(beta*(c-float64(e))) + rng.NormFloat64()*0.25
+		v := a - tensor.Exp(beta*(c-float64(e))) + rng.NormFloat64()*0.25
 		if v > 100 {
 			v = 100
 		}

@@ -100,35 +100,49 @@ func LeastSquares(x [][]float64, y []float64) ([]float64, error) {
 		return nil, errors.New("fit: no observations")
 	}
 	n := len(x[0])
+	for r, row := range x {
+		if len(row) != n {
+			return nil, fmt.Errorf("fit: ragged design matrix at row %d", r)
+		}
+	}
+	return normalSolve(m, n, y, func(r int, row []float64) { copy(row, x[r]) })
+}
+
+// normalSolve is LeastSquares for the m×n design matrix whose row r
+// fill(r, row) writes: it accumulates XᵀX and Xᵀy one row at a time
+// straight into the augmented system [XᵀX | Xᵀy] and eliminates it, so no
+// design matrix is ever stored.
+func normalSolve(m, n int, y []float64, fill func(r int, row []float64)) ([]float64, error) {
+	if m == 0 {
+		return nil, errors.New("fit: no observations")
+	}
 	if len(y) != m {
 		return nil, fmt.Errorf("fit: %d rows but %d targets", m, len(y))
 	}
 	if m < n {
 		return nil, fmt.Errorf("fit: underdetermined system (%d rows, %d unknowns)", m, n)
 	}
-	xtx := make([][]float64, n)
-	for i := range xtx {
-		xtx[i] = make([]float64, n)
-	}
-	xty := make([]float64, n)
+	w := n + 1
+	buf := make([]float64, n*w+2*n) // the augmented system, one row, β
+	aug, row, beta := buf[:n*w], buf[n*w:n*w+n], buf[n*w+n:]
 	for r := 0; r < m; r++ {
-		row := x[r]
-		if len(row) != n {
-			return nil, fmt.Errorf("fit: ragged design matrix at row %d", r)
-		}
+		fill(r, row)
 		for i := 0; i < n; i++ {
 			for j := i; j < n; j++ {
-				xtx[i][j] += row[i] * row[j]
+				aug[i*w+j] += row[i] * row[j]
 			}
-			xty[i] += row[i] * y[r]
+			aug[i*w+n] += row[i] * y[r]
 		}
 	}
 	for i := 0; i < n; i++ {
 		for j := 0; j < i; j++ {
-			xtx[i][j] = xtx[j][i]
+			aug[i*w+j] = aug[j*w+i]
 		}
 	}
-	return SolveLinear(xtx, xty)
+	if err := eliminate(aug, n, beta); err != nil {
+		return nil, err
+	}
+	return beta, nil
 }
 
 // PolyFit fits a polynomial of the given degree to (xs, ys) by least
@@ -140,17 +154,13 @@ func PolyFit(xs, ys []float64, degree int) ([]float64, error) {
 	if len(xs) != len(ys) {
 		return nil, fmt.Errorf("fit: %d xs but %d ys", len(xs), len(ys))
 	}
-	design := make([][]float64, len(xs))
-	for i, x := range xs {
-		row := make([]float64, degree+1)
+	return normalSolve(len(xs), degree+1, ys, func(r int, row []float64) {
 		p := 1.0
-		for d := 0; d <= degree; d++ {
+		for d := range row {
 			row[d] = p
-			p *= x
+			p *= xs[r]
 		}
-		design[i] = row
-	}
-	return LeastSquares(design, ys)
+	})
 }
 
 // PolyEval evaluates a polynomial with coefficients c (lowest order first)

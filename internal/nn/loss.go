@@ -58,13 +58,13 @@ func (SoftmaxCrossEntropy) LossInto(logits *tensor.Tensor, labels []int, grad *t
 		}
 		sum := 0.0
 		for _, v := range row {
-			sum += math.Exp(v - max)
+			sum += tensor.Exp(v - max)
 		}
 		logZ := max + math.Log(sum)
 		loss += logZ - row[lbl]
 		gRow := gd[i*k : (i+1)*k]
 		for j, v := range row {
-			p := math.Exp(v - logZ)
+			p := tensor.Exp(v - logZ)
 			if j == lbl {
 				p -= 1
 			}

@@ -7,6 +7,7 @@ import (
 
 	"a4nn/internal/fit"
 	"a4nn/internal/obs"
+	"a4nn/internal/tensor"
 )
 
 // Config mirrors Table 1 of the paper: the prediction engine's
@@ -148,11 +149,12 @@ func (e *Engine) Predict(history []float64) (pred float64, ok bool) {
 // Algorithm 1. Both are stateless and fit on a throw-away workspace; a
 // Tracker, which refits one growing history, keeps its own.
 func (e *Engine) PredictAt(xs, ys []float64, x float64) (pred float64, ok bool) {
-	return e.predictAt(new(fit.Workspace), xs, ys, x)
+	return e.predictAt(new(fit.Workspace), nil, xs, ys, x)
 }
 
-// predictAt is PredictAt fitting on the caller's workspace.
-func (e *Engine) predictAt(w *fit.Workspace, xs, ys []float64, x float64) (pred float64, ok bool) {
+// predictAt is PredictAt fitting on the caller's workspace. A non-nil
+// memo serves the paper's family its exponentials across the fit.
+func (e *Engine) predictAt(w *fit.Workspace, memo *expMemo, xs, ys []float64, x float64) (pred float64, ok bool) {
 	fam := e.cfg.Family
 	if len(xs) != len(ys) || len(xs) < fam.NumParams() {
 		return 0, false
@@ -168,10 +170,15 @@ func (e *Engine) predictAt(w *fit.Workspace, xs, ys []float64, x float64) (pred 
 		weights = make([]float64, len(xs))
 		n := float64(len(xs))
 		for i := range weights {
-			weights[i] = math.Pow(float64(i+1)/n, e.cfg.RecencyWeight)
+			weights[i] = tensor.Pow(float64(i+1)/n, e.cfg.RecencyWeight)
 		}
 	}
 	opts := &fit.LMOptions{MaxIterations: 100, Lower: lo, Upper: hi, Weights: weights}
+	model := fam.EvalBatch
+	if _, paper := fam.(ExpApproach); paper && memo != nil {
+		memo.reset()
+		model = memo.evalBatch
+	}
 
 	// Multi-start: begin from the linearised initial guess; only when
 	// that fit explains the data poorly (a suspected local minimum), try
@@ -196,7 +203,7 @@ func (e *Engine) predictAt(w *fit.Workspace, xs, ys []float64, x float64) (pred 
 		if scale != 1 && len(p0) > 1 {
 			p0[1] *= scale // perturb the rate-like parameter
 		}
-		res, err := w.Fit(fam.EvalBatch, xs, ys, p0, opts)
+		res, err := w.Fit(model, xs, ys, p0, opts)
 		if err == nil && res.Residual < best {
 			best = res.Residual
 			// res.Params is the workspace's; the next start overwrites it.
@@ -264,10 +271,12 @@ type Tracker struct {
 	PredEpochs []int
 	converged  bool
 
-	// xs is the epoch ramp 1..len(H) the fits run over and ws their
-	// buffers; both grow with the history and are reused by every Observe.
-	xs []float64
-	ws fit.Workspace
+	// xs is the epoch ramp 1..len(H) the fits run over, ws their buffers
+	// and exps the exponentials of the last curve they evaluated; all grow
+	// with the history and are reused by every Observe.
+	xs   []float64
+	ws   fit.Workspace
+	exps expMemo
 }
 
 // NewTracker returns a Tracker bound to the engine.
@@ -287,7 +296,7 @@ func (t *Tracker) Observe(fitness float64) (converged bool) {
 	}
 	cfg := &t.engine.cfg
 	if len(t.H) >= cfg.CMin {
-		if p, ok := t.engine.predictAt(&t.ws, t.xs[:len(t.H)], t.H, float64(cfg.EPred)); ok {
+		if p, ok := t.engine.predictAt(&t.ws, &t.exps, t.xs[:len(t.H)], t.H, float64(cfg.EPred)); ok {
 			t.P = append(t.P, p)
 			t.PredEpochs = append(t.PredEpochs, len(t.H))
 		}

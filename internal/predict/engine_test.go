@@ -1,6 +1,7 @@
 package predict
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -290,6 +291,57 @@ func TestFamilyMetadata(t *testing.T) {
 // Property: for any monotone noiseless curve from the family, the tracker
 // either converges to within a few points of the true asymptotic fitness
 // or never claims convergence.
+// TestEvalBatchMatchesEval holds every family's batch form, and the
+// tracker's exponential memo, to the one-point Eval bit for bit, over
+// histories of every length up to 30: parameters drawn across each
+// family's box, and every fourth draw with a rate 20× past it, so that
+// some arguments leave the vector exponential's range. The memo sees the
+// calls of a fit: the current parameters, a probe of a, probes of β and
+// c, and the current parameters again.
+func TestEvalBatchMatchesEval(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for n := 1; n <= 30; n++ {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = float64(i + 1)
+		}
+		var memo expMemo
+		for trial := 0; trial < 20; trial++ {
+			for _, fam := range []CurveFamily{ExpApproach{}, PowerLaw{}, Logistic{}, LastValue{}} {
+				lo, hi := fam.Bounds()
+				p := make([]float64, fam.NumParams())
+				for i := range p {
+					if lo == nil {
+						p[i] = rng.NormFloat64() * 50
+						continue
+					}
+					p[i] = lo[i] + rng.Float64()*(hi[i]-lo[i])
+				}
+				if trial%4 == 0 && len(p) > 1 {
+					p[1] *= 20
+				}
+				check := func(label string, eval func(p, xs, out []float64), p []float64) {
+					out := make([]float64, n)
+					eval(p, xs, out)
+					for i, x := range xs {
+						if got, want := out[i], fam.Eval(p, x); math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("%s %s at %v, x=%v: %v, Eval gives %v", fam.Name(), label, p, x, got, want)
+						}
+					}
+				}
+				check("EvalBatch", fam.EvalBatch, p)
+				if _, paper := fam.(ExpApproach); paper {
+					memo.reset()
+					for j, d := range [][3]float64{{0, 0, 0}, {1e-4, 0, 0}, {-1e-4, 0, 0}, {0, 1e-6, 0}, {0, 0, 1e-4}, {0, 0, 0}} {
+						q := []float64{p[0] + d[0], p[1] + d[1], p[2] + d[2]}
+						check(fmt.Sprintf("memo call %d", j), memo.evalBatch, q)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestTrackerConvergenceSoundness(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -367,10 +419,11 @@ func BenchmarkTrackerObserve(b *testing.B) {
 }
 
 // TestTrackerObserveAllocs bounds what one engine interaction allocates
-// once a tracker's buffers are warm: the initial guess and its
-// linearisation (PolyFit's design matrix grows with the history), the
-// start vector, the kept parameters and the fit options — not the fit,
-// which runs on the tracker's workspace.
+// once a tracker's buffers are warm: the initial guess, its
+// linearisation (one buffer: PolyFit stores no design matrix) and the
+// family's bounds, fetched by it and by the engine; the start vector and
+// the kept parameters — not the fit, which runs on the tracker's
+// workspace and exponential memo.
 func TestTrackerObserveAllocs(t *testing.T) {
 	e := mustEngine(t, neverConverging())
 	ys := synthCurve(93, 0.4, 1.5, 25, 0.25, rand.New(rand.NewSource(1)))
@@ -384,8 +437,8 @@ func TestTrackerObserveAllocs(t *testing.T) {
 		observe()
 	}
 	allocs := testing.AllocsPerRun(12, observe) // epochs 13–25 (one warm-up call)
-	if allocs > 36 {
-		t.Errorf("a steady-state Tracker.Observe made %v allocations, want ≤ 36", allocs)
+	if allocs > 9 {
+		t.Errorf("a steady-state Tracker.Observe made %v allocations, want ≤ 9", allocs)
 	}
 	t.Logf("%v allocations per Observe", allocs)
 }

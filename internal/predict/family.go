@@ -14,6 +14,7 @@ import (
 	"math"
 
 	"a4nn/internal/fit"
+	"a4nn/internal/tensor"
 )
 
 // CurveFamily describes a parametric learning-curve family F(params, x)
@@ -54,7 +55,7 @@ func (ExpApproach) NumParams() int { return 3 }
 // expApproach is F(x) = a − e^{β(c−x)}.
 func expApproach(a, beta, c, x float64) float64 {
 	// Capped to avoid overflow to +Inf; the fit rejects such steps anyway.
-	return a - math.Exp(min(beta*(c-x), 700))
+	return a - tensor.Exp(min(beta*(c-x), 700))
 }
 
 // Eval implements CurveFamily: F(x) = a − e^{β(c−x)}.
@@ -62,11 +63,53 @@ func (ExpApproach) Eval(p []float64, x float64) float64 { return expApproach(p[0
 
 // EvalBatch implements CurveFamily.
 func (ExpApproach) EvalBatch(p, xs, out []float64) {
-	a, beta, c := p[0], p[1], p[2]
-	for i, x := range xs {
-		out[i] = expApproach(a, beta, c, x)
+	out = out[:len(xs)]
+	expApproachExps(p[1], p[2], xs, out)
+	for i, e := range out {
+		out[i] = p[0] - e
 	}
 }
+
+// expApproachExps fills e[i] with e^{β(c−xs[i])}, capped as in
+// expApproach, all through one tensor.ExpInto.
+func expApproachExps(beta, c float64, xs, e []float64) {
+	for i, x := range xs {
+		e[i] = min(beta*(c-x), 700)
+	}
+	tensor.ExpInto(e[:len(xs)])
+}
+
+// expMemo holds the exponentials e^{β(c−x)} of the last (β, c) an
+// ExpApproach fit evaluated, keyed on their exact bits. The Jacobian's
+// probes of a (at a ± h) follow an evaluation at the current parameters,
+// so they need no exponential at all: two of the six probe evaluations of
+// every Levenberg–Marquardt iteration. Values are the ones
+// ExpApproach.EvalBatch computes, bit for bit.
+type expMemo struct {
+	beta, c uint64    // bits of the β and c that e belongs to
+	e       []float64 // e[i] = e^{β(c−xs[i])}; empty when nothing is held
+}
+
+// evalBatch is ExpApproach.EvalBatch through the memo. The epochs xs must
+// not change between calls without a reset.
+func (m *expMemo) evalBatch(p, xs, out []float64) {
+	beta, c := math.Float64bits(p[1]), math.Float64bits(p[2])
+	if len(m.e) != len(xs) || beta != m.beta || c != m.c {
+		if cap(m.e) < len(xs) {
+			m.e = make([]float64, len(xs), 2*len(xs))
+		}
+		m.e = m.e[:len(xs)]
+		expApproachExps(p[1], p[2], xs, m.e)
+		m.beta, m.c = beta, c
+	}
+	out = out[:len(xs)]
+	for i, e := range m.e {
+		out[i] = p[0] - e
+	}
+}
+
+// reset drops what the memo holds, for a fit over new epochs.
+func (m *expMemo) reset() { m.e = m.e[:0] }
 
 // InitialGuess implements CurveFamily. It seeds a just above the best
 // observed fitness and linearises log(a−y) = β(c−x), so that an ordinary
@@ -131,7 +174,7 @@ func powerLaw(a, b, c, x float64) float64 {
 	if x <= 0 {
 		x = 1e-9
 	}
-	return a - b*math.Pow(x, -c)
+	return a - b*tensor.Pow(x, -c)
 }
 
 // Eval implements CurveFamily: F(x) = a − b·x^(−c), defined for x > 0.

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"a4nn/internal/fit"
+	"a4nn/internal/tensor"
 )
 
 // Logistic is the sigmoid family F(x) = a / (1 + e^{−k(x−m)}): an
@@ -20,7 +21,7 @@ func (Logistic) NumParams() int { return 3 }
 
 // logistic is F(x) = a / (1 + e^{−k(x−m)}).
 func logistic(a, k, m, x float64) float64 {
-	return a / (1 + math.Exp(min(-k*(x-m), 700)))
+	return a / (1 + tensor.Exp(min(-k*(x-m), 700)))
 }
 
 // Eval implements CurveFamily.
@@ -29,8 +30,13 @@ func (Logistic) Eval(p []float64, x float64) float64 { return logistic(p[0], p[1
 // EvalBatch implements CurveFamily.
 func (Logistic) EvalBatch(p, xs, out []float64) {
 	a, k, m := p[0], p[1], p[2]
+	out = out[:len(xs)]
 	for i, x := range xs {
-		out[i] = logistic(a, k, m, x)
+		out[i] = min(-k*(x-m), 700)
+	}
+	tensor.ExpInto(out)
+	for i, e := range out {
+		out[i] = a / (1 + e)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"a4nn/internal/genome"
 	"a4nn/internal/predict"
 	"a4nn/internal/simtrain"
+	"a4nn/internal/tensor"
 	"a4nn/internal/xfel"
 )
 
@@ -83,13 +84,24 @@ func multiStarts(fam predict.CurveFamily, history []float64, last int) int {
 // epochs that produced them and the convergence epoch of twelve fixed
 // histories must be what they were before the fit moved onto a reusable
 // workspace, and a tracker restored mid-history (the -resume path) must
-// continue to the same bits. Recorded on amd64; other ports fuse
+// continue to the same bits, on both paths of tensor.ExpInto. Recorded on
+// amd64; they hold on every amd64 host, FMA or not, since tensor.Exp
+// fixes how the exponential rounds. Other ports fuse the fit's own
 // multiply-adds.
 func TestTrackerGoldenBits(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("golden bits recorded on amd64")
 	}
 	histories := goldenHistories(t)
+	// The vector kernel where the host has it, then the per-element path.
+	t.Run("vector", func(t *testing.T) { trackerGoldenBits(t, histories) })
+	t.Run("scalar", func(t *testing.T) {
+		defer tensor.UseExpKernel(tensor.UseExpKernel(false))
+		trackerGoldenBits(t, histories)
+	})
+}
+
+func trackerGoldenBits(t *testing.T, histories [][]float64) {
 	want := map[string]uint64{
 		"a-b^(c-x) rw=0":       0x08dc2ca3819298d7,
 		"a-b^(c-x) rw=2":       0x0ee4d032cba9b5af,

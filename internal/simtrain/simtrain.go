@@ -24,6 +24,7 @@ import (
 
 	"a4nn/internal/core"
 	"a4nn/internal/genome"
+	"a4nn/internal/tensor"
 	"a4nn/internal/xfel"
 )
 
@@ -305,7 +306,7 @@ func (m *model) TrainEpoch() (core.EpochMetrics, error) {
 		}
 		val = m.start + (m.a-m.start)*frac + m.ar
 	} else {
-		val = m.a - math.Exp(m.beta*(m.c-e)) + m.tail*(e-1) + m.ar
+		val = m.a - tensor.Exp(m.beta*(m.c-e)) + m.tail*(e-1) + m.ar
 	}
 	if val < 0 {
 		val = 0

@@ -126,19 +126,21 @@ one_check1:
 	VZEROUPPER
 	RET
 
-// func cpuHasAVX2() bool
+// func cpuFeatures() (avx2, fma bool)
 //
-// AVX2 needs the CPU to have it (CPUID.7.0:EBX bit 5, and AVX + OSXSAVE in
-// CPUID.1:ECX bits 28 and 27) and the OS to save the YMM state (XCR0 bits
-// 1 and 2).
-TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
-	MOVB   $0, ret+0(FP)
+// Both need AVX (CPUID.1:ECX bit 28), OSXSAVE (bit 27) and the OS saving
+// the YMM state (XCR0 bits 1 and 2). Then AVX2 is CPUID.7.0:EBX bit 5 and
+// FMA is CPUID.1:ECX bit 12.
+TEXT ·cpuFeatures(SB), NOSPLIT, $0-2
+	MOVB   $0, avx2+0(FP)
+	MOVB   $0, fma+1(FP)
 	XORL   AX, AX
 	CPUID
 	CMPL   AX, $7
 	JLT    done
 	MOVL   $1, AX
 	CPUID
+	MOVL   CX, SI
 	ANDL   $0x18000000, CX
 	CMPL   CX, $0x18000000
 	JNE    done
@@ -147,12 +149,15 @@ TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
 	ANDL   $6, AX
 	CMPL   AX, $6
 	JNE    done
+	SHRL   $12, SI
+	ANDL   $1, SI
+	MOVB   SI, fma+1(FP)
 	MOVL   $7, AX
 	XORL   CX, CX
 	CPUID
 	SHRL   $5, BX
 	ANDL   $1, BX
-	MOVB   BX, ret+0(FP)
+	MOVB   BX, avx2+0(FP)
 
 done:
 	RET

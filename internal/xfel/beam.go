@@ -6,6 +6,8 @@ import (
 	"math"
 	"math/rand"
 	"strconv"
+
+	"a4nn/internal/tensor"
 )
 
 // BeamIntensity is the XFEL pulse intensity in photons/µm²/pulse. It
@@ -107,7 +109,7 @@ func poisson(rng *rand.Rand, lambda float64) float64 {
 		}
 		return math.Round(v)
 	}
-	l := math.Exp(-lambda)
+	l := tensor.Exp(-lambda)
 	k, p := 0, 1.0
 	for {
 		p *= rng.Float64()
