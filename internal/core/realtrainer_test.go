@@ -80,6 +80,19 @@ func TestRealTrainerGoldenBits(t *testing.T) {
 				e+1, got[0], got[1], got[2], m.TrainLoss, m.TrainAccuracy, m.ValAccuracy, w.loss, w.trainAcc, w.valAcc)
 		}
 	}
+	// The checkpoint bytes after epoch 2: parameters (conv W, B, γ, β in
+	// unit order) and batch-norm running statistics, gob-encoded. A
+	// checkpoint written by an earlier build must load into this one, so
+	// these bytes cannot move when the kernels are rewritten.
+	state, err := model.SaveState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	h.Write(state)
+	if got, want := h.Sum64(), uint64(0x7e904dd376e08af1); got != want {
+		t.Errorf("SaveState after epoch 2: %d bytes, fnv64a %#x, want %#x", len(state), got, want)
+	}
 }
 
 // TestMicroGoldenBits is TestRealTrainerGoldenBits for the micro space,

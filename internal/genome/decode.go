@@ -9,11 +9,11 @@ import (
 )
 
 // convUnit is the NSGA-Net node operation: 3×3 (or 1×1 for the phase
-// input projection) convolution → batch norm → ReLU.
+// input projection) convolution → batch norm → ReLU, the last two one
+// fused layer.
 type convUnit struct {
 	conv *nn.Conv2D
-	bn   *nn.BatchNorm2D
-	relu *nn.ReLU
+	bn   *nn.BatchNormReLU
 }
 
 // squareConv is the geometry of the convolutions both spaces decode to:
@@ -27,11 +27,11 @@ func newConvUnit(rng *rand.Rand, g nn.ConvGeom) (*convUnit, error) {
 	if err != nil {
 		return nil, err
 	}
-	bn, err := nn.NewBatchNorm2D(g.OutC)
+	bn, err := nn.NewBatchNormReLU(g.OutC)
 	if err != nil {
 		return nil, err
 	}
-	return &convUnit{conv: conv, bn: bn, relu: nn.NewReLU()}, nil
+	return &convUnit{conv: conv, bn: bn}, nil
 }
 
 func (u *convUnit) forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
@@ -39,19 +39,11 @@ func (u *convUnit) forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error)
 	if err != nil {
 		return nil, err
 	}
-	y, err = u.bn.Forward(y, train)
-	if err != nil {
-		return nil, err
-	}
-	return u.relu.Forward(y, train)
+	return u.bn.Forward(y, train)
 }
 
 func (u *convUnit) backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
-	g, err := u.relu.Backward(grad)
-	if err != nil {
-		return nil, err
-	}
-	g, err = u.bn.Backward(g)
+	g, err := u.bn.Backward(grad)
 	if err != nil {
 		return nil, err
 	}
@@ -73,12 +65,12 @@ func unitFLOPs(conv nn.ConvGeom, in []int) int64 {
 	if err != nil {
 		return total
 	}
-	return total + nn.BatchNormGeom{C: conv.OutC}.FLOPs(out) + new(nn.ReLU).FLOPs(out)
+	return total + nn.BatchNormReLUGeom{C: conv.OutC}.FLOPs(out)
 }
 
 // unitParams is the number of trainable scalars of a convUnit around conv.
 func unitParams(conv nn.ConvGeom) int {
-	return conv.NumParams() + nn.BatchNormGeom{C: conv.OutC}.NumParams()
+	return conv.NumParams() + nn.BatchNormReLUGeom{C: conv.OutC}.NumParams()
 }
 
 // PhaseBlock is one decoded phase: an input-projection unit followed by

@@ -2,80 +2,10 @@ package nn
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"a4nn/internal/tensor"
 )
-
-// ReLU is the rectified linear activation applied element-wise; it works
-// on tensors of any rank. Its output and gradient buffers are pooled and
-// reused across steps. Both passes are branch-free — the sign of an
-// activation is a coin toss no predictor learns — which also means a NaN
-// input is passed on as NaN (max(NaN, 0)) rather than zeroed; its gradient
-// is still zero.
-type ReLU struct {
-	mask []bool // forward cache: which inputs were positive
-	y    *tensor.Tensor
-	dx   *tensor.Tensor
-}
-
-// NewReLU returns a ReLU activation layer.
-func NewReLU() *ReLU { return &ReLU{} }
-
-// Name implements Layer.
-func (r *ReLU) Name() string { return "relu" }
-
-// Params implements Layer.
-func (r *ReLU) Params() []*Param { return nil }
-
-// OutShape implements Layer.
-func (r *ReLU) OutShape(in []int) ([]int, error) { return append([]int(nil), in...), nil }
-
-// FLOPs implements Layer: one comparison per element.
-func (r *ReLU) FLOPs(in []int) int64 { return int64(shapeProduct(in)) }
-
-// Forward implements Layer.
-func (r *ReLU) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
-	r.y = ws.Obtain(r.y, x.Shape()...)
-	xd, yd := x.Data(), r.y.Data()
-	yd = yd[:len(xd)]
-	if !train {
-		for i, v := range xd {
-			yd[i] = max(v, 0)
-		}
-		return r.y, nil
-	}
-	if cap(r.mask) < len(xd) {
-		r.mask = make([]bool, len(xd))
-	}
-	r.mask = r.mask[:len(xd)]
-	for i, v := range xd {
-		yd[i] = max(v, 0)
-		r.mask[i] = v > 0
-	}
-	return r.y, nil
-}
-
-// Backward implements Layer.
-func (r *ReLU) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
-	if r.mask == nil || len(r.mask) != grad.Len() {
-		return nil, fmt.Errorf("nn: relu: Backward without matching training Forward")
-	}
-	r.dx = ws.Obtain(r.dx, grad.Shape()...)
-	gd, dd := grad.Data(), r.dx.Data()
-	gd, dd = gd[:len(r.mask)], dd[:len(r.mask)]
-	for i, m := range r.mask {
-		// keep is all ones where the input was positive: the gradient's
-		// bits pass or are cleared to +0 without a branch on the data.
-		var keep uint64
-		if m {
-			keep = 1
-		}
-		dd[i] = math.Float64frombits(math.Float64bits(gd[i]) & -keep)
-	}
-	return r.dx, nil
-}
 
 // Flatten reshapes (N, C, H, W) (or any rank ≥ 2) batches to (N, rest).
 type Flatten struct {

@@ -17,7 +17,7 @@ func benchConvNet(b *testing.B) (*Network, []Batch) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	bn, err := NewBatchNorm2D(8)
+	bn, err := NewBatchNormReLU(8)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func benchConvNet(b *testing.B) (*Network, []Batch) {
 		b.Fatal(err)
 	}
 	net, err := NewNetwork("bench", []int{3, 16, 16},
-		conv1, bn, NewReLU(), pool, conv2, NewReLU(), NewGlobalAvgPool2D(), dense)
+		conv1, bn, pool, conv2, NewReLU(), NewGlobalAvgPool2D(), dense)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -87,5 +87,32 @@ func BenchmarkTrainStep(b *testing.B) {
 		if _, err := TrainEpoch(net, opt, batches); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkBatchNormReLU measures one training forward/backward pair
+// through the fused batch norm + ReLU at a search's activation shape: a
+// 32-sample batch of 8 channels at 16×16.
+func BenchmarkBatchNormReLU(b *testing.B) {
+	rng := rand.New(rand.NewSource(9))
+	bn, err := NewBatchNormReLU(8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	x := tensor.Randn(rng, 0, 1, 32, 8, 16, 16)
+	grad := tensor.Randn(rng, 0, 1, 32, 8, 16, 16)
+	step := func() {
+		if _, err := bn.Forward(x, true); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := bn.Backward(grad); err != nil {
+			b.Fatal(err)
+		}
+	}
+	step() // the layer's buffers come from the workspace once
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
 	}
 }

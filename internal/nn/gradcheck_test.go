@@ -198,7 +198,7 @@ func TestGlobalAvgPoolGradients(t *testing.T) {
 
 func TestBatchNormGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	bn, err := NewBatchNorm2D(3)
+	bn, err := NewBatchNormReLU(3)
 	if err != nil {
 		t.Fatal(err)
 	}

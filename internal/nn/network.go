@@ -135,7 +135,7 @@ func (n *Network) summary() (*Summary, error) {
 
 // Geometry is a layer without its weights: the name, per-sample shape
 // arithmetic and cost a Summary is built from. Every Layer is one; so are
-// the weight-free ConvGeom, BatchNormGeom and DenseGeom.
+// the weight-free ConvGeom, BatchNormReLUGeom and DenseGeom.
 type Geometry interface {
 	Name() string
 	OutShape(in []int) ([]int, error)
@@ -198,11 +198,6 @@ func (s *Summary) Describe() string {
 // mutates the layer.
 type Stateful interface {
 	StateTensors() []*tensor.Tensor
-}
-
-// StateTensors implements Stateful for BatchNorm2D.
-func (b *BatchNorm2D) StateTensors() []*tensor.Tensor {
-	return []*tensor.Tensor{b.RunningMean, b.RunningVar}
 }
 
 // stateTensors collects every Stateful layer's tensors in layer order.

@@ -165,7 +165,8 @@ func TestReLUForward(t *testing.T) {
 // TestReLUSpecialValues pins the branch-free passes bit for bit on the
 // inputs where max and a sign test could disagree: both zeros rectify to
 // +0 and block the gradient, a denormal and +Inf pass, and a NaN input
-// comes out NaN with a zero gradient. Evaluation and training agree.
+// comes out NaN with a zero gradient. Evaluation and training agree, for
+// the reference ReLU and for BatchNormReLU.
 func TestReLUSpecialValues(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	x := tensor.MustFromSlice([]float64{negZero, 0, math.NaN(), -1, 2, math.Inf(1), math.Inf(-1), 5e-324, -5e-324}, 9)
@@ -194,6 +195,48 @@ func TestReLUSpecialValues(t *testing.T) {
 	for i, want := range wantDx {
 		if !sameBits(dx.Data()[i], want) {
 			t.Fatalf("relu'(%v)·%v = %v, want %v", x.Data()[i], grad.Data()[i], dx.Data()[i], want)
+		}
+	}
+
+	// BatchNormReLU evaluating with running mean 0, variance 1, no eps,
+	// γ = 1 and β = 0 rectifies x + 0 (−0 becomes +0, which rectifies
+	// alike).
+	bn, err := NewBatchNormReLU(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bn.Eps = 0
+	y, err := bn.Forward(x.MustReshape(9, 1, 1, 1), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range wantY {
+		if !sameBits(y.Data()[i], want) {
+			t.Fatalf("eval bnrelu(%v) = %v, want %v", x.Data()[i], y.Data()[i], want)
+		}
+	}
+	// Training on one value per channel normalises every channel to
+	// x̂ = 0, so its pre-activation is β (−0 again as +0): with β set to
+	// the inputs, y is the ReLU of the inputs and dβ collects the masked
+	// gradient, once, onto a sum started at +0.
+	bn, err = NewBatchNormReLU(9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(bn.Beta.Value.Data(), x.Data())
+	y, err = bn.Forward(tensor.New(1, 9, 1, 1), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bn.Backward(grad.MustReshape(1, 9, 1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range wantY {
+		if !sameBits(y.Data()[i], want) {
+			t.Fatalf("train bnrelu with β=%v: y = %v, want %v", x.Data()[i], y.Data()[i], want)
+		}
+		if got := bn.Beta.Grad.Data()[i]; !sameBits(got, wantDx[i]+0) {
+			t.Fatalf("train bnrelu with β=%v: dβ for grad %v = %v, want %v", x.Data()[i], grad.Data()[i], got, wantDx[i]+0)
 		}
 	}
 }
@@ -273,17 +316,19 @@ func TestMaxPoolForwardKnown(t *testing.T) {
 }
 
 func TestBatchNormTrainStats(t *testing.T) {
-	bn, err := NewBatchNorm2D(2)
+	bn, err := NewBatchNormReLU(2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A shift of 10 keeps every normalised value clear of the ReLU.
+	bn.Beta.Value.Fill(10)
 	rng := rand.New(rand.NewSource(5))
 	x := tensor.Randn(rng, 3, 2, 8, 2, 4, 4)
 	y, err := bn.Forward(x, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Per-channel output must be ≈ zero-mean unit-variance (gamma=1, beta=0).
+	// Per-channel output must be ≈ unit-variance around beta (gamma=1).
 	n, c, spat := 8, 2, 16
 	for ch := 0; ch < c; ch++ {
 		mean, m2 := 0.0, 0.0
@@ -300,7 +345,7 @@ func TestBatchNormTrainStats(t *testing.T) {
 			}
 		}
 		variance := m2 / float64(n*spat)
-		if math.Abs(mean) > 1e-9 || math.Abs(variance-1) > 1e-3 {
+		if math.Abs(mean-10) > 1e-9 || math.Abs(variance-1) > 1e-3 {
 			t.Fatalf("channel %d normalised to mean=%v var=%v", ch, mean, variance)
 		}
 	}
@@ -311,7 +356,7 @@ func TestBatchNormTrainStats(t *testing.T) {
 	if _, err := bn.Forward(x, false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewBatchNorm2D(0); err == nil {
+	if _, err := NewBatchNormReLU(0); err == nil {
 		t.Fatal("c=0 must be rejected")
 	}
 }
@@ -411,7 +456,7 @@ func buildSmallCNN(t *testing.T, rng *rand.Rand) *Network {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bn, err := NewBatchNorm2D(4)
+	bn, err := NewBatchNormReLU(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +468,7 @@ func buildSmallCNN(t *testing.T, rng *rand.Rand) *Network {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := NewNetwork("test-cnn", []int{1, 8, 8}, conv, bn, NewReLU(), pool, NewFlatten(), dense)
+	net, err := NewNetwork("test-cnn", []int{1, 8, 8}, conv, bn, pool, NewFlatten(), dense)
 	if err != nil {
 		t.Fatal(err)
 	}

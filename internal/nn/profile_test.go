@@ -17,7 +17,7 @@ func profNet(t testing.TB) (*Network, []Batch) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bn, err := NewBatchNorm2D(4)
+	bn, err := NewBatchNormReLU(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func profNet(t testing.TB) (*Network, []Batch) {
 	// gap collapses (N,4,2,2) to (N,4); the trailing flatten is a rank-2
 	// no-op, present so its instrumentation is exercised too.
 	net, err := NewNetwork("prof", []int{3, 8, 8},
-		conv, bn, NewReLU(), maxp, avgp, drop, NewGlobalAvgPool2D(), NewFlatten(), dense)
+		conv, bn, maxp, avgp, drop, NewGlobalAvgPool2D(), NewFlatten(), dense)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func profNet(t testing.TB) (*Network, []Batch) {
 func TestLayerKind(t *testing.T) {
 	cases := map[string]string{
 		"conv3x3(3->4,s1,p1)":       "conv3x3",
-		"bn(4)":                     "bn",
+		"bnrelu(4)":                 "bnrelu",
 		"relu":                      "relu",
 		"maxpool2x2/s2,p0":          "maxpool2x2",
 		"avgpool2x2/s2,p0":          "avgpool2x2",
@@ -92,7 +92,7 @@ func TestProfilerCoversEveryLayerType(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	kinds := []string{"conv3x3", "bn", "relu", "maxpool2x2", "avgpool2x2", "dropout", "gap", "flatten", "dense"}
+	kinds := []string{"conv3x3", "bnrelu", "maxpool2x2", "avgpool2x2", "dropout", "gap", "flatten", "dense"}
 	for _, kind := range kinds {
 		fwd := reg.Histogram(`a4nn_nn_layer_forward_seconds{layer="`+kind+`"}`, nil)
 		bwd := reg.Histogram(`a4nn_nn_layer_backward_seconds{layer="`+kind+`"}`, nil)

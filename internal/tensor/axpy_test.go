@@ -67,3 +67,53 @@ func TestAxpyMatchesPortable(t *testing.T) {
 		}
 	}
 }
+
+// TestDotQuadsMatchesPortable holds the dispatched dot kernel (the
+// assembly on an AVX2 machine) to the portable loop bit for bit: every
+// length through the four-wide steps and the one-at-a-time tail, one to
+// five column quads (whole octets and a last single quad), rows of b
+// further apart than their length, slices starting at every offset of a
+// 32-byte line, c rows longer than the quads (the excess must not be
+// touched), and denormal, infinite and NaN elements in a and b.
+func TestDotQuadsMatchesPortable(t *testing.T) {
+	specials := []float64{0, math.Copysign(0, -1), 5e-324, -2.5e-310, math.MaxFloat64,
+		math.Inf(1), math.Inf(-1), math.NaN()}
+	rng := rand.New(rand.NewSource(4))
+	fill := func(s []float64, special int) {
+		for i := range s {
+			s[i] = rng.NormFloat64()
+			if special > 0 && rng.Intn(special) == 0 {
+				s[i] = specials[rng.Intn(len(specials))]
+			}
+		}
+	}
+	for l := 0; l <= 21; l++ {
+		for quads := 1; quads <= 5; quads++ {
+			for off := 0; off < 4; off++ {
+				for _, special := range []int{0, 5} {
+					ldb := l + off%3
+					nc := 4*quads + off%3 // columns past the last quad stay as they are
+					a0 := make([]float64, off+l)[off:]
+					a1 := make([]float64, l+1)[1:]
+					b := make([]float64, off+4*quads*ldb)[off:]
+					c0 := make([]float64, off+nc)[off:]
+					c1 := make([]float64, nc+2)[2:]
+					fill(a0, special)
+					fill(a1, special)
+					fill(b, special)
+					fill(c0, 0)
+					fill(c1, 0)
+					want0, want1 := append([]float64(nil), c0...), append([]float64(nil), c1...)
+					dotQuadsGo(want0, want1, a0, a1, b, ldb)
+					dotQuads(c0, c1, a0, a1, b, ldb)
+					for i := range want0 {
+						if !sameFloat(c0[i], want0[i]) || !sameFloat(c1[i], want1[i]) {
+							t.Fatalf("dotQuads l=%d quads=%d off=%d special=%d column %d: got (%v, %v), want (%v, %v)",
+								l, quads, off, special, i, c0[i], c1[i], want0[i], want1[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}

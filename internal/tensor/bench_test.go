@@ -54,3 +54,27 @@ func BenchmarkIm2ColBatch(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkConvWeightGrad measures the weight gradient dW = G·colsᵀ of a
+// search's convolutions: 4 and 8 filters by C·3·3 columns over a 32-sample
+// batch of 16×16 outputs (k = 8192), the a·bᵀ product of every training
+// step.
+func BenchmarkConvWeightGrad(b *testing.B) {
+	for _, sz := range []gemmShape{{4, 8192, 36}, {8, 8192, 72}} {
+		b.Run(fmt.Sprintf("%dx%dx%d", sz.m, sz.k, sz.n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(3))
+			g := Randn(rng, 0, 1, sz.m, sz.k)
+			cols := Randn(rng, 0, 1, sz.n, sz.k)
+			dw := New(sz.m, sz.n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := MatMulTransBInto(g, cols, dw); err != nil {
+					b.Fatal(err)
+				}
+			}
+			flops := 2 * float64(sz.m) * float64(sz.k) * float64(sz.n)
+			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
+	}
+}

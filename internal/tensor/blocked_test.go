@@ -42,16 +42,22 @@ func matMulTransARef(a, b *Tensor) *Tensor {
 	return c
 }
 
+// matMulTransBRef is the naive a·bᵀ with MatMulTransBInto's declared
+// order: per element, one sum per transBBlockK-long segment of k, started
+// at zero and accumulated in ascending p, then added to the zeroed element
+// segment after segment.
 func matMulTransBRef(a, b *Tensor) *Tensor {
 	m, k, n := a.Dim(0), a.Dim(1), b.Dim(0)
 	c := New(m, n)
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
-			s := 0.0
-			for p := 0; p < k; p++ {
-				s += a.data[i*k+p] * b.data[j*k+p]
+			for p0 := 0; p0 < k; p0 += transBBlockK {
+				s := 0.0
+				for p := p0; p < min(p0+transBBlockK, k); p++ {
+					s += a.data[i*k+p] * b.data[j*k+p]
+				}
+				c.data[i*n+j] += s
 			}
-			c.data[i*n+j] = s
 		}
 	}
 	return c
@@ -94,15 +100,15 @@ func requireClose(t *testing.T, got, want *Tensor, relTol float64, label string)
 	}
 }
 
-// bothKernels runs body with the axpy kernels package init selected (the
-// assembly on an AVX2 machine) and again with the portable loops forced,
-// so every bit-equality matrix below holds for both.
+// bothKernels runs body with the axpy and dot kernels package init
+// selected (the assembly on an AVX2 machine) and again with the portable
+// loops forced, so every bit-equality matrix below holds for both.
 func bothKernels(t *testing.T, body func(t *testing.T)) {
 	t.Run("dispatched", body)
 	t.Run("portable", func(t *testing.T) {
-		old2, old1 := axpy2, axpy1
-		axpy2, axpy1 = axpy2Go, axpy1Go
-		defer func() { axpy2, axpy1 = old2, old1 }()
+		old2, old1, oldDot := axpy2, axpy1, dotQuads
+		axpy2, axpy1, dotQuads = axpy2Go, axpy1Go, dotQuadsGo
+		defer func() { axpy2, axpy1, dotQuads = old2, old1, oldDot }()
 		body(t)
 	})
 }
@@ -166,26 +172,33 @@ func TestMatMulTransAIntoMatchesNaive(t *testing.T) {
 }
 
 func TestMatMulTransBIntoMatchesNaive(t *testing.T) {
-	// Include k > transBBlockK so the k-blocked partial sums are exercised;
-	// re-association there permits a tiny tolerance.
+	// Include k > transBBlockK so the segment sums are exercised: they are
+	// held to the segmented reference bit for bit, and to the plain dot
+	// product within the re-association error.
 	sizes := append(append([]gemmShape{}, gemmSizes...), gemmShape{6, 1500, 11})
-	for _, sz := range sizes {
-		rng := rand.New(rand.NewSource(9))
-		a := Randn(rng, 0, 1, sz.m, sz.k)
-		b := Randn(rng, 0, 1, sz.n, sz.k)
-		want := matMulTransBRef(a, b)
-		for _, workers := range []int{1, 8} {
-			old := SetMaxWorkers(workers)
-			dst := New(sz.m, sz.n)
-			fillNaN(dst)
-			if err := MatMulTransBInto(a, b, dst); err != nil {
+	bothKernels(t, func(t *testing.T) {
+		for _, sz := range sizes {
+			rng := rand.New(rand.NewSource(9))
+			a := Randn(rng, 0, 1, sz.m, sz.k)
+			b := Randn(rng, 0, 1, sz.n, sz.k)
+			want := matMulTransBRef(a, b)
+			bt, _ := Transpose2D(b)
+			plain := matMulRef(a, bt)
+			for _, workers := range []int{1, 8} {
+				old := SetMaxWorkers(workers)
+				dst := New(sz.m, sz.n)
+				fillNaN(dst)
+				if err := MatMulTransBInto(a, b, dst); err != nil {
+					SetMaxWorkers(old)
+					t.Fatal(err)
+				}
 				SetMaxWorkers(old)
-				t.Fatal(err)
+				label := fmt.Sprintf("MatMulTransBInto %dx%dx%d workers=%d", sz.m, sz.k, sz.n, workers)
+				requireBitEqual(t, dst, want, label)
+				requireClose(t, dst, plain, 1e-12, label+" against the plain dot product")
 			}
-			SetMaxWorkers(old)
-			requireClose(t, dst, want, 1e-12, fmt.Sprintf("MatMulTransBInto %dx%dx%d workers=%d", sz.m, sz.k, sz.n, workers))
 		}
-	}
+	})
 }
 
 // adversarialShapes sweeps the dimensions that break tiled kernels:
@@ -233,14 +246,16 @@ var adversarialShapes = []gemmShape{
 	{130, 257, 63},
 	{33, 1500, 70},
 	{8, 2048, 150},
+	// The weight gradients of a search's convolutions: 4 and 8 filters by
+	// C·3·3 columns over a 32-sample batch of 16×16 outputs.
 	{4, 8192, 36},
+	{8, 8192, 72},
 }
 
 // TestBlockedAdversarialShapes holds every shape above, every variant,
-// both kernels and 1, 2, 3 and 8 workers to the naive reference: a·b and
-// aᵀ·b bit for bit, a·bᵀ bit for bit while k fits one transBBlockK segment
-// and within its documented 1e-12 beyond, and at every worker count bit
-// for bit the serial result.
+// both kernels and 1, 2, 3 and 8 workers to the naive references bit for
+// bit — a·b and aᵀ·b to the i-p-j loop, a·bᵀ to the segmented dot product
+// at every k — and at every worker count to the serial result.
 func TestBlockedAdversarialShapes(t *testing.T) {
 	bothKernels(t, func(t *testing.T) {
 		for _, sz := range adversarialShapes {
@@ -249,14 +264,15 @@ func TestBlockedAdversarialShapes(t *testing.T) {
 			b := Randn(rng, 0, 1, sz.k, sz.n)
 			at, _ := Transpose2D(a)
 			bt, _ := Transpose2D(b)
-			want := matMulRef(a, b)
+			want, wantTransB := matMulRef(a, b), matMulTransBRef(a, bt)
 			variants := []struct {
 				name string
+				want *Tensor
 				run  func(dst *Tensor) error
 			}{
-				{"MatMulInto", func(dst *Tensor) error { return MatMulInto(a, b, dst) }},
-				{"MatMulTransAInto", func(dst *Tensor) error { return MatMulTransAInto(at, b, dst) }},
-				{"MatMulTransBInto", func(dst *Tensor) error { return MatMulTransBInto(a, bt, dst) }},
+				{"MatMulInto", want, func(dst *Tensor) error { return MatMulInto(a, b, dst) }},
+				{"MatMulTransAInto", want, func(dst *Tensor) error { return MatMulTransAInto(at, b, dst) }},
+				{"MatMulTransBInto", wantTransB, func(dst *Tensor) error { return MatMulTransBInto(a, bt, dst) }},
 			}
 			for _, v := range variants {
 				var serial *Tensor
@@ -274,11 +290,7 @@ func TestBlockedAdversarialShapes(t *testing.T) {
 						serial = dst
 					}
 					requireBitEqual(t, dst, serial, label+" against workers=1")
-					if v.name == "MatMulTransBInto" && sz.k > transBBlockK {
-						requireClose(t, dst, want, 1e-12, label)
-					} else {
-						requireBitEqual(t, dst, want, label)
-					}
+					requireBitEqual(t, dst, v.want, label)
 				}
 			}
 		}

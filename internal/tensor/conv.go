@@ -53,12 +53,14 @@ func ConvTiles(n int) int {
 
 // ConvForward computes y = conv(x, w) + bias for x (N, C, H, W), filters w
 // (OutC, C·kh·kw), bias (OutC) and y (N, OutC, oh, ow), overwriting y, in
-// one parallelRange over samples: each task unrolls a sample into its
-// (C·kh·kw, oh·ow) tile and multiplies the tile while it is cache-resident,
-// straight into that sample's slice of y. tiles is caller-owned scratch of
-// ConvTiles(N) tiles. A non-nil cols (C·kh·kw, N·oh·ow) also receives the
-// columns in the Im2ColBatchInto layout, the cache a training pass keeps
-// for the weight gradient; evaluation passes nil.
+// one parallelRange over samples: each task unrolls a sample and multiplies
+// its columns while they are cache-resident, straight into that sample's
+// slice of y. A training pass gives cols (C·kh·kw, N·oh·ow), the cache it
+// keeps for the weight gradient: sample i is unrolled straight into its
+// strided slot of cols, the Im2ColBatchInto layout, and multiplied from
+// there. An evaluation pass gives cols = nil and each sample is unrolled
+// into its task's (C·kh·kw, oh·ow) tile of tiles, caller-owned scratch of
+// ConvTiles(N) tiles.
 //
 // k is never split and each output element is accumulated by one worker in
 // ascending p, like the naive i-p-j loop, so results are bitwise identical
@@ -81,21 +83,19 @@ func ConvForward(x, w, bias, y, cols, tiles *Tensor, kh, kw, stride, pad int) er
 	countMatMul(outC, g.n*g.spat, g.ckk)
 	chunk, tileLen := rangeChunk(g.n, 2), g.ckk*g.spat
 	parallelRange(g.n, 2, func(lo, hi int) {
-		tile := tiles.data[lo/chunk*tileLen:][:tileLen]
+		src, ldb := tiles.data[lo/chunk*tileLen:][:tileLen], g.spat
 		for i := lo; i < hi; i++ {
-			im2colStrided(x.data[i*g.sample:(i+1)*g.sample], tile, 0, g.spat, g)
+			if cols != nil {
+				src, ldb = cols.data[i*g.spat:], g.n*g.spat
+			}
+			im2colStrided(x.data[i*g.sample:(i+1)*g.sample], src, 0, ldb, g)
 			yi := y.data[i*outC*g.spat : (i+1)*outC*g.spat]
 			clear(yi)
-			gemmPanel(w.data, tile, yi, g.ckk, g.spat, 0, outC, 0, g.spat)
+			gemmPanel(w.data, src, yi, g.ckk, g.spat, ldb, 0, outC, 0, g.spat)
 			for f, b := range bias.data {
 				row := yi[f*g.spat : (f+1)*g.spat]
 				for j := range row {
 					row[j] += b
-				}
-			}
-			if cols != nil {
-				for r := 0; r < g.ckk; r++ {
-					copy(cols.data[(r*g.n+i)*g.spat:][:g.spat], tile[r*g.spat:])
 				}
 			}
 		}

@@ -19,8 +19,11 @@ import "fmt"
 // registers, halving the dominant memory traffic of the naive i-p-j loop.
 const (
 	gemmBlockK = 128
-	// transBBlockK bounds the dot-product segments of the a·bᵀ kernel so
-	// one A segment plus four B segments stay in L1.
+	// transBBlockK is the segment length of the a·bᵀ kernel's dot
+	// products: a row pair's two A segments (16 KB) stay in L1 while the
+	// rows of B stream past. It is part of the kernel's bits — each
+	// segment is summed from zero — so changing it re-associates every
+	// product with k > transBBlockK.
 	transBBlockK = 1024
 )
 
@@ -44,7 +47,7 @@ func MatMulInto(a, b, dst *Tensor) error {
 	dst.Zero()
 	countMatMul(m, n, k)
 	gemmParallel(m, n, func(i0, i1, j0, j1 int) {
-		gemmPanel(a.data, b.data, dst.data, k, n, i0, i1, j0, j1)
+		gemmPanel(a.data, b.data, dst.data, k, n, n, i0, i1, j0, j1)
 	})
 	return nil
 }
@@ -75,11 +78,12 @@ func MatMulTransAInto(a, b, dst *Tensor) error {
 
 // MatMulTransBInto computes dst = a·bᵀ with a (m×k), b (n×k), dst (m×n),
 // overwriting dst, without materialising the transpose. dst must not alias
-// a or b. Each element is a dot product accumulated in ascending p within
-// transBBlockK-long segments of k whose partial sums are then added in
-// order: bitwise identical to the naive single-accumulator dot product for
-// k ≤ transBBlockK, and within the usual float64 re-association error
-// (≪ 1e-12 relative) beyond it. Results do not depend on the worker count.
+// a or b. Each element is a dot product accumulated from zero in ascending
+// p within each transBBlockK-long segment of k, and the segment sums are
+// added to the zeroed element in order: for k ≤ transBBlockK that is the
+// naive single-accumulator dot product, beyond it the same sums re-associated
+// at the segment boundaries (≪ 1e-12 relative). The bits do not depend on
+// the worker count or on which form of the dot kernel runs.
 func MatMulTransBInto(a, b, dst *Tensor) error {
 	if a.Rank() != 2 || b.Rank() != 2 || dst.Rank() != 2 {
 		return fmt.Errorf("tensor: MatMulTransBInto requires rank-2 tensors, got %v, %v, %v", a.shape, b.shape, dst.shape)
@@ -116,10 +120,11 @@ func gemmParallel(m, n int, panel func(i0, i1, j0, j1 int)) {
 }
 
 // gemmPanel accumulates C[i0:i1, j0:j1] += A[i0:i1, :]·B[:, j0:j1] over
-// pre-zeroed C, with k blocked and rows taken in pairs. Hoisting the
-// A-row segments as slices lets the compiler keep the pp index
-// bounds-check free in the hot loop.
-func gemmPanel(a, b, c []float64, k, n, i0, i1, j0, j1 int) {
+// pre-zeroed C (row stride n), with k blocked and rows taken in pairs. Row
+// p of B starts at b[p·ldb], so B may be a column slot of a wider matrix.
+// Hoisting the A-row segments as slices lets the compiler keep the pp
+// index bounds-check free in the hot loop.
+func gemmPanel(a, b, c []float64, k, n, ldb, i0, i1, j0, j1 int) {
 	for p0 := 0; p0 < k; p0 += gemmBlockK {
 		p1 := p0 + gemmBlockK
 		if p1 > k {
@@ -136,7 +141,7 @@ func gemmPanel(a, b, c []float64, k, n, i0, i1, j0, j1 int) {
 				if v0 == 0 && v1 == 0 {
 					continue
 				}
-				axpy2(c0, c1, b[(p0+pp)*n+j0:(p0+pp)*n+j1], v0, v1)
+				axpy2(c0, c1, b[(p0+pp)*ldb+j0:(p0+pp)*ldb+j1], v0, v1)
 			}
 		}
 		for ; i < i1; i++ {
@@ -146,7 +151,7 @@ func gemmPanel(a, b, c []float64, k, n, i0, i1, j0, j1 int) {
 				if av == 0 {
 					continue
 				}
-				axpy1(crow, b[p*n+j0:p*n+j1], av)
+				axpy1(crow, b[p*ldb+j0:p*ldb+j1], av)
 			}
 		}
 	}
@@ -188,36 +193,36 @@ func gemmTransAPanel(a, b, c []float64, k, m, n, i0, i1, j0, j1 int) {
 }
 
 // gemmTransBPanel accumulates C[i0:i1, j0:j1] += A[i0:i1, :]·Bᵀ[:, j0:j1]
-// with b stored (n×k): both operands stream contiguously, four dot
-// products share each loaded element of A.
+// with b stored (n×k), segment by segment of k: each element's segment sum
+// starts at zero, takes s += a·b in ascending p and is then added to C.
+// Row pairs go to the dot kernel a whole column quad at a time; the columns
+// past the last quad and an unpaired last row take the same sums in Go.
 func gemmTransBPanel(a, b, c []float64, k, n, i0, i1, j0, j1 int) {
+	jq := j0 + (j1-j0)&^3
 	for p0 := 0; p0 < k; p0 += transBBlockK {
-		p1 := p0 + transBBlockK
-		if p1 > k {
-			p1 = k
+		p1 := min(p0+transBBlockK, k)
+		i := i0
+		for ; i+2 <= i1; i += 2 {
+			a0, a1 := a[i*k+p0:i*k+p1], a[(i+1)*k+p0:(i+1)*k+p1]
+			c0, c1 := c[i*n:(i+1)*n], c[(i+1)*n:(i+2)*n]
+			if jq > j0 {
+				dotQuads(c0[j0:jq], c1[j0:jq], a0, a1, b[j0*k+p0:], k)
+			}
+			for j := jq; j < j1; j++ {
+				brow := b[j*k+p0 : j*k+p1]
+				var s0, s1 float64
+				for p, bv := range brow {
+					s0 += a0[p] * bv
+					s1 += a1[p] * bv
+				}
+				c0[j] += s0
+				c1[j] += s1
+			}
 		}
-		for i := i0; i < i1; i++ {
+		if i < i1 {
 			arow := a[i*k+p0 : i*k+p1]
 			crow := c[i*n : (i+1)*n]
-			j := j0
-			for ; j+4 <= j1; j += 4 {
-				b0 := b[(j+0)*k+p0 : (j+0)*k+p1]
-				b1 := b[(j+1)*k+p0 : (j+1)*k+p1]
-				b2 := b[(j+2)*k+p0 : (j+2)*k+p1]
-				b3 := b[(j+3)*k+p0 : (j+3)*k+p1]
-				var s0, s1, s2, s3 float64
-				for p, av := range arow {
-					s0 += av * b0[p]
-					s1 += av * b1[p]
-					s2 += av * b2[p]
-					s3 += av * b3[p]
-				}
-				crow[j+0] += s0
-				crow[j+1] += s1
-				crow[j+2] += s2
-				crow[j+3] += s3
-			}
-			for ; j < j1; j++ {
+			for j := j0; j < j1; j++ {
 				brow := b[j*k+p0 : j*k+p1]
 				s := 0.0
 				for p, av := range arow {
