@@ -24,7 +24,11 @@ ci: lint build race race-broker race-health race-sched race-obs race-tsdb golden
 # to one clock: internal/health declares one func() time.Time (Engine.now)
 # and reads time.Now nowhere but in New, where that seam is set. And it
 # refuses math.Exp outside internal/tensor: tensor.Exp has the same bits
-# on every amd64 host, math.Exp has two sets (FMA or not).
+# on every amd64 host, math.Exp has two sets (FMA or not). Last, it refuses
+# a run's live route (/metrics, /events, /dashboard, /healthz,
+# /debug/spans, /api/alerts, /api/query, /api/series, or their
+# /api/jobs/{id} forms) registered outside internal/webui/routes.go:
+# every binary and every job mounts that one table.
 lint: vet
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -44,6 +48,11 @@ lint: vet
 	@exps=$$(grep -rnE 'math\.Exp\(' --include='*.go' . | grep -vE '^\./internal/tensor/|_test\.go:'); \
 	if [ -n "$$exps" ]; then \
 		echo "math.Exp outside internal/tensor (use tensor.Exp or tensor.ExpInto):"; echo "$$exps"; exit 1; \
+	fi
+	@routes=$$(grep -rnE '("GET |Handle(Func)?\(")/(metrics|events|dashboard|healthz|debug/spans|api/(alerts|query|series)|api/jobs/\{id\}/(metrics|events|dashboard|healthz|alerts|query|series))' \
+		--include='*.go' . | grep -vE '^\./internal/webui/routes\.go:|_test\.go:'); \
+	if [ -n "$$routes" ]; then \
+		echo "live route registered outside internal/webui/routes.go (add a runRoutes row):"; echo "$$routes"; exit 1; \
 	fi
 
 vet:

@@ -220,8 +220,8 @@ func ParseHealthConfig(spec string) (HealthConfig, error) { return health.ParseC
 // NewHealthEngine builds an in-situ health engine over the observer's
 // event journal and metrics registry. Call Start to consume the live
 // stream (Close to drain and stop), OpenAlertsFile to persist alerts
-// next to the journal, and mount HealthzHandler/AlertsHandler (package
-// health) or webui.Server.SetHealth to surface it over HTTP.
+// next to the journal, and pass it as webui.Run.Health to
+// webui.Server.SetRun to serve /healthz and /api/alerts.
 func NewHealthEngine(cfg HealthConfig, o *Observer) (*HealthEngine, error) {
 	return health.New(cfg, o)
 }

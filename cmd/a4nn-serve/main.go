@@ -142,7 +142,7 @@ func main() {
 		if env, err = runenv.Open(*storeDir, opts); err != nil {
 			fatal(err)
 		}
-		srv.SetObserver(env.Observer())
+		srv.SetRun(webui.Run{Obs: env.Observer(), Health: env.Health(), History: env.History()})
 	}
 	observer := env.Observer()
 
@@ -178,18 +178,11 @@ func main() {
 			// history is captured even when no job event fires near the tick.
 			fleet := manager.Fleet()
 			reg := observer.Registry()
-			env.Sampler().SetPreSample(func() {
-				fs := fleet.Status()
-				reg.Gauge("a4nn_fleet_capacity_slots").Set(float64(fs.Capacity))
-				reg.Gauge("a4nn_fleet_in_use_slots").Set(float64(fs.InUse))
-				reg.Gauge("a4nn_fleet_waiting_jobs").Set(float64(fs.Waiting))
-			})
+			env.Sampler().SetPreSample(func() { webui.FleetGauges(reg, fleet.Status()) })
 		}
-		srv.SetHistory(env.History())
 		fmt.Printf("history sampling every %s into %s\n", *histEvery, filepath.Join(*storeDir, tsdb.SeriesFile))
 	}
 	if *healthOn {
-		srv.SetHealth(env.Health())
 		fmt.Printf("health monitor on — http://%s/healthz\n", ln.Addr())
 	}
 	if *follow {

@@ -53,7 +53,7 @@ func main() {
 		taskTimeout = flag.Float64("task-timeout", 0, "per-attempt simulated deadline in seconds (0 = off)")
 		resume      = flag.Bool("resume", false, "recover and replay completed work from -store before training (crash recovery)")
 		chaosSpec   = flag.String("chaos", "", `crash-injection plan for fault drills, e.g. "crash=commons.record.pre_rename@3;seed=7" (see a4nn.ChaosPoints)`)
-		metricsAddr = flag.String("metrics-addr", "", `serve /metrics, /metrics.json, /debug/spans, the /events SSE stream and the /dashboard page on this address (e.g. ":9090")`)
+		metricsAddr = flag.String("metrics-addr", "", `serve the run's live routes on this address (e.g. ":9090"): /metrics, the /events SSE stream, the /dashboard page, and /healthz with health on and /api/query with -history`)
 		profLayers  = flag.Bool("profile-layers", false, "account per-layer forward/backward time and FLOPs (real training only, so pair with -data; see a4nn-analyze profile)")
 		pprofOn     = flag.Bool("pprof", false, "expose net/http/pprof on -metrics-addr (requires -metrics-addr); never enable on a publicly reachable address")
 		healthFlag  = flag.Bool("health", false, "run the in-situ health monitor with default thresholds (every health flag below implies it); alerts persist to alerts.jsonl with -store and serve at /healthz with -metrics-addr")
@@ -153,18 +153,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		mux := http.NewServeMux()
-		mux.Handle("/", observer.Handler())
-		mux.Handle("GET /events", webui.EventsHandler(observer.Journal()))
-		mux.Handle("GET /dashboard", webui.DashboardHandler())
-		// With -history these serve real range queries; without it the
-		// handlers answer 503 so the dashboard's backfill degrades cleanly.
-		mux.Handle("GET /api/query", webui.QueryHandler(historyDB))
-		mux.Handle("GET /api/series", webui.SeriesHandler(historyDB))
-		if healthEng != nil {
-			mux.Handle("GET /healthz", health.HealthzHandler(healthEng))
-			mux.Handle("GET /api/alerts", health.AlertsHandler(healthEng))
-		}
+		mux := webui.NewRunMux(webui.Run{Obs: observer, Health: healthEng, History: historyDB})
 		if *pprofOn {
 			// The profiling endpoints expose stack traces, command lines,
 			// and CPU/heap captures — only ever bind them to localhost.

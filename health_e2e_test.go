@@ -77,8 +77,7 @@ func TestHealthMonitorEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.SetObserver(observer)
-	srv.SetHealth(eng)
+	srv.SetRun(webui.Run{Obs: observer, Health: eng})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 

@@ -510,6 +510,9 @@ func (s *Store) quarantine(path, reason string) (string, error) {
 // quarantine directory so replay and analytics stop tripping over it;
 // the typed reason becomes the file suffix. It returns the destination.
 func (s *Store) QuarantineRecord(id, reason string) (string, error) {
+	if err := checkID(id); err != nil {
+		return "", err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.quarantine(s.recordPath(id), reason)

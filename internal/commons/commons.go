@@ -50,6 +50,17 @@ func Open(dir string) (*Store, error) {
 // Root returns the store directory.
 func (s *Store) Root() string { return s.root }
 
+// checkID refuses an id that is not one local path element ("", "..",
+// "a/b", "../x"): every record and snapshot path joins its id under the
+// store root, and an id from an HTTP path or a command line must not name
+// a file outside it.
+func checkID(id string) error {
+	if !filepath.IsLocal(id) || filepath.Base(id) != id {
+		return fmt.Errorf("commons: invalid id %q: not one path element", id)
+	}
+	return nil
+}
+
 func (s *Store) recordPath(id string) string {
 	return filepath.Join(s.root, "records", id+".json")
 }
@@ -62,6 +73,9 @@ func (s *Store) snapshotPath(id string, epoch int) string {
 // kill mid-write leaves either the previous record or the new one, never
 // a torn file that would poison replay/resume.
 func (s *Store) PutRecord(r *lineage.Record) error {
+	if err := checkID(r.ID); err != nil {
+		return err
+	}
 	data, err := r.MarshalBytes()
 	if err != nil {
 		return err
@@ -78,6 +92,9 @@ func (s *Store) PutRecord(r *lineage.Record) error {
 // GetRecord loads a record by ID. A record that exists but cannot be
 // decoded or validated returns an error wrapping ErrCorrupt.
 func (s *Store) GetRecord(id string) (*lineage.Record, error) {
+	if err := checkID(id); err != nil {
+		return nil, err
+	}
 	data, err := os.ReadFile(s.recordPath(id))
 	if err != nil {
 		return nil, fmt.Errorf("commons: read record %s: %w", id, err)
@@ -96,6 +113,9 @@ func (s *Store) PutSnapshot(id string, epoch int, state []byte) error {
 	if epoch < 1 {
 		return fmt.Errorf("commons: snapshot epoch must be ≥ 1, got %d", epoch)
 	}
+	if err := checkID(id); err != nil {
+		return err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	dir := filepath.Join(s.root, "models", id)
@@ -111,6 +131,9 @@ func (s *Store) PutSnapshot(id string, epoch int, state []byte) error {
 
 // GetSnapshot loads the model state saved after the given epoch.
 func (s *Store) GetSnapshot(id string, epoch int) ([]byte, error) {
+	if err := checkID(id); err != nil {
+		return nil, err
+	}
 	data, err := os.ReadFile(s.snapshotPath(id, epoch))
 	if err != nil {
 		return nil, fmt.Errorf("commons: read snapshot %s@%d: %w", id, epoch, err)
@@ -120,6 +143,9 @@ func (s *Store) GetSnapshot(id string, epoch int) ([]byte, error) {
 
 // Snapshots lists the epochs with stored snapshots for a model, ascending.
 func (s *Store) Snapshots(id string) ([]int, error) {
+	if err := checkID(id); err != nil {
+		return nil, err
+	}
 	entries, err := os.ReadDir(filepath.Join(s.root, "models", id))
 	if err != nil {
 		if os.IsNotExist(err) {

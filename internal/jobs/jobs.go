@@ -34,7 +34,6 @@ import (
 	"a4nn/internal/runenv"
 	"a4nn/internal/sched"
 	"a4nn/internal/simtrain"
-	"a4nn/internal/tsdb"
 	"a4nn/internal/xfel"
 )
 
@@ -207,11 +206,10 @@ type Job struct {
 	progress Progress
 	resumes  int
 
-	dir     string
-	cancel  context.CancelFunc
-	env     *runenv.Stack // per-job run environment; nil until the search starts, readable after Close
-	history *tsdb.DB      // env's live series store; nil while not running
-	done    chan struct{}
+	dir    string
+	cancel context.CancelFunc
+	env    *runenv.Stack // per-job run environment; nil until the search starts, readable after Close
+	done   chan struct{}
 }
 
 // Status snapshots the job.
@@ -514,14 +512,10 @@ func (m *Manager) runSearch(ctx context.Context, job *Job, resume bool) (err err
 	}
 	job.mu.Lock()
 	job.env = env
-	job.history = env.History()
 	job.mu.Unlock()
-	// Teardown in runenv's order (DESIGN §7); the live store is
-	// unpublished first so JobHistory reopens the sealed file instead.
+	// Teardown in runenv's order (DESIGN §7); the closed environment
+	// stays the job's, so its routes serve the final state.
 	defer func() {
-		job.mu.Lock()
-		job.history = nil
-		job.mu.Unlock()
 		if cerr := env.Close(); err == nil {
 			err = cerr
 		}
@@ -706,66 +700,27 @@ func (m *Manager) SetPriority(id string, priority int) error {
 	return m.fleet.SetWeight(id, float64(priority))
 }
 
-// Journal returns a job's live event journal (nil until the search has
-// started its observer), for the namespaced SSE endpoint.
-func (m *Manager) Journal(id string) (*obs.Journal, error) {
+// Env returns a job's run environment: its observer (journal, metrics
+// scope, spans), health engine and history store. It is nil until the
+// search has started, and stays readable once the job is terminal and
+// the environment closed, so a finished job's final journal, metrics,
+// alerts and history remain servable.
+func (m *Manager) Env(id string) (*runenv.Stack, error) {
 	j, err := m.get(id)
 	if err != nil {
 		return nil, err
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.env.Observer().Journal(), nil
+	return j.env, nil
 }
 
 // JobRegistry returns a job's metrics scope (nil until its search has
-// started its observer), for the namespaced metrics endpoint. A
-// terminal job keeps its scope even after the shared roll-up retires
-// it, so its final counters stay queryable.
+// started). A terminal job keeps its scope even after the shared
+// roll-up retires it, so its final counters stay queryable.
 func (m *Manager) JobRegistry(id string) (*obs.Registry, error) {
-	j, err := m.get(id)
-	if err != nil {
-		return nil, err
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.env.Observer().Registry(), nil
-}
-
-// JobHistory returns a job's run-history store for the namespaced
-// range-query endpoints. While the job runs this is its live sampled
-// store; once terminal the closed series file is reopened read-only per
-// call, so final history stays queryable. Nil (without error) means no
-// history exists for the job — either the manager runs with History
-// disabled or nothing was sampled yet.
-func (m *Manager) JobHistory(id string) (*tsdb.DB, error) {
-	j, err := m.get(id)
-	if err != nil {
-		return nil, err
-	}
-	j.mu.Lock()
-	db := j.history
-	dir := j.dir
-	j.mu.Unlock()
-	if db != nil {
-		return db, nil
-	}
-	if rdb, err := tsdb.OpenRead(dir); err == nil {
-		return rdb, nil
-	}
-	return nil, nil
-}
-
-// HealthEngine returns a job's health engine (nil until started), for
-// the namespaced /healthz and alerts endpoints.
-func (m *Manager) HealthEngine(id string) (*health.Engine, error) {
-	j, err := m.get(id)
-	if err != nil {
-		return nil, err
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.env.Health(), nil
+	env, err := m.Env(id)
+	return env.Observer().Registry(), err
 }
 
 // Dir returns a job's commons directory.

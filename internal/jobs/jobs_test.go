@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -522,11 +523,8 @@ func TestConfigNormalizeValidate(t *testing.T) {
 
 // hasHistory reports whether the job's history store holds a sample.
 func hasHistory(m *Manager, id string) bool {
-	db, err := m.JobHistory(id)
-	if err != nil || db == nil {
-		return false
-	}
-	for _, s := range db.Series() {
+	env, _ := m.Env(id)
+	for _, s := range env.History().Series() {
 		if s.Samples > 0 {
 			return true
 		}
@@ -584,8 +582,8 @@ func TestManagerObservabilityRelease(t *testing.T) {
 	deadline := time.Now().Add(30 * time.Second)
 	for sub == nil {
 		for _, id := range ids {
-			if jn, err := m.Journal(id); err == nil && jn != nil {
-				sub = jn.Subscribe(16)
+			if env, _ := m.Env(id); env != nil {
+				sub = env.Observer().Journal().Subscribe(16)
 				break
 			}
 		}
@@ -643,12 +641,33 @@ func TestManagerObservabilityRelease(t *testing.T) {
 	if got := tsdb.OpenDBs(); got != baselineDBs {
 		t.Errorf("open history stores after teardown = %d, want baseline %d", got, baselineDBs)
 	}
-	hist, err := m.JobHistory(ids[0])
-	if err != nil || hist == nil {
-		t.Fatalf("JobHistory(%s) = %v, %v; want read-only reopen", ids[0], hist, err)
+	// A terminal job's history is its closed store, which answers as a
+	// fresh read of the file it flushed.
+	env, err := m.Env(ids[0])
+	if err != nil || env.History() == nil {
+		t.Fatalf("Env(%s) = %v, %v; want the closed environment with its history", ids[0], env, err)
 	}
-	if infos := hist.Series(); len(infos) == 0 {
+	hist := env.History()
+	infos := hist.Series()
+	if len(infos) == 0 {
 		t.Errorf("terminal job %s has an empty history store", ids[0])
+	}
+	dir, _ := m.Dir(ids[0])
+	file, err := tsdb.OpenRead(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(infos, file.Series()) {
+		t.Errorf("closed store series %+v, file %+v", infos, file.Series())
+	}
+	for _, info := range infos {
+		for _, step := range []int64{0, 1, 1000} {
+			got, gerr := hist.Query(info.Name, 0, 0, step)
+			want, werr := file.Query(info.Name, 0, 0, step)
+			if gerr != nil || werr != nil || !reflect.DeepEqual(got, want) {
+				t.Errorf("%s step %d: closed store %+v (%v), file %+v (%v)", info.Name, step, got, gerr, want, werr)
+			}
+		}
 	}
 	// Goroutines wind down asynchronously; give them a bounded settle.
 	settle := time.Now().Add(15 * time.Second)

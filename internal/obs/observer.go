@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"fmt"
-	"net/http"
 	"os"
 	"path/filepath"
 
@@ -106,17 +105,4 @@ func (o *Observer) FlushTo(dir string) error {
 		return fmt.Errorf("obs: sync %s: %w", EventsFile, err)
 	}
 	return nil
-}
-
-// Handler serves the observer's live endpoints:
-//
-//	GET /metrics       Prometheus text format
-//	GET /metrics.json  expvar-style JSON snapshot
-//	GET /debug/spans   span ring as a JSON array
-func (o *Observer) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.Handle("GET /metrics", o.Registry().MetricsHandler())
-	mux.Handle("GET /metrics.json", o.Registry().JSONHandler())
-	mux.Handle("GET /debug/spans", o.Tracer().SpansHandler())
-	return mux
 }

@@ -141,7 +141,11 @@ func TestObserverHandlerEndpoints(t *testing.T) {
 	o := NewObserver()
 	o.Registry().Counter("a4nn_tasks_total").Inc()
 	emitRunSpans(o)
-	ts := httptest.NewServer(o.Handler())
+	mux := http.NewServeMux()
+	mux.Handle("/metrics", o.Registry().MetricsHandler())
+	mux.Handle("/metrics.json", o.Registry().JSONHandler())
+	mux.Handle("/debug/spans", o.Tracer().SpansHandler())
+	ts := httptest.NewServer(mux)
 	defer ts.Close()
 
 	get := func(path string) (string, string) {

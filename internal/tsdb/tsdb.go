@@ -109,8 +109,8 @@ func OpenFile(path string, o Options) (*DB, error) {
 
 // OpenRead opens the series store in dir read-only: no file handle is
 // held, torn tails are tolerated silently, and the result does not
-// count toward OpenDBs. Used by a4nn-analyze and by the web UI when
-// serving history for a job that is no longer running.
+// count toward OpenDBs. Used by a4nn-analyze, which reads a run's
+// history after the run has ended.
 func OpenRead(dir string) (*DB, error) {
 	path := filepath.Join(dir, SeriesFile)
 	data, err := os.ReadFile(path)

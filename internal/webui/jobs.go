@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/url"
 
-	"a4nn/internal/health"
 	"a4nn/internal/jobs"
 	"a4nn/internal/obs"
 	"a4nn/internal/sched"
@@ -24,24 +23,22 @@ import (
 //	POST   /api/jobs/{id}/pause     stop granting generations
 //	POST   /api/jobs/{id}/resume    re-enable a paused job
 //	POST   /api/jobs/{id}/priority  change fair-share weight {"priority":n}
-//	GET    /api/jobs/{id}/events    the job's SSE stream
-//	GET    /api/jobs/{id}/healthz   the job's health engine status
-//	GET    /api/jobs/{id}/alerts    the job's active/resolved alerts
-//	GET    /api/jobs/{id}/metrics   the job's own metrics scope (Prometheus text)
-//	GET    /api/jobs/{id}/query     range query over the job's series history
-//	GET    /api/jobs/{id}/series    the job's stored-series catalogue
-//	GET    /api/jobs/{id}/dashboard the live dashboard bound to this job
 //	GET    /api/fleet               fleet + per-job aggregate view
 //	GET    /api/fleet/metrics       fair-share audit as Prometheus gauges
 //	GET    /fleet                   the fleet dashboard page
 //
-// Same contract as SetObserver: at most once, before serving; nil or
-// repeat is a no-op.
+// and every live route of each job's run under /api/jobs/{id} (routes.go):
+// /api/jobs/{id}/events, /metrics, /healthz, /alerts, /query, /dashboard
+// and the rest. A job's metrics scope keeps answering after the job ends,
+// when the shared /metrics roll-up has retired it, and its history is
+// served from its closed store.
+//
+// Same contract as SetRun: at most once, before serving; nil or repeat
+// is a no-op.
 func (s *Server) SetJobs(m *jobs.Manager) {
-	if m == nil || s.jobsOn {
+	if m == nil || s.jobs != nil {
 		return
 	}
-	s.jobsOn = true
 	s.jobs = m
 	s.mux.HandleFunc("POST /api/jobs", s.handleJobSubmit)
 	s.mux.HandleFunc("GET /api/jobs", s.handleJobList)
@@ -50,13 +47,10 @@ func (s *Server) SetJobs(m *jobs.Manager) {
 	s.mux.HandleFunc("POST /api/jobs/{id}/pause", s.handleJobPause)
 	s.mux.HandleFunc("POST /api/jobs/{id}/resume", s.handleJobResume)
 	s.mux.HandleFunc("POST /api/jobs/{id}/priority", s.handleJobPriority)
-	s.mux.HandleFunc("GET /api/jobs/{id}/events", s.handleJobEvents)
-	s.mux.HandleFunc("GET /api/jobs/{id}/healthz", s.handleJobHealthz)
-	s.mux.HandleFunc("GET /api/jobs/{id}/alerts", s.handleJobAlerts)
-	s.mux.HandleFunc("GET /api/jobs/{id}/metrics", s.handleJobMetrics)
-	s.mux.HandleFunc("GET /api/jobs/{id}/query", s.handleJobQuery)
-	s.mux.HandleFunc("GET /api/jobs/{id}/series", s.handleJobSeries)
-	s.mux.HandleFunc("GET /api/jobs/{id}/dashboard", s.handleJobDashboard)
+	mountJobRuns(s.mux, func(id string) (Run, error) {
+		env, err := m.Env(id) // nil until the job starts: a Run with no component
+		return Run{Obs: env.Observer(), Health: env.Health(), History: env.History()}, err
+	})
 	s.mux.HandleFunc("GET /api/fleet", s.handleFleet)
 	s.mux.HandleFunc("GET /api/fleet/metrics", s.handleFleetMetrics)
 	s.mux.HandleFunc("GET /fleet", s.handleFleetPage)
@@ -155,83 +149,6 @@ func (s *Server) handleJobPriority(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, st)
 }
 
-func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
-	j, err := s.jobs.Journal(r.PathValue("id"))
-	if err != nil {
-		jobError(w, err)
-		return
-	}
-	// EventsHandler turns a nil journal (job not yet started) into 503.
-	EventsHandler(j).ServeHTTP(w, r)
-}
-
-func (s *Server) handleJobHealthz(w http.ResponseWriter, r *http.Request) {
-	eng, err := s.jobs.HealthEngine(r.PathValue("id"))
-	if err != nil {
-		jobError(w, err)
-		return
-	}
-	if eng == nil {
-		http.Error(w, "health engine not started", http.StatusServiceUnavailable)
-		return
-	}
-	health.HealthzHandler(eng).ServeHTTP(w, r)
-}
-
-func (s *Server) handleJobAlerts(w http.ResponseWriter, r *http.Request) {
-	eng, err := s.jobs.HealthEngine(r.PathValue("id"))
-	if err != nil {
-		jobError(w, err)
-		return
-	}
-	if eng == nil {
-		http.Error(w, "health engine not started", http.StatusServiceUnavailable)
-		return
-	}
-	health.AlertsHandler(eng).ServeHTTP(w, r)
-}
-
-// handleJobMetrics serves one job's metrics scope in Prometheus text
-// format — undecorated series, exactly what the job's own observer
-// registers. The job-labelled roll-up of the same series lives on the
-// shared /metrics while the job is live; this endpoint keeps working
-// after terminal state, because the job retains its scope even once
-// the roll-up retires it.
-func (s *Server) handleJobMetrics(w http.ResponseWriter, r *http.Request) {
-	reg, err := s.jobs.JobRegistry(r.PathValue("id"))
-	if err != nil {
-		jobError(w, err)
-		return
-	}
-	if reg == nil {
-		http.Error(w, "job metrics not started", http.StatusServiceUnavailable)
-		return
-	}
-	reg.MetricsHandler().ServeHTTP(w, r)
-}
-
-// handleJobQuery serves range queries over one job's series history.
-// The manager resolves a live job to its writable store and a terminal
-// job to a read-only reopen of the series file in its directory, so
-// history outlives the job that recorded it.
-func (s *Server) handleJobQuery(w http.ResponseWriter, r *http.Request) {
-	db, err := s.jobs.JobHistory(r.PathValue("id"))
-	if err != nil {
-		jobError(w, err)
-		return
-	}
-	serveQuery(w, r, db)
-}
-
-func (s *Server) handleJobSeries(w http.ResponseWriter, r *http.Request) {
-	db, err := s.jobs.JobHistory(r.PathValue("id"))
-	if err != nil {
-		jobError(w, err)
-		return
-	}
-	serveSeries(w, r, db)
-}
-
 // handleFleetMetrics exports the fleet's fair-share audit as Prometheus
 // gauges: per job, the stride entitlement (weight over total weight)
 // against the measured device-seconds share, plus the arbiter's slot
@@ -242,9 +159,7 @@ func (s *Server) handleJobSeries(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleFleetMetrics(w http.ResponseWriter, r *http.Request) {
 	fs := s.jobs.Fleet().Status()
 	reg := obs.NewRegistry()
-	reg.Gauge("a4nn_fleet_capacity_slots").Set(float64(fs.Capacity))
-	reg.Gauge("a4nn_fleet_in_use_slots").Set(float64(fs.InUse))
-	reg.Gauge("a4nn_fleet_waiting_jobs").Set(float64(fs.Waiting))
+	FleetGauges(reg, fs)
 	for _, j := range fs.Jobs {
 		// Job IDs are validated to [a-zA-Z0-9._-]+, safe inside a label.
 		label := fmt.Sprintf("{job=%q}", j.ID)
@@ -257,16 +172,14 @@ func (s *Server) handleFleetMetrics(w http.ResponseWriter, r *http.Request) {
 	reg.MetricsHandler().ServeHTTP(w, r)
 }
 
-func (s *Server) handleJobDashboard(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if _, err := s.jobs.Get(id); err != nil {
-		jobError(w, err)
-		return
-	}
-	prefix := "/api/jobs/" + url.PathEscape(id)
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	fmt.Fprint(w, dashboardPage(prefix+"/events", prefix+"/alerts",
-		prefix+"/query", prefix+"/series"))
+// FleetGauges sets the fleet's slot occupancy in reg:
+// a4nn_fleet_capacity_slots, a4nn_fleet_in_use_slots and
+// a4nn_fleet_waiting_jobs. /api/fleet/metrics serves them, and
+// a4nn-serve -history samples them.
+func FleetGauges(reg *obs.Registry, fs sched.FleetStatus) {
+	reg.Gauge("a4nn_fleet_capacity_slots").Set(float64(fs.Capacity))
+	reg.Gauge("a4nn_fleet_in_use_slots").Set(float64(fs.InUse))
+	reg.Gauge("a4nn_fleet_waiting_jobs").Set(float64(fs.Waiting))
 }
 
 // jobHealthView summarises one job's health engine for the fleet view.
@@ -302,7 +215,8 @@ func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
 	jobs.SortStatuses(sts)
 	for _, st := range sts {
 		jv := fleetJobView{Status: st, Fleet: byID[st.ID]}
-		if eng, err := s.jobs.HealthEngine(st.ID); err == nil && eng != nil {
+		env, _ := s.jobs.Env(st.ID)
+		if eng := env.Health(); eng != nil {
 			jv.Health = &jobHealthView{Status: eng.Status().String(), Active: len(eng.ActiveAlerts())}
 		}
 		view.Jobs = append(view.Jobs, jv)

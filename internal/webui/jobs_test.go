@@ -110,6 +110,7 @@ func TestJobAPILifecycle(t *testing.T) {
 	// Per-job observability endpoints answer after the run.
 	for _, path := range []string{
 		"/api/jobs/alpha/healthz", "/api/jobs/alpha/alerts", "/api/jobs/alpha/dashboard",
+		"/api/jobs/alpha/metrics", "/api/jobs/alpha/metrics.json", "/api/jobs/alpha/debug/spans",
 	} {
 		if code, body := doReq(t, "GET", ts.URL+path, ""); code != 200 {
 			t.Fatalf("%s: %d %s", path, code, body)

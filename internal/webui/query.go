@@ -9,46 +9,12 @@ import (
 	"a4nn/internal/tsdb"
 )
 
-// SetHistory mounts the run-history range-query endpoints backed by a
-// time-series store:
-//
-//	GET /api/series                          stored series catalogue
-//	GET /api/query?series=&from=&to=&step=   range query (unix-ms bounds,
-//	                                         step-aligned mean downsampling)
-//
-// Same contract as SetObserver: at most once, before serving; nil or
-// repeat is a no-op. The dashboard uses these to backfill its charts
-// before attaching to the live SSE stream, so a reconnect or server
-// restart no longer resets every chart to empty.
-func (s *Server) SetHistory(db *tsdb.DB) {
-	if db == nil || s.historyOn {
-		return
-	}
-	s.historyOn = true
-	s.mux.Handle("GET /api/query", QueryHandler(db))
-	s.mux.Handle("GET /api/series", SeriesHandler(db))
-}
-
-// QueryHandler serves range queries over a history store. A nil store
-// answers 503, mirroring EventsHandler's treatment of a nil journal.
-func QueryHandler(db *tsdb.DB) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		serveQuery(w, r, db)
-	})
-}
-
-// SeriesHandler serves the series catalogue of a history store.
-func SeriesHandler(db *tsdb.DB) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		serveSeries(w, r, db)
-	})
-}
-
+// serveQuery answers GET /api/query?series=&from=&to=&step= over a
+// history store: unix-ms bounds, step-aligned mean downsampling. The
+// dashboard uses it to backfill its charts before attaching to the live
+// SSE stream, so a reconnect or server restart does not reset every
+// chart to empty.
 func serveQuery(w http.ResponseWriter, r *http.Request, db *tsdb.DB) {
-	if db == nil {
-		http.Error(w, "history not recorded (run with -history)", http.StatusServiceUnavailable)
-		return
-	}
 	series := r.URL.Query().Get("series")
 	if series == "" {
 		http.Error(w, "missing series parameter", http.StatusBadRequest)
@@ -77,12 +43,4 @@ func serveQuery(w http.ResponseWriter, r *http.Request, db *tsdb.DB) {
 		return
 	}
 	writeJSON(w, res)
-}
-
-func serveSeries(w http.ResponseWriter, r *http.Request, db *tsdb.DB) {
-	if db == nil {
-		http.Error(w, "history not recorded (run with -history)", http.StatusServiceUnavailable)
-		return
-	}
-	writeJSON(w, db.Series())
 }

@@ -2,10 +2,12 @@ package webui
 
 import (
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"a4nn/internal/obs"
 	"a4nn/internal/tsdb"
 )
 
@@ -25,7 +27,7 @@ func historyServer(t *testing.T) *httptest.Server {
 	for _, ts := range []int64{1000, 1500, 2000, 60000, 60500, 61000} {
 		db.Append("acc", ts, float64(ts)/1000)
 	}
-	srv.SetHistory(db)
+	srv.SetRun(Run{History: db})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	return ts
@@ -91,19 +93,21 @@ func TestSeriesEndpoint(t *testing.T) {
 func TestQueryEndpointsAbsentWithoutHistory(t *testing.T) {
 	ts := newTestServer(t)
 	if code, _ := get(t, ts.URL+"/api/query?series=acc"); code != 404 {
-		t.Errorf("/api/query without SetHistory: %d, want 404", code)
+		t.Errorf("/api/query without a history store: %d, want 404", code)
 	}
 	if code, _ := get(t, ts.URL+"/api/series"); code != 404 {
-		t.Errorf("/api/series without SetHistory: %d, want 404", code)
+		t.Errorf("/api/series without a history store: %d, want 404", code)
 	}
 }
 
+// TestQueryHandlerNilDB: a job whose run records no history answers its
+// range query 503 with a hint naming -history, not a panic.
 func TestQueryHandlerNilDB(t *testing.T) {
-	// The standalone handlers (mounted by cmd/a4nn's metrics mux even
-	// without -history) answer 503 with a hint, not a panic.
-	ts := httptest.NewServer(QueryHandler(nil))
+	mux := http.NewServeMux()
+	mountJobRuns(mux, func(string) (Run, error) { return Run{Obs: obs.NewObserver()}, nil })
+	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
-	code, body := get(t, ts.URL+"?series=acc")
+	code, body := get(t, ts.URL+"/api/jobs/j1/query?series=acc")
 	if code != 503 || !strings.Contains(body, "-history") {
 		t.Fatalf("nil-db query: %d\n%s", code, body)
 	}

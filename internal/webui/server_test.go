@@ -17,8 +17,9 @@ import (
 // timeouts are scaled down so the test takes milliseconds; what is under
 // test is which of the server's timeouts NewHTTPServer sets.
 func TestHTTPServerTimeouts(t *testing.T) {
-	journal := obs.NewJournal(0)
-	srv := NewHTTPServer(EventsHandler(journal))
+	o := obs.NewObserver()
+	journal := o.Journal()
+	srv := NewHTTPServer(NewRunMux(Run{Obs: o}))
 	if srv.ReadHeaderTimeout <= 0 || srv.IdleTimeout <= 0 {
 		t.Fatalf("ReadHeaderTimeout %v and IdleTimeout %v must both be set", srv.ReadHeaderTimeout, srv.IdleTimeout)
 	}

@@ -12,7 +12,7 @@ import (
 	"a4nn/internal/obs"
 )
 
-// EventsHandler streams a journal's events as Server-Sent Events. Each
+// serveEvents streams a journal's events as Server-Sent Events. Each
 // event is framed with its journal sequence number as the SSE id and
 // its type as the SSE event name, so EventSource clients dispatch on
 // type and, on reconnect, resume from where they left off: the
@@ -25,59 +25,53 @@ import (
 // events at or below the replayed tail are skipped. A client that
 // stops reading is evicted by the broker (its channel closes) and the
 // handler returns — hundreds of dashboards can never stall the search.
-func EventsHandler(j *obs.Journal) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if j == nil {
-			http.Error(w, "event journal unavailable", http.StatusServiceUnavailable)
+func serveEvents(w http.ResponseWriter, r *http.Request, j *obs.Journal) {
+	fl, ok := w.(http.Flusher)
+	if !ok {
+		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
+		return
+	}
+	var last uint64
+	if v := r.Header.Get("Last-Event-ID"); v != "" {
+		last, _ = strconv.ParseUint(v, 10, 64)
+	} else if v := r.URL.Query().Get("last_id"); v != "" {
+		last, _ = strconv.ParseUint(v, 10, 64)
+	}
+	sub := j.Subscribe(0)
+	defer sub.Close()
+
+	w.Header().Set("Content-Type", "text/event-stream")
+	w.Header().Set("Cache-Control", "no-cache")
+	w.Header().Set("X-Accel-Buffering", "no")
+	w.WriteHeader(http.StatusOK)
+
+	for _, e := range j.Since(last) {
+		if writeSSE(w, e) != nil {
 			return
 		}
-		fl, ok := w.(http.Flusher)
-		if !ok {
-			http.Error(w, "streaming unsupported", http.StatusInternalServerError)
+		last = e.Seq
+	}
+	fl.Flush()
+
+	ctx := r.Context()
+	for {
+		select {
+		case <-ctx.Done():
 			return
-		}
-		var last uint64
-		if v := r.Header.Get("Last-Event-ID"); v != "" {
-			last, _ = strconv.ParseUint(v, 10, 64)
-		} else if v := r.URL.Query().Get("last_id"); v != "" {
-			last, _ = strconv.ParseUint(v, 10, 64)
-		}
-		sub := j.Subscribe(0)
-		defer sub.Close()
-
-		w.Header().Set("Content-Type", "text/event-stream")
-		w.Header().Set("Cache-Control", "no-cache")
-		w.Header().Set("X-Accel-Buffering", "no")
-		w.WriteHeader(http.StatusOK)
-
-		for _, e := range j.Since(last) {
+		case e, open := <-sub.C():
+			if !open {
+				return // evicted by the broker
+			}
+			if e.Seq <= last {
+				continue // already sent during replay
+			}
+			last = e.Seq
 			if writeSSE(w, e) != nil {
 				return
 			}
-			last = e.Seq
+			fl.Flush()
 		}
-		fl.Flush()
-
-		ctx := r.Context()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case e, open := <-sub.C():
-				if !open {
-					return // evicted by the broker
-				}
-				if e.Seq <= last {
-					continue // already sent during replay
-				}
-				last = e.Seq
-				if writeSSE(w, e) != nil {
-					return
-				}
-				fl.Flush()
-			}
-		}
-	})
+	}
 }
 
 // writeSSE frames one event in text/event-stream format.
@@ -88,22 +82,6 @@ func writeSSE(w io.Writer, e obs.Event) error {
 	}
 	_, err = fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", e.Seq, e.Type, data)
 	return err
-}
-
-func (s *Server) handleDashboard(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	fmt.Fprint(w, dashboardHTML)
-}
-
-// DashboardHandler serves the live dashboard page standalone, for
-// mounting next to EventsHandler on listeners that are not a full
-// webui.Server (cmd/a4nn's metrics address). The page only needs
-// /events on the same host.
-func DashboardHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		fmt.Fprint(w, dashboardHTML)
-	})
 }
 
 // dashboardPage rebinds the dashboard to a different SSE stream,

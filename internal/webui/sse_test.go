@@ -161,11 +161,15 @@ func TestEventsSSELastIDQueryParam(t *testing.T) {
 	}
 }
 
+// TestEventsHandlerNilJournal: a job whose run has no observer yet, so
+// no event journal, answers its /events stream 503, not a panic.
 func TestEventsHandlerNilJournal(t *testing.T) {
+	mux := http.NewServeMux()
+	mountJobRuns(mux, func(string) (Run, error) { return Run{}, nil })
 	rec := httptest.NewRecorder()
-	EventsHandler(nil).ServeHTTP(rec, httptest.NewRequest("GET", "/events", nil))
-	if rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("status %d, want 503", rec.Code)
+	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/api/jobs/j1/events", nil))
+	if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), "event journal unavailable") {
+		t.Fatalf("nil-journal events: %d\n%s", rec.Code, rec.Body.String())
 	}
 }
 

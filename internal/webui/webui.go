@@ -13,17 +13,10 @@
 //	GET /api/summary?beam=low   aggregate statistics
 //	GET /api/pareto?beam=low    Pareto frontier of the stored models
 //
-// With SetObserver the server additionally exposes the live
-// observability endpoints of a running search:
-//
-//	GET /metrics        Prometheus text format
-//	GET /metrics.json   expvar-style JSON snapshot
-//	GET /debug/spans    bounded span ring as JSON
-//
-// With SetHealth the in-situ health monitor surfaces too:
-//
-//	GET /healthz        aggregate status (200 ok/degraded, 503 critical)
-//	GET /api/alerts     active and recently resolved alerts
+// With SetRun (or SetObserver) the server also exposes the live routes
+// of a running search — /metrics, /events, /dashboard, /healthz,
+// /api/query and the rest — and with SetJobs the same routes of every
+// job under /api/jobs/{id}; runRoutes in routes.go lists them.
 package webui
 
 import (
@@ -37,7 +30,6 @@ import (
 	"a4nn/internal/commons"
 	"a4nn/internal/core"
 	"a4nn/internal/genome"
-	"a4nn/internal/health"
 	"a4nn/internal/jobs"
 	"a4nn/internal/lineage"
 	"a4nn/internal/obs"
@@ -45,14 +37,11 @@ import (
 
 // Server wraps a commons store with HTTP handlers.
 type Server struct {
-	store     *commons.Store
-	mux       *http.ServeMux
-	obsOn     bool
-	healthOn  bool
-	jobsOn    bool
-	historyOn bool
-	jobs      *jobs.Manager
-	cache     *ttlCache
+	store *commons.Store
+	mux   *http.ServeMux
+	runOn bool
+	jobs  *jobs.Manager
+	cache *ttlCache
 }
 
 // New builds a server over the store.
@@ -70,34 +59,19 @@ func New(store *commons.Store) (*Server, error) {
 	return s, nil
 }
 
-// SetObserver mounts the live observability endpoints (/metrics,
-// /metrics.json, /debug/spans, the /events SSE stream, and the
-// /dashboard page) backed by the observer of a running search. Call at
-// most once, before serving; a nil observer or a repeated call is a
-// no-op.
-func (s *Server) SetObserver(o *obs.Observer) {
-	if o == nil || s.obsOn {
+// SetRun mounts the live routes of a running search at the root, each
+// only when run has the component it reads. Call at most once, before
+// serving; a run with no component, or a repeated call, is a no-op.
+func (s *Server) SetRun(run Run) {
+	if s.runOn || run == (Run{}) {
 		return
 	}
-	s.obsOn = true
-	s.mux.Handle("GET /metrics", o.Registry().MetricsHandler())
-	s.mux.Handle("GET /metrics.json", o.Registry().JSONHandler())
-	s.mux.Handle("GET /debug/spans", o.Tracer().SpansHandler())
-	s.mux.Handle("GET /events", EventsHandler(o.Journal()))
-	s.mux.HandleFunc("GET /dashboard", s.handleDashboard)
+	s.runOn = true
+	mountRun(s.mux, run)
 }
 
-// SetHealth mounts the health monitor's endpoints (GET /healthz and
-// GET /api/alerts) backed by a running engine. Same contract as
-// SetObserver: at most once, before serving; nil or repeat is a no-op.
-func (s *Server) SetHealth(e *health.Engine) {
-	if e == nil || s.healthOn {
-		return
-	}
-	s.healthOn = true
-	s.mux.Handle("GET /healthz", health.HealthzHandler(e))
-	s.mux.Handle("GET /api/alerts", health.AlertsHandler(e))
-}
+// SetObserver is SetRun for a run with an observer alone.
+func (s *Server) SetObserver(o *obs.Observer) { s.SetRun(Run{Obs: o}) }
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -104,6 +106,45 @@ func TestRecordEndpoint(t *testing.T) {
 	code, _ = get(t, ts.URL+"/api/records/nope")
 	if code != 404 {
 		t.Fatalf("missing record status %d", code)
+	}
+}
+
+// TestRecordIDTraversal: the mux unescapes %2F inside {id}, so a record
+// id can spell a path out of the store. Both record routes must answer
+// 404 without reading the record-shaped file planted beside the store.
+func TestRecordIDTraversal(t *testing.T) {
+	root := t.TempDir()
+	store, err := commons.Open(filepath.Join(root, "srv", "store"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	planted, err := commons.Open(filepath.Join(root, "planted"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	secret := &lineage.Record{ID: "leaked-secret", Genome: "1010001|0000000|1111111", NodesPerPhase: 4,
+		Epochs: []lineage.EpochEntry{{Epoch: 1, ValAccuracy: 70}}}
+	if err := planted.PutRecord(secret); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(planted.Root(), "records", "leaked-secret.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(root, "srv", "secret.json"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	for _, path := range []string{"/api/records/..%2F..%2Fsecret", "/api/records/..%2F..%2Fsecret/dot"} {
+		code, body := get(t, ts.URL+path)
+		if code != http.StatusNotFound || strings.Contains(body, "leaked-secret") || strings.Contains(body, "digraph") {
+			t.Errorf("GET %s = %d, want 404 without the planted record:\n%s", path, code, body)
+		}
 	}
 }
 
