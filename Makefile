@@ -28,7 +28,10 @@ ci: lint build race race-broker race-health race-sched race-obs race-tsdb golden
 # a run's live route (/metrics, /events, /dashboard, /healthz,
 # /debug/spans, /api/alerts, /api/query, /api/series, or their
 # /api/jobs/{id} forms) registered outside internal/webui/routes.go:
-# every binary and every job mounts that one table.
+# every binary and every job mounts that one table. And it holds the
+# health engine to one fold of the journal: a `case obs.Event…` in
+# non-test internal/health outside fold.go is a second reader of the
+# event stream.
 lint: vet
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -53,6 +56,11 @@ lint: vet
 		--include='*.go' . | grep -vE '^\./internal/webui/routes\.go:|_test\.go:'); \
 	if [ -n "$$routes" ]; then \
 		echo "live route registered outside internal/webui/routes.go (add a runRoutes row):"; echo "$$routes"; exit 1; \
+	fi
+	@cases=$$(grep -nE 'case obs\.Event' $$(ls internal/health/*.go | grep -v _test.go) \
+		| grep -vE '^internal/health/fold\.go:'); \
+	if [ -n "$$cases" ]; then \
+		echo "event type switched on outside internal/health/fold.go (apply it in fold.apply):"; echo "$$cases"; exit 1; \
 	fi
 
 vet:
@@ -146,8 +154,9 @@ bench-smoke:
 
 # bench-gate fails when BenchmarkTrainStep allocates more per step than
 # the committed BENCH_tensor.json current value — the PR-2 zero-alloc
-# hot path must not regress — or when any disabled observability path
-# (per-layer profiler, span tracer, health monitor) costs allocations.
+# hot path must not regress — when any disabled observability path
+# (per-layer profiler, span tracer, health monitor) costs allocations,
+# or when the enabled health engine allocates on a steady event stream.
 bench-gate:
 	GO="$(GO)" sh scripts/benchgate.sh
 

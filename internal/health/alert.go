@@ -32,15 +32,17 @@ const (
 	SevCritical Severity = "critical"
 )
 
-// rank orders severities for escalation comparisons.
-func (s Severity) rank() int {
+// rank orders severities for escalation comparisons. It is the status
+// one active alert of the severity gives a run: an info alert leaves it
+// ok, a warning degrades it, a critical makes it critical.
+func (s Severity) rank() Status {
 	switch s {
 	case SevCritical:
-		return 2
+		return StatusCritical
 	case SevWarning:
-		return 1
+		return StatusDegraded
 	default:
-		return 0
+		return StatusOK
 	}
 }
 
@@ -55,6 +57,14 @@ type finding struct {
 	Value     float64
 	Threshold float64
 }
+
+// idFinding is a finding beside its ID, as apply orders them.
+type idFinding struct {
+	id string
+	f  *finding
+}
+
+func byID(a, b idFinding) int { return strings.Compare(a.id, b.id) }
 
 func (f finding) id() string {
 	if f.Key == "" {
@@ -101,6 +111,9 @@ type manager struct {
 	active   map[string]*Alert
 	healthy  map[string]int // consecutive clean checks per active alert
 	resolved []Alert
+
+	order []idFinding // one check's findings in ID order, reused
+	ids   []string    // the active IDs in order, reused
 
 	firedInfo     *obs.Counter
 	firedWarning  *obs.Counter
@@ -175,16 +188,21 @@ func (m *manager) firedCounter(s Severity) *obs.Counter {
 // re-persists and re-emits), and active alerts whose monitor stayed
 // quiet for resolveAfter consecutive checks resolve. Fire and resolve
 // transitions append to alerts.jsonl and re-emit as journal events, so
-// the SSE stream and follow mode carry them.
+// the SSE stream and follow mode carry them. Transitions run in ID
+// order — fires and escalations, then resolves — so the same findings
+// write the same bytes whatever order the monitors reported them in.
 func (m *manager) apply(at time.Time, findings []finding) {
 	if len(findings) == 0 && len(m.active) == 0 {
 		return // healthy steady state: no transitions
 	}
 	now := at.UnixNano()
-	seen := make(map[string]bool, len(findings))
-	for _, f := range findings {
-		id := f.id()
-		seen[id] = true
+	m.order = m.order[:0]
+	for i := range findings {
+		m.order = append(m.order, idFinding{findings[i].id(), &findings[i]})
+	}
+	slices.SortStableFunc(m.order, byID)
+	for _, o := range m.order {
+		id, f := o.id, o.f
 		m.healthy[id] = 0
 		if a, ok := m.active[id]; ok {
 			a.Count++
@@ -218,14 +236,15 @@ func (m *manager) apply(at time.Time, findings []finding) {
 		m.persist(a)
 		m.emit(obs.EventAlert, a)
 	}
-	for id, a := range m.active {
-		if seen[id] {
+	for _, id := range m.activeIDs() {
+		if _, seen := slices.BinarySearchFunc(m.order, idFinding{id: id}, byID); seen {
 			continue
 		}
 		m.healthy[id]++
 		if m.healthy[id] < m.resolveAfter {
 			continue
 		}
+		a := m.active[id]
 		a.Resolved = true
 		a.ResolvedAt = now
 		a.UpdatedAt = now
@@ -242,6 +261,16 @@ func (m *manager) apply(at time.Time, findings []finding) {
 	}
 }
 
+// activeIDs lists the active alert IDs in order, in a reused buffer.
+func (m *manager) activeIDs() []string {
+	m.ids = m.ids[:0]
+	for id := range m.active {
+		m.ids = append(m.ids, id)
+	}
+	slices.Sort(m.ids)
+	return m.ids
+}
+
 // emit republishes an alert transition as a typed journal event.
 func (m *manager) emit(typ string, a *Alert) {
 	m.journal.Emit(obs.Event{
@@ -254,31 +283,26 @@ func (m *manager) emit(typ string, a *Alert) {
 	})
 }
 
-// status aggregates the active set: critical beats degraded beats ok;
-// info-only alerts leave the run ok (they are advisory).
-func (m *manager) status() Status {
-	st := StatusOK
+// status aggregates the active alerts of monitor, or of every monitor
+// for "": critical beats degraded beats ok, and info alerts leave it ok
+// (they are advisory). n counts those alerts and crit the critical ones.
+func (m *manager) status(monitor string) (st Status, n, crit int) {
 	for _, a := range m.active {
-		switch a.Severity {
-		case SevCritical:
-			return StatusCritical
-		case SevWarning:
-			st = StatusDegraded
+		if monitor == "" || a.Monitor == monitor {
+			st, n = max(st, a.Severity.rank()), n+1
+			if a.Severity == SevCritical {
+				crit++
+			}
 		}
 	}
-	return st
+	return st, n, crit
 }
 
 // close snapshots the final Count/severity of every still-active alert
 // into the file (their fire lines carry Count 1), syncs, and releases
 // the sink.
 func (m *manager) close() error {
-	ids := make([]string, 0, len(m.active))
-	for id := range m.active {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	for _, id := range ids {
+	for _, id := range m.activeIDs() {
 		m.persist(m.active[id])
 	}
 	err := m.file.Close()

@@ -21,6 +21,12 @@ func (m *tickManager) apply(findings []finding) {
 	m.manager.apply(time.Unix(0, m.tick), findings)
 }
 
+// status is the manager's aggregate status.
+func status(m *manager) Status {
+	st, _, _ := m.status("")
+	return st
+}
+
 // testManager builds a manager with a deterministic clock.
 func testManager(t *testing.T, resolveAfter int) (*tickManager, *obs.Observer) {
 	t.Helper()
@@ -90,16 +96,16 @@ func TestManagerSeverityEscalation(t *testing.T) {
 	defer sub.Close()
 
 	m.apply([]finding{{Monitor: "devices", Key: "capacity", Severity: SevWarning, Message: "degraded"}})
-	if m.status() != StatusDegraded {
-		t.Fatalf("status = %v, want degraded", m.status())
+	if status(m.manager) != StatusDegraded {
+		t.Fatalf("status = %v, want degraded", status(m.manager))
 	}
 	m.apply([]finding{{Monitor: "devices", Key: "capacity", Severity: SevCritical, Message: "below floor"}})
 	a := m.active["devices/capacity"]
 	if a.Severity != SevCritical {
 		t.Fatalf("severity = %s, want critical", a.Severity)
 	}
-	if m.status() != StatusCritical {
-		t.Fatalf("status = %v, want critical", m.status())
+	if status(m.manager) != StatusCritical {
+		t.Fatalf("status = %v, want critical", status(m.manager))
 	}
 	// Escalation must not fire lower again: warning=1, critical=1.
 	if w, c := m.firedWarning.Value(), m.firedCritical.Value(); w != 1 || c != 1 {
@@ -118,8 +124,8 @@ func TestManagerSeverityEscalation(t *testing.T) {
 func TestManagerInfoDoesNotDegrade(t *testing.T) {
 	m, _ := testManager(t, 3)
 	m.apply([]finding{{Monitor: "plateau", Key: "m7", Severity: SevInfo, Message: "flat"}})
-	if m.status() != StatusOK {
-		t.Fatalf("status = %v, want ok for info-only alerts", m.status())
+	if status(m.manager) != StatusOK {
+		t.Fatalf("status = %v, want ok for info-only alerts", status(m.manager))
 	}
 }
 

@@ -13,17 +13,15 @@ type diskUsage struct {
 	availBytes uint64
 }
 
-// diskMon watches free space on the filesystem holding DiskPath —
-// normally the commons directory, because every durability guarantee in
-// the crash-consistency model (atomic record writes, checkpoints, the
-// append-only journal) dies quietly on a full disk. Free-space
-// fractions below the warning / critical watermarks fire accordingly;
-// an unreadable filesystem fires its own warning rather than silently
-// skipping the check.
+// diskMon holds the disk row's readings of free space on the filesystem
+// holding DiskPath — normally the commons directory, because every
+// durability guarantee in the crash-consistency model (atomic record
+// writes, checkpoints, the append-only journal) dies quietly on a full
+// disk. Free-space fractions below the warning / critical watermarks
+// fire accordingly; an unreadable filesystem fires its own warning
+// rather than silently skipping the check. It samples on the runtime
+// row's cadence.
 type diskMon struct {
-	path               string
-	warnFrac, critFrac float64
-	every              cadence
 	// statfs is injectable for tests; the default is the platform
 	// syscall (a stub returning an error where unsupported).
 	statfs func(path string) (diskUsage, error)
@@ -34,69 +32,44 @@ type diskMon struct {
 	gFree *obs.Gauge
 }
 
-func newDiskMon(cfg Config, reg *obs.Registry) *diskMon {
-	return &diskMon{
-		path:     cfg.DiskPath,
-		warnFrac: cfg.DiskWarnFrac,
-		critFrac: cfg.DiskCritFrac,
-		every:    cadence{every: cfg.SampleInterval},
-		statfs:   statfsImpl,
-		gFree:    reg.Gauge("a4nn_health_disk_free_fraction"),
+func (e *Engine) diskCheck(_ time.Time, out []finding) []finding {
+	d, path := &e.disk, e.cfg.DiskPath
+	if e.sampleDue {
+		u, err := d.statfs(path)
+		d.statErr = err
+		if err == nil && u.totalBytes > 0 {
+			d.free = float64(u.availBytes) / float64(u.totalBytes)
+			d.gFree.Set(d.free)
+		}
 	}
-}
-
-func (d *diskMon) name() string { return "disk" }
-
-func (d *diskMon) observe(obs.Event) {}
-
-func (d *diskMon) sample(now time.Time) {
-	if !d.every.due(now) {
-		return
-	}
-	u, err := d.statfs(d.path)
-	d.statErr = err
-	if err != nil || u.totalBytes == 0 {
-		return
-	}
-	d.free = float64(u.availBytes) / float64(u.totalBytes)
-	d.gFree.Set(d.free)
-}
-
-func (d *diskMon) check(now time.Time, out []finding) []finding {
-	d.sample(now)
 	if d.statErr != nil {
-		return append(out, finding{
-			Monitor: d.name(), Key: "stat", Severity: SevWarning,
+		return append(out, finding{Key: "stat", Severity: SevWarning,
 			Message: fmt.Sprintf("cannot stat %s: %v — free-space watermarks are not being enforced",
-				d.path, d.statErr),
-		})
+				path, d.statErr)})
 	}
-	switch {
-	case d.free < d.critFrac:
-		out = append(out, finding{
-			Monitor: d.name(), Key: "space", Severity: SevCritical,
+	switch crit, warn := e.cfg.DiskCritFrac, e.cfg.DiskWarnFrac; {
+	case d.free < crit:
+		out = append(out, finding{Key: "space", Severity: SevCritical,
 			Message: fmt.Sprintf("%.1f%% free on the commons filesystem (%s), below the %.0f%% critical watermark — records and checkpoints are about to fail",
-				100*d.free, d.path, 100*d.critFrac),
-			Value: d.free, Threshold: d.critFrac,
-		})
-	case d.free < d.warnFrac:
-		out = append(out, finding{
-			Monitor: d.name(), Key: "space", Severity: SevWarning,
+				100*d.free, path, 100*crit),
+			Value: d.free, Threshold: crit})
+	case d.free < warn:
+		out = append(out, finding{Key: "space", Severity: SevWarning,
 			Message: fmt.Sprintf("%.1f%% free on the commons filesystem (%s), below the %.0f%% warning watermark",
-				100*d.free, d.path, 100*d.warnFrac),
-			Value: d.free, Threshold: d.warnFrac,
-		})
+				100*d.free, path, 100*warn),
+			Value: d.free, Threshold: warn})
 	}
 	return out
 }
 
-func (d *diskMon) detail() string {
-	if d.every.last.IsZero() {
+func (e *Engine) diskDetail() string {
+	d, path := &e.disk, e.cfg.DiskPath
+	switch {
+	case e.sampling.last.IsZero():
 		return "not sampled yet"
-	}
-	if d.statErr != nil {
-		return fmt.Sprintf("stat %s failed: %v", d.path, d.statErr)
+	case d.statErr != nil:
+		return fmt.Sprintf("stat %s failed: %v", path, d.statErr)
 	}
 	return fmt.Sprintf("%.1f%% free at %s (warn <%.0f%%, critical <%.0f%%)",
-		100*d.free, d.path, 100*d.warnFrac, 100*d.critFrac)
+		100*d.free, path, 100*e.cfg.DiskWarnFrac, 100*e.cfg.DiskCritFrac)
 }

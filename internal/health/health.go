@@ -7,13 +7,16 @@
 // mid-search, and the health engine applies the same idea to the
 // search process itself.
 //
-// Monitors: training divergence (NaN/Inf, rising loss, accuracy
-// collapse), learning-curve plateau, prediction-engine miscalibration
-// (rolling |predicted−actual| from termination events), device-pool
-// degradation (dead devices, straggler rate, capacity floor), queue
-// saturation (mean wait vs a warmup baseline), journal/broker
-// backpressure (drop and file-error counters), and a runtime/metrics
-// sampler (goroutines, heap growth, GC pause p99).
+// Engine.Observe applies each event once to a fold of the run, and the
+// monitors are the rows of one table that read it, in Report order:
+// divergence (NaN/Inf, rising loss, accuracy collapse), plateau (flat
+// learning curves), calibration (rolling |predicted−actual| at
+// termination), devices (dead devices, straggler rate, capacity floor),
+// queue (mean wait vs a warmup baseline), backpressure (journal drop and
+// file-error counters), runtime (goroutines, heap growth, GC pause p99,
+// RSS, open fds), recovery (quarantined files, lost records) and, when
+// configured, disk (free-space watermarks), slo (error-budget burn) and
+// regression (series means against a baseline).
 //
 // Findings feed an alert manager with severities, deduplication
 // (repeats bump a Count), flap suppression (an alert resolves only
@@ -23,7 +26,7 @@
 // surface via the /healthz and /api/alerts handlers.
 //
 // The engine owns time: it reads its clock once per check cycle and
-// hands that instant to the monitors and the alert manager, which never
+// hands that instant to the rows and the alert manager, which never
 // read the clock themselves.
 //
 // Like the rest of the observability stack, disabled health is free: a
@@ -191,8 +194,7 @@ type Report struct {
 // registry. Feed it events synchronously with Observe, or let Start
 // subscribe it to the observer's broker and consume in the background;
 // either way all evaluation happens on one goroutine at a time under
-// the engine's mutex, so monitors are simple single-threaded state
-// machines.
+// the engine's mutex, so the fold and the rows keep plain state.
 //
 // A nil *Engine is the disabled monitor: Observe costs one nil check
 // and zero allocations, Status reports ok, and lifecycle methods are
@@ -203,12 +205,18 @@ type Engine struct {
 
 	now func() time.Time // the one clock, read once per check; tests step it
 
-	mu       sync.Mutex
-	monitors []monitor
-	mgr      *manager
-	scratch  []finding // reused across checks
-	sub      *obs.Subscriber
-	done     chan struct{}
+	mu        sync.Mutex
+	fold      fold      // the run, each event applied once
+	monitors  []monitor // the rows, in Report order
+	sampling  cadence   // the runtime and disk readings' shared cadence
+	sampleDue bool      // this check is one of its instants
+	runtime   runtimeMon
+	disk      diskMon
+	bp        backpressure
+	mgr       *manager
+	scratch   []finding // reused across checks
+	sub       *obs.Subscriber
+	done      chan struct{}
 
 	checks *obs.Counter
 }
@@ -223,30 +231,38 @@ func New(cfg Config, o *obs.Observer) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	reg := o.Registry()
 	e := &Engine{
-		cfg: cfg,
-		obs: o,
-		now: time.Now,
-		monitors: []monitor{
-			newDivergence(cfg),
-			newPlateau(cfg),
-			newCalibration(cfg),
-			newDevicepool(cfg),
-			newQueuewait(reg),
-			newBackpressure(reg),
-			newRuntimeMon(cfg, reg, o.Journal()),
-			newRecoveryMon(),
-		},
+		cfg:      cfg,
+		obs:      o,
+		now:      time.Now,
+		fold:     newFold(cfg),
+		sampling: cadence{every: cfg.SampleInterval},
+		runtime:  newRuntimeMon(reg),
+		disk:     diskMon{statfs: statfsImpl, gFree: reg.Gauge("a4nn_health_disk_free_fraction")},
+		bp: backpressure{dropped: reg.Counter("a4nn_events_dropped_total"),
+			fileErrs: reg.Counter("a4nn_events_file_errors_total")},
 		mgr:    newManager(cfg.ResolveAfter, o),
 		checks: reg.Counter("a4nn_health_checks_total"),
 	}
+	e.monitors = []monitor{
+		{"divergence", e.divergence, e.divergenceDetail},
+		{"plateau", e.plateau, e.plateauDetail},
+		{"calibration", e.calibration, e.calibrationDetail},
+		{"devices", e.devices, e.devicesDetail},
+		{"queue", e.queue, e.queueDetail},
+		{"backpressure", e.bp.check, e.bp.detail},
+		{"runtime", e.runtimeCheck, e.runtimeDetail},
+		{"recovery", e.recovery, e.recoveryDetail},
+	}
 	if cfg.DiskPath != "" {
-		e.monitors = append(e.monitors, newDiskMon(cfg, reg))
+		e.monitors = append(e.monitors, monitor{"disk", e.diskCheck, e.diskDetail})
 	}
 	if cfg.SLO != nil {
-		e.monitors = append(e.monitors, newSLOMon(*cfg.SLO, reg))
+		m := newSLOMon(*cfg.SLO, reg, &e.fold)
+		e.monitors = append(e.monitors, monitor{"slo", m.check, m.detail})
 	}
 	if cfg.Regression != nil && cfg.Regression.Query != nil {
-		e.monitors = append(e.monitors, newRegression(*cfg.Regression))
+		r := newRegression(*cfg.Regression)
+		e.monitors = append(e.monitors, monitor{"regression", r.check, r.detail})
 	}
 	return e, nil
 }
@@ -262,11 +278,11 @@ func (e *Engine) OpenAlertsFile(path string) error {
 	return e.mgr.openFile(path)
 }
 
-// Observe feeds one event through every monitor and runs a check
-// cycle. It is the synchronous entry point (Start pumps the broker
-// into it); alert events — including the engine's own re-emissions —
-// are skipped, so the engine never feeds back into itself. Nil-safe
-// and allocation-free when disabled.
+// Observe folds one event into the run and runs a check cycle. It is
+// the synchronous entry point (Start pumps the broker into it); alert
+// events — including the engine's own re-emissions — are skipped, so
+// the engine never feeds back into itself. Nil-safe and
+// allocation-free when disabled.
 func (e *Engine) Observe(ev obs.Event) {
 	if e == nil {
 		return
@@ -275,9 +291,7 @@ func (e *Engine) Observe(ev obs.Event) {
 		return
 	}
 	e.mu.Lock()
-	for _, m := range e.monitors {
-		m.observe(ev)
-	}
+	e.fold.apply(ev)
 	e.checkLocked()
 	e.mu.Unlock()
 }
@@ -294,13 +308,14 @@ func (e *Engine) Check() {
 	e.mu.Unlock()
 }
 
-// checkLocked reads the clock once, gathers every monitor's findings at
+// checkLocked reads the clock once, gathers every row's findings at
 // that instant and applies them to the alert manager. Caller holds e.mu.
 func (e *Engine) checkLocked() {
 	now := e.now()
+	e.sampleDue = e.sampling.due(now)
 	e.scratch = e.scratch[:0]
 	for _, m := range e.monitors {
-		e.scratch = m.check(now, e.scratch)
+		e.scratch = m.run(now, e.scratch)
 	}
 	e.mgr.apply(now, e.scratch)
 	e.checks.Inc()
@@ -373,7 +388,8 @@ func (e *Engine) Status() Status {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.mgr.status()
+	st, _, _ := e.mgr.status("")
+	return st
 }
 
 // ActiveAlerts returns a copy of the active alerts, ordered by
@@ -406,57 +422,23 @@ func (e *Engine) CriticalActive() int {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	n := 0
-	for _, a := range e.mgr.active {
-		if a.Severity == SevCritical {
-			n++
-		}
-	}
-	return n
+	_, _, crit := e.mgr.status("")
+	return crit
 }
 
-// Report builds the /healthz payload. Nil-safe: a nil engine reports
-// status ok with no monitors.
+// Report builds the /healthz payload: one row per monitor, in table
+// order. Nil-safe: a nil engine reports status ok with no monitors.
 func (e *Engine) Report() Report {
 	if e == nil {
 		return Report{Status: StatusOK.String()}
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	rep := Report{
-		Status: e.mgr.status().String(),
-		Checks: e.checks.Value(),
-		Active: len(e.mgr.active),
-	}
-	perMon := make(map[string][2]int) // active, worst severity rank
-	for _, a := range e.mgr.active {
-		v := perMon[a.Monitor]
-		v[0]++
-		if r := a.Severity.rank(); r > v[1] {
-			v[1] = r
-		}
-		perMon[a.Monitor] = v
-		if a.Severity == SevCritical {
-			rep.Critical++
-		}
-	}
+	st, active, crit := e.mgr.status("")
+	rep := Report{Status: st.String(), Checks: e.checks.Value(), Active: active, Critical: crit}
 	for _, m := range e.monitors {
-		v := perMon[m.name()]
-		st := StatusOK
-		switch v[1] {
-		case SevCritical.rank():
-			st = StatusCritical
-		case SevWarning.rank():
-			if v[0] > 0 {
-				st = StatusDegraded
-			}
-		}
-		rep.Monitors = append(rep.Monitors, MonitorStatus{
-			Name:   m.name(),
-			Status: st.String(),
-			Active: v[0],
-			Detail: m.detail(),
-		})
+		st, n, _ := e.mgr.status(m.name)
+		rep.Monitors = append(rep.Monitors, MonitorStatus{Name: m.name, Status: st.String(), Active: n, Detail: m.detail()})
 	}
 	rep.Alerts = e.mgr.activeByFired()
 	return rep

@@ -7,16 +7,10 @@ import (
 	"a4nn/internal/obs"
 )
 
-// grabRuntimeMon digs the runtime monitor out of an engine.
+// grabRuntimeMon reaches the runtime row's readings.
 func grabRuntimeMon(t *testing.T, e *Engine) *runtimeMon {
 	t.Helper()
-	for _, m := range e.monitors {
-		if r, ok := m.(*runtimeMon); ok {
-			return r
-		}
-	}
-	t.Fatal("engine has no runtime monitor")
-	return nil
+	return &e.runtime
 }
 
 func TestProcSelfSample(t *testing.T) {

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"a4nn/internal/durable"
-	"a4nn/internal/obs"
 )
 
 // --- cross-run regression ------------------------------------------------
@@ -147,9 +146,6 @@ func newRegression(cfg RegressionConfig) *regression {
 		streak: make(map[string]int)}
 }
 
-func (r *regression) name() string      { return "regression" }
-func (r *regression) observe(obs.Event) {}
-
 func (r *regression) check(now time.Time, out []finding) []finding {
 	if !r.eval.due(now) {
 		return append(out, r.cached...)
@@ -187,14 +183,12 @@ func (r *regression) check(now time.Time, out []finding) []finding {
 			worse = "below"
 			bound = base.Mean * (1 - tol)
 		}
-		r.cached = append(r.cached, finding{
-			Monitor: r.name(), Key: name, Severity: SevWarning,
+		r.cached = append(r.cached, finding{Key: name, Severity: SevWarning,
 			Message: fmt.Sprintf(
 				"regression: %s mean %.4g over last %s is %.0f%% %s baseline %.4g (tolerance %.0f%%, %d windows sustained)",
 				name, mean, regressionWindow, math.Abs(dev)*100, worse, base.Mean,
 				tol*100, r.streak[name]),
-			Value: mean, Threshold: bound,
-		})
+			Value: mean, Threshold: bound})
 	}
 	return append(out, r.cached...)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -23,15 +24,10 @@ func TestDiskMonitorWatermarks(t *testing.T) {
 	cfg := testConfig()
 	cfg.DiskPath = t.TempDir()
 	e, _ := testEngine(t, cfg)
-	var mon *diskMon
-	for _, m := range e.monitors {
-		if d, ok := m.(*diskMon); ok {
-			mon = d
-		}
-	}
-	if mon == nil {
+	if !slices.Contains(rowNames(e), "disk") {
 		t.Fatal("DiskPath set but no disk monitor registered")
 	}
+	mon := &e.disk
 	free := uint64(50)
 	mon.statfs = func(string) (diskUsage, error) {
 		return diskUsage{totalBytes: 100, availBytes: free}, nil
@@ -64,8 +60,8 @@ func TestDiskMonitorWatermarks(t *testing.T) {
 	if len(e.ActiveAlerts()) != 0 {
 		t.Fatalf("disk alert survived cleanup: %+v", e.ActiveAlerts())
 	}
-	if !strings.Contains(mon.detail(), "60.0% free") {
-		t.Fatalf("detail = %q", mon.detail())
+	if !strings.Contains(e.diskDetail(), "60.0% free") {
+		t.Fatalf("detail = %q", e.diskDetail())
 	}
 }
 
@@ -73,12 +69,8 @@ func TestDiskMonitorStatFailure(t *testing.T) {
 	cfg := testConfig()
 	cfg.DiskPath = "/nonexistent"
 	e, _ := testEngine(t, cfg)
-	for _, m := range e.monitors {
-		if d, ok := m.(*diskMon); ok {
-			d.statfs = func(string) (diskUsage, error) {
-				return diskUsage{}, fmt.Errorf("no such filesystem")
-			}
-		}
+	e.disk.statfs = func(string) (diskUsage, error) {
+		return diskUsage{}, fmt.Errorf("no such filesystem")
 	}
 	e.Check()
 	if _, ok := activeIDs(e)["disk/stat"]; !ok {
@@ -102,13 +94,7 @@ func TestRecoveryMonitorAlertsOnDamage(t *testing.T) {
 		t.Fatalf("want recovery/damage warning, active = %+v", e.ActiveAlerts())
 	}
 	e.Observe(obs.Event{Type: obs.EventRecovery, Model: "m4", Reason: "lost"})
-	var mon *recoveryMon
-	for _, m := range e.monitors {
-		if r, ok := m.(*recoveryMon); ok {
-			mon = r
-		}
-	}
-	d := mon.detail()
+	d := e.recoveryDetail()
 	for _, want := range []string{"1 quarantined", "1 lost", "1 stale", "1 checkpoint resumes"} {
 		if !strings.Contains(d, want) {
 			t.Fatalf("detail %q missing %q", d, want)
@@ -148,16 +134,11 @@ func TestRuntimeSampleEmitAndAdopt(t *testing.T) {
 	// Consumer: a follower engine adopts the producer's readings and
 	// stops sampling its own runtime.
 	follower, _ := testEngine(t, testConfig())
-	var mon *runtimeMon
-	for _, m := range follower.monitors {
-		if r, ok := m.(*runtimeMon); ok {
-			mon = r
-		}
-	}
+	mon := &follower.runtime
 	external := obs.Event{Type: obs.EventRuntimeSample,
 		Goroutines: 4242, HeapBytes: 1 << 30, GCPauseSec: 0.001}
 	follower.Observe(external)
-	if !mon.adopted || mon.goroutines != 4242 || mon.heapBytes != 1<<30 {
+	if !follower.fold.adopted || mon.goroutines != 4242 || mon.heapBytes != 1<<30 {
 		t.Fatalf("follower did not adopt the external sample: %+v", mon)
 	}
 	follower.Check() // must not overwrite with a local sample
@@ -172,13 +153,8 @@ func TestRuntimeSampleEmitAndAdopt(t *testing.T) {
 
 	// A producer ignores its own samples coming back from the broker.
 	prod, _ := testEngine(t, cfg)
-	for _, m := range prod.monitors {
-		if r, ok := m.(*runtimeMon); ok {
-			mon = r
-		}
-	}
 	prod.Observe(external)
-	if mon.adopted {
+	if prod.fold.adopted {
 		t.Fatal("producer adopted an external sample")
 	}
 }

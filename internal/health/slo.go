@@ -95,7 +95,7 @@ type sloSample struct {
 	emitted uint64 // journal events emitted
 }
 
-// sloMon tracks the declared objectives. Like every monitor it runs
+// sloMon tracks the declared objectives. Like every row it runs
 // single-threaded under the engine mutex; unlike the anomaly monitors
 // it keeps a time-indexed ring of counter samples so burn rates are
 // measured over wall-clock windows, not check counts. The engine builds
@@ -111,19 +111,18 @@ type sloMon struct {
 	sn      int
 	push    cadence // one ring sample per granule
 
-	observed bool          // an event has arrived; the run has started
-	started  time.Time     // wall-clock run start (the check after the first event)
-	elapsed  time.Duration // run time as of the last check
-	finished bool          // run_end seen
+	run     *fold         // whether an event, and run_end, have arrived
+	started time.Time     // wall-clock run start (the check after the first event)
+	elapsed time.Duration // run time as of the last check
 
 	fastQueueBurn, slowQueueBurn float64 // last measured, for detail()
 	fastDropBurn, slowDropBurn   float64
 }
 
 // newSLOMon builds the monitor over the registry's scheduler and
-// journal instruments. The ring is sized so the slow window is covered
-// at the push granularity.
-func newSLOMon(s SLO, reg *obs.Registry) *sloMon {
+// journal instruments and the engine's fold of the run. The ring is
+// sized so the slow window is covered at the push granularity.
+func newSLOMon(s SLO, reg *obs.Registry, run *fold) *sloMon {
 	s = s.withDefaults()
 	g := granule(s)
 	return &sloMon{
@@ -133,6 +132,7 @@ func newSLOMon(s SLO, reg *obs.Registry) *sloMon {
 		emit:    reg.Counter("a4nn_events_emitted_total"),
 		samples: make([]sloSample, int(s.SlowWindow/g)+2),
 		push:    cadence{every: g},
+		run:     run,
 	}
 }
 
@@ -147,17 +147,8 @@ func granule(s SLO) time.Duration {
 	return g
 }
 
-func (m *sloMon) name() string { return "slo" }
-
-func (m *sloMon) observe(e obs.Event) {
-	m.observed = true
-	if e.Type == obs.EventRunEnd {
-		m.finished = true
-	}
-}
-
 func (m *sloMon) check(now time.Time, out []finding) []finding {
-	if m.observed && m.started.IsZero() {
+	if m.run.observed && m.started.IsZero() {
 		m.started = now
 	}
 	if !m.started.IsZero() {
@@ -180,23 +171,19 @@ func (m *sloMon) check(now time.Time, out []finding) []finding {
 			fmt.Sprintf("event drop rate over %.4g", m.slo.EventDropRate),
 			&m.fastDropBurn, &m.slowDropBurn)
 	}
-	if m.slo.JobTurnaround > 0 && !m.started.IsZero() && !m.finished {
+	if m.slo.JobTurnaround > 0 && !m.started.IsZero() && !m.run.finished {
 		used := m.elapsed.Seconds() / m.slo.JobTurnaround.Seconds()
 		switch {
 		case used >= 1:
-			out = append(out, finding{
-				Monitor: m.name(), Key: "job_turnaround", Severity: SevCritical,
+			out = append(out, finding{Key: "job_turnaround", Severity: SevCritical,
 				Message: fmt.Sprintf("turnaround objective missed: running %v against a %v deadline",
 					m.elapsed.Round(time.Second), m.slo.JobTurnaround),
-				Value: used, Threshold: 1,
-			})
+				Value: used, Threshold: 1})
 		case used >= 0.8:
-			out = append(out, finding{
-				Monitor: m.name(), Key: "job_turnaround", Severity: SevWarning,
+			out = append(out, finding{Key: "job_turnaround", Severity: SevWarning,
 				Message: fmt.Sprintf("turnaround budget %d%% spent: %v of %v",
 					int(used*100), m.elapsed.Round(time.Second), m.slo.JobTurnaround),
-				Value: used, Threshold: 0.8,
-			})
+				Value: used, Threshold: 0.8})
 		}
 	}
 	return out
@@ -214,23 +201,16 @@ func (m *sloMon) checkRatio(out []finding, now time.Time, key string,
 	fast := m.burn(cur, m.at(now.Add(-m.slo.FastWindow)), counters, budget)
 	slow := m.burn(cur, m.at(now.Add(-m.slo.SlowWindow)), counters, budget)
 	*fastOut, *slowOut = fast, slow
-	switch {
-	case fast >= m.slo.FastBurn:
-		out = append(out, finding{
-			Monitor: m.name(), Key: key, Severity: SevCritical,
-			Message: fmt.Sprintf("error budget burning ×%.1f over the last %v: %s",
-				fast, m.slo.FastWindow, what),
-			Value: fast, Threshold: m.slo.FastBurn,
-		})
-	case slow >= m.slo.SlowBurn:
-		out = append(out, finding{
-			Monitor: m.name(), Key: key, Severity: SevWarning,
-			Message: fmt.Sprintf("error budget burning ×%.1f over the last %v: %s",
-				slow, m.slo.SlowWindow, what),
-			Value: slow, Threshold: m.slo.SlowBurn,
-		})
+	sev, burn, window, limit := SevCritical, fast, m.slo.FastWindow, m.slo.FastBurn
+	if !(fast >= limit) { // as !(≥), so that a NaN burn never fires
+		sev, burn, window, limit = SevWarning, slow, m.slo.SlowWindow, m.slo.SlowBurn
 	}
-	return out
+	if !(burn >= limit) {
+		return out
+	}
+	return append(out, finding{Key: key, Severity: sev,
+		Message: fmt.Sprintf("error budget burning ×%.1f over the last %v: %s", burn, window, what),
+		Value:   burn, Threshold: limit})
 }
 
 // burn computes the budget-burn multiplier between two samples: the
@@ -302,7 +282,7 @@ func (m *sloMon) detail() string {
 	}
 	if m.slo.JobTurnaround > 0 {
 		switch {
-		case m.finished:
+		case m.run.finished:
 			parts = append(parts, "turnaround met")
 		case m.started.IsZero():
 			parts = append(parts, "turnaround pending")

@@ -61,11 +61,25 @@ type sloClock struct{ t time.Time }
 func (c *sloClock) now() time.Time          { return c.t }
 func (c *sloClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 
-func newTestSLOMon(t *testing.T, s SLO) (*sloMon, *obs.Registry, *sloClock) {
+// sloRow reaches the slo row as the engine does: events go through a
+// fold of the run, findings come back stamped with the row's name.
+type sloRow struct {
+	*sloMon
+	run *fold
+}
+
+func (r sloRow) observe(e obs.Event) { r.run.apply(e) }
+
+func (r sloRow) check(now time.Time, out []finding) []finding {
+	return monitor{name: "slo", check: r.sloMon.check}.run(now, out)
+}
+
+func newTestSLOMon(t *testing.T, s SLO) (sloRow, *obs.Registry, *sloClock) {
 	t.Helper()
 	reg := obs.NewRegistry()
 	clk := &sloClock{t: time.Unix(1_700_000_000, 0)}
-	return newSLOMon(s, reg), reg, clk
+	run := newFold(DefaultConfig())
+	return sloRow{newSLOMon(s, reg, &run), &run}, reg, clk
 }
 
 func TestSLOQueueWaitBurnCritical(t *testing.T) {

@@ -5,7 +5,8 @@
 # observability benchmarks (BenchmarkDisabledProfiler in internal/nn,
 # BenchmarkDisabledObs in internal/obs, BenchmarkDisabledHealth in
 # internal/health, BenchmarkDisabledHistory in internal/tsdb, and
-# friends) and fails unless each costs exactly 0 allocs/op. Run via
+# friends) and the enabled BenchmarkHealthObserve, and fails unless
+# each costs exactly 0 allocs/op. Run via
 # `make bench-gate`.
 set -eu
 
@@ -61,7 +62,7 @@ fi
 echo "benchgate: ok — disabled profiler $profiler allocs/op"
 
 # zero_allocs BENCH PKG WHAT fails unless BENCH in PKG reports exactly
-# 0 allocs/op; WHAT names the disabled path in the messages.
+# 0 allocs/op; WHAT names the path in the messages.
 zero_allocs() {
     zout=$("${GO:-go}" test -run '^$' -bench "$1\$" -benchmem "$2")
     echo "$zout"
@@ -89,6 +90,11 @@ zero_allocs BenchmarkDisabledObs ./internal/obs "disabled span and instruments"
 # attached, Engine.Observe is one nil check, so workflows that never
 # pass -health pay nothing for the alerting pipeline.
 zero_allocs BenchmarkDisabledHealth ./internal/health "disabled health monitor"
+
+# Enabled, the health engine must not allocate on a steady event
+# stream either: one event applied to the fold plus a full check cycle
+# of every row and the alert manager, with no finding to report.
+zero_allocs BenchmarkHealthObserve ./internal/health "enabled health engine"
 
 # Disarmed crash points must be free too: every durable-state
 # transition calls chaos.Point, so with no -chaos plan installed the
