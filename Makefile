@@ -123,9 +123,11 @@ golden-nofma:
 
 # fuzz-smoke mutates the input of every decoder of bytes read back from
 # disk, and of every command-line spec parser (-faults, -chaos,
-# -health-config, -slo), and the vector exponential against the scalar
-# one, for a bounded time; the plain test suite only replays each
-# target's seed corpus. One target per invocation, as -fuzz requires.
+# -health-config, -slo), the vector exponential against the scalar
+# one, and the append encoders of the journal line, the checkpoint
+# payload, the record and the surrogate state against encoding/json,
+# for a bounded time; the plain test suite only replays each target's
+# seed corpus. One target per invocation, as -fuzz requires.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz='^FuzzReadEvents$$' -fuzztime=10s ./internal/obs
 	$(GO) test -run=^$$ -fuzz='^FuzzDecodeBundle$$' -fuzztime=10s ./internal/obs
@@ -138,6 +140,10 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz='^FuzzParseHealthConfig$$' -fuzztime=10s ./internal/health
 	$(GO) test -run=^$$ -fuzz='^FuzzParseSLO$$' -fuzztime=10s ./internal/health
 	$(GO) test -run=^$$ -fuzz='^FuzzExpBits$$' -fuzztime=10s ./internal/tensor
+	$(GO) test -run=^$$ -fuzz='^FuzzEventJSON$$' -fuzztime=10s ./internal/obs
+	$(GO) test -run=^$$ -fuzz='^FuzzCheckpointJSON$$' -fuzztime=10s ./internal/commons
+	$(GO) test -run=^$$ -fuzz='^FuzzRecordJSON$$' -fuzztime=10s ./internal/lineage
+	$(GO) test -run=^$$ -fuzz='^FuzzStateJSON$$' -fuzztime=10s ./internal/simtrain
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
@@ -156,7 +162,9 @@ bench-smoke:
 # the committed BENCH_tensor.json current value — the PR-2 zero-alloc
 # hot path must not regress — when any disabled observability path
 # (per-layer profiler, span tracer, health monitor) costs allocations,
-# or when the enabled health engine allocates on a steady event stream.
+# when the enabled health engine allocates on a steady event stream, or
+# when an enabled in-situ writer (journal emit, checkpoint frame)
+# allocates.
 bench-gate:
 	GO="$(GO)" sh scripts/benchgate.sh
 
@@ -178,7 +186,8 @@ service-e2e:
 # BENCH_tensor.json with the committed pre-optimisation baseline
 # (BENCH_baseline.txt) alongside the fresh numbers, then re-measures the
 # disabled-observability benchmarks into BENCH_obs.json — the committed
-# proof that tracing and health monitoring cost nothing when off.
+# proof that tracing and health monitoring cost nothing when off — with
+# the enabled health engine and in-situ writers beside them.
 bench-json:
 	GOMAXPROCS=1 $(GO) test -run=^$$ -bench='BenchmarkMatMul$$|BenchmarkIm2ColBatch$$' -benchmem ./internal/tensor > bench-current.tmp
 	GOMAXPROCS=1 $(GO) test -run=^$$ -bench='BenchmarkConvForwardBackward$$|BenchmarkTrainStep$$' -benchmem ./internal/nn >> bench-current.tmp
@@ -190,8 +199,9 @@ bench-json:
 	} > BENCH_tensor.json
 	@rm -f bench-current.tmp
 	@echo wrote BENCH_tensor.json
-	$(GO) test -run=^$$ -bench='BenchmarkDisabledObs$$' -benchmem ./internal/obs > bench-obs.tmp
+	$(GO) test -run=^$$ -bench='BenchmarkDisabledObs$$|BenchmarkJournalEmit$$' -benchmem ./internal/obs > bench-obs.tmp
 	$(GO) test -run=^$$ -bench='BenchmarkDisabledHealth$$|BenchmarkHealthObserve$$' -benchmem ./internal/health >> bench-obs.tmp
+	$(GO) test -run=^$$ -bench='BenchmarkCheckpointFrame$$' -benchmem ./internal/commons >> bench-obs.tmp
 	@{ \
 	  echo '{'; \
 	  echo '  "current": '; awk -f scripts/benchjson.awk bench-obs.tmp; \

@@ -186,7 +186,8 @@ func CorruptionReason(err error) string {
 
 // appendFrame appends to dst the frame of c past its first epochs
 // entries and interactions timings: the head frame, the whole
-// checkpoint, when epochs is 0.
+// checkpoint, when epochs is 0. The payload is encoded in place, and on
+// error dst comes back as it was.
 func appendFrame(dst []byte, c *Checkpoint, epochs, interactions int) ([]byte, error) {
 	name, f := headFrame, c
 	if epochs > 0 {
@@ -196,11 +197,33 @@ func appendFrame(dst []byte, c *Checkpoint, epochs, interactions int) ([]byte, e
 		suffix.InteractionSeconds = c.InteractionSeconds[interactions:]
 		name, f = epochFrame, &suffix
 	}
-	payload, err := json.Marshal(f)
-	if err != nil {
-		return dst, fmt.Errorf("commons: encode checkpoint %s: %w", c.ID, err)
+	out, start := durable.BeginSection(dst, name)
+	w := durable.JSON{B: out}
+	f.writeJSON(&w)
+	if w.Err != nil {
+		return dst, fmt.Errorf("commons: encode checkpoint %s: %w", c.ID, w.Err)
 	}
-	return durable.AppendSection(dst, name, payload), nil
+	return durable.EndSection(w.B, start), nil
+}
+
+// writeJSON writes c as json.Marshal does.
+func (c *Checkpoint) writeJSON(w *durable.JSON) {
+	w.Object()
+	w.StringOmitEmpty("id", c.ID)
+	w.StringOmitEmpty("genome", c.Genome)
+	w.IntOmitEmpty("generation", int64(c.Generation))
+	w.IntOmitEmpty("seed", c.Seed)
+	w.Int("epoch", int64(c.Epoch))
+	w.BoolOmitEmpty("terminated", c.Terminated)
+	w.BytesOmitEmpty("state", c.State)
+	w.UintOmitEmpty("state_digest", c.StateDigest)
+	lineage.WriteEpochs(w, c.Epochs)
+	w.FloatOmitEmpty("sim_seconds", c.SimSeconds)
+	w.FloatOmitEmpty("engine_seconds", c.EngineSeconds)
+	w.IntOmitEmpty("interactions", int64(c.Interactions))
+	w.FloatsOmitEmpty("interaction_seconds", c.InteractionSeconds)
+	w.Time("saved_at", c.SavedAt)
+	w.EndObject()
 }
 
 // EncodeCheckpoint validates c and encodes it as a one-frame file.
@@ -361,7 +384,7 @@ type CheckpointLog struct {
 // frames follow that read's last intact one. The file is opened by the
 // first Put.
 func (s *Store) CheckpointLog(id string, from *Checkpoint) *CheckpointLog {
-	w := &CheckpointLog{store: s, id: id}
+	w := &CheckpointLog{store: s, id: id, buf: make([]byte, 0, 1024)}
 	if from != nil && from.size > 0 {
 		w.epochs, w.interactions = len(from.Epochs), len(from.InteractionSeconds)
 		w.size, w.whole = from.size, from.size

@@ -8,8 +8,10 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -548,6 +550,25 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	})
 }
 
+// BenchmarkCheckpointFrame is one epoch's checkpoint frame, the tenth
+// of a surrogate model, encoded into a buffer the log reuses. The bench
+// gate holds it at 0 allocs/op.
+func BenchmarkCheckpointFrame(b *testing.B) {
+	c := epochCheckpoints("m-g03-i07", 10, 0)[9]
+	c.State = []byte(`{"a":88.5,"beta":0.35,"c":3.25,"epoch":10,"last_val":71.125}`)
+	buf, err := appendFrame(nil, c, 9, 9)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if buf, err = appendFrame(buf[:0], c, 9, 9); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkCheckpointModel is one surrogate model's checkpoint traffic
 // at paper scale: a fresh log, 18 epoch appends, and the delete that
 // follows its record's commit.
@@ -570,4 +591,100 @@ func BenchmarkCheckpointModel(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// fuzzCheckpoint sets each field of a Checkpoint, or leaves it zero, by
+// one bit of mask: strings from s, numbers from n, x and y, and
+// Epochs and InteractionSeconds nil, empty or filled. SavedAt is zero
+// when zone is 1, else n seconds in a zone zone seconds east of UTC.
+func fuzzCheckpoint(s string, state []byte, x, y float64, n int64, mask uint64, zone int32) *Checkpoint {
+	next := uint(0)
+	set := func() bool { next++; return mask>>(next-1)&1 == 1 }
+	c := &Checkpoint{Epoch: int(n)}
+	if zone != 1 {
+		c.SavedAt = time.Unix(n, n%1e9).In(time.FixedZone("", int(zone)))
+	}
+	if set() {
+		c.ID, c.Genome = s, s+"g"
+	}
+	if set() {
+		c.Generation, c.Seed = int(n>>3), -n
+	}
+	if set() {
+		c.Terminated, c.State, c.StateDigest = true, state, uint64(n)
+	}
+	if set() {
+		c.SimSeconds, c.EngineSeconds, c.Interactions = x, y, int(n>>5)
+	}
+	if set() {
+		c.InteractionSeconds = []float64{}
+		if set() {
+			c.InteractionSeconds = append(c.InteractionSeconds, y, x)
+		}
+	}
+	if set() {
+		c.Epochs = []lineage.EpochEntry{}
+		for e := 1; e <= 4 && set(); e++ {
+			c.Epochs = append(c.Epochs, lineage.EpochEntry{Epoch: e, TrainLoss: x, TrainAccuracy: y,
+				ValAccuracy: x * float64(e), Prediction: y, HasPrediction: set(), SimSeconds: float64(n)})
+		}
+	}
+	return c
+}
+
+// TestFuzzCheckpointSetsEveryField keeps FuzzCheckpointJSON complete:
+// with every mask bit set, fuzzCheckpoint must give every field of
+// Checkpoint a value json.Marshal writes, so a field added to Checkpoint
+// without a line in writeJSON fails the fuzz's seeds.
+func TestFuzzCheckpointSetsEveryField(t *testing.T) {
+	payload, err := json.Marshal(fuzzCheckpoint("strings", []byte("state"), 1.5, 2.5, 1<<33, ^uint64(0), 3600))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(payload, &keys); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(Checkpoint{})) {
+		if f.IsExported() {
+			n++
+		}
+	}
+	if len(keys) != n {
+		t.Fatalf("fuzzCheckpoint sets %d of Checkpoint's %d fields: %s", len(keys), n, payload)
+	}
+}
+
+// FuzzCheckpointJSON holds the checkpoint payload to json.Marshal's
+// bytes: each field is set or left zero by one bit of mask, Epochs and
+// InteractionSeconds are nil, empty or filled, and the head frame must
+// hold exactly json.Marshal's payload, or both refuse the checkpoint and
+// the frame buffer keeps what it held.
+func FuzzCheckpointJSON(f *testing.F) {
+	strs := []string{"m-g01-i03", "<a>&b</a>", "\x00\x1f\b\f\n\r\t\"\\", "bad\xff\xc3utf8", "\u2028sep\u2029"}
+	floats := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), 1e-7, 1e21, 61.25}
+	for i, x := range floats {
+		s := strs[i%len(strs)]
+		f.Add(s, []byte(s), x, floats[(i+1)%len(floats)], int64(1700000000+i), ^uint64(0)>>(i%3), int32(19800))
+		f.Add(s, []byte(nil), 0.5, x, int64(i), uint64(0xa5a5a5a5a5a5a5a5)>>i, int32(-3600*i))
+	}
+	f.Add("m", []byte{}, 1.0, 2.0, int64(0), uint64(0), int32(1))                // zero time, nil Epochs
+	f.Add("m", []byte{0}, 1.0, 2.0, int64(0), uint64(1)<<5, int32(0))            // empty Epochs
+	f.Add("m", []byte{0}, 1.0, 2.0, int64(0), uint64(1)<<4|1<<6, int32(0))       // empty InteractionSeconds and Epochs
+	f.Add("m", []byte{1}, 1.0, 2.0, int64(1)<<50, ^uint64(0), int32(0))          // year past 9999
+	f.Add("m", []byte{2}, 1.0, 2.0, int64(1700000000), ^uint64(0), int32(86400)) // a day's offset
+	f.Fuzz(func(t *testing.T, s string, state []byte, x, y float64, n int64, mask uint64, zone int32) {
+		c := fuzzCheckpoint(s, state, x, y, n, mask, zone)
+		payload, werr := json.Marshal(c)
+		got, gerr := appendFrame([]byte("held"), c, 0, 0)
+		switch {
+		case werr != nil || gerr != nil:
+			if werr == nil || gerr == nil || string(got) != "held" {
+				t.Fatalf("encoding/json: %v; appendFrame: %v, left %q", werr, gerr, got)
+			}
+		case !bytes.Equal(got, durable.AppendSection([]byte("held"), headFrame, payload)):
+			t.Fatalf("appendFrame wrote\n%q\nencoding/json\n%s", got, payload)
+		}
+	})
 }

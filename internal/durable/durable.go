@@ -2,8 +2,10 @@
 // replace a whole file (AtomicWrite, and RemoveTemps for what a kill
 // leaves of it), frame named CRC-checked sections (AppendSection,
 // NextSection), and append to a log whose torn tail is repaired on open
-// and skipped on read (Log, ReadJSONL, DecodeJSONL). DESIGN.md §8
-// tabulates which file uses which and what each survives.
+// and skipped on read (Log, ReadJSONL, DecodeJSONL), and encode the JSON
+// those files hold in encoding/json's exact bytes without reflection
+// (JSON). DESIGN.md §8 tabulates which file uses which and what each
+// survives.
 package durable
 
 import (

@@ -11,10 +11,25 @@ import (
 // all little-endian. A file of sections torn anywhere decodes up to the
 // last intact one and then fails, never yields wrong data.
 func AppendSection(dst []byte, name string, payload []byte) []byte {
+	dst, start := BeginSection(dst, name)
+	return EndSection(append(dst, payload...), start)
+}
+
+// BeginSection appends the head of a section whose payload the caller
+// then appends in place, and returns where that payload starts.
+// EndSection, given that offset, completes the section.
+func BeginSection(dst []byte, name string) ([]byte, int) {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(name)))
 	dst = append(dst, name...)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = append(dst, payload...)
+	dst = binary.LittleEndian.AppendUint32(dst, 0)
+	return dst, len(dst)
+}
+
+// EndSection completes the section whose payload runs from start to the
+// end of dst: it fills in the payload length and appends the CRC.
+func EndSection(dst []byte, start int) []byte {
+	payload := dst[start:]
+	binary.LittleEndian.PutUint32(dst[start-4:], uint32(len(payload)))
 	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
 }
 

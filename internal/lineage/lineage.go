@@ -10,6 +10,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"time"
+
+	"a4nn/internal/durable"
 )
 
 // EngineParams captures the prediction-engine configuration active during
@@ -132,14 +134,72 @@ func (r *Record) SimSeconds() float64 {
 	return s
 }
 
-// MarshalJSON ensures records serialise with a stable layout. (The
-// default marshalling is already deterministic; this wrapper exists so
-// the wire format is an explicit, documented contract.)
+// MarshalBytes validates r and encodes it as its record file: the bytes
+// json.MarshalIndent(r, "", "  ") writes, field by field in struct order
+// with no reflection. A NaN or infinite float is an error, as it is to
+// encoding/json.
 func (r *Record) MarshalBytes() ([]byte, error) {
 	if err := r.Validate(); err != nil {
 		return nil, err
 	}
-	return json.MarshalIndent(r, "", "  ")
+	// Room for the indented record, so it is written without regrowth.
+	w := durable.JSON{B: make([]byte, 0, 512+2*len(r.Architecture)+288*len(r.Epochs)), Indent: true}
+	w.Object()
+	w.String("id", r.ID)
+	w.String("genome", r.Genome)
+	w.Int("nodes_per_phase", int64(r.NodesPerPhase))
+	w.Int("generation", int64(r.Generation))
+	w.String("architecture", r.Architecture)
+	w.Int("num_params", int64(r.NumParams))
+	w.Int("flops", r.FLOPs)
+	w.String("beam", r.Beam)
+	w.Int("device_id", int64(r.DeviceID))
+	w.IntOmitEmpty("attempt", int64(r.Attempt))
+	w.FloatOmitEmpty("slow_factor", r.SlowFactor)
+	WriteEpochs(&w, r.Epochs)
+	w.Bool("terminated", r.Terminated)
+	w.Int("termination_epoch", int64(r.TerminationEpoch))
+	w.Float("final_fitness", r.FinalFitness)
+	if p := r.Engine; p != nil {
+		w.ObjectField("engine")
+		w.String("family", p.Family)
+		w.Int("c_min", int64(p.CMin))
+		w.Int("e_pred", int64(p.EPred))
+		w.Int("n", int64(p.N))
+		w.Float("r", p.R)
+		w.Float("min_fitness", p.MinFitness)
+		w.Float("max_fitness", p.MaxFitness)
+		w.EndObject()
+	}
+	w.Time("created_at", r.CreatedAt)
+	w.EndObject()
+	if w.Err != nil {
+		return nil, fmt.Errorf("lineage: encode record %s: %w", r.ID, w.Err)
+	}
+	return w.B, nil
+}
+
+// WriteEpochs writes epochs as the "epochs" member of w's open object,
+// null when nil, as encoding/json writes an []EpochEntry.
+func WriteEpochs(w *durable.JSON, epochs []EpochEntry) {
+	if epochs == nil {
+		w.Null("epochs")
+		return
+	}
+	w.ArrayField("epochs")
+	for i := range epochs {
+		e := &epochs[i]
+		w.Object()
+		w.Int("epoch", int64(e.Epoch))
+		w.Float("train_loss", e.TrainLoss)
+		w.Float("train_accuracy", e.TrainAccuracy)
+		w.Float("val_accuracy", e.ValAccuracy)
+		w.Float("prediction", e.Prediction)
+		w.Bool("has_prediction", e.HasPrediction)
+		w.Float("sim_seconds", e.SimSeconds)
+		w.EndObject()
+	}
+	w.EndArray()
 }
 
 // UnmarshalBytes parses a record previously produced by MarshalBytes.

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"sync"
@@ -121,6 +120,71 @@ type Event struct {
 	FDs        int     `json:"fds,omitempty"`
 }
 
+// appendJSON appends e's journal line, the bytes json.Marshal writes, to
+// dst. On error dst comes back as it was.
+func (e *Event) appendJSON(dst []byte) ([]byte, error) {
+	w := durable.JSON{B: dst}
+	w.Object()
+	w.Uint("seq", e.Seq)
+	w.Int("t", e.Time)
+	w.String("type", e.Type)
+	w.IntOmitEmpty("gen", int64(e.Gen))
+	w.IntOmitEmpty("task", int64(e.Task))
+	w.IntOmitEmpty("device", int64(e.Device))
+	w.IntOmitEmpty("attempt", int64(e.Attempt))
+	w.StringOmitEmpty("model", e.Model)
+	w.IntOmitEmpty("epoch", int64(e.Epoch))
+	w.IntOmitEmpty("tasks", int64(e.Tasks))
+	w.IntOmitEmpty("devices", int64(e.Devices))
+	w.FloatOmitEmpty("val_acc", e.ValAcc)
+	w.FloatOmitEmpty("loss", e.Loss)
+	w.FloatOmitEmpty("fitness", e.Fitness)
+	w.FloatOmitEmpty("predicted", e.Predicted)
+	w.FloatOmitEmpty("actual", e.Actual)
+	w.FloatOmitEmpty("mflops", e.MFLOPs)
+	w.IntOmitEmpty("epochs", int64(e.Epochs))
+	w.IntOmitEmpty("saved_epochs", int64(e.SavedEpochs))
+	w.BoolOmitEmpty("terminated", e.Terminated)
+	w.FloatOmitEmpty("sim_seconds", e.SimSeconds)
+	w.FloatOmitEmpty("wall_seconds", e.WallSeconds)
+	w.FloatOmitEmpty("idle_seconds", e.IdleSeconds)
+	w.FloatOmitEmpty("lost_seconds", e.LostSeconds)
+	w.FloatOmitEmpty("mean_queue_wait_seconds", e.MeanQueueWaitSeconds)
+	w.FloatsOmitEmpty("device_busy", e.DeviceBusy)
+	w.IntOmitEmpty("retries", int64(e.Retries))
+	w.IntOmitEmpty("faults", int64(e.Faults))
+	w.FloatOmitEmpty("slow_factor", e.SlowFactor)
+	w.StringOmitEmpty("err", e.Err)
+	if len(e.Front) > 0 {
+		w.ArrayField("front")
+		for _, p := range e.Front {
+			w.Object()
+			w.String("id", p.ID)
+			w.Float("acc", p.Accuracy)
+			w.Float("mflops", p.MFLOPs)
+			w.EndObject()
+		}
+		w.EndArray()
+	}
+	w.StringOmitEmpty("alert", e.AlertID)
+	w.StringOmitEmpty("monitor", e.Monitor)
+	w.StringOmitEmpty("severity", e.Severity)
+	w.StringOmitEmpty("msg", e.Msg)
+	w.IntOmitEmpty("count", int64(e.Count))
+	w.StringOmitEmpty("reason", e.Reason)
+	w.StringOmitEmpty("path", e.Path)
+	w.IntOmitEmpty("goroutines", int64(e.Goroutines))
+	w.UintOmitEmpty("heap_bytes", e.HeapBytes)
+	w.FloatOmitEmpty("gc_pause_s", e.GCPauseSec)
+	w.UintOmitEmpty("rss_bytes", e.RSSBytes)
+	w.IntOmitEmpty("fds", int64(e.FDs))
+	w.EndObject()
+	if w.Err != nil {
+		return dst, w.Err
+	}
+	return w.B, nil
+}
+
 // DefaultJournalCapacity bounds the in-memory replay ring. At the
 // paper's scale (100 networks × ≤25 epochs × ~20 generations) a full
 // run emits a few tens of thousands of events; the ring holds the
@@ -143,7 +207,7 @@ type Journal struct {
 	next   uint64  // next sequence number to assign (starts at 1)
 	file   *durable.Log
 	broker *Broker
-	buf    []byte // marshal scratch, reused under mu
+	buf    []byte // line scratch, reused under mu
 
 	// rec is the attached flight recorder; one atomic load per Emit
 	// when none is attached (the disabled-recorder cost the bench gate
@@ -301,8 +365,8 @@ func (j *Journal) Emit(e Event) {
 		err := chaos.Point(chaos.PointJournalAppend)
 		if err == nil {
 			var line []byte
-			if line, err = json.Marshal(e); err == nil {
-				j.buf = append(append(j.buf[:0], line...), '\n')
+			if line, err = e.appendJSON(j.buf[:0]); err == nil {
+				j.buf = append(line, '\n')
 				err = j.file.Append(j.buf)
 			}
 		}

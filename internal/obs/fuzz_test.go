@@ -1,8 +1,11 @@
 package obs
 
 import (
+	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -108,4 +111,102 @@ func TestOpenFileFreshStartsAtOne(t *testing.T) {
 	if err != nil || len(events) != 1 || events[0].Seq != 1 {
 		t.Fatalf("fresh journal events = %+v, %v", events, err)
 	}
+}
+
+// fuzzEvent sets each field of an Event, or leaves it zero, by one bit
+// of mask: integers from n, floats from x and y, strings from suffixes
+// of s, and the two slices nil, empty or filled.
+func fuzzEvent(s string, x, y float64, n int64, mask uint64) Event {
+	next := uint(0)
+	set := func() bool { next++; return mask>>(next-1)&1 == 1 }
+	num := func() int {
+		if set() {
+			return int(n >> (next % 8))
+		}
+		return 0
+	}
+	flt := func() float64 {
+		switch {
+		case !set():
+			return 0
+		case next%2 == 0:
+			return x
+		}
+		return y
+	}
+	str := func() string {
+		if set() {
+			return s[min(int(next%4), len(s)):]
+		}
+		return ""
+	}
+	e := Event{Seq: uint64(n), Time: n, Type: s}
+	e.Gen, e.Task, e.Device, e.Attempt, e.Model = num(), num(), num(), num(), str()
+	e.Epoch, e.Tasks, e.Devices = num(), num(), num()
+	e.ValAcc, e.Loss, e.Fitness, e.Predicted, e.Actual, e.MFLOPs = flt(), flt(), flt(), flt(), flt(), flt()
+	e.Epochs, e.SavedEpochs, e.Terminated = num(), num(), set()
+	e.SimSeconds, e.WallSeconds, e.IdleSeconds, e.LostSeconds, e.MeanQueueWaitSeconds = flt(), flt(), flt(), flt(), flt()
+	e.Retries, e.Faults, e.SlowFactor, e.Err = num(), num(), flt(), str()
+	e.AlertID, e.Monitor, e.Severity, e.Msg, e.Count = str(), str(), str(), str(), num()
+	e.Reason, e.Path, e.Goroutines, e.GCPauseSec, e.FDs = str(), str(), num(), flt(), num()
+	if set() {
+		e.HeapBytes, e.RSSBytes = uint64(n), ^uint64(n)
+	}
+	if set() {
+		e.DeviceBusy = []float64{}
+		if set() {
+			e.DeviceBusy = append(e.DeviceBusy, x, y)
+		}
+	}
+	if set() {
+		e.Front = []ParetoPoint{}
+		if set() {
+			e.Front = append(e.Front, ParetoPoint{ID: s, Accuracy: x, MFLOPs: y}, ParetoPoint{})
+		}
+	}
+	return e
+}
+
+// TestFuzzEventSetsEveryField keeps FuzzEventJSON complete: with every
+// mask bit set, fuzzEvent must give every field of Event a value
+// json.Marshal writes, so a field added to Event without a line in
+// appendJSON fails the fuzz's seeds.
+func TestFuzzEventSetsEveryField(t *testing.T) {
+	line, err := json.Marshal(fuzzEvent("strings", 1.5, 2.5, 1<<40, ^uint64(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(line, &keys); err != nil {
+		t.Fatal(err)
+	}
+	if n := reflect.TypeOf(Event{}).NumField(); len(keys) != n {
+		t.Fatalf("fuzzEvent sets %d of Event's %d fields: %s", len(keys), n, line)
+	}
+}
+
+// FuzzEventJSON holds the journal line to json.Marshal's bytes: equal,
+// or both refuse the event and the line buffer keeps what it held.
+func FuzzEventJSON(f *testing.F) {
+	strs := []string{"epoch", "<a>&b</a>", "\x00\x1f\b\f\n\r\t\"\\\x7f", "bad\xff\xc3utf8", "\u2028sep\u2029", `network "m" [1] -> [4]`}
+	floats := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), 1e-7, 1e21, 61.25, 1e6}
+	for i, x := range floats {
+		s := strs[i%len(strs)]
+		f.Add(s, x, floats[(i+1)%len(floats)], int64(i)*1e15+7, ^uint64(0))
+		f.Add(s, 0.5, x, -int64(i), uint64(0x5555555555555555)<<(i%2))
+	}
+	f.Add("", 1.0, 2.0, int64(math.MinInt64), uint64(0))
+	f.Fuzz(func(t *testing.T, s string, x, y float64, n int64, mask uint64) {
+		e := fuzzEvent(s, x, y, n, mask)
+		want, werr := json.Marshal(e)
+		got, gerr := e.appendJSON([]byte("held"))
+		switch {
+		case werr != nil || gerr != nil:
+			if werr == nil || gerr == nil || string(got) != "held" {
+				t.Fatalf("encoding/json: %v; appendJSON: %v, left %q", werr, gerr, got)
+			}
+		case string(got) != "held"+string(want):
+			t.Fatalf("appendJSON wrote\n%s\nencoding/json\n%s", got[4:], want)
+		}
+	})
 }

@@ -264,6 +264,24 @@ func FuzzDecodeBundle(f *testing.F) {
 	})
 }
 
+// BenchmarkJournalEmit is one epoch event through a journal with its
+// events file attached: the line encoded into the journal's buffer and
+// appended in one write. The bench gate holds it at 0 allocs/op.
+func BenchmarkJournalEmit(b *testing.B) {
+	j := NewJournal(0)
+	if err := j.OpenFile(filepath.Join(b.TempDir(), EventsFile)); err != nil {
+		b.Fatal(err)
+	}
+	defer j.Close()
+	e := Event{Type: EventEpoch, Gen: 3, Model: "m-g03-i07", Epoch: 7, ValAcc: 61.73828125,
+		Loss: 0.7652343750000001, SimSeconds: 6.512}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j.Emit(e)
+	}
+}
+
 // BenchmarkDisabledRecorder measures the per-event cost a journal pays
 // for the flight-recorder hook when no recorder is attached: one
 // atomic load and a nil-receiver branch. The bench gate holds this at

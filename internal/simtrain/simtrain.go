@@ -16,13 +16,13 @@
 package simtrain
 
 import (
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"math"
 	"math/rand"
 
 	"a4nn/internal/core"
+	"a4nn/internal/durable"
 	"a4nn/internal/genome"
 	"a4nn/internal/tensor"
 	"a4nn/internal/xfel"
@@ -323,12 +323,22 @@ func (m *model) TrainEpoch() (core.EpochMetrics, error) {
 	return core.EpochMetrics{TrainLoss: loss, TrainAccuracy: train, ValAccuracy: val}, nil
 }
 
-// SaveState implements core.Trainable: the surrogate's state is its curve.
+// SaveState implements core.Trainable: the surrogate's state is its
+// curve, the JSON object json.Marshal writes for a map[string]float64 of
+// these five keys, which it sorts into this order.
 func (m *model) SaveState() ([]byte, error) {
-	return json.Marshal(map[string]float64{
-		"a": m.a, "beta": m.beta, "c": m.c,
-		"epoch": float64(m.epoch), "last_val": m.lastVal,
-	})
+	w := durable.JSON{B: make([]byte, 0, 128)}
+	w.Object()
+	w.Float("a", m.a)
+	w.Float("beta", m.beta)
+	w.Float("c", m.c)
+	w.Float("epoch", float64(m.epoch))
+	w.Float("last_val", m.lastVal)
+	w.EndObject()
+	if w.Err != nil {
+		return nil, w.Err
+	}
+	return w.B, nil
 }
 
 // FLOPs implements core.Trainable.

@@ -2,6 +2,7 @@ package simtrain
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -441,4 +442,29 @@ func BenchmarkNewModel(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// FuzzStateJSON holds SaveState to json.Marshal's bytes for the
+// map[string]float64 it replaced: equal, or both refuse the state.
+func FuzzStateJSON(f *testing.F) {
+	floats := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), 1e-7, 1e21, 61.25, 0.35}
+	for i, x := range floats {
+		f.Add(x, floats[(i+1)%len(floats)], floats[(i+2)%len(floats)], floats[(i+3)%len(floats)], i*7)
+	}
+	f.Add(88.5, 0.25, 3.0, 71.125, 25)
+	f.Fuzz(func(t *testing.T, a, beta, c, lastVal float64, epoch int) {
+		m := &model{a: a, beta: beta, c: c, epoch: epoch, lastVal: lastVal}
+		want, werr := json.Marshal(map[string]float64{
+			"a": a, "beta": beta, "c": c, "epoch": float64(epoch), "last_val": lastVal,
+		})
+		got, gerr := m.SaveState()
+		switch {
+		case werr != nil || gerr != nil:
+			if werr == nil || gerr == nil || got != nil {
+				t.Fatalf("encoding/json: %v; SaveState: %v, wrote %q", werr, gerr, got)
+			}
+		case string(got) != string(want):
+			t.Fatalf("SaveState wrote %s, encoding/json %s", got, want)
+		}
+	})
 }

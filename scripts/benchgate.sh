@@ -5,9 +5,9 @@
 # observability benchmarks (BenchmarkDisabledProfiler in internal/nn,
 # BenchmarkDisabledObs in internal/obs, BenchmarkDisabledHealth in
 # internal/health, BenchmarkDisabledHistory in internal/tsdb, and
-# friends) and the enabled BenchmarkHealthObserve, and fails unless
-# each costs exactly 0 allocs/op. Run via
-# `make bench-gate`.
+# friends), the enabled BenchmarkHealthObserve and the enabled in-situ
+# writers (BenchmarkJournalEmit, BenchmarkCheckpointFrame), and fails
+# unless each costs exactly 0 allocs/op. Run via `make bench-gate`.
 set -eu
 
 budget=$(awk '/"current"/ { c = 1 }
@@ -95,6 +95,13 @@ zero_allocs BenchmarkDisabledHealth ./internal/health "disabled health monitor"
 # stream either: one event applied to the fold plus a full check cycle
 # of every row and the alert manager, with no finding to report.
 zero_allocs BenchmarkHealthObserve ./internal/health "enabled health engine"
+
+# The enabled in-situ writers must not allocate either: an epoch event
+# through a journal with its file attached is encoded into the
+# journal's own line buffer, and an epoch's checkpoint frame into the
+# log's reused buffer, both by append encoders with no reflection.
+zero_allocs BenchmarkJournalEmit ./internal/obs "journal emit with a file attached"
+zero_allocs BenchmarkCheckpointFrame ./internal/commons "checkpoint epoch frame"
 
 # Disarmed crash points must be free too: every durable-state
 # transition calls chaos.Point, so with no -chaos plan installed the
