@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci lint vet build test race race-broker race-health race-sched race-obs race-tsdb golden-nofma fuzz-smoke bench bench-smoke bench-gate bench-json chaos-soak service-e2e clean
+.PHONY: ci lint vet build test race race-broker race-health race-sched race-obs race-tsdb allocs golden-nofma fuzz-smoke bench bench-smoke bench-gate bench-json chaos-soak service-e2e clean
 
 # ci is the gate for every change: formatting and static analysis, a
 # full build, the test suite under the race detector (plus a dedicated
@@ -11,11 +11,12 @@ GO ?= go
 # manager), a one-iteration benchmark smoke run so the hot-path
 # benchmarks cannot silently rot, ten seconds of real fuzzing per
 # on-disk decoder and spec parser, the allocation-regression gates on
-# the training and observability hot paths, the golden-bits tests on an
-# FMA-less math.Exp, the crash-recovery soak that kills the real CLI at
-# seeded crash points and resumes it to completion, and the service e2e
-# that kills a live multi-job a4nn-serve and resumes every submission.
-ci: lint build race race-broker race-health race-sched race-obs race-tsdb golden-nofma fuzz-smoke bench-smoke bench-gate chaos-soak service-e2e
+# the training, prediction and observability hot paths, the golden-bits
+# tests on an FMA-less math.Exp, the crash-recovery soak that kills the
+# real CLI at seeded crash points and resumes it to completion, and the
+# service e2e that kills a live multi-job a4nn-serve and resumes every
+# submission.
+ci: lint build race race-broker race-health race-sched race-obs race-tsdb allocs golden-nofma fuzz-smoke bench-smoke bench-gate chaos-soak service-e2e
 
 # lint fails on unformatted files (gofmt -l), vet findings, and on a
 # file protocol written outside internal/durable: temp files, O_APPEND
@@ -115,11 +116,19 @@ race-tsdb:
 race-obs:
 	$(GO) test -race -run 'Scope|Recorder' -count 5 ./internal/obs
 
+# allocs runs the fit's and the prediction engine's allocation bounds
+# outside the race detector: in the -race build that `race` runs,
+# sync.Pool drops items on purpose and the engine's bound is looser.
+allocs:
+	$(GO) test -count 1 -run 'Allocs|AllocatesNothing' ./internal/predict ./internal/fit
+
 # golden-nofma reruns the golden-bits tests with math.Exp on its
 # separately rounded path, as on an amd64 host without FMA: the recorded
-# bits must not depend on which path the host's math.Exp takes.
+# bits must not depend on which path the host's math.Exp takes. The fit
+# reference and the batched-probe tests ride along, so the Jacobian's
+# probes are pinned on tensor.Exp's software path too.
 golden-nofma:
-	GODEBUG=cpu.fma=off $(GO) test -count 1 -run GoldenBits ./internal/predict ./internal/simtrain ./internal/core
+	GODEBUG=cpu.fma=off $(GO) test -count 1 -run 'GoldenBits|FitMatchesReference|ExpProbesMatchEval|EvalBatchMatchesEval|FitScratchReuse' ./internal/predict ./internal/simtrain ./internal/core ./internal/fit
 
 # fuzz-smoke mutates the input of every decoder of bytes read back from
 # disk, and of every command-line spec parser (-faults, -chaos,

@@ -85,13 +85,48 @@ type LMResult struct {
 // Workspace.Fit on a fresh workspace, for callers that fit once.
 func CurveFit(model Func, xs, ys []float64, p0 []float64, opts *LMOptions) (LMResult, error) {
 	var w Workspace
-	res, err := w.Fit(func(params, xs, out []float64) {
+	batch := Batch(func(params, xs, out []float64) {
 		for i, x := range xs {
 			out[i] = model(params, x)
 		}
-	}, xs, ys, p0, opts)
+	})
+	res, err := w.Fit(batch, xs, ys, p0, opts)
 	res.Params = append([]float64(nil), res.Params...)
 	return res, err
+}
+
+// Model is a curve in the form Workspace.Fit consumes: whole histories at
+// a time, and every probe of one Jacobian in one call.
+type Model interface {
+	// Eval fills out[i] with the curve's value at xs[i].
+	Eval(params, xs, out []float64)
+	// Probes fills the central-difference probes of one Jacobian, stored
+	// column-major: with m = len(xs), plus[j*m+i] is the curve at xs[i]
+	// with params[j] moved to params[j]+hs[j], and minus[j*m+i] with it
+	// moved to params[j]−hs[j], every other parameter as given. params is
+	// the fit's copy of the current parameters; Probes may change it.
+	Probes(params, hs, xs, plus, minus []float64)
+}
+
+// Batch adapts a curve in plain batch form — it fills out[i] with the
+// curve's value at xs[i] — to Model: its Probes make the 2·np calls one
+// at a time, params[j]+hs[j] then params[j]−hs[j] for each j in turn.
+type Batch func(params, xs, out []float64)
+
+// Eval implements Model.
+func (f Batch) Eval(params, xs, out []float64) { f(params, xs, out) }
+
+// Probes implements Model.
+func (f Batch) Probes(params, hs, xs, plus, minus []float64) {
+	m := len(xs)
+	for j, h := range hs {
+		orig := params[j]
+		params[j] = orig + h
+		f(params, xs, plus[j*m:(j+1)*m])
+		params[j] = orig - h
+		f(params, xs, minus[j*m:(j+1)*m])
+		params[j] = orig
+	}
 }
 
 // Workspace holds every buffer a Levenberg–Marquardt fit needs, so a
@@ -103,19 +138,20 @@ type Workspace struct {
 	buf []float64 // backs every slice below
 
 	resid, trialResid []float64 // m: residuals at params and at trial
-	plus, minus       []float64 // m: model values at params[j] ± h
-	jac               []float64 // m×np Jacobian of the model wrt params
+	vals              []float64 // m: model values behind a residual
+	sw                []float64 // m: √max(wᵢ, 0), the weight on residual i
+	plus, minus       []float64 // m×np, column-major: probes at params[j] ± h; plus then holds the Jacobian
 	jtj               []float64 // np×np normal matrix JᵀJ
 	aug               []float64 // np×(np+1) damped system [JᵀJ + λD | Jᵀr]
 	jtr, delta        []float64 // np: right-hand side and LM step
 	params, trial     []float64 // np: current and trial parameters
-	probe             []float64 // np: params with one entry displaced by ±h
+	probe, hs         []float64 // np: the params Probes may change, and the probe steps
 }
 
 // reserve points the workspace's slices at room for m observations of an
 // np-parameter model. Their contents are whatever the last fit left.
 func (w *Workspace) reserve(m, np int) {
-	need := 4*m + m*np + np*np + np*(np+1) + 5*np
+	need := 4*m + 2*m*np + np*np + np*(np+1) + 6*np
 	if cap(w.buf) < need {
 		// Twice the need: a history that grows by one observation per fit
 		// reallocates a few times, not every time.
@@ -127,16 +163,15 @@ func (w *Workspace) reserve(m, np int) {
 		rest = rest[n:]
 		return s
 	}
-	w.resid, w.trialResid, w.plus, w.minus = take(m), take(m), take(m), take(m)
-	w.jac, w.jtj, w.aug = take(m*np), take(np*np), take(np*(np+1))
-	w.jtr, w.delta, w.params, w.trial, w.probe = take(np), take(np), take(np), take(np), take(np)
+	w.resid, w.trialResid, w.vals, w.sw = take(m), take(m), take(m), take(m)
+	w.plus, w.minus, w.jtj, w.aug = take(m*np), take(m*np), take(np*np), take(np*(np+1))
+	w.jtr, w.delta, w.params, w.trial, w.probe, w.hs = take(np), take(np), take(np), take(np), take(np), take(np)
 }
 
-// Fit is CurveFit for a model in batch form — model fills out[i] with the
-// curve's value at xs[i] — reusing the workspace's buffers: a fit on a
-// workspace that has seen a problem this large allocates nothing.
+// Fit is CurveFit for a Model, reusing the workspace's buffers: a fit on
+// a workspace that has seen a problem this large allocates nothing.
 // LMResult.Params aliases the workspace and is overwritten by its next Fit.
-func (w *Workspace) Fit(model func(params, xs, out []float64), xs, ys, p0 []float64, opts *LMOptions) (LMResult, error) {
+func (w *Workspace) Fit(model Model, xs, ys, p0 []float64, opts *LMOptions) (LMResult, error) {
 	o := opts.withDefaults()
 	if len(xs) != len(ys) {
 		return LMResult{}, fmt.Errorf("fit: %d xs but %d ys", len(xs), len(ys))
@@ -157,54 +192,34 @@ func (w *Workspace) Fit(model func(params, xs, out []float64), xs, ys, p0 []floa
 	}
 
 	w.reserve(m, np)
+	sw := w.sw
+	if o.Weights == nil {
+		sw = nil
+	} else {
+		for i, wi := range o.Weights {
+			sw[i] = math.Sqrt(math.Max(wi, 0))
+		}
+	}
 	params, trial, delta := w.params, w.trial, w.delta
 	resid, trialResid := w.resid, w.trialResid
 	copy(params, p0)
 	o.project(params)
-	sse := w.residuals(model, params, xs, ys, o.Weights, resid)
+	sse := w.residuals(model, params, xs, ys, sw, resid)
 	if math.IsNaN(sse) || math.IsInf(sse, 0) {
 		return LMResult{}, errors.New("fit: model not finite at initial parameters")
 	}
 
 	lambda := o.InitialLambda
-	jac, jtj, jtr, aug := w.jac, w.jtj, w.jtr, w.aug
 	res := LMResult{Params: params, Residual: sse}
 	for iter := 0; iter < o.MaxIterations; iter++ {
 		res.Iterations = iter + 1
-		w.jacobian(model, xs, o.Weights, o.Epsilon)
-
-		// Normal equations with LM damping: (JᵀJ + λ·diag(JᵀJ))·δ = Jᵀr.
-		clear(jtj)
-		clear(jtr)
-		for r := 0; r < m; r++ {
-			row := jac[r*np : (r+1)*np]
-			for i := 0; i < np; i++ {
-				for j := i; j < np; j++ {
-					jtj[i*np+j] += row[i] * row[j]
-				}
-				jtr[i] += row[i] * resid[r]
-			}
-		}
-		for i := 0; i < np; i++ {
-			for j := 0; j < i; j++ {
-				jtj[i*np+j] = jtj[j*np+i]
-			}
-		}
+		w.jacobian(model, xs, sw, o.Epsilon)
+		w.normal(m, np)
 
 		improved := false
 		// Try increasingly damped steps until one improves the residual.
 		for attempt := 0; attempt < 12; attempt++ {
-			for i := 0; i < np; i++ {
-				row := aug[i*(np+1) : (i+1)*(np+1)]
-				copy(row, jtj[i*np:(i+1)*np])
-				d := jtj[i*np+i]
-				if d == 0 {
-					d = 1e-12
-				}
-				row[i] += lambda * d
-				row[np] = jtr[i]
-			}
-			if err := eliminate(aug, np, delta); err != nil {
+			if err := w.solveDamped(np, lambda); err != nil {
 				lambda *= 10
 				continue
 			}
@@ -212,7 +227,7 @@ func (w *Workspace) Fit(model func(params, xs, out []float64), xs, ys, p0 []floa
 				trial[i] = params[i] + delta[i]
 			}
 			o.project(trial)
-			trialSSE := w.residuals(model, trial, xs, ys, o.Weights, trialResid)
+			trialSSE := w.residuals(model, trial, xs, ys, sw, trialResid)
 			if !math.IsNaN(trialSSE) && trialSSE < sse {
 				rel := (sse - trialSSE) / math.Max(sse, 1e-300)
 				copy(params, trial)
@@ -247,18 +262,18 @@ func (w *Workspace) Fit(model func(params, xs, out []float64), xs, ys, p0 []floa
 
 // residuals fills out[i] = √wᵢ·(ys[i] − model(params, xs[i])) and returns
 // the weighted sum of squares (NaN if the model produced a non-finite
-// value). A nil ws means unit weights.
-func (w *Workspace) residuals(model func(params, xs, out []float64), params, xs, ys, ws, out []float64) float64 {
-	vals := w.plus // free between Jacobians
-	model(params, xs, vals)
+// value). A nil sw means unit weights.
+func (w *Workspace) residuals(model Model, params, xs, ys, sw, out []float64) float64 {
+	vals := w.vals
+	model.Eval(params, xs, vals)
 	sse := 0.0
 	for i, v := range vals {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return math.NaN()
 		}
 		r := ys[i] - v
-		if ws != nil {
-			r *= math.Sqrt(math.Max(ws[i], 0))
+		if sw != nil {
+			r *= sw[i]
 		}
 		out[i] = r
 		sse += r * r
@@ -266,33 +281,67 @@ func (w *Workspace) residuals(model func(params, xs, out []float64), params, xs,
 	return sse
 }
 
-// jacobian fills jac[i][j] = √wᵢ·∂model(params, xs[i])/∂params[j] at the
-// workspace's current params using central differences with per-parameter
-// scaled steps. A nil ws means unit weights.
-func (w *Workspace) jacobian(model func(params, xs, out []float64), xs, ws []float64, eps float64) {
-	np := len(w.params)
-	p := w.probe
-	copy(p, w.params)
-	for j := 0; j < np; j++ {
-		h := eps * math.Max(1, math.Abs(p[j]))
-		orig := p[j]
-		p[j] = orig + h
-		model(p, xs, w.plus)
-		p[j] = orig - h
-		model(p, xs, w.minus)
-		inv := 1 / (2 * h)
-		for i := range xs {
-			w.jac[i*np+j] = (w.plus[i] - w.minus[i]) * inv
-		}
-		p[j] = orig
+// jacobian overwrites w.plus with the m×np column-major Jacobian
+// J[j*m+i] = √wᵢ·∂model(params, xs[i])/∂params[j] at the workspace's
+// current params: central differences with per-parameter scaled steps,
+// all 2·np probes from one model.Probes. A nil sw means unit weights.
+func (w *Workspace) jacobian(model Model, xs, sw []float64, eps float64) {
+	m := len(xs)
+	for j, p := range w.params {
+		w.hs[j] = eps * math.Max(1, math.Abs(p))
 	}
-	if ws != nil {
-		for i := range xs {
-			sw := math.Sqrt(math.Max(ws[i], 0))
-			row := w.jac[i*np : (i+1)*np]
-			for j := range row {
-				row[j] *= sw
+	copy(w.probe, w.params)
+	model.Probes(w.probe, w.hs, xs, w.plus, w.minus)
+	for j, h := range w.hs {
+		inv := 1 / (2 * h)
+		col, minus := w.plus[j*m:(j+1)*m], w.minus[j*m:(j+1)*m]
+		for i := range col {
+			col[i] = (col[i] - minus[i]) * inv
+		}
+		if sw != nil {
+			for i := range col {
+				col[i] *= sw[i]
 			}
 		}
 	}
+}
+
+// normal forms the normal equations JᵀJ and Jᵀr of the Jacobian in
+// w.plus and the residuals in w.resid. Every entry is one dot product of
+// two contiguous columns summed in ascending observation order.
+func (w *Workspace) normal(m, np int) {
+	jac, resid, jtj, jtr := w.plus, w.resid[:m], w.jtj, w.jtr
+	for i := 0; i < np; i++ {
+		ci := jac[i*m : (i+1)*m]
+		for j := i; j < np; j++ {
+			cj := jac[j*m : (j+1)*m]
+			s := 0.0
+			for r, v := range ci {
+				s += v * cj[r]
+			}
+			jtj[i*np+j], jtj[j*np+i] = s, s
+		}
+		s := 0.0
+		for r, v := range ci {
+			s += v * resid[r]
+		}
+		jtr[i] = s
+	}
+}
+
+// solveDamped solves the LM system (JᵀJ + λ·diag(JᵀJ))·δ = Jᵀr into
+// w.delta; a zero diagonal entry of JᵀJ damps by λ·1e-12.
+func (w *Workspace) solveDamped(np int, lambda float64) error {
+	jtj, jtr, aug := w.jtj, w.jtr, w.aug
+	for i := 0; i < np; i++ {
+		row := aug[i*(np+1) : (i+1)*(np+1)]
+		copy(row, jtj[i*np:(i+1)*np])
+		d := jtj[i*np+i]
+		if d == 0 {
+			d = 1e-12
+		}
+		row[i] += lambda * d
+		row[np] = jtr[i]
+	}
+	return eliminate(aug, np, w.delta)
 }

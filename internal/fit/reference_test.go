@@ -239,6 +239,26 @@ func (r refModel) batch(p, xs, out []float64) {
 	}
 }
 
+// probed is a refModel with Probes of its own, not Batch's 2·np calls:
+// observation by observation, every parameter's two probes side by side.
+type probed refModel
+
+func (r probed) Eval(p, xs, out []float64) { refModel(r).batch(p, xs, out) }
+
+func (r probed) Probes(p, hs, xs, plus, minus []float64) {
+	m := len(xs)
+	for i, x := range xs {
+		for j, h := range hs {
+			orig := p[j]
+			p[j] = orig + h
+			plus[j*m+i] = r.at(p, x)
+			p[j] = orig - h
+			minus[j*m+i] = r.at(p, x)
+			p[j] = orig
+		}
+	}
+}
+
 var refModels = []refModel{
 	{"paper", 3, func(p []float64, x float64) float64 {
 		e := p[1] * (p[2] - x)
@@ -350,8 +370,11 @@ func sameResult(a LMResult, aerr error, b LMResult, berr error) bool {
 // TestFitMatchesReference is the same-arithmetic contract: over seeded
 // problems the CurveFit adapter and one Workspace reused for every fit
 // (so a buffer left over from a larger or differently shaped problem would
-// show) return bit for bit what the pre-workspace CurveFit returns —
+// show), given the model through Batch and through Probes of its own,
+// return bit for bit what the pre-workspace CurveFit returns —
 // parameters, residual, iteration count, converged flag, error or not.
+// Its np = 3 problems run the three-parameter kernels, the others the
+// general ones.
 func TestFitMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	var w Workspace
@@ -363,9 +386,13 @@ func TestFitMatchesReference(t *testing.T) {
 		if !sameResult(got, err, want, wantErr) {
 			t.Fatalf("problem %d (%s, m=%d): CurveFit = %+v, %v; reference %+v, %v", n, mod.name, len(xs), got, err, want, wantErr)
 		}
-		got, err = w.Fit(mod.batch, xs, ys, p0, opts)
+		got, err = w.Fit(Batch(mod.batch), xs, ys, p0, opts)
 		if !sameResult(got, err, want, wantErr) {
 			t.Fatalf("problem %d (%s, m=%d): Workspace.Fit = %+v, %v; reference %+v, %v", n, mod.name, len(xs), got, err, want, wantErr)
+		}
+		got, err = w.Fit(probed(mod), xs, ys, p0, opts)
+		if !sameResult(got, err, want, wantErr) {
+			t.Fatalf("problem %d (%s, m=%d): Workspace.Fit with batched probes = %+v, %v; reference %+v, %v", n, mod.name, len(xs), got, err, want, wantErr)
 		}
 		switch {
 		case wantErr != nil:
@@ -405,8 +432,8 @@ func TestWorkspaceReuse(t *testing.T) {
 		opts   *LMOptions
 	}{{big, bx, by, bp, nil}, {small, sx, sy, sp, weights}, {big, bx, by, bp, nil}, {small, sx, sy, sp, nil}} {
 		var fresh Workspace
-		want, wantErr := fresh.Fit(c.mod.batch, c.xs, c.ys, c.p0, c.opts)
-		got, err := w.Fit(c.mod.batch, c.xs, c.ys, c.p0, c.opts)
+		want, wantErr := fresh.Fit(Batch(c.mod.batch), c.xs, c.ys, c.p0, c.opts)
+		got, err := w.Fit(Batch(c.mod.batch), c.xs, c.ys, c.p0, c.opts)
 		if err != nil || !sameResult(got, err, want, wantErr) {
 			t.Fatalf("round %d (%s): reused workspace %+v, %v; fresh %+v, %v", round, c.mod.name, got, err, want, wantErr)
 		}
@@ -415,7 +442,7 @@ func TestWorkspaceReuse(t *testing.T) {
 
 // TestWorkspaceFitAllocatesNothing: on a workspace that has seen the
 // problem's size, a whole fit — Jacobians, damped solves, trial steps —
-// makes no allocation.
+// makes no allocation, through Batch and through a batched Probes.
 func TestWorkspaceFitAllocatesNothing(t *testing.T) {
 	mod := refModels[0]
 	xs, ys := make([]float64, 25), make([]float64, 25)
@@ -428,15 +455,16 @@ func TestWorkspaceFitAllocatesNothing(t *testing.T) {
 	for i := range opts.Weights {
 		opts.Weights[i] = 1
 	}
-	var w Workspace
-	model := mod.batch
-	fitOnce := func() {
-		if res, err := w.Fit(model, xs, ys, p0, opts); err != nil || res.Iterations < 3 {
-			t.Fatalf("fit: %+v, %v", res, err)
+	for _, model := range []Model{Batch(mod.batch), probed(mod)} {
+		var w Workspace
+		fitOnce := func() {
+			if res, err := w.Fit(model, xs, ys, p0, opts); err != nil || res.Iterations < 3 {
+				t.Fatalf("fit: %+v, %v", res, err)
+			}
 		}
-	}
-	fitOnce()
-	if allocs := testing.AllocsPerRun(20, fitOnce); allocs != 0 {
-		t.Errorf("warm Workspace.Fit made %v allocations per fit, want 0", allocs)
+		fitOnce()
+		if allocs := testing.AllocsPerRun(20, fitOnce); allocs != 0 {
+			t.Errorf("warm Workspace.Fit (%T) made %v allocations per fit, want 0", model, allocs)
+		}
 	}
 }

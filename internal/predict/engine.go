@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"a4nn/internal/fit"
 	"a4nn/internal/obs"
@@ -31,8 +32,8 @@ type Config struct {
 	// prediction to tolerate".
 	R float64
 	// MinFitness and MaxFitness bound valid fitness values; predictions
-	// outside (MinFitness, MaxFitness) are invalid and block convergence.
-	// The paper uses validation accuracy, so [0, 100].
+	// outside the closed range [MinFitness, MaxFitness] are invalid and
+	// block convergence. The paper uses validation accuracy, so [0, 100].
 	MinFitness, MaxFitness float64
 	// RecencyWeight, when positive, weights observation i (1-based epoch
 	// e of n) by (e/n)^RecencyWeight in the fit, so late epochs dominate
@@ -93,6 +94,23 @@ func (c Config) Validate() error {
 type Engine struct {
 	cfg     Config
 	metrics Metrics
+
+	lo, hi []float64 // cfg.Family.Bounds(), fetched once
+	batch  fit.Model // cfg.Family.EvalBatch as a fit model
+
+	// scratch pools the buffers of one fit (*fitScratch). They live only
+	// for one PredictAt, so trackers share them instead of each keeping
+	// its own: a search holds one set per goroutine fitting at once, not
+	// one per model in training.
+	scratch sync.Pool
+}
+
+// fitScratch is everything one PredictAt fits with: the workspace, the
+// paper family's exponentials and probe buffers, and the recency weights.
+type fitScratch struct {
+	ws      fit.Workspace
+	exps    expMemo
+	weights []float64
 }
 
 // Metrics holds the engine's nil-safe instrument handles; the zero
@@ -117,7 +135,10 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Engine{cfg: cfg}, nil
+	e := &Engine{cfg: cfg, batch: fit.Batch(cfg.Family.EvalBatch)}
+	e.lo, e.hi = cfg.Family.Bounds()
+	e.scratch.New = func() any { return new(fitScratch) }
+	return e, nil
 }
 
 // SetMetrics installs instrument handles. Call before the engine is
@@ -146,15 +167,9 @@ func (e *Engine) Predict(history []float64) (pred float64, ok bool) {
 // PredictAt fits the family to arbitrary (epoch, fitness) pairs and
 // evaluates the fitted curve at epoch x. It is the engine's low-level
 // entry point; Predict wraps it for the dense 1..e histories produced by
-// Algorithm 1. Both are stateless and fit on a throw-away workspace; a
-// Tracker, which refits one growing history, keeps its own.
+// Algorithm 1, and a Tracker calls it after every epoch. All of them fit
+// on buffers from the engine's pool, held for the one call.
 func (e *Engine) PredictAt(xs, ys []float64, x float64) (pred float64, ok bool) {
-	return e.predictAt(new(fit.Workspace), nil, xs, ys, x)
-}
-
-// predictAt is PredictAt fitting on the caller's workspace. A non-nil
-// memo serves the paper's family its exponentials across the fit.
-func (e *Engine) predictAt(w *fit.Workspace, memo *expMemo, xs, ys []float64, x float64) (pred float64, ok bool) {
 	fam := e.cfg.Family
 	if len(xs) != len(ys) || len(xs) < fam.NumParams() {
 		return 0, false
@@ -164,30 +179,42 @@ func (e *Engine) predictAt(w *fit.Workspace, memo *expMemo, xs, ys []float64, x 
 		e.metrics.Predictions.Inc()
 		return fam.Eval(fam.InitialGuess(xs, ys), x), true
 	}
-	lo, hi := fam.Bounds()
+	s := e.scratch.Get().(*fitScratch)
+	defer e.scratch.Put(s)
+	return e.predictWith(s, xs, ys, x)
+}
+
+// predictWith is PredictAt's fit on the scratch s, which may come from
+// any engine and hold anything from an earlier call.
+func (e *Engine) predictWith(s *fitScratch, xs, ys []float64, x float64) (pred float64, ok bool) {
+	fam := e.cfg.Family
 	var weights []float64
 	if e.cfg.RecencyWeight > 0 {
-		weights = make([]float64, len(xs))
+		if cap(s.weights) < len(xs) {
+			s.weights = make([]float64, len(xs), 2*len(xs))
+		}
+		weights = s.weights[:len(xs)]
 		n := float64(len(xs))
 		for i := range weights {
 			weights[i] = tensor.Pow(float64(i+1)/n, e.cfg.RecencyWeight)
 		}
 	}
-	opts := &fit.LMOptions{MaxIterations: 100, Lower: lo, Upper: hi, Weights: weights}
-	model := fam.EvalBatch
-	if _, paper := fam.(ExpApproach); paper && memo != nil {
-		memo.reset()
-		model = memo.evalBatch
+	opts := fit.LMOptions{MaxIterations: 100, Lower: e.lo, Upper: e.hi, Weights: weights}
+	model := e.batch
+	if _, paper := fam.(ExpApproach); paper {
+		s.exps.reset()
+		model = &s.exps
 	}
 
 	// Multi-start: begin from the linearised initial guess; only when
 	// that fit explains the data poorly (a suspected local minimum), try
 	// deterministic perturbations of the rate-like parameter and keep the
 	// lowest-residual fit. The gate keeps the common case at one fit per
-	// engine interaction.
+	// engine interaction. A fit that beats the best so far is evaluated
+	// at x at once, while its parameters are still the workspace's.
 	guess := fam.InitialGuess(xs, ys)
-	best := math.Inf(1)
-	var bestParams []float64
+	best, v, fitted := math.Inf(1), 0.0, false
+	var start [8]float64 // backs p0 on the stack for up to eight parameters
 	variance := 0.0
 	mean := 0.0
 	for _, y := range ys {
@@ -199,26 +226,23 @@ func (e *Engine) predictAt(w *fit.Workspace, memo *expMemo, xs, ys []float64, x 
 		variance += d * d
 	}
 	for si, scale := range []float64{1, 0.5, 2} {
-		p0 := append([]float64(nil), guess...)
+		p0 := append(start[:0], guess...)
 		if scale != 1 && len(p0) > 1 {
 			p0[1] *= scale // perturb the rate-like parameter
 		}
-		res, err := w.Fit(model, xs, ys, p0, opts)
+		res, err := s.ws.Fit(model, xs, ys, p0, &opts)
 		if err == nil && res.Residual < best {
-			best = res.Residual
-			// res.Params is the workspace's; the next start overwrites it.
-			bestParams = append(bestParams[:0], res.Params...)
+			best, v, fitted = res.Residual, fam.Eval(res.Params, x), true
 		}
 		// First fit good enough (≥95% of variance explained): accept.
-		if si == 0 && bestParams != nil && best <= 0.05*variance {
+		if si == 0 && fitted && best <= 0.05*variance {
 			break
 		}
 	}
-	if bestParams == nil {
+	if !fitted {
 		e.metrics.FitFailures.Inc()
 		return 0, false
 	}
-	v := fam.Eval(bestParams, x)
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		e.metrics.FitFailures.Inc()
 		return 0, false
@@ -229,8 +253,8 @@ func (e *Engine) predictAt(w *fit.Workspace, memo *expMemo, xs, ys []float64, x 
 
 // Converged implements the Prediction Analyzer (§2.1.2): it reports
 // whether the most recent N predictions are all valid fitness values
-// (strictly within [MinFitness, MaxFitness]) and mutually within R of one
-// another. Fewer than N predictions never converge.
+// (within the closed range [MinFitness, MaxFitness]) and mutually within R
+// of one another. Fewer than N predictions never converge.
 func (e *Engine) Converged(predictions []float64) bool {
 	n := e.cfg.N
 	if len(predictions) < n {
@@ -271,12 +295,9 @@ type Tracker struct {
 	PredEpochs []int
 	converged  bool
 
-	// xs is the epoch ramp 1..len(H) the fits run over, ws their buffers
-	// and exps the exponentials of the last curve they evaluated; all grow
-	// with the history and are reused by every Observe.
-	xs   []float64
-	ws   fit.Workspace
-	exps expMemo
+	// xs is the epoch ramp 1..len(H) the fits run over; it grows with the
+	// history. The fits' own buffers come from the engine's pool.
+	xs []float64
 }
 
 // NewTracker returns a Tracker bound to the engine.
@@ -296,7 +317,7 @@ func (t *Tracker) Observe(fitness float64) (converged bool) {
 	}
 	cfg := &t.engine.cfg
 	if len(t.H) >= cfg.CMin {
-		if p, ok := t.engine.predictAt(&t.ws, &t.exps, t.xs[:len(t.H)], t.H, float64(cfg.EPred)); ok {
+		if p, ok := t.engine.PredictAt(t.xs[:len(t.H)], t.H, float64(cfg.EPred)); ok {
 			t.P = append(t.P, p)
 			t.PredEpochs = append(t.PredEpochs, len(t.H))
 		}

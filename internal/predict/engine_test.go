@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"a4nn/internal/tensor"
 )
 
 // synthCurve generates a learning curve from the paper family with
@@ -21,6 +23,13 @@ func synthCurve(a, beta, c float64, epochs int, noise float64, rng *rand.Rand) [
 	}
 	return ys
 }
+
+// maxWarmAllocs bounds what one warm engine call may allocate. The race
+// detector makes sync.Pool drop a quarter of what it is given, on
+// purpose, so a call in a -race build sometimes builds a fresh scratch:
+// race_test.go raises the bound there to 9 (3–6 measured over 900 runs
+// of the two tests below).
+var maxWarmAllocs = 3.0
 
 func mustEngine(t *testing.T, cfg Config) *Engine {
 	t.Helper()
@@ -292,12 +301,13 @@ func TestFamilyMetadata(t *testing.T) {
 // either converges to within a few points of the true asymptotic fitness
 // or never claims convergence.
 // TestEvalBatchMatchesEval holds every family's batch form, and the
-// tracker's exponential memo, to the one-point Eval bit for bit, over
+// fit's exponential memo, to the one-point Eval bit for bit, over
 // histories of every length up to 30: parameters drawn across each
 // family's box, and every fourth draw with a rate 20× past it, so that
-// some arguments leave the vector exponential's range. The memo sees the
-// calls of a fit: the current parameters, a probe of a, probes of β and
-// c, and the current parameters again.
+// some arguments leave the vector exponential's range. The memo's Eval
+// sees parameters that keep and that change its (β, c) key: the current
+// ones, a moved a, a moved β, a moved c, and the current ones again.
+// TestExpProbesMatchEval holds the memo's Probes to EvalBatch.
 func TestEvalBatchMatchesEval(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for n := 1; n <= 30; n++ {
@@ -334,11 +344,81 @@ func TestEvalBatchMatchesEval(t *testing.T) {
 					memo.reset()
 					for j, d := range [][3]float64{{0, 0, 0}, {1e-4, 0, 0}, {-1e-4, 0, 0}, {0, 1e-6, 0}, {0, 0, 1e-4}, {0, 0, 0}} {
 						q := []float64{p[0] + d[0], p[1] + d[1], p[2] + d[2]}
-						check(fmt.Sprintf("memo call %d", j), memo.evalBatch, q)
+						check(fmt.Sprintf("memo call %d", j), memo.Eval, q)
 					}
 				}
 			}
 		}
+	}
+}
+
+// TestExpProbesMatchEval holds the memo's batched Probes to the family's
+// EvalBatch bit for bit: for histories of length 3…30 (every tail length
+// of the vector exponential's four-lane groups), column j of plus and of
+// minus equals EvalBatch at p[j] + hs[j] and at p[j] − hs[j], whatever
+// the memo held before, on both paths of tensor.ExpInto. Every third draw
+// has exponents past the 700 cap at early epochs and below −708 at late
+// ones, so some groups take ExpInto's scalar fallback.
+func TestExpProbesMatchEval(t *testing.T) {
+	for _, vector := range []bool{true, false} {
+		t.Run(fmt.Sprintf("vector=%v", vector), func(t *testing.T) {
+			defer tensor.UseExpKernel(tensor.UseExpKernel(vector))
+			rng := rand.New(rand.NewSource(9))
+			fam := ExpApproach{}
+			lo, hi := fam.Bounds()
+			for n := 3; n <= 30; n++ {
+				xs := make([]float64, n)
+				for i := range xs {
+					xs[i] = float64(i + 1)
+				}
+				var memo expMemo
+				plus, minus, want := make([]float64, 3*n), make([]float64, 3*n), make([]float64, n)
+				for trial := 0; trial < 30; trial++ {
+					p := make([]float64, 3)
+					for i := range p {
+						p[i] = lo[i] + rng.Float64()*(hi[i]-lo[i])
+					}
+					if trial%3 == 0 {
+						// β(c−x) runs from 60·14 = 840 at x = 1 down to
+						// 60·(15−n), below −708 once n ≥ 27.
+						p[1], p[2] = 60, 15
+					}
+					hs := make([]float64, 3)
+					for j := range hs {
+						hs[j] = 1e-6 * math.Max(1, math.Abs(p[j]))
+						if trial%2 == 1 {
+							hs[j] *= 1e4
+						}
+					}
+					switch trial % 4 {
+					case 0: // as in a fit: the current parameters were just evaluated
+						memo.Eval(p, xs, want)
+					case 1: // the memo holds another curve
+						memo.Eval([]float64{p[0], p[1] * 1.5, p[2]}, xs, want)
+					case 2:
+						memo.reset()
+					}
+					memo.Probes(append([]float64(nil), p...), hs, xs, plus, minus)
+					for j := range p {
+						for side, out := range [][]float64{plus, minus} {
+							q := append([]float64(nil), p...)
+							if side == 0 {
+								q[j] = p[j] + hs[j]
+							} else {
+								q[j] = p[j] - hs[j]
+							}
+							fam.EvalBatch(q, xs, want)
+							got := out[j*n : (j+1)*n]
+							for i := range want {
+								if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+									t.Fatalf("n=%d p=%v hs=%v: probe %d side %d = %v, EvalBatch %v", n, p, hs, j, side, got, want)
+								}
+							}
+						}
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -401,7 +481,7 @@ func neverConverging() Config {
 
 // BenchmarkTrackerObserve replays one 25-epoch history through a fresh
 // Tracker: the 23 engine interactions of a model that trains to the end,
-// on the buffers one tracker keeps across them.
+// each on fit buffers from the engine's pool.
 func BenchmarkTrackerObserve(b *testing.B) {
 	e := mustEngineQuick(neverConverging())
 	ys := synthCurve(93, 0.4, 1.5, 25, 0.25, rand.New(rand.NewSource(1)))
@@ -419,11 +499,11 @@ func BenchmarkTrackerObserve(b *testing.B) {
 }
 
 // TestTrackerObserveAllocs bounds what one engine interaction allocates
-// once a tracker's buffers are warm: the initial guess, its
-// linearisation (one buffer: PolyFit stores no design matrix) and the
-// family's bounds, fetched by it and by the engine; the start vector and
-// the kept parameters — not the fit, which runs on the tracker's
-// workspace and exponential memo.
+// once the engine's pool is warm: the family's InitialGuess — its result,
+// its linearised targets and PolyFit's one buffer (PolyFit stores no
+// design matrix). Nothing else: the fit, its weights and its exponentials
+// run on pooled scratch, the bounds were fetched by NewEngine, and the
+// start vector lives on the stack.
 func TestTrackerObserveAllocs(t *testing.T) {
 	e := mustEngine(t, neverConverging())
 	ys := synthCurve(93, 0.4, 1.5, 25, 0.25, rand.New(rand.NewSource(1)))
@@ -437,10 +517,76 @@ func TestTrackerObserveAllocs(t *testing.T) {
 		observe()
 	}
 	allocs := testing.AllocsPerRun(12, observe) // epochs 13–25 (one warm-up call)
-	if allocs > 9 {
-		t.Errorf("a steady-state Tracker.Observe made %v allocations, want ≤ 9", allocs)
+	if allocs > maxWarmAllocs {
+		t.Errorf("a steady-state Tracker.Observe made %v allocations, want ≤ %v", allocs, maxWarmAllocs)
 	}
 	t.Logf("%v allocations per Observe", allocs)
+}
+
+// TestPredictAtAllocs: a PredictAt call on a warm engine allocates what
+// an Observe does, recency weights included — the stateless entry point
+// fits on the same pooled scratch as a Tracker.
+func TestPredictAtAllocs(t *testing.T) {
+	ys := synthCurve(93, 0.4, 1.5, 12, 0.25, rand.New(rand.NewSource(1)))
+	xs := make([]float64, len(ys))
+	for i := range xs {
+		xs[i] = float64(i + 1)
+	}
+	for _, rw := range []float64{0, 2} {
+		cfg := DefaultConfig()
+		cfg.RecencyWeight = rw
+		e := mustEngine(t, cfg)
+		predict := func() {
+			if _, ok := e.PredictAt(xs, ys, 25); !ok {
+				t.Fatal("prediction failed")
+			}
+		}
+		predict()
+		if allocs := testing.AllocsPerRun(20, predict); allocs > maxWarmAllocs {
+			t.Errorf("rw=%g: a warm PredictAt made %v allocations, want ≤ %v", rw, allocs, maxWarmAllocs)
+		}
+	}
+}
+
+// TestFitScratchReuse runs one scratch through engines of every fitted
+// family, weighted and not, over histories long and short and over two
+// epoch grids of one length: each prediction must have the bits of one
+// made on a fresh scratch, so nothing read is left over from an earlier
+// call — the pool hands any scratch to any engine.
+func TestFitScratchReuse(t *testing.T) {
+	ys := synthCurve(93, 0.4, 1.5, 25, 0.25, rand.New(rand.NewSource(4)))
+	var engines []*Engine
+	for _, fam := range []CurveFamily{ExpApproach{}, PowerLaw{}, Logistic{}} {
+		for _, rw := range []float64{0, 2} {
+			cfg := DefaultConfig()
+			cfg.Family, cfg.RecencyWeight = fam, rw
+			engines = append(engines, mustEngine(t, cfg))
+		}
+	}
+	var shared fitScratch
+	for _, n := range []int{25, 3, 17, 9, 9, 25, 4} {
+		for _, step := range []float64{1, 2} {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = step * float64(i+1)
+			}
+			// Leave the memo holding the first start's exponentials over
+			// the other grid: a fit that skipped the reset would use them.
+			other := make([]float64, n)
+			for i := range other {
+				other[i] = (3 - step) * float64(i+1)
+			}
+			shared.exps.Eval(ExpApproach{}.InitialGuess(xs, ys[:n]), other, make([]float64, n))
+			for k, e := range engines {
+				want, wantOK := e.predictWith(new(fitScratch), xs, ys[:n], 25)
+				got, ok := e.predictWith(&shared, xs, ys[:n], 25)
+				if ok != wantOK || math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("engine %d (%s rw=%g), n=%d step=%g: reused scratch %v, %v; fresh %v, %v",
+						k, e.cfg.Family.Name(), e.cfg.RecencyWeight, n, step, got, ok, want, wantOK)
+				}
+			}
+		}
+	}
 }
 
 func TestLogisticFamilyFits(t *testing.T) {
