@@ -161,11 +161,12 @@ bench:
 # them) for a single iteration under -short (skips the 1024 GEMM), as a
 # correctness check in ci, and likewise the prediction engine's: the LM
 # fit, one engine interaction, a tracker replaying a 25-epoch history, and
-# a surrogate model's set-up; and one model's checkpoint log (18 epoch
-# appends, then the delete).
+# a surrogate model's set-up; one model's checkpoint log (18 epoch
+# appends, then the delete); and one real-training epoch at the
+# benchmark's train_real shapes.
 bench-smoke:
 	$(GO) test -short -run=^$$ -bench=. -benchtime=1x ./internal/tensor ./internal/nn
-	$(GO) test -short -run=^$$ -bench=. -benchtime=1x -benchmem ./internal/fit ./internal/predict ./internal/simtrain ./internal/commons
+	$(GO) test -short -run=^$$ -bench=. -benchtime=1x -benchmem ./internal/fit ./internal/predict ./internal/simtrain ./internal/commons ./internal/core
 
 # bench-gate fails when BenchmarkTrainStep allocates more per step than
 # the committed BENCH_tensor.json current value — the PR-2 zero-alloc

@@ -88,7 +88,11 @@ func TestHealthMonitorEndToEnd(t *testing.T) {
 	}
 
 	// Live SSE client: alert events ride the same stream as everything
-	// else, so the dashboard's alert strip needs no extra endpoint.
+	// else, so the dashboard's alert strip needs no extra endpoint. The
+	// health engine sees events on its own subscriber goroutine, so its
+	// alerts may trail run_end on the stream; the reader stops at a
+	// sentinel the test emits once the engine is closed instead.
+	const streamEnd = "test_stream_end"
 	type streamResult struct {
 		events []Event
 		err    error
@@ -96,7 +100,7 @@ func TestHealthMonitorEndToEnd(t *testing.T) {
 	liveDone := make(chan streamResult, 1)
 	go func() {
 		evs, err := collectSSE(ts.URL+"/events", "", 60*time.Second,
-			func(e Event) bool { return e.Type == "run_end" })
+			func(e Event) bool { return e.Type == streamEnd })
 		liveDone <- streamResult{evs, err}
 	}()
 
@@ -124,14 +128,14 @@ func TestHealthMonitorEndToEnd(t *testing.T) {
 	}
 
 	// Drain the engine: every event the run emitted has been evaluated
-	// and the final alert state is on disk.
+	// and the final alert state is on disk. Every alert it emitted now
+	// precedes the sentinel in the journal's sequence.
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
+	observer.Journal().Emit(Event{Type: streamEnd})
 
-	// Divergence fired and resolved live, during the run, on the SSE
-	// stream (the capacity alert may land after run_end, so only the
-	// divergence lifecycle is asserted here).
+	// Divergence fired and resolved live on the SSE stream.
 	var live []Event
 	select {
 	case r := <-liveDone:
@@ -140,7 +144,7 @@ func TestHealthMonitorEndToEnd(t *testing.T) {
 		}
 		live = r.events
 	case <-time.After(60 * time.Second):
-		t.Fatal("live client never saw run_end")
+		t.Fatal("live client never saw the end of the stream")
 	}
 	fired, resolved := 0, 0
 	for _, e := range live {

@@ -25,8 +25,10 @@ import (
 type EpochMetrics struct {
 	// TrainLoss is the epoch's mean training loss.
 	TrainLoss float64
-	// TrainAccuracy and ValAccuracy are percentages in [0, 100];
-	// ValAccuracy is the fitness the prediction engine consumes.
+	// TrainAccuracy and ValAccuracy are percentages in [0, 100]. A real
+	// trainer's TrainAccuracy is the running accuracy of the epoch's own
+	// train-mode forward passes, each batch scored before its optimizer
+	// step; ValAccuracy is the fitness the prediction engine consumes.
 	TrainAccuracy float64
 	ValAccuracy   float64
 }

@@ -20,9 +20,6 @@ type RealTrainerConfig struct {
 	LR, Momentum float64
 	// WeightDecay is the L2 penalty (default 0).
 	WeightDecay float64
-	// EvalTrainSubset caps the samples used to estimate training accuracy
-	// each epoch (0 = 512); validation always uses the full split.
-	EvalTrainSubset int
 	// Scheduler, when non-nil, sets the learning rate before each epoch
 	// (e.g. nn.CosineLR, the schedule NSGA-Net trains with). The LR field
 	// is then only the optimizer's initial rate.
@@ -43,9 +40,6 @@ func (c *RealTrainerConfig) withDefaults() RealTrainerConfig {
 	if r.Momentum == 0 {
 		r.Momentum = 0.9
 	}
-	if r.EvalTrainSubset == 0 {
-		r.EvalTrainSubset = 512
-	}
 	return r
 }
 
@@ -64,10 +58,8 @@ type RealTrainer = RealTrainerOf[*genome.Genome]
 type realData struct {
 	cfg   RealTrainerConfig
 	train *dataset.Dataset
-	// Unshuffled evaluation batches, built once and shared read-only by
-	// every model: the whole validation split, and the training split or
-	// its EvalTrainSubset-sample stride subset.
-	valBatches, trainEvalBatches []nn.Batch
+	// valBatches is the validation split, shared read-only by every model.
+	valBatches []nn.Batch
 }
 
 // NewRealTrainer returns a trainer of macro-space genomes.
@@ -81,7 +73,7 @@ func NewRealMicroTrainer(train, val *dataset.Dataset, cfg RealTrainerConfig) (*R
 }
 
 // NewRealTrainerOf validates the datasets against the decode
-// configuration and builds the evaluation batches; models are decoded by
+// configuration and builds the validation batches; models are decoded by
 // space.
 func NewRealTrainerOf[G Arch](space SearchSpace[G], train, val *dataset.Dataset, cfg RealTrainerConfig) (*RealTrainerOf[G], error) {
 	c := cfg.withDefaults()
@@ -103,23 +95,7 @@ func NewRealTrainerOf[G Arch](space SearchSpace[G], train, val *dataset.Dataset,
 	if err != nil {
 		return nil, err
 	}
-	evalSet := train
-	if n := train.Len(); n > c.EvalTrainSubset {
-		idx := make([]int, c.EvalTrainSubset)
-		stride := n / c.EvalTrainSubset
-		for i := range idx {
-			idx[i] = i * stride
-		}
-		if evalSet, err = train.Subset(idx); err != nil {
-			return nil, err
-		}
-	}
-	trainEvalBatches, err := evalSet.Batches(c.BatchSize, nil)
-	if err != nil {
-		return nil, err
-	}
-	return &RealTrainerOf[G]{space: space,
-		realData: realData{cfg: c, train: train, valBatches: valBatches, trainEvalBatches: trainEvalBatches}}, nil
+	return &RealTrainerOf[G]{space: space, realData: realData{cfg: c, train: train, valBatches: valBatches}}, nil
 }
 
 // TrainSamples implements TrainerOf.
@@ -140,7 +116,11 @@ func (t *RealTrainerOf[G]) NewModel(g G, seed int64) (Trainable, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &realModel{trainer: &t.realData, net: net, opt: opt, rng: rng, flops: flops}, nil
+	batches, err := t.train.Batches(t.cfg.BatchSize, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &realModel{trainer: &t.realData, net: net, opt: opt, rng: rng, flops: flops, batches: batches}, nil
 }
 
 // realModel is one decoded network mid-training.
@@ -151,6 +131,8 @@ type realModel struct {
 	rng     *rand.Rand
 	flops   int64
 	epoch   int
+	// batches is the training split, reshuffled in place every epoch.
+	batches []nn.Batch
 }
 
 // TrainEpoch implements Trainable.
@@ -161,15 +143,8 @@ func (m *realModel) TrainEpoch() (EpochMetrics, error) {
 			set.SetLR(s.LR(m.epoch))
 		}
 	}
-	batches, err := m.trainer.train.Batches(m.trainer.cfg.BatchSize, m.rng)
-	if err != nil {
-		return EpochMetrics{}, err
-	}
-	loss, err := nn.TrainEpochClipped(m.net, m.opt, batches, m.trainer.cfg.ClipNorm)
-	if err != nil {
-		return EpochMetrics{}, err
-	}
-	trainAcc, err := nn.EvaluateClassifier(m.net, m.trainer.trainEvalBatches)
+	m.trainer.train.ShuffleInto(m.batches, m.rng)
+	loss, trainAcc, err := nn.TrainEpochClipped(m.net, m.opt, m.batches, m.trainer.cfg.ClipNorm)
 	if err != nil {
 		return EpochMetrics{}, err
 	}

@@ -137,33 +137,34 @@ func (d *Dataset) Batches(batchSize int, rng *rand.Rand) ([]nn.Batch, error) {
 	if batchSize <= 0 {
 		return nil, fmt.Errorf("dataset: batch size must be positive, got %d", batchSize)
 	}
-	n := d.Len()
-	order := make([]int, n)
+	var batches []nn.Batch
+	for lo := 0; lo < d.Len(); lo += batchSize {
+		m := min(batchSize, d.Len()-lo)
+		shape := append([]int{m}, d.SampleShape()...)
+		batches = append(batches, nn.Batch{X: tensor.New(shape...), Labels: make([]int, m)})
+	}
+	d.ShuffleInto(batches, rng)
+	return batches, nil
+}
+
+// ShuffleInto refills batches that Batches cut from d, in place, with
+// the shuffle and the contents a fresh Batches call would draw from rng.
+func (d *Dataset) ShuffleInto(batches []nn.Batch, rng *rand.Rand) {
+	order := make([]int, d.Len())
 	for i := range order {
 		order[i] = i
 	}
 	if rng != nil {
-		rng.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
+		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 	}
-	sampleLen := d.X.Len() / n
-	sampleShape := d.SampleShape()
-	var batches []nn.Batch
-	for lo := 0; lo < n; lo += batchSize {
-		hi := lo + batchSize
-		if hi > n {
-			hi = n
+	for _, b := range batches {
+		dst, sampleLen := b.X.Data(), b.X.Len()/len(b.Labels)
+		for i, j := range order[:len(b.Labels)] {
+			copy(dst[i*sampleLen:(i+1)*sampleLen], d.X.Data()[j*sampleLen:(j+1)*sampleLen])
+			b.Labels[i] = d.Labels[j]
 		}
-		shape := append([]int{hi - lo}, sampleShape...)
-		x := tensor.New(shape...)
-		labels := make([]int, hi-lo)
-		for i := lo; i < hi; i++ {
-			j := order[i]
-			copy(x.Data()[(i-lo)*sampleLen:(i-lo+1)*sampleLen], d.X.Data()[j*sampleLen:(j+1)*sampleLen])
-			labels[i-lo] = d.Labels[j]
-		}
-		batches = append(batches, nn.Batch{X: x, Labels: labels})
+		order = order[len(b.Labels):]
 	}
-	return batches, nil
 }
 
 // ClassCounts returns the number of samples per class.

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"a4nn/internal/tensor"
@@ -165,6 +166,37 @@ func TestBatches(t *testing.T) {
 	}
 	if _, err := d.Batches(0, nil); err == nil {
 		t.Fatal("batchSize=0 must error")
+	}
+}
+
+// TestShuffleIntoMatchesBatches: refilling an epoch's batches in place
+// draws the same shuffle and writes the same samples as cutting fresh
+// batches, epoch after epoch, into the first epoch's tensors.
+func TestShuffleIntoMatchesBatches(t *testing.T) {
+	ps := genPatterns(t, 10)
+	d, _ := FromPatterns(ps)
+	fresh, reused := rand.New(rand.NewSource(9)), rand.New(rand.NewSource(9))
+	held, err := d.Batches(4, reused)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := held[0].X
+	for epoch := 1; epoch <= 3; epoch++ {
+		want, err := d.Batches(4, fresh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if epoch > 1 {
+			d.ShuffleInto(held, reused)
+		}
+		for i, b := range held {
+			if !slices.Equal(b.Labels, want[i].Labels) || !slices.Equal(b.X.Data(), want[i].X.Data()) {
+				t.Fatalf("epoch %d batch %d differs from a fresh Batches", epoch, i)
+			}
+		}
+	}
+	if held[0].X != first {
+		t.Fatal("ShuffleInto replaced the caller's tensor")
 	}
 }
 

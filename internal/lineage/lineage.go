@@ -32,7 +32,9 @@ type EpochEntry struct {
 	Epoch int `json:"epoch"`
 	// TrainLoss is the mean training loss of the epoch.
 	TrainLoss float64 `json:"train_loss"`
-	// TrainAccuracy and ValAccuracy are percentages.
+	// TrainAccuracy and ValAccuracy are percentages; TrainAccuracy is the
+	// running accuracy of the epoch's training batches, each scored by its
+	// train-mode forward pass before its optimizer step.
 	TrainAccuracy float64 `json:"train_accuracy"`
 	ValAccuracy   float64 `json:"val_accuracy"`
 	// Prediction is the engine's fitness prediction made after this

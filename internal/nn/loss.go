@@ -77,15 +77,21 @@ func (SoftmaxCrossEntropy) LossInto(logits *tensor.Tensor, labels []int, grad *t
 // Accuracy returns the fraction of rows whose argmax matches the label,
 // in percent (0–100) to match the paper's fitness units.
 func Accuracy(logits *tensor.Tensor, labels []int) (float64, error) {
+	correct, err := countCorrect(logits, labels)
+	if err != nil || len(labels) == 0 {
+		return 0, err
+	}
+	return 100 * float64(correct) / float64(len(labels)), nil
+}
+
+// countCorrect returns how many rows' argmax matches the label.
+func countCorrect(logits *tensor.Tensor, labels []int) (int, error) {
 	if logits.Rank() != 2 {
 		return 0, fmt.Errorf("nn: accuracy expects (N,K) logits, got %v", logits.Shape())
 	}
 	n, k := logits.Dim(0), logits.Dim(1)
 	if len(labels) != n {
 		return 0, fmt.Errorf("nn: %d labels for batch of %d", len(labels), n)
-	}
-	if n == 0 {
-		return 0, nil
 	}
 	ld := logits.Data()
 	correct := 0
@@ -101,7 +107,7 @@ func Accuracy(logits *tensor.Tensor, labels []int) (float64, error) {
 			correct++
 		}
 	}
-	return 100 * float64(correct) / float64(n), nil
+	return correct, nil
 }
 
 // MSE is the mean squared error loss for regression and autoencoders.
