@@ -7,6 +7,7 @@ package a4nn
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"io"
 	"io/fs"
 	"net/http"
@@ -137,6 +138,23 @@ func TestCLIPipeline(t *testing.T) {
 	if !strings.Contains(out, "Hamming") {
 		t.Fatalf("diversity output:\n%s", out)
 	}
+	gens := tableRows(run(t, bins["a4nn-analyze"], "-store", store, "gens"))
+	if len(gens) != 2 {
+		t.Fatalf("gens rows %q, want one per generation", gens)
+	}
+	for g, row := range gens {
+		if f := strings.Fields(row); len(f) != 5 || f[0] != fmt.Sprint(g) || f[1] != "4" {
+			t.Fatalf("gens row %q, want generation %d of 4 models", row, g)
+		}
+	}
+	out = run(t, bins["a4nn-analyze"], "-store", store, "recovery")
+	if !strings.HasPrefix(out, "launches 1, checkpoint resumes 0\n") || !strings.Contains(out, "no recovery events recorded") {
+		t.Fatalf("recovery of a clean run:\n%s", out)
+	}
+	// The run had no -health, so there are no alerts to read.
+	if b, err := exec.Command(bins["a4nn-analyze"], "-store", store, "health").CombinedOutput(); err == nil || !strings.Contains(string(b), "-health") {
+		t.Fatalf("health without alerts: err %v, want a hint naming -health:\n%s", err, b)
+	}
 
 	// 4. -store alone leaves the run's telemetry: the journal is its one
 	//    JSON Lines record, beside the metrics snapshot.
@@ -177,6 +195,42 @@ func TestCLIPipeline(t *testing.T) {
 		"-generations", "2", "-seed", "5", "-replay", store)
 	if !strings.Contains(out, "replayed:           8") {
 		t.Fatalf("replay output:\n%s", out)
+	}
+
+	// 6. Tear one record and resume with -health: the record is
+	//    quarantined and retrained to the same generation table, recovery
+	//    lists the quarantine, and health shows its alert resolved.
+	torn := ids[0]
+	paths, _ := filepath.Glob(filepath.Join(store, "records", torn+".json"))
+	if len(paths) != 1 {
+		t.Fatalf("record files of %s: %v", torn, paths)
+	}
+	if err := os.WriteFile(paths[0], []byte(`{"id": "to`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out = run(t, bins["a4nn"], "-beam", "medium", "-population", "4", "-offspring", "4",
+		"-generations", "2", "-seed", "5", "-store", store, "-resume", "-health")
+	if !strings.Contains(out, "crash recovery:     1 quarantined") {
+		t.Fatalf("resume output:\n%s", out)
+	}
+	if got := tableRows(run(t, bins["a4nn-analyze"], "-store", store, "gens")); fmt.Sprint(got) != fmt.Sprint(gens) {
+		t.Fatalf("gens after the repair %q, want %q", got, gens)
+	}
+	out = run(t, bins["a4nn-analyze"], "-store", store, "recovery")
+	if rows := tableRows(out); len(rows) != 1 || strings.Join(strings.Fields(rows[0])[1:3], " ") != "decode "+torn {
+		t.Fatalf("recovery rows %q, want one decode quarantine of %s:\n%s", rows, torn, out)
+	}
+	out = run(t, bins["a4nn-analyze"], "-store", store, "health")
+	found := false
+	for _, row := range tableRows(out) {
+		// fired, severity, alert, count, state…: the host's free disk may
+		// raise a disk alert beside it.
+		if f := strings.Fields(row); len(f) > 4 && f[2] == "recovery/damage" {
+			found = f[4] == "resolved"
+		}
+	}
+	if !found {
+		t.Fatalf("health: no resolved recovery/damage alert:\n%s", out)
 	}
 }
 

@@ -1,7 +1,8 @@
 // Package fit provides the regression machinery used by the A4NN
 // parametric prediction engine: dense linear least squares (via normal
 // equations with Gaussian elimination) and nonlinear least squares (via
-// Levenberg–Marquardt with a numeric Jacobian).
+// Levenberg–Marquardt on the model's own Jacobian: a central-difference
+// one, with step LMOptions.Epsilon, for a Batch model).
 //
 // The prediction engine in internal/predict fits the paper's learning-curve
 // family F(x) = a − b^(c−x) to partial validation-accuracy histories; this

@@ -18,8 +18,9 @@ type LMOptions struct {
 	Tolerance float64
 	// InitialLambda is the starting damping factor (default 1e-3).
 	InitialLambda float64
-	// Epsilon is the step used for the central-difference Jacobian
-	// (default 1e-6, scaled by max(1,|param|)).
+	// Epsilon is the step of a Batch model's central-difference Jacobian
+	// (default 1e-6, scaled by max(1,|param|)). A Model with a Jacobian
+	// of its own may ignore it.
 	Epsilon float64
 	// Weights, when non-nil, must have one entry per observation; the
 	// fit minimises Σ wᵢ·rᵢ². The prediction engine uses recency weights
@@ -29,7 +30,7 @@ type LMOptions struct {
 	// parameter vector is projected into [Lower[i], Upper[i]]. They must
 	// have the same length as the parameter vector. Box constraints keep
 	// exponential-family models out of degenerate flat regions where the
-	// numeric Jacobian vanishes.
+	// Jacobian vanishes.
 	Lower, Upper []float64
 }
 
@@ -96,36 +97,42 @@ func CurveFit(model Func, xs, ys []float64, p0 []float64, opts *LMOptions) (LMRe
 }
 
 // Model is a curve in the form Workspace.Fit consumes: whole histories at
-// a time, and every probe of one Jacobian in one call.
+// a time, and the whole Jacobian in one call.
 type Model interface {
 	// Eval fills out[i] with the curve's value at xs[i].
 	Eval(params, xs, out []float64)
-	// Probes fills the central-difference probes of one Jacobian, stored
-	// column-major: with m = len(xs), plus[j*m+i] is the curve at xs[i]
-	// with params[j] moved to params[j]+hs[j], and minus[j*m+i] with it
-	// moved to params[j]−hs[j], every other parameter as given. params is
-	// the fit's copy of the current parameters; Probes may change it.
-	Probes(params, hs, xs, plus, minus []float64)
+	// Jacobian fills jac with the curve's derivatives at params, stored
+	// column-major: with m = len(xs), jac[j*m+i] = ∂f(params, xs[i])/∂params[j].
+	// eps (LMOptions.Epsilon) and tmp (m values of scratch) serve a model
+	// that differentiates numerically. params is the fit's copy of the
+	// current parameters; Jacobian may change it.
+	Jacobian(params, xs []float64, eps float64, jac, tmp []float64)
 }
 
 // Batch adapts a curve in plain batch form — it fills out[i] with the
-// curve's value at xs[i] — to Model: its Probes make the 2·np calls one
-// at a time, params[j]+hs[j] then params[j]−hs[j] for each j in turn.
+// curve's value at xs[i] — to Model, with a central-difference Jacobian.
 type Batch func(params, xs, out []float64)
 
 // Eval implements Model.
 func (f Batch) Eval(params, xs, out []float64) { f(params, xs, out) }
 
-// Probes implements Model.
-func (f Batch) Probes(params, hs, xs, plus, minus []float64) {
+// Jacobian implements Model by central differences, with the step
+// h = eps·max(1, |params[j]|): the curve at params[j]+h then at
+// params[j]−h, for each j in turn.
+func (f Batch) Jacobian(params, xs []float64, eps float64, jac, tmp []float64) {
 	m := len(xs)
-	for j, h := range hs {
-		orig := params[j]
+	for j, orig := range params {
+		h := eps * math.Max(1, math.Abs(orig))
+		col := jac[j*m : (j+1)*m]
 		params[j] = orig + h
-		f(params, xs, plus[j*m:(j+1)*m])
+		f(params, xs, col)
 		params[j] = orig - h
-		f(params, xs, minus[j*m:(j+1)*m])
+		f(params, xs, tmp)
 		params[j] = orig
+		inv := 1 / (2 * h)
+		for i := range col {
+			col[i] = (col[i] - tmp[i]) * inv
+		}
 	}
 }
 
@@ -138,20 +145,19 @@ type Workspace struct {
 	buf []float64 // backs every slice below
 
 	resid, trialResid []float64 // m: residuals at params and at trial
-	vals              []float64 // m: model values behind a residual
+	vals              []float64 // m: model values behind a residual; the Jacobian's scratch
 	sw                []float64 // m: √max(wᵢ, 0), the weight on residual i
-	plus, minus       []float64 // m×np, column-major: probes at params[j] ± h; plus then holds the Jacobian
+	jac               []float64 // m×np, column-major: the weighted Jacobian
 	jtj               []float64 // np×np normal matrix JᵀJ
 	aug               []float64 // np×(np+1) damped system [JᵀJ + λD | Jᵀr]
 	jtr, delta        []float64 // np: right-hand side and LM step
 	params, trial     []float64 // np: current and trial parameters
-	probe, hs         []float64 // np: the params Probes may change, and the probe steps
 }
 
 // reserve points the workspace's slices at room for m observations of an
 // np-parameter model. Their contents are whatever the last fit left.
 func (w *Workspace) reserve(m, np int) {
-	need := 4*m + 2*m*np + np*np + np*(np+1) + 6*np
+	need := 4*m + m*np + np*np + np*(np+1) + 4*np
 	if cap(w.buf) < need {
 		// Twice the need: a history that grows by one observation per fit
 		// reallocates a few times, not every time.
@@ -164,8 +170,8 @@ func (w *Workspace) reserve(m, np int) {
 		return s
 	}
 	w.resid, w.trialResid, w.vals, w.sw = take(m), take(m), take(m), take(m)
-	w.plus, w.minus, w.jtj, w.aug = take(m*np), take(m*np), take(np*np), take(np*(np+1))
-	w.jtr, w.delta, w.params, w.trial, w.probe, w.hs = take(np), take(np), take(np), take(np), take(np), take(np)
+	w.jac, w.jtj, w.aug = take(m*np), take(np*np), take(np*(np+1))
+	w.jtr, w.delta, w.params, w.trial = take(np), take(np), take(np), take(np)
 }
 
 // Fit is CurveFit for a Model, reusing the workspace's buffers: a fit on
@@ -281,36 +287,30 @@ func (w *Workspace) residuals(model Model, params, xs, ys, sw, out []float64) fl
 	return sse
 }
 
-// jacobian overwrites w.plus with the m×np column-major Jacobian
+// jacobian overwrites w.jac with the m×np column-major Jacobian
 // J[j*m+i] = √wᵢ·∂model(params, xs[i])/∂params[j] at the workspace's
-// current params: central differences with per-parameter scaled steps,
-// all 2·np probes from one model.Probes. A nil sw means unit weights.
+// current params, from one model.Jacobian on a copy of them in w.trial.
+// A nil sw means unit weights.
 func (w *Workspace) jacobian(model Model, xs, sw []float64, eps float64) {
-	m := len(xs)
-	for j, p := range w.params {
-		w.hs[j] = eps * math.Max(1, math.Abs(p))
+	copy(w.trial, w.params)
+	model.Jacobian(w.trial, xs, eps, w.jac, w.vals)
+	if sw == nil {
+		return
 	}
-	copy(w.probe, w.params)
-	model.Probes(w.probe, w.hs, xs, w.plus, w.minus)
-	for j, h := range w.hs {
-		inv := 1 / (2 * h)
-		col, minus := w.plus[j*m:(j+1)*m], w.minus[j*m:(j+1)*m]
+	m := len(xs)
+	for j := range w.params {
+		col := w.jac[j*m : (j+1)*m]
 		for i := range col {
-			col[i] = (col[i] - minus[i]) * inv
-		}
-		if sw != nil {
-			for i := range col {
-				col[i] *= sw[i]
-			}
+			col[i] *= sw[i]
 		}
 	}
 }
 
 // normal forms the normal equations JᵀJ and Jᵀr of the Jacobian in
-// w.plus and the residuals in w.resid. Every entry is one dot product of
+// w.jac and the residuals in w.resid. Every entry is one dot product of
 // two contiguous columns summed in ascending observation order.
 func (w *Workspace) normal(m, np int) {
-	jac, resid, jtj, jtr := w.plus, w.resid[:m], w.jtj, w.jtr
+	jac, resid, jtj, jtr := w.jac, w.resid[:m], w.jtj, w.jtr
 	for i := 0; i < np; i++ {
 		ci := jac[i*m : (i+1)*m]
 		for j := i; j < np; j++ {

@@ -239,21 +239,22 @@ func (r refModel) batch(p, xs, out []float64) {
 	}
 }
 
-// probed is a refModel with Probes of its own, not Batch's 2·np calls:
-// observation by observation, every parameter's two probes side by side.
+// probed is a refModel with a Jacobian of its own, not Batch's 2·np
+// calls: observation by observation, every parameter's two probes side
+// by side.
 type probed refModel
 
 func (r probed) Eval(p, xs, out []float64) { refModel(r).batch(p, xs, out) }
 
-func (r probed) Probes(p, hs, xs, plus, minus []float64) {
+func (r probed) Jacobian(p, xs []float64, eps float64, jac, _ []float64) {
 	m := len(xs)
 	for i, x := range xs {
-		for j, h := range hs {
-			orig := p[j]
+		for j, orig := range p {
+			h := eps * math.Max(1, math.Abs(orig))
 			p[j] = orig + h
-			plus[j*m+i] = r.at(p, x)
+			plus := r.at(p, x)
 			p[j] = orig - h
-			minus[j*m+i] = r.at(p, x)
+			jac[j*m+i] = (plus - r.at(p, x)) * (1 / (2 * h))
 			p[j] = orig
 		}
 	}
@@ -370,11 +371,9 @@ func sameResult(a LMResult, aerr error, b LMResult, berr error) bool {
 // TestFitMatchesReference is the same-arithmetic contract: over seeded
 // problems the CurveFit adapter and one Workspace reused for every fit
 // (so a buffer left over from a larger or differently shaped problem would
-// show), given the model through Batch and through Probes of its own,
+// show), given the model through Batch and through a Jacobian of its own,
 // return bit for bit what the pre-workspace CurveFit returns —
 // parameters, residual, iteration count, converged flag, error or not.
-// Its np = 3 problems run the three-parameter kernels, the others the
-// general ones.
 func TestFitMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	var w Workspace
@@ -392,7 +391,7 @@ func TestFitMatchesReference(t *testing.T) {
 		}
 		got, err = w.Fit(probed(mod), xs, ys, p0, opts)
 		if !sameResult(got, err, want, wantErr) {
-			t.Fatalf("problem %d (%s, m=%d): Workspace.Fit with batched probes = %+v, %v; reference %+v, %v", n, mod.name, len(xs), got, err, want, wantErr)
+			t.Fatalf("problem %d (%s, m=%d): Workspace.Fit with its own Jacobian = %+v, %v; reference %+v, %v", n, mod.name, len(xs), got, err, want, wantErr)
 		}
 		switch {
 		case wantErr != nil:
@@ -442,7 +441,7 @@ func TestWorkspaceReuse(t *testing.T) {
 
 // TestWorkspaceFitAllocatesNothing: on a workspace that has seen the
 // problem's size, a whole fit — Jacobians, damped solves, trial steps —
-// makes no allocation, through Batch and through a batched Probes.
+// makes no allocation, through Batch and through a Jacobian of its own.
 func TestWorkspaceFitAllocatesNothing(t *testing.T) {
 	mod := refModels[0]
 	xs, ys := make([]float64, 25), make([]float64, 25)

@@ -106,7 +106,7 @@ type Engine struct {
 }
 
 // fitScratch is everything one PredictAt fits with: the workspace, the
-// paper family's exponentials and probe buffers, and the recency weights.
+// paper family's exponentials, and the recency weights.
 type fitScratch struct {
 	ws      fit.Workspace
 	exps    expMemo

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"a4nn/internal/fit"
 	"a4nn/internal/tensor"
 )
 
@@ -307,7 +308,8 @@ func TestFamilyMetadata(t *testing.T) {
 // some arguments leave the vector exponential's range. The memo's Eval
 // sees parameters that keep and that change its (β, c) key: the current
 // ones, a moved a, a moved β, a moved c, and the current ones again.
-// TestExpProbesMatchEval holds the memo's Probes to EvalBatch.
+// TestExpJacobianMatchesCentral holds the memo's Jacobian to central
+// differences.
 func TestEvalBatchMatchesEval(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for n := 1; n <= 30; n++ {
@@ -352,27 +354,32 @@ func TestEvalBatchMatchesEval(t *testing.T) {
 	}
 }
 
-// TestExpProbesMatchEval holds the memo's batched Probes to the family's
-// EvalBatch bit for bit: for histories of length 3…30 (every tail length
-// of the vector exponential's four-lane groups), column j of plus and of
-// minus equals EvalBatch at p[j] + hs[j] and at p[j] − hs[j], whatever
-// the memo held before, on both paths of tensor.ExpInto. Every third draw
-// has exponents past the 700 cap at early epochs and below −708 at late
-// ones, so some groups take ExpInto's scalar fallback.
-func TestExpProbesMatchEval(t *testing.T) {
+// TestExpJacobianMatchesCentral holds the memo's closed-form Jacobian to
+// the central differences fit.Batch takes of the family's EvalBatch (the
+// Jacobian the paper's family was fitted with before), for histories of
+// length 3…30 and parameters across the family's box, whatever the memo
+// held before, on both paths of tensor.ExpInto. Each entry must agree to
+// 1e-6 of itself plus the rounding a central difference of step h makes:
+// a few ulps of the curve's terms, a and E·(1+|β(c−x)|), over h. Every
+// third draw has exponents past the 700 cap at early epochs, where the β
+// and c columns are 0 on both sides (and a central difference cannot see
+// a beside E = e^700), and below −708 at late ones.
+func TestExpJacobianMatchesCentral(t *testing.T) {
 	for _, vector := range []bool{true, false} {
 		t.Run(fmt.Sprintf("vector=%v", vector), func(t *testing.T) {
 			defer tensor.UseExpKernel(tensor.UseExpKernel(vector))
 			rng := rand.New(rand.NewSource(9))
 			fam := ExpApproach{}
+			central := fit.Batch(fam.EvalBatch)
 			lo, hi := fam.Bounds()
+			worst := 0.0
 			for n := 3; n <= 30; n++ {
 				xs := make([]float64, n)
 				for i := range xs {
 					xs[i] = float64(i + 1)
 				}
 				var memo expMemo
-				plus, minus, want := make([]float64, 3*n), make([]float64, 3*n), make([]float64, n)
+				got, want, tmp := make([]float64, 3*n), make([]float64, 3*n), make([]float64, n)
 				for trial := 0; trial < 30; trial++ {
 					p := make([]float64, 3)
 					for i := range p {
@@ -383,43 +390,79 @@ func TestExpProbesMatchEval(t *testing.T) {
 						// 60·(15−n), below −708 once n ≥ 27.
 						p[1], p[2] = 60, 15
 					}
-					hs := make([]float64, 3)
-					for j := range hs {
-						hs[j] = 1e-6 * math.Max(1, math.Abs(p[j]))
-						if trial%2 == 1 {
-							hs[j] *= 1e4
-						}
-					}
 					switch trial % 4 {
 					case 0: // as in a fit: the current parameters were just evaluated
-						memo.Eval(p, xs, want)
+						memo.Eval(p, xs, tmp)
 					case 1: // the memo holds another curve
-						memo.Eval([]float64{p[0], p[1] * 1.5, p[2]}, xs, want)
+						memo.Eval([]float64{p[0], p[1] * 1.5, p[2]}, xs, tmp)
 					case 2:
 						memo.reset()
 					}
-					memo.Probes(append([]float64(nil), p...), hs, xs, plus, minus)
+					memo.Jacobian(append([]float64(nil), p...), xs, 1e-6, got, tmp)
+					central.Jacobian(append([]float64(nil), p...), xs, 1e-6, want, tmp)
 					for j := range p {
-						for side, out := range [][]float64{plus, minus} {
-							q := append([]float64(nil), p...)
-							if side == 0 {
-								q[j] = p[j] + hs[j]
-							} else {
-								q[j] = p[j] - hs[j]
+						h := 1e-6 * math.Max(1, math.Abs(p[j]))
+						for i, x := range xs {
+							arg := math.Min(p[1]*(p[2]-x), 700)
+							terms := math.Abs(p[0]) + math.Exp(arg)*(1+math.Abs(arg))
+							g, w := got[j*n+i], want[j*n+i]
+							tol := 1e-6*math.Abs(w) + 8*0x1p-52*terms/h
+							if !(math.Abs(g-w) <= tol) {
+								t.Fatalf("n=%d p=%v: column %d at x=%v = %v, central difference %v", n, p, j, x, g, w)
 							}
-							fam.EvalBatch(q, xs, want)
-							got := out[j*n : (j+1)*n]
-							for i := range want {
-								if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-									t.Fatalf("n=%d p=%v hs=%v: probe %d side %d = %v, EvalBatch %v", n, p, hs, j, side, got, want)
-								}
-							}
+							worst = math.Max(worst, math.Abs(g-w)/tol)
 						}
 					}
 				}
 			}
+			t.Logf("largest difference: %.3g of its bound", worst)
 		})
 	}
+}
+
+// TestExpJacobianWeightedStep: one weighted Levenberg–Marquardt iteration
+// on the paper family, from the engine's initial guess over noisy
+// histories of length 3…25 under the recency weights (rw = 2), takes the
+// same step through the memo's closed form as through central
+// differences, to 1e-5 of each parameter (the normal equations amplify
+// the Jacobians' small differences; the largest seen is 1.4e-6): the
+// workspace scales the model's columns by √w whichever Jacobian the
+// model has.
+func TestExpJacobianWeightedStep(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	fam := ExpApproach{}
+	lo, hi := fam.Bounds()
+	var closed, numeric fit.Workspace
+	worst := 0.0
+	for n := 3; n <= 25; n++ {
+		xs, weights := make([]float64, n), make([]float64, n)
+		for i := range xs {
+			xs[i] = float64(i + 1)
+			weights[i] = tensor.Pow(xs[i]/float64(n), 2)
+		}
+		opts := &fit.LMOptions{MaxIterations: 1, Lower: lo, Upper: hi, Weights: weights}
+		for trial := 0; trial < 20; trial++ {
+			ys := synthCurve(60+39*rng.Float64(), 0.1+0.6*rng.Float64(), 4*rng.Float64(), n, 0.5*rng.Float64(), rng)
+			p0 := fam.InitialGuess(xs, ys)
+			var memo expMemo
+			got, err := closed.Fit(&memo, xs, ys, p0, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := numeric.Fit(fit.Batch(fam.EvalBatch), xs, ys, p0, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j := range p0 {
+				d := math.Abs(got.Params[j]-want.Params[j]) / math.Max(1, math.Abs(want.Params[j]))
+				worst = math.Max(worst, d)
+				if !(d <= 1e-5) {
+					t.Fatalf("n=%d trial %d from %v: closed form steps to %v, central differences to %v", n, trial, p0, got.Params, want.Params)
+				}
+			}
+		}
+	}
+	t.Logf("largest difference: %.3g", worst)
 }
 
 func TestTrackerConvergenceSoundness(t *testing.T) {

@@ -80,16 +80,15 @@ func expApproachExps(beta, c float64, xs, e []float64) {
 }
 
 // expMemo is ExpApproach as a fit.Model. It holds the exponentials
-// e^{β(c−x)} of the last (β, c) it evaluated, keyed on their exact bits,
-// and takes the six probes of every Levenberg–Marquardt Jacobian in one
-// call: the probes of a (at a ± h) need no exponential beyond the held
-// ones, and the four of β and c share one tensor.ExpInto. Values are the
-// ones ExpApproach.EvalBatch computes, bit for bit, since ExpInto rounds
-// every element as tensor.Exp does however the elements are grouped.
+// E = e^{β(c−x)} of the last (β, c) it evaluated, keyed on their exact
+// bits, and takes the Jacobian of a − E in closed form from them:
+// ∂a = 1, ∂β = −(c−x)·E and ∂c = −β·E, with no exponential of its own.
+// Its values are the ones ExpApproach.EvalBatch computes, bit for bit,
+// since ExpInto rounds every element as tensor.Exp does however the
+// elements are grouped.
 type expMemo struct {
 	beta, c uint64    // bits of the β and c that e belongs to
 	e       []float64 // e[i] = e^{β(c−xs[i])}; empty when nothing is held
-	args    []float64 // 4m: the exponents, then exponentials, of the β and c probes
 }
 
 // hold makes m.e the exponentials of (β, c) over xs. The epochs xs must
@@ -116,36 +115,20 @@ func (m *expMemo) Eval(p, xs, out []float64) {
 	}
 }
 
-// Probes implements fit.Model: column j of plus and minus is
-// ExpApproach.EvalBatch with p[j] moved by +hs[j] and by −hs[j].
-func (m *expMemo) Probes(p, hs, xs, plus, minus []float64) {
+// Jacobian implements fit.Model in closed form. Where the exponent is
+// capped at 700 the curve does not move with β or c, and their columns
+// are 0. It takes no step, so eps and tmp go unused.
+func (m *expMemo) Jacobian(p, xs []float64, _ float64, jac, _ []float64) {
 	n := len(xs)
-	a, beta, c := p[0], p[1], p[2]
+	beta, c := p[1], p[2]
 	m.hold(beta, c, xs)
-	ap, am := a+hs[0], a-hs[0]
+	ja, jb, jc := jac[:n], jac[n:2*n], jac[2*n:3*n]
 	for i, e := range m.e {
-		plus[i], minus[i] = ap-e, am-e
-	}
-
-	if cap(m.args) < 4*n {
-		m.args = make([]float64, 4*n, 8*n)
-	}
-	args := m.args[:4*n]
-	// The exponents at β+h, β−h, c+h and c−h, each n long; then, in
-	// place, their exponentials.
-	eb0, eb1, ec0, ec1 := args[:n], args[n:2*n], args[2*n:3*n], args[3*n:]
-	bp, bm, cp, cm := beta+hs[1], beta-hs[1], c+hs[2], c-hs[2]
-	for i, x := range xs {
-		eb0[i] = min(bp*(c-x), 700)
-		eb1[i] = min(bm*(c-x), 700)
-		ec0[i] = min(beta*(cp-x), 700)
-		ec1[i] = min(beta*(cm-x), 700)
-	}
-	tensor.ExpInto(args)
-	pb, mb, pc, mc := plus[n:2*n], minus[n:2*n], plus[2*n:3*n], minus[2*n:3*n]
-	for i := range xs {
-		pb[i], mb[i] = a-eb0[i], a-eb1[i]
-		pc[i], mc[i] = a-ec0[i], a-ec1[i]
+		d := c - xs[i]
+		ja[i], jb[i], jc[i] = 1, -d*e, -beta*e
+		if beta*d >= 700 {
+			jb[i], jc[i] = 0, 0
+		}
 	}
 }
 
