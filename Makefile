@@ -125,11 +125,13 @@ allocs:
 # golden-nofma reruns the golden-bits tests with math.Exp on its
 # separately rounded path, as on an amd64 host without FMA: the recorded
 # bits must not depend on which path the host's math.Exp takes. The fit
-# reference, the closed-form Jacobian's tests against central differences
-# and the paired decision tests ride along, so they hold on tensor.Exp's
-# software path too.
+# reference, the three-parameter solve and normal equations against the
+# general loops, the closed-form Jacobian's tests against central
+# differences, the paired decision tests and ExpInto's vector kernel
+# (masked tail included) against the per-element Exp ride along, so they
+# hold on tensor.Exp's software path too.
 golden-nofma:
-	GODEBUG=cpu.fma=off $(GO) test -count 1 -run 'GoldenBits|FitMatchesReference|ExpJacobian|ClosedFormKeeps|EvalBatchMatchesEval|FitScratchReuse' ./internal/predict ./internal/simtrain ./internal/core ./internal/fit
+	GODEBUG=cpu.fma=off $(GO) test -count 1 -run 'GoldenBits|FitMatchesReference|Solve3MatchesEliminate|Np3PathMatchesGeneral|ExpInto|ExpJacobian|ClosedFormKeeps|EvalBatchMatchesEval|FitScratchReuse' ./internal/predict ./internal/simtrain ./internal/core ./internal/fit ./internal/tensor
 
 # fuzz-smoke mutates the input of every decoder of bytes read back from
 # disk, and of every command-line spec parser (-faults, -chaos,

@@ -92,6 +92,71 @@ func eliminate(aug []float64, n int, x []float64) error {
 	return nil
 }
 
+// solve3 is eliminate for n = 3 on a fixed-size augmented matrix, which
+// it overwrites, solving into x (left as it was on ErrSingular): the same
+// pivot rule (the first row of largest |entry|, by strict >), the same
+// 1e-14 singular test, the same f == 0 skip, and every entry that is read
+// again computed by the same operations in the same order, so x has
+// eliminate's bits and the error is the same. Rows trade places as
+// pointers, not contents; the entries elimination zeroes are never read
+// again, so they are not written.
+func solve3(a *[3][4]float64, x *[3]float64) error {
+	r0, r1, r2 := &a[0], &a[1], &a[2]
+
+	p := r0
+	if math.Abs(r1[0]) > math.Abs(p[0]) {
+		p = r1
+	}
+	if math.Abs(r2[0]) > math.Abs(p[0]) {
+		p = r2
+	}
+	if math.Abs(p[0]) < 1e-14 {
+		return ErrSingular
+	}
+	switch p {
+	case r1:
+		r0, r1 = r1, r0
+	case r2:
+		r0, r2 = r2, r0
+	}
+	inv := 1 / r0[0]
+	if f := r1[0] * inv; f != 0 {
+		r1[1] -= f * r0[1]
+		r1[2] -= f * r0[2]
+		r1[3] -= f * r0[3]
+	}
+	if f := r2[0] * inv; f != 0 {
+		r2[1] -= f * r0[1]
+		r2[2] -= f * r0[2]
+		r2[3] -= f * r0[3]
+	}
+
+	if math.Abs(r2[1]) > math.Abs(r1[1]) {
+		r1, r2 = r2, r1
+	}
+	if math.Abs(r1[1]) < 1e-14 {
+		return ErrSingular
+	}
+	inv = 1 / r1[1]
+	if f := r2[1] * inv; f != 0 {
+		r2[2] -= f * r1[2]
+		r2[3] -= f * r1[3]
+	}
+
+	if math.Abs(r2[2]) < 1e-14 {
+		return ErrSingular
+	}
+	x[2] = r2[3] / r2[2]
+	s := r1[3]
+	s -= r1[2] * x[2]
+	x[1] = s / r1[1]
+	s = r0[3]
+	s -= r0[1] * x[1]
+	s -= r0[2] * x[2]
+	x[0] = s / r0[0]
+	return nil
+}
+
 // LeastSquares solves the over-determined system X·β ≈ y in the
 // least-squares sense via the normal equations XᵀX·β = Xᵀy. X is m×n with
 // m ≥ n. Returns the coefficient vector β of length n.

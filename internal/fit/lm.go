@@ -308,8 +308,14 @@ func (w *Workspace) jacobian(model Model, xs, sw []float64, eps float64) {
 
 // normal forms the normal equations JᵀJ and Jᵀr of the Jacobian in
 // w.jac and the residuals in w.resid. Every entry is one dot product of
-// two contiguous columns summed in ascending observation order.
+// two contiguous columns summed in ascending observation order. Three
+// parameters take normal3, which sums the same products in the same
+// order.
 func (w *Workspace) normal(m, np int) {
+	if np == 3 {
+		w.normal3(m)
+		return
+	}
 	jac, resid, jtj, jtr := w.jac, w.resid[:m], w.jtj, w.jtr
 	for i := 0; i < np; i++ {
 		ci := jac[i*m : (i+1)*m]
@@ -329,10 +335,58 @@ func (w *Workspace) normal(m, np int) {
 	}
 }
 
+// normal3 is normal for three parameters, in one pass over the
+// observations: the six sums of JᵀJ and the three of Jᵀr are nine local
+// accumulators, each still taken in ascending observation order, so every
+// entry has the bits normal's column-by-column loops give it.
+func (w *Workspace) normal3(m int) {
+	j0 := w.jac[:m]
+	j1, j2, resid := w.jac[m:2*m], w.jac[2*m:3*m], w.resid[:m]
+	// Reslicing to len(j0) lets the compiler drop the loop's bounds checks.
+	j1, j2, resid = j1[:len(j0)], j2[:len(j0)], resid[:len(j0)]
+	var s00, s01, s02, s11, s12, s22, r0, r1, r2 float64
+	for i, a := range j0 {
+		b, c, r := j1[i], j2[i], resid[i]
+		s00 += a * a
+		s01 += a * b
+		s02 += a * c
+		s11 += b * b
+		s12 += b * c
+		s22 += c * c
+		r0 += a * r
+		r1 += b * r
+		r2 += c * r
+	}
+	jtj := w.jtj[:9]
+	jtj[0], jtj[1], jtj[2] = s00, s01, s02
+	jtj[3], jtj[4], jtj[5] = s01, s11, s12
+	jtj[6], jtj[7], jtj[8] = s02, s12, s22
+	jtr := w.jtr[:3]
+	jtr[0], jtr[1], jtr[2] = r0, r1, r2
+}
+
 // solveDamped solves the LM system (JᵀJ + λ·diag(JᵀJ))·δ = Jᵀr into
-// w.delta; a zero diagonal entry of JᵀJ damps by λ·1e-12.
+// w.delta; a zero diagonal entry of JᵀJ damps by λ·1e-12. Three
+// parameters take solve3 on a fixed-size copy of the system, which
+// eliminates with eliminate's arithmetic.
 func (w *Workspace) solveDamped(np int, lambda float64) error {
-	jtj, jtr, aug := w.jtj, w.jtr, w.aug
+	jtj, jtr := w.jtj, w.jtr
+	if np == 3 {
+		jtj, jtr := (*[9]float64)(jtj), (*[3]float64)(jtr)
+		var a [3][4]float64
+		a[0] = [4]float64{jtj[0], jtj[1], jtj[2], jtr[0]}
+		a[1] = [4]float64{jtj[3], jtj[4], jtj[5], jtr[1]}
+		a[2] = [4]float64{jtj[6], jtj[7], jtj[8], jtr[2]}
+		for i := range a {
+			d := jtj[4*i]
+			if d == 0 {
+				d = 1e-12
+			}
+			a[i][i] += lambda * d
+		}
+		return solve3(&a, (*[3]float64)(w.delta))
+	}
+	aug := w.aug
 	for i := 0; i < np; i++ {
 		row := aug[i*(np+1) : (i+1)*(np+1)]
 		copy(row, jtj[i*np:(i+1)*np])

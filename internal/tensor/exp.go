@@ -47,9 +47,9 @@ func Exp(x float64) float64 {
 }
 
 // ExpInto overwrites x[i] with Exp(x[i]). Where the host has the vector
-// kernel expGroups it runs four lanes at a time; a group with a lane
-// outside [expLo, expHi] (or not finite) goes through Exp, and a tail
-// shorter than four is padded into one group.
+// kernel expGroups it runs four lanes at a time, a tail shorter than four
+// under a lane mask in the same call; a group with a lane outside
+// [expLo, expHi] (or not finite) goes through Exp.
 func ExpInto(x []float64) {
 	if !expVector {
 		for i, v := range x {
@@ -58,19 +58,9 @@ func ExpInto(x []float64) {
 		return
 	}
 	for {
-		if len(x) >= 4 {
-			x = x[expGroups(x):]
-		}
+		x = x[expGroups(x):]
 		if len(x) == 0 {
 			return
-		}
-		if len(x) < 4 {
-			var pad [4]float64
-			copy(pad[:], x)
-			if expGroups(pad[:]) == 4 {
-				copy(x, pad[:])
-				return
-			}
 		}
 		n := min(len(x), 4)
 		for i, v := range x[:n] {

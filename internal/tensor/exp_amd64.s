@@ -5,9 +5,12 @@
 // the same order, so every lane holds the bits math.Exp's FMA path
 // computes. It only takes groups whose four lanes lie in [-708, 700]:
 // there 2^k is a normal number, so the scalar path's overflow, denormal
-// and non-finite branches cannot be reached and are left out. It stops
-// at the first group with a lane outside (NaN fails both compares) and
-// returns how many elements it wrote, a multiple of 4.
+// and non-finite branches cannot be reached and are left out. A last
+// group of fewer than four elements goes through the same loop under a
+// lane mask (VMASKMOVPD): its missing lanes read 0, which is in range,
+// and are never stored. It stops at the first group with a lane outside
+// (NaN fails both compares) and returns how many elements it wrote:
+// len(x), or the multiple of 4 where that group starts.
 
 DATA expconst<>+0(SB)/8, $1.4426950408889634073599246810018920       // LOG2E
 DATA expconst<>+8(SB)/8, $0.69314718055966295651160180568695068359375 // LN2U
@@ -27,11 +30,24 @@ DATA expconst<>+112(SB)/8, $700.0
 DATA expconst<>+120(SB)/4, $0x3FF // exponent bias
 GLOBL expconst<>(SB), RODATA, $124
 
+// expmask<>+8·(4−n) is the lane mask of an n-lane tail: n lanes of ones,
+// then zeros.
+DATA expmask<>+0(SB)/8, $-1
+DATA expmask<>+8(SB)/8, $-1
+DATA expmask<>+16(SB)/8, $-1
+DATA expmask<>+24(SB)/8, $-1
+DATA expmask<>+32(SB)/8, $0
+DATA expmask<>+40(SB)/8, $0
+DATA expmask<>+48(SB)/8, $0
+DATA expmask<>+56(SB)/8, $0
+GLOBL expmask<>(SB), RODATA, $64
+
 // func expGroups(x []float64) int
 TEXT ·expGroups(SB), NOSPLIT, $0-32
 	MOVQ x_base+0(FP), DI
 	MOVQ x_len+8(FP), CX
-	ANDQ $~3, CX
+	MOVQ CX, DX
+	ANDQ $~3, DX // end of the whole groups
 	XORQ AX, AX
 	VBROADCASTSD expconst<>+0(SB), Y4
 	VBROADCASTSD expconst<>+8(SB), Y5
@@ -50,6 +66,7 @@ TEXT ·expGroups(SB), NOSPLIT, $0-32
 loop:
 	VMOVUPD (DI)(AX*8), Y0
 
+group:
 	// Every lane in [-708, 700]: ordered compares, so NaN fails.
 	VBROADCASTSD expconst<>+104(SB), Y3
 	VCMPPD       $0x1D, Y3, Y0, Y1     // x >= -708 (GE_OQ)
@@ -97,12 +114,31 @@ loop:
 	VPSLLQ       $52, Y2, Y2
 	VMULPD       Y2, Y0, Y0
 
+	CMPQ    AX, DX
+	JGE     tailstore
 	VMOVUPD Y0, (DI)(AX*8)
 	ADDQ    $4, AX
 
 check:
-	CMPQ AX, CX
+	CMPQ AX, DX
 	JLT  loop
+
+	// The tail of 1–3 lanes, if any, under its mask (R9 points at it).
+	CMPQ       AX, CX
+	JGE        done
+	MOVQ       CX, R8
+	SUBQ       AX, R8
+	SHLQ       $3, R8
+	LEAQ       expmask<>+32(SB), R9
+	SUBQ       R8, R9
+	VMOVUPD    (R9), Y1
+	VMASKMOVPD (DI)(AX*8), Y1, Y0
+	JMP        group
+
+tailstore:
+	VMOVUPD    (R9), Y1
+	VMASKMOVPD Y0, Y1, (DI)(AX*8)
+	MOVQ       CX, AX
 
 done:
 	MOVQ AX, ret+24(FP)

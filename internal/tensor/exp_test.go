@@ -30,58 +30,92 @@ func expWant(t *testing.T, x float64) uint64 {
 	return want
 }
 
+// expGuard fills the elements around the slice under test. It lies inside
+// the vector kernel's range, so a group that read it would still take the
+// kernel, and a lane that stored past the slice would overwrite it with
+// e^expGuard.
+const expGuard = 0.75
+
+// guarded returns n elements with four expGuard elements before and after
+// them in the backing array, the slice starting off elements further in.
+func guarded(n, off int) (buf, x []float64) {
+	buf = make([]float64, 4+off+n+4)
+	for i := range buf {
+		buf[i] = expGuard
+	}
+	return buf, buf[4+off : 4+off+n]
+}
+
+// checkGuards fails unless every element of buf outside x still holds
+// expGuard.
+func checkGuards(t *testing.T, buf, x []float64, what string) {
+	t.Helper()
+	lo := cap(buf) - cap(x)
+	for i, v := range buf {
+		if (i < lo || i >= lo+len(x)) && v != expGuard {
+			t.Fatalf("%s: element %d outside the slice [%d, %d) changed to %v", what, i, lo, lo+len(x), v)
+		}
+	}
+}
+
+// onBothPaths runs f with ExpInto's vector kernel on (where the host has
+// one) and off.
+func onBothPaths(t *testing.T, f func(t *testing.T)) {
+	for _, vec := range []bool{true, false} {
+		t.Run(fmt.Sprintf("kernel=%v", vec), func(t *testing.T) {
+			defer UseExpKernel(UseExpKernel(vec))
+			f(t)
+		})
+	}
+}
+
 // TestExpIntoMatchesScalar holds ExpInto to the per-element Exp bit for
-// bit: every length through one, two and a padded tail group, slices
-// starting at every offset of a 32-byte line, edge values alone and mixed
-// into groups of ordinary ones. The elements around the slice must not be
-// touched.
+// bit, with the vector kernel and without: every length 0–33 (no group,
+// whole groups, and each tail of one to three lanes), slices starting at
+// every offset of a 32-byte line, edge values alone and mixed into groups
+// of ordinary ones. The four elements on either side of the slice must
+// not be touched.
 func TestExpIntoMatchesScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	const guard = 12345.0
-	for n := 0; n <= 11; n++ {
-		for off := 0; off < 4; off++ {
-			for trial := 0; trial < 40; trial++ {
-				buf := make([]float64, off+n+1)
-				for i := range buf {
-					buf[i] = guard
+	onBothPaths(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(7))
+		for n := 0; n <= 33; n++ {
+			for off := 0; off < 4; off++ {
+				for trial := 0; trial < 40; trial++ {
+					buf, x := guarded(n, off)
+					for i := range x {
+						x[i] = rng.NormFloat64() * 30
+						if trial > 0 && rng.Intn(5) == 0 {
+							x[i] = expEdges[rng.Intn(len(expEdges))]
+						}
+					}
+					in := append([]float64(nil), x...)
+					ExpInto(x)
+					for i, v := range in {
+						if got, want := math.Float64bits(x[i]), expWant(t, v); got != want {
+							t.Fatalf("n=%d off=%d: ExpInto element %d of %v = %v, Exp gives %v",
+								n, off, i, in, x[i], math.Float64frombits(want))
+						}
+					}
+					checkGuards(t, buf, x, fmt.Sprintf("n=%d off=%d", n, off))
 				}
-				x := buf[off : off+n]
+			}
+		}
+		for _, v := range expEdges {
+			for n := 1; n <= 5; n++ {
+				buf, x := guarded(n, 0)
 				for i := range x {
-					x[i] = rng.NormFloat64() * 30
-					if trial > 0 && rng.Intn(5) == 0 {
-						x[i] = expEdges[rng.Intn(len(expEdges))]
-					}
+					x[i] = v
 				}
-				in := append([]float64(nil), x...)
 				ExpInto(x)
-				for i, v := range in {
+				for i := range x {
 					if got, want := math.Float64bits(x[i]), expWant(t, v); got != want {
-						t.Fatalf("n=%d off=%d: ExpInto element %d of %v = %v, Exp gives %v",
-							n, off, i, in, x[i], math.Float64frombits(want))
+						t.Fatalf("ExpInto(%d × %v)[%d] = %v, Exp gives %v", n, v, i, x[i], math.Float64frombits(want))
 					}
 				}
-				for i, v := range buf {
-					if (i < off || i >= off+n) && v != guard {
-						t.Fatalf("n=%d off=%d: element %d outside the slice changed to %v", n, off, i, v)
-					}
-				}
+				checkGuards(t, buf, x, fmt.Sprintf("%d × %v", n, v))
 			}
 		}
-	}
-	for _, v := range expEdges {
-		for n := 1; n <= 5; n++ {
-			x := make([]float64, n)
-			for i := range x {
-				x[i] = v
-			}
-			ExpInto(x)
-			for i := range x {
-				if got, want := math.Float64bits(x[i]), expWant(t, v); got != want {
-					t.Fatalf("ExpInto(%d × %v)[%d] = %v, Exp gives %v", n, v, i, x[i], math.Float64frombits(want))
-				}
-			}
-		}
-	}
+	})
 }
 
 // TestExpMatchesMathExpDense sweeps the range the engine uses and a few
@@ -149,8 +183,10 @@ func TestExpProbeDiscriminates(t *testing.T) {
 	t.Logf("%d of 64 probe arguments differ; math.Exp fused: %v", differ, mathExpFused)
 }
 
-// FuzzExpBits feeds ExpInto arbitrary bit patterns: it must equal the
-// per-element Exp, and math.Exp where that takes the FMA path.
+// FuzzExpBits feeds ExpInto arbitrary bit patterns, with the vector
+// kernel and without: it must equal the per-element Exp, and math.Exp
+// where that takes the FMA path, and leave the four elements on either
+// side of the slice as they were.
 func FuzzExpBits(f *testing.F) {
 	for _, v := range expEdges {
 		var b [8]byte
@@ -159,25 +195,32 @@ func FuzzExpBits(f *testing.F) {
 	}
 	f.Add(make([]byte, 8*9))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		x := make([]float64, len(data)/8)
-		for i := range x {
-			x[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+		in := make([]float64, len(data)/8)
+		for i := range in {
+			in[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
 		}
-		in := append([]float64(nil), x...)
-		ExpInto(x)
-		for i, v := range in {
-			if got, want := math.Float64bits(x[i]), expWant(t, v); got != want {
-				t.Fatalf("ExpInto(%v)[%d] = %#x, Exp gives %#x", in, i, got, want)
+		for _, vec := range []bool{true, false} {
+			was := UseExpKernel(vec)
+			buf, x := guarded(len(in), 0)
+			copy(x, in)
+			ExpInto(x)
+			UseExpKernel(was)
+			for i, v := range in {
+				if got, want := math.Float64bits(x[i]), expWant(t, v); got != want {
+					t.Fatalf("kernel=%v: ExpInto(%v)[%d] = %#x, Exp gives %#x", vec, in, i, got, want)
+				}
 			}
+			checkGuards(t, buf, x, fmt.Sprintf("kernel=%v: ExpInto(%v)", vec, in))
 		}
 	})
 }
 
 // BenchmarkExpInto measures the exponential at the lengths the engine
-// evaluates (a 3-point history, the paper's 25 epochs) and a long vector,
-// on the vector kernel and on the per-element path.
+// evaluates (a 3-point history, a 12- and a 13-point one either side of
+// a masked tail, the paper's 25 epochs) and a long vector, on the vector
+// kernel and on the per-element path.
 func BenchmarkExpInto(b *testing.B) {
-	for _, n := range []int{3, 25, 1024} {
+	for _, n := range []int{3, 12, 13, 25, 1024} {
 		for _, vec := range []bool{true, false} {
 			name := "scalar"
 			if vec {
