@@ -2,11 +2,17 @@ package a4nn
 
 // Chaos soak: crash the real CLI at randomly chosen seeded crash
 // points, relaunch it with -resume until the search completes, and
-// assert the crash-consistency contract — the journal sequence stays
-// monotone, no model retrains epochs its checkpoint already covers,
-// every store file still decodes, no temp file is left, the final
-// Pareto front is byte-identical to a fault-free run with the same seed,
-// and the journal folds into that run's telemetry.
+// assert the crash-consistency contract — every plan fires, the journal
+// sequence stays monotone, no model retrains epochs its resume point
+// already covers, every store file still decodes, no temp file is left,
+// the final Pareto front is byte-identical to a fault-free run with the
+// same seed, and the journal folds into that run's telemetry.
+//
+// Both kinds of trainer are soaked. Surrogate models keep no checkpoint
+// file: their journaled epochs are their checkpoint, so the plans that
+// crash mid-model there crash at journal appends. Real-training models
+// restore their weights from checkpoint files, so the checkpoint-write
+// plans run a small real-training search.
 //
 // `go test` runs a handful of plans; `make chaos-soak` sets
 // CHAOS_SOAK_ITERS=20 for the acceptance sweep.
@@ -38,6 +44,14 @@ var soakSearchArgs = []string{
 	"-generations", "3", "-epochs", "10", "-devices", "1", "-seed", "42",
 }
 
+// realSearchArgs is the real-training search the checkpoint-write plans
+// crash: a 2+2-model search over an xfelgen dataset (-data is appended).
+// Ten epochs of four models write 40 checkpoint frames.
+var realSearchArgs = []string{
+	"-population", "2", "-offspring", "2", "-generations", "2", "-epochs", "10",
+	"-devices", "1", "-seed", "42",
+}
+
 // repeatablePoints are visited only for NEW durable work (records and
 // checkpoints of models not yet committed), so a crash@N plan makes at
 // least N-1 transitions of progress per launch and can stay armed
@@ -57,21 +71,34 @@ var oneshotPoints = []string{
 	chaos.PointJournalAppend,
 }
 
+// soakSearch is a search the soak crashes, with what its fault-free
+// run printed and journaled.
+type soakSearch struct {
+	args   []string
+	models int
+	front  string
+	tel    *Telemetry
+}
+
+// newSoakSearch runs args once without chaos for the reference.
+func newSoakSearch(t *testing.T, bin string, args []string, models int) *soakSearch {
+	t.Helper()
+	store := filepath.Join(scratchDir(t, "ref"), "ref")
+	out := run(t, bin, append(append([]string{}, args...), "-store", store)...)
+	tel, err := LoadTelemetry(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &soakSearch{args: args, models: models, front: paretoSection(t, out), tel: tel}
+}
+
 func TestChaosSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos soak in -short mode")
 	}
-	bins := buildTools(t, "a4nn")
-
-	// Fault-free reference: same seed, same search, no chaos.
-	refStore := filepath.Join(scratchDir(t, "ref"), "ref")
-	refOut := run(t, bins["a4nn"],
-		append(append([]string{}, soakSearchArgs...), "-store", refStore)...)
-	refFront := paretoSection(t, refOut)
-	refTel, err := LoadTelemetry(refStore)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bins := buildTools(t, "a4nn", "xfelgen")
+	surrogate := newSoakSearch(t, bins["a4nn"], soakSearchArgs, 6+6*2)
+	var realSearch *soakSearch // made for the first checkpoint-write plan
 
 	iters := 4
 	if s := os.Getenv("CHAOS_SOAK_ITERS"); s != "" {
@@ -83,7 +110,6 @@ func TestChaosSoak(t *testing.T) {
 	}
 
 	rng := rand.New(rand.NewSource(20260808))
-	totalCrashes := 0
 	for it := 0; it < iters; it++ {
 		// Draw the plan outside the subtest so the sequence only depends
 		// on the iteration count.
@@ -96,32 +122,39 @@ func TestChaosSoak(t *testing.T) {
 		}
 		// The visit count sets the progress per launch (N-1 durable
 		// transitions before the crash), so scale it to how often each
-		// point fires: checkpoints are written every epoch (~160 visits a
-		// run), records once per model (18), generation commits 3 times.
+		// point fires: checkpoints are written every real epoch (40 a
+		// run) and journal lines several times a surrogate epoch (visits
+		// 10-39 land inside generation 0's models), records once per
+		// model (18), generation commits 3 times.
 		visit := 2 + rng.Intn(4)
+		search := surrogate
 		switch point {
 		case chaos.PointCheckpointPreWrite, chaos.PointCheckpointPostWrite:
+			if realSearch == nil {
+				ds := filepath.Join(scratchDir(t, "data"), "ds.gob")
+				run(t, bins["xfelgen"], "-beam", "medium", "-count", "40", "-size", "16", "-seed", "3", "-out", ds)
+				realSearch = newSoakSearch(t, bins["a4nn"], append([]string{"-data", ds}, realSearchArgs...), 2+2)
+			}
+			search = realSearch
+			fallthrough
+		case chaos.PointJournalAppend:
 			visit = 10 + rng.Intn(30)
 		case chaos.PointGenerationCommit:
 			visit = 2 + rng.Intn(2)
 		}
 		plan := fmt.Sprintf("crash=%s@%d;seed=%d", point, visit, rng.Int63())
 		t.Run(fmt.Sprintf("plan%02d", it), func(t *testing.T) {
-			totalCrashes += soakOnePlan(t, bins["a4nn"], plan, repeat, refFront, refTel)
+			soakOnePlan(t, bins["a4nn"], plan, repeat, search)
 		})
 	}
-	if totalCrashes == 0 {
-		t.Fatalf("no plan ever fired across %d iterations — the crash points are not being visited", iters)
-	}
-	t.Logf("soak: %d iterations, %d injected crashes", iters, totalCrashes)
 }
 
-// soakOnePlan crashes and relaunches one store to completion and
-// checks the crash-consistency contract. Returns the crash count.
-func soakOnePlan(t *testing.T, bin, plan string, rearm bool, refFront string, refTel *Telemetry) int {
+// soakOnePlan crashes and relaunches one store of search to completion
+// and checks the crash-consistency contract.
+func soakOnePlan(t *testing.T, bin, plan string, rearm bool, search *soakSearch) {
 	t.Helper()
 	store := filepath.Join(scratchDir(t, "plan"), "runs")
-	base := append(append([]string{}, soakSearchArgs...), "-store", store)
+	base := append(append([]string{}, search.args...), "-store", store)
 
 	crashes := 0
 	var out string
@@ -149,6 +182,10 @@ func soakOnePlan(t *testing.T, bin, plan string, rearm bool, refFront string, re
 		t.Fatalf("plan %q attempt %d: unexpected failure: %v\n%s", plan, attempt, err, b)
 	}
 	t.Logf("plan %q: %d crash(es)", plan, crashes)
+	if crashes == 0 {
+		t.Errorf("plan %q never fired: its crash point is not visited", plan)
+	}
+	refFront, refTel := search.front, search.tel
 
 	// 1. The final Pareto front is byte-identical to the fault-free run.
 	if got := paretoSection(t, out); got != refFront {
@@ -157,8 +194,8 @@ func soakOnePlan(t *testing.T, bin, plan string, rearm bool, refFront string, re
 	}
 
 	// 2. Journal sequence numbers stay strictly monotone across every
-	// crash and relaunch, and 3. no model retrains an epoch its
-	// checkpoint already covers.
+	// crash and relaunch, and 3. no model retrains an epoch its resume
+	// point already covers.
 	events, err := ReadEvents(filepath.Join(store, EventsFile))
 	if err != nil {
 		t.Fatalf("plan %q: read journal: %v", plan, err)
@@ -175,7 +212,7 @@ func soakOnePlan(t *testing.T, bin, plan string, rearm bool, refFront string, re
 			resumedAt[e.Model] = e.Epoch
 		case "epoch":
 			if k, ok := resumedAt[e.Model]; ok && e.Epoch <= k {
-				t.Errorf("plan %q: model %s trained epoch %d twice — its checkpoint already covered epoch %d",
+				t.Errorf("plan %q: model %s trained epoch %d twice — its resume point already covered epoch %d",
 					plan, e.Model, e.Epoch, k)
 			}
 		}
@@ -191,7 +228,7 @@ func soakOnePlan(t *testing.T, bin, plan string, rearm bool, refFront string, re
 	if err != nil {
 		t.Fatalf("plan %q: list records: %v", plan, err)
 	}
-	if want := 6 + 6*2; len(ids) != want {
+	if want := search.models; len(ids) != want {
 		t.Errorf("plan %q: %d records in store, want %d", plan, len(ids), want)
 	}
 	for _, id := range ids {
@@ -237,7 +274,6 @@ func soakOnePlan(t *testing.T, bin, plan string, rearm bool, refFront string, re
 		t.Errorf("plan %q: telemetry totals %d trained / %d saved / %d terminated, stdout %d / %d / %d",
 			plan, tel.EpochsTrained, tel.EpochsSaved, tel.Terminated, trained, budget-trained, terminated)
 	}
-	return crashes
 }
 
 // outputLine returns the line of a run's stdout that starts with prefix.

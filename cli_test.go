@@ -19,6 +19,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"a4nn/internal/chaos"
 )
 
 // buildTools compiles the cmd binaries once into a shared temp dir.
@@ -231,6 +233,35 @@ func TestCLIPipeline(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("health: no resolved recovery/damage alert:\n%s", out)
+	}
+
+	// 7. Kill a search mid-model: its surrogate models keep no checkpoint
+	//    file, yet recovery counts them unfinished from the journal until
+	//    a -resume finishes them.
+	killed := filepath.Join(work, "killed")
+	args := []string{"-beam", "medium", "-population", "4", "-offspring", "4",
+		"-generations", "2", "-seed", "5", "-devices", "1", "-store", killed}
+	err = exec.Command(bins["a4nn"], append(args, "-chaos", "crash="+chaos.PointJournalAppend+"@40;seed=1")...).Run()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != chaos.ExitCode {
+		t.Fatalf("chaos run: %v, want exit status %d", err, chaos.ExitCode)
+	}
+	if ckpts, _ := filepath.Glob(filepath.Join(killed, "checkpoints", "*")); len(ckpts) != 0 {
+		t.Fatalf("a surrogate run left checkpoint files %v", ckpts)
+	}
+	out = run(t, bins["a4nn-analyze"], "-store", killed, "recovery")
+	var pending int
+	if _, err := fmt.Sscanf(outputLine(t, out, "unfinished models:"), "unfinished models: %d", &pending); err != nil || pending < 1 {
+		t.Fatalf("recovery after a kill: %d unfinished (%v)\n%s", pending, err, out)
+	}
+	// A model whose record the kill lost after its model_done resumes
+	// too, at its last epoch.
+	out = run(t, bins["a4nn"], append(args, "-resume")...)
+	var resumed int
+	if _, err := fmt.Sscanf(outputLine(t, out, "checkpoint resumes:"), "checkpoint resumes: %d", &resumed); err != nil || resumed < pending {
+		t.Fatalf("resume after a kill with %d unfinished model(s): %d resumed (%v)\n%s", pending, resumed, err, out)
+	}
+	if out = run(t, bins["a4nn-analyze"], "-store", killed, "recovery"); strings.Contains(out, "unfinished") {
+		t.Fatalf("recovery after the resume still lists unfinished models:\n%s", out)
 	}
 }
 

@@ -181,10 +181,21 @@ func main() {
 			fatal(fmt.Errorf("load events: %w (record them with cmd/a4nn -store)", err))
 		}
 		fmt.Print(analyzer.FormatRecovery(events))
-		// Checkpoints still on disk mean a run is in flight or a crash
-		// has not been resumed yet.
-		if ids, err := store.Checkpoints(); err == nil && len(ids) > 0 {
-			fmt.Printf("pending checkpoints: %d (resume with cmd/a4nn -store DIR -resume)\n", len(ids))
+		// A model the journal saw start but not finish, or a checkpoint
+		// file still on disk, means a run is in flight or a crash has not
+		// been resumed yet.
+		unfinished := map[string]bool{}
+		for id, p := range core.JournalProgress(events) {
+			if !p.Done {
+				unfinished[id] = true
+			}
+		}
+		ids, _ := store.Checkpoints()
+		for _, id := range ids {
+			unfinished[id] = true
+		}
+		if len(unfinished) > 0 {
+			fmt.Printf("unfinished models: %d (resume with cmd/a4nn -store DIR -resume)\n", len(unfinished))
 		}
 	case "jobs":
 		// The job service keeps one manifest per submission under

@@ -47,8 +47,8 @@ const (
 var headPrefix = durable.AppendSection(nil, headFrame, nil)[:4+len(headFrame)]
 
 // Checkpoint is one model's mid-training progress: everything needed to
-// rebuild the model (Genome + the original Seed), fast-forward or
-// restore its state (State + StateDigest), rehydrate the prediction
+// rebuild the model (Genome + the original Seed), restore its state
+// (State + StateDigest), rehydrate the prediction
 // engine (the per-epoch entries carry H and P), and resume the lineage
 // record and resource accounting exactly where the crash cut them off.
 type Checkpoint struct {
@@ -70,8 +70,8 @@ type Checkpoint struct {
 	Terminated bool `json:"terminated,omitempty"`
 	// State is the model's serialized state after Epoch epochs.
 	State []byte `json:"state,omitempty"`
-	// StateDigest is the FNV-1a digest of State, re-verified against the
-	// restored (or fast-forwarded) model before training continues.
+	// StateDigest is the FNV-1a digest of State, re-verified before the
+	// state is restored.
 	StateDigest uint64 `json:"state_digest,omitempty"`
 	// Epochs are the lineage entries for epochs 1..Epoch; they carry the
 	// fitness history H and the prediction history P.

@@ -55,12 +55,14 @@ type Orchestrator struct {
 	Snapshots SnapshotSink
 	// Checkpoint, when non-nil, receives a crash-safe progress checkpoint
 	// after every epoch, so a killed run resumes mid-model instead of
-	// retraining from epoch 1.
+	// retraining from epoch 1. Its state is ResumeState's for a
+	// Resumable model, SaveState's for any other.
 	Checkpoint CheckpointSink
 	// ResumeFrom, when non-nil, rehydrates the training loop from a prior
 	// run's checkpoint: accounting, the record trail, and the prediction
 	// engine's fit state resume where the crash cut them off. The model
-	// itself must already be restored (ResumeModel) before TrainModel.
+	// itself must already be restored (ResumeModel) or replayed to the
+	// checkpoint's epoch before TrainModel.
 	ResumeFrom *commons.Checkpoint
 	// Seed is the seed the model was built with, recorded into
 	// checkpoints so a resumed run rebuilds the identical model.
@@ -239,36 +241,42 @@ func (o *Orchestrator) TrainModel(ctx context.Context, m Trainable, dev sched.De
 		if rec != nil {
 			rec.Epochs = append(rec.Epochs, entry)
 		}
-		if (o.Snapshots != nil || o.Checkpoint != nil) && rec != nil {
+		if o.Snapshots != nil && rec != nil {
 			state, err := m.SaveState()
+			if err == nil {
+				err = o.Snapshots(rec.ID, e, state)
+			}
 			if err != nil {
-				return out, fmt.Errorf("core: snapshot %s@%d: %w", rec.ID, e, err)
+				return out, fmt.Errorf("core: store snapshot %s@%d: %w", rec.ID, e, err)
 			}
-			if o.Snapshots != nil {
-				if err := o.Snapshots(rec.ID, e, state); err != nil {
-					return out, fmt.Errorf("core: store snapshot %s@%d: %w", rec.ID, e, err)
-				}
+		}
+		if o.Checkpoint != nil && rec != nil {
+			save := m.SaveState
+			if rs, ok := m.(Resumable); ok {
+				save = rs.ResumeState
 			}
-			if o.Checkpoint != nil {
-				cp := &commons.Checkpoint{
-					ID:                 rec.ID,
-					Genome:             rec.Genome,
-					Generation:         rec.Generation,
-					Seed:               o.Seed,
-					Epoch:              e,
-					Terminated:         converged,
-					State:              state,
-					StateDigest:        commons.StateDigest(state),
-					Epochs:             rec.Epochs,
-					SimSeconds:         out.SimSeconds,
-					EngineSeconds:      out.EngineSeconds,
-					Interactions:       out.Interactions,
-					InteractionSeconds: out.InteractionSeconds,
-					SavedAt:            time.Now(),
-				}
-				if err := o.Checkpoint(cp); err != nil {
-					return out, fmt.Errorf("core: checkpoint %s@%d: %w", rec.ID, e, err)
-				}
+			state, err := save()
+			if err != nil {
+				return out, fmt.Errorf("core: checkpoint state %s@%d: %w", rec.ID, e, err)
+			}
+			cp := &commons.Checkpoint{
+				ID:                 rec.ID,
+				Genome:             rec.Genome,
+				Generation:         rec.Generation,
+				Seed:               o.Seed,
+				Epoch:              e,
+				Terminated:         converged,
+				State:              state,
+				StateDigest:        commons.StateDigest(state),
+				Epochs:             rec.Epochs,
+				SimSeconds:         out.SimSeconds,
+				EngineSeconds:      out.EngineSeconds,
+				Interactions:       out.Interactions,
+				InteractionSeconds: out.InteractionSeconds,
+				SavedAt:            time.Now(),
+			}
+			if err := o.Checkpoint(cp); err != nil {
+				return out, fmt.Errorf("core: checkpoint %s@%d: %w", rec.ID, e, err)
 			}
 		}
 		if converged {

@@ -158,13 +158,20 @@ func (m *realModel) TrainEpoch() (EpochMetrics, error) {
 // SaveState implements Trainable.
 func (m *realModel) SaveState() ([]byte, error) { return m.net.SaveState() }
 
-// RestoreState implements Resumable: reload serialized weights and jump
-// the epoch counter so LR schedules continue where the crash left off.
+// ResumeState implements Resumable.
+func (m *realModel) ResumeState() ([]byte, error) { return m.net.SaveTraining(m.opt) }
+
+// RestoreState implements Resumable: reload the training state, replay
+// the completed epochs' shuffles so the data order continues as it
+// would have, and jump the epoch counter so LR schedules continue where
+// the crash left off.
 func (m *realModel) RestoreState(state []byte, epoch int) error {
-	if err := m.net.LoadState(state); err != nil {
+	if err := m.net.LoadTraining(state, m.opt); err != nil {
 		return err
 	}
-	m.epoch = epoch
+	for ; m.epoch < epoch; m.epoch++ {
+		m.trainer.train.ShuffleInto(m.batches, m.rng)
+	}
 	return nil
 }
 

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -230,5 +232,95 @@ func TestMicroGoldenBits(t *testing.T) {
 	got := [3]uint64{math.Float64bits(m.TrainLoss), math.Float64bits(m.TrainAccuracy), math.Float64bits(m.ValAccuracy)}
 	if want := [3]uint64{0x3fe63651ebe35198, 0x404a900000000000, 0x4046eaaaaaaaaaab}; got != want {
 		t.Errorf("loss/trainAcc/valAcc bits %#x (%v %v %v), want %#x", got, m.TrainLoss, m.TrainAccuracy, m.ValAccuracy, want)
+	}
+}
+
+// TestRealModelResumesBitForBit: a real model restored from its resume
+// state after epoch 2 trains epochs 3 and 4 to the bits of the model
+// that never stopped — weights, batch-norm warm-up, momentum, the data
+// order and the epoch count all continue — in both search spaces. A
+// state holding the weights alone, as an earlier build wrote it, still
+// restores.
+func TestRealModelResumesBitForBit(t *testing.T) {
+	train, val := highBeamSplit16(t, 60)
+	config := func(widths ...int) RealTrainerConfig {
+		return RealTrainerConfig{
+			Decode:    genome.DecodeConfig{InShape: []int{1, 16, 16}, Widths: widths, NumClasses: 2},
+			BatchSize: 16,
+		}
+	}
+	macro, err := NewRealTrainer(train, val, config(4, 8, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	micro, err := NewRealMicroTrainer(train, val, config(4, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := genome.Parse("1011011|0110101|1110110", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mg, err := genome.ParseMicro("0.conv3+0.max3;1.conv5+0.id;1.avg3+2.conv3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, newModel := range map[string]func() (Trainable, error){
+		"macro": func() (Trainable, error) { return macro.NewModel(g, 17) },
+		"micro": func() (Trainable, error) { return micro.NewModel(mg, 17) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			build := func() Trainable {
+				m, err := newModel()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return m
+			}
+			epochs := func(m Trainable, n int) []EpochMetrics {
+				var out []EpochMetrics
+				for i := 0; i < n; i++ {
+					em, err := m.TrainEpoch()
+					if err != nil {
+						t.Fatal(err)
+					}
+					out = append(out, em)
+				}
+				return out
+			}
+			whole := build()
+			want := epochs(whole, 4)[2:]
+
+			stopped := build()
+			epochs(stopped, 2)
+			state, err := stopped.(Resumable).ResumeState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			resumed := build()
+			if err := resumed.(Resumable).RestoreState(state, 2); err != nil {
+				t.Fatal(err)
+			}
+			if got := epochs(resumed, 2); !reflect.DeepEqual(got, want) {
+				t.Fatalf("resumed epochs 3-4 %+v, uninterrupted %+v", got, want)
+			}
+			// The metrics are coarse (a dozen validation samples); the
+			// states after epoch 4 must match to the bit.
+			wholeState, err := whole.(Resumable).ResumeState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := resumed.(Resumable).ResumeState(); err != nil || !bytes.Equal(got, wholeState) {
+				t.Fatalf("state after epoch 4 differs from the uninterrupted model's (%v)", err)
+			}
+
+			weights, err := stopped.SaveState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := build().(Resumable).RestoreState(weights, 2); err != nil {
+				t.Fatalf("a weights-only state does not restore: %v", err)
+			}
+		})
 	}
 }

@@ -7,8 +7,9 @@ package core
 // checkpoints (their record already committed) are removed, and the
 // valid records are cross-checked against events.jsonl, whose
 // model_done events reveal records the dying run committed in memory
-// but lost on disk. Each action is surfaced as a recovery journal
-// event, which the health engine turns into alerts.
+// but lost on disk, and whose epoch events are the checkpoints of the
+// models that keep no checkpoint file. Each action is surfaced as a
+// recovery journal event, which the health engine turns into alerts.
 
 import (
 	"fmt"
@@ -50,6 +51,60 @@ type RecoveryReport struct {
 	// TempsRemoved counts the temp files of writes killed before their
 	// rename that the pass deleted from the store.
 	TempsRemoved int `json:"temps_removed,omitempty"`
+	// journal is each model's progress as events.jsonl holds it.
+	journal map[string]ModelProgress
+}
+
+// ModelProgress is one model's latest contiguous chain of journaled
+// epoch events, 1..k, and whether its model_done followed.
+type ModelProgress struct {
+	Epochs []obs.Event
+	Done   bool
+}
+
+// JournalProgress folds a run's journal into each model's progress:
+// epoch 1 starts a chain (a fresh attempt), the next epoch extends it,
+// and model_resume k continues it from its first k epochs; a gap, or a
+// resume past what the chain holds, leaves the model no chain.
+func JournalProgress(events []obs.Event) map[string]ModelProgress {
+	out := make(map[string]ModelProgress)
+	for _, e := range events {
+		p := out[e.Model]
+		switch {
+		case e.Type == obs.EventModelDone:
+			p.Done = true
+		case e.Type == obs.EventModelResume && e.Epoch <= len(p.Epochs):
+			p.Epochs, p.Done = p.Epochs[:e.Epoch], false
+		case e.Type == obs.EventEpoch && (e.Epoch == 1 || e.Epoch == len(p.Epochs)+1):
+			p.Epochs, p.Done = append(p.Epochs[:e.Epoch-1], e), false
+		case e.Type == obs.EventEpoch || e.Type == obs.EventModelResume:
+			p.Epochs, p.Done = nil, false
+		default:
+			continue
+		}
+		out[e.Model] = p
+	}
+	return out
+}
+
+// quarantine moves a corrupt file aside through move and surfaces the
+// action as a recovery journal event (nil-safe), which the health engine
+// turns into an alert. ok is false when the file could not be moved:
+// another attempt won the race, or it is unreadable.
+func quarantine(journal *obs.Journal, move func(id, reason string) (string, error), id, kind string, cause error) (q QuarantinedFile, ok bool) {
+	reason := commons.CorruptionReason(cause)
+	dest, err := move(id, reason)
+	if err != nil {
+		return q, false
+	}
+	journal.Emit(obs.Event{
+		Type:   obs.EventRecovery,
+		Model:  id,
+		Reason: reason,
+		Path:   dest,
+		Msg:    fmt.Sprintf("quarantined corrupt %s %s (%s)", kind, id, reason),
+	})
+	return QuarantinedFile{ID: id, Kind: kind, Reason: reason, Path: dest}, true
 }
 
 // Clean reports whether recovery found nothing to repair.
@@ -66,26 +121,10 @@ func RecoverStore(store *commons.Store, journal *obs.Journal) (*RecoveryReport, 
 		return nil, fmt.Errorf("core: RecoverStore needs a store")
 	}
 	rep := &RecoveryReport{}
-	note := func(id, kind string, cause error) {
-		reason := commons.CorruptionReason(cause)
-		var move func(string, string) (string, error)
-		if kind == "record" {
-			move = store.QuarantineRecord
-		} else {
-			move = store.QuarantineCheckpoint
+	note := func(move func(string, string) (string, error), id, kind string, cause error) {
+		if q, ok := quarantine(journal, move, id, kind, cause); ok {
+			rep.Quarantined = append(rep.Quarantined, q)
 		}
-		dest, err := move(id, reason)
-		if err != nil {
-			return
-		}
-		rep.Quarantined = append(rep.Quarantined, QuarantinedFile{ID: id, Kind: kind, Reason: reason, Path: dest})
-		journal.Emit(obs.Event{
-			Type:   obs.EventRecovery,
-			Model:  id,
-			Reason: reason,
-			Path:   dest,
-			Msg:    fmt.Sprintf("quarantined corrupt %s %s (%s)", kind, id, reason),
-		})
 	}
 
 	var err error
@@ -108,7 +147,7 @@ func RecoverStore(store *commons.Store, journal *obs.Journal) (*RecoveryReport, 
 	valid := make(map[string]bool, len(ids))
 	for _, id := range ids {
 		if _, err := store.GetRecord(id); err != nil {
-			note(id, "record", err)
+			note(store.QuarantineRecord, id, "record", err)
 			continue
 		}
 		valid[id] = true
@@ -121,7 +160,7 @@ func RecoverStore(store *commons.Store, journal *obs.Journal) (*RecoveryReport, 
 	}
 	for _, id := range ckpts {
 		if _, err := store.GetCheckpoint(id); err != nil {
-			note(id, "checkpoint", err)
+			note(store.QuarantineCheckpoint, id, "checkpoint", err)
 			continue
 		}
 		if valid[id] {
@@ -143,18 +182,14 @@ func RecoverStore(store *commons.Store, journal *obs.Journal) (*RecoveryReport, 
 
 	// Cross-check against the event journal: a model_done event without
 	// a record on disk is work the dying run lost (e.g. a crash straight
-	// after the journal append). Those models retrain; the report lists
-	// them so operators can see what the crash cost.
+	// after the journal append). Those models rebuild or retrain; the
+	// report lists them so operators can see what the crash cost.
 	eventsPath := filepath.Join(store.Root(), obs.EventsFile)
 	if events, err := obs.ReadEvents(eventsPath); err == nil {
-		seen := map[string]bool{}
-		for _, e := range events {
-			if e.Type != obs.EventModelDone || e.Model == "" || seen[e.Model] {
-				continue
-			}
-			seen[e.Model] = true
-			if !valid[e.Model] {
-				rep.LostRecords = append(rep.LostRecords, e.Model)
+		rep.journal = JournalProgress(events)
+		for id, p := range rep.journal {
+			if p.Done && id != "" && !valid[id] {
+				rep.LostRecords = append(rep.LostRecords, id)
 			}
 		}
 		sort.Strings(rep.LostRecords)

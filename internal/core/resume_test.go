@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,8 +14,10 @@ import (
 
 	"a4nn/internal/chaos"
 	"a4nn/internal/commons"
+	"a4nn/internal/genome"
 	"a4nn/internal/lineage"
 	"a4nn/internal/obs"
+	"a4nn/internal/predict"
 	"a4nn/internal/sched"
 )
 
@@ -25,10 +28,32 @@ type resumableModel struct {
 	restored int
 }
 
+func (m *resumableModel) ResumeState() ([]byte, error) { return m.SaveState() }
+
 func (m *resumableModel) RestoreState(state []byte, epoch int) error {
 	m.i = int(state[0])
 	m.restored = epoch
 	return nil
+}
+
+// resumableTrainer is curveTrainer with models that restore their state
+// natively, so they keep checkpoint files.
+type resumableTrainer struct{ curveTrainer }
+
+func (t resumableTrainer) NewModel(g *genome.Genome, seed int64) (Trainable, error) {
+	m, err := t.curveTrainer.NewModel(g, seed)
+	if err != nil {
+		return nil, err
+	}
+	return &resumableModel{scriptedModel: *m.(*scriptedModel)}, nil
+}
+
+// resumableConfig is testConfig over resumableTrainer: the same curves,
+// so the same search.
+func resumableConfig() Config {
+	cfg := testConfig()
+	cfg.Trainer = resumableTrainer{curveTrainer{samples: 100}}
+	return cfg
 }
 
 func TestOrchestratorCheckpointSink(t *testing.T) {
@@ -95,9 +120,9 @@ func TestOrchestratorResumeMatchesFullRun(t *testing.T) {
 		t.Fatal("no checkpoint captured at epoch 7")
 	}
 
-	// Resume: fresh model fast-forwarded to the checkpoint, then handed
-	// to an orchestrator with ResumeFrom.
-	fresh := &scriptedModel{curve: curve, flops: 1e6}
+	// Resume: fresh model restored from the checkpoint, then handed to
+	// an orchestrator with ResumeFrom.
+	fresh := &resumableModel{scriptedModel: scriptedModel{curve: curve, flops: 1e6}}
 	if err := ResumeModel(fresh, cp); err != nil {
 		t.Fatal(err)
 	}
@@ -152,32 +177,54 @@ func TestResumeModelNativeRestore(t *testing.T) {
 	}
 }
 
-func TestResumeModelFastForwardVerifiesDigest(t *testing.T) {
+// TestReplayJournalVerifiesBits: a model with no checkpoint file is
+// rebuilt by replaying the epochs its journal holds, and a journal whose
+// bits the replay does not reproduce is refused.
+func TestReplayJournalVerifiesBits(t *testing.T) {
 	curve := expCurve(90, 0.5, 1, 25)
-	// scriptedModel's state is its epoch position, so the digest of a
-	// correctly fast-forwarded model matches the checkpoint's.
-	good := &commons.Checkpoint{
-		ID: "m", Genome: "g", Epoch: 5, Seed: 1,
-		State: []byte{5}, StateDigest: commons.StateDigest([]byte{5}),
-		Epochs: make([]lineage.EpochEntry, 5),
+	dev := sched.Device{Throughput: 1e9}
+	var chain []obs.Event
+	for e := 1; e <= 5; e++ {
+		chain = append(chain, obs.Event{Type: obs.EventEpoch, Model: "m", Epoch: e,
+			ValAcc: curve[e-1], Loss: 1 / float64(e), SimSeconds: 0.25})
 	}
 	m := &scriptedModel{curve: curve}
-	if err := ResumeModel(m, good); err != nil {
+	cp, err := replayJournal(m, nil, dev, 100, chain)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if m.i != 5 {
-		t.Fatalf("fast-forward left model at epoch %d", m.i)
+	if m.i != 5 || cp.Epoch != 5 || cp.SimSeconds != 1.25 || cp.Terminated {
+		t.Fatalf("replay left the model at epoch %d, checkpoint %+v", m.i, cp)
+	}
+	for i, v := range cp.History() {
+		if v != curve[i] || cp.Epochs[i].SimSeconds != 0.25 {
+			t.Fatalf("epoch %d: %+v", i+1, cp.Epochs[i])
+		}
 	}
 
-	// A checkpoint claiming a different trajectory fails verification.
-	lying := &commons.Checkpoint{
-		ID: "m", Genome: "g", Epoch: 5, Seed: 1,
-		State: []byte{7}, StateDigest: commons.StateDigest([]byte{7}),
-		Epochs: make([]lineage.EpochEntry, 5),
+	// One ulp off in one journaled field is another model.
+	for _, field := range []string{"val_acc", "loss"} {
+		lying := append([]obs.Event(nil), chain...)
+		if field == "val_acc" {
+			lying[2].ValAcc = math.Nextafter(lying[2].ValAcc, 100)
+		} else {
+			lying[2].Loss = math.Nextafter(lying[2].Loss, 100)
+		}
+		if _, err := replayJournal(&scriptedModel{curve: curve}, nil, dev, 100, lying); err == nil {
+			t.Errorf("a journal with another %s at epoch 3 replayed", field)
+		}
 	}
-	err := ResumeModel(&scriptedModel{curve: curve}, lying)
-	if !errors.Is(err, commons.ErrCorrupt) {
-		t.Fatalf("want ErrCorrupt on divergent fast-forward, got %v", err)
+
+	// A flat curve converges early: a longer journal is not this model's.
+	flat := make([]float64, 25)
+	var long []obs.Event
+	for e := 1; e <= 25; e++ {
+		flat[e-1] = 80
+		long = append(long, obs.Event{Type: obs.EventEpoch, Model: "m", Epoch: e, ValAcc: 80, Loss: 1 / float64(e)})
+	}
+	engineCfg := predict.DefaultConfig()
+	if _, err := replayJournal(&scriptedModel{curve: flat}, &engineCfg, dev, 100, long); err == nil {
+		t.Error("a journal past the replay's convergence epoch replayed")
 	}
 }
 
@@ -198,7 +245,7 @@ func TestWorkflowCheckpointResumeMidGeneration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	crashCfg := testConfig()
+	crashCfg := resumableConfig()
 	crashCfg.Store = store
 	crashCfg.Checkpoints = true
 	plan, err := chaos.Parse("err=" + chaos.PointRecordPreRename + "@3")
@@ -233,7 +280,7 @@ func TestWorkflowCheckpointResumeMidGeneration(t *testing.T) {
 		t.Fatal("no checkpoint survived the crash")
 	}
 
-	resumed := testConfig()
+	resumed := resumableConfig()
 	resumed.Store = store
 	resumed.Resume = true
 	resumed.Checkpoints = true
@@ -276,7 +323,7 @@ func TestWorkflowCorruptCheckpointQuarantined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	crashCfg := testConfig()
+	crashCfg := resumableConfig()
 	crashCfg.Store = store
 	crashCfg.Checkpoints = true
 	plan, err := chaos.Parse("err=" + chaos.PointRecordPreRename + "@2")
@@ -306,7 +353,7 @@ func TestWorkflowCorruptCheckpointQuarantined(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resumed := testConfig()
+	resumed := resumableConfig()
 	resumed.Store = store
 	resumed.Resume = true
 	resumed.Checkpoints = true
@@ -470,7 +517,7 @@ func crashMidGeneration(t *testing.T) (*commons.Store, []string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := testConfig()
+	cfg := resumableConfig()
 	cfg.Store = store
 	cfg.Checkpoints = true
 	plan, err := chaos.Parse("err=" + chaos.PointRecordPreRename + "@3")
@@ -493,7 +540,7 @@ func crashMidGeneration(t *testing.T) (*commons.Store, []string) {
 // resumeRun resumes a crashed store with a journal attached.
 func resumeRun(t *testing.T, store *commons.Store) (*Result, []obs.Event) {
 	t.Helper()
-	cfg := testConfig()
+	cfg := resumableConfig()
 	cfg.Store = store
 	cfg.Resume = true
 	cfg.Checkpoints = true

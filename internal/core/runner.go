@@ -29,8 +29,10 @@ type runner[G Arch] struct {
 	pool         *sched.Pool
 	engine       *predict.Engine
 	engineParams *lineage.EngineParams
-	instruments  *Instruments
-	journal      *obs.Journal
+	// journaled is the fold of the resumed run's journal.
+	journaled   map[string]ModelProgress
+	instruments *Instruments
+	journal     *obs.Journal
 
 	mu              sync.Mutex
 	res             *Result
@@ -156,14 +158,14 @@ func (r *runner[G]) evaluateGeneration(ctx context.Context, gen int, cands []G) 
 			// the seed is fixed however many run at once.
 			freshSeed := r.cfg.NAS.Seed*1_000_003 + int64(gen)*10_007 + int64(i)*101 + int64(dev.ID)
 			seed := freshSeed
-			// A mid-training checkpoint, when valid, supplies the model's
-			// original seed and completed epochs: training continues from
-			// the crash instead of restarting, reproducing the fault-free
-			// trajectory exactly. Only a first attempt resumes: a retry's
-			// checkpoint is its own failed attempt's, which a plain run
-			// would not continue either.
+			// A model that crashed mid-training continues from the crash
+			// instead of restarting, reproducing the fault-free trajectory
+			// exactly; a checkpoint file supplies its original seed. Only
+			// a first attempt resumes: a retry's progress is its own failed
+			// attempt's, which a plain run would not continue either.
 			var resumeCp *commons.Checkpoint
-			if r.cfg.Resume && r.cfg.Checkpoints && r.cfg.Store != nil && tc.Attempt == 1 {
+			resuming := r.cfg.Resume && r.cfg.Checkpoints && tc.Attempt == 1
+			if resuming {
 				cp, err := r.cfg.Store.GetCheckpoint(recID)
 				switch {
 				case err == nil && cp.Genome == encoding && cp.Epoch <= r.cfg.MaxEpochs:
@@ -177,17 +179,32 @@ func (r *runner[G]) evaluateGeneration(ctx context.Context, gen int, cands []G) 
 			if err != nil {
 				return 0, fmt.Errorf("core: build model for %s: %w", hash, err)
 			}
-			if resumeCp != nil {
-				if err := ResumeModel(model, resumeCp); err != nil {
+			_, resumable := model.(Resumable)
+			switch {
+			case resuming && !resumable:
+				// A model with no state of its own to restore keeps no
+				// checkpoint file: its journaled epochs are replayed and
+				// verified instead. A file an older build wrote for it is
+				// superseded by the journal beside it; one this best-effort
+				// delete misses is stale once the record commits, and
+				// recovery removes it then.
+				r.cfg.Store.DeleteCheckpoint(recID)
+				resumeCp = nil
+				if chain := r.journaled[recID].Epochs; len(chain) > 0 && len(chain) <= r.cfg.MaxEpochs {
+					resumeCp, err = replayJournal(model, r.cfg.Engine, dev, r.cfg.Trainer.TrainSamples(), chain)
+				}
+			case resumeCp != nil:
+				if err = ResumeModel(model, resumeCp); err != nil {
 					// The checkpointed state can't be trusted (a digest
-					// mismatch or restore failure): quarantine it and train
-					// fresh with this attempt's own seed.
+					// mismatch or restore failure).
 					r.quarantine(r.cfg.Store.QuarantineCheckpoint, recID, "checkpoint", err)
-					resumeCp = nil
-					seed = freshSeed
-					if model, err = r.cfg.Trainer.NewModel(g, seed); err != nil {
-						return 0, fmt.Errorf("core: rebuild model for %s: %w", hash, err)
-					}
+				}
+			}
+			if err != nil || resumeCp == nil && seed != freshSeed {
+				// Train fresh with this attempt's own seed.
+				resumeCp, seed = nil, freshSeed
+				if model, err = r.cfg.Trainer.NewModel(g, seed); err != nil {
+					return 0, fmt.Errorf("core: rebuild model for %s: %w", hash, err)
 				}
 			}
 			rec := &lineage.Record{
@@ -222,7 +239,7 @@ func (r *runner[G]) evaluateGeneration(ctx context.Context, gen int, cands []G) 
 				orch.Snapshots = r.cfg.Store.PutSnapshot
 			}
 			var ckpt *commons.CheckpointLog
-			if r.cfg.Store != nil && r.cfg.Checkpoints {
+			if r.cfg.Store != nil && r.cfg.Checkpoints && resumable {
 				ckpt = r.cfg.Store.CheckpointLog(recID, resumeCp)
 				// A failed attempt leaves its frames for a resume; every
 				// one of them was written before Close, whose error tells
@@ -350,23 +367,13 @@ func (r *runner[G]) paretoFrontLocked() []obs.ParetoPoint {
 
 // quarantine moves a corrupt file aside via the store's quarantine
 // method, counting it and surfacing the action as a recovery journal
-// event (which the health engine turns into an alert).
+// event.
 func (r *runner[G]) quarantine(move func(id, reason string) (string, error), id, kind string, cause error) {
-	reason := commons.CorruptionReason(cause)
-	dest, err := move(id, reason)
-	if err != nil {
-		return // already moved (another attempt won the race) or unreadable
+	if _, ok := quarantine(r.journal, move, id, kind, cause); ok {
+		r.mu.Lock()
+		r.res.Quarantined++
+		r.mu.Unlock()
 	}
-	r.mu.Lock()
-	r.res.Quarantined++
-	r.mu.Unlock()
-	r.journal.Emit(obs.Event{
-		Type:   obs.EventRecovery,
-		Model:  id,
-		Reason: reason,
-		Path:   dest,
-		Msg:    fmt.Sprintf("quarantined corrupt %s %s (%s)", kind, id, reason),
-	})
 }
 
 // attachRecovery folds a resume preflight's report into the result.
@@ -376,6 +383,7 @@ func (r *runner[G]) attachRecovery(rep *RecoveryReport) {
 	}
 	r.mu.Lock()
 	r.res.Recovery = rep
+	r.journaled = rep.journal
 	r.res.Quarantined += len(rep.Quarantined)
 	r.mu.Unlock()
 }

@@ -38,11 +38,14 @@ type ConfigOf[G Arch] struct {
 	// additionally stores per-epoch model states.
 	Store          *commons.Store
 	SnapshotEpochs bool
-	// Checkpoints persists each model's mid-training progress into Store
-	// after every epoch, so a killed run rerun with Resume continues
-	// *inside* the interrupted generation — finished models replay from
-	// their records, half-trained ones from their checkpoints. Requires
-	// Store.
+	// Checkpoints keeps each model's mid-training progress after every
+	// epoch, so a killed run rerun with Resume continues *inside* the
+	// interrupted generation — finished models replay from their
+	// records, half-trained ones from their progress. A model that is
+	// Resumable keeps a checkpoint file in Store. Any other keeps none:
+	// the epoch events of the run's journal, <Store>/events.jsonl, are
+	// its checkpoint, replayed and verified bit for bit on Resume (with
+	// no journal it retrains). Requires Store.
 	Checkpoints bool
 	// OnModel, when non-nil, is invoked once per evaluated network as it
 	// finishes training — for progress reporting. A generation's networks

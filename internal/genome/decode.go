@@ -184,6 +184,18 @@ func (b *PhaseBlock) Params() []*nn.Param {
 	return ps
 }
 
+// BatchNorms implements nn.BatchNormer: the projection unit's and every
+// active node's, in StateTensors order.
+func (b *PhaseBlock) BatchNorms() []*nn.BatchNormReLU {
+	out := []*nn.BatchNormReLU{b.proj.bn}
+	for _, u := range b.nodes {
+		if u != nil {
+			out = append(out, u.bn)
+		}
+	}
+	return out
+}
+
 // StateTensors implements nn.Stateful: the batch-norm running statistics
 // of the projection unit and every active node, so decoded networks
 // serialize completely.

@@ -155,6 +155,19 @@ func (c *MicroCell) Params() []*nn.Param {
 	return append(ps, c.combine.params()...)
 }
 
+// BatchNorms implements nn.BatchNormer, in StateTensors order.
+func (c *MicroCell) BatchNorms() []*nn.BatchNormReLU {
+	out := []*nn.BatchNormReLU{c.proj.bn}
+	for _, pair := range c.ops {
+		for _, op := range pair {
+			if op.conv != nil {
+				out = append(out, op.conv.bn)
+			}
+		}
+	}
+	return append(out, c.combine.bn)
+}
+
 // StateTensors implements nn.Stateful.
 func (c *MicroCell) StateTensors() []*tensor.Tensor {
 	out := c.proj.bn.StateTensors()

@@ -200,6 +200,27 @@ type Stateful interface {
 	StateTensors() []*tensor.Tensor
 }
 
+// BatchNormer is implemented by composite layers holding batch-norm
+// layers.
+type BatchNormer interface {
+	BatchNorms() []*BatchNormReLU
+}
+
+// batchNorms lists the network's batch-norm layers, nested ones
+// included, in layer order.
+func (n *Network) batchNorms() []*BatchNormReLU {
+	var out []*BatchNormReLU
+	for _, l := range n.Layers {
+		switch l := l.(type) {
+		case *BatchNormReLU:
+			out = append(out, l)
+		case BatchNormer:
+			out = append(out, l.BatchNorms()...)
+		}
+	}
+	return out
+}
+
 // stateTensors collects every Stateful layer's tensors in layer order.
 func (n *Network) stateTensors() []*tensor.Tensor {
 	var out []*tensor.Tensor
@@ -270,6 +291,71 @@ func (n *Network) LoadState(data []byte) error {
 	}
 	for i, s := range states {
 		copy(s.Data(), st.State[i])
+	}
+	return nil
+}
+
+// trainingState is the gob wire form of SaveTraining.
+type trainingState struct {
+	Net      []byte
+	Counts   []int
+	Velocity [][]float64
+}
+
+// SaveTraining serialises what continuing training bit for bit needs:
+// SaveState's bytes, the count of training batches each batch-norm layer
+// has seen (its running statistics' warm-up) and, for SGD, the momentum
+// buffers of the parameters.
+func (n *Network) SaveTraining(opt Optimizer) ([]byte, error) {
+	st := trainingState{}
+	var err error
+	if st.Net, err = n.SaveState(); err != nil {
+		return nil, err
+	}
+	for _, b := range n.batchNorms() {
+		st.Counts = append(st.Counts, b.updates)
+	}
+	if sgd, ok := opt.(*SGD); ok {
+		for _, p := range n.Params() {
+			st.Velocity = append(st.Velocity, sgd.velocity[p])
+		}
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
+		return nil, fmt.Errorf("nn: encode training state of %q: %w", n.ID, err)
+	}
+	return buf.Bytes(), nil
+}
+
+// LoadTraining restores what SaveTraining wrote into an architecturally
+// identical network and its optimizer. It also takes SaveState's bytes
+// alone, as an earlier build checkpointed them; batch counts and
+// momentum then start from zero.
+func (n *Network) LoadTraining(data []byte, opt Optimizer) error {
+	var st trainingState
+	if gob.NewDecoder(bytes.NewReader(data)).Decode(&st) != nil {
+		st = trainingState{Net: data}
+	}
+	bns, params := n.batchNorms(), n.Params()
+	if st.Counts != nil && len(st.Counts) != len(bns) || st.Velocity != nil && len(st.Velocity) != len(params) {
+		return fmt.Errorf("nn: training state has %d batch counts and %d momentum buffers, network %q has %d and %d",
+			len(st.Counts), len(st.Velocity), n.ID, len(bns), len(params))
+	}
+	if err := n.LoadState(st.Net); err != nil {
+		return err
+	}
+	for i, c := range st.Counts {
+		bns[i].updates = c
+	}
+	sgd, _ := opt.(*SGD)
+	for i, v := range st.Velocity {
+		switch {
+		case len(v) == 0 || sgd == nil:
+		case len(v) != params[i].Value.Len():
+			return fmt.Errorf("nn: momentum buffer %d has %d values for %d", i, len(v), params[i].Value.Len())
+		default:
+			sgd.velocity[params[i]] = v
+		}
 	}
 	return nil
 }
