@@ -134,7 +134,8 @@ golden-nofma:
 	GODEBUG=cpu.fma=off $(GO) test -count 1 -run 'GoldenBits|FitMatchesReference|Solve3MatchesEliminate|Np3PathMatchesGeneral|ExpInto|ExpJacobian|ClosedFormKeeps|EvalBatchMatchesEval|FitScratchReuse' ./internal/predict ./internal/simtrain ./internal/core ./internal/fit ./internal/tensor
 
 # fuzz-smoke mutates the input of every decoder of bytes read back from
-# disk, and of every command-line spec parser (-faults, -chaos,
+# disk, of the two genome parsers that read a record's genome, and of
+# every command-line spec parser (-faults, -chaos,
 # -health-config, -slo), the vector exponential against the scalar
 # one, and the append encoders of the journal line, the checkpoint
 # payload, the record and the surrogate state against encoding/json,
@@ -156,6 +157,8 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz='^FuzzCheckpointJSON$$' -fuzztime=10s ./internal/commons
 	$(GO) test -run=^$$ -fuzz='^FuzzRecordJSON$$' -fuzztime=10s ./internal/lineage
 	$(GO) test -run=^$$ -fuzz='^FuzzStateJSON$$' -fuzztime=10s ./internal/simtrain
+	$(GO) test -run=^$$ -fuzz='^FuzzParseGenome$$' -fuzztime=10s ./internal/genome
+	$(GO) test -run=^$$ -fuzz='^FuzzParseMicro$$' -fuzztime=10s ./internal/genome
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
@@ -164,9 +167,9 @@ bench:
 # them) for a single iteration under -short (skips the 1024 GEMM), as a
 # correctness check in ci, and likewise the prediction engine's: the LM
 # fit, one engine interaction, a tracker replaying a 25-epoch history, and
-# a surrogate model's set-up; one model's checkpoint log (18 epoch
-# appends, then the delete); and one real-training epoch at the
-# benchmark's train_real shapes.
+# a surrogate model's set-up; one real-training model's checkpoint
+# traffic (ten whole-file puts, then the delete); and one real-training
+# epoch at the benchmark's train_real shapes.
 bench-smoke:
 	$(GO) test -short -run=^$$ -bench=. -benchtime=1x ./internal/tensor ./internal/nn
 	$(GO) test -short -run=^$$ -bench=. -benchtime=1x -benchmem ./internal/fit ./internal/predict ./internal/simtrain ./internal/commons ./internal/core
@@ -176,7 +179,7 @@ bench-smoke:
 # hot path must not regress — when any disabled observability path
 # (per-layer profiler, span tracer, health monitor) costs allocations,
 # when the enabled health engine allocates on a steady event stream, or
-# when an enabled in-situ writer (journal emit, checkpoint frame)
+# when an enabled in-situ writer (journal emit, whole-checkpoint encode)
 # allocates.
 bench-gate:
 	GO="$(GO)" sh scripts/benchgate.sh

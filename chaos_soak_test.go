@@ -46,7 +46,7 @@ var soakSearchArgs = []string{
 
 // realSearchArgs is the real-training search the checkpoint-write plans
 // crash: a 2+2-model search over an xfelgen dataset (-data is appended).
-// Ten epochs of four models write 40 checkpoint frames.
+// Ten epochs of four models write a checkpoint file up to 40 times.
 var realSearchArgs = []string{
 	"-population", "2", "-offspring", "2", "-generations", "2", "-epochs", "10",
 	"-devices", "1", "-seed", "42",

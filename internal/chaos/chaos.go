@@ -33,11 +33,10 @@ const (
 	PointRecordPostRename = "commons.record.post_rename"
 	// PointSnapshotPreRename fires before an epoch snapshot rename.
 	PointSnapshotPreRename = "commons.snapshot.pre_rename"
-	// PointCheckpointPreWrite fires before every checkpoint write — an
-	// epoch frame's append, or a whole file's rename — so the file still
-	// holds the previous epoch.
+	// PointCheckpointPreWrite fires before every checkpoint file's rename,
+	// so the file still holds the previous epoch.
 	PointCheckpointPreWrite = "commons.checkpoint.pre_write"
-	// PointCheckpointPostWrite fires just after a checkpoint write lands.
+	// PointCheckpointPostWrite fires just after a checkpoint rename lands.
 	PointCheckpointPostWrite = "commons.checkpoint.post_write"
 	// PointJournalAppend fires before an event line is appended to
 	// events.jsonl.
@@ -59,8 +58,8 @@ var catalogue = map[string]string{
 	PointRecordPreRename:     "before a lineage record rename",
 	PointRecordPostRename:    "after a lineage record rename",
 	PointSnapshotPreRename:   "before an epoch snapshot rename",
-	PointCheckpointPreWrite:  "before a model checkpoint append or rename",
-	PointCheckpointPostWrite: "after a model checkpoint append or rename",
+	PointCheckpointPreWrite:  "before a model checkpoint rename",
+	PointCheckpointPostWrite: "after a model checkpoint rename",
 	PointJournalAppend:       "before an event journal append",
 	PointAlertsAppend:        "before an alert sink append",
 	PointGenerationCommit:    "after a generation's records commit",

@@ -4,17 +4,13 @@ package commons
 // crash-safely so -resume continues *inside* an interrupted generation
 // instead of retraining it from epoch 1.
 //
-// checkpoints/<id>.ckpt is a log of durable sections (frames), each
-// holding a JSON Checkpoint. The first frame, "a4ck.model", is a whole
-// checkpoint and names the model. Every later frame, "a4ck.epoch", is a
-// suffix: the epoch entries and interaction timings added since the
-// frame before it, plus the latest epoch count, state, digest, totals
-// and Terminated flag. A training attempt appends one frame per epoch
-// (CheckpointLog); a reader folds the frames back into one Checkpoint.
-// A torn final frame — a kill mid-append — is dropped by the fold and
-// cut by the next append, so a crash costs at most that epoch. A frame
-// that fails its CRC with bytes after it, and a file with no intact
-// frame, are corrupt and get quarantined.
+// checkpoints/<id>.ckpt is one durable section (frame), "a4ck.model",
+// holding a whole JSON Checkpoint. Every epoch replaces the file through
+// durable.AtomicWrite, so a kill leaves the previous epoch's file or the
+// new one, and costs at most the epoch in training. Anything but exactly
+// one intact frame is corrupt and gets quarantined: a file cut short or
+// damaged in place, and a file of several frames (the per-epoch frame
+// log of earlier builds).
 
 import (
 	"bytes"
@@ -23,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -35,16 +30,12 @@ import (
 	"a4nn/internal/lineage"
 )
 
-// The frame names: the head of every checkpoint file, then one per
-// append.
-const (
-	headFrame  = "a4ck.model"
-	epochFrame = "a4ck.epoch"
-)
+// frameName names the one frame of a checkpoint file.
+const frameName = "a4ck.model"
 
-// headPrefix is how every checkpoint file starts: the head frame's name
+// framePrefix is how every checkpoint file starts: the frame's name
 // length and name.
-var headPrefix = durable.AppendSection(nil, headFrame, nil)[:4+len(headFrame)]
+var framePrefix = durable.AppendSection(nil, frameName, nil)[:4+len(frameName)]
 
 // Checkpoint is one model's mid-training progress: everything needed to
 // rebuild the model (Genome + the original Seed), restore its state
@@ -84,10 +75,6 @@ type Checkpoint struct {
 	InteractionSeconds []float64 `json:"interaction_seconds,omitempty"`
 	// SavedAt is the wall-clock write time.
 	SavedAt time.Time `json:"saved_at"`
-
-	// size is the length of the intact frames GetCheckpoint read, where
-	// a resumed CheckpointLog appends.
-	size int64
 }
 
 // Validate reports the first problem with the checkpoint, or nil.
@@ -95,20 +82,14 @@ func (c *Checkpoint) Validate() error {
 	if c.ID == "" || c.Genome == "" {
 		return errors.New("checkpoint needs ID and Genome")
 	}
-	return c.validateFrom(0)
-}
-
-// validateFrom checks the epoch count and the labels of the entries
-// past the first k, which an earlier check already covered.
-func (c *Checkpoint) validateFrom(k int) error {
 	if c.Epoch < 1 {
 		return fmt.Errorf("checkpoint epoch %d must be ≥ 1", c.Epoch)
 	}
 	if len(c.Epochs) != c.Epoch {
 		return fmt.Errorf("checkpoint has %d epoch entries for epoch %d", len(c.Epochs), c.Epoch)
 	}
-	for i := k; i < len(c.Epochs); i++ {
-		if e := c.Epochs[i]; e.Epoch != i+1 {
+	for i, e := range c.Epochs {
+		if e.Epoch != i+1 {
 			return fmt.Errorf("checkpoint epoch entry %d labelled %d", i, e.Epoch)
 		}
 	}
@@ -184,22 +165,12 @@ func CorruptionReason(err error) string {
 	return "decode"
 }
 
-// appendFrame appends to dst the frame of c past its first epochs
-// entries and interactions timings: the head frame, the whole
-// checkpoint, when epochs is 0. The payload is encoded in place, and on
-// error dst comes back as it was.
-func appendFrame(dst []byte, c *Checkpoint, epochs, interactions int) ([]byte, error) {
-	name, f := headFrame, c
-	if epochs > 0 {
-		suffix := *c
-		suffix.ID, suffix.Genome, suffix.Generation, suffix.Seed = "", "", 0, 0
-		suffix.Epochs = c.Epochs[epochs:]
-		suffix.InteractionSeconds = c.InteractionSeconds[interactions:]
-		name, f = epochFrame, &suffix
-	}
-	out, start := durable.BeginSection(dst, name)
+// appendFrame appends c's frame to dst, its payload encoded in place;
+// on error dst comes back as it was.
+func appendFrame(dst []byte, c *Checkpoint) ([]byte, error) {
+	out, start := durable.BeginSection(dst, frameName)
 	w := durable.JSON{B: out}
-	f.writeJSON(&w)
+	c.writeJSON(&w)
 	if w.Err != nil {
 		return dst, fmt.Errorf("commons: encode checkpoint %s: %w", c.ID, w.Err)
 	}
@@ -226,117 +197,67 @@ func (c *Checkpoint) writeJSON(w *durable.JSON) {
 	w.EndObject()
 }
 
-// EncodeCheckpoint validates c and encodes it as a one-frame file.
+// EncodeCheckpoint validates c and encodes it as a checkpoint file.
 func EncodeCheckpoint(c *Checkpoint) ([]byte, error) {
 	if err := c.Validate(); err != nil {
 		return nil, fmt.Errorf("commons: encode checkpoint: %w", err)
 	}
-	return appendFrame(nil, c, 0, 0)
+	return appendFrame(nil, c)
 }
 
-// DecodeCheckpoint folds the frames of a checkpoint file into one
-// Checkpoint, dropping a torn final frame. Damage anywhere else, or no
-// intact frame at all, returns a *CorruptionError (never a panic); path
-// only labels the error.
+// DecodeCheckpoint decodes a checkpoint file, which must be exactly one
+// intact frame. Anything else returns a *CorruptionError (never a
+// panic): "truncated" for a file that ends inside its frame, "checksum"
+// for a frame damaged in place, "magic" for one that is not a checkpoint
+// frame or has bytes after it. path only labels the error.
 func DecodeCheckpoint(path string, data []byte) (*Checkpoint, error) {
-	var c *Checkpoint
-	off := 0
-	for off < len(data) {
-		rest := data[off:]
-		name, payload, n, err := durable.NextSection(rest)
-		if err != nil {
-			claimed := claimedLen(rest)
-			switch {
-			case c != nil && claimed >= uint64(len(rest)):
-				// The frame a kill cut short (or a power loss left
-				// unwritten) ends the file: it never happened.
-				c.size = int64(off)
-				return c, nil
-			case c == nil && !bytes.HasPrefix(headPrefix, rest[:min(len(rest), len(headPrefix))]):
-				return nil, &CorruptionError{Path: path, Reason: "magic",
-					Err: fmt.Errorf("no %s frame at the start", headFrame)}
-			case claimed > uint64(len(rest)):
-				return nil, &CorruptionError{Path: path, Reason: "truncated", Err: err}
-			}
-			return nil, &CorruptionError{Path: path, Reason: "checksum", Err: err}
-		}
-		want := epochFrame
-		if c == nil {
-			want = headFrame
-		}
-		if name != want {
-			return nil, &CorruptionError{Path: path, Reason: "magic",
-				Err: fmt.Errorf("frame %.64q at offset %d, want %s", name, off, want)}
-		}
-		var f Checkpoint
-		if err := json.Unmarshal(payload, &f); err != nil {
-			return nil, &CorruptionError{Path: path, Reason: "decode", Err: err}
-		}
-		if c == nil {
-			c = &f
-			err = c.Validate()
-		} else {
-			k := len(c.Epochs)
-			c.extend(&f)
-			err = c.validateFrom(k)
-		}
-		if err != nil {
-			return nil, &CorruptionError{Path: path, Reason: "validate", Err: err}
-		}
-		off += n
+	corrupt := func(reason string, err error) (*Checkpoint, error) {
+		return nil, &CorruptionError{Path: path, Reason: reason, Err: err}
 	}
-	if c == nil {
-		return nil, &CorruptionError{Path: path, Reason: "truncated", Err: errors.New("empty file")}
+	if !bytes.HasPrefix(data, framePrefix) {
+		if bytes.HasPrefix(framePrefix, data) {
+			return corrupt("truncated", fmt.Errorf("%d-byte file", len(data)))
+		}
+		return corrupt("magic", fmt.Errorf("no %s frame at the start", frameName))
 	}
-	c.size = int64(off)
+	// A write cut short leaves a payload length (plus its CRC) that runs
+	// past the end of the file.
+	if rest := data[len(framePrefix):]; len(rest) < 4 || uint64(binary.LittleEndian.Uint32(rest))+8 > uint64(len(rest)) {
+		return corrupt("truncated", fmt.Errorf("%d-byte file ends inside its frame", len(data)))
+	}
+	_, payload, n, err := durable.NextSection(data)
+	if err != nil {
+		return corrupt("checksum", err)
+	}
+	if n != len(data) {
+		return corrupt("magic", fmt.Errorf("%d bytes after the %s frame", len(data)-n, frameName))
+	}
+	c := new(Checkpoint)
+	if err := json.Unmarshal(payload, c); err != nil {
+		return corrupt("decode", err)
+	}
+	if err := c.Validate(); err != nil {
+		return corrupt("validate", err)
+	}
 	return c, nil
-}
-
-// claimedLen is the length the section at the start of data claims in
-// its two length fields (MaxUint64 when those are cut off). A section
-// that failed to decode with bytes after it was damaged in place; a
-// final one was torn.
-func claimedLen(data []byte) uint64 {
-	if len(data) < 4 {
-		return math.MaxUint64
-	}
-	name := uint64(binary.LittleEndian.Uint32(data))
-	if uint64(len(data)) < 8+name {
-		return math.MaxUint64
-	}
-	return 12 + name + uint64(binary.LittleEndian.Uint32(data[4+name:]))
-}
-
-// extend folds f, the frame that follows c, into c.
-func (c *Checkpoint) extend(f *Checkpoint) {
-	c.Epoch, c.Terminated = f.Epoch, f.Terminated
-	c.State, c.StateDigest = f.State, f.StateDigest
-	c.Epochs = append(c.Epochs, f.Epochs...)
-	c.SimSeconds, c.EngineSeconds, c.Interactions = f.SimSeconds, f.EngineSeconds, f.Interactions
-	c.InteractionSeconds = append(c.InteractionSeconds, f.InteractionSeconds...)
-	c.SavedAt = f.SavedAt
 }
 
 func (s *Store) checkpointPath(id string) string {
 	return filepath.Join(s.root, "checkpoints", id+".ckpt")
 }
 
-// PutCheckpoint replaces a model's checkpoint file with c as one frame.
+// PutCheckpoint replaces a model's checkpoint file with c: a kill
+// leaves the previous file or this one. Nothing is fsynced.
 func (s *Store) PutCheckpoint(c *Checkpoint) error {
 	data, err := EncodeCheckpoint(c)
 	if err != nil {
 		return err
 	}
-	if err := s.replaceCheckpoint(c.ID, data); err != nil {
+	if err := durable.AtomicWrite(s.checkpointPath(c.ID), data, 0o644, false,
+		chaos.PointCheckpointPreWrite, chaos.PointCheckpointPostWrite); err != nil {
 		return fmt.Errorf("commons: write checkpoint %s: %w", c.ID, err)
 	}
 	return nil
-}
-
-// replaceCheckpoint swaps id's checkpoint file for one holding data.
-func (s *Store) replaceCheckpoint(id string, data []byte) error {
-	return durable.AtomicWrite(s.checkpointPath(id), data, 0o644, false,
-		chaos.PointCheckpointPreWrite, chaos.PointCheckpointPostWrite)
 }
 
 // GetCheckpoint loads a model checkpoint. A missing checkpoint returns
@@ -359,129 +280,6 @@ func (s *Store) DeleteCheckpoint(id string) error {
 		return fmt.Errorf("commons: delete checkpoint %s: %w", id, err)
 	}
 	return nil
-}
-
-// CheckpointLog is one training attempt's checkpoint file. Put writes
-// the frame each epoch adds; Remove deletes the file once the model's
-// record commits, Close leaves it for a resume. One attempt owns it, so
-// it takes no lock; nothing is fsynced.
-type CheckpointLog struct {
-	store *Store
-	id    string
-	log   *durable.Log // opened by the next append; nil after a replace
-	// epochs and interactions count the entries the file holds.
-	epochs, interactions int
-	// size is the file's length and whole the estimated length of the
-	// same checkpoint as one frame; bare is the length of an epoch frame
-	// with no entries, so an n-byte frame grows whole by n − bare.
-	size, whole, bare int64
-	buf               []byte
-}
-
-// CheckpointLog returns the checkpoint log of model id for one training
-// attempt. A fresh attempt passes a nil from and starts the file empty;
-// a resumed one passes the checkpoint GetCheckpoint returned, and its
-// frames follow that read's last intact one. The file is opened by the
-// first Put.
-func (s *Store) CheckpointLog(id string, from *Checkpoint) *CheckpointLog {
-	w := &CheckpointLog{store: s, id: id, buf: make([]byte, 0, 1024)}
-	if from != nil && from.size > 0 {
-		w.epochs, w.interactions = len(from.Epochs), len(from.InteractionSeconds)
-		w.size, w.whole = from.size, from.size
-	}
-	return w
-}
-
-// Put records c, the attempt's checkpoint after its latest epoch. c must
-// extend what the log holds: its Epochs and InteractionSeconds start
-// with the entries of every earlier Put, which Put does not re-read.
-// The new entries go out as one appended frame, unless that would make
-// the file more than twice as long as c in one frame; then c replaces
-// the file, as PutCheckpoint does.
-func (w *CheckpointLog) Put(c *Checkpoint) error {
-	if len(c.Epochs) < w.epochs || len(c.InteractionSeconds) < w.interactions {
-		return fmt.Errorf("commons: checkpoint %s has fewer entries than its log", w.id)
-	}
-	if err := c.validateFrom(w.epochs); err != nil {
-		return fmt.Errorf("commons: checkpoint %s: %w", w.id, err)
-	}
-	frame, err := appendFrame(w.buf[:0], c, w.epochs, w.interactions)
-	if err != nil {
-		return err
-	}
-	w.buf = frame
-	n := int64(len(frame))
-	grown := n // a head frame is the whole checkpoint
-	if w.epochs > 0 {
-		if w.bare == 0 {
-			empty, err := appendFrame(nil, c, len(c.Epochs), len(c.InteractionSeconds))
-			if err != nil {
-				return err
-			}
-			w.bare = int64(len(empty))
-		}
-		grown = w.whole + n - w.bare
-	}
-	if w.size+n > 2*grown {
-		if frame, err = appendFrame(w.buf[:0], c, 0, 0); err != nil {
-			return err
-		}
-		w.buf = frame
-		err = w.replace(frame)
-	} else if err = w.append(frame); err == nil {
-		w.size, w.whole = w.size+n, grown
-	}
-	if err != nil {
-		return fmt.Errorf("commons: write checkpoint %s: %w", w.id, err)
-	}
-	w.epochs, w.interactions = len(c.Epochs), len(c.InteractionSeconds)
-	return nil
-}
-
-// append writes one frame at the end of the file, cutting whatever
-// follows the log's last frame when it opens.
-func (w *CheckpointLog) append(frame []byte) error {
-	if err := chaos.Point(chaos.PointCheckpointPreWrite); err != nil {
-		return err
-	}
-	if w.log == nil {
-		log, err := durable.OpenLog(w.store.checkpointPath(w.id), w.size)
-		if err != nil {
-			return err
-		}
-		w.log = log
-	}
-	if err := w.log.Append(frame); err != nil {
-		return err
-	}
-	return chaos.Point(chaos.PointCheckpointPostWrite)
-}
-
-// replace swaps the file for one holding the single frame data.
-func (w *CheckpointLog) replace(data []byte) error {
-	if err := w.store.replaceCheckpoint(w.id, data); err != nil {
-		return err
-	}
-	// The open descriptor, if any, holds the file the rename replaced.
-	err := w.Close()
-	w.size, w.whole = int64(len(data)), int64(len(data))
-	return err
-}
-
-// Close closes the file, leaving it for a resumed attempt.
-func (w *CheckpointLog) Close() error {
-	err := w.log.Abandon()
-	w.log = nil
-	return err
-}
-
-// Remove closes and deletes the file: the model's record has committed.
-func (w *CheckpointLog) Remove() error {
-	err := w.Close()
-	if derr := w.store.DeleteCheckpoint(w.id); err == nil {
-		err = derr
-	}
-	return err
 }
 
 // Checkpoints lists the model IDs with a stored checkpoint, sorted.

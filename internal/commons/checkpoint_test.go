@@ -2,7 +2,9 @@ package commons
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -42,7 +44,7 @@ func testCheckpoint(id string, epoch int) *Checkpoint {
 }
 
 // epochCheckpoints returns one model's checkpoint after each of n
-// epochs, as the training loop hands them to a CheckpointLog: each
+// epochs, as the training loop hands them to its checkpoint sink: each
 // extends the slices of the one before. A stateSize > 0 pads the state
 // to that many bytes, as real weights would.
 func epochCheckpoints(id string, n, stateSize int) []*Checkpoint {
@@ -71,30 +73,21 @@ func epochCheckpoints(id string, n, stateSize int) []*Checkpoint {
 	return out
 }
 
-// writeLog puts cps through one fresh CheckpointLog and returns the
-// file and its length after each Put.
-func writeLog(t testing.TB, s *Store, cps []*Checkpoint) (data []byte, ends []int) {
+// frameLog is testdata/frame_log.ckpt: three epochs of one model as the
+// per-epoch frame log of earlier builds wrote them, a whole first frame
+// and then one suffix frame per epoch. Its digest was that writer's
+// golden.
+func frameLog(t testing.TB) []byte {
 	t.Helper()
-	w := s.CheckpointLog(cps[0].ID, nil)
-	path := s.checkpointPath(cps[0].ID)
-	for _, c := range cps {
-		if err := w.Put(c); err != nil {
-			t.Fatal(err)
-		}
-		st, err := os.Stat(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ends = append(ends, int(st.Size()))
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
+	data, err := os.ReadFile(filepath.Join("testdata", "frame_log.ckpt"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return data, ends
+	const golden = "80bf78a804a9e413c9437882dd80c968c81fd396bd9d5faa42f51eda8d93b863"
+	if sum := sha256.Sum256(data); hex.EncodeToString(sum[:]) != golden {
+		t.Fatalf("testdata/frame_log.ckpt is not the frame log it was recorded as")
+	}
+	return data
 }
 
 // sameCheckpoint fails unless got encodes to the bytes want does.
@@ -166,9 +159,11 @@ func TestDecodeCheckpointCorruption(t *testing.T) {
 		{"legacy envelope", func([]byte) []byte { return legacyEnvelope(t, c) }, "magic"},
 		{"torn payload", func(b []byte) []byte { return b[:len(b)-5] }, "truncated"},
 		{"bit flip", func(b []byte) []byte { b[20] ^= 0x40; return b }, "checksum"},
-		{"bad JSON", func([]byte) []byte { return durable.AppendSection(nil, headFrame, []byte("{")) }, "decode"},
-		{"invalid", func([]byte) []byte { return durable.AppendSection(nil, headFrame, []byte(`{"id":"m"}`)) }, "validate"},
-		{"second head", func(b []byte) []byte { return append(b, b...) }, "magic"},
+		{"bad JSON", func([]byte) []byte { return durable.AppendSection(nil, frameName, []byte("{")) }, "decode"},
+		{"invalid", func([]byte) []byte { return durable.AppendSection(nil, frameName, []byte(`{"id":"m"}`)) }, "validate"},
+		{"second frame", func(b []byte) []byte { return append(b, b...) }, "magic"},
+		{"bytes after the frame", func(b []byte) []byte { return append(b, 0, 0) }, "magic"},
+		{"frame log", func([]byte) []byte { return frameLog(t) }, "magic"},
 	}
 	for _, tc := range cases {
 		buf := tc.mutate(append([]byte(nil), data...))
@@ -188,12 +183,6 @@ func TestDecodeCheckpointCorruption(t *testing.T) {
 			t.Errorf("%s: CorruptionReason = %q", tc.name, CorruptionReason(err))
 		}
 	}
-	// Bytes after the last intact frame are a torn append, not damage.
-	got, err := DecodeCheckpoint("x.ckpt", append(append([]byte(nil), data...), 0, 0))
-	if err != nil {
-		t.Fatalf("trailing torn bytes: %v", err)
-	}
-	sameCheckpoint(t, "trailing torn bytes", got, c)
 }
 
 func TestStoreCheckpointCRUD(t *testing.T) {
@@ -309,80 +298,144 @@ func TestEncodeCheckpointValidates(t *testing.T) {
 	}
 }
 
-// TestCheckpointLogFoldEqualsPut: N per-epoch appends fold back into
-// the checkpoint PutCheckpoint would have written after the last epoch.
+// putEveryEpoch puts each of n epochs' checkpoints of model "m" into s,
+// as the runner's checkpoint sink does, and calls check after each put
+// with the file's bytes and the checkpoint put.
+func putEveryEpoch(t *testing.T, s *Store, n, stateSize int, check func(data []byte, c *Checkpoint)) {
+	t.Helper()
+	for _, c := range epochCheckpoints("m", n, stateSize) {
+		if err := s.PutCheckpoint(c); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(s.checkpointPath("m"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(data, c)
+	}
+}
+
+// TestCheckpointLogFoldEqualsPut: a file written by one put per epoch
+// reads back, after every epoch, as that epoch's checkpoint, and holds
+// the bytes a single PutCheckpoint of it into an empty store writes.
 func TestCheckpointLogFoldEqualsPut(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cps := epochCheckpoints("m-g03-i07", 18, 0)
-	writeLog(t, s, cps)
-	got, err := s.GetCheckpoint(cps[0].ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameCheckpoint(t, "fold of 18 appends", got, cps[17])
-
-	put, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := put.PutCheckpoint(cps[17]); err != nil {
-		t.Fatal(err)
-	}
-	want, err := put.GetCheckpoint(cps[0].ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameCheckpoint(t, "PutCheckpoint", got, want)
-}
-
-// TestCheckpointLogCutAtEveryOffset: a 3-frame file cut anywhere decodes
-// to its last intact prefix, or is corrupt when no frame is intact.
-func TestCheckpointLogCutAtEveryOffset(t *testing.T) {
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cps := epochCheckpoints("m", 3, 0)
-	data, ends := writeLog(t, s, cps)
-	if ends[0] >= ends[1] || ends[1] >= ends[2] || ends[2] != len(data) {
-		t.Fatalf("frame ends %v over %d bytes: not three appends", ends, len(data))
-	}
-	for k := 0; k <= len(data); k++ {
-		got, err := DecodeCheckpoint("cut.ckpt", data[:k])
-		if k < ends[0] {
-			var ce *CorruptionError
-			if !errors.As(err, &ce) || got != nil {
-				t.Fatalf("cut at %d (no intact frame): %v, %v", k, got, err)
-			}
-			continue
-		}
+	putEveryEpoch(t, s, 18, 0, func(data []byte, c *Checkpoint) {
+		got, err := s.GetCheckpoint("m")
 		if err != nil {
-			t.Fatalf("cut at %d: %v", k, err)
+			t.Fatal(err)
 		}
-		j := 0
-		for j+1 < len(ends) && ends[j+1] <= k {
-			j++
+		sameCheckpoint(t, fmt.Sprintf("epoch %d", c.Epoch), got, c)
+		once, err := Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
 		}
-		sameCheckpoint(t, fmt.Sprintf("cut at %d", k), got, cps[j])
-		if got.size != int64(ends[j]) {
-			t.Fatalf("cut at %d: intact length %d, want %d", k, got.size, ends[j])
+		if err := once.PutCheckpoint(c); err != nil {
+			t.Fatal(err)
 		}
-	}
+		want, err := os.ReadFile(once.checkpointPath("m"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(data, want) {
+			t.Fatalf("epoch %d: file after %d puts differs from one put", c.Epoch, c.Epoch)
+		}
+	})
 }
 
-// TestCheckpointLogFlipEveryByte: any single damaged byte decodes to a
-// prefix that ends before it, or to a CorruptionError — never a panic or
-// wrong data.
-func TestCheckpointLogFlipEveryByte(t *testing.T) {
+// TestCheckpointLogRewritesPastBound: with weights-sized states every
+// epoch's put rewrites the file as one frame, byte-equal to
+// EncodeCheckpoint of that epoch's checkpoint, so the file never grows
+// past one checkpoint.
+func TestCheckpointLogRewritesPastBound(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cps := epochCheckpoints("m", 3, 0)
-	data, ends := writeLog(t, s, cps)
+	putEveryEpoch(t, s, 6, 4096, func(data []byte, c *Checkpoint) {
+		want, err := EncodeCheckpoint(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(data, want) {
+			t.Fatalf("epoch %d: file of %d bytes is not EncodeCheckpoint's %d", c.Epoch, len(data), len(want))
+		}
+	})
+}
+
+// TestCheckpointLogFreshAndResumed: a fresh attempt (no file) and a
+// resumed one (a longer file left behind, here a frame log of an
+// earlier build) write the same file from their first put on, and the
+// delete after the record commits leaves none.
+func TestCheckpointLogFreshAndResumed(t *testing.T) {
+	fresh, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := frameLog(t)
+	if err := os.WriteFile(resumed.checkpointPath("m"), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var freshFiles [][]byte
+	putEveryEpoch(t, fresh, 2, 0, func(data []byte, _ *Checkpoint) {
+		freshFiles = append(freshFiles, data)
+	})
+	putEveryEpoch(t, resumed, 2, 0, func(data []byte, c *Checkpoint) {
+		if len(data) >= len(old) {
+			t.Fatalf("epoch %d: %d bytes, the old %d-byte file was not replaced", c.Epoch, len(data), len(old))
+		}
+		if !bytes.Equal(data, freshFiles[c.Epoch-1]) {
+			t.Fatalf("epoch %d: resumed file differs from the fresh one", c.Epoch)
+		}
+	})
+	for _, s := range []*Store{fresh, resumed} {
+		if err := s.DeleteCheckpoint("m"); err != nil {
+			t.Fatal(err)
+		}
+		if ids, _ := s.Checkpoints(); len(ids) != 0 {
+			t.Fatalf("delete left %v", ids)
+		}
+	}
+}
+
+// TestCheckpointCutAtEveryOffset: a checkpoint file cut anywhere short of
+// its end is truncated, never a checkpoint.
+func TestCheckpointCutAtEveryOffset(t *testing.T) {
+	c := epochCheckpoints("m", 3, 0)[2]
+	data, err := EncodeCheckpoint(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < len(data); k++ {
+		got, err := DecodeCheckpoint("cut.ckpt", data[:k])
+		var ce *CorruptionError
+		if !errors.As(err, &ce) || ce.Reason != "truncated" || got != nil {
+			t.Fatalf("cut at %d of %d: %v, %v; want a truncated CorruptionError", k, len(data), got, err)
+		}
+	}
+	got, err := DecodeCheckpoint("whole.ckpt", data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameCheckpoint(t, "whole file", got, c)
+}
+
+// TestCheckpointFlipEveryByte: a checkpoint file with any one byte
+// damaged decodes to a typed CorruptionError or to the checkpoint that
+// was written — never a panic or a different checkpoint.
+func TestCheckpointFlipEveryByte(t *testing.T) {
+	c := epochCheckpoints("m", 3, 0)[2]
+	data, err := EncodeCheckpoint(c)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range data {
 		buf := append([]byte(nil), data...)
 		buf[i] ^= 0xFF
@@ -394,113 +447,7 @@ func TestCheckpointLogFlipEveryByte(t *testing.T) {
 			}
 			continue
 		}
-		j := -1
-		for k, end := range ends {
-			if int64(end) == got.size {
-				j = k
-			}
-		}
-		if j < 0 || got.size > int64(i) {
-			t.Fatalf("flip at %d: decoded %d bytes, not a prefix before the flip (frames end %v)", i, got.size, ends)
-		}
-		sameCheckpoint(t, fmt.Sprintf("flip at %d", i), got, cps[j])
-	}
-}
-
-// TestCheckpointLogRewritesPastBound: with weights-sized states a file
-// of appends would outgrow the checkpoint it holds; the log replaces it
-// with one frame instead, so it never exceeds twice that size.
-func TestCheckpointLogRewritesPastBound(t *testing.T) {
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cps := epochCheckpoints("m", 6, 4096)
-	w := s.CheckpointLog("m", nil)
-	rewrites := 0
-	for i, c := range cps {
-		if err := w.Put(c); err != nil {
-			t.Fatal(err)
-		}
-		data, err := os.ReadFile(s.checkpointPath("m"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		one, err := EncodeCheckpoint(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(data) > 2*len(one) {
-			t.Fatalf("after epoch %d the file is %d bytes, over twice %d", i+1, len(data), len(one))
-		}
-		if i > 0 && bytes.Equal(data, one) {
-			rewrites++
-		}
-		got, err := DecodeCheckpoint("m", data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameCheckpoint(t, fmt.Sprintf("epoch %d", i+1), got, c)
-	}
-	if err := w.Remove(); err != nil {
-		t.Fatal(err)
-	}
-	if rewrites == 0 {
-		t.Fatal("the file was never rewritten as one frame")
-	}
-	if ids, _ := s.Checkpoints(); len(ids) != 0 {
-		t.Fatalf("Remove left %v", ids)
-	}
-}
-
-// TestCheckpointLogFreshAndResumed: a fresh log starts the file empty;
-// a resumed one cuts a torn tail and appends after the intact frames.
-func TestCheckpointLogFreshAndResumed(t *testing.T) {
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cps := epochCheckpoints("m", 4, 0)
-	data, ends := writeLog(t, s, cps[:3])
-	path := s.checkpointPath("m")
-	torn := data[:ends[1]+(ends[2]-ends[1])/2]
-	if err := os.WriteFile(path, torn, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	from, err := s.GetCheckpoint("m")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameCheckpoint(t, "torn third frame", from, cps[1])
-
-	// The resumed attempt retrains epoch 3 with the same slices.
-	w := s.CheckpointLog("m", from)
-	for _, c := range cps[2:] {
-		if err := w.Put(c); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.GetCheckpoint("m")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameCheckpoint(t, "resumed", got, cps[3])
-	if after, _ := os.ReadFile(path); !bytes.Equal(after[:ends[2]], data) {
-		t.Fatal("the resumed log did not cut the torn frame before appending")
-	}
-
-	w = s.CheckpointLog("m", nil)
-	if err := w.Put(cps[0]); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if after, _ := os.ReadFile(path); !bytes.Equal(after, data[:ends[0]]) {
-		t.Fatalf("a fresh log kept %d bytes, want its one frame (%d)", len(after), ends[0])
+		sameCheckpoint(t, fmt.Sprintf("flip at %d", i), got, c)
 	}
 }
 
@@ -518,27 +465,14 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	flipped := append([]byte(nil), valid...)
 	flipped[len(flipped)-3] ^= 0x10
 	f.Add(flipped)
-	s, err := Open(f.TempDir())
-	if err != nil {
-		f.Fatal(err)
-	}
-	// A small three-frame log: the fuzzer stalls minimizing long inputs.
-	var tiny []*Checkpoint
-	var entries []lineage.EpochEntry
-	for e := 1; e <= 3; e++ {
-		entries = append(entries, lineage.EpochEntry{Epoch: e, ValAccuracy: float64(50 + e)})
-		tiny = append(tiny, &Checkpoint{ID: "m", Genome: "g", Epoch: e, Epochs: entries})
-	}
-	multi, ends := writeLog(f, s, tiny)
+	multi := frameLog(f)
 	f.Add(multi)
-	f.Add(multi[:ends[1]+3])
-	mid := append([]byte(nil), multi...)
-	mid[ends[0]+20] ^= 0x01
-	f.Add(mid)
+	f.Add(multi[:len(multi)-3])
+	f.Add(append(valid, 0))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, err := DecodeCheckpoint("fuzz.ckpt", data)
 		if err == nil {
-			if c == nil || c.Validate() != nil || c.size > int64(len(data)) {
+			if c == nil || c.Validate() != nil {
 				t.Fatal("nil error with invalid checkpoint")
 			}
 			return
@@ -550,44 +484,46 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	})
 }
 
-// BenchmarkCheckpointFrame is one epoch's checkpoint frame, the tenth
-// of a surrogate model, encoded into a buffer the log reuses. The bench
-// gate holds it at 0 allocs/op.
+// realStateSize is the size of a real-training ResumeState at the
+// 16×16 shapes (widths 4/8/8): what a checkpoint file mostly holds.
+const realStateSize = 81 << 10
+
+// BenchmarkCheckpointFrame is one whole checkpoint file, a real-training
+// model's tenth epoch, encoded into a reused buffer. The bench gate
+// holds it at 0 allocs/op.
 func BenchmarkCheckpointFrame(b *testing.B) {
-	c := epochCheckpoints("m-g03-i07", 10, 0)[9]
-	c.State = []byte(`{"a":88.5,"beta":0.35,"c":3.25,"epoch":10,"last_val":71.125}`)
-	buf, err := appendFrame(nil, c, 9, 9)
+	c := epochCheckpoints("m-g03-i07", 10, realStateSize)[9]
+	buf, err := appendFrame(nil, c)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if buf, err = appendFrame(buf[:0], c, 9, 9); err != nil {
+		if buf, err = appendFrame(buf[:0], c); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkCheckpointModel is one surrogate model's checkpoint traffic
-// at paper scale: a fresh log, 18 epoch appends, and the delete that
-// follows its record's commit.
+// BenchmarkCheckpointModel is one real-training model's checkpoint
+// traffic over ten epochs: a whole file put per epoch, then the delete
+// that follows its record's commit.
 func BenchmarkCheckpointModel(b *testing.B) {
 	s, err := Open(b.TempDir())
 	if err != nil {
 		b.Fatal(err)
 	}
-	cps := epochCheckpoints("m-g03-i07", 18, 0)
+	cps := epochCheckpoints("m-g03-i07", 10, realStateSize)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w := s.CheckpointLog(cps[0].ID, nil)
 		for _, c := range cps {
-			if err := w.Put(c); err != nil {
+			if err := s.PutCheckpoint(c); err != nil {
 				b.Fatal(err)
 			}
 		}
-		if err := w.Remove(); err != nil {
+		if err := s.DeleteCheckpoint(cps[0].ID); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -658,7 +594,7 @@ func TestFuzzCheckpointSetsEveryField(t *testing.T) {
 
 // FuzzCheckpointJSON holds the checkpoint payload to json.Marshal's
 // bytes: each field is set or left zero by one bit of mask, Epochs and
-// InteractionSeconds are nil, empty or filled, and the head frame must
+// InteractionSeconds are nil, empty or filled, and the frame must
 // hold exactly json.Marshal's payload, or both refuse the checkpoint and
 // the frame buffer keeps what it held.
 func FuzzCheckpointJSON(f *testing.F) {
@@ -677,13 +613,13 @@ func FuzzCheckpointJSON(f *testing.F) {
 	f.Fuzz(func(t *testing.T, s string, state []byte, x, y float64, n int64, mask uint64, zone int32) {
 		c := fuzzCheckpoint(s, state, x, y, n, mask, zone)
 		payload, werr := json.Marshal(c)
-		got, gerr := appendFrame([]byte("held"), c, 0, 0)
+		got, gerr := appendFrame([]byte("held"), c)
 		switch {
 		case werr != nil || gerr != nil:
 			if werr == nil || gerr == nil || string(got) != "held" {
 				t.Fatalf("encoding/json: %v; appendFrame: %v, left %q", werr, gerr, got)
 			}
-		case !bytes.Equal(got, durable.AppendSection([]byte("held"), headFrame, payload)):
+		case !bytes.Equal(got, durable.AppendSection([]byte("held"), frameName, payload)):
 			t.Fatalf("appendFrame wrote\n%q\nencoding/json\n%s", got, payload)
 		}
 	})

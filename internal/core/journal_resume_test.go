@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"a4nn/internal/commons"
+	"a4nn/internal/durable"
 	"a4nn/internal/lineage"
 	"a4nn/internal/obs"
 )
@@ -265,8 +266,9 @@ func TestWorkflowJournalTornTail(t *testing.T) {
 }
 
 // TestWorkflowJournalSupersedesOldCheckpoints: a store an earlier build
-// left, with a checkpoint file per unfinished model written through
-// CheckpointLog one frame per epoch beside the journal, resumes from the
+// left, with a checkpoint file of one frame per epoch for each
+// unfinished model beside the journal, as that build's per-epoch frame
+// log wrote them, quarantines each file as magic, resumes from the
 // journal to the fault-free records and ends with no checkpoint file.
 func TestWorkflowJournalSupersedesOldCheckpoints(t *testing.T) {
 	store, clean, lines := killedStore(t)
@@ -284,24 +286,38 @@ func TestWorkflowJournalSupersedesOldCheckpoints(t *testing.T) {
 		}
 		// The seed the runner derives on device 0, as that build stored it.
 		seed := nasSeed*1_000_003 + int64(rec.Generation)*10_007 + int64(slot)*101
-		log := store.CheckpointLog(id, nil)
-		cp := &commons.Checkpoint{ID: id, Genome: rec.Genome, Generation: rec.Generation, Seed: seed}
+		var data []byte
 		for e := 1; e <= k; e++ {
-			cp.Epoch, cp.Epochs = e, rec.Epochs[:e]
-			cp.SimSeconds += rec.Epochs[e-1].SimSeconds
-			cp.State = []byte{byte(e)}
-			cp.StateDigest = commons.StateDigest(cp.State)
-			if err := log.Put(cp); err != nil {
+			state := []byte{byte(e)}
+			payload, err := json.Marshal(&commons.Checkpoint{ID: id, Genome: rec.Genome, Generation: rec.Generation,
+				Seed: seed, Epoch: e, State: state, StateDigest: commons.StateDigest(state), Epochs: rec.Epochs[:e]})
+			if err != nil {
 				t.Fatal(err)
 			}
+			data = durable.AppendSection(data, "a4ck.model", payload)
 		}
-		if err := log.Close(); err != nil {
+		if err := os.WriteFile(filepath.Join(store.Root(), "checkpoints", id+".ckpt"), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if ids, err := store.Checkpoints(); err != nil || len(ids) != len(want) {
-		t.Fatalf("checkpoint files %v (%v), want %d", ids, err, len(want))
+	// A model at epoch 1 had a one-frame log, which is a valid file.
+	logs := 0
+	for _, k := range want {
+		if k > 1 {
+			logs++
+		}
+	}
+	if logs == 0 {
+		t.Fatal("no unfinished model past epoch 1: no frame log to quarantine")
 	}
 	got, events := resumeJournaled(t, store)
 	checkResumed(t, store, clean, got, lines, events, want)
+	if got.Quarantined != logs {
+		t.Errorf("quarantined %d, want the %d frame logs", got.Quarantined, logs)
+	}
+	for _, q := range got.Recovery.Quarantined {
+		if q.Kind != "checkpoint" || q.Reason != "magic" {
+			t.Errorf("quarantined %+v, want a checkpoint with reason magic", q)
+		}
+	}
 }

@@ -17,10 +17,10 @@ import (
 type SnapshotSink func(id string, epoch int, state []byte) error
 
 // CheckpointSink receives the model's full mid-training progress after
-// every epoch; the workflow wires it to the attempt's commons
-// CheckpointLog. cp.Epochs and cp.InteractionSeconds are the training
-// loop's own slices, which only ever grow: a sink that keeps cp must not
-// modify them.
+// every epoch; the workflow wires it to commons Store.PutCheckpoint,
+// which replaces the model's checkpoint file with it. cp.Epochs and
+// cp.InteractionSeconds are the training loop's own slices, which only
+// ever grow: a sink that keeps cp must not modify them.
 type CheckpointSink func(cp *commons.Checkpoint) error
 
 // TrainStepError marks a failure inside a single training epoch — the

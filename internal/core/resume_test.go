@@ -9,6 +9,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -552,57 +553,88 @@ func resumeRun(t *testing.T, store *commons.Store) (*Result, []obs.Event) {
 	return res, cfg.Obs.Journal().Since(0)
 }
 
-// TestWorkflowResumeAfterTornFrame: a kill mid-append leaves the last
-// frame torn; the model resumes at the epoch before it and trains no
-// epoch twice past that checkpoint.
+// TestWorkflowResumeAfterTornFrame: a kill at
+// commons.checkpoint.pre_write leaves the previous epoch's whole file
+// with the new epoch's temp file beside it; the resume sweeps the temp,
+// and the model resumes at its file's epoch and trains no epoch twice
+// past it.
 func TestWorkflowResumeAfterTornFrame(t *testing.T) {
 	clean, err := Run(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, ckpts := crashMidGeneration(t)
-	id := ckpts[0]
-	whole, err := store.GetCheckpoint(id)
+	// One model at a time, so the twelfth checkpoint write is the same
+	// model's on any host: past its first epoch, with every model before
+	// it committed.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	t.Cleanup(func() { chaos.Install(nil) })
+	store, err := commons.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(store.Root(), "checkpoints", id+".ckpt")
+	cfg := resumableConfig()
+	cfg.Store = store
+	cfg.Checkpoints = true
+	plan, err := chaos.Parse("err=" + chaos.PointCheckpointPreWrite + "@12")
+	if err != nil {
+		t.Fatal(err)
+	}
+	chaos.Install(plan)
+	_, err = Run(cfg)
+	chaos.Install(nil)
+	if !chaos.IsInjected(err) {
+		t.Fatalf("run should fail with the injected error: %v", err)
+	}
+	ckpts, err := store.Checkpoints()
+	if err != nil || len(ckpts) != 1 {
+		t.Fatalf("checkpoints %v, err %v; want the killed model's", ckpts, err)
+	}
+	at := map[string]int{}
+	for _, id := range ckpts {
+		cp, err := store.GetCheckpoint(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		at[id] = cp.Epoch
+	}
+	// The injected error removed the temp file a kill leaves holding the
+	// epoch whose rename never happened; put one back (nothing reads a
+	// temp file, so its bytes do not matter).
+	path := filepath.Join(store.Root(), "checkpoints", ckpts[0]+".ckpt")
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, data[:len(data)-3], 0o644); err != nil {
+	if err := os.WriteFile(path+".tmp-4242", data, 0o644); err != nil {
 		t.Fatal(err)
-	}
-	torn, err := store.GetCheckpoint(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if torn.Epoch != whole.Epoch-1 {
-		t.Fatalf("torn checkpoint reads epoch %d, want %d", torn.Epoch, whole.Epoch-1)
 	}
 
 	got, events := resumeRun(t, store)
-	if got.Resumed == 0 || got.Quarantined != 0 {
-		t.Fatalf("resumed %d, quarantined %d: want a resume and no quarantine", got.Resumed, got.Quarantined)
+	if got.Recovery == nil || got.Recovery.TempsRemoved != 1 || got.Quarantined != 0 {
+		t.Fatalf("recovery %+v, quarantined %d: want the temp file swept and nothing quarantined", got.Recovery, got.Quarantined)
 	}
-	resumedAt := -1
+	if _, err := os.Stat(path + ".tmp-4242"); !os.IsNotExist(err) {
+		t.Fatalf("the temp file survived the resume (%v)", err)
+	}
+	if got.Resumed != len(at) {
+		t.Fatalf("resumed %d model(s), want the %d with a checkpoint file", got.Resumed, len(at))
+	}
+	resumedAt := map[string]int{}
 	for _, e := range events {
-		if e.Model != id {
-			continue
-		}
 		switch {
 		case e.Type == obs.EventModelResume:
-			resumedAt = e.Epoch
-		case e.Type == obs.EventEpoch && e.Epoch <= resumedAt:
-			t.Fatalf("epoch %d trained again past the checkpoint at epoch %d", e.Epoch, resumedAt)
+			resumedAt[e.Model] = e.Epoch
+		case e.Type == obs.EventEpoch && e.Epoch <= resumedAt[e.Model]:
+			t.Fatalf("%s: epoch %d trained again past the checkpoint at epoch %d", e.Model, e.Epoch, resumedAt[e.Model])
 		}
 	}
-	if resumedAt != torn.Epoch {
-		t.Fatalf("%s resumed at epoch %d, want %d", id, resumedAt, torn.Epoch)
+	for id, k := range at {
+		if resumedAt[id] != k {
+			t.Fatalf("%s resumed at epoch %d, want its file's %d", id, resumedAt[id], k)
+		}
 	}
 	if c, g := strings.Join(paretoIDs(clean), ";"), strings.Join(paretoIDs(got), ";"); c != g {
-		t.Fatalf("Pareto front diverged after a torn-frame resume:\nclean:   %s\nresumed: %s", c, g)
+		t.Fatalf("Pareto front diverged after a pre-write kill:\nclean:   %s\nresumed: %s", c, g)
 	}
 }
 

@@ -238,14 +238,8 @@ func (r *runner[G]) evaluateGeneration(ctx context.Context, gen int, cands []G) 
 			if r.cfg.Store != nil && r.cfg.SnapshotEpochs {
 				orch.Snapshots = r.cfg.Store.PutSnapshot
 			}
-			var ckpt *commons.CheckpointLog
 			if r.cfg.Store != nil && r.cfg.Checkpoints && resumable {
-				ckpt = r.cfg.Store.CheckpointLog(recID, resumeCp)
-				// A failed attempt leaves its frames for a resume; every
-				// one of them was written before Close, whose error tells
-				// the attempt nothing more.
-				defer ckpt.Close()
-				orch.Checkpoint = ckpt.Put
+				orch.Checkpoint = r.cfg.Store.PutCheckpoint
 			}
 			outcome, err := orch.TrainModel(tc.Ctx, model, dev, r.cfg.Trainer.TrainSamples(), rec)
 			if err != nil {
@@ -267,10 +261,10 @@ func (r *runner[G]) evaluateGeneration(ctx context.Context, gen int, cands []G) 
 					// stale checkpoint below is cleaned up by recovery.
 					return outcome.SimSeconds, err
 				}
-				if ckpt != nil {
+				if orch.Checkpoint != nil {
 					// Best effort: a leftover checkpoint for a committed
 					// record is detected as stale and removed by recovery.
-					ckpt.Remove()
+					r.cfg.Store.DeleteCheckpoint(recID)
 				}
 			}
 			mr := r.modelResult(g, rec, outcome.FinalFitness)

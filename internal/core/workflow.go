@@ -42,7 +42,8 @@ type ConfigOf[G Arch] struct {
 	// epoch, so a killed run rerun with Resume continues *inside* the
 	// interrupted generation — finished models replay from their
 	// records, half-trained ones from their progress. A model that is
-	// Resumable keeps a checkpoint file in Store. Any other keeps none:
+	// Resumable keeps a checkpoint file in Store, replaced whole after
+	// every epoch and deleted once its record commits. Any other keeps none:
 	// the epoch events of the run's journal, <Store>/events.jsonl, are
 	// its checkpoint, replayed and verified bit for bit on Resume (with
 	// no journal it retrains). Requires Store.

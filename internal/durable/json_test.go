@@ -108,9 +108,9 @@ func TestJSONMatchesEncodingJSON(t *testing.T) {
 // to the bytes AppendSection writes for the same payload.
 func TestSectionInPlace(t *testing.T) {
 	for _, payload := range []string{"", "x", `{"epoch":3}`} {
-		dst, start := BeginSection([]byte("head"), "a4ck.epoch")
+		dst, start := BeginSection([]byte("head"), "a4ck.model")
 		got := EndSection(append(dst, payload...), start)
-		if want := AppendSection([]byte("head"), "a4ck.epoch", []byte(payload)); !bytes.Equal(got, want) {
+		if want := AppendSection([]byte("head"), "a4ck.model", []byte(payload)); !bytes.Equal(got, want) {
 			t.Fatalf("payload %q: in place %x, AppendSection %x", payload, got, want)
 		}
 	}

@@ -76,16 +76,6 @@ func (l *Log) Close() error {
 	return err
 }
 
-// Abandon closes the file without syncing it, for a log whose owner is
-// about to delete or replace it, or accepts that a power loss takes
-// what it appended.
-func (l *Log) Abandon() error {
-	if l == nil {
-		return nil
-	}
-	return l.f.Close()
-}
-
 // DecodeJSONL parses JSON Lines, skipping blank lines and lines that do
 // not decode into T — a torn tail or a foreign line, neither of which
 // should cost the reader the rest of the file.

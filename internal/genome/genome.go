@@ -12,6 +12,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 	"strings"
 )
@@ -52,15 +54,21 @@ func (g *Genome) Validate() error {
 	if g.NodesPerPhase < 1 {
 		return fmt.Errorf("genome: NodesPerPhase = %d", g.NodesPerPhase)
 	}
+	// BitsPerPhase's n(n−1) must fit in an int, checked without
+	// wrapping: a huge n from a hostile record could wrap the bit count
+	// to any short length.
+	if hi, lo := bits.Mul64(uint64(g.NodesPerPhase), uint64(g.NodesPerPhase-1)); hi != 0 || lo > math.MaxInt {
+		return fmt.Errorf("genome: NodesPerPhase = %d: its bit count overflows an int", g.NodesPerPhase)
+	}
 	if len(g.Phases) == 0 {
 		return fmt.Errorf("genome: no phases")
 	}
 	want := BitsPerPhase(g.NodesPerPhase)
-	for p, bits := range g.Phases {
-		if len(bits) != want {
-			return fmt.Errorf("genome: phase %d has %d bits, want %d", p, len(bits), want)
+	for p, phase := range g.Phases {
+		if len(phase) != want {
+			return fmt.Errorf("genome: phase %d has %d bits, want %d", p, len(phase), want)
 		}
-		for i, b := range bits {
+		for i, b := range phase {
 			if b != 0 && b != 1 {
 				return fmt.Errorf("genome: phase %d bit %d is %d, want 0 or 1", p, i, b)
 			}

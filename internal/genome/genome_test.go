@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -49,6 +50,28 @@ func TestValidateRejectsBadGenomes(t *testing.T) {
 	g = &Genome{NodesPerPhase: 0, Phases: nil}
 	if err := g.Validate(); err == nil {
 		t.Fatal("empty genome must fail")
+	}
+}
+
+// TestValidateRejectsWrappingNodeCount: a node count whose bit count
+// n(n−1)/2 + 1 overflows an int is refused, however the overflow wraps:
+// 2790935979167403064 nodes wrap to 5 bits, which a hostile record's
+// five-bit genome would otherwise match.
+func TestValidateRejectsWrappingNodeCount(t *testing.T) {
+	if g, err := Parse("00000", 2790935979167403064); err == nil {
+		t.Fatalf("Parse accepted %v with a wrapped bit count", g)
+	}
+	for _, n := range []int{2790935979167403064, math.MaxInt, 1 << 32, 3037000501} {
+		g := &Genome{NodesPerPhase: n, Phases: [][]byte{{0}}}
+		if err := g.Validate(); err == nil || !strings.Contains(err.Error(), "overflows an int") {
+			t.Errorf("Validate of %d nodes: %v, want the overflow refused", n, err)
+		}
+	}
+	// 3037000500 is the largest count whose n(n−1) fits: it gets as far
+	// as the length check.
+	g := &Genome{NodesPerPhase: 3037000500, Phases: [][]byte{{0}}}
+	if err := g.Validate(); err == nil || !strings.Contains(err.Error(), "want 4611686016981624751") {
+		t.Errorf("Validate of 3037000500 nodes: %v, want the length check", err)
 	}
 }
 

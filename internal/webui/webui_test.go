@@ -159,6 +159,26 @@ func TestDOTEndpoint(t *testing.T) {
 	}
 }
 
+// TestDOTEndpointWrappedNodeCount: a record whose nodes_per_phase makes
+// the genome's bit count wrap to its length is refused, not rendered.
+func TestDOTEndpointWrappedNodeCount(t *testing.T) {
+	store := testStore(t)
+	if err := store.PutRecord(&lineage.Record{ID: "wrap", Genome: "00000",
+		NodesPerPhase: 2790935979167403064, CreatedAt: time.Now()}); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	code, body := get(t, ts.URL+"/api/records/wrap/dot")
+	if code != http.StatusInternalServerError || strings.Contains(body, "digraph") {
+		t.Fatalf("GET /api/records/wrap/dot = %d:\n%s", code, body)
+	}
+}
+
 func TestSummaryEndpoint(t *testing.T) {
 	ts := newTestServer(t)
 	code, body := get(t, ts.URL+"/api/summary?beam=low")

@@ -98,10 +98,10 @@ zero_allocs BenchmarkHealthObserve ./internal/health "enabled health engine"
 
 # The enabled in-situ writers must not allocate either: an epoch event
 # through a journal with its file attached is encoded into the
-# journal's own line buffer, and an epoch's checkpoint frame into the
-# log's reused buffer, both by append encoders with no reflection.
+# journal's own line buffer, and a whole checkpoint file into a reused
+# buffer, both by append encoders with no reflection.
 zero_allocs BenchmarkJournalEmit ./internal/obs "journal emit with a file attached"
-zero_allocs BenchmarkCheckpointFrame ./internal/commons "checkpoint epoch frame"
+zero_allocs BenchmarkCheckpointFrame ./internal/commons "whole-checkpoint encode"
 
 # Disarmed crash points must be free too: every durable-state
 # transition calls chaos.Point, so with no -chaos plan installed the
