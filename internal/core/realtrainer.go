@@ -175,6 +175,10 @@ func (m *realModel) RestoreState(state []byte, epoch int) error {
 	return nil
 }
 
+// Release implements nn.Releaser: the network's scratch goes back to the
+// workspace; weights, momentum and the data order stay.
+func (m *realModel) Release() { m.net.Release() }
+
 // FLOPs implements Trainable.
 func (m *realModel) FLOPs() int64 { return m.flops }
 

@@ -55,6 +55,12 @@ func TestRealTrainerGoldenBits(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("golden bits recorded on amd64")
 	}
+	checkRealGoldenBits(t)
+}
+
+// goldenTrainer returns the trainer and genome of TestRealTrainerGoldenBits.
+func goldenTrainer(t *testing.T) (*RealTrainer, *genome.Genome) {
+	t.Helper()
 	train, val := highBeamSplit16(t, 120)
 	// Batch 20 leaves a ragged last batch in both splits (96 and 24).
 	trainer, err := NewRealTrainer(train, val, RealTrainerConfig{
@@ -68,6 +74,14 @@ func TestRealTrainerGoldenBits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return trainer, g
+}
+
+// checkRealGoldenBits trains the golden macro model two epochs and
+// requires its recorded loss, accuracy and state bits.
+func checkRealGoldenBits(t *testing.T) {
+	t.Helper()
+	trainer, g := goldenTrainer(t)
 	model, err := trainer.NewModel(g, 17)
 	if err != nil {
 		t.Fatal(err)
@@ -209,6 +223,12 @@ func TestMicroGoldenBits(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("training bits recorded on amd64")
 	}
+	checkMicroEpochBits(t)
+}
+
+// goldenMicroModel builds the micro model of TestMicroGoldenBits.
+func goldenMicroModel(t *testing.T) Trainable {
+	t.Helper()
 	train, val := highBeamSplit16(t, 120)
 	trainer, err := NewRealMicroTrainer(train, val, RealTrainerConfig{
 		Decode:    genome.DecodeConfig{InShape: []int{1, 16, 16}, Widths: []int{4, 8}, NumClasses: 2},
@@ -225,7 +245,14 @@ func TestMicroGoldenBits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := model.TrainEpoch()
+	return model
+}
+
+// checkMicroEpochBits trains the golden micro model one epoch and
+// requires its recorded loss and accuracy bits.
+func checkMicroEpochBits(t *testing.T) {
+	t.Helper()
+	m, err := goldenMicroModel(t).TrainEpoch()
 	if err != nil {
 		t.Fatal(err)
 	}

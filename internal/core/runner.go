@@ -12,6 +12,7 @@ import (
 	"a4nn/internal/commons"
 	"a4nn/internal/genome"
 	"a4nn/internal/lineage"
+	"a4nn/internal/nn"
 	"a4nn/internal/obs"
 	"a4nn/internal/predict"
 	"a4nn/internal/sched"
@@ -179,6 +180,10 @@ func (r *runner[G]) evaluateGeneration(ctx context.Context, gen int, cands []G) 
 			if err != nil {
 				return 0, fmt.Errorf("core: build model for %s: %w", hash, err)
 			}
+			// However the attempt ends, its model's scratch goes back to
+			// the workspace for the next candidate; model is read at
+			// return, so a rebuilt model is the one released.
+			defer func() { release(model) }()
 			_, resumable := model.(Resumable)
 			switch {
 			case resuming && !resumable:
@@ -203,6 +208,7 @@ func (r *runner[G]) evaluateGeneration(ctx context.Context, gen int, cands []G) 
 			if err != nil || resumeCp == nil && seed != freshSeed {
 				// Train fresh with this attempt's own seed.
 				resumeCp, seed = nil, freshSeed
+				release(model)
 				if model, err = r.cfg.Trainer.NewModel(g, seed); err != nil {
 					return 0, fmt.Errorf("core: rebuild model for %s: %w", hash, err)
 				}
@@ -410,4 +416,14 @@ func (r *runner[G]) finish() *Result {
 		r.res.Overhead.MeanSeconds = 0
 	}
 	return r.res
+}
+
+// release hands a finished model's scratch buffers back to the workspace
+// (nn.Releaser), so the next candidate on any device trains on that
+// memory instead of allocating its own. A model that holds none, like the
+// surrogate, is left as it is.
+func release(m Trainable) {
+	if r, ok := m.(nn.Releaser); ok {
+		r.Release()
+	}
 }

@@ -3,6 +3,7 @@ package genome
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"a4nn/internal/nn"
 	"a4nn/internal/tensor"
@@ -48,6 +49,11 @@ func (u *convUnit) backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
 		return nil, err
 	}
 	return u.conv.Backward(g)
+}
+
+func (u *convUnit) release() {
+	u.conv.Release()
+	u.bn.Release()
 }
 
 func (u *convUnit) params() []*nn.Param {
@@ -99,8 +105,9 @@ type PhaseBlock struct {
 	trained     bool // a training Forward has filled the units' caches
 }
 
-// ws recycles the block buffers of discarded networks, like nn's layers.
-var ws = tensor.NewWorkspace()
+// ws is nn's workspace: the blocks and cells of this package keep their
+// buffers in it as nn's layers do, and hand them back on Release.
+var ws = nn.Scratch()
 
 // copyInto returns buf, recycled through ws, holding a copy of src.
 func copyInto(buf, src *tensor.Tensor) *tensor.Tensor {
@@ -340,6 +347,20 @@ func (b *PhaseBlock) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
 		}
 	}
 	return b.proj.backward(b.dx0)
+}
+
+// Release implements nn.Releaser: the units' buffers and the block's own.
+func (b *PhaseBlock) Release() {
+	b.proj.release()
+	for _, u := range b.nodes {
+		if u != nil {
+			u.release()
+		}
+	}
+	for _, t := range slices.Concat(b.ins, b.acc, []*tensor.Tensor{b.sum, b.dx0}) {
+		ws.Put(t)
+	}
+	b.trained = false
 }
 
 // DecodeConfig controls genome decoding.

@@ -144,7 +144,7 @@ func TestConcatSplitChannels(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	a := tensor.Randn(rng, 0, 1, 2, 3, 4, 4)
 	b := tensor.Randn(rng, 0, 1, 2, 3, 4, 4)
-	cat, err := concatChannels([]*tensor.Tensor{a, b})
+	cat, err := concatChannels(nil, []*tensor.Tensor{a, b})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,20 +155,20 @@ func TestConcatSplitChannels(t *testing.T) {
 	if cat.At(1, 4, 2, 2) != b.At(1, 1, 2, 2) {
 		t.Fatal("concat layout wrong")
 	}
-	parts, err := splitChannels(cat, 2, 3)
-	if err != nil {
+	parts := make([]*tensor.Tensor, 2)
+	if err := splitChannels(parts, cat, 3); err != nil {
 		t.Fatal(err)
 	}
 	if !parts[0].Equal(a, 0) || !parts[1].Equal(b, 0) {
 		t.Fatal("split does not invert concat")
 	}
-	if _, err := splitChannels(cat, 4, 2); err == nil {
+	if err := splitChannels(make([]*tensor.Tensor, 4), cat, 2); err == nil {
 		t.Fatal("bad split must fail")
 	}
-	if _, err := concatChannels(nil); err == nil {
+	if _, err := concatChannels(nil, nil); err == nil {
 		t.Fatal("empty concat must fail")
 	}
-	if _, err := concatChannels([]*tensor.Tensor{a, tensor.New(2, 3, 5, 5)}); err == nil {
+	if _, err := concatChannels(nil, []*tensor.Tensor{a, tensor.New(2, 3, 5, 5)}); err == nil {
 		t.Fatal("mismatched spatial dims must fail")
 	}
 }
@@ -381,5 +381,61 @@ func TestMicroOpCosts(t *testing.T) {
 	fx, _ := nx.FLOPs()
 	if fx <= fc {
 		t.Fatalf("conv cell FLOPs %d must exceed pooling cell %d", fx, fc)
+	}
+}
+
+// TestReleasedDecodedNetworksTrainAlike: a decoded network of either space
+// whose blocks or cells hand their buffers back after every epoch trains
+// to the bits of its twin that keeps them, over a ragged last batch, and
+// refuses a Backward with no Forward after Release.
+func TestReleasedDecodedNetworksTrainAlike(t *testing.T) {
+	cfg := DecodeConfig{InShape: []int{1, 8, 8}, Widths: []int{4, 4}, NumClasses: 2}
+	macro, err := Parse("1011|1101", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	micro, err := ParseMicro("0.conv3+0.avg3;0.max3+1.conv5;2.id+1.conv3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(8))
+	batches := []nn.Batch{
+		{X: tensor.Randn(rng, 0, 1, 6, 1, 8, 8), Labels: []int{0, 1, 1, 0, 1, 0}},
+		{X: tensor.Randn(rng, 0, 1, 4, 1, 8, 8), Labels: []int{1, 0, 0, 1}},
+	}
+	for name, decode := range map[string]func() (*nn.Network, error){
+		"macro": func() (*nn.Network, error) { return Decode(macro, cfg, rand.New(rand.NewSource(2))) },
+		"micro": func() (*nn.Network, error) { return DecodeMicro(micro, cfg, rand.New(rand.NewSource(2))) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			var nets [2]*nn.Network
+			var opts [2]nn.Optimizer
+			for i := range nets {
+				if nets[i], err = decode(); err != nil {
+					t.Fatal(err)
+				}
+				opts[i], _ = nn.NewSGD(0.05, 0.9, 0)
+			}
+			for epoch := 1; epoch <= 3; epoch++ {
+				var states [2][]byte
+				for i, net := range nets {
+					if _, err := nn.TrainEpoch(net, opts[i], batches); err != nil {
+						t.Fatal(err)
+					}
+					if i == 0 {
+						net.Release()
+					}
+					if states[i], err = net.SaveTraining(opts[i]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if string(states[0]) != string(states[1]) {
+					t.Fatalf("epoch %d: the released network's state differs from its twin's", epoch)
+				}
+			}
+			if err := nets[0].Backward(tensor.New(4, 2)); err == nil {
+				t.Fatal("Backward after Release without a training Forward must fail")
+			}
+		})
 	}
 }

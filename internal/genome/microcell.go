@@ -3,6 +3,7 @@ package genome
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"a4nn/internal/nn"
 	"a4nn/internal/tensor"
@@ -65,6 +66,17 @@ func (m *microOp) backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
 	}
 }
 
+func (m *microOp) release() {
+	switch m.op {
+	case OpConv3x3, OpConv5x5:
+		m.conv.release()
+	case OpMaxPool3x3:
+		m.mp.Release()
+	case OpAvgPool3x3:
+		m.ap.Release()
+	}
+}
+
 func (m *microOp) params() []*nn.Param {
 	if m.conv != nil {
 		return m.conv.params()
@@ -103,8 +115,18 @@ type MicroCell struct {
 	outNodes   []int
 	combine    *convUnit // 1×1 over len(outNodes)·width channels
 
-	// forward caches
-	values []*tensor.Tensor // values[0] = projected input, values[j+1] = node j
+	// Working lists and the buffers behind them, reused step after step.
+	// values[0] is the projected input (the projection's buffer) and
+	// values[j+1] the cell's buffer holding node j's output of the current
+	// Forward; cat lists the output nodes' values and concat holds them
+	// side by side. dvals[i] is value i's gradient in the current
+	// Backward, held in parts (an output node's share of the combiner's
+	// input gradient) or grads[i].
+	values, cat  []*tensor.Tensor
+	parts        []*tensor.Tensor
+	dvals, grads []*tensor.Tensor
+	concat       *tensor.Tensor
+	trained      bool // a training Forward has filled the ops' caches
 }
 
 // NewMicroCell decodes the genome into a cell with the given input
@@ -120,7 +142,10 @@ func NewMicroCell(rng *rand.Rand, g *MicroGenome, inC, width int) (*MicroCell, e
 	if err != nil {
 		return nil, err
 	}
-	c := &MicroCell{inC: inC, width: width, genome: g.Clone(), proj: proj, outNodes: g.OutputNodes()}
+	nv, no := len(g.Nodes)+1, len(g.OutputNodes())
+	c := &MicroCell{inC: inC, width: width, genome: g.Clone(), proj: proj, outNodes: g.OutputNodes(),
+		values: make([]*tensor.Tensor, nv), dvals: make([]*tensor.Tensor, nv), grads: make([]*tensor.Tensor, nv),
+		cat: make([]*tensor.Tensor, no), parts: make([]*tensor.Tensor, no)}
 	for _, n := range g.Nodes {
 		op1, err := newMicroOp(rng, n.Op1, width)
 		if err != nil {
@@ -202,101 +227,111 @@ func (c *MicroCell) FLOPs(in []int) int64 {
 	return total + c.combine.flops(concatIn)
 }
 
-// Forward implements nn.Layer.
+// Forward implements nn.Layer. The result lives in a buffer of the
+// combiner that the next Forward overwrites.
 func (c *MicroCell) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
 	x0, err := c.proj.forward(x, train)
 	if err != nil {
 		return nil, fmt.Errorf("genome: %s proj: %w", c.Name(), err)
 	}
-	values := make([]*tensor.Tensor, len(c.genome.Nodes)+1)
-	values[0] = x0
+	c.values[0] = x0
 	for j, n := range c.genome.Nodes {
-		a, err := c.ops[j][0].forward(values[n.In1], train)
+		a, err := c.ops[j][0].forward(c.values[n.In1], train)
 		if err != nil {
 			return nil, fmt.Errorf("genome: %s node %d op1: %w", c.Name(), j, err)
 		}
-		b, err := c.ops[j][1].forward(values[n.In2], train)
+		b, err := c.ops[j][1].forward(c.values[n.In2], train)
 		if err != nil {
 			return nil, fmt.Errorf("genome: %s node %d op2: %w", c.Name(), j, err)
 		}
-		values[j+1] = a.Add(b)
+		c.values[j+1] = a.AddInto(b, ws.Obtain(c.values[j+1], a.Shape()...))
 	}
 	if train {
-		c.values = values
+		c.trained = true
 	}
-	concat, err := concatChannels(collect(values, c.outNodes))
-	if err != nil {
+	for i, j := range c.outNodes {
+		c.cat[i] = c.values[j+1]
+	}
+	if c.concat, err = concatChannels(c.concat, c.cat); err != nil {
 		return nil, fmt.Errorf("genome: %s concat: %w", c.Name(), err)
 	}
-	return c.combine.forward(concat, train)
-}
-
-// collect gathers values[j+1] for the output nodes.
-func collect(values []*tensor.Tensor, outNodes []int) []*tensor.Tensor {
-	out := make([]*tensor.Tensor, len(outNodes))
-	for i, j := range outNodes {
-		out[i] = values[j+1]
-	}
-	return out
+	return c.combine.forward(c.concat, train)
 }
 
 // Backward implements nn.Layer.
 func (c *MicroCell) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
-	if c.values == nil {
+	if !c.trained {
 		return nil, fmt.Errorf("genome: %s: Backward without prior training Forward", c.Name())
 	}
 	dConcat, err := c.combine.backward(grad)
 	if err != nil {
 		return nil, fmt.Errorf("genome: %s combine backward: %w", c.Name(), err)
 	}
-	parts, err := splitChannels(dConcat, len(c.outNodes), c.width)
-	if err != nil {
+	if err := splitChannels(c.parts, dConcat, c.width); err != nil {
 		return nil, err
 	}
-	// Per-value gradient accumulators (index 0 = projected input).
-	dvals := make([]*tensor.Tensor, len(c.values))
+	clear(c.dvals)
 	for i, j := range c.outNodes {
-		dvals[j+1] = parts[i]
+		c.dvals[j+1] = c.parts[i]
 	}
 	for j := len(c.genome.Nodes) - 1; j >= 0; j-- {
-		if dvals[j+1] == nil {
+		if c.dvals[j+1] == nil {
 			// The node's output is unused and not a cell output — it is an
 			// ancestor of nothing. It cannot happen: unused ⇒ cell output.
 			return nil, fmt.Errorf("genome: %s node %d received no gradient", c.Name(), j)
 		}
 		n := c.genome.Nodes[j]
-		da, err := c.ops[j][0].backward(dvals[j+1])
+		da, err := c.ops[j][0].backward(c.dvals[j+1])
 		if err != nil {
 			return nil, fmt.Errorf("genome: %s node %d op1 backward: %w", c.Name(), j, err)
 		}
-		db, err := c.ops[j][1].backward(dvals[j+1])
+		db, err := c.ops[j][1].backward(c.dvals[j+1])
 		if err != nil {
 			return nil, fmt.Errorf("genome: %s node %d op2 backward: %w", c.Name(), j, err)
 		}
-		accumulate(dvals, n.In1, da)
-		accumulate(dvals, n.In2, db)
+		c.accumulate(n.In1, da)
+		c.accumulate(n.In2, db)
 	}
-	if dvals[0] == nil {
+	if c.dvals[0] == nil {
 		// No node consumed the projected input (all nodes chain off node
 		// outputs only — possible only when node 0 self-references input
 		// 0... which it must, so this is unreachable); guard anyway.
-		dvals[0] = tensor.New(c.values[0].Shape()...)
+		c.grads[0] = ws.ObtainZeroed(c.grads[0], dConcat.Dim(0), c.width, dConcat.Dim(2), dConcat.Dim(3))
+		c.dvals[0] = c.grads[0]
 	}
-	return c.proj.backward(dvals[0])
+	return c.proj.backward(c.dvals[0])
 }
 
-// accumulate adds g into dvals[i], cloning on first write so op-shared
-// tensors (identity backward returns its input) are never mutated.
-func accumulate(dvals []*tensor.Tensor, i int, g *tensor.Tensor) {
-	if dvals[i] == nil {
-		dvals[i] = g.Clone()
+// accumulate adds g into value i's gradient, copying on first write into
+// the cell's own buffer so op-shared tensors (identity backward returns
+// its input) are never mutated.
+func (c *MicroCell) accumulate(i int, g *tensor.Tensor) {
+	if c.dvals[i] == nil {
+		c.grads[i] = copyInto(c.grads[i], g)
+		c.dvals[i] = c.grads[i]
 		return
 	}
-	dvals[i].AddScaled(g, 1)
+	c.dvals[i].AddScaled(g, 1)
 }
 
-// concatChannels concatenates NCHW tensors along the channel axis.
-func concatChannels(ts []*tensor.Tensor) (*tensor.Tensor, error) {
+// Release implements nn.Releaser: the units' and pools' buffers and the
+// cell's own.
+func (c *MicroCell) Release() {
+	c.proj.release()
+	for _, pair := range c.ops {
+		pair[0].release()
+		pair[1].release()
+	}
+	c.combine.release()
+	for _, t := range slices.Concat(c.values[1:], c.parts, c.grads, []*tensor.Tensor{c.concat}) {
+		ws.Put(t)
+	}
+	c.trained = false
+}
+
+// concatChannels concatenates NCHW tensors along the channel axis into
+// dst, obtained from ws, and returns it.
+func concatChannels(dst *tensor.Tensor, ts []*tensor.Tensor) (*tensor.Tensor, error) {
 	if len(ts) == 0 {
 		return nil, fmt.Errorf("genome: concat of nothing")
 	}
@@ -308,7 +343,7 @@ func concatChannels(ts []*tensor.Tensor) (*tensor.Tensor, error) {
 		}
 		totalC += t.Dim(1)
 	}
-	out := tensor.New(n, totalC, h, w)
+	out := ws.Obtain(dst, n, totalC, h, w)
 	spat := h * w
 	od := out.Data()
 	for s := 0; s < n; s++ {
@@ -323,26 +358,26 @@ func concatChannels(ts []*tensor.Tensor) (*tensor.Tensor, error) {
 	return out, nil
 }
 
-// splitChannels splits an NCHW tensor into k equal channel groups, the
-// adjoint of concatChannels for equal widths.
-func splitChannels(t *tensor.Tensor, k, width int) ([]*tensor.Tensor, error) {
+// splitChannels splits an NCHW tensor into len(parts) groups of width
+// channels, the adjoint of concatChannels for equal widths, obtaining
+// each part's buffer from ws in place.
+func splitChannels(parts []*tensor.Tensor, t *tensor.Tensor, width int) error {
+	k := len(parts)
 	if t.Rank() != 4 || t.Dim(1) != k*width {
-		return nil, fmt.Errorf("genome: cannot split %v into %d×%d channels", t.Shape(), k, width)
+		return fmt.Errorf("genome: cannot split %v into %d×%d channels", t.Shape(), k, width)
 	}
 	n, h, w := t.Dim(0), t.Dim(2), t.Dim(3)
 	spat := h * w
 	td := t.Data()
-	out := make([]*tensor.Tensor, k)
-	for i := 0; i < k; i++ {
-		part := tensor.New(n, width, h, w)
-		pd := part.Data()
+	for i := range parts {
+		parts[i] = ws.Obtain(parts[i], n, width, h, w)
+		pd := parts[i].Data()
 		for s := 0; s < n; s++ {
 			src := (s*k*width + i*width) * spat
 			copy(pd[s*width*spat:(s+1)*width*spat], td[src:src+width*spat])
 		}
-		out[i] = part
 	}
-	return out, nil
+	return nil
 }
 
 // DecodeMicro builds a trainable network from a micro genome: one

@@ -16,6 +16,7 @@ import (
 	"a4nn/internal/commons"
 	"a4nn/internal/core"
 	"a4nn/internal/obs"
+	"a4nn/internal/sched"
 	"a4nn/internal/tsdb"
 )
 
@@ -352,6 +353,23 @@ func TestManagerUnknownJobOps(t *testing.T) {
 	}
 }
 
+// waitFleetWaiting polls the fleet until job id has an Acquire blocked.
+func waitFleetWaiting(t *testing.T, f *sched.Fleet, id string) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		for _, j := range f.Status().Jobs {
+			if j.ID == id && j.Waiting {
+				return
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("fleet job %s never waited for a slot", id)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestManagerDrainAndRecover is the restart story: Close mid-search
 // leaves a non-terminal manifest; a fresh manager's Recover resumes the
 // job to completion with the same records a solo run produces.
@@ -364,23 +382,41 @@ func TestManagerDrainAndRecover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The test holds the single fleet slot around the job's first
+	// generation, so the drain always finds the job with that generation's
+	// work landed and waiting at the next one's gate. The holder takes the
+	// slot first (its pass becomes 1); the job registers at pass 1 and
+	// queues, then the holder queues behind it.
+	fleet := m.Fleet()
+	if err := fleet.Register("holder", 1); err != nil {
+		t.Fatal(err)
+	}
+	release, err := fleet.Acquire(context.Background(), "holder", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := m.Submit(smallJob("phoenix", 42)); err != nil {
 		t.Fatal(err)
 	}
-	// Interrupt once some work has landed.
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		st, err := m.Get("phoenix")
+	waitFleetWaiting(t, fleet, "phoenix")
+	held := make(chan func(), 1)
+	go func() {
+		release, err := fleet.Acquire(context.Background(), "holder", 1)
 		if err != nil {
-			t.Fatal(err)
+			t.Error(err)
+			release = func() {}
 		}
-		if st.Progress.ModelsDone >= 3 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("job never progressed")
-		}
-		time.Sleep(10 * time.Millisecond)
+		held <- release
+	}()
+	waitFleetWaiting(t, fleet, "holder")
+	// Equal passes go in arrival order: generation 0 is the job's, and its
+	// pass moves past the holder's, so the holder wins generation 1's grant
+	// once generation 0 is done.
+	release()
+	release = <-held
+	defer release()
+	if st, err := m.Get("phoenix"); err != nil || st.Progress.ModelsDone == 0 {
+		t.Fatalf("job held at generation 1 with %+v (%v), want its first generation done", st.Progress, err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()

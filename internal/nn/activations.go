@@ -120,3 +120,6 @@ func (d *Dropout) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
 	}
 	return d.dx, nil
 }
+
+// Release implements Releaser.
+func (d *Dropout) Release() { release(d.y, d.dx) }

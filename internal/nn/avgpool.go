@@ -176,3 +176,6 @@ func (p *AvgPool2D) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
 	}
 	return dx, nil
 }
+
+// Release implements Releaser.
+func (p *AvgPool2D) Release() { release(p.y, p.dx) }

@@ -34,7 +34,6 @@ type Conv2D struct {
 	tiles *tensor.Tensor // (chunks, InC·KH·KW, OH·OW) fused-kernel scratch
 	y     *tensor.Tensor // (N, OutC, OH, OW) layer output
 	g     *tensor.Tensor // (OutC, N·OH·OW) rearranged output gradient
-	dw    *tensor.Tensor // (OutC, InC·KH·KW) weight-gradient scratch
 	dx    *tensor.Tensor // (N, InC, H, W) input gradient
 
 	inH, inW   int
@@ -155,11 +154,9 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
 	}
 
 	// dW += G · colsᵀ ; db += row sums of G.
-	c.dw = ws.Obtain(c.dw, c.OutC, c.InC*c.KH*c.KW)
-	if err := tensor.MatMulTransBInto(c.g, c.cols, c.dw); err != nil {
+	if err := tensor.MatMulTransBAddInto(c.g, c.cols, c.W.Grad); err != nil {
 		return nil, fmt.Errorf("nn: %s backward dW: %w", c.Name(), err)
 	}
-	c.W.Grad.AddScaled(c.dw, 1)
 	bg := c.B.Grad.Data()
 	for f := 0; f < c.OutC; f++ {
 		s := 0.0
@@ -175,4 +172,10 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
 		return nil, fmt.Errorf("nn: %s backward data: %w", c.Name(), err)
 	}
 	return c.dx, nil
+}
+
+// Release implements Releaser.
+func (c *Conv2D) Release() {
+	release(c.cols, c.tiles, c.y, c.g, c.dx)
+	c.trained = false
 }

@@ -21,7 +21,6 @@ type Dense struct {
 
 	x  *tensor.Tensor // forward cache (borrowed from upstream layer)
 	y  *tensor.Tensor // (N, Out) pooled output
-	dw *tensor.Tensor // (Out, In) weight-gradient scratch
 	dx *tensor.Tensor // (N, In) pooled input gradient
 }
 
@@ -95,11 +94,9 @@ func (d *Dense) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
 	if grad.Rank() != 2 || grad.Dim(0) != n || grad.Dim(1) != d.Out {
 		return nil, errShape(d.Name()+" backward", []int{n, d.Out}, grad.Shape())
 	}
-	d.dw = ws.Obtain(d.dw, d.Out, d.In)
-	if err := tensor.MatMulTransAInto(grad, d.x, d.dw); err != nil { // gradᵀ·x → (Out, In)
+	if err := tensor.MatMulTransAAddInto(grad, d.x, d.W.Grad); err != nil { // dW += gradᵀ·x
 		return nil, fmt.Errorf("nn: %s backward dW: %w", d.Name(), err)
 	}
-	d.W.Grad.AddScaled(d.dw, 1)
 	bg, gd := d.B.Grad.Data(), grad.Data()
 	for i := 0; i < n; i++ {
 		row := gd[i*d.Out : (i+1)*d.Out]
@@ -112,4 +109,10 @@ func (d *Dense) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
 		return nil, fmt.Errorf("nn: %s backward dx: %w", d.Name(), err)
 	}
 	return d.dx, nil
+}
+
+// Release implements Releaser; the borrowed input is dropped, not put.
+func (d *Dense) Release() {
+	release(d.y, d.dx)
+	d.x = nil
 }

@@ -78,6 +78,19 @@ func (n *Network) Backward(grad *tensor.Tensor) error {
 	return nil
 }
 
+// Release hands every layer's workspace buffers back to the workspace, for
+// the next network to train on; the runner calls it when a model attempt
+// ends. Parameters, batch-norm running statistics and the optimizer's
+// state stay, so a released network still saves its state, and its next
+// Forward obtains buffers again.
+func (n *Network) Release() {
+	for _, l := range n.Layers {
+		if r, ok := l.(Releaser); ok {
+			r.Release()
+		}
+	}
+}
+
 // wrapLayerErr annotates a layer failure with its network and position.
 func wrapLayerErr(n *Network, layer int, pass string, err error) error {
 	return fmt.Errorf("nn: network %q layer %d %s: %w", n.ID, layer, pass, err)

@@ -283,3 +283,9 @@ func (b *BatchNormReLU) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
 	}
 	return b.dx, nil
 }
+
+// Release implements Releaser.
+func (b *BatchNormReLU) Release() {
+	release(b.xhat, b.y, b.dx)
+	b.xhat = nil
+}

@@ -147,6 +147,9 @@ func (p *MaxPool2D) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
 	return dx, nil
 }
 
+// Release implements Releaser.
+func (p *MaxPool2D) Release() { release(p.y, p.dx) }
+
 // GlobalAvgPool2D averages each channel's spatial map to a single value,
 // turning (N, C, H, W) into (N, C). It replaces large dense layers at the
 // head of the genome-decoded networks, keeping FLOPs low.
@@ -226,3 +229,6 @@ func (g *GlobalAvgPool2D) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) 
 	}
 	return dx, nil
 }
+
+// Release implements Releaser.
+func (g *GlobalAvgPool2D) Release() { release(g.y, g.dx) }

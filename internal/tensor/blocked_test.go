@@ -273,6 +273,10 @@ func TestBlockedAdversarialShapes(t *testing.T) {
 				{"MatMulInto", want, func(dst *Tensor) error { return MatMulInto(a, b, dst) }},
 				{"MatMulTransAInto", want, func(dst *Tensor) error { return MatMulTransAInto(at, b, dst) }},
 				{"MatMulTransBInto", wantTransB, func(dst *Tensor) error { return MatMulTransBInto(a, bt, dst) }},
+				// The accumulating forms over +0s, as a gradient is
+				// after ZeroGrad, have the overwriting forms' bits.
+				{"MatMulTransAAddInto", want, func(dst *Tensor) error { dst.Zero(); return MatMulTransAAddInto(at, b, dst) }},
+				{"MatMulTransBAddInto", wantTransB, func(dst *Tensor) error { dst.Zero(); return MatMulTransBAddInto(a, bt, dst) }},
 			}
 			for _, v := range variants {
 				var serial *Tensor
@@ -295,6 +299,27 @@ func TestBlockedAdversarialShapes(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestMatMulAddIntoAccumulates: the accumulating forms add the product
+// to what dst holds.
+func TestMatMulAddIntoAccumulates(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	a, b := Randn(rng, 0, 1, 7, 9), Randn(rng, 0, 1, 5, 9)
+	at, _ := Transpose2D(a)
+	bt, _ := Transpose2D(b)
+	c := Randn(rng, 0, 1, 7, 5)
+	want := c.Add(matMulTransBRef(a, b))
+	for name, run := range map[string]func(dst *Tensor) error{
+		"MatMulTransAAddInto": func(dst *Tensor) error { return MatMulTransAAddInto(at, bt, dst) },
+		"MatMulTransBAddInto": func(dst *Tensor) error { return MatMulTransBAddInto(a, b, dst) },
+	} {
+		dst := c.Clone()
+		if err := run(dst); err != nil {
+			t.Fatal(err)
+		}
+		requireClose(t, dst, want, 1e-12, name)
+	}
 }
 
 // TestMatMulIntoWorkerInvariance pins the bitwise-reproducibility claim

@@ -56,7 +56,14 @@ func MatMulInto(a, b, dst *Tensor) error {
 // overwriting dst, without materialising the transpose. dst must not alias
 // a or b. Results are bitwise identical to the naive reference, as for
 // MatMulInto.
-func MatMulTransAInto(a, b, dst *Tensor) error {
+func MatMulTransAInto(a, b, dst *Tensor) error { return matMulTransA(a, b, dst, false) }
+
+// MatMulTransAAddInto is MatMulTransAInto accumulating into dst: dst +=
+// aᵀ·b, each product term added to dst's element in ascending p. Over a
+// dst of +0s it has MatMulTransAInto's bits.
+func MatMulTransAAddInto(a, b, dst *Tensor) error { return matMulTransA(a, b, dst, true) }
+
+func matMulTransA(a, b, dst *Tensor, add bool) error {
 	if a.Rank() != 2 || b.Rank() != 2 || dst.Rank() != 2 {
 		return fmt.Errorf("tensor: MatMulTransAInto requires rank-2 tensors, got %v, %v, %v", a.shape, b.shape, dst.shape)
 	}
@@ -68,7 +75,9 @@ func MatMulTransAInto(a, b, dst *Tensor) error {
 	if dst.shape[0] != m || dst.shape[1] != n {
 		return fmt.Errorf("tensor: MatMulTransAInto dst shape %v, want [%d %d]", dst.shape, m, n)
 	}
-	dst.Zero()
+	if !add {
+		dst.Zero()
+	}
 	countMatMul(m, n, k)
 	gemmParallel(m, n, func(i0, i1, j0, j1 int) {
 		gemmTransAPanel(a.data, b.data, dst.data, k, m, n, i0, i1, j0, j1)
@@ -84,7 +93,14 @@ func MatMulTransAInto(a, b, dst *Tensor) error {
 // naive single-accumulator dot product, beyond it the same sums re-associated
 // at the segment boundaries (≪ 1e-12 relative). The bits do not depend on
 // the worker count or on which form of the dot kernel runs.
-func MatMulTransBInto(a, b, dst *Tensor) error {
+func MatMulTransBInto(a, b, dst *Tensor) error { return matMulTransB(a, b, dst, false) }
+
+// MatMulTransBAddInto is MatMulTransBInto accumulating into dst: dst +=
+// a·bᵀ, each segment sum added to dst's element in order. Over a dst of
+// +0s it has MatMulTransBInto's bits.
+func MatMulTransBAddInto(a, b, dst *Tensor) error { return matMulTransB(a, b, dst, true) }
+
+func matMulTransB(a, b, dst *Tensor, add bool) error {
 	if a.Rank() != 2 || b.Rank() != 2 || dst.Rank() != 2 {
 		return fmt.Errorf("tensor: MatMulTransBInto requires rank-2 tensors, got %v, %v, %v", a.shape, b.shape, dst.shape)
 	}
@@ -96,7 +112,9 @@ func MatMulTransBInto(a, b, dst *Tensor) error {
 	if dst.shape[0] != m || dst.shape[1] != n {
 		return fmt.Errorf("tensor: MatMulTransBInto dst shape %v, want [%d %d]", dst.shape, m, n)
 	}
-	dst.Zero()
+	if !add {
+		dst.Zero()
+	}
 	countMatMul(m, n, k)
 	gemmParallel(m, n, func(i0, i1, j0, j1 int) {
 		gemmTransBPanel(a.data, b.data, dst.data, k, n, i0, i1, j0, j1)

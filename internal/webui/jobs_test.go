@@ -281,8 +281,11 @@ func TestJobAndFleetMetricsEndpoints(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 
+	// Both jobs must still run when the test reads the fleet and cancels
+	// them: 50 generations (~200 surrogate models) could finish first on
+	// a fast host, 2000 take seconds.
 	for _, id := range []string{"alpha", "beta"} {
-		body := `{"id":"` + id + `","population":4,"offspring":4,"generations":50,"epochs":8,"seed":7}`
+		body := `{"id":"` + id + `","population":4,"offspring":4,"generations":2000,"epochs":8,"seed":7}`
 		if code, resp := doReq(t, "POST", ts.URL+"/api/jobs", body); code != http.StatusCreated {
 			t.Fatalf("submit %s: %d %s", id, code, resp)
 		}

@@ -35,8 +35,11 @@ func TestHistoryKillResumeE2E(t *testing.T) {
 	bins := buildTools(t, "a4nn", "a4nn-analyze")
 	store := scratchDir(t, "store")
 	seriesPath := filepath.Join(store, tsdb.SeriesFile)
+	// The file first holds 4 KiB about 0.4 s into the run, so the search
+	// must outlast that on a fast host: 20 generations took 0.1 s on a
+	// 2-vCPU Xeon and ended before the kill; 400 take about 2 s there.
 	args := []string{"-beam", "medium", "-population", "10", "-offspring", "10",
-		"-generations", "20", "-seed", "11", "-store", store, "-history", "25ms"}
+		"-generations", "400", "-seed", "11", "-store", store, "-history", "25ms"}
 
 	cmd := exec.Command(bins["a4nn"], args...)
 	if err := cmd.Start(); err != nil {
