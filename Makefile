@@ -32,7 +32,10 @@ ci: lint build race race-broker race-health race-sched race-obs race-tsdb allocs
 # every binary and every job mounts that one table. And it holds the
 # health engine to one fold of the journal: a `case obs.Event…` in
 # non-test internal/health outside fold.go is a second reader of the
-# event stream.
+# event stream. Last, TestReachCensus type-checks the module and fails on
+# an internal declaration no command, example, benchmark or a4nn.go
+# export reaches, or a settings field no code sets (DESIGN §10); it skips
+# under -race, so `make race` does not repeat it.
 lint: vet
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -63,6 +66,7 @@ lint: vet
 	if [ -n "$$cases" ]; then \
 		echo "event type switched on outside internal/health/fold.go (apply it in fold.apply):"; echo "$$cases"; exit 1; \
 	fi
+	$(GO) test -count=1 -run '^TestReachCensus$$' .
 
 vet:
 	$(GO) vet ./...

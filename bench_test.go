@@ -122,14 +122,16 @@ func BenchmarkPredictionEngineOverhead(b *testing.B) {
 		b.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))
-	hist := make([]float64, 0, 12)
+	xs, hist := make([]float64, 0, 12), make([]float64, 0, 12)
 	for e := 1; e <= 12; e++ {
+		xs = append(xs, float64(e))
 		hist = append(hist, 92-math.Exp(0.4*(2-float64(e)))+rng.NormFloat64()*0.2)
 	}
 	preds := []float64{91.8, 91.9, 92.0}
+	ePred := float64(predict.DefaultConfig().EPred)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if p, ok := engine.Predict(hist); ok {
+		if p, ok := engine.PredictAt(xs, hist, ePred); ok {
 			preds[i%3] = p
 		}
 		engine.Converged(preds)

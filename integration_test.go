@@ -44,13 +44,8 @@ func TestIntegrationFilePipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched, err := nn.NewCosineLR(0.08, 0.005, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
 	trainer, err := NewRealTrainer(train, val, RealTrainerConfig{
-		Decode:    DecodeConfig{InShape: []int{1, 16, 16}, Widths: []int{4, 8, 8}, NumClasses: 2},
-		Scheduler: sched,
+		Decode: DecodeConfig{InShape: []int{1, 16, 16}, Widths: []int{4, 8, 8}, NumClasses: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -223,8 +218,7 @@ func TestIntegrationMultiClass(t *testing.T) {
 		t.Fatal(err)
 	}
 	trainer, err := NewRealTrainer(train, val, RealTrainerConfig{
-		Decode:   DecodeConfig{InShape: []int{1, 16, 16}, Widths: []int{6, 12, 12}, NumClasses: 4},
-		ClipNorm: 5,
+		Decode: DecodeConfig{InShape: []int{1, 16, 16}, Widths: []int{6, 12, 12}, NumClasses: 4},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -52,10 +52,6 @@ func RecoveryOf(events []obs.Event) RecoverySummary {
 	return r
 }
 
-// Damaged reports whether recovery found anything a human should look
-// at (corruption or lost work, as opposed to clean resumes).
-func (r RecoverySummary) Damaged() bool { return r.Quarantined > 0 || r.Lost > 0 }
-
 // String renders the summary as a one-line report for CLI output.
 func (r RecoverySummary) String() string {
 	var b strings.Builder

@@ -87,3 +87,7 @@ func TestRecoveryReadsLegacyAlertCmdLine(t *testing.T) {
 		t.Errorf("FormatRecovery = %q", out)
 	}
 }
+
+// Damaged reports whether recovery found anything a human should look
+// at (corruption or lost work, as opposed to clean resumes).
+func (r RecoverySummary) Damaged() bool { return r.Quarantined > 0 || r.Lost > 0 }

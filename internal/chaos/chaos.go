@@ -51,6 +51,20 @@ const (
 	// PointModelPostRecord fires after a model's record is committed but
 	// before its now-stale checkpoint is deleted.
 	PointModelPostRecord = "core.model.post_record"
+	// PointManifestPreRename and PointManifestPostRename straddle the
+	// rename of a job's job.json: before it the previous lifecycle state
+	// is still the visible one, after it the new state is committed but
+	// the manager has not acted on it.
+	PointManifestPreRename  = "jobs.manifest.pre_rename"
+	PointManifestPostRename = "jobs.manifest.post_rename"
+	// PointMetricsPreRename and PointMetricsPostRename straddle the rename
+	// of a run's metrics.json snapshot.
+	PointMetricsPreRename  = "obs.metrics.pre_rename"
+	PointMetricsPostRename = "obs.metrics.post_rename"
+	// PointBaselinePreRename and PointBaselinePostRename straddle the
+	// rename of a regression baseline file.
+	PointBaselinePreRename  = "health.baseline.pre_rename"
+	PointBaselinePostRename = "health.baseline.post_rename"
 )
 
 // catalogue maps every valid point name to a one-line description.
@@ -64,6 +78,12 @@ var catalogue = map[string]string{
 	PointAlertsAppend:        "before an alert sink append",
 	PointGenerationCommit:    "after a generation's records commit",
 	PointModelPostRecord:     "after a record commits, before checkpoint cleanup",
+	PointManifestPreRename:   "before a job manifest rename",
+	PointManifestPostRename:  "after a job manifest rename",
+	PointMetricsPreRename:    "before a metrics snapshot rename",
+	PointMetricsPostRename:   "after a metrics snapshot rename",
+	PointBaselinePreRename:   "before a regression baseline rename",
+	PointBaselinePostRename:  "after a regression baseline rename",
 }
 
 // Points returns the catalogue's point names, sorted.
@@ -75,10 +95,6 @@ func Points() []string {
 	sort.Strings(names)
 	return names
 }
-
-// Describe returns the catalogue description of a point name ("" when
-// unknown).
-func Describe(name string) string { return catalogue[name] }
 
 // ExitCode is the process exit status of an injected crash. It is
 // distinct from ordinary failure (1) so a relaunch loop can tell an
@@ -198,9 +214,6 @@ func Install(p *Plan) {
 	}
 	active.Store(e)
 }
-
-// Installed reports whether a plan is armed.
-func Installed() bool { return active.Load() != nil }
 
 // Point marks one visit to a named crash point. With no plan installed
 // it returns nil at the cost of a single atomic load. With a plan, a

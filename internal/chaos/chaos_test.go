@@ -208,3 +208,10 @@ func BenchmarkDisabledChaos(b *testing.B) {
 		}
 	}
 }
+
+// Describe returns the catalogue description of a point name ("" when
+// unknown).
+func Describe(name string) string { return catalogue[name] }
+
+// Installed reports whether a plan is armed.
+func Installed() bool { return active.Load() != nil }

@@ -63,9 +63,9 @@ func TestRunMicroWorkflow(t *testing.T) {
 // TestWorkflowValidation covers the shared checks; only the space differs.
 func TestRunMicroValidation(t *testing.T) {
 	cfg := microTestConfig()
-	cfg.Space = genome.MicroSpace{MutationRate: 2}
+	cfg.Space = genome.MicroSpace{CellNodes: -1}
 	if _, err := RunMicro(cfg); err == nil {
-		t.Fatal("mutation rate > 1 must fail")
+		t.Fatal("negative cell nodes must fail")
 	}
 	cfg = microTestConfig()
 	cfg.Trainer = nil

@@ -10,24 +10,21 @@ import (
 )
 
 // RealTrainerConfig configures genuine gradient-descent training of
-// decoded genomes.
+// decoded genomes: SGD with momentum at a fixed learning rate. The
+// prediction engine reads only each epoch's validation accuracy, so any
+// trainer with concave, noisy curves exercises the workflow (DESIGN §1).
 type RealTrainerConfig struct {
 	// Decode shapes the decoded networks (input, phase widths, classes).
 	Decode genome.DecodeConfig
 	// BatchSize for SGD (default 32).
 	BatchSize int
-	// LR and Momentum for the SGD optimizer (defaults 0.05, 0.9).
-	LR, Momentum float64
-	// WeightDecay is the L2 penalty (default 0).
-	WeightDecay float64
-	// Scheduler, when non-nil, sets the learning rate before each epoch
-	// (e.g. nn.CosineLR, the schedule NSGA-Net trains with). The LR field
-	// is then only the optimizer's initial rate.
-	Scheduler nn.LRScheduler
-	// ClipNorm, when positive, clips the global gradient norm before each
-	// optimizer step.
-	ClipNorm float64
+	// LR is the SGD learning rate (default 0.05); the momentum is
+	// sgdMomentum.
+	LR float64
 }
+
+// sgdMomentum is the momentum of every real model's SGD optimizer.
+const sgdMomentum = 0.9
 
 func (c *RealTrainerConfig) withDefaults() RealTrainerConfig {
 	r := *c
@@ -36,9 +33,6 @@ func (c *RealTrainerConfig) withDefaults() RealTrainerConfig {
 	}
 	if r.LR == 0 {
 		r.LR = 0.05
-	}
-	if r.Momentum == 0 {
-		r.Momentum = 0.9
 	}
 	return r
 }
@@ -108,7 +102,7 @@ func (t *RealTrainerOf[G]) NewModel(g G, seed int64) (Trainable, error) {
 	if err != nil {
 		return nil, err
 	}
-	opt, err := nn.NewSGD(t.cfg.LR, t.cfg.Momentum, t.cfg.WeightDecay)
+	opt, err := nn.NewSGD(t.cfg.LR, sgdMomentum)
 	if err != nil {
 		return nil, err
 	}
@@ -127,7 +121,7 @@ func (t *RealTrainerOf[G]) NewModel(g G, seed int64) (Trainable, error) {
 type realModel struct {
 	trainer *realData
 	net     *nn.Network
-	opt     nn.Optimizer
+	opt     *nn.SGD
 	rng     *rand.Rand
 	flops   int64
 	epoch   int
@@ -138,13 +132,8 @@ type realModel struct {
 // TrainEpoch implements Trainable.
 func (m *realModel) TrainEpoch() (EpochMetrics, error) {
 	m.epoch++
-	if s := m.trainer.cfg.Scheduler; s != nil {
-		if set, ok := m.opt.(nn.SetLR); ok {
-			set.SetLR(s.LR(m.epoch))
-		}
-	}
 	m.trainer.train.ShuffleInto(m.batches, m.rng)
-	loss, trainAcc, err := nn.TrainEpochClipped(m.net, m.opt, m.batches, m.trainer.cfg.ClipNorm)
+	loss, trainAcc, err := nn.TrainEpoch(m.net, m.opt, m.batches)
 	if err != nil {
 		return EpochMetrics{}, err
 	}
@@ -163,8 +152,7 @@ func (m *realModel) ResumeState() ([]byte, error) { return m.net.SaveTraining(m.
 
 // RestoreState implements Resumable: reload the training state, replay
 // the completed epochs' shuffles so the data order continues as it
-// would have, and jump the epoch counter so LR schedules continue where
-// the crash left off.
+// would have.
 func (m *realModel) RestoreState(state []byte, epoch int) error {
 	if err := m.net.LoadTraining(state, m.opt); err != nil {
 		return err

@@ -51,7 +51,7 @@ func macroOf(g any) *genome.Genome {
 
 // newRunner assembles the runner of a validated configuration.
 func newRunner[G Arch](cfg ConfigOf[G]) (*runner[G], error) {
-	pool, err := sched.NewPool(cfg.Devices, cfg.Throughput)
+	pool, err := sched.NewPool(cfg.Devices, sched.DefaultThroughput)
 	if err != nil {
 		return nil, err
 	}

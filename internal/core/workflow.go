@@ -28,8 +28,6 @@ type ConfigOf[G Arch] struct {
 	Space SearchSpace[G]
 	// Devices is the accelerator count (the paper evaluates 1 and 4).
 	Devices int
-	// Throughput is the per-device FLOPs/s; 0 selects sched.DefaultThroughput.
-	Throughput float64
 	// Trainer builds models from genomes.
 	Trainer TrainerOf[G]
 	// Beam labels the dataset variant in lineage records.
@@ -284,9 +282,6 @@ func RunCtx[G Arch](ctx context.Context, cfg ConfigOf[G]) (*Result, error) {
 
 // RunMicro executes a search over the micro (cell-based) space.
 func RunMicro(cfg MicroConfig) (*Result, error) { return Run(cfg) }
-
-// RunMicroCtx is RunMicro with cancellation.
-func RunMicroCtx(ctx context.Context, cfg MicroConfig) (*Result, error) { return RunCtx(ctx, cfg) }
 
 // emitRunEnd publishes the run's closing event with the headline
 // accounting the dashboard's savings ticker sums up.

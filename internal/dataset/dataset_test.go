@@ -36,7 +36,7 @@ func TestFromPatterns(t *testing.T) {
 		t.Fatalf("sample shape %v", s)
 	}
 	// Pixel data must land in the right sample slot.
-	if d.X.At(3, 0, 0, 0) != ps[3].Pixels[0] {
+	if d.X.Data()[3*d.X.Len()/d.X.Dim(0)] != ps[3].Pixels[0] {
 		t.Fatal("pixel layout wrong")
 	}
 	if _, err := FromPatterns(nil); err == nil {

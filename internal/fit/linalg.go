@@ -20,32 +20,6 @@ import (
 // (the matrix is singular or numerically rank-deficient).
 var ErrSingular = errors.New("fit: singular matrix")
 
-// SolveLinear solves the n×n system A·x = b using Gaussian elimination
-// with partial pivoting. A and b are not modified.
-func SolveLinear(a [][]float64, b []float64) ([]float64, error) {
-	n := len(a)
-	if n == 0 {
-		return nil, errors.New("fit: empty system")
-	}
-	if len(b) != n {
-		return nil, fmt.Errorf("fit: matrix is %d×%d but rhs has length %d", n, len(a[0]), len(b))
-	}
-	// Work on a copy: augmented matrix [A | b].
-	aug := make([]float64, n*(n+1))
-	for i := range a {
-		if len(a[i]) != n {
-			return nil, fmt.Errorf("fit: row %d has length %d, want %d", i, len(a[i]), n)
-		}
-		copy(aug[i*(n+1):], a[i])
-		aug[i*(n+1)+n] = b[i]
-	}
-	x := make([]float64, n)
-	if err := eliminate(aug, n, x); err != nil {
-		return nil, err
-	}
-	return x, nil
-}
-
 // eliminate solves the system held as the row-major n×(n+1) augmented
 // matrix aug = [A | b] into x by Gaussian elimination with partial
 // pivoting, overwriting aug.
@@ -157,24 +131,8 @@ func solve3(a *[3][4]float64, x *[3]float64) error {
 	return nil
 }
 
-// LeastSquares solves the over-determined system X·β ≈ y in the
-// least-squares sense via the normal equations XᵀX·β = Xᵀy. X is m×n with
-// m ≥ n. Returns the coefficient vector β of length n.
-func LeastSquares(x [][]float64, y []float64) ([]float64, error) {
-	m := len(x)
-	if m == 0 {
-		return nil, errors.New("fit: no observations")
-	}
-	n := len(x[0])
-	for r, row := range x {
-		if len(row) != n {
-			return nil, fmt.Errorf("fit: ragged design matrix at row %d", r)
-		}
-	}
-	return normalSolve(m, n, y, func(r int, row []float64) { copy(row, x[r]) })
-}
-
-// normalSolve is LeastSquares for the m×n design matrix whose row r
+// normalSolve solves X·β ≈ y in the least-squares sense via the normal
+// equations XᵀX·β = Xᵀy, for the m×n (m ≥ n) design matrix whose row r
 // fill(r, row) writes: it accumulates XᵀX and Xᵀy one row at a time
 // straight into the augmented system [XᵀX | Xᵀy] and eliminates it, so no
 // design matrix is ever stored.
@@ -227,42 +185,4 @@ func PolyFit(xs, ys []float64, degree int) ([]float64, error) {
 			p *= xs[r]
 		}
 	})
-}
-
-// PolyEval evaluates a polynomial with coefficients c (lowest order first)
-// at x using Horner's rule.
-func PolyEval(c []float64, x float64) float64 {
-	s := 0.0
-	for i := len(c) - 1; i >= 0; i-- {
-		s = s*x + c[i]
-	}
-	return s
-}
-
-// RSquared returns the coefficient of determination for predictions pred
-// of the observations y: 1 − SS_res/SS_tot. A constant y vector yields 1
-// when predictions are exact and 0 otherwise.
-func RSquared(y, pred []float64) float64 {
-	if len(y) == 0 || len(y) != len(pred) {
-		return math.NaN()
-	}
-	mean := 0.0
-	for _, v := range y {
-		mean += v
-	}
-	mean /= float64(len(y))
-	ssRes, ssTot := 0.0, 0.0
-	for i := range y {
-		d := y[i] - pred[i]
-		ssRes += d * d
-		m := y[i] - mean
-		ssTot += m * m
-	}
-	if ssTot == 0 {
-		if ssRes == 0 {
-			return 1
-		}
-		return 0
-	}
-	return 1 - ssRes/ssTot
 }

@@ -354,7 +354,7 @@ func TestDecodedNetworkTrains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := nn.NewSGD(0.05, 0.9, 0)
+	opt, err := nn.NewSGD(0.05, 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +382,7 @@ func TestDecodedNetworkTrains(t *testing.T) {
 	}
 	test := []nn.Batch{makeBatch(64)}
 	for epoch := 0; epoch < 12; epoch++ {
-		if _, err := nn.TrainEpoch(net, opt, train); err != nil {
+		if _, _, err := nn.TrainEpoch(net, opt, train); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -558,12 +558,12 @@ func TestDecodedStateRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One training step so running stats are non-trivial.
-	opt, err := nn.NewSGD(0.01, 0, 0)
+	opt, err := nn.NewSGD(0.01, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	x := tensor.Randn(rng, 0, 1, 4, 1, 8, 8)
-	if _, err := nn.TrainEpoch(net, opt, []nn.Batch{{X: x, Labels: []int{0, 1, 0, 1}}}); err != nil {
+	if _, _, err := nn.TrainEpoch(net, opt, []nn.Batch{{X: x, Labels: []int{0, 1, 0, 1}}}); err != nil {
 		t.Fatal(err)
 	}
 	want, err := net.Forward(x, false)

@@ -152,7 +152,7 @@ func TestConcatSplitChannels(t *testing.T) {
 		t.Fatalf("concat channels %d", cat.Dim(1))
 	}
 	// Sample 1, channel 4 of concat == sample 1, channel 1 of b.
-	if cat.At(1, 4, 2, 2) != b.At(1, 1, 2, 2) {
+	if at(cat, 1, 4, 2, 2) != at(b, 1, 1, 2, 2) {
 		t.Fatal("concat layout wrong")
 	}
 	parts := make([]*tensor.Tensor, 2)
@@ -252,7 +252,7 @@ func TestDecodeMicroTrains(t *testing.T) {
 	if err != nil || flops <= 0 {
 		t.Fatalf("FLOPs %d, %v", flops, err)
 	}
-	opt, err := nn.NewSGD(0.05, 0.9, 0)
+	opt, err := nn.NewSGD(0.05, 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestDecodeMicroTrains(t *testing.T) {
 		train = append(train, makeBatch(16))
 	}
 	for epoch := 0; epoch < 10; epoch++ {
-		if _, err := nn.TrainEpoch(net, opt, train); err != nil {
+		if _, _, err := nn.TrainEpoch(net, opt, train); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -303,9 +303,9 @@ func TestDecodeMicroStateRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, _ := nn.NewSGD(0.01, 0, 0)
+	opt, _ := nn.NewSGD(0.01, 0)
 	x := tensor.Randn(rng, 0, 1, 4, 1, 8, 8)
-	if _, err := nn.TrainEpoch(net, opt, []nn.Batch{{X: x, Labels: []int{0, 1, 0, 1}}}); err != nil {
+	if _, _, err := nn.TrainEpoch(net, opt, []nn.Batch{{X: x, Labels: []int{0, 1, 0, 1}}}); err != nil {
 		t.Fatal(err)
 	}
 	want, err := net.Forward(x, false)
@@ -409,17 +409,17 @@ func TestReleasedDecodedNetworksTrainAlike(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			var nets [2]*nn.Network
-			var opts [2]nn.Optimizer
+			var opts [2]*nn.SGD
 			for i := range nets {
 				if nets[i], err = decode(); err != nil {
 					t.Fatal(err)
 				}
-				opts[i], _ = nn.NewSGD(0.05, 0.9, 0)
+				opts[i], _ = nn.NewSGD(0.05, 0.9)
 			}
 			for epoch := 1; epoch <= 3; epoch++ {
 				var states [2][]byte
 				for i, net := range nets {
-					if _, err := nn.TrainEpoch(net, opts[i], batches); err != nil {
+					if _, _, err := nn.TrainEpoch(net, opts[i], batches); err != nil {
 						t.Fatal(err)
 					}
 					if i == 0 {
@@ -438,4 +438,10 @@ func TestReleasedDecodedNetworksTrainAlike(t *testing.T) {
 			}
 		})
 	}
+}
+
+// at returns the element of an NCHW tensor at (n, c, y, x).
+func at(t *tensor.Tensor, n, c, y, x int) float64 {
+	s := t.Shape()
+	return t.Data()[((n*s[1]+c)*s[2]+y)*s[3]+x]
 }

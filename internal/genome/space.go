@@ -12,11 +12,9 @@ import (
 // NSGA-II drives, validation of its own parameters, and Decode.
 type MacroSpace struct {
 	// Phases and NodesPerPhase shape the genomes (Table 2: 4 nodes;
-	// NSGA-Net's macro space uses 3 phases).
+	// NSGA-Net's macro space uses 3 phases). Mutation flips each bit with
+	// probability 1/(bits per genome), one expected flip per child.
 	Phases, NodesPerPhase int
-	// MutationRate is the per-bit flip probability; 0 selects
-	// 1/(bits per genome), one expected flip per child.
-	MutationRate float64
 }
 
 // Validate reports the first problem with the space's parameters, or nil.
@@ -24,7 +22,7 @@ func (s MacroSpace) Validate() error {
 	if s.Phases < 1 || s.NodesPerPhase < 1 {
 		return fmt.Errorf("genome: need ≥ 1 phases and nodes, got %d, %d", s.Phases, s.NodesPerPhase)
 	}
-	return validRate(s.MutationRate)
+	return nil
 }
 
 // Random implements nsga.Operators.
@@ -39,11 +37,7 @@ func (s MacroSpace) Crossover(rng *rand.Rand, a, b *Genome) (*Genome, error) {
 
 // Mutate implements nsga.Operators.
 func (s MacroSpace) Mutate(rng *rand.Rand, g *Genome) (*Genome, error) {
-	rate := s.MutationRate
-	if rate == 0 {
-		rate = 1 / float64(s.Phases*BitsPerPhase(s.NodesPerPhase))
-	}
-	return g.Mutate(rng, rate), nil
+	return g.Mutate(rng, 1/float64(s.Phases*BitsPerPhase(s.NodesPerPhase))), nil
 }
 
 // Decode builds the genome's trainable network; see the package's Decode.
@@ -51,12 +45,13 @@ func (s MacroSpace) Decode(g *Genome, cfg DecodeConfig, rng *rand.Rand) (*nn.Net
 	return Decode(g, cfg, rng)
 }
 
+// microMutationRate is the micro space's per-field redraw probability.
+const microMutationRate = 0.15
+
 // MicroSpace is NSGA-Net's micro (cell-based) space.
 type MicroSpace struct {
 	// CellNodes is the number of DAG nodes per cell; 0 selects 3.
 	CellNodes int
-	// MutationRate is the per-field redraw probability; 0 selects 0.15.
-	MutationRate float64
 }
 
 // Validate reports the first problem with the space's parameters, or nil.
@@ -64,7 +59,7 @@ func (s MicroSpace) Validate() error {
 	if s.CellNodes < 0 {
 		return fmt.Errorf("genome: CellNodes must be ≥ 1 (or 0 for the default), got %d", s.CellNodes)
 	}
-	return validRate(s.MutationRate)
+	return nil
 }
 
 // Random implements nsga.Operators.
@@ -83,23 +78,12 @@ func (s MicroSpace) Crossover(rng *rand.Rand, a, b *MicroGenome) (*MicroGenome, 
 
 // Mutate implements nsga.Operators.
 func (s MicroSpace) Mutate(rng *rand.Rand, g *MicroGenome) (*MicroGenome, error) {
-	rate := s.MutationRate
-	if rate == 0 {
-		rate = 0.15
-	}
-	return g.Mutate(rng, rate), nil
+	return g.Mutate(rng, microMutationRate), nil
 }
 
 // Decode builds the cell's trainable network; see DecodeMicro.
 func (s MicroSpace) Decode(g *MicroGenome, cfg DecodeConfig, rng *rand.Rand) (*nn.Network, error) {
 	return DecodeMicro(g, cfg, rng)
-}
-
-func validRate(r float64) error {
-	if !(r >= 0 && r <= 1) {
-		return fmt.Errorf("genome: MutationRate %v outside [0,1]", r)
-	}
-	return nil
 }
 
 // stageVisitor receives, in order, the stage sequence both spaces decode

@@ -23,40 +23,42 @@ type space[G validGenome] interface {
 	Decode(g G, cfg DecodeConfig, rng *rand.Rand) (*nn.Network, error)
 }
 
-// spaceCase describes one space to the contract test: withRate builds it
-// with the given mutation rate, defaultRate is the rate a zero selects,
-// and golden is the FNV-64a of the serialized network Decode(parse
-// (encoding), decode, seed 17) produced before the spaces shared stack.
+// spaceCase describes one space to the contract test: mutate is the
+// genome's own mutation at the given rate, rate is the one the space
+// mutates at, and golden is the FNV-64a of the serialized network
+// Decode(parse(encoding), decode, seed 17) produced before the spaces
+// shared stack.
 type spaceCase[G validGenome] struct {
-	withRate    func(rate float64) space[G]
-	defaultRate float64
-	parse       func(string) (G, error)
-	encoding    string
-	decode      DecodeConfig
-	golden      uint64
+	space    space[G]
+	mutate   func(g G, rng *rand.Rand, rate float64) G
+	rate     float64
+	parse    func(string) (G, error)
+	encoding string
+	decode   DecodeConfig
+	golden   uint64
 }
 
 func TestSpaceContract(t *testing.T) {
 	t.Run("macro", func(t *testing.T) {
 		checkSpace(t, spaceCase[*Genome]{
-			withRate: func(r float64) space[*Genome] {
-				return MacroSpace{Phases: 3, NodesPerPhase: 4, MutationRate: r}
-			},
-			defaultRate: 1.0 / 21,
-			parse:       func(s string) (*Genome, error) { return Parse(s, 4) },
-			encoding:    "1011011|0110101|1110110",
-			decode:      DecodeConfig{InShape: []int{1, 16, 16}, Widths: []int{4, 8, 8}, NumClasses: 2},
-			golden:      0x7660ad3ae7343aa6,
+			space:    MacroSpace{Phases: 3, NodesPerPhase: 4},
+			mutate:   (*Genome).Mutate,
+			rate:     1.0 / 21,
+			parse:    func(s string) (*Genome, error) { return Parse(s, 4) },
+			encoding: "1011011|0110101|1110110",
+			decode:   DecodeConfig{InShape: []int{1, 16, 16}, Widths: []int{4, 8, 8}, NumClasses: 2},
+			golden:   0x7660ad3ae7343aa6,
 		})
 	})
 	t.Run("micro", func(t *testing.T) {
 		checkSpace(t, spaceCase[*MicroGenome]{
-			withRate:    func(r float64) space[*MicroGenome] { return MicroSpace{MutationRate: r} },
-			defaultRate: 0.15,
-			parse:       ParseMicro,
-			encoding:    "0.conv3+0.max3;1.conv5+0.id;1.avg3+2.conv3",
-			decode:      DecodeConfig{InShape: []int{1, 16, 16}, Widths: []int{4, 8}, NumClasses: 2},
-			golden:      0x2e9f3f955ae6e46c,
+			space:    MicroSpace{},
+			mutate:   (*MicroGenome).Mutate,
+			rate:     0.15,
+			parse:    ParseMicro,
+			encoding: "0.conv3+0.max3;1.conv5+0.id;1.avg3+2.conv3",
+			decode:   DecodeConfig{InShape: []int{1, 16, 16}, Widths: []int{4, 8}, NumClasses: 2},
+			golden:   0x2e9f3f955ae6e46c,
 		})
 	})
 	t.Run("cost", checkCost)
@@ -72,21 +74,15 @@ func TestSpaceContract(t *testing.T) {
 }
 
 func checkSpace[G validGenome](t *testing.T, c spaceCase[G]) {
-	for _, rate := range []float64{-0.1, 1.5} {
-		if c.withRate(rate).Validate() == nil {
-			t.Errorf("mutation rate %v must be rejected", rate)
-		}
-	}
-	zero, def, all := c.withRate(0), c.withRate(c.defaultRate), c.withRate(1)
-	for _, s := range []space[G]{zero, def, all} {
-		if err := s.Validate(); err != nil {
-			t.Fatal(err)
-		}
+	s := c.space
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
 	}
 
 	// Every operator returns a valid genome, equal seeds give equal
-	// genomes, and a zero rate mutates exactly like the space's default.
-	vary := func(s space[G], seed int64) (random, child, mutant G) {
+	// genomes, and the space mutates at its rate: exactly like the
+	// genome's own Mutate at c.rate.
+	vary := func(seed int64, mutate func(rng *rand.Rand, g G) G) (random, child, mutant G) {
 		rng := rand.New(rand.NewSource(seed))
 		a, err := s.Random(rng)
 		if err != nil {
@@ -100,10 +96,7 @@ func checkSpace[G validGenome](t *testing.T, c spaceCase[G]) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mutant, err = s.Mutate(rng, child)
-		if err != nil {
-			t.Fatal(err)
-		}
+		mutant = mutate(rng, child)
 		for _, g := range []G{a, b, child, mutant} {
 			if err := g.Validate(); err != nil {
 				t.Fatalf("seed %d: operator produced invalid genome %s: %v", seed, g, err)
@@ -111,17 +104,27 @@ func checkSpace[G validGenome](t *testing.T, c spaceCase[G]) {
 		}
 		return a, child, mutant
 	}
+	viaSpace := func(rng *rand.Rand, g G) G {
+		m, err := s.Mutate(rng, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	at := func(rate float64) func(rng *rand.Rand, g G) G {
+		return func(rng *rand.Rand, g G) G { return c.mutate(g, rng, rate) }
+	}
 	changed := 0
 	for seed := int64(0); seed < 50; seed++ {
-		r1, c1, m1 := vary(zero, seed)
-		r2, c2, m2 := vary(zero, seed)
+		r1, c1, m1 := vary(seed, viaSpace)
+		r2, c2, m2 := vary(seed, viaSpace)
 		if r1.String() != r2.String() || c1.String() != c2.String() || m1.String() != m2.String() {
 			t.Fatalf("seed %d: equal seeds gave different genomes", seed)
 		}
-		if _, _, md := vary(def, seed); md.String() != m1.String() {
-			t.Fatalf("seed %d: zero rate mutated to %s, default rate %v to %s", seed, m1, c.defaultRate, md)
+		if _, _, md := vary(seed, at(c.rate)); md.String() != m1.String() {
+			t.Fatalf("seed %d: space mutated to %s, rate %v to %s", seed, m1, c.rate, md)
 		}
-		if _, ca, ma := vary(all, seed); ma.String() != ca.String() {
+		if _, ca, ma := vary(seed, at(1)); ma.String() != ca.String() {
 			changed++
 		}
 	}
@@ -133,7 +136,7 @@ func checkSpace[G validGenome](t *testing.T, c spaceCase[G]) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := zero.Decode(g, c.decode, rand.New(rand.NewSource(17)))
+	net, err := s.Decode(g, c.decode, rand.New(rand.NewSource(17)))
 	if err != nil {
 		t.Fatal(err)
 	}

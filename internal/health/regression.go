@@ -9,6 +9,7 @@ import (
 	"strings"
 	"time"
 
+	"a4nn/internal/chaos"
 	"a4nn/internal/durable"
 )
 
@@ -35,8 +36,7 @@ type BaselineSeries struct {
 // exported by `a4nn-analyze -baseline-out` and fed back to a later run
 // via `a4nn -regress-baseline`.
 type Baseline struct {
-	CreatedMS int64                     `json:"created_ms,omitempty"`
-	Series    map[string]BaselineSeries `json:"series"`
+	Series map[string]BaselineSeries `json:"series"`
 }
 
 // LoadBaseline reads a baseline JSON file.
@@ -63,7 +63,8 @@ func (b Baseline) Save(path string) error {
 	if err != nil {
 		return err
 	}
-	return durable.AtomicWrite(path, append(data, '\n'), 0o644, false, "", "")
+	return durable.AtomicWrite(path, append(data, '\n'), 0o644, false,
+		chaos.PointBaselinePreRename, chaos.PointBaselinePostRename)
 }
 
 // DirectionFor guesses a series' regression direction from its name:

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"a4nn/internal/chaos"
 	"a4nn/internal/obs"
 )
 
@@ -125,7 +126,6 @@ func TestRegressionLowerWorseAndMinSamples(t *testing.T) {
 func TestBaselineSaveLoadRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "baseline.json")
 	b := Baseline{
-		CreatedMS: 123,
 		Series: map[string]BaselineSeries{
 			"x_p99": {Mean: 1.5, Direction: "higher-worse", Tolerance: 0.5},
 		},
@@ -137,7 +137,7 @@ func TestBaselineSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.CreatedMS != 123 || got.Series["x_p99"] != b.Series["x_p99"] {
+	if len(got.Series) != 1 || got.Series["x_p99"] != b.Series["x_p99"] {
 		t.Fatalf("round trip = %+v", got)
 	}
 	if _, err := LoadBaseline(filepath.Join(t.TempDir(), "missing.json")); err == nil {
@@ -152,19 +152,19 @@ func TestBaselineSaveLoadRoundTrip(t *testing.T) {
 func TestBaselineSaveFailureKeepsOldBaseline(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, strings.Repeat("b", 250))
-	old := Baseline{CreatedMS: 1, Series: map[string]BaselineSeries{"x_p99": {Mean: 1.5}}}
+	old := Baseline{Series: map[string]BaselineSeries{"x_p99": {Mean: 1.5}}}
 	if err := old.Save(filepath.Join(dir, "short.json")); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.Rename(filepath.Join(dir, "short.json"), path); err != nil {
 		t.Fatal(err)
 	}
-	next := Baseline{CreatedMS: 2, Series: map[string]BaselineSeries{"y_p99": {Mean: 9}}}
+	next := Baseline{Series: map[string]BaselineSeries{"y_p99": {Mean: 9}}}
 	if err := next.Save(path); err == nil {
 		t.Fatal("Save over an unwritable temp name reported success")
 	}
 	got, err := LoadBaseline(path)
-	if err != nil || got.CreatedMS != 1 || got.Series["x_p99"].Mean != 1.5 {
+	if err != nil || len(got.Series) != 1 || got.Series["x_p99"].Mean != 1.5 {
 		t.Fatalf("baseline after the failed save = %+v, %v; want the old one", got, err)
 	}
 	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
@@ -194,5 +194,40 @@ func TestRegressionEvalThrottle(t *testing.T) {
 	r.check(now.Add(11*time.Second), nil)
 	if calls != 2 {
 		t.Fatalf("query ran %d times after the interval elapsed", calls)
+	}
+}
+
+// TestBaselineSaveChaosPoints: an err= plan at either rename point of a
+// baseline file returns the injected error. Before the rename the
+// previous baseline stays whole; after it the new one is committed.
+func TestBaselineSaveChaosPoints(t *testing.T) {
+	t.Cleanup(func() { chaos.Install(nil) })
+	old := Baseline{Series: map[string]BaselineSeries{"x_p99": {Mean: 1.5}}}
+	next := Baseline{Series: map[string]BaselineSeries{"y_p99": {Mean: 9}}}
+	for _, c := range []struct {
+		point string
+		want  string
+	}{
+		{chaos.PointBaselinePreRename, "x_p99"},
+		{chaos.PointBaselinePostRename, "y_p99"},
+	} {
+		path := filepath.Join(t.TempDir(), "baseline.json")
+		if err := old.Save(path); err != nil {
+			t.Fatal(err)
+		}
+		plan, err := chaos.Parse("err=" + c.point + "@1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		chaos.Install(plan)
+		err = next.Save(path)
+		chaos.Install(nil)
+		if !chaos.IsInjected(err) {
+			t.Fatalf("%s: Save = %v, want the injected error", c.point, err)
+		}
+		got, err := LoadBaseline(path)
+		if _, ok := got.Series[c.want]; err != nil || len(got.Series) != 1 || !ok {
+			t.Fatalf("%s: baseline after the injected error = %+v, %v; want series %s", c.point, got, err, c.want)
+		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"a4nn/internal/chaos"
 	"a4nn/internal/commons"
 	"a4nn/internal/core"
 	"a4nn/internal/obs"
@@ -723,5 +724,42 @@ func TestManagerObservabilityRelease(t *testing.T) {
 	reg, err := m.JobRegistry(ids[0])
 	if err != nil || reg == nil {
 		t.Fatalf("JobRegistry(%s) = %v, %v; want live scope", ids[0], reg, err)
+	}
+}
+
+// TestManifestChaosPoints: an err= plan at either rename point of
+// job.json returns the injected error. Before the rename the previous
+// manifest stays whole; after it the new one is committed. No temp file
+// is left either way.
+func TestManifestChaosPoints(t *testing.T) {
+	t.Cleanup(func() { chaos.Install(nil) })
+	for _, c := range []struct {
+		point string
+		want  State
+	}{
+		{chaos.PointManifestPreRename, StateQueued},
+		{chaos.PointManifestPostRename, StateRunning},
+	} {
+		dir := t.TempDir()
+		if err := writeManifest(dir, Manifest{Config: smallJob("j1", 9), State: StateQueued}); err != nil {
+			t.Fatal(err)
+		}
+		plan, err := chaos.Parse("err=" + c.point + "@1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		chaos.Install(plan)
+		err = writeManifest(dir, Manifest{Config: smallJob("j1", 9), State: StateRunning})
+		chaos.Install(nil)
+		if !chaos.IsInjected(err) {
+			t.Fatalf("%s: writeManifest = %v, want the injected error", c.point, err)
+		}
+		got, err := ReadManifest(dir)
+		if err != nil || got.State != c.want {
+			t.Fatalf("%s: manifest after the injected error = %+v, %v; want state %s", c.point, got, err, c.want)
+		}
+		if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+			t.Fatalf("%s: directory holds %d entries, want 1", c.point, len(entries))
+		}
 	}
 }

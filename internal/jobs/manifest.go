@@ -10,6 +10,7 @@ import (
 	"sort"
 	"time"
 
+	"a4nn/internal/chaos"
 	"a4nn/internal/durable"
 )
 
@@ -53,7 +54,8 @@ func writeManifest(dir string, m Manifest) error {
 	// The one replace-writer that fsyncs before its rename: losing a
 	// lifecycle transition to a power cut would resume the wrong jobs.
 	// Mode 0600 is what the manifest has always been published with.
-	if err := durable.AtomicWrite(filepath.Join(dir, ManifestFile), append(data, '\n'), 0o600, true, "", ""); err != nil {
+	if err := durable.AtomicWrite(filepath.Join(dir, ManifestFile), append(data, '\n'), 0o600, true,
+		chaos.PointManifestPreRename, chaos.PointManifestPostRename); err != nil {
 		return fmt.Errorf("jobs: write manifest: %w", err)
 	}
 	return nil

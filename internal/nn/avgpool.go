@@ -16,11 +16,6 @@ type AvgPool2D struct {
 	y, dx   *tensor.Tensor // pooled output / input-gradient buffers
 }
 
-// NewAvgPool2D creates an unpadded average-pooling layer.
-func NewAvgPool2D(k, stride int) (*AvgPool2D, error) {
-	return NewAvgPool2DPadded(k, stride, 0)
-}
-
 // NewAvgPool2DPadded creates an average-pooling layer with symmetric
 // padding.
 func NewAvgPool2DPadded(k, stride, pad int) (*AvgPool2D, error) {

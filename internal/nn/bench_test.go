@@ -77,14 +77,14 @@ func BenchmarkConvForwardBackward(b *testing.B) {
 // every NAS candidate evaluation repeats thousands of times.
 func BenchmarkTrainStep(b *testing.B) {
 	net, batches := benchConvNet(b)
-	opt, err := NewSGD(0.01, 0.9, 0)
+	opt, err := NewSGD(0.01, 0.9)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := TrainEpoch(net, opt, batches); err != nil {
+		if _, _, err := TrainEpoch(net, opt, batches); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -171,23 +171,47 @@ func TestDenseGradients(t *testing.T) {
 func TestReLUGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	// Keep inputs away from the kink at 0 for the numeric check.
-	x := tensor.Randn(rng, 0, 1, 4, 9).Apply(func(v float64) float64 {
+	x := tensor.Randn(rng, 0, 1, 4, 9)
+	for i, v := range x.Data() {
 		if math.Abs(v) < 0.05 {
-			return v + 0.2
+			x.Data()[i] = v + 0.2
 		}
-		return v
-	})
+	}
 	checkInputGradient(t, NewReLU(), x, 1e-5)
+}
+
+// poolCases are the pooling windows the decoders build, as (k, stride,
+// pad) over an input side: the 2×2/s2 reduction between stages and the
+// micro cell's 3×3/s1 "same" pools (pad 1) on an even and an odd side, so
+// every border window layout is checked.
+var poolCases = []struct{ k, stride, pad, side int }{
+	{2, 2, 0, 6},
+	{3, 1, 1, 8},
+	{3, 1, 1, 7},
 }
 
 func TestMaxPoolGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	p, err := NewMaxPool2D(2, 2)
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range poolCases {
+		p, err := NewMaxPool2DPadded(c.k, c.stride, c.pad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := tensor.Randn(rng, 0, 1, 2, 3, c.side, c.side)
+		checkInputGradient(t, p, x, 1e-5)
 	}
-	x := tensor.Randn(rng, 0, 1, 2, 2, 6, 6)
-	checkInputGradient(t, p, x, 1e-5)
+}
+
+func TestAvgPoolGradients(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, c := range poolCases {
+		p, err := NewAvgPool2DPadded(c.k, c.stride, c.pad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := tensor.Randn(rng, 0, 1, 2, 3, c.side, c.side)
+		checkInputGradient(t, p, x, 1e-5)
+	}
 }
 
 func TestGlobalAvgPoolGradients(t *testing.T) {
@@ -208,26 +232,6 @@ func TestBatchNormGradients(t *testing.T) {
 	x := tensor.Randn(rng, 0, 2, 4, 3, 3, 3)
 	checkInputGradient(t, bn, x, 1e-3)
 	checkParamGradients(t, bn, x, 1e-3)
-}
-
-func TestFlattenRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	f := NewFlatten()
-	x := tensor.Randn(rng, 0, 1, 2, 3, 4, 4)
-	y, err := f.Forward(x, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if y.Dim(0) != 2 || y.Dim(1) != 48 {
-		t.Fatalf("flatten shape %v", y.Shape())
-	}
-	back, err := f.Backward(y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !back.SameShape(x) {
-		t.Fatalf("flatten backward shape %v", back.Shape())
-	}
 }
 
 func TestSoftmaxCrossEntropyGradient(t *testing.T) {

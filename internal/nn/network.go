@@ -317,9 +317,9 @@ type trainingState struct {
 
 // SaveTraining serialises what continuing training bit for bit needs:
 // SaveState's bytes, the count of training batches each batch-norm layer
-// has seen (its running statistics' warm-up) and, for SGD, the momentum
+// has seen (its running statistics' warm-up) and the optimizer's momentum
 // buffers of the parameters.
-func (n *Network) SaveTraining(opt Optimizer) ([]byte, error) {
+func (n *Network) SaveTraining(opt *SGD) ([]byte, error) {
 	st := trainingState{}
 	var err error
 	if st.Net, err = n.SaveState(); err != nil {
@@ -328,10 +328,8 @@ func (n *Network) SaveTraining(opt Optimizer) ([]byte, error) {
 	for _, b := range n.batchNorms() {
 		st.Counts = append(st.Counts, b.updates)
 	}
-	if sgd, ok := opt.(*SGD); ok {
-		for _, p := range n.Params() {
-			st.Velocity = append(st.Velocity, sgd.velocity[p])
-		}
+	for _, p := range n.Params() {
+		st.Velocity = append(st.Velocity, opt.velocity[p])
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
@@ -344,7 +342,7 @@ func (n *Network) SaveTraining(opt Optimizer) ([]byte, error) {
 // identical network and its optimizer. It also takes SaveState's bytes
 // alone, as an earlier build checkpointed them; batch counts and
 // momentum then start from zero.
-func (n *Network) LoadTraining(data []byte, opt Optimizer) error {
+func (n *Network) LoadTraining(data []byte, opt *SGD) error {
 	var st trainingState
 	if gob.NewDecoder(bytes.NewReader(data)).Decode(&st) != nil {
 		st = trainingState{Net: data}
@@ -360,14 +358,13 @@ func (n *Network) LoadTraining(data []byte, opt Optimizer) error {
 	for i, c := range st.Counts {
 		bns[i].updates = c
 	}
-	sgd, _ := opt.(*SGD)
 	for i, v := range st.Velocity {
 		switch {
-		case len(v) == 0 || sgd == nil:
+		case len(v) == 0:
 		case len(v) != params[i].Value.Len():
 			return fmt.Errorf("nn: momentum buffer %d has %d values for %d", i, len(v), params[i].Value.Len())
 		default:
-			sgd.velocity[params[i]] = v
+			opt.velocity[params[i]] = v
 		}
 	}
 	return nil

@@ -1,54 +1,32 @@
 package nn
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
-// Optimizer updates parameters from their accumulated gradients and then
-// clears the gradients.
-type Optimizer interface {
-	// Name identifies the optimizer and its key hyperparameters.
-	Name() string
-	// Step applies one update to every parameter and zeroes the gradients.
-	Step(params []*Param)
-}
-
-// SGD is stochastic gradient descent with optional classical momentum and
-// decoupled weight decay.
+// SGD is stochastic gradient descent with optional classical momentum,
+// the optimizer every real training run uses.
 type SGD struct {
-	LR          float64
-	Momentum    float64
-	WeightDecay float64
+	LR       float64
+	Momentum float64
 
 	velocity map[*Param][]float64
 }
 
 // NewSGD creates an SGD optimizer; momentum 0 disables the velocity term.
-func NewSGD(lr, momentum, weightDecay float64) (*SGD, error) {
+func NewSGD(lr, momentum float64) (*SGD, error) {
 	if lr <= 0 {
 		return nil, fmt.Errorf("nn: SGD learning rate must be positive, got %v", lr)
 	}
 	if momentum < 0 || momentum >= 1 {
 		return nil, fmt.Errorf("nn: SGD momentum %v outside [0,1)", momentum)
 	}
-	return &SGD{LR: lr, Momentum: momentum, WeightDecay: weightDecay,
-		velocity: make(map[*Param][]float64)}, nil
+	return &SGD{LR: lr, Momentum: momentum, velocity: make(map[*Param][]float64)}, nil
 }
 
-// Name implements Optimizer.
-func (s *SGD) Name() string { return fmt.Sprintf("sgd(lr=%g,m=%g)", s.LR, s.Momentum) }
-
-// Step implements Optimizer.
+// Step applies one update to every parameter and zeroes the gradients.
 func (s *SGD) Step(params []*Param) {
 	for _, p := range params {
 		v := p.Value.Data()
 		g := p.Grad.Data()
-		if s.WeightDecay != 0 {
-			for i := range g {
-				g[i] += s.WeightDecay * v[i]
-			}
-		}
 		if s.Momentum > 0 {
 			vel, ok := s.velocity[p]
 			if !ok {
@@ -63,64 +41,6 @@ func (s *SGD) Step(params []*Param) {
 			for i := range v {
 				v[i] -= s.LR * g[i]
 			}
-		}
-		p.ZeroGrad()
-	}
-}
-
-// Adam is the Adam optimizer (Kingma & Ba) with bias correction and
-// optional decoupled weight decay (AdamW-style).
-type Adam struct {
-	LR, Beta1, Beta2, Eps float64
-	WeightDecay           float64
-
-	t int
-	m map[*Param][]float64
-	v map[*Param][]float64
-}
-
-// NewAdam creates an Adam optimizer with the usual defaults for zero-value
-// betas/eps (0.9, 0.999, 1e-8).
-func NewAdam(lr, weightDecay float64) (*Adam, error) {
-	if lr <= 0 {
-		return nil, fmt.Errorf("nn: Adam learning rate must be positive, got %v", lr)
-	}
-	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, WeightDecay: weightDecay,
-		m: make(map[*Param][]float64), v: make(map[*Param][]float64)}, nil
-}
-
-// Name implements Optimizer.
-func (a *Adam) Name() string { return fmt.Sprintf("adam(lr=%g)", a.LR) }
-
-// Step implements Optimizer.
-func (a *Adam) Step(params []*Param) {
-	a.t++
-	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
-	bc2 := 1 - math.Pow(a.Beta2, float64(a.t))
-	for _, p := range params {
-		val := p.Value.Data()
-		g := p.Grad.Data()
-		m, ok := a.m[p]
-		if !ok {
-			m = make([]float64, len(val))
-			a.m[p] = m
-		}
-		v, ok := a.v[p]
-		if !ok {
-			v = make([]float64, len(val))
-			a.v[p] = v
-		}
-		for i := range val {
-			gi := g[i]
-			m[i] = a.Beta1*m[i] + (1-a.Beta1)*gi
-			v[i] = a.Beta2*v[i] + (1-a.Beta2)*gi*gi
-			mhat := m[i] / bc1
-			vhat := v[i] / bc2
-			upd := mhat / (math.Sqrt(vhat) + a.Eps)
-			if a.WeightDecay != 0 {
-				upd += a.WeightDecay * val[i]
-			}
-			val[i] -= a.LR * upd
 		}
 		p.ZeroGrad()
 	}

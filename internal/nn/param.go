@@ -1,6 +1,6 @@
 // Package nn is a from-scratch neural-network training engine: layers
-// (convolution, dense, pooling, batch normalisation, dropout), losses,
-// optimizers, and a Network container with forward/backward passes,
+// (convolution, dense, pooling, batch normalisation), losses, SGD with
+// momentum, and a Network container with forward/backward passes,
 // parameter/FLOPs accounting, and state serialization.
 //
 // It plays the role PyTorch plays in the paper: the NAS decodes genomes
@@ -42,7 +42,7 @@ type Layer interface {
 	// Name returns a short human-readable identifier, e.g. "conv3x3(16)".
 	Name() string
 	// Forward computes the layer output for a batch. train selects
-	// training-time behaviour (batch statistics, dropout masks).
+	// training-time behaviour (batch statistics).
 	Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error)
 	// Backward consumes ∂L/∂output and returns ∂L/∂input, accumulating
 	// parameter gradients along the way. It must follow a Forward call

@@ -25,11 +25,7 @@ func profNet(t testing.TB) (*Network, []Batch) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	avgp, err := NewAvgPool2D(2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	drop, err := NewDropout(rng, 0.5)
+	avgp, err := NewAvgPool2DPadded(2, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,10 +33,9 @@ func profNet(t testing.TB) (*Network, []Batch) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// gap collapses (N,4,2,2) to (N,4); the trailing flatten is a rank-2
-	// no-op, present so its instrumentation is exercised too.
+	// gap collapses (N,4,2,2) to (N,4).
 	net, err := NewNetwork("prof", []int{3, 8, 8},
-		conv, bn, maxp, avgp, drop, NewGlobalAvgPool2D(), NewFlatten(), dense)
+		conv, bn, maxp, avgp, NewGlobalAvgPool2D(), dense)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,9 +54,7 @@ func TestLayerKind(t *testing.T) {
 		"relu":                      "relu",
 		"maxpool2x2/s2,p0":          "maxpool2x2",
 		"avgpool2x2/s2,p0":          "avgpool2x2",
-		"dropout(0.5)":              "dropout",
 		"gap":                       "gap",
-		"flatten":                   "flatten",
 		"dense(4->10)":              "dense",
 		"phase(w=8,nodes=4,skip=t)": "phase",
 		"cell(w=8,nodes=3,outs=1)":  "cell",
@@ -75,8 +68,7 @@ func TestLayerKind(t *testing.T) {
 
 // TestProfilerCoversEveryLayerType runs a real TrainEpoch through a
 // network containing every layer type and checks that each kind has
-// forward and backward time observed and (except the pure-reshape
-// flatten) FLOPs accounted.
+// forward and backward time observed and FLOPs accounted.
 func TestProfilerCoversEveryLayerType(t *testing.T) {
 	reg := obs.NewRegistry()
 	tensor.ResetKernelCounters()
@@ -84,15 +76,15 @@ func TestProfilerCoversEveryLayerType(t *testing.T) {
 	defer SetProfiler(nil)
 
 	net, batches := profNet(t)
-	opt, err := NewSGD(0.01, 0.9, 0)
+	opt, err := NewSGD(0.01, 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := TrainEpoch(net, opt, batches); err != nil {
+	if _, _, err := TrainEpoch(net, opt, batches); err != nil {
 		t.Fatal(err)
 	}
 
-	kinds := []string{"conv3x3", "bnrelu", "maxpool2x2", "avgpool2x2", "dropout", "gap", "flatten", "dense"}
+	kinds := []string{"conv3x3", "bnrelu", "maxpool2x2", "avgpool2x2", "gap", "dense"}
 	for _, kind := range kinds {
 		fwd := reg.Histogram(`a4nn_nn_layer_forward_seconds{layer="`+kind+`"}`, nil)
 		bwd := reg.Histogram(`a4nn_nn_layer_backward_seconds{layer="`+kind+`"}`, nil)
@@ -107,7 +99,7 @@ func TestProfilerCoversEveryLayerType(t *testing.T) {
 		if calls.Value() == 0 {
 			t.Errorf("%s: no calls counted", kind)
 		}
-		if kind != "flatten" && flops.Value() == 0 {
+		if flops.Value() == 0 {
 			t.Errorf("%s: no FLOPs accounted", kind)
 		}
 	}
@@ -221,14 +213,14 @@ func BenchmarkProfiledTrainStep(b *testing.B) {
 	SetProfiler(NewProfiler(reg))
 	defer SetProfiler(nil)
 	net, batches := benchConvNet(b)
-	opt, err := NewSGD(0.01, 0.9, 0)
+	opt, err := NewSGD(0.01, 0.9)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := TrainEpoch(net, opt, batches); err != nil {
+		if _, _, err := TrainEpoch(net, opt, batches); err != nil {
 			b.Fatal(err)
 		}
 	}

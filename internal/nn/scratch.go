@@ -26,8 +26,10 @@ var ws = tensor.NewWorkspace()
 // serves whichever layer of the next network asks for its size.
 func Scratch() *tensor.Workspace { return ws }
 
-// Releaser is implemented by layers that hold workspace buffers. Release
-// hands them back to the workspace. Parameters, optimizer state and
+// Releaser is implemented by layers that hold workspace buffers: Conv2D,
+// Dense, BatchNormReLU, MaxPool2D, AvgPool2D and GlobalAvgPool2D here, and
+// genome's phase blocks and micro cells. Release hands them back to the
+// workspace. Parameters, optimizer state and
 // batch-norm running statistics stay, so a released layer still saves its
 // state, and its next Forward obtains buffers again; a Backward must
 // follow a new training Forward.

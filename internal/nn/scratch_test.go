@@ -29,15 +29,11 @@ func buildReleaseNet(t *testing.T, seed int64) *Network {
 	if err != nil {
 		t.Fatal(err)
 	}
-	drop, err := NewDropout(rand.New(rand.NewSource(seed)), 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
 	dense, err := NewDense(rng, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := NewNetwork("release", []int{1, 8, 8}, conv, bn, avg, pool, drop, NewGlobalAvgPool2D(), dense)
+	net, err := NewNetwork("release", []int{1, 8, 8}, conv, bn, avg, pool, NewGlobalAvgPool2D(), dense)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,14 +47,14 @@ func TestReleasedNetworkKeepsState(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	batches := []Batch{{X: tensor.Randn(rng, 0, 1, 6, 1, 8, 8), Labels: []int{0, 1, 1, 0, 1, 0}}}
 	a, b := buildReleaseNet(t, 5), buildReleaseNet(t, 5)
-	optA, _ := NewSGD(0.05, 0.9, 0)
-	optB, _ := NewSGD(0.05, 0.9, 0)
+	optA, _ := NewSGD(0.05, 0.9)
+	optB, _ := NewSGD(0.05, 0.9)
 	for epoch := 1; epoch <= 2; epoch++ {
-		lossA, err := TrainEpoch(a, optA, batches)
+		lossA, _, err := TrainEpoch(a, optA, batches)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lossB, err := TrainEpoch(b, optB, batches)
+		lossB, _, err := TrainEpoch(b, optB, batches)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,7 +107,7 @@ func TestBackwardAccumulatesWeightGrad(t *testing.T) {
 		if _, err := c.layer.Backward(c.g); err != nil {
 			t.Fatal(err)
 		}
-		if !w.Grad.Equal(once.Scale(2), 1e-12) {
+		if !w.Grad.Equal(once.Add(once), 1e-12) {
 			t.Errorf("%s: two Backwards left %v in W.Grad, want twice %v", c.layer.Name(), w.Grad, once)
 		}
 	}

@@ -15,18 +15,11 @@ type Batch struct {
 
 // TrainEpoch runs one optimisation epoch: for every batch, a forward pass,
 // softmax cross-entropy, a backward pass, and an optimizer step. It
-// returns the mean loss across batches.
-func TrainEpoch(net *Network, opt Optimizer, batches []Batch) (meanLoss float64, err error) {
-	meanLoss, _, err = TrainEpochClipped(net, opt, batches, 0)
-	return meanLoss, err
-}
-
-// TrainEpochClipped is TrainEpoch with global gradient-norm clipping at
-// maxNorm before each optimizer step (0 disables clipping). It also
-// returns the training accuracy in percent: the running accuracy of the
-// epoch's own train-mode forward passes, each batch scored before its
-// step, 100·Σcorrect / Σsamples over the epoch's batches.
-func TrainEpochClipped(net *Network, opt Optimizer, batches []Batch, maxNorm float64) (meanLoss, trainAcc float64, err error) {
+// returns the mean loss across batches and the training accuracy in
+// percent: the running accuracy of the epoch's own train-mode forward
+// passes, each batch scored before its step, 100·Σcorrect / Σsamples over
+// the epoch's batches.
+func TrainEpoch(net *Network, opt *SGD, batches []Batch) (meanLoss, trainAcc float64, err error) {
 	if len(batches) == 0 {
 		return 0, 0, fmt.Errorf("nn: TrainEpoch with no batches")
 	}
@@ -57,9 +50,7 @@ func TrainEpochClipped(net *Network, opt Optimizer, batches []Batch, maxNorm flo
 		if err := net.Backward(grad); err != nil {
 			return 0, 0, fmt.Errorf("nn: batch %d: %w", bi, err)
 		}
-		params := net.Params()
-		ClipGradNorm(params, maxNorm)
-		opt.Step(params)
+		opt.Step(net.Params())
 		meanLoss += loss
 	}
 	return meanLoss / float64(len(batches)), 100 * float64(correct) / float64(seen), nil

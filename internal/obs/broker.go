@@ -114,16 +114,6 @@ func (b *Broker) CloseAll() {
 	b.mu.Unlock()
 }
 
-// Subscribers returns the number of attached subscribers.
-func (b *Broker) Subscribers() int {
-	if b == nil {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.subs)
-}
-
 // C returns the subscriber's event channel (nil on a nil subscriber,
 // which blocks forever in a select — pair it with a context).
 func (s *Subscriber) C() <-chan Event {
@@ -131,15 +121,6 @@ func (s *Subscriber) C() <-chan Event {
 		return nil
 	}
 	return s.ch
-}
-
-// Drops returns how many events this subscriber missed to a full
-// queue.
-func (s *Subscriber) Drops() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.drops.Load()
 }
 
 // Close detaches the subscriber and closes its channel. Safe to call

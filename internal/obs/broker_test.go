@@ -188,3 +188,22 @@ func TestBrokerNilSafe(t *testing.T) {
 		t.Fatal("nil subscriber channel should be nil")
 	}
 }
+
+// Subscribers returns the number of attached subscribers.
+func (b *Broker) Subscribers() int {
+	if b == nil {
+		return 0
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return len(b.subs)
+}
+
+// Drops returns how many events this subscriber missed to a full
+// queue.
+func (s *Subscriber) Drops() uint64 {
+	if s == nil {
+		return 0
+	}
+	return s.drops.Load()
+}

@@ -79,7 +79,6 @@ type Event struct {
 	Fitness     float64 `json:"fitness,omitempty"`
 	Predicted   float64 `json:"predicted,omitempty"`
 	Actual      float64 `json:"actual,omitempty"`
-	MFLOPs      float64 `json:"mflops,omitempty"`
 	Epochs      int     `json:"epochs,omitempty"`
 	SavedEpochs int     `json:"saved_epochs,omitempty"`
 	Terminated  bool    `json:"terminated,omitempty"`
@@ -141,7 +140,6 @@ func (e *Event) appendJSON(dst []byte) ([]byte, error) {
 	w.FloatOmitEmpty("fitness", e.Fitness)
 	w.FloatOmitEmpty("predicted", e.Predicted)
 	w.FloatOmitEmpty("actual", e.Actual)
-	w.FloatOmitEmpty("mflops", e.MFLOPs)
 	w.IntOmitEmpty("epochs", int64(e.Epochs))
 	w.IntOmitEmpty("saved_epochs", int64(e.SavedEpochs))
 	w.BoolOmitEmpty("terminated", e.Terminated)
@@ -440,26 +438,6 @@ func (j *Journal) Since(seq uint64) []Event {
 		}
 	}
 	return out
-}
-
-// LastSeq returns the highest sequence number assigned so far (0 when
-// nothing has been emitted). Nil-safe.
-func (j *Journal) LastSeq() uint64 {
-	if j == nil {
-		return 0
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.next - 1
-}
-
-// Emitted returns the number of events emitted or ingested (0 without
-// bound metrics). Nil-safe.
-func (j *Journal) Emitted() uint64 {
-	if j == nil {
-		return 0
-	}
-	return j.emitted.Value()
 }
 
 // ReadEvents loads an events JSONL file, skipping blank lines and a

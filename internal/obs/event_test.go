@@ -160,3 +160,23 @@ func TestJournalEmitAllocs(t *testing.T) {
 		t.Fatalf("Emit with a file attached allocates %v per event, encoding alone %v", got, budget)
 	}
 }
+
+// LastSeq returns the highest sequence number assigned so far (0 when
+// nothing has been emitted). Nil-safe.
+func (j *Journal) LastSeq() uint64 {
+	if j == nil {
+		return 0
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.next - 1
+}
+
+// Emitted returns the number of events emitted or ingested (0 without
+// bound metrics). Nil-safe.
+func (j *Journal) Emitted() uint64 {
+	if j == nil {
+		return 0
+	}
+	return j.emitted.Value()
+}

@@ -143,7 +143,7 @@ func fuzzEvent(s string, x, y float64, n int64, mask uint64) Event {
 	e := Event{Seq: uint64(n), Time: n, Type: s}
 	e.Gen, e.Task, e.Device, e.Attempt, e.Model = num(), num(), num(), num(), str()
 	e.Epoch, e.Tasks, e.Devices = num(), num(), num()
-	e.ValAcc, e.Loss, e.Fitness, e.Predicted, e.Actual, e.MFLOPs = flt(), flt(), flt(), flt(), flt(), flt()
+	e.ValAcc, e.Loss, e.Fitness, e.Predicted, e.Actual = flt(), flt(), flt(), flt(), flt()
 	e.Epochs, e.SavedEpochs, e.Terminated = num(), num(), set()
 	e.SimSeconds, e.WallSeconds, e.IdleSeconds, e.LostSeconds, e.MeanQueueWaitSeconds = flt(), flt(), flt(), flt(), flt()
 	e.Retries, e.Faults, e.SlowFactor, e.Err = num(), num(), flt(), str()

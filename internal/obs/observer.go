@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"a4nn/internal/chaos"
 	"a4nn/internal/durable"
 )
 
@@ -95,7 +96,8 @@ func (o *Observer) FlushTo(dir string) error {
 	if err := o.reg.WriteJSON(&buf); err != nil {
 		return fmt.Errorf("obs: marshal metrics: %w", err)
 	}
-	if err := durable.AtomicWrite(filepath.Join(dir, MetricsFile), buf.Bytes(), 0o644, false, "", ""); err != nil {
+	if err := durable.AtomicWrite(filepath.Join(dir, MetricsFile), buf.Bytes(), 0o644, false,
+		chaos.PointMetricsPreRename, chaos.PointMetricsPostRename); err != nil {
 		return fmt.Errorf("obs: write %s: %w", MetricsFile, err)
 	}
 	// The event journal is append-per-event already; just push it to

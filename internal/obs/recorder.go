@@ -86,12 +86,15 @@ type MetricsSample struct {
 	Snap         Snapshot `json:"snap"`
 }
 
-// RecorderConfig sizes and wires one Recorder.
+// The recorder's rings: the last recorderEvents journal events and the
+// last recorderSnapshots metrics samples.
+const (
+	recorderEvents    = 512
+	recorderSnapshots = 16
+)
+
+// RecorderConfig wires one Recorder.
 type RecorderConfig struct {
-	// Events is the event-ring capacity (default 512).
-	Events int
-	// Snapshots is the metrics-history ring capacity (default 16).
-	Snapshots int
 	// Dir is where Dump writes bundles, under Dir/postmortem.
 	Dir string
 	// Registry and Tracer are snapshotted at dump time (nil: skipped).
@@ -126,17 +129,11 @@ type Recorder struct {
 // NewRecorder builds a recorder. Rings are preallocated so Record
 // never allocates.
 func NewRecorder(cfg RecorderConfig) *Recorder {
-	if cfg.Events <= 0 {
-		cfg.Events = 512
-	}
-	if cfg.Snapshots <= 0 {
-		cfg.Snapshots = 16
-	}
 	return &Recorder{
 		cfg:    cfg,
-		ring:   make([]Event, cfg.Events),
+		ring:   make([]Event, recorderEvents),
 		alerts: make(map[string]Event),
-		snaps:  make([]MetricsSample, cfg.Snapshots),
+		snaps:  make([]MetricsSample, recorderSnapshots),
 	}
 }
 
@@ -164,20 +161,6 @@ func (r *Recorder) Record(e Event) {
 		delete(r.alerts, e.AlertID)
 	}
 	r.mu.Unlock()
-}
-
-// LastSeq returns the highest sequence number in the ring (0 when
-// empty). Nil-safe.
-func (r *Recorder) LastSeq() uint64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.n == 0 {
-		return 0
-	}
-	return r.ring[(r.head+r.n-1)%len(r.ring)].Seq
 }
 
 // SampleMetrics appends one registry snapshot to the history ring (a

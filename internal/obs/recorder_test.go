@@ -23,8 +23,6 @@ func buildTestRecorder(t *testing.T, dir string) (*Recorder, *Journal) {
 		t.Fatal(err)
 	}
 	r := NewRecorder(RecorderConfig{
-		Events:       8,
-		Snapshots:    4,
 		Dir:          dir,
 		Registry:     reg,
 		Tracer:       tracer,
@@ -99,12 +97,13 @@ func TestRecorderBundleRoundTrip(t *testing.T) {
 }
 
 func TestRecorderRingEviction(t *testing.T) {
-	r := NewRecorder(RecorderConfig{Events: 4})
-	for i := 1; i <= 10; i++ {
+	r := NewRecorder(RecorderConfig{})
+	const n = recorderEvents + 6
+	for i := 1; i <= n; i++ {
 		r.Record(Event{Seq: uint64(i), Type: EventEpoch})
 	}
-	if r.LastSeq() != 10 {
-		t.Fatalf("LastSeq = %d, want 10", r.LastSeq())
+	if r.LastSeq() != n {
+		t.Fatalf("LastSeq = %d, want %d", r.LastSeq(), n)
 	}
 	dir := t.TempDir()
 	r.cfg.Dir = dir
@@ -117,8 +116,8 @@ func TestRecorderRingEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	events := pm.Events()
-	if len(events) != 4 {
-		t.Fatalf("ring kept %d events, want 4", len(events))
+	if len(events) != recorderEvents {
+		t.Fatalf("ring kept %d events, want %d", len(events), recorderEvents)
 	}
 	for i, e := range events {
 		if want := uint64(7 + i); e.Seq != want {
@@ -227,7 +226,7 @@ func FuzzDecodeBundle(f *testing.F) {
 	dir := f.TempDir()
 	reg := NewRegistry()
 	reg.Counter("c").Inc()
-	r := NewRecorder(RecorderConfig{Events: 4, Dir: dir, Registry: reg})
+	r := NewRecorder(RecorderConfig{Dir: dir, Registry: reg})
 	r.Record(Event{Seq: 1, Type: EventRunStart})
 	path, err := r.Dump("fuzz seed")
 	if err != nil {
@@ -293,4 +292,18 @@ func BenchmarkDisabledRecorder(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		j.Emit(e)
 	}
+}
+
+// LastSeq returns the highest sequence number in the ring (0 when
+// empty). Nil-safe.
+func (r *Recorder) LastSeq() uint64 {
+	if r == nil {
+		return 0
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.n == 0 {
+		return 0
+	}
+	return r.ring[(r.head+r.n-1)%len(r.ring)].Seq
 }

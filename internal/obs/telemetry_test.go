@@ -14,6 +14,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"a4nn/internal/chaos"
 )
 
 // emitRunSpans records the span shapes the instrumented workflow emits:
@@ -205,5 +207,49 @@ func TestNilObserver(t *testing.T) {
 	}
 	if err := o.FlushTo(t.TempDir()); err != nil {
 		t.Fatalf("nil observer flush: %v", err)
+	}
+}
+
+// TestFlushChaosPoints: an err= plan at either rename point of
+// metrics.json returns the injected error. Before the rename the previous
+// snapshot stays whole; after it the new one is committed.
+func TestFlushChaosPoints(t *testing.T) {
+	t.Cleanup(func() { chaos.Install(nil) })
+	for _, c := range []struct {
+		point string
+		want  uint64
+	}{
+		{chaos.PointMetricsPreRename, 1},
+		{chaos.PointMetricsPostRename, 2},
+	} {
+		dir := t.TempDir()
+		o := NewObserver()
+		runs := o.Registry().Counter("a4nn_test_flushes_total")
+		runs.Inc()
+		if err := o.FlushTo(dir); err != nil {
+			t.Fatal(err)
+		}
+		runs.Inc()
+		plan, err := chaos.Parse("err=" + c.point + "@1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		chaos.Install(plan)
+		err = o.FlushTo(dir)
+		chaos.Install(nil)
+		if !chaos.IsInjected(err) {
+			t.Fatalf("%s: FlushTo = %v, want the injected error", c.point, err)
+		}
+		data, err := os.ReadFile(filepath.Join(dir, MetricsFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var snap Snapshot
+		if err := json.Unmarshal(data, &snap); err != nil {
+			t.Fatalf("%s: metrics.json after the injected error: %v", c.point, err)
+		}
+		if got := snap.Counters["a4nn_test_flushes_total"]; got != c.want {
+			t.Fatalf("%s: metrics.json counter = %d, want %d", c.point, got, c.want)
+		}
 	}
 }

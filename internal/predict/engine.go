@@ -148,27 +148,11 @@ func (e *Engine) SetMetrics(m Metrics) { e.metrics = m }
 // Config returns the engine's configuration.
 func (e *Engine) Config() Config { return e.cfg }
 
-// Predict implements the Parametric Modeling step (§2.1.1): given the
-// fitness history — history[i] is the fitness observed after epoch i+1 —
-// it fits the configured family and extrapolates the fitness at EPred.
-// ok is false while len(history) < CMin or when the fit fails; Algorithm 1
-// then simply continues training.
-func (e *Engine) Predict(history []float64) (pred float64, ok bool) {
-	if len(history) < e.cfg.CMin {
-		return 0, false
-	}
-	xs := make([]float64, len(history))
-	for i := range xs {
-		xs[i] = float64(i + 1)
-	}
-	return e.PredictAt(xs, history, float64(e.cfg.EPred))
-}
-
 // PredictAt fits the family to arbitrary (epoch, fitness) pairs and
-// evaluates the fitted curve at epoch x. It is the engine's low-level
-// entry point; Predict wraps it for the dense 1..e histories produced by
-// Algorithm 1, and a Tracker calls it after every epoch. All of them fit
-// on buffers from the engine's pool, held for the one call.
+// evaluates the fitted curve at epoch x; ok is false when the fit fails.
+// A Tracker calls it after every epoch from CMin on, over the dense 1..e
+// history of Algorithm 1. Each call fits on buffers from the engine's
+// pool, held for the one call.
 func (e *Engine) PredictAt(xs, ys []float64, x float64) (pred float64, ok bool) {
 	fam := e.cfg.Family
 	if len(xs) != len(ys) || len(xs) < fam.NumParams() {
@@ -354,9 +338,6 @@ func (t *Tracker) Restore(h, p []float64, predEpochs []int, converged bool) {
 
 // Converged reports whether the analyzer has declared convergence.
 func (t *Tracker) Converged() bool { return t.converged }
-
-// Epoch returns the number of epochs observed so far.
-func (t *Tracker) Epoch() int { return len(t.H) }
 
 // FinalFitness implements lines 17–21 of Algorithm 1: the last prediction
 // when converged, otherwise the last observed fitness. ok is false when

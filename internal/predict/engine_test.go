@@ -84,16 +84,25 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestPredictRequiresCMin(t *testing.T) {
-	e := mustEngine(t, DefaultConfig())
-	if _, ok := e.Predict([]float64{50}); ok {
-		t.Fatal("prediction with fewer than CMin observations must fail")
+	cfg := DefaultConfig()
+	tr := NewTracker(mustEngine(t, cfg))
+	for n, fitness := range []float64{50, 60, 65} {
+		tr.Observe(fitness)
+		// The engine predicts from the CMin-th observation on.
+		if want := max(0, n+1-cfg.CMin+1); len(tr.P) != want {
+			t.Fatalf("after %d observations: %d predictions, want %d (CMin %d)", n+1, len(tr.P), want, cfg.CMin)
+		}
 	}
-	if _, ok := e.Predict([]float64{50, 60}); ok {
-		t.Fatal("prediction with fewer than CMin observations must fail")
+}
+
+// predictDense fits the dense history 1..len(ys) and extrapolates it to
+// EPred, as a Tracker does after each epoch.
+func predictDense(e *Engine, ys []float64) (float64, bool) {
+	xs := make([]float64, len(ys))
+	for i := range xs {
+		xs[i] = float64(i + 1)
 	}
-	if _, ok := e.Predict([]float64{50, 60, 65}); !ok {
-		t.Fatal("prediction with CMin observations should succeed")
-	}
+	return e.PredictAt(xs, ys, float64(e.cfg.EPred))
 }
 
 // TestPredictExtrapolatesCleanCurve: on a noiseless curve the engine's
@@ -103,7 +112,7 @@ func TestPredictExtrapolatesCleanCurve(t *testing.T) {
 	a, beta, c := 95.0, 0.35, 2.0
 	truth := a - math.Exp(beta*(c-25))
 	ys := synthCurve(a, beta, c, 10, 0, nil)
-	pred, ok := e.Predict(ys)
+	pred, ok := predictDense(e, ys)
 	if !ok {
 		t.Fatal("prediction failed")
 	}
@@ -182,12 +191,12 @@ func TestTrackerLifecycle(t *testing.T) {
 	if _, ok := tr.FinalFitness(); ok {
 		t.Fatal("FinalFitness before any observation must report !ok")
 	}
-	if tr.Epoch() != 0 || tr.Converged() {
+	if len(tr.H) != 0 || tr.Converged() {
 		t.Fatal("fresh tracker state wrong")
 	}
 	tr.Observe(50)
-	if tr.Epoch() != 1 {
-		t.Fatalf("Epoch = %d", tr.Epoch())
+	if len(tr.H) != 1 {
+		t.Fatalf("len(H) = %d", len(tr.H))
 	}
 	// Before convergence the final fitness is the last observation
 	// (Algorithm 1, line 20).
@@ -224,7 +233,7 @@ func TestTrackerStopsObservingAfterConvergence(t *testing.T) {
 // either predict the constant or fail, never diverge.
 func TestFlatCurve(t *testing.T) {
 	e := mustEngine(t, DefaultConfig())
-	pred, ok := e.Predict([]float64{50, 50, 50, 50, 50})
+	pred, ok := predictDense(e, []float64{50, 50, 50, 50, 50})
 	if ok && math.Abs(pred-50) > 1 {
 		t.Fatalf("flat history predicted %v, want ≈50", pred)
 	}
@@ -258,7 +267,7 @@ func TestLastValueFamily(t *testing.T) {
 	cfg.Family = LastValue{}
 	cfg.CMin = 1
 	e := mustEngine(t, cfg)
-	pred, ok := e.Predict([]float64{10, 20, 30})
+	pred, ok := predictDense(e, []float64{10, 20, 30})
 	if !ok || pred != 30 {
 		t.Fatalf("LastValue predicted %v, %v; want 30, true", pred, ok)
 	}
@@ -273,7 +282,7 @@ func TestPowerLawFamilyFits(t *testing.T) {
 	for x := 1; x <= 12; x++ {
 		ys = append(ys, 92-30*math.Pow(float64(x), -1))
 	}
-	pred, ok := e.Predict(ys)
+	pred, ok := predictDense(e, ys)
 	if !ok {
 		t.Fatal("power-law prediction failed")
 	}
@@ -507,7 +516,7 @@ func BenchmarkEngineInteraction(b *testing.B) {
 	ys := synthCurve(93, 0.4, 1.5, 12, 0.25, rand.New(rand.NewSource(1)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p, ok := e.Predict(ys)
+		p, ok := predictDense(e, ys)
 		if ok {
 			e.Converged([]float64{p, p, p})
 		}
@@ -642,7 +651,7 @@ func TestLogisticFamilyFits(t *testing.T) {
 	for x := 1; x <= 14; x++ {
 		ys = append(ys, Logistic{}.Eval(truth, float64(x)))
 	}
-	pred, ok := e.Predict(ys)
+	pred, ok := predictDense(e, ys)
 	if !ok {
 		t.Fatal("logistic prediction failed")
 	}
@@ -677,8 +686,8 @@ func TestRecencyWeightTracksLateEpochs(t *testing.T) {
 	weightedCfg := DefaultConfig()
 	weightedCfg.RecencyWeight = 3
 	weighted := mustEngine(t, weightedCfg)
-	pb, okB := base.Predict(ys)
-	pw, okW := weighted.Predict(ys)
+	pb, okB := predictDense(base, ys)
+	pw, okW := predictDense(weighted, ys)
 	if !okB || !okW {
 		t.Fatalf("predictions failed: %v %v", okB, okW)
 	}

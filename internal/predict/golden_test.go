@@ -133,11 +133,11 @@ func trackerGoldenBits(t *testing.T, histories [][]float64) {
 				}
 				conv := 0
 				if tr.Converged() {
-					conv = tr.Epoch()
+					conv = len(tr.H)
 				} else {
 					never++
 				}
-				if paper && multiStarts(fam, history, tr.Epoch()) > 0 {
+				if paper && multiStarts(fam, history, len(tr.H)) > 0 {
 					multi++
 				}
 				for j, p := range tr.P {
@@ -156,7 +156,7 @@ func trackerGoldenBits(t *testing.T, histories [][]float64) {
 						resumed.Observe(f)
 					}
 					if !sameBits(resumed.P, tr.P) || fmt.Sprint(resumed.PredEpochs) != fmt.Sprint(tr.PredEpochs) ||
-						resumed.Epoch() != tr.Epoch() || resumed.Converged() != tr.Converged() {
+						len(resumed.H) != len(tr.H) || resumed.Converged() != tr.Converged() {
 						t.Errorf("%s rw=%g history %d: restored at epoch %d diverged: P %v epochs %v, want %v %v",
 							fam.Name(), rw, i, cut, resumed.P, resumed.PredEpochs, tr.P, tr.PredEpochs)
 					}

@@ -43,7 +43,7 @@ func TestClosedFormKeepsTrackerDecisions(t *testing.T) {
 			for _, f := range history {
 				a, b := got.Observe(f), want.Observe(f)
 				if a != b {
-					t.Fatalf("rw=%g history %d epoch %d: closed form converged %v, central differences %v", rw, i, got.Epoch(), a, b)
+					t.Fatalf("rw=%g history %d epoch %d: closed form converged %v, central differences %v", rw, i, len(got.H), a, b)
 				}
 				if a {
 					break

@@ -11,7 +11,7 @@ import (
 // This file is the fault model of the resource manager: a deterministic,
 // seedable FaultPlan that injects device crashes, transient task errors,
 // and slowdown (straggler) factors per device×generation; a RetryPolicy
-// with exponential backoff and a per-generation retry budget; and the
+// with exponential backoff; and the
 // transient/fatal error vocabulary shared with the workflow runner. The
 // paper's scaling claim (§4.4) assumes every accelerator survives a
 // multi-hour search; these knobs let the scheduler be exercised — and
@@ -90,9 +90,6 @@ type FaultPlan struct {
 	Crashes []DeviceCrash
 	// CrashProb is the per-device×generation crash probability.
 	CrashProb float64
-	// CrashAfterTasks is how many attempts a probabilistically crashed
-	// device completes before dying (default 1).
-	CrashAfterTasks int
 	// TransientProb is the per-attempt transient failure probability.
 	TransientProb float64
 	// FailPoint is the fraction of a typical attempt's duration wasted
@@ -143,11 +140,7 @@ func (f *FaultPlan) crashPoint(gen, dev int) (after int, ok bool) {
 		}
 	}
 	if f.CrashProb > 0 && f.uniform(1, gen, dev) < f.CrashProb {
-		after = f.CrashAfterTasks
-		if after < 1 {
-			after = 1
-		}
-		return after, true
+		return 1, true // a probabilistic crash strikes after one attempt
 	}
 	return 0, false
 }
@@ -273,27 +266,18 @@ func ParseFaultPlan(spec string) (*FaultPlan, error) {
 
 // RetryPolicy tunes per-task retry of transient failures. The zero value
 // retries nothing unless a fault plan is installed, in which case it
-// defaults to 3 attempts with a 2-simulated-second base backoff.
+// defaults to 3 attempts. A retry waits out a simulated backoff of 2 s
+// before the second attempt, doubling per attempt up to 30 s.
 type RetryPolicy struct {
 	// MaxAttempts is the per-task attempt ceiling (0 selects the
 	// default: 1 without a fault plan, 3 with one).
 	MaxAttempts int
-	// BackoffSeconds is the simulated backoff before the second attempt;
-	// it doubles per subsequent attempt (default 2).
-	BackoffSeconds float64
-	// MaxBackoffSeconds caps the backoff (default 30).
-	MaxBackoffSeconds float64
-	// Budget caps total retries per generation (0 = unlimited).
-	Budget int
 }
 
 // Validate reports the first problem with the policy, or nil.
 func (rp RetryPolicy) Validate() error {
-	if rp.MaxAttempts < 0 || rp.Budget < 0 {
+	if rp.MaxAttempts < 0 {
 		return fmt.Errorf("sched: negative retry policy %+v", rp)
-	}
-	if rp.BackoffSeconds < 0 || rp.MaxBackoffSeconds < 0 {
-		return fmt.Errorf("sched: negative retry backoff %+v", rp)
 	}
 	return nil
 }
@@ -311,17 +295,5 @@ func (rp RetryPolicy) maxAttempts(faultsPlanned bool) int {
 
 // backoff returns the simulated delay before the given (2-based) attempt.
 func (rp RetryPolicy) backoff(attempt int) float64 {
-	base := rp.BackoffSeconds
-	if base <= 0 {
-		base = 2
-	}
-	cap := rp.MaxBackoffSeconds
-	if cap <= 0 {
-		cap = 30
-	}
-	d := base * math.Pow(2, float64(attempt-2))
-	if d > cap {
-		d = cap
-	}
-	return d
+	return math.Min(2*math.Pow(2, float64(attempt-2)), 30)
 }

@@ -14,8 +14,8 @@
 //
 // The pool is fault-tolerant: an installed FaultPlan injects device
 // crashes, transient task errors, and straggler slowdowns; transient
-// failures are retried under a RetryPolicy (exponential backoff, retry
-// budget, different device when possible); attempts exceeding the task
+// failures are retried under a RetryPolicy (exponential backoff,
+// different device when possible); attempts exceeding the task
 // deadline are re-dispatched; and a crashed device is drained, its queued
 // work redistributed FIFO to the survivors. Totals carries the
 // reliability accounting (Retries, Faults, LostSeconds) alongside the
@@ -184,9 +184,6 @@ func NewPool(n int, throughput float64) (*Pool, error) {
 // Size returns the number of devices.
 func (p *Pool) Size() int { return len(p.devices) }
 
-// Devices returns a copy of the device list.
-func (p *Pool) Devices() []Device { return append([]Device(nil), p.devices...) }
-
 // SetFaultPlan installs (or, with nil, removes) a fault-injection plan.
 func (p *Pool) SetFaultPlan(plan *FaultPlan) error {
 	if plan != nil {
@@ -220,19 +217,6 @@ func (p *Pool) SetTaskDeadline(simSeconds float64) error {
 	defer p.mu.Unlock()
 	p.deadline = simSeconds
 	return nil
-}
-
-// DeadDevices returns the IDs of devices lost to crashes, ascending.
-func (p *Pool) DeadDevices() []int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var out []int
-	for i, d := range p.dead {
-		if d {
-			out = append(out, i)
-		}
-	}
-	return out
 }
 
 // GenerationReport describes the simulated schedule of one generation.
@@ -304,7 +288,6 @@ type genRun struct {
 	retries   int
 	faults    int
 	lost      float64
-	budget    int // remaining retries this generation; -1 = unlimited
 }
 
 // devRun is one virtual device within a generation: its fault-plan
@@ -377,7 +360,6 @@ func (p *Pool) RunGeneration(ctx context.Context, tasks []Task) (*GenerationRepo
 		vt:        make([]float64, n),
 		busyDev:   make([]float64, n),
 		aliveEnd:  make([]float64, n),
-		budget:    -1,
 	}
 	p.mu.Lock()
 	g.gen, g.obsv = p.nextGen, p.obsv
@@ -402,9 +384,6 @@ func (p *Pool) RunGeneration(ctx context.Context, tasks []Task) (*GenerationRepo
 		Devices: aliveCount,
 	})
 
-	if p.retry.Budget > 0 {
-		g.budget = p.retry.Budget
-	}
 	for i := range tasks {
 		g.queue = append(g.queue, &attemptMeta{task: i, attempt: 1})
 	}
@@ -689,18 +668,15 @@ func (g *genRun) apply(r *attemptRun) {
 }
 
 // fail books a transient failure: retry with backoff on another device
-// when attempts and budget remain, otherwise fail the task.
+// when attempts remain, otherwise fail the task.
 func (g *genRun) fail(att *attemptMeta, dev Device, cost float64, cause error) {
 	g.lost += cost
 	g.fault(obs.Event{Task: att.task, Attempt: att.attempt, Device: dev.ID, SimSeconds: cost, Err: cause.Error()})
 	maxAttempts := g.pool.retry.maxAttempts(g.pool.plan != nil)
-	if att.attempt >= maxAttempts || g.budget == 0 {
+	if att.attempt >= maxAttempts {
 		g.errs[att.task] = fmt.Errorf("sched: task %d failed after %d attempt(s): %w", att.task, att.attempt, cause)
 		g.done[att.task] = true
 		return
-	}
-	if g.budget > 0 {
-		g.budget--
 	}
 	g.retries++
 	g.obsv.retries.Inc()
@@ -892,17 +868,5 @@ func (p *Pool) Totals() Totals {
 		Faults:          p.faults,
 		LostSeconds:     p.lost,
 		DeadDevices:     deadCount,
-	}
-}
-
-// Reset clears the cumulative accounting and revives crashed devices
-// (the device list and fault configuration are kept).
-func (p *Pool) Reset() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.wall, p.busy, p.idle, p.overheads, p.tasks = 0, 0, 0, 0, 0
-	p.retries, p.faults, p.lost, p.nextGen = 0, 0, 0, 0
-	for i := range p.dead {
-		p.dead[i] = false
 	}
 }

@@ -313,3 +313,34 @@ func TestFIFOBeatsRoundRobinOnStragglers(t *testing.T) {
 		t.Fatalf("FIFO %v should beat round-robin %v here", fifo.WallSeconds, rr.WallSeconds)
 	}
 }
+
+// Devices, DeadDevices and Reset are the tests' views of a pool; no run
+// reads them.
+
+// Devices returns a copy of the device list.
+func (p *Pool) Devices() []Device { return append([]Device(nil), p.devices...) }
+
+// DeadDevices returns the IDs of devices lost to crashes, ascending.
+func (p *Pool) DeadDevices() []int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	var out []int
+	for i, d := range p.dead {
+		if d {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// Reset clears the cumulative accounting and revives crashed devices
+// (the device list and fault configuration are kept).
+func (p *Pool) Reset() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.wall, p.busy, p.idle, p.overheads, p.tasks = 0, 0, 0, 0, 0
+	p.retries, p.faults, p.lost, p.nextGen = 0, 0, 0, 0
+	for i := range p.dead {
+		p.dead[i] = false
+	}
+}

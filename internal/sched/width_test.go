@@ -46,7 +46,7 @@ func widthScenario(t *testing.T, procs int) (run widthRun, overlapped bool) {
 	if err := p.SetFaultPlan(&FaultPlan{Seed: 7, TransientProb: 0.2, SlowdownProb: 0.5, SlowdownFactor: 3}); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.SetRetryPolicy(RetryPolicy{MaxAttempts: 3, Budget: 4}); err != nil {
+	if err := p.SetRetryPolicy(RetryPolicy{MaxAttempts: 3}); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.SetTaskDeadline(8); err != nil {
@@ -126,13 +126,12 @@ func TestWidthInvariance(t *testing.T) {
 				succeeded++
 			}
 		}
-		// Failing short of the three allowed attempts means the budget
-		// was spent; other tasks of the generation still completed.
-		budgetOut := strings.Contains(msg, "after 1 attempt(s)") || strings.Contains(msg, "after 2 attempt(s)")
-		exhausted = exhausted || budgetOut && succeeded > 0
+		// A task spent all three attempts while other tasks of the
+		// generation still completed.
+		exhausted = exhausted || strings.Contains(msg, "after 3 attempt(s)") && succeeded > 0
 	}
 	if !straggled || !deadlines || !exhausted || serial.Totals.Retries == 0 {
-		t.Fatalf("scenario lost a fault class: straggler %v, deadline misses %v, budget exhausted mid-generation %v, retries %d",
+		t.Fatalf("scenario lost a fault class: straggler %v, deadline misses %v, attempts exhausted mid-generation %v, retries %d",
 			straggled, deadlines, exhausted, serial.Totals.Retries)
 	}
 

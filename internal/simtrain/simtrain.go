@@ -28,6 +28,9 @@ import (
 	"a4nn/internal/xfel"
 )
 
+// driftRho is the AR(1) autocorrelation of a well-behaved curve's drift.
+const driftRho = 0.85
+
 // BeamProfile parameterises the surrogate learning-curve distribution for
 // one beam intensity.
 type BeamProfile struct {
@@ -47,8 +50,6 @@ type BeamProfile struct {
 	// averages out under the least-squares fit and would let everything
 	// terminate unrealistically early.
 	Noise float64
-	// Rho is the AR(1) autocorrelation of the drift (default 0.85 when 0).
-	Rho float64
 	// FailureRate is the fraction of networks that fail to learn
 	// (the paper cites up to 88% in early NAS generations; by Table 2's
 	// small search the realised fraction is lower).
@@ -219,10 +220,6 @@ func (t *Trainer) NewModel(g *genome.Genome, seed int64) (core.Trainable, error)
 	capacity := float64(active) / float64(maxActive) // 0..1
 
 	p := t.profile
-	rho := p.Rho
-	if rho == 0 {
-		rho = 0.85
-	}
 	m := &model{
 		trainer: t,
 		flops:   cost.FLOPs,
@@ -230,7 +227,7 @@ func (t *Trainer) NewModel(g *genome.Genome, seed int64) (core.Trainable, error)
 		desc:    cost.Describe(),
 		rng:     rng,
 		noise:   p.Noise,
-		rho:     rho,
+		rho:     driftRho,
 	}
 	switch {
 	case rng.Float64() < p.FailureRate:

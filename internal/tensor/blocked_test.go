@@ -160,7 +160,7 @@ func TestMatMulTransAIntoMatchesNaive(t *testing.T) {
 				old := SetMaxWorkers(workers)
 				dst := New(sz.m, sz.n)
 				fillNaN(dst)
-				if err := MatMulTransAInto(a, b, dst); err != nil {
+				if err := matMulTransAInto(a, b, dst); err != nil {
 					SetMaxWorkers(old)
 					t.Fatal(err)
 				}
@@ -182,7 +182,7 @@ func TestMatMulTransBIntoMatchesNaive(t *testing.T) {
 			a := Randn(rng, 0, 1, sz.m, sz.k)
 			b := Randn(rng, 0, 1, sz.n, sz.k)
 			want := matMulTransBRef(a, b)
-			bt, _ := Transpose2D(b)
+			bt, _ := transpose2D(b)
 			plain := matMulRef(a, bt)
 			for _, workers := range []int{1, 8} {
 				old := SetMaxWorkers(workers)
@@ -262,8 +262,8 @@ func TestBlockedAdversarialShapes(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(sz.m*1000003 + sz.k*1009 + sz.n)))
 			a := Randn(rng, 0, 1, sz.m, sz.k)
 			b := Randn(rng, 0, 1, sz.k, sz.n)
-			at, _ := Transpose2D(a)
-			bt, _ := Transpose2D(b)
+			at, _ := transpose2D(a)
+			bt, _ := transpose2D(b)
 			want, wantTransB := matMulRef(a, b), matMulTransBRef(a, bt)
 			variants := []struct {
 				name string
@@ -271,7 +271,7 @@ func TestBlockedAdversarialShapes(t *testing.T) {
 				run  func(dst *Tensor) error
 			}{
 				{"MatMulInto", want, func(dst *Tensor) error { return MatMulInto(a, b, dst) }},
-				{"MatMulTransAInto", want, func(dst *Tensor) error { return MatMulTransAInto(at, b, dst) }},
+				{"MatMulTransAInto", want, func(dst *Tensor) error { return matMulTransAInto(at, b, dst) }},
 				{"MatMulTransBInto", wantTransB, func(dst *Tensor) error { return MatMulTransBInto(a, bt, dst) }},
 				// The accumulating forms over +0s, as a gradient is
 				// after ZeroGrad, have the overwriting forms' bits.
@@ -306,8 +306,8 @@ func TestBlockedAdversarialShapes(t *testing.T) {
 func TestMatMulAddIntoAccumulates(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	a, b := Randn(rng, 0, 1, 7, 9), Randn(rng, 0, 1, 5, 9)
-	at, _ := Transpose2D(a)
-	bt, _ := Transpose2D(b)
+	at, _ := transpose2D(a)
+	bt, _ := transpose2D(b)
 	c := Randn(rng, 0, 1, 7, 5)
 	want := c.Add(matMulTransBRef(a, b))
 	for name, run := range map[string]func(dst *Tensor) error{
@@ -365,7 +365,7 @@ func TestIm2ColBatchIntoMatchesReference(t *testing.T) {
 		// Reference: per-sample Im2Col copied into the strided batch layout.
 		want := New(ckk, tc.n*spat)
 		for s := 0; s < tc.n; s++ {
-			sub := MustFromSlice(x.Data()[s*sampleLen:(s+1)*sampleLen], tc.c, tc.h, tc.w)
+			sub := mustFromSlice(x.Data()[s*sampleLen:(s+1)*sampleLen], tc.c, tc.h, tc.w)
 			sc, err := Im2Col(sub, tc.kh, tc.kw, tc.stride, tc.pad)
 			if err != nil {
 				t.Fatal(err)
@@ -404,10 +404,10 @@ func TestWorkspaceGetPut(t *testing.T) {
 	}
 	w.Put(nil) // must not panic
 
-	z := w.GetZeroed(4, 4)
+	z := w.ObtainZeroed(nil, 4, 4)
 	for i, v := range z.data {
 		if v != 0 {
-			t.Fatalf("GetZeroed element %d = %v", i, v)
+			t.Fatalf("ObtainZeroed element %d = %v", i, v)
 		}
 	}
 }

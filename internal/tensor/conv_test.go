@@ -102,7 +102,7 @@ func TestConvFusedMatchesReference(t *testing.T) {
 			wantCols := New(ckk, tc.n*spat)
 			wantDx := New(tc.n, tc.c, tc.h, tc.w)
 			for i := 0; i < tc.n; i++ {
-				xi := MustFromSlice(x.data[i*sample:(i+1)*sample], tc.c, tc.h, tc.w)
+				xi := mustFromSlice(x.data[i*sample:(i+1)*sample], tc.c, tc.h, tc.w)
 				ci := im2colRef(xi, tc.kh, tc.kw, tc.stride, tc.pad, oh, ow)
 				single, err := Im2Col(xi, tc.kh, tc.kw, tc.stride, tc.pad)
 				if err != nil {
@@ -118,7 +118,7 @@ func TestConvFusedMatchesReference(t *testing.T) {
 				for r := 0; r < ckk; r++ {
 					copy(wantCols.data[r*tc.n*spat+i*spat:][:spat], ci.data[r*spat:])
 				}
-				gi := MustFromSlice(grad.data[i*tc.outC*spat:(i+1)*tc.outC*spat], tc.outC, spat)
+				gi := mustFromSlice(grad.data[i*tc.outC*spat:(i+1)*tc.outC*spat], tc.outC, spat)
 				di := matMulTransARef(w, gi)
 				img := col2imRef(di, tc.c, tc.h, tc.w, tc.kh, tc.kw, tc.stride, tc.pad, oh, ow)
 				back, err := Col2Im(di, tc.c, tc.h, tc.w, tc.kh, tc.kw, tc.stride, tc.pad)
@@ -185,4 +185,37 @@ func TestConvFusedShapeErrors(t *testing.T) {
 			t.Errorf("%s: expected an error", name)
 		}
 	}
+}
+
+// Im2Col and Col2Im are the single-image references the batch and fused
+// kernels are held to: Im2Col unrolls one (C, H, W) image into its
+// (C·kh·kw, oh·ow) column matrix, Col2Im is its adjoint.
+// Im2Col unrolls a single image x with shape (C, H, W) into a matrix of
+// shape (C·kh·kw, oh·ow) so that convolution becomes a matrix product of
+// the (F, C·kh·kw) filter matrix with the column matrix. Out-of-bounds
+// (padded) positions contribute zeros.
+func Im2Col(x *Tensor, kh, kw, stride, pad int) (*Tensor, error) {
+	g, err := newConvGeom("Im2Col", x, 3, kh, kw, stride, pad)
+	if err != nil {
+		return nil, err
+	}
+	cols := New(g.ckk, g.spat)
+	im2colStrided(x.data, cols.data, 0, g.spat, g)
+	return cols, nil
+}
+
+// Col2Im scatters a column matrix produced by Im2Col back into an image of
+// shape (C, H, W), accumulating overlapping contributions. It is the adjoint
+// of Im2Col and is used in the convolution backward pass.
+func Col2Im(cols *Tensor, c, h, w, kh, kw, stride, pad int) (*Tensor, error) {
+	img := New(c, h, w)
+	g, err := newConvGeom("Col2Im", img, 3, kh, kw, stride, pad)
+	if err != nil {
+		return nil, err
+	}
+	if cols.Rank() != 2 || cols.shape[0] != g.ckk || cols.shape[1] != g.spat {
+		return nil, fmt.Errorf("tensor: Col2Im expects cols of shape (%d,%d), got %v", g.ckk, g.spat, cols.shape)
+	}
+	col2imStrided(cols.data, img.data, 0, g.spat, g)
+	return img, nil
 }

@@ -9,11 +9,6 @@ const (
 	expLn2U     = 0.69314718055966295651160180568695068359375 // upper half of ln 2
 	expLn2L     = 0.28235290563031577122588448175013436025525412068e-12
 	expOverflow = 7.09782712893384e+02
-
-	// expLo and expHi bound the lanes the vector kernel takes: inside
-	// them 2^k is a normal number and no lane needs the scalar path's
-	// denormal or overflow branches.
-	expLo, expHi = -708, 700
 )
 
 // expTaylor are the Taylor coefficients 1/8! … 1/2!, 1 of e^r for the
@@ -49,7 +44,9 @@ func Exp(x float64) float64 {
 // ExpInto overwrites x[i] with Exp(x[i]). Where the host has the vector
 // kernel expGroups it runs four lanes at a time, a tail shorter than four
 // under a lane mask in the same call; a group with a lane outside
-// [expLo, expHi] (or not finite) goes through Exp.
+// [-708, 700] (or not finite) goes through Exp: inside that range 2^k is a
+// normal number and no lane needs the scalar path's denormal or overflow
+// branches.
 func ExpInto(x []float64) {
 	if !expVector {
 		for i, v := range x {

@@ -8,6 +8,9 @@ import (
 	"testing"
 )
 
+// expLo and expHi bound the lanes the vector kernel takes (exp_amd64.s).
+const expLo, expHi = -708, 700
+
 // expEdges are the arguments where the exponential changes regime: ±0,
 // denormals, the vector kernel's bounds and their neighbours, the
 // denormal-result and overflow thresholds, infinities, NaN and huge

@@ -22,20 +22,6 @@ func ConvOutSize(in, kernel, stride, pad int) (int, error) {
 	return out, nil
 }
 
-// Im2Col unrolls a single image x with shape (C, H, W) into a matrix of
-// shape (C·kh·kw, oh·ow) so that convolution becomes a matrix product of
-// the (F, C·kh·kw) filter matrix with the column matrix. Out-of-bounds
-// (padded) positions contribute zeros.
-func Im2Col(x *Tensor, kh, kw, stride, pad int) (*Tensor, error) {
-	g, err := newConvGeom("Im2Col", x, 3, kh, kw, stride, pad)
-	if err != nil {
-		return nil, err
-	}
-	cols := New(g.ckk, g.spat)
-	im2colStrided(x.data, cols.data, 0, g.spat, g)
-	return cols, nil
-}
-
 // Im2ColBatchInto unrolls every sample of an NCHW batch x (N, C, H, W)
 // directly into cols, a (C·kh·kw, N·oh·ow) matrix in which sample i's
 // columns occupy the strided slot [i·oh·ow, (i+1)·oh·ow) of every row —
@@ -120,22 +106,6 @@ func im2colStrided(x, cols []float64, off, rowStride int, g convGeom) {
 			}
 		}
 	}
-}
-
-// Col2Im scatters a column matrix produced by Im2Col back into an image of
-// shape (C, H, W), accumulating overlapping contributions. It is the adjoint
-// of Im2Col and is used in the convolution backward pass.
-func Col2Im(cols *Tensor, c, h, w, kh, kw, stride, pad int) (*Tensor, error) {
-	img := New(c, h, w)
-	g, err := newConvGeom("Col2Im", img, 3, kh, kw, stride, pad)
-	if err != nil {
-		return nil, err
-	}
-	if cols.Rank() != 2 || cols.shape[0] != g.ckk || cols.shape[1] != g.spat {
-		return nil, fmt.Errorf("tensor: Col2Im expects cols of shape (%d,%d), got %v", g.ckk, g.spat, cols.shape)
-	}
-	col2imStrided(cols.data, img.data, 0, g.spat, g)
-	return img, nil
 }
 
 // col2imStrided scatter-accumulates one sample's columns (row r of the

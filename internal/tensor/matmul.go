@@ -52,31 +52,22 @@ func MatMulInto(a, b, dst *Tensor) error {
 	return nil
 }
 
-// MatMulTransAInto computes dst = aᵀ·b with a (k×m), b (k×n), dst (m×n),
-// overwriting dst, without materialising the transpose. dst must not alias
-// a or b. Results are bitwise identical to the naive reference, as for
+// MatMulTransAAddInto accumulates dst += aᵀ·b with a (k×m), b (k×n), dst
+// (m×n), without materialising the transpose, each product term added to
+// dst's element in ascending p. dst must not alias a or b. Over a dst of
+// +0s the result is bitwise identical to the naive reference, as for
 // MatMulInto.
-func MatMulTransAInto(a, b, dst *Tensor) error { return matMulTransA(a, b, dst, false) }
-
-// MatMulTransAAddInto is MatMulTransAInto accumulating into dst: dst +=
-// aᵀ·b, each product term added to dst's element in ascending p. Over a
-// dst of +0s it has MatMulTransAInto's bits.
-func MatMulTransAAddInto(a, b, dst *Tensor) error { return matMulTransA(a, b, dst, true) }
-
-func matMulTransA(a, b, dst *Tensor, add bool) error {
+func MatMulTransAAddInto(a, b, dst *Tensor) error {
 	if a.Rank() != 2 || b.Rank() != 2 || dst.Rank() != 2 {
-		return fmt.Errorf("tensor: MatMulTransAInto requires rank-2 tensors, got %v, %v, %v", a.shape, b.shape, dst.shape)
+		return fmt.Errorf("tensor: MatMulTransAAddInto requires rank-2 tensors, got %v, %v, %v", a.shape, b.shape, dst.shape)
 	}
 	k, m := a.shape[0], a.shape[1]
 	k2, n := b.shape[0], b.shape[1]
 	if k != k2 {
-		return fmt.Errorf("tensor: MatMulTransAInto inner dimension mismatch %v vs %v", a.shape, b.shape)
+		return fmt.Errorf("tensor: MatMulTransAAddInto inner dimension mismatch %v vs %v", a.shape, b.shape)
 	}
 	if dst.shape[0] != m || dst.shape[1] != n {
-		return fmt.Errorf("tensor: MatMulTransAInto dst shape %v, want [%d %d]", dst.shape, m, n)
-	}
-	if !add {
-		dst.Zero()
+		return fmt.Errorf("tensor: MatMulTransAAddInto dst shape %v, want [%d %d]", dst.shape, m, n)
 	}
 	countMatMul(m, n, k)
 	gemmParallel(m, n, func(i0, i1, j0, j1 int) {
@@ -250,89 +241,4 @@ func gemmTransBPanel(a, b, c []float64, k, n, i0, i1, j0, j1 int) {
 			}
 		}
 	}
-}
-
-// MatMul computes the matrix product a·b for rank-2 tensors in a fresh
-// tensor. Shapes must be (m×k)·(k×n); the result is m×n.
-func MatMul(a, b *Tensor) (*Tensor, error) {
-	if a.Rank() != 2 || b.Rank() != 2 {
-		return nil, fmt.Errorf("tensor: MatMul requires rank-2 tensors, got %v and %v", a.shape, b.shape)
-	}
-	out := New(a.shape[0], b.shape[1])
-	if err := MatMulInto(a, b, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// MustMatMul is MatMul but panics on error.
-func MustMatMul(a, b *Tensor) *Tensor {
-	t, err := MatMul(a, b)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
-// MatMulTransA computes aᵀ·b where a is (k×m) and b is (k×n), yielding m×n
-// in a fresh tensor.
-func MatMulTransA(a, b *Tensor) (*Tensor, error) {
-	if a.Rank() != 2 || b.Rank() != 2 {
-		return nil, fmt.Errorf("tensor: MatMulTransA requires rank-2 tensors, got %v and %v", a.shape, b.shape)
-	}
-	out := New(a.shape[1], b.shape[1])
-	if err := MatMulTransAInto(a, b, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// MatMulTransB computes a·bᵀ where a is (m×k) and b is (n×k), yielding m×n
-// in a fresh tensor.
-func MatMulTransB(a, b *Tensor) (*Tensor, error) {
-	if a.Rank() != 2 || b.Rank() != 2 {
-		return nil, fmt.Errorf("tensor: MatMulTransB requires rank-2 tensors, got %v and %v", a.shape, b.shape)
-	}
-	out := New(a.shape[0], b.shape[0])
-	if err := MatMulTransBInto(a, b, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// Transpose2D returns the transpose of a rank-2 tensor.
-func Transpose2D(a *Tensor) (*Tensor, error) {
-	if a.Rank() != 2 {
-		return nil, fmt.Errorf("tensor: Transpose2D requires rank 2, got %v", a.shape)
-	}
-	m, n := a.shape[0], a.shape[1]
-	out := New(n, m)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			out.data[j*m+i] = a.data[i*n+j]
-		}
-	}
-	return out, nil
-}
-
-// MatVec computes the matrix-vector product a·x for a (m×n) and x (n),
-// yielding a length-m vector.
-func MatVec(a, x *Tensor) (*Tensor, error) {
-	if a.Rank() != 2 || x.Rank() != 1 {
-		return nil, fmt.Errorf("tensor: MatVec requires (2,1) ranks, got %v and %v", a.shape, x.shape)
-	}
-	m, n := a.shape[0], a.shape[1]
-	if x.shape[0] != n {
-		return nil, fmt.Errorf("tensor: MatVec dimension mismatch %v vs %v", a.shape, x.shape)
-	}
-	out := New(m)
-	for i := 0; i < m; i++ {
-		row := a.data[i*n : (i+1)*n]
-		s := 0.0
-		for j, v := range row {
-			s += v * x.data[j]
-		}
-		out.data[i] = s
-	}
-	return out, nil
 }

@@ -48,16 +48,6 @@ func ensurePool() {
 	})
 }
 
-// minParallel is the item count below which a fine-grained loop runs
-// inline: splitting fewer items costs more in hand-off than it saves.
-const minParallel = 256
-
-// parallelFor runs body(lo, hi) over [0, n) split into roughly equal chunks
-// across the worker pool. For small n it runs inline.
-func parallelFor(n int, body func(lo, hi int)) {
-	parallelRange(n, minParallel, body)
-}
-
 // rangeChunk returns the chunk length parallelRange(n, minPar, …) splits
 // [0, n) into (n itself when the loop runs inline), so a body can index
 // per-chunk scratch by lo/chunk.
@@ -69,9 +59,10 @@ func rangeChunk(n, minPar int) int {
 	return (n + workers - 1) / workers
 }
 
-// parallelRange is parallelFor with an explicit inline threshold, for
-// loops whose per-item work is heavy (e.g. one im2col per batch sample):
-// such loops are worth splitting even at very small n.
+// parallelRange runs body(lo, hi) over [0, n) split into roughly equal
+// chunks across the worker pool, inline when n < minPar. A loop whose
+// per-item work is heavy (e.g. one im2col per batch sample) is worth
+// splitting even at very small n.
 func parallelRange(n, minPar int, body func(lo, hi int)) {
 	if n <= 0 {
 		return

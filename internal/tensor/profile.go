@@ -16,9 +16,6 @@ var (
 // EnableKernelCounters switches GEMM call/FLOP accounting on or off.
 func EnableKernelCounters(on bool) { kernelCountersOn.Store(on) }
 
-// KernelCountersEnabled reports whether accounting is on.
-func KernelCountersEnabled() bool { return kernelCountersOn.Load() }
-
 // KernelCounters returns the GEMM kernel totals since the last reset:
 // number of MatMul*Into invocations and the FLOPs they performed
 // (2·m·n·k per m×k · k×n product).

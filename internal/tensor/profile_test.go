@@ -10,7 +10,7 @@ func TestKernelCountersCountGEMMWork(t *testing.T) {
 	a := Randn(rng, 0, 1, 4, 6)
 	bT := Randn(rng, 0, 1, 5, 6) // for MatMulTransB: (4,6)·(5,6)ᵀ
 	b := Randn(rng, 0, 1, 6, 5)
-	dst := Zeros(4, 5)
+	dst := New(4, 5)
 
 	EnableKernelCounters(true)
 	defer EnableKernelCounters(false)
@@ -43,7 +43,7 @@ func TestKernelCountersDisabledDoNotCount(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	a := Randn(rng, 0, 1, 3, 3)
 	b := Randn(rng, 0, 1, 3, 3)
-	dst := Zeros(3, 3)
+	dst := New(3, 3)
 	if err := MatMulInto(a, b, dst); err != nil {
 		t.Fatal(err)
 	}

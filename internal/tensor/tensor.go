@@ -36,10 +36,6 @@ func New(shape ...int) *Tensor {
 	return &Tensor{shape: append([]int(nil), shape...), data: make([]float64, n)}
 }
 
-// Zeros is an alias for New, provided for readability at call sites that
-// emphasise the initial contents rather than allocation.
-func Zeros(shape ...int) *Tensor { return New(shape...) }
-
 // Ones returns a tensor of the given shape filled with 1.
 func Ones(shape ...int) *Tensor {
 	t := New(shape...)
@@ -75,30 +71,11 @@ func FromSlice(data []float64, shape ...int) (*Tensor, error) {
 	return &Tensor{shape: append([]int(nil), shape...), data: data}, nil
 }
 
-// MustFromSlice is FromSlice but panics on error. Intended for tests and
-// literals whose shape is known statically.
-func MustFromSlice(data []float64, shape ...int) *Tensor {
-	t, err := FromSlice(data, shape...)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 // Randn returns a tensor with elements drawn i.i.d. from N(mean, std²).
 func Randn(rng *rand.Rand, mean, std float64, shape ...int) *Tensor {
 	t := New(shape...)
 	for i := range t.data {
 		t.data[i] = rng.NormFloat64()*std + mean
-	}
-	return t
-}
-
-// Uniform returns a tensor with elements drawn i.i.d. from U[lo, hi).
-func Uniform(rng *rand.Rand, lo, hi float64, shape ...int) *Tensor {
-	t := New(shape...)
-	for i := range t.data {
-		t.data[i] = lo + rng.Float64()*(hi-lo)
 	}
 	return t
 }
@@ -163,18 +140,8 @@ func (t *Tensor) index(idx ...int) int {
 	return off
 }
 
-// At returns the element at the given indices.
-func (t *Tensor) At(idx ...int) float64 { return t.data[t.index(idx...)] }
-
 // Set assigns v to the element at the given indices.
 func (t *Tensor) Set(v float64, idx ...int) { t.data[t.index(idx...)] = v }
-
-// Fill sets every element to v.
-func (t *Tensor) Fill(v float64) {
-	for i := range t.data {
-		t.data[i] = v
-	}
-}
 
 // Zero sets every element to 0.
 func (t *Tensor) Zero() {
@@ -227,55 +194,11 @@ func (t *Tensor) Sub(u *Tensor) *Tensor {
 	return d
 }
 
-// Mul returns the element-wise (Hadamard) product in a new tensor.
-func (t *Tensor) Mul(u *Tensor) *Tensor {
-	t.checkSameShape(u, "Mul")
-	d := New(t.shape...)
-	for i := range t.data {
-		d.data[i] = t.data[i] * u.data[i]
-	}
-	return d
-}
-
-// Scale returns s·t in a new tensor.
-func (t *Tensor) Scale(s float64) *Tensor {
-	d := New(t.shape...)
-	for i := range t.data {
-		d.data[i] = s * t.data[i]
-	}
-	return d
-}
-
-// ScaleInPlace multiplies every element by s and returns t.
-func (t *Tensor) ScaleInPlace(s float64) *Tensor {
-	for i := range t.data {
-		t.data[i] *= s
-	}
-	return t
-}
-
 // AddScaled performs t += s·u in place (an axpy), and returns t.
 func (t *Tensor) AddScaled(u *Tensor, s float64) *Tensor {
 	t.checkSameShape(u, "AddScaled")
 	for i := range t.data {
 		t.data[i] += s * u.data[i]
-	}
-	return t
-}
-
-// Apply returns a new tensor whose elements are f applied to t's elements.
-func (t *Tensor) Apply(f func(float64) float64) *Tensor {
-	d := New(t.shape...)
-	for i := range t.data {
-		d.data[i] = f(t.data[i])
-	}
-	return d
-}
-
-// ApplyInPlace replaces each element x with f(x) and returns t.
-func (t *Tensor) ApplyInPlace(f func(float64) float64) *Tensor {
-	for i := range t.data {
-		t.data[i] = f(t.data[i])
 	}
 	return t
 }
@@ -295,58 +218,6 @@ func (t *Tensor) Mean() float64 {
 		return 0
 	}
 	return t.Sum() / float64(len(t.data))
-}
-
-// Max returns the maximum element. It panics on an empty tensor.
-func (t *Tensor) Max() float64 {
-	if len(t.data) == 0 {
-		panic("tensor: Max of empty tensor")
-	}
-	m := t.data[0]
-	for _, v := range t.data[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Min returns the minimum element. It panics on an empty tensor.
-func (t *Tensor) Min() float64 {
-	if len(t.data) == 0 {
-		panic("tensor: Min of empty tensor")
-	}
-	m := t.data[0]
-	for _, v := range t.data[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Argmax returns the flat index of the first maximal element.
-// It panics on an empty tensor.
-func (t *Tensor) Argmax() int {
-	if len(t.data) == 0 {
-		panic("tensor: Argmax of empty tensor")
-	}
-	best, bi := t.data[0], 0
-	for i, v := range t.data[1:] {
-		if v > best {
-			best, bi = v, i+1
-		}
-	}
-	return bi
-}
-
-// Norm2 returns the Euclidean (Frobenius) norm of t.
-func (t *Tensor) Norm2() float64 {
-	s := 0.0
-	for _, v := range t.data {
-		s += v * v
-	}
-	return math.Sqrt(s)
 }
 
 // Equal reports whether t and u have the same shape and all elements within

@@ -52,7 +52,7 @@ func shapeElems(shape []int) int {
 }
 
 // Get returns a tensor of the given shape with unspecified contents,
-// reusing a pooled buffer when one fits. Use GetZeroed when the caller
+// reusing a pooled buffer when one fits. Use ObtainZeroed when the caller
 // does not overwrite every element.
 func (w *Workspace) Get(shape ...int) *Tensor {
 	n := shapeElems(shape)
@@ -70,13 +70,6 @@ func (w *Workspace) Get(shape ...int) *Tensor {
 		}
 	}
 	return &Tensor{shape: sh, data: make([]float64, n, 1<<cl)}
-}
-
-// GetZeroed is Get with the contents cleared.
-func (w *Workspace) GetZeroed(shape ...int) *Tensor {
-	t := w.Get(shape...)
-	t.Zero()
-	return t
 }
 
 // Put recycles t's storage into the workspace and detaches it from t, so

@@ -53,7 +53,6 @@ type memSeries struct {
 // runs without -history pay nothing.
 type DB struct {
 	mu      sync.Mutex
-	path    string
 	f       *durable.Log // nil for read-only stores
 	series  map[string]*memSeries
 	seal    int
@@ -77,7 +76,7 @@ func OpenFile(path string, o Options) (*DB, error) {
 	if seal <= 0 {
 		seal = sealSamples
 	}
-	db := &DB{path: path, series: make(map[string]*memSeries), seal: seal}
+	db := &DB{series: make(map[string]*memSeries), seal: seal}
 	data, err := os.ReadFile(path)
 	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return nil, err
@@ -121,7 +120,7 @@ func OpenRead(dir string) (*DB, error) {
 	if derr != nil && good == 0 {
 		return nil, fmt.Errorf("tsdb: %s: %w", path, derr)
 	}
-	db := &DB{path: path, series: make(map[string]*memSeries)}
+	db := &DB{series: make(map[string]*memSeries)}
 	db.load(blocks)
 	return db, nil
 }
@@ -239,14 +238,6 @@ func (db *DB) Close() error {
 		openDBs.Add(-1)
 	}
 	return err
-}
-
-// Path returns the backing file path.
-func (db *DB) Path() string {
-	if db == nil {
-		return ""
-	}
-	return db.path
 }
 
 func (db *DB) sortedNamesLocked() []string {

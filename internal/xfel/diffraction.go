@@ -53,10 +53,6 @@ type SimulatorParams struct {
 	// values draw bounded azimuth/tilt angles. Laptop-scale datasets of a
 	// few hundred images are learnable around 0.15–0.3.
 	OrientationSpread float64
-	// BeamstopRadius masks the detector centre (in pixels): real XFEL
-	// detectors carry a beamstop that blocks the direct beam, so the
-	// strongest low-q signal is never recorded. 0 disables the mask.
-	BeamstopRadius float64
 	// Protein configures the conformations.
 	Protein ProteinParams
 }
@@ -78,9 +74,6 @@ func (p SimulatorParams) Validate() error {
 	}
 	if p.OrientationSpread < 0 || p.OrientationSpread > 1 {
 		return fmt.Errorf("xfel: OrientationSpread %v outside [0,1]", p.OrientationSpread)
-	}
-	if p.BeamstopRadius < 0 || p.BeamstopRadius > float64(p.Size)/2 {
-		return fmt.Errorf("xfel: BeamstopRadius %v outside [0, %d]", p.BeamstopRadius, p.Size/2)
 	}
 	return p.Protein.Validate()
 }
@@ -112,9 +105,6 @@ func NewSimulator(seed int64, params SimulatorParams) (*Simulator, error) {
 
 // Params returns the simulator's configuration.
 func (s *Simulator) Params() SimulatorParams { return s.params }
-
-// NumConformations returns the number of protein classes.
-func (s *Simulator) NumConformations() int { return len(s.confs) }
 
 // Conformation returns the protein model for a label.
 func (s *Simulator) Conformation(c Conformation) (*Protein, error) {
@@ -184,16 +174,7 @@ func (s *Simulator) Generate(rng *rand.Rand, label Conformation, beam BeamIntens
 	if denom <= 0 {
 		denom = 1
 	}
-	centre := float64(n-1) / 2
-	r2 := s.params.BeamstopRadius * s.params.BeamstopRadius
 	for i, v := range field {
-		if r2 > 0 {
-			dy := float64(i/n) - centre
-			dx := float64(i%n) - centre
-			if dy*dy+dx*dx <= r2 {
-				continue // beamstop: pixel stays zero
-			}
-		}
 		counts := poisson(rng, v*scale)
 		pix[i] = math.Log1p(counts) / denom
 	}

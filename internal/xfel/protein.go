@@ -100,19 +100,6 @@ func (p ProteinParams) Validate() error {
 	return nil
 }
 
-// GenerateConformations builds the two conformations of one synthetic
-// protein deterministically from the rng (the paper's pair). Both share
-// the identical core and mobile-domain atoms; conformation B's domain is
-// rotated about the z-axis through the hinge (the domain attachment
-// point).
-func GenerateConformations(rng *rand.Rand, p ProteinParams) (confA, confB *Protein, err error) {
-	all, err := GenerateConformationSet(rng, p)
-	if err != nil {
-		return nil, nil, err
-	}
-	return all[0], all[1], nil
-}
-
 // GenerateConformationSet builds p.NumConformations conformations:
 // conformation k's mobile domain is rotated by k·HingeAngle about the
 // hinge. All conformations share identical atoms, so only the domain

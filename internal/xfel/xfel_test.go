@@ -9,10 +9,11 @@ import (
 
 func TestGenerateConformationsDiffer(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	a, b, err := GenerateConformations(rng, DefaultProteinParams())
+	confs, err := GenerateConformationSet(rng, DefaultProteinParams())
 	if err != nil {
 		t.Fatal(err)
 	}
+	a, b := confs[0], confs[1]
 	if len(a.Atoms) != len(b.Atoms) {
 		t.Fatalf("atom counts differ: %d vs %d", len(a.Atoms), len(b.Atoms))
 	}
@@ -45,12 +46,12 @@ func TestGenerateConformationsValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	p := DefaultProteinParams()
 	p.CoreAtoms = 0
-	if _, _, err := GenerateConformations(rng, p); err == nil {
+	if _, err := GenerateConformationSet(rng, p); err == nil {
 		t.Fatal("expected validation error")
 	}
 	p = DefaultProteinParams()
 	p.CoreRadius = 0
-	if _, _, err := GenerateConformations(rng, p); err == nil {
+	if _, err := GenerateConformationSet(rng, p); err == nil {
 		t.Fatal("expected radius error")
 	}
 }
@@ -316,47 +317,6 @@ func TestPatternASCII(t *testing.T) {
 	}
 }
 
-func TestBeamstopMasksCentre(t *testing.T) {
-	p := DefaultSimulatorParams()
-	p.BeamstopRadius = 4
-	sim, err := NewSimulator(7, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(9))
-	pat, err := sim.Generate(rng, ConfA, HighBeam)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := pat.Size / 2
-	// All pixels within the beamstop radius are zero; the centre of an
-	// unmasked pattern is the brightest region, so this is a real change.
-	for dy := -3; dy <= 3; dy++ {
-		for dx := -3; dx <= 3; dx++ {
-			if dy*dy+dx*dx > 9 {
-				continue
-			}
-			if v := pat.Pixels[(c+dy)*pat.Size+c+dx]; v != 0 {
-				t.Fatalf("beamstop pixel (%d,%d) = %v", c+dy, c+dx, v)
-			}
-		}
-	}
-	// Signal survives outside the mask.
-	nonzero := 0
-	for _, v := range pat.Pixels {
-		if v > 0 {
-			nonzero++
-		}
-	}
-	if nonzero == 0 {
-		t.Fatal("beamstop wiped the whole pattern")
-	}
-	p.BeamstopRadius = 100
-	if _, err := NewSimulator(7, p); err == nil {
-		t.Fatal("oversized beamstop must fail validation")
-	}
-}
-
 func TestMultiConformation(t *testing.T) {
 	p := DefaultSimulatorParams()
 	p.Protein.NumConformations = 4
@@ -364,8 +324,11 @@ func TestMultiConformation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sim.NumConformations() != 4 {
-		t.Fatalf("NumConformations = %d", sim.NumConformations())
+	if _, err := sim.Conformation(3); err != nil {
+		t.Fatalf("conformation 3 of 4: %v", err)
+	}
+	if _, err := sim.Conformation(4); err == nil {
+		t.Fatal("conformation 4 of 4 must not exist")
 	}
 	// Labels cycle through all four classes, balanced.
 	pats, err := sim.GenerateBatch(1, 40, HighBeam)

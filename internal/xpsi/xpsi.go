@@ -104,7 +104,7 @@ func Train(train *dataset.Dataset, cfg Config, seed int64) (*Pipeline, error) {
 	if err != nil {
 		return nil, err
 	}
-	opt, err := nn.NewSGD(c.LR, 0.9, 0)
+	opt, err := nn.NewSGD(c.LR, 0.9)
 	if err != nil {
 		return nil, err
 	}
