@@ -123,8 +123,11 @@ race-obs:
 # allocs runs the fit's and the prediction engine's allocation bounds
 # outside the race detector: in the -race build that `race` runs,
 # sync.Pool drops items on purpose and the engine's bound is looser.
+# It also runs the observability stack's: what opening an observer and
+# a subscriber costs before the first event, and the journal ring's
+# block-by-block growth.
 allocs:
-	$(GO) test -count 1 -run 'Allocs|AllocatesNothing' ./internal/predict ./internal/fit
+	$(GO) test -count 1 -run 'Allocs|AllocatesNothing' ./internal/predict ./internal/fit ./internal/obs
 
 # golden-nofma reruns the golden-bits tests with math.Exp on its
 # separately rounded path, as on an amd64 host without FMA: the recorded
@@ -184,7 +187,8 @@ bench-smoke:
 # (per-layer profiler, span tracer, health monitor) costs allocations,
 # when the enabled health engine allocates on a steady event stream, or
 # when an enabled in-situ writer (journal emit, whole-checkpoint encode)
-# allocates.
+# allocates. The journal's ring grows in blocks while it first fills,
+# so the emit bound holds at steady state, once the ring has wrapped.
 bench-gate:
 	GO="$(GO)" sh scripts/benchgate.sh
 

@@ -46,6 +46,7 @@ var censusKeep = []struct{ name, kind, test string }{
 	{"chaos.IsInjected", "seam", "TestWorkflowCheckpointResumeMidGeneration"},
 	{"core.RealTrainerConfig.BatchSize", "seam", "TestRealTrainerGoldenBits"},
 	{"health.Engine.CriticalActive", "seam", "TestHealthMonitorEndToEnd"},
+	{"obs.Journal.Since", "seam", "TestMonitorsGolden"},
 	{"obs.ArmedRecorders", "seam", "TestOpenCloseReleasesEverything"},
 	{"obs.Registry.Scopes", "seam", "TestOpenCloseReleasesEverything"},
 	{"tsdb.OpenDBs", "seam", "TestOpenCloseReleasesEverything"},

@@ -63,7 +63,7 @@ func collectSSE(url, lastEventID string, timeout time.Duration, stop func(Event)
 // TestEventStreamEndToEnd runs a real (surrogate) search with the
 // journal attached and a live SSE client watching /events, then
 // reconnects with Last-Event-ID and checks the gap is replayed — the
-// full in situ analytics path of the PR: search → journal → broker →
+// full in situ analytics path: search → journal → subscriber →
 // SSE → dashboard consumer.
 func TestEventStreamEndToEnd(t *testing.T) {
 	dir := t.TempDir()

@@ -92,7 +92,7 @@ func TestManagerFireDedupResolve(t *testing.T) {
 
 func TestManagerSeverityEscalation(t *testing.T) {
 	m, o := testManager(t, 3)
-	sub := o.Journal().Subscribe(16)
+	sub := o.Journal().Subscribe()
 	defer sub.Close()
 
 	m.apply([]finding{{Monitor: "devices", Key: "capacity", Severity: SevWarning, Message: "degraded"}})
@@ -112,10 +112,7 @@ func TestManagerSeverityEscalation(t *testing.T) {
 		t.Fatalf("fired warning=%d critical=%d, want 1 and 1", w, c)
 	}
 	// Both the fire and the escalation re-emitted as journal events.
-	var emits []obs.Event
-	for len(sub.C()) > 0 {
-		emits = append(emits, <-sub.C())
-	}
+	emits, _ := sub.Read(nil)
 	if len(emits) != 2 || emits[0].Type != obs.EventAlert || emits[1].Severity != "critical" {
 		t.Fatalf("journal emissions = %+v", emits)
 	}

@@ -12,7 +12,7 @@ import (
 type fold struct {
 	plateauWindow     int
 	calibrationWindow int
-	emitsRuntime      bool // our own runtime samples come back through the broker: not adopted
+	emitsRuntime      bool // our own runtime samples come back through the journal: not adopted
 
 	models map[string]*curve // in-flight models: an epoch adds one, model_done drops it
 

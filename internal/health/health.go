@@ -1,6 +1,6 @@
 // Package health is the workflow's in-situ health monitor: a streaming
-// engine that consumes the run's own analytics — the event journal's
-// broker, the metrics registry, and the Go runtime — and turns them
+// engine that consumes the run's own analytics — the event journal,
+// the metrics registry, and the Go runtime — and turns them
 // into actionable alerts while the search is still running. It is the
 // "act on it" counterpart of the observability stack's "record it":
 // the paper's whole premise is intervening on partial signals
@@ -108,10 +108,6 @@ type Config struct {
 	Regression *RegressionConfig
 }
 
-// subscriberBuffer sizes the engine's broker subscription: it
-// comfortably holds a generation's burst.
-const subscriberBuffer = 4096
-
 // DefaultConfig returns every tunable at its default.
 func DefaultConfig() Config { return Config{}.withDefaults() }
 
@@ -192,7 +188,7 @@ type Report struct {
 
 // Engine evaluates the monitors over a run's event stream and
 // registry. Feed it events synchronously with Observe, or let Start
-// subscribe it to the observer's broker and consume in the background;
+// subscribe it to the observer's journal and consume in the background;
 // either way all evaluation happens on one goroutine at a time under
 // the engine's mutex, so the fold and the rows keep plain state.
 //
@@ -279,7 +275,7 @@ func (e *Engine) OpenAlertsFile(path string) error {
 }
 
 // Observe folds one event into the run and runs a check cycle. It is
-// the synchronous entry point (Start pumps the broker into it); alert
+// the synchronous entry point (Start pumps the journal into it); alert
 // events — including the engine's own re-emissions — are skipped, so
 // the engine never feeds back into itself. Nil-safe and
 // allocation-free when disabled.
@@ -321,7 +317,7 @@ func (e *Engine) checkLocked() {
 	e.checks.Inc()
 }
 
-// Start subscribes the engine to the observer's broker and consumes
+// Start subscribes the engine to the observer's journal and consumes
 // events on a background goroutine, with a periodic tick at
 // SampleInterval for the runtime sampler. Call Close to drain and
 // stop. Calling Start twice, or on a nil engine, is a no-op.
@@ -334,7 +330,7 @@ func (e *Engine) Start() {
 		e.mu.Unlock()
 		return
 	}
-	sub := e.obs.Journal().Subscribe(subscriberBuffer)
+	sub := e.obs.Journal().Subscribe()
 	done := make(chan struct{})
 	e.sub, e.done = sub, done
 	interval := e.cfg.SampleInterval
@@ -343,22 +339,26 @@ func (e *Engine) Start() {
 		defer close(done)
 		tick := time.NewTicker(interval)
 		defer tick.Stop()
-		for {
-			select {
-			case ev, ok := <-sub.C():
-				if !ok {
-					return // Close drained us, or the broker evicted us
+		var batch []obs.Event
+		// Until Close has been drained, or the journal evicted us.
+		for open := true; open; {
+			batch, open = sub.Read(batch)
+			for i := range batch {
+				e.Observe(batch[i])
+			}
+			if open && len(batch) == 0 {
+				select {
+				case <-sub.Wake():
+				case <-tick.C:
+					e.Check()
 				}
-				e.Observe(ev)
-			case <-tick.C:
-				e.Check()
 			}
 		}
 	}()
 }
 
-// Close drains the subscription (events already queued are still
-// evaluated), runs a final check, snapshots active alerts into
+// Close drains the subscription (events published before the call are
+// still evaluated), runs a final check, snapshots active alerts into
 // alerts.jsonl, and syncs and releases the file. Safe to call without
 // Start, more than once, and on a nil engine.
 func (e *Engine) Close() error {
@@ -370,8 +370,8 @@ func (e *Engine) Close() error {
 	e.sub, e.done = nil, nil
 	e.mu.Unlock()
 	if sub != nil {
-		// Closing the subscriber closes its channel; the pump goroutine
-		// still receives everything buffered before seeing !ok.
+		// The closed subscriber still reads everything published
+		// before Close; the pump returns once it has.
 		sub.Close()
 		<-done
 	}

@@ -226,7 +226,7 @@ func (e *Engine) queueDetail() string {
 	return fmt.Sprintf("warmup baseline %.1fs; last generation mean %.1fs", e.fold.queueBase, e.fold.queueMean)
 }
 
-// --- journal/broker backpressure -----------------------------------------
+// --- journal backpressure ------------------------------------------------
 
 // backpressure watches the journal's own accounting counters: dropped
 // events mean slow subscribers are losing data (warning); file errors

@@ -96,15 +96,14 @@ func TestRuntimeSampleCarriesRSSAndFDs(t *testing.T) {
 	e, o := testEngine(t, cfg)
 	mon := grabRuntimeMon(t, e)
 	mon.procRead = func() (uint64, int, bool) { return 33 << 20, 44, true }
-	sub := o.Journal().Subscribe(16)
+	sub := o.Journal().Subscribe()
 	defer sub.Close()
 	e.Check()
-	var sample obs.Event
-	select {
-	case sample = <-sub.C():
-	default:
+	batch, _ := sub.Read(nil)
+	if len(batch) == 0 {
 		t.Fatal("no runtime_sample emitted")
 	}
+	sample := batch[0]
 	if sample.RSSBytes != 33<<20 || sample.FDs != 44 {
 		t.Fatalf("sample rss=%d fds=%d, want %d/%d", sample.RSSBytes, sample.FDs, 33<<20, 44)
 	}

@@ -115,15 +115,14 @@ func TestRuntimeSampleEmitAndAdopt(t *testing.T) {
 	cfg.SampleInterval = time.Nanosecond
 	cfg.EmitRuntimeSamples = true
 	e, o := testEngine(t, cfg)
-	sub := o.Journal().Subscribe(16)
+	sub := o.Journal().Subscribe()
 	defer sub.Close()
 	e.Check()
-	var sample obs.Event
-	select {
-	case sample = <-sub.C():
-	default:
+	batch, _ := sub.Read(nil)
+	if len(batch) == 0 {
 		t.Fatal("no runtime_sample emitted")
 	}
+	sample := batch[0]
 	if sample.Type != obs.EventRuntimeSample || sample.Goroutines == 0 || sample.HeapBytes == 0 {
 		t.Fatalf("sample = %+v", sample)
 	}
@@ -151,7 +150,7 @@ func TestRuntimeSampleEmitAndAdopt(t *testing.T) {
 		t.Fatalf("adopted sample did not drive thresholds; active = %+v", follower.ActiveAlerts())
 	}
 
-	// A producer ignores its own samples coming back from the broker.
+	// A producer ignores its own samples coming back from the journal.
 	prod, _ := testEngine(t, cfg)
 	prod.Observe(external)
 	if prod.fold.adopted {

@@ -39,7 +39,7 @@ type SLO struct {
 	// JobTurnaround is the wall-clock deadline for the whole search.
 	JobTurnaround time.Duration
 	// EventDropRate is the tolerated fraction of journal events dropped
-	// by the broker fanout; the rate itself is the error budget.
+	// to evicted subscribers; the rate itself is the error budget.
 	EventDropRate float64
 	// Objective is the compliance goal for QueueWaitP99; the error
 	// budget is 1 − Objective.

@@ -572,7 +572,7 @@ func hasHistory(m *Manager, id string) bool {
 // TestManagerObservabilityRelease is the leak test for the per-job
 // observability state: submitting and canceling a hundred jobs must
 // return the shared registry (scoped series), the crash-dump set
-// (recorder rings), the SSE broker (subscribers), the run-history
+// (recorder rings), the journals (SSE subscribers), the run-history
 // store count (open series files and sampler goroutines), and the
 // goroutine count to their baselines. This is the cardinality bound
 // the shared /metrics endpoint documents: series scale with *live*
@@ -620,7 +620,7 @@ func TestManagerObservabilityRelease(t *testing.T) {
 	for sub == nil {
 		for _, id := range ids {
 			if env, _ := m.Env(id); env != nil {
-				sub = env.Observer().Journal().Subscribe(16)
+				sub = env.Observer().Journal().Subscribe()
 				break
 			}
 		}
@@ -651,15 +651,17 @@ func TestManagerObservabilityRelease(t *testing.T) {
 		}
 	}
 
-	// The follower's channel must close — terminal jobs pin no
-	// subscriber goroutines.
+	// The follower must close — terminal jobs pin no subscriber
+	// goroutines.
 	closeDeadline := time.After(10 * time.Second)
+	var batch []obs.Event
 	for open := true; open; {
-		select {
-		case _, ok := <-sub.C():
-			open = ok
-		case <-closeDeadline:
-			t.Fatal("subscriber channel never closed after job teardown")
+		if batch, open = sub.Read(batch); open && len(batch) == 0 {
+			select {
+			case <-sub.Wake():
+			case <-closeDeadline:
+				t.Fatal("subscriber never closed after job teardown")
+			}
 		}
 	}
 

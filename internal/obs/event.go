@@ -119,9 +119,9 @@ type Event struct {
 	FDs        int     `json:"fds,omitempty"`
 }
 
-// appendJSON appends e's journal line, the bytes json.Marshal writes, to
+// AppendJSON appends e's journal line, the bytes json.Marshal writes, to
 // dst. On error dst comes back as it was.
-func (e *Event) appendJSON(dst []byte) ([]byte, error) {
+func (e *Event) AppendJSON(dst []byte) ([]byte, error) {
 	w := durable.JSON{B: dst}
 	w.Object()
 	w.Uint("seq", e.Seq)
@@ -186,26 +186,25 @@ func (e *Event) appendJSON(dst []byte) ([]byte, error) {
 // DefaultJournalCapacity bounds the in-memory replay ring. At the
 // paper's scale (100 networks × ≤25 epochs × ~20 generations) a full
 // run emits a few tens of thousands of events; the ring holds the
-// recent window for Last-Event-ID replay, the JSONL file holds
-// everything.
+// recent window for Last-Event-ID replay and live subscribers, the
+// JSONL file holds everything. The ring grows in blocks as events
+// arrive, so a short run holds only what it emitted.
 const DefaultJournalCapacity = 8192
 
 // Journal is the run's event sink: every Emit assigns the next
-// sequence number, stores the event in a bounded in-memory ring (for
-// replay), appends one JSON line to the events file when one is open
-// (crash-safe: append-only, one line per event, so a crash tears at
-// most the final line, which readers skip), and fans the event out
-// through the broker to live subscribers. A nil Journal ignores all
-// calls, so instrumented code pays one branch when events are off.
+// sequence number, appends one JSON line to the events file when one
+// is open (crash-safe: append-only, one line per event, so a crash
+// tears at most the final line, which readers skip), keeps the event
+// in a bounded in-memory ring (for replay), and wakes the live
+// subscribers, which read the ring by cursor. A nil Journal ignores
+// all calls, so instrumented code pays one branch when events are off.
 type Journal struct {
-	mu     sync.Mutex
-	ring   []Event // circular, fixed capacity
-	head   int     // index of the oldest stored event
-	n      int     // number of stored events
-	next   uint64  // next sequence number to assign (starts at 1)
-	file   *durable.Log
-	broker *Broker
-	buf    []byte // line scratch, reused under mu
+	mu   sync.Mutex
+	ring ring[Event]
+	next uint64 // next sequence number to assign (starts at 1)
+	file *durable.Log
+	buf  []byte        // line scratch, reused under mu
+	subs []*Subscriber // live readers of the ring
 
 	// rec is the attached flight recorder; one atomic load per Emit
 	// when none is attached (the disabled-recorder cost the bench gate
@@ -214,50 +213,30 @@ type Journal struct {
 
 	emitted  *Counter // nil-safe accounting hooks
 	fileErrs *Counter
+	dropped  *Counter
+	evicted  *Counter
 }
 
-// NewJournal returns a journal with a replay ring of the given
-// capacity (DefaultJournalCapacity when capacity <= 0) and a fresh
-// broker. No file is attached until OpenFile.
+// NewJournal returns a journal whose replay ring holds up to capacity
+// events (DefaultJournalCapacity when capacity <= 0). No file is
+// attached until OpenFile.
 func NewJournal(capacity int) *Journal {
 	if capacity <= 0 {
 		capacity = DefaultJournalCapacity
 	}
-	return &Journal{
-		ring:   make([]Event, capacity),
-		next:   1,
-		broker: NewBroker(),
-	}
+	return &Journal{ring: newRing[Event](capacity), next: 1}
 }
 
-// bindMetrics points the journal's (and its broker's) accounting at
-// registry counters so drops and evictions show up on /metrics.
+// bindMetrics points the journal's accounting at registry counters so
+// drops and evictions show up on /metrics.
 func (j *Journal) bindMetrics(reg *Registry) {
 	if j == nil || reg == nil {
 		return
 	}
 	j.emitted = reg.Counter("a4nn_events_emitted_total")
 	j.fileErrs = reg.Counter("a4nn_events_file_errors_total")
-	j.broker.dropped = reg.Counter("a4nn_events_dropped_total")
-	j.broker.evicted = reg.Counter("a4nn_events_subscribers_evicted_total")
-}
-
-// Broker returns the journal's fanout broker (nil on a nil journal).
-func (j *Journal) Broker() *Broker {
-	if j == nil {
-		return nil
-	}
-	return j.broker
-}
-
-// Subscribe attaches a live subscriber with the given channel buffer
-// (DefaultSubscriberBuffer when buf <= 0). Nil-safe: returns nil on a
-// nil journal, and a nil Subscriber's methods are inert.
-func (j *Journal) Subscribe(buf int) *Subscriber {
-	if j == nil {
-		return nil
-	}
-	return j.broker.Subscribe(buf)
+	j.dropped = reg.Counter("a4nn_events_dropped_total")
+	j.evicted = reg.Counter("a4nn_events_subscribers_evicted_total")
 }
 
 // OpenFile attaches an append-only events file at path. Safe to call
@@ -333,8 +312,11 @@ func (j *Journal) Sync() error {
 	return f.Sync()
 }
 
-// Close syncs and detaches the events file (keeping the ring and the
-// broker usable). Nil-safe; returns the first error from sync/close.
+// Close syncs and detaches the events file and closes every subscriber,
+// so blocked readers (SSE handlers, the health pump) read what was
+// published before the call and return. The ring stays readable and new
+// subscriptions still work: a run's teardown, not a terminal shutdown.
+// Nil-safe; returns the first error from sync/close.
 func (j *Journal) Close() error {
 	if j == nil {
 		return nil
@@ -342,14 +324,17 @@ func (j *Journal) Close() error {
 	j.mu.Lock()
 	f := j.file
 	j.file = nil
+	for len(j.subs) > 0 {
+		j.detach(0, j.ring.end)
+	}
 	j.mu.Unlock()
 	return f.Close()
 }
 
-// Emit assigns the next sequence number and timestamp to e, records it
-// in the ring, appends it to the events file, and publishes it to live
-// subscribers. Publication order matches sequence order. Never blocks
-// on slow subscribers. No-op on a nil journal.
+// Emit assigns the next sequence number and timestamp to e, appends it
+// to the events file, keeps it in the ring, and wakes live
+// subscribers. Subscribers read in sequence order. Never blocks on
+// slow subscribers. No-op on a nil journal.
 func (j *Journal) Emit(e Event) {
 	if j == nil {
 		return
@@ -358,12 +343,11 @@ func (j *Journal) Emit(e Event) {
 	j.mu.Lock()
 	e.Seq = j.next
 	j.next++
-	j.store(e)
 	if j.file != nil {
 		err := chaos.Point(chaos.PointJournalAppend)
 		if err == nil {
 			var line []byte
-			if line, err = e.appendJSON(j.buf[:0]); err == nil {
+			if line, err = e.AppendJSON(j.buf[:0]); err == nil {
 				j.buf = append(line, '\n')
 				err = j.file.Append(j.buf)
 			}
@@ -372,14 +356,11 @@ func (j *Journal) Emit(e Event) {
 			j.fileErrs.Inc()
 		}
 	}
-	// The recorder hook sits after the file append so the black-box
-	// ring never runs ahead of the durable journal: an injected crash
-	// at the append point leaves ring tail == file tail, which the
+	// The ring and the recorder are fed after the file append so
+	// neither runs ahead of the durable journal: an injected crash at
+	// the append point leaves ring tail == file tail, which the
 	// postmortem e2e asserts.
-	j.rec.Load().Record(e)
-	// Publishing under mu keeps broker delivery in sequence order for
-	// concurrent emitters; Publish never blocks, so this is cheap.
-	j.broker.Publish(e)
+	j.store(e)
 	j.mu.Unlock()
 	j.emitted.Inc()
 }
@@ -405,37 +386,26 @@ func (j *Journal) Ingest(e Event) {
 		j.next = e.Seq + 1
 	}
 	j.store(e)
-	j.rec.Load().Record(e)
-	j.broker.Publish(e)
 	j.mu.Unlock()
 	j.emitted.Inc()
 }
 
-// store appends e to the circular ring. Caller holds j.mu.
+// store keeps e in the ring, hands it to the flight recorder and wakes
+// the subscribers. Caller holds j.mu.
 func (j *Journal) store(e Event) {
-	if j.n < len(j.ring) {
-		j.ring[(j.head+j.n)%len(j.ring)] = e
-		j.n++
-		return
-	}
-	j.ring[j.head] = e
-	j.head = (j.head + 1) % len(j.ring)
+	j.ring.push(e)
+	j.rec.Load().Record(e)
+	j.publish()
 }
 
 // Since returns a copy of the ring's events with Seq > seq, oldest
-// first. Pass 0 for everything still in the ring. Nil-safe.
-func (j *Journal) Since(seq uint64) []Event {
-	if j == nil {
-		return nil
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	var out []Event
-	for i := 0; i < j.n; i++ {
-		e := j.ring[(j.head+i)%len(j.ring)]
-		if e.Seq > seq {
-			out = append(out, e)
-		}
+// first, as a subscriber replaying them reads them. Pass 0 for
+// everything still in the ring. Nil-safe.
+func (j *Journal) Since(seq uint64) (out []Event) {
+	s := j.SubscribeSince(seq)
+	s.Close()
+	for batch, open := s.Read(nil); open; batch, open = s.Read(batch) {
+		out = append(out, batch...)
 	}
 	return out
 }

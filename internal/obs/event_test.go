@@ -100,7 +100,7 @@ func TestJournalNilSafe(t *testing.T) {
 	if j.LastSeq() != 0 || j.Emitted() != 0 {
 		t.Fatal("nil journal should report zeros")
 	}
-	if s := j.Subscribe(1); s != nil {
+	if s := j.Subscribe(); s != nil {
 		t.Fatal("nil journal Subscribe should return nil")
 	}
 	if err := j.Close(); err != nil {

@@ -170,7 +170,7 @@ func fuzzEvent(s string, x, y float64, n int64, mask uint64) Event {
 // TestFuzzEventSetsEveryField keeps FuzzEventJSON complete: with every
 // mask bit set, fuzzEvent must give every field of Event a value
 // json.Marshal writes, so a field added to Event without a line in
-// appendJSON fails the fuzz's seeds.
+// AppendJSON fails the fuzz's seeds.
 func TestFuzzEventSetsEveryField(t *testing.T) {
 	line, err := json.Marshal(fuzzEvent("strings", 1.5, 2.5, 1<<40, ^uint64(0)))
 	if err != nil {
@@ -199,14 +199,14 @@ func FuzzEventJSON(f *testing.F) {
 	f.Fuzz(func(t *testing.T, s string, x, y float64, n int64, mask uint64) {
 		e := fuzzEvent(s, x, y, n, mask)
 		want, werr := json.Marshal(e)
-		got, gerr := e.appendJSON([]byte("held"))
+		got, gerr := e.AppendJSON([]byte("held"))
 		switch {
 		case werr != nil || gerr != nil:
 			if werr == nil || gerr == nil || string(got) != "held" {
-				t.Fatalf("encoding/json: %v; appendJSON: %v, left %q", werr, gerr, got)
+				t.Fatalf("encoding/json: %v; AppendJSON: %v, left %q", werr, gerr, got)
 			}
 		case string(got) != "held"+string(want):
-			t.Fatalf("appendJSON wrote\n%s\nencoding/json\n%s", got[4:], want)
+			t.Fatalf("AppendJSON wrote\n%s\nencoding/json\n%s", got[4:], want)
 		}
 	})
 }

@@ -15,7 +15,8 @@ package obs
 // no recorder attached pays one atomic load per event
 // (BenchmarkDisabledRecorder, gated at 0 allocs/op by the bench gate),
 // and Record on an armed recorder is a ring store under a mutex with
-// no allocation outside the rare alert-transition events.
+// no allocation outside the ring's first fill and the rare
+// alert-transition events.
 
 import (
 	"bytes"
@@ -114,26 +115,23 @@ type Recorder struct {
 	cfg RecorderConfig
 
 	mu     sync.Mutex
-	ring   []Event
-	head   int
-	n      int
+	events ring[Event]
 	alerts map[string]Event // active alerts by ID, from alert events
-	snaps  []MetricsSample
-	shead  int
-	sn     int
+	snaps  ring[MetricsSample]
 
 	stop chan struct{} // sampler lifecycle
 	done chan struct{}
 }
 
-// NewRecorder builds a recorder. Rings are preallocated so Record
-// never allocates.
+// NewRecorder builds a recorder. Its rings grow in blocks as they
+// fill, so Record allocates only while the event ring is first
+// filling, and never once it has wrapped.
 func NewRecorder(cfg RecorderConfig) *Recorder {
 	return &Recorder{
 		cfg:    cfg,
-		ring:   make([]Event, recorderEvents),
+		events: newRing[Event](recorderEvents),
 		alerts: make(map[string]Event),
-		snaps:  make([]MetricsSample, recorderSnapshots),
+		snaps:  newRing[MetricsSample](recorderSnapshots),
 	}
 }
 
@@ -147,13 +145,7 @@ func (r *Recorder) Record(e Event) {
 		return
 	}
 	r.mu.Lock()
-	if r.n < len(r.ring) {
-		r.ring[(r.head+r.n)%len(r.ring)] = e
-		r.n++
-	} else {
-		r.ring[r.head] = e
-		r.head = (r.head + 1) % len(r.ring)
-	}
+	r.events.push(e)
 	switch e.Type {
 	case EventAlert:
 		r.alerts[e.AlertID] = e
@@ -172,13 +164,7 @@ func (r *Recorder) SampleMetrics() {
 	}
 	s := MetricsSample{TimeUnixNano: time.Now().UnixNano(), Snap: r.cfg.Registry.Snapshot()}
 	r.mu.Lock()
-	if r.sn < len(r.snaps) {
-		r.snaps[(r.shead+r.sn)%len(r.snaps)] = s
-		r.sn++
-	} else {
-		r.snaps[r.shead] = s
-		r.shead = (r.shead + 1) % len(r.snaps)
-	}
+	r.snaps.push(s)
 	r.mu.Unlock()
 }
 
@@ -358,18 +344,12 @@ func (r *Recorder) encode(reason string) []byte {
 	buf = durable.AppendSection(buf, SectionHeap, heap)
 
 	r.mu.Lock()
-	events := make([]Event, 0, r.n)
-	for i := 0; i < r.n; i++ {
-		events = append(events, r.ring[(r.head+i)%len(r.ring)])
-	}
+	events := r.events.appendAll(nil)
 	alerts := make([]Event, 0, len(r.alerts))
 	for _, id := range sortedKeys(r.alerts) {
 		alerts = append(alerts, r.alerts[id])
 	}
-	samples := make([]MetricsSample, 0, r.sn)
-	for i := 0; i < r.sn; i++ {
-		samples = append(samples, r.snaps[(r.shead+i)%len(r.snaps)])
-	}
+	samples := r.snaps.appendAll(nil)
 	r.mu.Unlock()
 	buf = durable.AppendSection(buf, SectionEvents, marshalJSONL(events))
 	buf = durable.AppendSection(buf, SectionAlerts, marshalJSONL(alerts))

@@ -25,20 +25,18 @@ type SpanRecord struct {
 }
 
 // Tracer collects completed spans into a bounded in-memory ring; once
-// the ring is full the oldest spans are dropped (Dropped counts them).
+// the ring is full the oldest spans are dropped (Snapshot counts them).
 // A Tracer is safe for concurrent use.
 type Tracer struct {
 	nextID atomic.Uint64
 
-	mu      sync.Mutex
-	ring    []SpanRecord
-	start   int // index of the oldest record
-	n       int // records currently held
-	dropped uint64
+	mu   sync.Mutex
+	ring ring[SpanRecord]
 }
 
 // DefaultSpanCapacity bounds the ring at a size that comfortably holds
 // a paper-scale run (100 models × ≤25 epoch spans + scheduler spans).
+// The ring grows in blocks up to it.
 const DefaultSpanCapacity = 16384
 
 // NewTracer returns a tracer whose ring holds up to capacity completed
@@ -47,21 +45,14 @@ func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultSpanCapacity
 	}
-	return &Tracer{ring: make([]SpanRecord, capacity)}
+	return &Tracer{ring: newRing[SpanRecord](capacity)}
 }
 
 // add books a completed span into the ring.
 func (t *Tracer) add(rec SpanRecord) {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.n == len(t.ring) {
-		t.ring[t.start] = rec
-		t.start = (t.start + 1) % len(t.ring)
-		t.dropped++
-		return
-	}
-	t.ring[(t.start+t.n)%len(t.ring)] = rec
-	t.n++
+	t.ring.push(rec)
+	t.mu.Unlock()
 }
 
 // Snapshot returns the completed spans, oldest first, plus the count of
@@ -72,11 +63,8 @@ func (t *Tracer) Snapshot() (spans []SpanRecord, dropped uint64) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	spans = make([]SpanRecord, 0, t.n)
-	for i := 0; i < t.n; i++ {
-		spans = append(spans, t.ring[(t.start+i)%len(t.ring)])
-	}
-	return spans, t.dropped
+	start := t.ring.start()
+	return t.ring.appendAll(make([]SpanRecord, 0, t.ring.end-start)), start
 }
 
 // MarshalJSONL renders the ring as JSON Lines, one span per line,

@@ -146,7 +146,7 @@ func (s *Stack) open(dir string) error {
 //     regression query), then the history store flushes and closes;
 //  3. the flight recorder stops and disarms — it saw everything above;
 //  4. metrics.json is flushed and the journal synced;
-//  5. the journal's subscribers are evicted and its file released;
+//  5. the journal's file is released and its subscribers closed;
 //  6. the metrics scope is retired from its parent, last, so the roll-up
 //     showed the run for as long as any of it was live.
 //
@@ -169,10 +169,7 @@ func (s *Stack) teardown(flush bool) error {
 	if flush && s.dir != "" {
 		errs = append(errs, s.observer.FlushTo(s.dir))
 	}
-	if j := s.observer.Journal(); j != nil {
-		j.Broker().CloseAll()
-		errs = append(errs, j.Close())
-	}
+	errs = append(errs, s.observer.Journal().Close())
 	s.opts.Parent.Retire(s.opts.ScopeLabel, s.opts.ScopeValue)
 	return errors.Join(errs...)
 }

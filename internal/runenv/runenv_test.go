@@ -82,14 +82,14 @@ func TestOpenCloseReleasesEverything(t *testing.T) {
 		if parent.Scopes() != 1 || obs.ArmedRecorders() != base.armed+1 || tsdb.OpenDBs() != base.dbs+1 {
 			t.Fatal("open stack is not registered with its parent, the armed set and the open stores")
 		}
-		sub := s.Observer().Journal().Subscribe(4)
+		sub := s.Observer().Journal().Subscribe()
 		s.Observer().Journal().Emit(obs.Event{Type: obs.EventRunStart})
 		s.Observer().Registry().Counter("runenv_test_total").Inc()
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
 		for open := true; open; {
-			_, open = <-sub.C() // Close evicts subscribers
+			_, open = sub.Read(nil) // Close closes subscribers
 		}
 	}
 	base.check(t)

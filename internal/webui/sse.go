@@ -1,8 +1,6 @@
 package webui
 
 import (
-	"encoding/json"
-	"fmt"
 	"html/template"
 	"io"
 	"net/http"
@@ -20,11 +18,11 @@ import (
 // curl) replays everything still in the journal's ring with a greater
 // sequence number before going live.
 //
-// The handler subscribes to the broker *before* snapshotting the
-// replay window, so no event can fall between replay and live; live
-// events at or below the replayed tail are skipped. A client that
-// stops reading is evicted by the broker (its channel closes) and the
-// handler returns — hundreds of dashboards can never stall the search.
+// Replay and live delivery are one loop over one cursor into the
+// journal's ring, so no event can fall between them. A client that
+// stops reading is evicted once the ring overwrites an event it has
+// not been sent, and the handler returns — hundreds of dashboards can
+// never stall the search.
 func serveEvents(w http.ResponseWriter, r *http.Request, j *obs.Journal) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
@@ -37,7 +35,7 @@ func serveEvents(w http.ResponseWriter, r *http.Request, j *obs.Journal) {
 	} else if v := r.URL.Query().Get("last_id"); v != "" {
 		last, _ = strconv.ParseUint(v, 10, 64)
 	}
-	sub := j.Subscribe(0)
+	sub := j.SubscribeSince(last)
 	defer sub.Close()
 
 	w.Header().Set("Content-Type", "text/event-stream")
@@ -45,43 +43,48 @@ func serveEvents(w http.ResponseWriter, r *http.Request, j *obs.Journal) {
 	w.Header().Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
 
-	for _, e := range j.Since(last) {
-		if writeSSE(w, e) != nil {
-			return
-		}
-		last = e.Seq
-	}
-	fl.Flush()
-
-	ctx := r.Context()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case e, open := <-sub.C():
-			if !open {
-				return // evicted by the broker
+	var batch []obs.Event
+	var frame []byte // the connection's one frame buffer
+	var err error
+	// Until the subscriber closes with the run, or is evicted.
+	for open := true; open; {
+		batch, open = sub.Read(batch)
+		for i := range batch {
+			if batch[i].Seq <= last {
+				continue // a resynced follower re-ingests sequence numbers already sent
 			}
-			if e.Seq <= last {
-				continue // already sent during replay
-			}
-			last = e.Seq
-			if writeSSE(w, e) != nil {
+			last = batch[i].Seq
+			if frame, err = writeSSE(w, frame, &batch[i]); err != nil {
 				return
 			}
-			fl.Flush()
+		}
+		fl.Flush()
+		if open && len(batch) == 0 {
+			select {
+			case <-r.Context().Done():
+				return
+			case <-sub.Wake():
+			}
 		}
 	}
 }
 
-// writeSSE frames one event in text/event-stream format.
-func writeSSE(w io.Writer, e obs.Event) error {
-	data, err := json.Marshal(e)
+// writeSSE frames one event in text/event-stream format into buf, with
+// the journal's own line as the data, writes the frame to w, and
+// returns buf for the connection's next event.
+func writeSSE(w io.Writer, buf []byte, e *obs.Event) ([]byte, error) {
+	buf = append(buf[:0], "id: "...)
+	buf = strconv.AppendUint(buf, e.Seq, 10)
+	buf = append(buf, "\nevent: "...)
+	buf = append(buf, e.Type...)
+	buf = append(buf, "\ndata: "...)
+	buf, err := e.AppendJSON(buf)
 	if err != nil {
-		return err
+		return buf, err
 	}
-	_, err = fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", e.Seq, e.Type, data)
-	return err
+	buf = append(buf, "\n\n"...)
+	_, err = w.Write(buf)
+	return buf, err
 }
 
 // dashboardPage rebinds the dashboard to a different SSE stream,

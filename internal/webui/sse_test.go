@@ -3,6 +3,7 @@ package webui
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -117,12 +118,17 @@ func TestEventsSSEReplayAndLive(t *testing.T) {
 
 	stream := newSSEStream(bufio.NewReader(resp.Body))
 	replay := readSSE(t, stream, 3, 5*time.Second)
+	emitted := j.Since(2)
 	for i, e := range replay {
 		if want := uint64(3 + i); e.ID != want {
 			t.Fatalf("replay[%d] id = %d, want %d", i, e.ID, want)
 		}
 		if e.Type != obs.EventEpoch {
 			t.Fatalf("replay[%d] type = %q", i, e.Type)
+		}
+		// The data is the event's JSON, byte for byte.
+		if want, _ := json.Marshal(emitted[i]); e.Data != string(want) {
+			t.Fatalf("replay[%d] data %s, want %s", i, e.Data, want)
 		}
 	}
 

@@ -216,22 +216,33 @@ func TestServiceKillResumeE2E(t *testing.T) {
 	postJob(t, p, e2eJobBody(jobA))
 	postJob(t, p, e2eJobBody(jobB))
 
-	// Pause each search as soon as it has trained a model. A paused job
-	// finishes the generation in flight and then waits for its next fleet
-	// grant, so however fast the searches run, the kill below lands while
-	// both are mid-search — usually inside that last generation.
+	// Pause each search right after its submission, so however fast it
+	// runs, the kill below lands while both are mid-search. A pause takes
+	// effect at the next generation boundary: a search paused before its
+	// first fleet grant has trained nothing, so it is resumed and paused
+	// again until it has trained a model.
 	ids := []string{"job-a", "job-b"}
-	paused := map[string]bool{}
+	for _, id := range ids {
+		postJobAction(t, p, id, "pause")
+	}
+	ready := map[string]bool{}
 	deadline := time.Now().Add(60 * time.Second)
-	for len(paused) < len(ids) {
+	for len(ready) < len(ids) {
 		for _, id := range ids {
-			if st, err := getJob(t, p, id); err == nil && !paused[id] && st.Progress.ModelsDone >= 1 {
+			st, err := getJob(t, p, id)
+			switch {
+			case err != nil || ready[id]:
+			case st.State == "completed" || st.State == "failed" || st.State == "canceled":
+				t.Fatalf("job %s finished before the kill (state %s)", id, st.State)
+			case st.State == "paused" && st.Progress.ModelsDone >= 1:
+				ready[id] = true
+			case st.State == "paused":
+				postJobAction(t, p, id, "resume")
 				postJobAction(t, p, id, "pause")
-				paused[id] = true
 			}
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("jobs never started (paused: %v)\n%s", paused, p.out.String())
+			t.Fatalf("jobs never trained a model while paused (ready: %v)\n%s", ready, p.out.String())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

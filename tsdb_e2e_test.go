@@ -151,10 +151,10 @@ func TestRegressionBaselineE2E(t *testing.T) {
 	basePath := filepath.Join(work, "base.json")
 	const key = "a4nn_sched_effective_gflops"
 	job := JobConfig{Beam: "medium", Devices: 1, Population: 6, Offspring: 6, Generations: 30, Epochs: 25, Seed: 11}
-	// The ambient monitors (disk, RSS, file descriptors) are pushed out of
-	// reach so the state of the host cannot decide the status asserted
-	// below.
-	healthSpec := "sample-ms=50," +
+	// The ambient monitors (disk, RSS, file descriptors, GC pauses) are
+	// pushed out of reach so the state of the host cannot decide the
+	// status asserted below.
+	healthSpec := "sample-ms=50,gc-pause-ms=1000000," +
 		"disk-warn=1e-9,disk-crit=1e-10,rss-warn-mb=1000000,rss-crit-mb=2000000,fd-warn=1000000,fd-crit=2000000"
 	regressed := func(env *runenv.Stack) *health.Alert {
 		for _, a := range env.Health().ActiveAlerts() {
