@@ -141,11 +141,12 @@ golden-nofma:
 	GODEBUG=cpu.fma=off $(GO) test -count 1 -run 'GoldenBits|FitMatchesReference|Solve3MatchesEliminate|Np3PathMatchesGeneral|ExpInto|ExpJacobian|ClosedFormKeeps|EvalBatchMatchesEval|FitScratchReuse' ./internal/predict ./internal/simtrain ./internal/core ./internal/fit ./internal/tensor
 
 # fuzz-smoke mutates the input of every decoder of bytes read back from
-# disk, of the two genome parsers that read a record's genome, and of
-# every command-line spec parser (-faults, -chaos,
-# -health-config, -slo), the vector exponential against the scalar
-# one, and the append encoders of the journal line, the checkpoint
-# payload, the record and the surrogate state against encoding/json,
+# disk (the fold of a store's journal into its records among them), of
+# the two genome parsers that read a record's genome, and of every
+# command-line spec parser (-faults, -chaos, -health-config, -slo), the
+# vector exponential against the scalar one, and the append encoders of
+# the journal line, the checkpoint payload and the surrogate state
+# against encoding/json,
 # for a bounded time; the plain test suite only replays each target's
 # seed corpus. One target per invocation, as -fuzz requires.
 fuzz-smoke:
@@ -162,7 +163,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz='^FuzzExpBits$$' -fuzztime=10s ./internal/tensor
 	$(GO) test -run=^$$ -fuzz='^FuzzEventJSON$$' -fuzztime=10s ./internal/obs
 	$(GO) test -run=^$$ -fuzz='^FuzzCheckpointJSON$$' -fuzztime=10s ./internal/commons
-	$(GO) test -run=^$$ -fuzz='^FuzzRecordJSON$$' -fuzztime=10s ./internal/lineage
+	$(GO) test -run=^$$ -fuzz='^FuzzRecordFold$$' -fuzztime=10s ./internal/commons
 	$(GO) test -run=^$$ -fuzz='^FuzzStateJSON$$' -fuzztime=10s ./internal/simtrain
 	$(GO) test -run=^$$ -fuzz='^FuzzParseGenome$$' -fuzztime=10s ./internal/genome
 	$(GO) test -run=^$$ -fuzz='^FuzzParseMicro$$' -fuzztime=10s ./internal/genome

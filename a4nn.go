@@ -287,8 +287,8 @@ type ChaosPlan = chaos.Plan
 const ChaosExitCode = chaos.ExitCode
 
 // ParseChaosPlan parses the compact -chaos specification, e.g.
-// "crash=commons.record.pre_rename@3;seed=7" (crash on the 3rd record
-// commit) or "err=journal.append.pre_write%0.1" (fail ~10% of journal
+// "crash=journal.append.pre_write@40;seed=7" (crash before the 40th
+// journal append) or "err=journal.append.pre_write%0.1" (fail ~10% of journal
 // appends). ChaosPoints lists the named crash points.
 func ParseChaosPlan(spec string) (*ChaosPlan, error) { return chaos.Parse(spec) }
 

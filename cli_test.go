@@ -7,6 +7,9 @@ package a4nn
 import (
 	"bufio"
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"io"
 	"io/fs"
@@ -21,6 +24,7 @@ import (
 	"time"
 
 	"a4nn/internal/chaos"
+	"a4nn/internal/lineage"
 )
 
 // buildTools compiles the cmd binaries once into a shared temp dir.
@@ -171,7 +175,8 @@ func TestCLIPipeline(t *testing.T) {
 		t.Fatalf("telemetry rows %q, want one per generation:\n%s", rows, out)
 	}
 	// profile reads metrics.json alone; telemetry needs the journal.
-	if err := os.Remove(filepath.Join(store, "events.jsonl")); err != nil {
+	journal := filepath.Join(store, "events.jsonl")
+	if err := os.Rename(journal, journal+".aside"); err != nil {
 		t.Fatal(err)
 	}
 	out = run(t, bins["a4nn-analyze"], "-store", store, "profile")
@@ -181,6 +186,9 @@ func TestCLIPipeline(t *testing.T) {
 	b, err := exec.Command(bins["a4nn-analyze"], "-store", store, "telemetry").CombinedOutput()
 	if err == nil || !strings.Contains(string(b), "-store") {
 		t.Fatalf("telemetry without a journal: err %v, want a hint naming -store:\n%s", err, b)
+	}
+	if err := os.Rename(journal+".aside", journal); err != nil {
+		t.Fatal(err)
 	}
 	// The removed flags are unknown: flag's usage exit, 2.
 	for _, gone := range []string{"-events=true", "-trace=" + work,
@@ -199,16 +207,30 @@ func TestCLIPipeline(t *testing.T) {
 		t.Fatalf("replay output:\n%s", out)
 	}
 
-	// 6. Tear one record and resume with -health: the record is
-	//    quarantined and retrained to the same generation table, recovery
-	//    lists the quarantine, and health shows its alert resolved.
+	// 6. Tear one model's commit as a kill mid-append would, and plant a
+	//    torn checkpoint file beside it, then resume with -health: the
+	//    file is quarantined, the model finishes again to the same
+	//    generation table, recovery lists the quarantine, and health
+	//    shows its alert resolved.
 	torn := ids[0]
-	paths, _ := filepath.Glob(filepath.Join(store, "records", torn+".json"))
-	if len(paths) != 1 {
-		t.Fatalf("record files of %s: %v", torn, paths)
-	}
-	if err := os.WriteFile(paths[0], []byte(`{"id": "to`), 0o644); err != nil {
+	data, err := os.ReadFile(journal)
+	if err != nil {
 		t.Fatal(err)
+	}
+	commit := regexp.MustCompile(`(?m)^\{[^\n]*"type":"model_done"[^\n]*"model":"` + regexp.QuoteMeta(torn) + `"[^\n]*$`)
+	loc := commit.FindIndex(data)
+	if loc == nil {
+		t.Fatalf("no model_done line of %s in the journal", torn)
+	}
+	data = append(data[:loc[0]+(loc[1]-loc[0])/2:loc[0]+(loc[1]-loc[0])/2], data[loc[1]:]...)
+	if err := os.WriteFile(journal, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(store, "checkpoints", torn+".ckpt"), []byte(`{"id": "to`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if ids := strings.Fields(run(t, bins["a4nn-analyze"], "-store", store, "list")); len(ids) != 7 {
+		t.Fatalf("after the torn commit analyze lists %d records, want 7", len(ids))
 	}
 	out = run(t, bins["a4nn"], "-beam", "medium", "-population", "4", "-offspring", "4",
 		"-generations", "2", "-seed", "5", "-store", store, "-resume", "-health")
@@ -219,8 +241,9 @@ func TestCLIPipeline(t *testing.T) {
 		t.Fatalf("gens after the repair %q, want %q", got, gens)
 	}
 	out = run(t, bins["a4nn-analyze"], "-store", store, "recovery")
-	if rows := tableRows(out); len(rows) != 1 || strings.Join(strings.Fields(rows[0])[1:3], " ") != "decode "+torn {
-		t.Fatalf("recovery rows %q, want one decode quarantine of %s:\n%s", rows, torn, out)
+	if rows := tableRows(out); len(rows) != 2 || strings.Join(strings.Fields(rows[0])[1:3], " ") != "magic "+torn ||
+		strings.Join(strings.Fields(rows[1])[1:3], " ") != "resume "+torn {
+		t.Fatalf("recovery rows %q, want a magic quarantine of %s, then its resume:\n%s", rows, torn, out)
 	}
 	out = run(t, bins["a4nn-analyze"], "-store", store, "health")
 	found := false
@@ -253,8 +276,8 @@ func TestCLIPipeline(t *testing.T) {
 	if _, err := fmt.Sscanf(outputLine(t, out, "unfinished models:"), "unfinished models: %d", &pending); err != nil || pending < 1 {
 		t.Fatalf("recovery after a kill: %d unfinished (%v)\n%s", pending, err, out)
 	}
-	// A model whose record the kill lost after its model_done resumes
-	// too, at its last epoch.
+	// Every model in flight at the kill continues from its journaled
+	// epochs.
 	out = run(t, bins["a4nn"], append(args, "-resume")...)
 	var resumed int
 	if _, err := fmt.Sscanf(outputLine(t, out, "checkpoint resumes:"), "checkpoint resumes: %d", &resumed); err != nil || resumed < pending {
@@ -262,6 +285,122 @@ func TestCLIPipeline(t *testing.T) {
 	}
 	if out = run(t, bins["a4nn-analyze"], "-store", killed, "recovery"); strings.Contains(out, "unfinished") {
 		t.Fatalf("recovery after the resume still lists unfinished models:\n%s", out)
+	}
+}
+
+// TestCLIExport: a4nn -store writes no record file; a4nn-analyze export
+// writes one per model, each the indented JSON of the record the store
+// folds from the journal, with the fitness a4nn printed for it. The
+// record internal/commons' TestGoldenBytes pins exports to the bytes
+// pinned there for its record file.
+func TestCLIExport(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI in -short mode")
+	}
+	bins := buildTools(t, "a4nn", "a4nn-analyze")
+	store := filepath.Join(t.TempDir(), "runs")
+	out := run(t, bins["a4nn"], "-beam", "medium", "-population", "4", "-offspring", "4",
+		"-generations", "2", "-seed", "5", "-store", store)
+	if !strings.Contains(out, "a4nn-analyze -store "+store+" export") {
+		t.Fatalf("a4nn output does not point at the export:\n%s", out)
+	}
+	if _, err := os.Stat(filepath.Join(store, "records")); !os.IsNotExist(err) {
+		t.Fatalf("a4nn -store created records/ (%v)", err)
+	}
+	front := map[string]string{}
+	for _, row := range tableRows(paretoSection(t, out)) {
+		if f := strings.Fields(row); len(f) == 3 {
+			front[f[0]] = f[1]
+		}
+	}
+	if len(front) == 0 {
+		t.Fatalf("no Pareto rows in:\n%s", out)
+	}
+	if out := run(t, bins["a4nn-analyze"], "-store", store, "export"); !strings.Contains(out, "exported 8 record trail(s)") {
+		t.Fatalf("export output:\n%s", out)
+	}
+	files, err := filepath.Glob(filepath.Join(store, "records", "*"))
+	if err != nil || len(files) != 8 {
+		t.Fatalf("exported files %v (%v), want 8", files, err)
+	}
+	for _, path := range files {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rec lineage.Record
+		if err := json.Unmarshal(data, &rec); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if err := rec.Validate(); err != nil || filepath.Base(path) != rec.ID+".json" {
+			t.Fatalf("%s holds record %q: %v", path, rec.ID, err)
+		}
+		if want, _ := json.MarshalIndent(&rec, "", "  "); !bytes.Equal(data, want) {
+			t.Fatalf("%s is not its record's indented JSON:\n%s\nwant\n%s", path, data, want)
+		}
+		if acc, ok := front[rec.ID]; ok && acc != fmt.Sprintf("%.2f", rec.FinalFitness) {
+			t.Fatalf("%s: final fitness %v, a4nn printed %s", rec.ID, rec.FinalFitness, acc)
+		}
+		delete(front, rec.ID)
+	}
+	if len(front) != 0 {
+		t.Fatalf("Pareto models with no exported record: %v", front)
+	}
+
+	golden, err := OpenCommons(filepath.Join(t.TempDir(), "golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := goldenRecord()
+	if err := golden.PutRecord(rec); err != nil {
+		t.Fatal(err)
+	}
+	run(t, bins["a4nn-analyze"], "-store", golden.Root(), "export")
+	data, err := os.ReadFile(filepath.Join(golden.Root(), "records", rec.ID+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "ad80d996f986308a4edb39b3394af58fd9f9bde4f08fd10425e52a469d210a46"
+	if sum := sha256.Sum256(data); hex.EncodeToString(sum[:]) != want {
+		t.Fatalf("exported golden record sha256 %x, want %s:\n%s", sum, want, data)
+	}
+}
+
+// goldenRecord is the record of internal/commons' TestGoldenBytes: its
+// architecture is network summary text, it carries a retry attempt, a
+// straggler factor and engine parameters, one epoch has no prediction,
+// two values need encoding/json's exponent form, and its timestamp is
+// zoned.
+func goldenRecord() *lineage.Record {
+	return &lineage.Record{
+		ID:            "m-g03-i07",
+		Genome:        "1011-0110-1",
+		NodesPerPhase: 4,
+		Generation:    3,
+		Architecture: "network \"m-g03-i07\" input [1 16 16]\n" +
+			"   0 conv3x3(1→4)+bn+relu         [1 16 16] -> [4 16 16]\n" +
+			"   1 phase(4 nodes, 0110)         [4 16 16] -> [8 8 8]\n" +
+			"   2 dense(512→3)                 [8 8 8] -> [3]\n" +
+			"params=1734 flops=97152\n",
+		NumParams:  1734,
+		FLOPs:      97152,
+		Beam:       "high",
+		DeviceID:   1,
+		Attempt:    2,
+		SlowFactor: 1.5,
+		Epochs: []lineage.EpochEntry{
+			{Epoch: 1, TrainLoss: 5e-7, TrainAccuracy: 41.5, ValAccuracy: 40.25, SimSeconds: 6.5},
+			{Epoch: 2, TrainLoss: 0.75, TrainAccuracy: 55, ValAccuracy: 52.125,
+				Prediction: 70.5, HasPrediction: true, SimSeconds: 2.5e21},
+			{Epoch: 3, TrainLoss: 0.5, TrainAccuracy: 61.75, ValAccuracy: 60,
+				Prediction: 71.25, HasPrediction: true, SimSeconds: 1234567},
+		},
+		Terminated:       true,
+		TerminationEpoch: 3,
+		FinalFitness:     71.25,
+		Engine: &lineage.EngineParams{Family: "pow3", CMin: 3, EPred: 10, N: 3,
+			R: 0.5, MinFitness: 0, MaxFitness: 100},
+		CreatedAt: time.Date(2026, 3, 14, 15, 9, 26, 535897000, time.FixedZone("IST", 5*3600+1800)),
 	}
 }
 

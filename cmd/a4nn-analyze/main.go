@@ -7,6 +7,7 @@
 // Usage:
 //
 //	a4nn-analyze -store DIR list
+//	a4nn-analyze -store DIR export            # record trails as DIR/records/<id>.json
 //	a4nn-analyze -store DIR summary [-beam low]
 //	a4nn-analyze -store DIR show MODEL-ID
 //	a4nn-analyze -store DIR dot MODEL-ID      # Graphviz to stdout
@@ -54,7 +55,7 @@ func main() {
 	)
 	flag.Parse()
 	if *storeDir == "" || flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: a4nn-analyze -store DIR {list|summary|show ID|dot ID|top}")
+		fmt.Fprintln(os.Stderr, "usage: a4nn-analyze -store DIR {list|export|summary|show ID|dot ID|top|...}")
 		os.Exit(2)
 	}
 	store, err := commons.Open(*storeDir)
@@ -63,6 +64,12 @@ func main() {
 	}
 
 	switch cmd := flag.Arg(0); cmd {
+	case "export":
+		n, err := store.Export()
+		if err != nil {
+			fatal(err)
+		}
+		fmt.Printf("exported %d record trail(s) to %s\n", n, filepath.Join(*storeDir, "records"))
 	case "list":
 		ids, err := store.List()
 		if err != nil {
@@ -185,10 +192,12 @@ func main() {
 		// file still on disk, means a run is in flight or a crash has not
 		// been resumed yet.
 		unfinished := map[string]bool{}
-		for id, p := range core.JournalProgress(events) {
-			if !p.Done {
-				unfinished[id] = true
-			}
+		inFlight, err := store.Unfinished()
+		if err != nil {
+			fatal(err)
+		}
+		for id := range inFlight {
+			unfinished[id] = true
 		}
 		ids, _ := store.Checkpoints()
 		for _, id := range ids {

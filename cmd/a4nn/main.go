@@ -52,7 +52,7 @@ func main() {
 		retries     = flag.Int("retries", 0, "max attempts per task (0: 1, or 3 with -faults)")
 		taskTimeout = flag.Float64("task-timeout", 0, "per-attempt simulated deadline in seconds (0 = off)")
 		resume      = flag.Bool("resume", false, "recover and replay completed work from -store before training (crash recovery)")
-		chaosSpec   = flag.String("chaos", "", `crash-injection plan for fault drills, e.g. "crash=commons.record.pre_rename@3;seed=7" (see a4nn.ChaosPoints)`)
+		chaosSpec   = flag.String("chaos", "", `crash-injection plan for fault drills, e.g. "crash=journal.append.pre_write@40;seed=7" (see a4nn.ChaosPoints)`)
 		metricsAddr = flag.String("metrics-addr", "", `serve the run's live routes on this address (e.g. ":9090"): /metrics, the /events SSE stream, the /dashboard page, and /healthz with health on and /api/query with -history`)
 		profLayers  = flag.Bool("profile-layers", false, "account per-layer forward/backward time and FLOPs (real training only, so pair with -data; see a4nn-analyze profile)")
 		pprofOn     = flag.Bool("pprof", false, "expose net/http/pprof on -metrics-addr (requires -metrics-addr); never enable on a publicly reachable address")
@@ -292,8 +292,8 @@ func main() {
 		fmt.Printf("checkpoint resumes: %d model(s) continued mid-training\n", res.Resumed)
 	}
 	if rec := res.Recovery; !rec.Clean() {
-		fmt.Printf("crash recovery:     %d quarantined, %d stale checkpoint(s) cleaned, %d lost record(s) retrained, %d orphan temp file(s) removed\n",
-			len(rec.Quarantined), rec.StaleCheckpoints, len(rec.LostRecords), rec.TempsRemoved)
+		fmt.Printf("crash recovery:     %d quarantined, %d stale checkpoint(s) cleaned, %d orphan temp file(s) removed\n",
+			len(rec.Quarantined), rec.StaleCheckpoints, rec.TempsRemoved)
 	}
 	fmt.Printf("training epochs:    %d / %d (%.1f%% saved)\n",
 		res.TotalEpochs, fullBudget, 100*(1-float64(res.TotalEpochs)/float64(fullBudget)))
@@ -317,7 +317,8 @@ func main() {
 	}
 	fmt.Print(analyzer.FormatTable([]string{"model", "accuracy %", "MFLOPs"}, rows))
 	if *storeDir != "" {
-		fmt.Printf("\nrecord trails written to %s\n", *storeDir)
+		fmt.Printf("\nrecord trails written to %s/%s (a4nn-analyze -store %s export writes them out as records/<id>.json)\n",
+			*storeDir, obs.EventsFile, *storeDir)
 	}
 	if *storeDir != "" {
 		files := obs.EventsFile + ", " + obs.MetricsFile

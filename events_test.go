@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -15,12 +16,19 @@ import (
 	"a4nn/internal/webui"
 )
 
+// sseFrame is one /events frame: its id and event type, and its data,
+// the event's journal line.
+type sseFrame struct {
+	Event
+	Data string
+}
+
 // collectSSE reads /events frames until stop returns true for a frame
-// (inclusive) or the timeout expires, returning the events in arrival
+// (inclusive) or the timeout expires, returning the frames in arrival
 // order. The request context is canceled on return, detaching the
 // subscriber. Safe to call from any goroutine (errors are returned,
 // not reported via t).
-func collectSSE(url, lastEventID string, timeout time.Duration, stop func(Event) bool) ([]Event, error) {
+func collectSSE(url, lastEventID string, timeout time.Duration, stop func(Event) bool) ([]sseFrame, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, "GET", url, nil)
@@ -38,8 +46,8 @@ func collectSSE(url, lastEventID string, timeout time.Duration, stop func(Event)
 	if resp.StatusCode != 200 {
 		return nil, fmt.Errorf("/events status %d", resp.StatusCode)
 	}
-	var out []Event
-	var cur Event
+	var out []sseFrame
+	var cur sseFrame
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	for sc.Scan() {
@@ -49,12 +57,14 @@ func collectSSE(url, lastEventID string, timeout time.Duration, stop func(Event)
 			cur.Seq, _ = strconv.ParseUint(line[4:], 10, 64)
 		case strings.HasPrefix(line, "event: "):
 			cur.Type = line[7:]
+		case strings.HasPrefix(line, "data: "):
+			cur.Data = line[6:]
 		case line == "":
 			out = append(out, cur)
-			if stop(cur) {
+			if stop(cur.Event) {
 				return out, nil
 			}
-			cur = Event{}
+			cur = sseFrame{}
 		}
 	}
 	return out, fmt.Errorf("stream ended after %d events: %v", len(out), sc.Err())
@@ -87,7 +97,7 @@ func TestEventStreamEndToEnd(t *testing.T) {
 	// Last-Event-ID it replays from the beginning, so it sees every
 	// event regardless of connection timing.
 	type streamResult struct {
-		events []Event
+		events []sseFrame
 		err    error
 	}
 	liveDone := make(chan streamResult, 1)
@@ -116,7 +126,7 @@ func TestEventStreamEndToEnd(t *testing.T) {
 		t.Fatalf("evaluated %d models", len(res.Models))
 	}
 
-	var live []Event
+	var live []sseFrame
 	select {
 	case r := <-liveDone:
 		if r.err != nil {
@@ -165,17 +175,30 @@ func TestEventStreamEndToEnd(t *testing.T) {
 		}
 	}
 
-	// The crash-safe journal on disk holds the same stream.
-	fromDisk, err := ReadEvents(filepath.Join(dir, EventsFile))
+	// The crash-safe journal on disk holds the same stream, byte for
+	// byte: each frame's data is its event's line, epoch and model_done
+	// lines with the record trail they carry included.
+	data, err := os.ReadFile(filepath.Join(dir, EventsFile))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fromDisk) != len(live) {
-		t.Fatalf("events.jsonl holds %d events, stream delivered %d", len(fromDisk), len(live))
+	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	if len(lines) != len(live) {
+		t.Fatalf("events.jsonl holds %d lines, stream delivered %d events", len(lines), len(live))
 	}
-	for i, e := range fromDisk {
-		if e.Seq != live[i].Seq || e.Type != live[i].Type {
-			t.Fatalf("disk[%d] = seq %d %q, stream had seq %d %q", i, e.Seq, e.Type, live[i].Seq, live[i].Type)
+	for i, line := range lines {
+		if line != live[i].Data {
+			t.Fatalf("disk line %d:\n%s\nstream frame seq %d:\n%s", i+1, line, live[i].Seq, live[i].Data)
+		}
+	}
+	for i, e := range replay {
+		if e.Data != live[gapFrom+i].Data {
+			t.Fatalf("replayed frame seq %d carries other data than the live one:\n%s\n%s", e.Seq, e.Data, live[gapFrom+i].Data)
+		}
+	}
+	for _, e := range live {
+		if e.Type == "model_done" && !strings.Contains(e.Data, `"record":{"id":`) {
+			t.Fatalf("model_done frame carries no record: %s", e.Data)
 		}
 	}
 }

@@ -94,7 +94,7 @@ func TestHealthMonitorEndToEnd(t *testing.T) {
 	// sentinel the test emits once the engine is closed instead.
 	const streamEnd = "test_stream_end"
 	type streamResult struct {
-		events []Event
+		events []sseFrame
 		err    error
 	}
 	liveDone := make(chan streamResult, 1)
@@ -136,7 +136,7 @@ func TestHealthMonitorEndToEnd(t *testing.T) {
 	observer.Journal().Emit(Event{Type: streamEnd})
 
 	// Divergence fired and resolved live on the SSE stream.
-	var live []Event
+	var live []sseFrame
 	select {
 	case r := <-liveDone:
 		if r.err != nil {

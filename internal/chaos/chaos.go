@@ -25,12 +25,6 @@ import (
 // Parse rejects unknown names so a typo in a -chaos spec fails fast
 // instead of silently never firing.
 const (
-	// PointRecordPreRename fires after a record's temp file is written
-	// but before the rename — a crash here leaves no visible record.
-	PointRecordPreRename = "commons.record.pre_rename"
-	// PointRecordPostRename fires just after a record rename — a crash
-	// here leaves a committed record the dying process never reported.
-	PointRecordPostRename = "commons.record.post_rename"
 	// PointSnapshotPreRename fires before an epoch snapshot rename.
 	PointSnapshotPreRename = "commons.snapshot.pre_rename"
 	// PointCheckpointPreWrite fires before every checkpoint file's rename,
@@ -48,9 +42,6 @@ const (
 	// trained and recorded, before the search advances — a crash here is
 	// recovered by whole-generation replay.
 	PointGenerationCommit = "core.generation.commit"
-	// PointModelPostRecord fires after a model's record is committed but
-	// before its now-stale checkpoint is deleted.
-	PointModelPostRecord = "core.model.post_record"
 	// PointManifestPreRename and PointManifestPostRename straddle the
 	// rename of a job's job.json: before it the previous lifecycle state
 	// is still the visible one, after it the new state is committed but
@@ -69,15 +60,12 @@ const (
 
 // catalogue maps every valid point name to a one-line description.
 var catalogue = map[string]string{
-	PointRecordPreRename:     "before a lineage record rename",
-	PointRecordPostRename:    "after a lineage record rename",
 	PointSnapshotPreRename:   "before an epoch snapshot rename",
 	PointCheckpointPreWrite:  "before a model checkpoint rename",
 	PointCheckpointPostWrite: "after a model checkpoint rename",
 	PointJournalAppend:       "before an event journal append",
 	PointAlertsAppend:        "before an alert sink append",
 	PointGenerationCommit:    "after a generation's records commit",
-	PointModelPostRecord:     "after a record commits, before checkpoint cleanup",
 	PointManifestPreRename:   "before a job manifest rename",
 	PointManifestPostRename:  "after a job manifest rename",
 	PointMetricsPreRename:    "before a metrics snapshot rename",
@@ -293,7 +281,7 @@ func splitmix64(x uint64) uint64 {
 //	seed=N            probabilistic decision seed
 //
 // Point names come from the catalogue (Points); unknown names are
-// rejected. Example: "crash=commons.record.pre_rename@3;seed=7".
+// rejected. Example: "crash=journal.append.pre_write@40;seed=7".
 func Parse(spec string) (*Plan, error) {
 	fields := strings.FieldsFunc(spec, func(r rune) bool { return r == ';' || r == ',' })
 	if len(fields) == 0 {

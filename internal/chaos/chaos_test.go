@@ -37,7 +37,7 @@ func TestDisabledPointIsNil(t *testing.T) {
 }
 
 func TestErrRuleFiresOnExactVisit(t *testing.T) {
-	plan, err := Parse("err=" + PointRecordPreRename + "@3")
+	plan, err := Parse("err=" + PointSnapshotPreRename + "@3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,13 +46,13 @@ func TestErrRuleFiresOnExactVisit(t *testing.T) {
 		t.Fatal("Installed() false after Install")
 	}
 	for visit := 1; visit <= 5; visit++ {
-		err := Point(PointRecordPreRename)
+		err := Point(PointSnapshotPreRename)
 		if visit == 3 {
 			if !IsInjected(err) {
 				t.Fatalf("visit 3: want injected error, got %v", err)
 			}
 			var ie *InjectedError
-			if !errors.As(err, &ie) || ie.Visit != 3 || ie.Point != PointRecordPreRename {
+			if !errors.As(err, &ie) || ie.Visit != 3 || ie.Point != PointSnapshotPreRename {
 				t.Fatalf("visit 3: bad error detail %+v", err)
 			}
 			continue
@@ -203,7 +203,7 @@ func BenchmarkDisabledChaos(b *testing.B) {
 	Install(nil)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if err := Point(PointRecordPreRename); err != nil {
+		if err := Point(PointSnapshotPreRename); err != nil {
 			b.Fatal(err)
 		}
 	}

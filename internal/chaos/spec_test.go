@@ -7,7 +7,7 @@ import "testing"
 // for NaN, so the first of these used to parse.
 var nonFiniteChaosSpecs = []string{
 	"err=" + PointJournalAppend + "%NaN",
-	"crash=" + PointRecordPreRename + "%nan;seed=3",
+	"crash=" + PointSnapshotPreRename + "%nan;seed=3",
 	"err=" + PointJournalAppend + "%Inf",
 	"err=" + PointJournalAppend + "%-Inf",
 }
@@ -27,7 +27,7 @@ func FuzzParseChaosPlan(f *testing.F) {
 	for _, spec := range nonFiniteChaosSpecs {
 		f.Add(spec)
 	}
-	f.Add("crash=" + PointRecordPreRename + "@3;seed=7")
+	f.Add("crash=" + PointSnapshotPreRename + "@3;seed=7")
 	f.Add("err=" + PointJournalAppend + "%0.1,crash=" + PointGenerationCommit + "@2")
 	f.Add("crash=" + PointCheckpointPostWrite + "@0")
 	f.Fuzz(func(t *testing.T, spec string) {

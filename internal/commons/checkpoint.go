@@ -304,13 +304,13 @@ func (s *Store) Checkpoints() ([]string, error) {
 // QuarantineDir is where corrupt files are moved, under the store root.
 const QuarantineDir = ".corrupt"
 
-// quarantine moves a corrupt file into <root>/.corrupt/<base>.<reason>,
-// suffixing a counter when the name is taken, and returns the new path.
-func (s *Store) quarantine(path, reason string) (string, error) {
-	if reason == "" {
-		reason = "corrupt"
-	}
-	dir := filepath.Join(s.root, QuarantineDir)
+// QuarantineCheckpoint moves a corrupt checkpoint into
+// <root>/.corrupt/<id>.ckpt.<reason>, suffixing a counter when the name
+// is taken, and returns the new path.
+func (s *Store) QuarantineCheckpoint(id, reason string) (string, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	path, dir := s.checkpointPath(id), filepath.Join(s.root, QuarantineDir)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", fmt.Errorf("commons: create quarantine dir: %w", err)
 	}
@@ -325,24 +325,4 @@ func (s *Store) quarantine(path, reason string) (string, error) {
 		return "", fmt.Errorf("commons: quarantine %s: %w", path, err)
 	}
 	return dest, nil
-}
-
-// QuarantineRecord moves a corrupt record out of records/ into the
-// quarantine directory so replay and analytics stop tripping over it;
-// the typed reason becomes the file suffix. It returns the destination.
-func (s *Store) QuarantineRecord(id, reason string) (string, error) {
-	if err := checkID(id); err != nil {
-		return "", err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.quarantine(s.recordPath(id), reason)
-}
-
-// QuarantineCheckpoint moves a corrupt checkpoint into the quarantine
-// directory and returns the destination.
-func (s *Store) QuarantineCheckpoint(id, reason string) (string, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.quarantine(s.checkpointPath(id), reason)
 }

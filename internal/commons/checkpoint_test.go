@@ -262,26 +262,6 @@ func TestQuarantine(t *testing.T) {
 	if dest2 == dest {
 		t.Fatalf("second quarantine reused %q", dest)
 	}
-
-	// Records quarantine the same way.
-	rpath := s.recordPath("bad")
-	if err := os.WriteFile(rpath, []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.GetRecord("bad"); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("torn record: %v", err)
-	}
-	rdest, err := s.QuarantineRecord("bad", "decode")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if filepath.Dir(rdest) != filepath.Join(s.Root(), QuarantineDir) {
-		t.Fatalf("record quarantined to %q", rdest)
-	}
-	// The corrupt record no longer poisons List/All.
-	if ids, err := s.List(); err != nil || len(ids) != 0 {
-		t.Fatalf("List after quarantine: %v, %v", ids, err)
-	}
 }
 
 func TestEncodeCheckpointValidates(t *testing.T) {

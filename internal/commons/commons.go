@@ -7,31 +7,38 @@
 package commons
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 
 	"a4nn/internal/chaos"
 	"a4nn/internal/durable"
 	"a4nn/internal/lineage"
+	"a4nn/internal/obs"
 )
 
-// ErrCorrupt marks a record that exists on disk but cannot be decoded or
-// validated — a torn write from a crash predating atomic writes, or
-// external tampering. Callers resuming a search treat a corrupt record
-// like a missing one and retrain.
-var ErrCorrupt = errors.New("corrupt record")
+// ErrCorrupt marks a file that exists on disk but cannot be decoded or
+// validated: a torn write from a crash predating atomic writes, or
+// external tampering. Callers resuming a search treat a corrupt
+// checkpoint like a missing one and retrain.
+var ErrCorrupt = errors.New("corrupt file")
 
-// Store is a data commons rooted at a directory. Records live at
-// <root>/records/<id>.json; snapshots at <root>/models/<id>/epoch_<e>.bin.
-// A Store is safe for concurrent use.
+// Store is a data commons rooted at a directory. Its record trails are
+// the fold of <root>/events.jsonl (fold.go), which Export writes out as
+// <root>/records/<id>.json; snapshots live at
+// <root>/models/<id>/epoch_<e>.bin and checkpoints at
+// <root>/checkpoints/<id>.ckpt. A Store is safe for concurrent use.
 type Store struct {
 	root string
-	mu   sync.Mutex
+	mu   sync.Mutex // serialises snapshot and checkpoint file moves and PutRecord
+
+	readMu sync.Mutex // guards fold
+	fold   *fold      // nil until the first read
 }
 
 // Open creates (if needed) and opens a store rooted at dir.
@@ -39,7 +46,7 @@ func Open(dir string) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("commons: empty store path")
 	}
-	for _, sub := range []string{"records", "models", "checkpoints"} {
+	for _, sub := range []string{"models", "checkpoints"} {
 		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
 			return nil, fmt.Errorf("commons: create store layout: %w", err)
 		}
@@ -52,8 +59,8 @@ func (s *Store) Root() string { return s.root }
 
 // checkID refuses an id that is not one local path element ("", "..",
 // "a/b", "../x"): every record and snapshot path joins its id under the
-// store root, and an id from an HTTP path or a command line must not name
-// a file outside it.
+// store root, and an id from an HTTP path, a command line or a journal
+// line must not name a file outside it.
 func checkID(id string) error {
 	if !filepath.IsLocal(id) || filepath.Base(id) != id {
 		return fmt.Errorf("commons: invalid id %q: not one path element", id)
@@ -61,49 +68,74 @@ func checkID(id string) error {
 	return nil
 }
 
-func (s *Store) recordPath(id string) string {
-	return filepath.Join(s.root, "records", id+".json")
+func (s *Store) eventsPath() string {
+	return filepath.Join(s.root, obs.EventsFile)
 }
 
 func (s *Store) snapshotPath(id string, epoch int) string {
 	return filepath.Join(s.root, "models", id, fmt.Sprintf("epoch_%03d.bin", epoch))
 }
 
-// PutRecord writes (or replaces) a record trail. The write is atomic: a
-// kill mid-write leaves either the previous record or the new one, never
-// a torn file that would poison replay/resume.
+// Attach points j, the journal a run emits into, at the store's events
+// file: one with no file gets the file opened, and one appending
+// elsewhere is an error. Its epoch and model_done events then commit the
+// run's record trails.
+func (s *Store) Attach(j *obs.Journal) error {
+	path := s.eventsPath()
+	switch p := j.Path(); {
+	case p == "":
+		return j.OpenFile(path)
+	case filepath.Clean(p) != filepath.Clean(path):
+		return fmt.Errorf("commons: the run journals to %s, not to the store's %s", p, path)
+	}
+	return nil
+}
+
+// PutRecord commits a record trail as a run does, through a journal of
+// its own: r's epoch events, then its model_done. It is for a store no
+// run is journaling into, since the file takes one writer at a time. A
+// record the journal cannot carry (one that fails Validate) is refused.
 func (s *Store) PutRecord(r *lineage.Record) error {
 	if err := checkID(r.ID); err != nil {
 		return err
 	}
-	data, err := r.MarshalBytes()
-	if err != nil {
+	if err := r.Validate(); err != nil {
 		return err
 	}
+	head := *r
+	head.Epochs = nil
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := durable.AtomicWrite(s.recordPath(r.ID), data, 0o644, false,
-		chaos.PointRecordPreRename, chaos.PointRecordPostRename); err != nil {
+	j := obs.NewJournal(1) // the ring is not read: one slot
+	err := j.OpenFile(s.eventsPath())
+	for i := 0; err == nil && i < len(r.Epochs); i++ {
+		err = j.Emit(obs.EpochEvent(r.ID, r.Generation, &r.Epochs[i]))
+	}
+	if err == nil {
+		err = j.Emit(obs.Event{Type: obs.EventModelDone, Gen: r.Generation, Model: r.ID, Fitness: r.FinalFitness,
+			Epochs: len(r.Epochs), Terminated: r.Terminated, SimSeconds: r.SimSeconds(), Record: &head})
+	}
+	if cerr := j.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		return fmt.Errorf("commons: write record %s: %w", r.ID, err)
 	}
 	return nil
 }
 
-// GetRecord loads a record by ID. A record that exists but cannot be
-// decoded or validated returns an error wrapping ErrCorrupt.
+// GetRecord returns the record trail of model id; one with no committed
+// record is an error satisfying errors.Is(err, fs.ErrNotExist).
 func (s *Store) GetRecord(id string) (*lineage.Record, error) {
 	if err := checkID(id); err != nil {
 		return nil, err
 	}
-	data, err := os.ReadFile(s.recordPath(id))
-	if err != nil {
-		return nil, fmt.Errorf("commons: read record %s: %w", id, err)
+	var rec *lineage.Record
+	err := s.read(func(f *fold) { rec = f.records[id].Clone() })
+	if err == nil && rec == nil {
+		err = fmt.Errorf("commons: record %s: %w", id, fs.ErrNotExist)
 	}
-	rec, err := lineage.UnmarshalBytes(data)
-	if err != nil {
-		return nil, fmt.Errorf("commons: record %s: %w: %w", id, ErrCorrupt, err)
-	}
-	return rec, nil
+	return rec, err
 }
 
 // PutSnapshot stores the model state after the given (1-based) epoch, the
@@ -169,35 +201,49 @@ func (s *Store) Snapshots(id string) ([]int, error) {
 
 // List returns all record IDs in the store, sorted.
 func (s *Store) List() ([]string, error) {
-	entries, err := os.ReadDir(filepath.Join(s.root, "records"))
-	if err != nil {
-		return nil, fmt.Errorf("commons: list records: %w", err)
-	}
 	var ids []string
-	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".json") {
-			ids = append(ids, strings.TrimSuffix(e.Name(), ".json"))
+	err := s.read(func(f *fold) {
+		for id := range f.records {
+			ids = append(ids, id)
 		}
-	}
+	})
 	sort.Strings(ids)
-	return ids, nil
+	return ids, err
 }
 
-// All loads every record, sorted by ID.
+// All returns every record, sorted by ID.
 func (s *Store) All() ([]*lineage.Record, error) {
-	ids, err := s.List()
-	if err != nil {
-		return nil, err
-	}
-	records := make([]*lineage.Record, 0, len(ids))
-	for _, id := range ids {
-		r, err := s.GetRecord(id)
-		if err != nil {
-			return nil, err
+	var records []*lineage.Record
+	err := s.read(func(f *fold) {
+		for _, r := range f.records {
+			records = append(records, r.Clone())
 		}
-		records = append(records, r)
+	})
+	sort.Slice(records, func(a, b int) bool { return records[a].ID < records[b].ID })
+	return records, err
+}
+
+// Export writes every record trail as <root>/records/<id>.json, its
+// indented JSON, and returns how many it wrote.
+func (s *Store) Export() (int, error) {
+	records, err := s.All()
+	if err != nil {
+		return 0, err
 	}
-	return records, nil
+	dir := filepath.Join(s.root, "records")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return 0, fmt.Errorf("commons: export: %w", err)
+	}
+	for _, r := range records {
+		data, err := json.MarshalIndent(r, "", "  ")
+		if err == nil {
+			err = durable.AtomicWrite(filepath.Join(dir, r.ID+".json"), data, 0o644, false, "", "")
+		}
+		if err != nil {
+			return 0, fmt.Errorf("commons: export %s: %w", r.ID, err)
+		}
+	}
+	return len(records), nil
 }
 
 // Query returns the records satisfying pred, sorted by ID.

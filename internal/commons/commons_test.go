@@ -3,6 +3,7 @@ package commons
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"a4nn/internal/lineage"
+	"a4nn/internal/obs"
 )
 
 func record(id, beam string, fitness float64, epochs int, terminated bool) *lineage.Record {
@@ -180,64 +182,92 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
+// TestCorruptedRecordSurfacesError: an events file the store cannot
+// read fails every read of its records, rather than reading as an
+// empty store.
 func TestCorruptedRecordSurfacesError(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.PutRecord(record("good", "low", 90, 3, false)); err != nil {
+	if err := os.Mkdir(filepath.Join(s.Root(), obs.EventsFile), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt a record file on disk.
-	path := filepath.Join(s.Root(), "records", "bad.json")
-	if err := os.WriteFile(path, []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.GetRecord("bad"); err == nil {
-		t.Fatal("corrupted record must surface an error")
+	if _, err := s.GetRecord("good"); err == nil || errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("unreadable journal: GetRecord returned %v", err)
 	}
 	if _, err := s.All(); err == nil {
-		t.Fatal("All over a corrupted store must surface an error")
+		t.Fatal("All over an unreadable journal must surface an error")
 	}
 	if _, err := s.Summarize(""); err == nil {
-		t.Fatal("Summarize over a corrupted store must surface an error")
-	}
-	// Non-JSON garbage that decodes but fails validation.
-	if err := os.WriteFile(path, []byte(`{"id":"bad"}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.GetRecord("bad"); err == nil {
-		t.Fatal("invalid record must fail validation")
+		t.Fatal("Summarize over an unreadable journal must surface an error")
 	}
 }
 
+// TestCorruptRecordIsTyped: what a crash or tampering leaves of a
+// record's journal lines (a torn model_done, a commit that does not
+// match its epochs) commits nothing, and the model reads as missing,
+// fs.ErrNotExist, which -resume retrains. ErrCorrupt is for files.
 func TestCorruptRecordIsTyped(t *testing.T) {
-	s, err := Open(t.TempDir())
+	dir := t.TempDir()
+	good, torn := record("good", "low", 90, 2, false), record("torn", "low", 80, 2, false)
+	var lines []byte
+	for i, r := range []*lineage.Record{good, torn} {
+		for _, e := range r.Epochs {
+			ev := obs.EpochEvent(r.ID, 0, &e)
+			lines = appendLine(t, lines, &ev)
+		}
+		done := doneEvent(r)
+		line := appendLine(t, nil, &done)
+		if i == 1 {
+			// The kill tore the commit; the next append's open
+			// terminated the fragment.
+			line = append(line[:len(line)/2], '\n')
+		}
+		lines = append(lines, line...)
+	}
+	mismatch := doneEvent(record("short", "low", 80, 2, false))
+	mismatch.Epochs = 3
+	lines = appendLine(t, lines, &mismatch)
+	if err := os.WriteFile(filepath.Join(dir, obs.EventsFile), lines, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(s.Root(), "records", "torn.json")
-	if err := os.WriteFile(path, []byte(`{"id": "to`), 0o644); err != nil {
+	if _, err := s.GetRecord("good"); err != nil {
 		t.Fatal(err)
 	}
-	_, err = s.GetRecord("torn")
-	if !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("unparsable record: want ErrCorrupt, got %v", err)
-	}
-	// Decodes but fails validation → also corrupt.
-	if err := os.WriteFile(path, []byte(`{"id":"torn"}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.GetRecord("torn"); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("invalid record: want ErrCorrupt, got %v", err)
-	}
-	// A missing record is NOT corrupt — resume treats the two the same
-	// way, but callers distinguishing them must be able to.
-	if _, err := s.GetRecord("absent"); errors.Is(err, ErrCorrupt) {
-		t.Fatal("missing record must not be ErrCorrupt")
+	for _, id := range []string{"torn", "short", "absent"} {
+		_, err := s.GetRecord(id)
+		if !errors.Is(err, fs.ErrNotExist) || errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: want fs.ErrNotExist, got %v", id, err)
+		}
 	}
 }
 
+// doneEvent is the model_done event that commits r after its epochs.
+func doneEvent(r *lineage.Record) obs.Event {
+	head := *r
+	head.Epochs = nil
+	return obs.Event{Type: obs.EventModelDone, Gen: r.Generation, Model: r.ID, Fitness: r.FinalFitness,
+		Epochs: len(r.Epochs), Terminated: r.Terminated, Record: &head}
+}
+
+// appendLine appends e's journal line to dst.
+func appendLine(t *testing.T, dst []byte, e *obs.Event) []byte {
+	t.Helper()
+	dst, err := e.AppendJSON(dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(dst, '\n')
+}
+
+// TestAtomicWritesLeaveNoTempFiles: neither the journal appends of
+// PutRecord nor the atomic replaces of snapshots and an export leave a
+// temp file, and a record put again replaces the first.
 func TestAtomicWritesLeaveNoTempFiles(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
@@ -251,7 +281,6 @@ func TestAtomicWritesLeaveNoTempFiles(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Overwrites go through the same atomic path.
 	if err := s.PutRecord(record("r0", "low", 95, 3, true)); err != nil {
 		t.Fatal(err)
 	}
@@ -259,8 +288,13 @@ func TestAtomicWritesLeaveNoTempFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.FinalFitness != 95 {
-		t.Fatalf("overwrite lost: fitness %v", got.FinalFitness)
+	if got.FinalFitness != 95 || got.EpochsTrained() != 3 {
+		t.Fatalf("overwrite lost: fitness %v, %d epochs", got.FinalFitness, got.EpochsTrained())
+	}
+	for range 2 {
+		if n, err := s.Export(); err != nil || n != 5 {
+			t.Fatalf("Export = %d, %v", n, err)
+		}
 	}
 	var temps []string
 	err = filepath.Walk(s.Root(), func(path string, info os.FileInfo, err error) error {
@@ -280,7 +314,7 @@ func TestAtomicWritesLeaveNoTempFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(ids) != 5 {
-		t.Fatalf("List sees %d records, want 5 (temp names must not leak in)", len(ids))
+		t.Fatalf("List sees %d records, want 5", len(ids))
 	}
 }
 
@@ -292,9 +326,15 @@ func TestStoreIgnoresForeignFiles(t *testing.T) {
 	if err := s.PutRecord(record("m", "low", 90, 2, false)); err != nil {
 		t.Fatal(err)
 	}
-	// A stray non-.json file must not appear in listings.
-	if err := os.WriteFile(filepath.Join(s.Root(), "records", "README.txt"), []byte("hi"), 0o644); err != nil {
+	// The records directory is export output: nothing placed there is
+	// a record.
+	if err := os.MkdirAll(filepath.Join(s.Root(), "records"), 0o755); err != nil {
 		t.Fatal(err)
+	}
+	for _, name := range []string{"README.txt", "planted.json"} {
+		if err := os.WriteFile(filepath.Join(s.Root(), "records", name), []byte(`{"id":"planted","genome":"1"}`), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	ids, err := s.List()
 	if err != nil {
@@ -362,8 +402,10 @@ func TestListingsIgnoreOrphanTempFiles(t *testing.T) {
 	if err := s.PutRecord(record("r0", "low", 90, 2, false)); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.MkdirAll(filepath.Join(s.Root(), "models", "m2"), 0o755); err != nil {
-		t.Fatal(err)
+	for _, dir := range []string{"models/m2", "records"} {
+		if err := os.MkdirAll(filepath.Join(s.Root(), dir), 0o755); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for _, rel := range []string{
 		"models/m1/epoch_003.bin.tmp-1", // same epoch as a committed snapshot

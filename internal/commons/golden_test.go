@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -54,7 +55,9 @@ func goldenRecord() *lineage.Record {
 // checkpoint digests were re-recorded once, when the checkpoint file
 // became a log of frames; that log is retired, and the one frame every
 // checkpoint file holds kept its digest. The record digest was recorded from
-// encoding/json's MarshalIndent, before records got their own encoder.
+// encoding/json's MarshalIndent, when every model's record was a file;
+// records are now the fold of the journal, and the file is what Export
+// writes of the record PutRecord journaled.
 func TestGoldenBytes(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
@@ -89,7 +92,11 @@ func TestGoldenBytes(t *testing.T) {
 		}, envelope},
 		{"PutRecord file", func() []byte {
 			r := goldenRecord()
-			return readBack(s.recordPath(r.ID), s.PutRecord(r))
+			if err := s.PutRecord(r); err != nil {
+				t.Fatal(err)
+			}
+			_, err := s.Export()
+			return readBack(filepath.Join(s.Root(), "records", r.ID+".json"), err)
 		}, "ad80d996f986308a4edb39b3394af58fd9f9bde4f08fd10425e52a469d210a46"},
 		{"PutSnapshot file", func() []byte {
 			return readBack(s.snapshotPath("m", 3), s.PutSnapshot("m", 3, []byte("epoch-3 state\x00\x01")))

@@ -4,8 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io/fs"
 	"math"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -14,6 +14,7 @@ import (
 	"a4nn/internal/commons"
 	"a4nn/internal/genome"
 	"a4nn/internal/nsga"
+	"a4nn/internal/obs"
 	"a4nn/internal/sched"
 )
 
@@ -139,7 +140,7 @@ func (failStepTrainer) NewModel(g *genome.Genome, seed int64) (Trainable, error)
 	return &failingModel{}, nil
 }
 
-type failingModel struct{}
+type failingModel struct{ epochs int }
 
 func (m *failingModel) TrainEpoch() (EpochMetrics, error) {
 	return EpochMetrics{}, fmt.Errorf("loss diverged")
@@ -168,9 +169,9 @@ func TestWorkflowRetryExhaustion(t *testing.T) {
 }
 
 // TestWorkflowResumeAfterKill kills a store-backed search after
-// generation k (simulated by deleting all later records) and asserts
-// that rerunning with Resume replays the k completed generations and
-// finishes with the same Pareto set.
+// generation k (simulated by dropping every later commit from the
+// journal) and asserts that rerunning with Resume replays the k
+// completed generations and finishes with the same Pareto set.
 func TestWorkflowResumeAfterKill(t *testing.T) {
 	store, err := commons.Open(t.TempDir())
 	if err != nil {
@@ -183,21 +184,15 @@ func TestWorkflowResumeAfterKill(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// "Kill" after generation 0: drop every record from generations ≥ 1.
-	all, err := store.All()
-	if err != nil {
-		t.Fatal(err)
-	}
+	// "Kill" after generation 0: drop every commit of generations ≥ 1.
 	kept := 0
-	for _, rec := range all {
-		if rec.Generation >= 1 {
-			if err := os.Remove(filepath.Join(store.Root(), "records", rec.ID+".json")); err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			kept++
+	store = editCommits(t, store, func(e obs.Event, line []byte) []byte {
+		if e.Gen >= 1 {
+			return nil
 		}
-	}
+		kept++
+		return line
+	})
 	if kept == 0 {
 		t.Fatal("no generation-0 records to resume from")
 	}
@@ -238,9 +233,9 @@ func TestWorkflowResumeAfterKill(t *testing.T) {
 	}
 }
 
-// TestWorkflowResumeCorruptRecord: a torn record (from a crash predating
-// atomic writes, or tampering) is treated as missing — the model
-// retrains and the run still completes.
+// TestWorkflowResumeCorruptRecord: a torn commit (a kill mid-append,
+// or tampering) leaves its model uncommitted: it reads as missing, the
+// model retrains and the run still completes.
 func TestWorkflowResumeCorruptRecord(t *testing.T) {
 	store, err := commons.Open(t.TempDir())
 	if err != nil {
@@ -253,12 +248,14 @@ func TestWorkflowResumeCorruptRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	victim := orig.Models[0].Record.ID
-	path := filepath.Join(store.Root(), "records", victim+".json")
-	if err := os.WriteFile(path, []byte(`{"id": "torn`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := store.GetRecord(victim); !errors.Is(err, commons.ErrCorrupt) {
-		t.Fatalf("want ErrCorrupt, got %v", err)
+	store = editCommits(t, store, func(e obs.Event, line []byte) []byte {
+		if e.Model == victim {
+			return line[:len(line)/2]
+		}
+		return line
+	})
+	if _, err := store.GetRecord(victim); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("want fs.ErrNotExist, got %v", err)
 	}
 
 	resumed := testConfig()
@@ -269,9 +266,9 @@ func TestWorkflowResumeCorruptRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.Replayed != len(orig.Models)-1 {
-		t.Fatalf("replayed %d, want %d (corrupt record retrains)", got.Replayed, len(orig.Models)-1)
+		t.Fatalf("replayed %d, want %d (the torn commit retrains)", got.Replayed, len(orig.Models)-1)
 	}
-	// The retrain overwrote the corrupt record with a valid one.
+	// The retrain committed the record again.
 	if _, err := store.GetRecord(victim); err != nil {
 		t.Fatalf("record not repaired: %v", err)
 	}
@@ -337,5 +334,70 @@ func TestWorkflowRecordsCarryAttempt(t *testing.T) {
 	}
 	if retried == 0 {
 		t.Fatal("no record marks a successful retry despite injected faults")
+	}
+}
+
+// nanTrainer's models train one good epoch, then diverge: the second
+// epoch's loss is NaN.
+type nanTrainer struct{}
+
+func (nanTrainer) TrainSamples() int { return 100 }
+func (nanTrainer) NewModel(g *genome.Genome, seed int64) (Trainable, error) {
+	return &nanModel{}, nil
+}
+
+type nanModel struct{ failingModel }
+
+func (m *nanModel) TrainEpoch() (EpochMetrics, error) {
+	m.epochs++
+	if m.epochs == 2 {
+		return EpochMetrics{TrainLoss: math.NaN(), ValAccuracy: 50}, nil
+	}
+	return EpochMetrics{TrainLoss: 1, ValAccuracy: 40}, nil
+}
+
+// TestNonFiniteMetricIsAStepError: a NaN loss fails the same way with no
+// store, with a store, and with a store and the run's journal: as a
+// TrainStepError, retried until attempts run out, and never journaled
+// (JSON has no NaN, and a dropped epoch line would be a lost record).
+func TestNonFiniteMetricIsAStepError(t *testing.T) {
+	for _, setup := range []string{"no store", "store", "store and journal"} {
+		t.Run(strings.ReplaceAll(setup, " ", "_"), func(t *testing.T) {
+			cfg := DefaultConfig(nanTrainer{})
+			cfg.NAS = nsga.Config{PopulationSize: 2, Offspring: 2, Generations: 1, Seed: 3}
+			cfg.Retry = sched.RetryPolicy{MaxAttempts: 2}
+			if setup != "no store" {
+				store, err := commons.Open(t.TempDir())
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.Store = store
+			}
+			if setup == "store and journal" {
+				cfg.Obs = obs.NewObserver()
+			}
+			_, err := Run(cfg)
+			var step *TrainStepError
+			if !errors.As(err, &step) || step.Epoch != 2 || !strings.Contains(err.Error(), "non-finite") {
+				t.Fatalf("want a TrainStepError at epoch 2 naming the non-finite metric, got %v", err)
+			}
+			if cfg.Store == nil {
+				return
+			}
+			events, rerr := obs.ReadEvents(filepath.Join(cfg.Store.Root(), obs.EventsFile))
+			if rerr != nil {
+				t.Fatal(rerr)
+			}
+			for _, e := range events {
+				if e.Type == obs.EventEpoch && e.Epoch != 1 || e.Type == obs.EventModelDone {
+					t.Fatalf("journaled %+v from a diverged model", e)
+				}
+			}
+			if cfg.Obs != nil {
+				if errs := cfg.Obs.Registry().Counter("a4nn_events_file_errors_total").Value(); errs != 0 {
+					t.Fatalf("%d journal lines failed to encode", errs)
+				}
+			}
+		})
 	}
 }

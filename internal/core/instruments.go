@@ -20,11 +20,10 @@ type Instruments struct {
 	savedRate   *obs.Gauge
 	bestFitness *obs.Gauge
 	paretoSize  *obs.Gauge
-	journal     *obs.Journal
 }
 
 // NewInstruments registers the training metrics with the observer's
-// registry and binds its event journal. A nil observer (or one without
+// registry. A nil observer (or one without
 // a registry) returns nil, which disables instrumentation.
 func NewInstruments(o *obs.Observer) *Instruments {
 	reg := o.Registry()
@@ -42,17 +41,7 @@ func NewInstruments(o *obs.Observer) *Instruments {
 		savedRate:   reg.Gauge("a4nn_predictor_epochs_saved_rate"),
 		bestFitness: reg.Gauge("a4nn_search_best_fitness_percent"),
 		paretoSize:  reg.Gauge("a4nn_search_pareto_size"),
-		journal:     o.Journal(),
 	}
-}
-
-// events returns the bound journal (nil-safe: nil instruments emit
-// nothing).
-func (ins *Instruments) events() *obs.Journal {
-	if ins == nil {
-		return nil
-	}
-	return ins.journal
 }
 
 // observeEpoch books one completed training epoch.

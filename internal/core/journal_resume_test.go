@@ -2,8 +2,11 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
@@ -12,10 +15,12 @@ import (
 	"testing"
 	"time"
 
+	"a4nn/internal/chaos"
 	"a4nn/internal/commons"
 	"a4nn/internal/durable"
 	"a4nn/internal/lineage"
 	"a4nn/internal/obs"
+	"a4nn/internal/sched"
 )
 
 // journalConfig is testConfig over store with the store's journal at its
@@ -49,50 +54,43 @@ func runJournaled(t *testing.T, cfg Config) (*Result, []obs.Event) {
 
 // killedStore runs the search into a fresh store, then leaves the store
 // as a kill straight after the journal's first epoch-4 line of a
-// generation-1 model would have: the journal ends at that line, and
-// every record whose model_done came later is gone. It returns the
-// store, the fault-free result and the journal's lines, the last one
-// the cut model's epoch 4.
+// generation-1 model would have: the journal ends at that line, so
+// every record whose model_done came later is gone with it. It returns
+// the store, the fault-free result and the journal's lines, the last
+// one the cut model's epoch 4.
 func killedStore(t *testing.T) (*commons.Store, *Result, [][]byte) {
 	t.Helper()
-	store, err := commons.Open(t.TempDir())
+	dir := t.TempDir()
+	store, err := commons.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	clean, _ := runJournaled(t, journalConfig(t, store))
-	if left, err := os.ReadDir(filepath.Join(store.Root(), "checkpoints")); err != nil && !os.IsNotExist(err) || len(left) != 0 {
+	if left, err := os.ReadDir(filepath.Join(dir, "checkpoints")); err != nil && !os.IsNotExist(err) || len(left) != 0 {
 		t.Fatalf("a run whose models are not Resumable left %d file(s) under checkpoints/ (%v)", len(left), err)
 	}
-	path := filepath.Join(store.Root(), obs.EventsFile)
-	data, err := os.ReadFile(path)
+	if _, err := os.Stat(filepath.Join(dir, "records")); !os.IsNotExist(err) {
+		t.Fatalf("a journaled run created records/ (%v)", err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, obs.EventsFile))
 	if err != nil {
 		t.Fatal(err)
 	}
 	lines := bytes.SplitAfter(data, []byte("\n"))
-	done := map[string]bool{}
 	for n, line := range lines {
 		var e obs.Event
 		if err := json.Unmarshal(line, &e); err != nil {
 			t.Fatalf("journal line %d: %v", n+1, err)
 		}
-		if e.Type == obs.EventModelDone {
-			done[e.Model] = true
-		}
 		if e.Type != obs.EventEpoch || e.Gen != 1 || e.Epoch != 4 {
 			continue
 		}
-		ids, err := store.List()
+		lines = lines[:n+1]
+		// The relaunch opens the store afresh, as a new process does.
+		store, err = commons.Open(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, id := range ids {
-			if !done[id] {
-				if err := os.Remove(filepath.Join(store.Root(), "records", id+".json")); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		lines = lines[:n+1]
 		writeJournal(t, store, lines)
 		return store, clean, lines
 	}
@@ -107,15 +105,57 @@ func writeJournal(t *testing.T, store *commons.Store, lines [][]byte) {
 	}
 }
 
+// editCommits rewrites the model_done line of every model the journal
+// of store commits through edit: the line itself, a shorter one (a torn
+// append), or nil to drop it (a kill before the append). It returns the
+// store opened afresh, as a relaunched process opens it.
+func editCommits(t *testing.T, store *commons.Store, edit func(e obs.Event, line []byte) []byte) *commons.Store {
+	t.Helper()
+	path := filepath.Join(store.Root(), obs.EventsFile)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []byte
+	for _, line := range bytes.SplitAfter(data, []byte("\n")) {
+		var e obs.Event
+		if json.Unmarshal(line, &e) == nil && e.Type == obs.EventModelDone {
+			if line = edit(e, line); len(line) > 0 && line[len(line)-1] != '\n' {
+				line = append(line, '\n') // the next launch terminates a torn line
+			}
+		}
+		out = append(out, line...)
+	}
+	if err := os.WriteFile(path, out, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := commons.Open(store.Root())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reopened
+}
+
 // unfinished folds the journal lines into the models a kill left
 // mid-training and the epoch each one's chain reaches.
 func unfinished(t *testing.T, lines [][]byte) map[string]int {
 	t.Helper()
-	events := journalEvents(lines)
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, obs.EventsFile), bytes.Join(lines, nil), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	store, err := commons.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chains, err := store.Unfinished()
+	if err != nil {
+		t.Fatal(err)
+	}
 	out := map[string]int{}
-	for id, p := range JournalProgress(events) {
-		if !p.Done && len(p.Epochs) > 0 {
-			out[id] = len(p.Epochs)
+	for id, chain := range chains {
+		if len(chain) > 0 {
+			out[id] = len(chain)
 		}
 	}
 	if len(out) == 0 {
@@ -191,6 +231,22 @@ func checkResumed(t *testing.T, store *commons.Store, clean, got *Result, before
 	}
 	if left, err := store.Checkpoints(); err != nil || len(left) != 0 {
 		t.Errorf("checkpoint files %v (%v) after a completed resume", left, err)
+	}
+	// The commons, folded afresh from the journal both launches wrote,
+	// holds every fault-free record.
+	reopened, err := commons.Open(store.Root())
+	if err != nil {
+		t.Fatal(err)
+	}
+	folded, err := reopened.All()
+	if err != nil || len(folded) != len(records) {
+		t.Fatalf("the journal folds into %d records (%v), want %d", len(folded), err, len(records))
+	}
+	for _, rec := range folded {
+		rec.CreatedAt = time.Time{}
+		if want := records[rec.ID]; !reflect.DeepEqual(*rec, want) {
+			t.Errorf("folded record %s differs from the fault-free run's:\ngot:  %+v\nwant: %+v", rec.ID, *rec, want)
+		}
 	}
 }
 
@@ -316,8 +372,74 @@ func TestWorkflowJournalSupersedesOldCheckpoints(t *testing.T) {
 		t.Errorf("quarantined %d, want the %d frame logs", got.Quarantined, logs)
 	}
 	for _, q := range got.Recovery.Quarantined {
-		if q.Kind != "checkpoint" || q.Reason != "magic" {
+		if q.Reason != "magic" {
 			t.Errorf("quarantined %+v, want a checkpoint with reason magic", q)
 		}
+	}
+}
+
+// TestFailedCommitFailsTheRun: a model's epoch and model_done lines are
+// its record, so an append of one that fails (an err rule at the
+// journal's append point, standing in for a full disk) fails its
+// training, and a run, as a record file that did not land did. The
+// store serves the same records live and reopened, and never the failed
+// model's.
+func TestFailedCommitFailsTheRun(t *testing.T) {
+	t.Cleanup(func() { chaos.Install(nil) })
+	inject := func(spec string) {
+		plan, err := chaos.Parse(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chaos.Install(plan)
+	}
+	// Three epochs and no engine: appends 1–3 are the epochs, 4 the commit.
+	for visit := 2; visit <= 4; visit += 2 {
+		store, err := commons.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		j := obs.NewJournal(0)
+		if err := store.Attach(j); err != nil {
+			t.Fatal(err)
+		}
+		orch := &Orchestrator{MaxEpochs: 3, Events: j}
+		inject(fmt.Sprintf("err=%s@%d", chaos.PointJournalAppend, visit))
+		_, err = orch.TrainModel(context.Background(), &scriptedModel{curve: []float64{10, 20, 30}},
+			sched.Device{Throughput: 1e9}, 100, newRecord("m"))
+		chaos.Install(nil)
+		if !chaos.IsInjected(err) {
+			t.Fatalf("append %d failed, TrainModel returned %v", visit, err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := store.GetRecord("m"); !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("append %d failed, yet the model reads as %v", visit, err)
+		}
+	}
+
+	store, err := commons.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig()
+	cfg.Store = store
+	inject("err=" + chaos.PointJournalAppend + "%1")
+	_, err = Run(cfg)
+	chaos.Install(nil)
+	if !chaos.IsInjected(err) {
+		t.Fatalf("every append failed, the run returned %v", err)
+	}
+	live, err := store.All()
+	if err != nil || len(live) != 0 {
+		t.Fatalf("live store: %d records, %v", len(live), err)
+	}
+	reopened, err := commons.Open(store.Root())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back, err := reopened.All(); err != nil || !reflect.DeepEqual(back, live) {
+		t.Fatalf("reopened store serves %d records, live %d: %v", len(back), len(live), err)
 	}
 }

@@ -75,9 +75,13 @@ type Orchestrator struct {
 	// sched.ErrDeadline once the accumulated simulated cost exceeds it,
 	// so the scheduler can re-dispatch the model to another device.
 	DeadlineSeconds float64
-	// Obs, when non-nil, receives per-epoch and per-model metric events;
-	// nil disables instrumentation at the cost of one branch per event.
+	// Obs, when non-nil, receives per-epoch and per-model metrics; nil
+	// disables instrumentation at the cost of one branch per metric.
 	Obs *Instruments
+	// Events, when non-nil, journals the model: an epoch event per epoch
+	// trained and the model_done that commits its record trail (with a
+	// nil record, the outcome alone).
+	Events *obs.Journal
 }
 
 // TrainOutcome summarises one model's training.
@@ -170,12 +174,14 @@ func (o *Orchestrator) TrainModel(ctx context.Context, m Trainable, dev sched.De
 			out.Terminated = true
 			start = o.MaxEpochs + 1 // nothing left to train
 		}
-		o.Obs.events().Emit(obs.Event{
+		if err := o.Events.Emit(obs.Event{
 			Type:  obs.EventModelResume,
 			Gen:   evGen,
 			Model: evModel,
 			Epoch: cp.Epoch,
-		})
+		}); err != nil {
+			return out, fmt.Errorf("core: journal %s resume: %w", recID(rec), err)
+		}
 	}
 	for e := start; e <= o.MaxEpochs; e++ {
 		if err := ctx.Err(); err != nil {
@@ -187,6 +193,12 @@ func (o *Orchestrator) TrainModel(ctx context.Context, m Trainable, dev sched.De
 		_, espan := obs.StartSpan(ctx, obs.SpanEpoch)
 		espan.SetInt("epoch", e)
 		metrics, err := m.TrainEpoch()
+		if err == nil && !lineage.Finite(metrics.TrainLoss, metrics.TrainAccuracy, metrics.ValAccuracy) {
+			// A diverged step: retried like any failed step, and never
+			// journaled, since JSON holds no NaN.
+			err = fmt.Errorf("non-finite metrics: loss %v, train accuracy %v, validation accuracy %v",
+				metrics.TrainLoss, metrics.TrainAccuracy, metrics.ValAccuracy)
+		}
 		if err != nil {
 			espan.SetAttr("error", err.Error())
 			espan.End()
@@ -229,15 +241,11 @@ func (o *Orchestrator) TrainModel(ctx context.Context, m Trainable, dev sched.De
 		}
 		espan.End()
 		o.Obs.observeEpoch(epochCost, metrics.ValAccuracy)
-		o.Obs.events().Emit(obs.Event{
-			Type:       obs.EventEpoch,
-			Gen:        evGen,
-			Model:      evModel,
-			Epoch:      e,
-			ValAcc:     metrics.ValAccuracy,
-			Loss:       metrics.TrainLoss,
-			SimSeconds: epochCost,
-		})
+		// The epoch and model_done events are the record trail: an
+		// append that fails loses the commit, and fails the task.
+		if err := o.Events.Emit(obs.EpochEvent(evModel, evGen, &entry)); err != nil {
+			return out, fmt.Errorf("core: journal %s@%d: %w", recID(rec), e, err)
+		}
 		if rec != nil {
 			rec.Epochs = append(rec.Epochs, entry)
 		}
@@ -293,7 +301,7 @@ func (o *Orchestrator) TrainModel(ctx context.Context, m Trainable, dev sched.De
 		// The event of record for the paper's headline mechanism: the
 		// engine's converged prediction next to the accuracy actually
 		// observed at the termination epoch.
-		o.Obs.events().Emit(obs.Event{
+		o.Events.Emit(obs.Event{
 			Type:        obs.EventPredictTerminate,
 			Gen:         evGen,
 			Model:       evModel,
@@ -305,15 +313,7 @@ func (o *Orchestrator) TrainModel(ctx context.Context, m Trainable, dev sched.De
 	} else {
 		out.FinalFitness = lastVal
 	}
-	if rec != nil {
-		rec.Terminated = out.Terminated
-		if out.Terminated {
-			rec.TerminationEpoch = len(rec.Epochs)
-		}
-		rec.FinalFitness = out.FinalFitness
-	}
-	o.Obs.observeModel(out, o.MaxEpochs)
-	o.Obs.events().Emit(obs.Event{
+	done := obs.Event{
 		Type:       obs.EventModelDone,
 		Gen:        evGen,
 		Model:      evModel,
@@ -321,6 +321,22 @@ func (o *Orchestrator) TrainModel(ctx context.Context, m Trainable, dev sched.De
 		Epochs:     out.EpochsTrained,
 		Terminated: out.Terminated,
 		SimSeconds: out.SimSeconds,
-	})
+	}
+	if rec != nil {
+		rec.Terminated = out.Terminated
+		if out.Terminated {
+			rec.TerminationEpoch = len(rec.Epochs)
+		}
+		rec.FinalFitness = out.FinalFitness
+		if o.Events != nil {
+			head := *rec
+			head.Epochs = nil
+			done.Record = &head
+		}
+	}
+	o.Obs.observeModel(out, o.MaxEpochs)
+	if err := o.Events.Emit(done); err != nil {
+		return out, fmt.Errorf("core: commit %s: %w", recID(rec), err)
+	}
 	return out, nil
 }

@@ -16,7 +16,6 @@ import (
 
 	"a4nn/internal/commons"
 	"a4nn/internal/lineage"
-	"a4nn/internal/obs"
 	"a4nn/internal/predict"
 	"a4nn/internal/sched"
 )
@@ -55,15 +54,16 @@ func ResumeModel(m Trainable, cp *commons.Checkpoint) error {
 }
 
 // replayJournal advances a freshly built model through chain, its
-// journaled epoch events 1..k, under an orchestrator with no instruments
-// and an engine of cfg (nil: none) with no metrics, so nothing the
-// journal holds is emitted or counted again. It returns the checkpoint
-// the epochs amount to, timings re-measured. A replayed val_acc or loss
-// other than the journaled bits, or a convergence before epoch k, is an
-// error: the journal does not describe this model. The replay records
-// no spans either, so it runs under its own context: a cancellation is
-// seen at the first epoch trained after it.
-func replayJournal(m Trainable, cfg *predict.Config, dev sched.Device, samples int, chain []obs.Event) (*commons.Checkpoint, error) {
+// journaled epochs 1..k, under an orchestrator with no instruments, no
+// journal and an engine of cfg (nil: none) with no metrics, so nothing
+// the journal holds is emitted or counted again. It returns the
+// checkpoint the epochs amount to: the journaled entries themselves,
+// timings re-measured. A replayed validation accuracy or loss other than
+// the journaled bits, or a convergence before epoch k, is an error: the
+// journal does not describe this model. The replay records no spans
+// either, so it runs under its own context: a cancellation is seen at
+// the first epoch trained after it.
+func replayJournal(m Trainable, cfg *predict.Config, dev sched.Device, samples int, id string, chain []lineage.EpochEntry) (*commons.Checkpoint, error) {
 	orch := &Orchestrator{MaxEpochs: len(chain)}
 	if cfg != nil {
 		orch.Engine, _ = predict.NewEngine(*cfg)
@@ -73,15 +73,14 @@ func replayJournal(m Trainable, cfg *predict.Config, dev sched.Device, samples i
 	if err != nil {
 		return nil, err
 	}
-	cp := &commons.Checkpoint{Epoch: len(chain), Terminated: out.Terminated, Epochs: rec.Epochs,
+	cp := &commons.Checkpoint{Epoch: len(chain), Terminated: out.Terminated, Epochs: chain,
 		EngineSeconds: out.EngineSeconds, Interactions: out.Interactions,
 		InteractionSeconds: out.InteractionSeconds, SavedAt: time.Now()}
 	for i, e := range chain {
-		if i == len(rec.Epochs) || math.Float64bits(rec.Epochs[i].ValAccuracy) != math.Float64bits(e.ValAcc) ||
-			math.Float64bits(rec.Epochs[i].TrainLoss) != math.Float64bits(e.Loss) {
-			return nil, fmt.Errorf("core: epoch %d of %s replays other than its journal", e.Epoch, e.Model)
+		if i == len(rec.Epochs) || math.Float64bits(rec.Epochs[i].ValAccuracy) != math.Float64bits(e.ValAccuracy) ||
+			math.Float64bits(rec.Epochs[i].TrainLoss) != math.Float64bits(e.TrainLoss) {
+			return nil, fmt.Errorf("core: epoch %d of %s replays other than its journal", e.Epoch, id)
 		}
-		rec.Epochs[i].SimSeconds = e.SimSeconds
 		cp.SimSeconds += e.SimSeconds
 	}
 	return cp, nil

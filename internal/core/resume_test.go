@@ -184,13 +184,13 @@ func TestResumeModelNativeRestore(t *testing.T) {
 func TestReplayJournalVerifiesBits(t *testing.T) {
 	curve := expCurve(90, 0.5, 1, 25)
 	dev := sched.Device{Throughput: 1e9}
-	var chain []obs.Event
+	var chain []lineage.EpochEntry
 	for e := 1; e <= 5; e++ {
-		chain = append(chain, obs.Event{Type: obs.EventEpoch, Model: "m", Epoch: e,
-			ValAcc: curve[e-1], Loss: 1 / float64(e), SimSeconds: 0.25})
+		chain = append(chain, lineage.EpochEntry{Epoch: e, ValAccuracy: curve[e-1], TrainLoss: 1 / float64(e),
+			TrainAccuracy: curve[e-1], SimSeconds: 0.25})
 	}
 	m := &scriptedModel{curve: curve}
-	cp, err := replayJournal(m, nil, dev, 100, chain)
+	cp, err := replayJournal(m, nil, dev, 100, "m", chain)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,35 +205,35 @@ func TestReplayJournalVerifiesBits(t *testing.T) {
 
 	// One ulp off in one journaled field is another model.
 	for _, field := range []string{"val_acc", "loss"} {
-		lying := append([]obs.Event(nil), chain...)
+		lying := append([]lineage.EpochEntry(nil), chain...)
 		if field == "val_acc" {
-			lying[2].ValAcc = math.Nextafter(lying[2].ValAcc, 100)
+			lying[2].ValAccuracy = math.Nextafter(lying[2].ValAccuracy, 100)
 		} else {
-			lying[2].Loss = math.Nextafter(lying[2].Loss, 100)
+			lying[2].TrainLoss = math.Nextafter(lying[2].TrainLoss, 100)
 		}
-		if _, err := replayJournal(&scriptedModel{curve: curve}, nil, dev, 100, lying); err == nil {
+		if _, err := replayJournal(&scriptedModel{curve: curve}, nil, dev, 100, "m", lying); err == nil {
 			t.Errorf("a journal with another %s at epoch 3 replayed", field)
 		}
 	}
 
 	// A flat curve converges early: a longer journal is not this model's.
 	flat := make([]float64, 25)
-	var long []obs.Event
+	var long []lineage.EpochEntry
 	for e := 1; e <= 25; e++ {
 		flat[e-1] = 80
-		long = append(long, obs.Event{Type: obs.EventEpoch, Model: "m", Epoch: e, ValAcc: 80, Loss: 1 / float64(e)})
+		long = append(long, lineage.EpochEntry{Epoch: e, ValAccuracy: 80, TrainLoss: 1 / float64(e)})
 	}
 	engineCfg := predict.DefaultConfig()
-	if _, err := replayJournal(&scriptedModel{curve: flat}, &engineCfg, dev, 100, long); err == nil {
+	if _, err := replayJournal(&scriptedModel{curve: flat}, &engineCfg, dev, 100, "m", long); err == nil {
 		t.Error("a journal past the replay's convergence epoch replayed")
 	}
 }
 
 // TestWorkflowCheckpointResumeMidGeneration is the tentpole scenario: a
-// store-backed run dies mid-generation (injected I/O error at the record
-// commit), and a -resume relaunch continues from the per-model
-// checkpoint instead of retraining, converging to the same result as an
-// undisturbed run.
+// store-backed run dies mid-generation (an injected I/O error just after
+// a checkpoint file lands), and a -resume relaunch continues from the
+// per-model checkpoint instead of retraining, converging to the same
+// result as an undisturbed run.
 func TestWorkflowCheckpointResumeMidGeneration(t *testing.T) {
 	t.Cleanup(func() { chaos.Install(nil) })
 
@@ -249,7 +249,7 @@ func TestWorkflowCheckpointResumeMidGeneration(t *testing.T) {
 	crashCfg := resumableConfig()
 	crashCfg.Store = store
 	crashCfg.Checkpoints = true
-	plan, err := chaos.Parse("err=" + chaos.PointRecordPreRename + "@3")
+	plan, err := chaos.Parse("err=" + chaos.PointCheckpointPostWrite + "@3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestWorkflowCheckpointResumeMidGeneration(t *testing.T) {
 	_, err = Run(crashCfg)
 	chaos.Install(nil)
 	if err == nil {
-		t.Fatal("injected record-commit error must fail the run")
+		t.Fatal("injected checkpoint error must fail the run")
 	}
 	if !chaos.IsInjected(err) {
 		t.Fatalf("failure should carry the injected error: %v", err)
@@ -327,7 +327,7 @@ func TestWorkflowCorruptCheckpointQuarantined(t *testing.T) {
 	crashCfg := resumableConfig()
 	crashCfg.Store = store
 	crashCfg.Checkpoints = true
-	plan, err := chaos.Parse("err=" + chaos.PointRecordPreRename + "@2")
+	plan, err := chaos.Parse("err=" + chaos.PointCheckpointPostWrite + "@2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +380,8 @@ func TestRecoverStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Two valid records; one torn record.
+	// Two committed records, and a model in flight: its epochs are
+	// journaled, its commit is not.
 	for _, id := range []string{"a", "b"} {
 		rec := newRecord(id)
 		rec.Epochs = []lineage.EpochEntry{{Epoch: 1, ValAccuracy: 90}}
@@ -388,7 +389,14 @@ func TestRecoverStore(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := os.WriteFile(filepath.Join(dir, "records", "torn.json"), []byte(`{"id":"to`), 0o644); err != nil {
+	j := obs.NewJournal(0)
+	if err := store.Attach(j); err != nil {
+		t.Fatal(err)
+	}
+	for e := 1; e <= 2; e++ {
+		j.Emit(obs.Event{Type: obs.EventEpoch, Model: "live", Epoch: e, ValAcc: 50})
+	}
+	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
 	// One live checkpoint (no record), one stale (record committed), one
@@ -408,29 +416,19 @@ func TestRecoverStore(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "checkpoints", "short.ckpt"), []byte("A4"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// The journal saw a model finish whose record never made it to disk.
-	j := obs.NewJournal(16)
-	if err := j.OpenFile(filepath.Join(dir, obs.EventsFile)); err != nil {
-		t.Fatal(err)
-	}
-	j.Emit(obs.Event{Type: obs.EventModelDone, Model: "a"})
-	j.Emit(obs.Event{Type: obs.EventModelDone, Model: "ghost"})
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
 
 	rep, err := RecoverStore(store, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Records != 2 || rep.Checkpoints != 1 || rep.StaleCheckpoints != 1 {
+	if rep.Checkpoints != 1 || rep.StaleCheckpoints != 1 {
 		t.Fatalf("report %+v", rep)
 	}
-	if len(rep.Quarantined) != 2 {
+	if len(rep.Quarantined) != 1 || rep.Quarantined[0].ID != "short" || rep.Quarantined[0].Reason != "magic" {
 		t.Fatalf("quarantined %v", rep.Quarantined)
 	}
-	if len(rep.LostRecords) != 1 || rep.LostRecords[0] != "ghost" {
-		t.Fatalf("lost records %v", rep.LostRecords)
+	if chain := rep.unfinished["live"]; len(rep.unfinished) != 1 || len(chain) != 2 || chain[1].ValAccuracy != 50 {
+		t.Fatalf("in flight %v", rep.unfinished)
 	}
 	if rep.Clean() {
 		t.Fatal("a repaired store must not report clean")
@@ -444,20 +442,12 @@ func TestRecoverStore(t *testing.T) {
 		t.Fatalf("checkpoints after recovery: %v", ckpts)
 	}
 	// Idempotent: a second pass quarantines and deletes nothing more.
-	// (The lost record stays lost until a run retrains it, so it is
-	// still reported.)
 	rep2, err := RecoverStore(store, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep2.Quarantined) != 0 || rep2.StaleCheckpoints != 0 {
-		t.Fatalf("second recovery pass repaired again: %+v", rep2)
-	}
-	if rep2.Records != 2 || rep2.Checkpoints != 1 {
+	if !rep2.Clean() || rep2.Checkpoints != 1 || len(rep2.unfinished) != 1 {
 		t.Fatalf("second pass report %+v", rep2)
-	}
-	if len(rep2.LostRecords) != 1 {
-		t.Fatalf("lost record should still be reported: %+v", rep2)
 	}
 }
 
@@ -473,7 +463,7 @@ func TestRecoverStoreRemovesOrphanTemps(t *testing.T) {
 	if err := store.PutSnapshot("m", 1, []byte("s")); err != nil {
 		t.Fatal(err)
 	}
-	orphans := []string{"records/a.json.tmp-1", "checkpoints/a.ckpt.tmp-2", "models/m/epoch_002.bin.tmp-3", "job.json.tmp-4"}
+	orphans := []string{"checkpoints/a.ckpt.tmp-2", "models/m/epoch_002.bin.tmp-3", "job.json.tmp-4"}
 	for _, rel := range orphans {
 		if err := os.WriteFile(filepath.Join(dir, rel), []byte("half"), 0o644); err != nil {
 			t.Fatal(err)
@@ -509,8 +499,9 @@ func TestCheckpointsRequireStore(t *testing.T) {
 	}
 }
 
-// crashMidGeneration fails a checkpointed run at its third record
-// commit and returns the store with the checkpoints it left behind.
+// crashMidGeneration fails a checkpointed run just after its third
+// checkpoint write and returns the store with the checkpoints it left
+// behind.
 func crashMidGeneration(t *testing.T) (*commons.Store, []string) {
 	t.Helper()
 	t.Cleanup(func() { chaos.Install(nil) })
@@ -521,7 +512,7 @@ func crashMidGeneration(t *testing.T) (*commons.Store, []string) {
 	cfg := resumableConfig()
 	cfg.Store = store
 	cfg.Checkpoints = true
-	plan, err := chaos.Parse("err=" + chaos.PointRecordPreRename + "@3")
+	plan, err := chaos.Parse("err=" + chaos.PointCheckpointPostWrite + "@3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -673,7 +664,7 @@ func TestWorkflowLegacyCheckpointQuarantined(t *testing.T) {
 		t.Fatalf("quarantined %d, want the %d legacy checkpoint(s)", got.Quarantined, len(ckpts))
 	}
 	for _, q := range got.Recovery.Quarantined {
-		if q.Kind != "checkpoint" || q.Reason != "magic" {
+		if q.Reason != "magic" {
 			t.Fatalf("quarantined %+v, want a checkpoint with reason magic", q)
 		}
 	}

@@ -30,10 +30,14 @@ type runner[G Arch] struct {
 	pool         *sched.Pool
 	engine       *predict.Engine
 	engineParams *lineage.EngineParams
-	// journaled is the fold of the resumed run's journal.
-	journaled   map[string]ModelProgress
+	// unfinished is each model the resumed run's journal holds in
+	// flight, with its journaled epochs.
+	unfinished  map[string][]lineage.EpochEntry
 	instruments *Instruments
-	journal     *obs.Journal
+	// journal is where the run's events and record trails go: the
+	// observer's journal, attached to Store's events file when there is
+	// a Store, or the run's own journal there when there is no observer.
+	journal *obs.Journal
 
 	mu              sync.Mutex
 	res             *Result
@@ -49,8 +53,9 @@ func macroOf(g any) *genome.Genome {
 	return m
 }
 
-// newRunner assembles the runner of a validated configuration.
-func newRunner[G Arch](cfg ConfigOf[G]) (*runner[G], error) {
+// newRunner assembles the runner of a validated configuration that
+// journals into journal.
+func newRunner[G Arch](cfg ConfigOf[G], journal *obs.Journal) (*runner[G], error) {
 	pool, err := sched.NewPool(cfg.Devices, sched.DefaultThroughput)
 	if err != nil {
 		return nil, err
@@ -71,7 +76,7 @@ func newRunner[G Arch](cfg ConfigOf[G]) (*runner[G], error) {
 		pool:        pool,
 		res:         &Result{},
 		instruments: NewInstruments(cfg.Obs),
-		journal:     cfg.Obs.Journal(),
+		journal:     journal,
 	}
 	if cfg.Resume {
 		r.replayFrom = cfg.Store
@@ -145,11 +150,6 @@ func (r *runner[G]) evaluateGeneration(ctx context.Context, gen int, cands []G) 
 					}
 					return rec.SimSeconds(), nil
 				}
-				if err != nil && errors.Is(err, commons.ErrCorrupt) && r.cfg.Resume {
-					// A torn record can't be replayed; move it aside so the
-					// retrained model's record can commit in its place.
-					r.quarantine(r.replayFrom.QuarantineRecord, recID, "record", err)
-				}
 			}
 			// The virtual device participates in the seed: training the
 			// same genome on a different accelerator is a different
@@ -173,7 +173,7 @@ func (r *runner[G]) evaluateGeneration(ctx context.Context, gen int, cands []G) 
 					resumeCp = cp
 					seed = cp.Seed
 				case errors.Is(err, commons.ErrCorrupt):
-					r.quarantine(r.cfg.Store.QuarantineCheckpoint, recID, "checkpoint", err)
+					r.quarantine(recID, err)
 				}
 			}
 			model, err := r.cfg.Trainer.NewModel(g, seed)
@@ -195,14 +195,14 @@ func (r *runner[G]) evaluateGeneration(ctx context.Context, gen int, cands []G) 
 				// recovery removes it then.
 				r.cfg.Store.DeleteCheckpoint(recID)
 				resumeCp = nil
-				if chain := r.journaled[recID].Epochs; len(chain) > 0 && len(chain) <= r.cfg.MaxEpochs {
-					resumeCp, err = replayJournal(model, r.cfg.Engine, dev, r.cfg.Trainer.TrainSamples(), chain)
+				if chain := r.unfinished[recID]; len(chain) > 0 && len(chain) <= r.cfg.MaxEpochs {
+					resumeCp, err = replayJournal(model, r.cfg.Engine, dev, r.cfg.Trainer.TrainSamples(), recID, chain)
 				}
 			case resumeCp != nil:
 				if err = ResumeModel(model, resumeCp); err != nil {
 					// The checkpointed state can't be trusted (a digest
 					// mismatch or restore failure).
-					r.quarantine(r.cfg.Store.QuarantineCheckpoint, recID, "checkpoint", err)
+					r.quarantine(recID, err)
 				}
 			}
 			if err != nil || resumeCp == nil && seed != freshSeed {
@@ -238,6 +238,7 @@ func (r *runner[G]) evaluateGeneration(ctx context.Context, gen int, cands []G) 
 				SlowFactor:      tc.SlowFactor,
 				DeadlineSeconds: tc.DeadlineSeconds,
 				Obs:             r.instruments,
+				Events:          r.journal,
 				Seed:            seed,
 				ResumeFrom:      resumeCp,
 			}
@@ -258,20 +259,11 @@ func (r *runner[G]) evaluateGeneration(ctx context.Context, gen int, cands []G) 
 				}
 				return cost, classifyTaskError(err)
 			}
-			if r.cfg.Store != nil {
-				if err := r.cfg.Store.PutRecord(rec); err != nil {
-					return outcome.SimSeconds, err
-				}
-				if err := chaos.Point(chaos.PointModelPostRecord); err != nil {
-					// The record is committed; a relaunch replays it, so the
-					// stale checkpoint below is cleaned up by recovery.
-					return outcome.SimSeconds, err
-				}
-				if orch.Checkpoint != nil {
-					// Best effort: a leftover checkpoint for a committed
-					// record is detected as stale and removed by recovery.
-					r.cfg.Store.DeleteCheckpoint(recID)
-				}
+			if orch.Checkpoint != nil {
+				// The model_done event committed the record. Best effort: a
+				// leftover checkpoint of a committed record is stale, and
+				// recovery removes it.
+				r.cfg.Store.DeleteCheckpoint(recID)
 			}
 			mr := r.modelResult(g, rec, outcome.FinalFitness)
 			r.mu.Lock()
@@ -365,11 +357,10 @@ func (r *runner[G]) paretoFrontLocked() []obs.ParetoPoint {
 	return front
 }
 
-// quarantine moves a corrupt file aside via the store's quarantine
-// method, counting it and surfacing the action as a recovery journal
-// event.
-func (r *runner[G]) quarantine(move func(id, reason string) (string, error), id, kind string, cause error) {
-	if _, ok := quarantine(r.journal, move, id, kind, cause); ok {
+// quarantine moves a corrupt checkpoint aside, counting it and
+// surfacing the action as a recovery journal event.
+func (r *runner[G]) quarantine(id string, cause error) {
+	if _, ok := quarantine(r.journal, r.cfg.Store, id, cause); ok {
 		r.mu.Lock()
 		r.res.Quarantined++
 		r.mu.Unlock()
@@ -383,7 +374,7 @@ func (r *runner[G]) attachRecovery(rep *RecoveryReport) {
 	}
 	r.mu.Lock()
 	r.res.Recovery = rep
-	r.journaled = rep.journal
+	r.unfinished = rep.unfinished
 	r.res.Quarantined += len(rep.Quarantined)
 	r.mu.Unlock()
 }

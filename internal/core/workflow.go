@@ -32,8 +32,10 @@ type ConfigOf[G Arch] struct {
 	Trainer TrainerOf[G]
 	// Beam labels the dataset variant in lineage records.
 	Beam string
-	// Store, when non-nil, receives every record trail; SnapshotEpochs
-	// additionally stores per-epoch model states.
+	// Store, when non-nil, keeps every record trail: the run journals
+	// into <Store>/events.jsonl (through Obs's journal, or one of its own
+	// without Obs), whose model_done lines commit the records.
+	// SnapshotEpochs additionally stores per-epoch model states.
 	Store          *commons.Store
 	SnapshotEpochs bool
 	// Checkpoints keeps each model's mid-training progress after every
@@ -248,20 +250,37 @@ func Run[G Arch](cfg ConfigOf[G]) (*Result, error) {
 
 // RunCtx is Run with cancellation: when ctx is canceled, in-flight
 // training stops between epochs and the run returns the context error.
-func RunCtx[G Arch](ctx context.Context, cfg ConfigOf[G]) (*Result, error) {
+func RunCtx[G Arch](ctx context.Context, cfg ConfigOf[G]) (res *Result, err error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	// A run with a store journals into the store's events file, whose
+	// model_done events are the store's record trails; with no observer
+	// it uses a journal of its own for the length of the run.
+	journal := cfg.Obs.Journal()
+	if cfg.Store != nil {
+		if journal == nil {
+			journal = obs.NewJournal(0)
+			defer func() {
+				if cerr := journal.Close(); err == nil && cerr != nil {
+					res, err = nil, fmt.Errorf("core: close the run's journal: %w", cerr)
+				}
+			}()
+		}
+		if err := cfg.Store.Attach(journal); err != nil {
+			return nil, err
+		}
+	}
 	var recovery *RecoveryReport
 	if cfg.Resume {
-		rep, err := RecoverStore(cfg.Store, cfg.Obs.Journal())
+		rep, err := RecoverStore(cfg.Store, journal)
 		if err != nil {
 			return nil, err
 		}
 		recovery = rep
 	}
 	ctx = obs.WithTracer(ctx, cfg.Obs.Tracer())
-	r, err := newRunner(cfg)
+	r, err := newRunner(cfg, journal)
 	if err != nil {
 		return nil, err
 	}
@@ -275,7 +294,7 @@ func RunCtx[G Arch](ctx context.Context, cfg ConfigOf[G]) (*Result, error) {
 		r.journal.Emit(obs.Event{Type: obs.EventRunEnd, Err: err.Error()})
 		return nil, err
 	}
-	res := r.finish()
+	res = r.finish()
 	r.emitRunEnd(res)
 	return res, nil
 }

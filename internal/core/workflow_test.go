@@ -1,17 +1,18 @@
 package core
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 
 	"a4nn/internal/commons"
 	"a4nn/internal/dataset"
 	"a4nn/internal/genome"
+	"a4nn/internal/lineage"
 	"a4nn/internal/nsga"
+	"a4nn/internal/obs"
 	"a4nn/internal/predict"
 	"a4nn/internal/xfel"
 )
@@ -384,11 +385,14 @@ func TestWorkflowReplayPartialMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Delete one record: that model must retrain, the rest replay.
+	// Drop one commit: that model must retrain, the rest replay.
 	victim := orig.Models[3].Record.ID
-	if err := os.Remove(filepath.Join(store.Root(), "records", victim+".json")); err != nil {
-		t.Fatal(err)
-	}
+	store = editCommits(t, store, func(e obs.Event, line []byte) []byte {
+		if e.Model == victim {
+			return nil
+		}
+		return line
+	})
 	replay := testConfig()
 	replay.ReplayFrom = store
 	got, err := Run(replay)
@@ -398,4 +402,68 @@ func TestWorkflowReplayPartialMiss(t *testing.T) {
 	if got.Replayed != len(orig.Models)-1 {
 		t.Fatalf("replayed %d, want %d", got.Replayed, len(orig.Models)-1)
 	}
+}
+
+// TestStoreFoldsLiveRun: a store read over and over while its run
+// journals into it ends up serving every record the run produced, byte
+// for byte as its exported file, and no other; a fresh store over the
+// same directory serves the same.
+func TestStoreFoldsLiveRun(t *testing.T) {
+	dir := t.TempDir()
+	store, err := commons.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig()
+	cfg.Store = store
+	cfg.Obs = obs.NewObserver()
+	stop, done := make(chan struct{}), make(chan int)
+	go func() {
+		reads := 0
+		for {
+			select {
+			case <-stop:
+				done <- reads
+				return
+			default:
+			}
+			if _, err := store.All(); err != nil {
+				t.Error(err)
+			}
+			reads++
+		}
+	}()
+	res, err := Run(cfg)
+	close(stop)
+	if reads := <-done; err != nil || reads == 0 {
+		t.Fatalf("run: %v after %d concurrent reads", err, reads)
+	}
+	want := map[string]string{}
+	for _, m := range res.Models {
+		want[m.Record.ID] = indented(t, m.Record)
+	}
+	reopened, err := commons.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []*commons.Store{store, reopened} {
+		recs, err := s.All()
+		if err != nil || len(recs) != len(want) {
+			t.Fatalf("store serves %d records (%v), the run made %d", len(recs), err, len(want))
+		}
+		for _, r := range recs {
+			if got := indented(t, r); got != want[r.ID] {
+				t.Fatalf("record %s:\n%s\nthe run's:\n%s", r.ID, got, want[r.ID])
+			}
+		}
+	}
+}
+
+func indented(t *testing.T, r *lineage.Record) string {
+	t.Helper()
+	data, err := json.MarshalIndent(r, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
 }

@@ -32,9 +32,10 @@ var sweep sync.RWMutex
 // AtomicWrite replaces path with data: a temp file in path's directory
 // is written, chmodded to perm, fsynced when fsync is set, closed and
 // renamed over path, so a kill at any instant leaves the previous file
-// or the new one. Without fsync a power loss can still lose the new
-// contents, which the writers of ~2 000 files per search accept and
-// job.json does not.
+// or the new one. With fsync the directory is fsynced after the rename
+// too, so the new file survives a power loss: job.json asks for that.
+// Without it a power loss can still lose the new contents, which the
+// writers of a checkpoint per epoch accept.
 //
 // pre and post name the chaos points straddling the rename — the two
 // instants whose crash semantics differ (old file still visible vs new
@@ -68,7 +69,29 @@ func AtomicWrite(path string, data []byte, perm os.FileMode, fsync bool, pre, po
 		os.Remove(tmp.Name())
 		return err
 	}
+	if fsync {
+		if err := syncDir(dir); err != nil {
+			return err
+		}
+	}
 	return chaos.Point(post)
+}
+
+// syncDir fsyncs a directory, making the entries renamed into it
+// durable.
+func syncDir(dir string) error {
+	if dir == "" {
+		dir = "."
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // RemoveTemps deletes the temp files that killed AtomicWrite calls left

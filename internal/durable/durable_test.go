@@ -30,7 +30,7 @@ func listDir(t *testing.T, dir string) []string {
 // contract: the target holds its old or its new contents, never a mix,
 // and no temp file is left behind.
 func TestAtomicWriteInterrupted(t *testing.T) {
-	const pre, post = chaos.PointRecordPreRename, chaos.PointRecordPostRename
+	const pre, post = chaos.PointManifestPreRename, chaos.PointManifestPostRename
 	cases := []struct {
 		name string
 		// base is the target's name inside the test directory.
@@ -284,4 +284,19 @@ func FuzzNextSection(f *testing.F) {
 			t.Fatalf("section %q does not re-frame to its own bytes", name)
 		}
 	})
+}
+
+// TestSyncDir: the directory fsync that makes an fsynced AtomicWrite's
+// rename durable opens the target's directory, the working directory
+// for a bare name, and reports a directory it cannot open.
+func TestSyncDir(t *testing.T) {
+	if err := syncDir(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	if err := syncDir(""); err != nil {
+		t.Fatal(err)
+	}
+	if err := syncDir(filepath.Join(t.TempDir(), "missing")); err == nil {
+		t.Fatal("a missing directory synced")
+	}
 }

@@ -11,10 +11,10 @@ import (
 )
 
 // JSON appends one JSON value, member by member, in exactly the bytes
-// encoding/json writes for the Go value it mirrors: json.Marshal's, or
-// with Indent set json.MarshalIndent(v, "", "  ")'s. The per-epoch and
-// per-model writers (the journal line, the checkpoint frame, the record)
-// encode with it into buffers they own; readers keep json.Unmarshal.
+// json.Marshal writes for the Go value it mirrors. The per-epoch and
+// per-model writers (the journal line, the checkpoint frame, the
+// surrogate's state) encode with it into buffers they own; readers keep
+// json.Unmarshal.
 //
 // Each method writes one member of the innermost open object, in the
 // order called, which must be the struct's field order; Object opens the
@@ -24,9 +24,8 @@ import (
 // NaN or infinite float, a time that RFC 3339 cannot hold) sets Err, and
 // the caller discards B.
 type JSON struct {
-	B      []byte
-	Indent bool
-	Err    error
+	B   []byte
+	Err error
 
 	depth int
 	// empty is set while the innermost open container has no member.
@@ -188,13 +187,9 @@ func (w *JSON) open(c byte) {
 	w.empty = true
 }
 
-// close ends the innermost container. A non-empty one ends on its own
-// line under Indent; either way its parent now has a member.
+// close ends the innermost container; its parent now has a member.
 func (w *JSON) close(c byte) {
 	w.depth--
-	if !w.empty {
-		w.newline()
-	}
 	w.B = append(w.B, c)
 	w.empty = false
 }
@@ -208,7 +203,6 @@ func (w *JSON) elem() {
 		w.B = append(w.B, ',')
 	}
 	w.empty = false
-	w.newline()
 }
 
 // key starts member k of the open object.
@@ -217,21 +211,6 @@ func (w *JSON) key(k string) {
 	w.B = append(w.B, '"')
 	w.B = append(w.B, k...)
 	w.B = append(w.B, '"', ':')
-	if w.Indent {
-		w.B = append(w.B, ' ')
-	}
-}
-
-// newline breaks the line and indents it to the current depth under
-// Indent.
-func (w *JSON) newline() {
-	if !w.Indent {
-		return
-	}
-	w.B = append(w.B, '\n')
-	for range w.depth {
-		w.B = append(w.B, ' ', ' ')
-	}
 }
 
 // float appends v as encoding/json does: the shortest decimal that

@@ -394,8 +394,11 @@ func (m *Manager) submit(jc Config, resume bool) (Status, error) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	job.cancel = cancel
+	// The status at submission: once the search starts, its first fleet
+	// grant may move the job on before this returns.
+	st := job.Status()
 	go m.run(ctx, job, resume)
-	return job.Status(), nil
+	return st, nil
 }
 
 // forget removes a job that failed to launch. m.wg was Added for it.

@@ -7,8 +7,9 @@
 package lineage
 
 import (
-	"encoding/json"
 	"fmt"
+	"math"
+	"slices"
 	"time"
 
 	"a4nn/internal/durable"
@@ -97,11 +98,38 @@ func (r *Record) Validate() error {
 		if e.Epoch != i+1 {
 			return fmt.Errorf("lineage: record %s epoch %d labelled %d", r.ID, i+1, e.Epoch)
 		}
+		if !Finite(e.TrainLoss, e.TrainAccuracy, e.ValAccuracy, e.Prediction, e.SimSeconds) {
+			return fmt.Errorf("lineage: record %s epoch %d has a non-finite metric", r.ID, i+1)
+		}
+	}
+	if !Finite(r.FinalFitness, r.SlowFactor) {
+		return fmt.Errorf("lineage: record %s has a non-finite fitness or slow factor", r.ID)
 	}
 	if r.Terminated && r.TerminationEpoch != len(r.Epochs) {
 		return fmt.Errorf("lineage: record %s terminated at %d but has %d epochs", r.ID, r.TerminationEpoch, len(r.Epochs))
 	}
 	return nil
+}
+
+// Finite reports whether every value is neither NaN nor infinite: a
+// value a record trail (and the JSON it travels in) can hold.
+func Finite(vs ...float64) bool {
+	for _, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
+}
+
+// Clone returns a copy of r that shares no epochs with it (nil for nil).
+func (r *Record) Clone() *Record {
+	if r == nil {
+		return nil
+	}
+	c := *r
+	c.Epochs = slices.Clone(r.Epochs)
+	return &c
 }
 
 // FitnessHistory returns the per-epoch validation accuracies (the paper's H).
@@ -136,17 +164,12 @@ func (r *Record) SimSeconds() float64 {
 	return s
 }
 
-// MarshalBytes validates r and encodes it as its record file: the bytes
-// json.MarshalIndent(r, "", "  ") writes, field by field in struct order
-// with no reflection. A NaN or infinite float is an error, as it is to
-// encoding/json.
-func (r *Record) MarshalBytes() ([]byte, error) {
-	if err := r.Validate(); err != nil {
-		return nil, err
-	}
-	// Room for the indented record, so it is written without regrowth.
-	w := durable.JSON{B: make([]byte, 0, 512+2*len(r.Architecture)+288*len(r.Epochs)), Indent: true}
-	w.Object()
+// WriteJSON writes r as the member k of w's open object, field by field
+// in struct order, as encoding/json writes a *Record. A model_done event
+// carries its record this way with nil Epochs: the epochs travel in the
+// model's epoch events.
+func (r *Record) WriteJSON(w *durable.JSON, k string) {
+	w.ObjectField(k)
 	w.String("id", r.ID)
 	w.String("genome", r.Genome)
 	w.Int("nodes_per_phase", int64(r.NodesPerPhase))
@@ -158,7 +181,7 @@ func (r *Record) MarshalBytes() ([]byte, error) {
 	w.Int("device_id", int64(r.DeviceID))
 	w.IntOmitEmpty("attempt", int64(r.Attempt))
 	w.FloatOmitEmpty("slow_factor", r.SlowFactor)
-	WriteEpochs(&w, r.Epochs)
+	WriteEpochs(w, r.Epochs)
 	w.Bool("terminated", r.Terminated)
 	w.Int("termination_epoch", int64(r.TerminationEpoch))
 	w.Float("final_fitness", r.FinalFitness)
@@ -175,10 +198,6 @@ func (r *Record) MarshalBytes() ([]byte, error) {
 	}
 	w.Time("created_at", r.CreatedAt)
 	w.EndObject()
-	if w.Err != nil {
-		return nil, fmt.Errorf("lineage: encode record %s: %w", r.ID, w.Err)
-	}
-	return w.B, nil
 }
 
 // WriteEpochs writes epochs as the "epochs" member of w's open object,
@@ -202,16 +221,4 @@ func WriteEpochs(w *durable.JSON, epochs []EpochEntry) {
 		w.EndObject()
 	}
 	w.EndArray()
-}
-
-// UnmarshalBytes parses a record previously produced by MarshalBytes.
-func UnmarshalBytes(data []byte) (*Record, error) {
-	var r Record
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("lineage: decode record: %w", err)
-	}
-	if err := r.Validate(); err != nil {
-		return nil, err
-	}
-	return &r, nil
 }

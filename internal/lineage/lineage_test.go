@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"a4nn/internal/durable"
 )
 
 func sampleRecord() *Record {
@@ -80,36 +82,43 @@ func TestHistoriesAndAggregates(t *testing.T) {
 
 func TestMarshalRoundTrip(t *testing.T) {
 	r := sampleRecord()
-	data, err := r.MarshalBytes()
-	if err != nil {
-		t.Fatal(err)
+	w := durable.JSON{}
+	w.Object()
+	r.WriteJSON(&w, "record")
+	w.EndObject()
+	var done struct{ Record *Record }
+	if err := json.Unmarshal(w.B, &done); err != nil || w.Err != nil {
+		t.Fatal(err, w.Err)
 	}
-	back, err := UnmarshalBytes(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.ID != r.ID || back.FinalFitness != r.FinalFitness || len(back.Epochs) != 4 {
-		t.Fatalf("round trip lost data: %+v", back)
-	}
-	if back.Engine == nil || back.Engine.EPred != 25 {
-		t.Fatalf("engine params lost: %+v", back.Engine)
-	}
-	if !back.Epochs[2].HasPrediction || back.Epochs[2].Prediction != 91 {
-		t.Fatal("prediction flags lost")
+	want, _ := json.MarshalIndent(r, "", "  ")
+	got, _ := json.MarshalIndent(done.Record, "", "  ")
+	if string(got) != string(want) {
+		t.Fatalf("round trip wrote\n%s\nwant\n%s", got, want)
 	}
 }
 
 func TestMarshalRejectsInvalid(t *testing.T) {
 	r := sampleRecord()
 	r.ID = ""
-	if _, err := r.MarshalBytes(); err == nil {
-		t.Fatal("invalid record must not marshal")
+	if r.Validate() == nil {
+		t.Fatal("a record with no ID must not validate")
 	}
-	if _, err := UnmarshalBytes([]byte("{not json")); err == nil {
-		t.Fatal("bad JSON must fail")
+	r = sampleRecord()
+	r.Epochs[1].Epoch = 3
+	if r.Validate() == nil {
+		t.Fatal("mislabelled epochs must not validate")
 	}
-	if _, err := UnmarshalBytes([]byte(`{"id":""}`)); err == nil {
-		t.Fatal("invalid decoded record must fail")
+	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+		r = sampleRecord()
+		r.Epochs[2].TrainLoss = bad
+		if err := r.Validate(); err == nil {
+			t.Fatalf("epoch loss %v must fail validation: no journal line can carry it", bad)
+		}
+		r = sampleRecord()
+		r.FinalFitness = bad
+		if err := r.Validate(); err == nil {
+			t.Fatalf("final fitness %v must fail validation", bad)
+		}
 	}
 }
 
@@ -150,7 +159,7 @@ func fuzzRecord(s string, x, y float64, n int64, mask uint64, zone int32) *Recor
 // TestFuzzRecordSetsEveryField keeps FuzzRecordJSON complete: with every
 // mask bit set, fuzzRecord must give every field of Record a value
 // json.Marshal writes, so a field added to Record without a line in
-// MarshalBytes fails the fuzz's seeds.
+// WriteJSON fails the fuzz's seeds.
 func TestFuzzRecordSetsEveryField(t *testing.T) {
 	data, err := json.Marshal(fuzzRecord("strings", 1.5, 2.5, 1<<33, ^uint64(0), 3600))
 	if err != nil {
@@ -165,10 +174,10 @@ func TestFuzzRecordSetsEveryField(t *testing.T) {
 	}
 }
 
-// FuzzRecordJSON holds MarshalBytes to json.MarshalIndent's bytes: each
-// field of a valid record is set or left zero by one bit of mask, Epochs
-// is nil, empty or filled, Engine nil or set, and the two encodings must
-// be equal, or both must refuse the record.
+// FuzzRecordJSON holds WriteJSON to json.Marshal's bytes: each field of
+// a record is set or left zero by one bit of mask, Epochs is nil, empty
+// or filled, Engine nil or set, and the two encodings must be equal, or
+// both must refuse the record.
 func FuzzRecordJSON(f *testing.F) {
 	strs := []string{"m-g03-i07", "<a>&b</a>", "\x00\x1f\b\f\n\r\t\"\\", "bad\xff\xc3utf8", "\u2028sep\u2029",
 		"network \"m-g03-i07\" input [1 16 16]\n   0 conv3x3                      [1 16 16] -> [4 16 16]\n"}
@@ -184,15 +193,16 @@ func FuzzRecordJSON(f *testing.F) {
 	f.Add("m", 1.0, 2.0, int64(1700000000), ^uint64(0), int32(86400)) // a day's offset
 	f.Fuzz(func(t *testing.T, s string, x, y float64, n int64, mask uint64, zone int32) {
 		r := fuzzRecord(s, x, y, n, mask, zone)
-		want, werr := json.MarshalIndent(r, "", "  ")
-		got, gerr := r.MarshalBytes()
+		want, werr := json.Marshal(r)
+		w := durable.JSON{B: []byte("held")}
+		r.WriteJSON(&w, "")
 		switch {
-		case werr != nil || gerr != nil:
-			if werr == nil || gerr == nil || got != nil {
-				t.Fatalf("encoding/json: %v; MarshalBytes: %v, wrote %q", werr, gerr, got)
+		case werr != nil || w.Err != nil:
+			if werr == nil || w.Err == nil {
+				t.Fatalf("encoding/json: %v; WriteJSON: %v", werr, w.Err)
 			}
-		case string(got) != string(want):
-			t.Fatalf("MarshalBytes wrote\n%s\nencoding/json\n%s", got, want)
+		case string(w.B) != `held"":`+string(want):
+			t.Fatalf("WriteJSON wrote\n%s\nencoding/json\n%s", w.B, want)
 		}
 	})
 }

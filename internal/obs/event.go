@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"sync"
@@ -10,6 +11,7 @@ import (
 
 	"a4nn/internal/chaos"
 	"a4nn/internal/durable"
+	"a4nn/internal/lineage"
 )
 
 // EventsFile holds the run's event journal as JSON Lines, appended
@@ -41,7 +43,8 @@ const (
 	// checkpoint after a crash; Epoch is the checkpointed epoch count.
 	EventModelResume = "model_resume"
 	// EventRecovery reports a corruption-recovery action (a quarantined
-	// file, a lost record); Reason carries the typed corruption reason.
+	// file, a stale checkpoint, swept temp files; journals of earlier
+	// builds also hold lost records); Reason carries the typed reason.
 	EventRecovery = "recovery"
 	// EventRuntimeSample carries process runtime metrics (goroutines,
 	// heap, GC pause) so a follower in another process can health-check
@@ -74,14 +77,19 @@ type Event struct {
 	Tasks   int    `json:"tasks,omitempty"`
 	Devices int    `json:"devices,omitempty"`
 
+	// An epoch event carries its model's whole lineage.EpochEntry:
+	// ValAcc, Loss, TrainAcc, SimSeconds and, when HasPred is set, the
+	// engine's prediction in Predicted.
 	ValAcc      float64 `json:"val_acc,omitempty"`
 	Loss        float64 `json:"loss,omitempty"`
+	TrainAcc    float64 `json:"train_acc,omitempty"`
 	Fitness     float64 `json:"fitness,omitempty"`
 	Predicted   float64 `json:"predicted,omitempty"`
 	Actual      float64 `json:"actual,omitempty"`
 	Epochs      int     `json:"epochs,omitempty"`
 	SavedEpochs int     `json:"saved_epochs,omitempty"`
 	Terminated  bool    `json:"terminated,omitempty"`
+	HasPred     bool    `json:"has_prediction,omitempty"`
 
 	SimSeconds  float64 `json:"sim_seconds,omitempty"`
 	WallSeconds float64 `json:"wall_seconds,omitempty"`
@@ -97,6 +105,10 @@ type Event struct {
 	Err                  string    `json:"err,omitempty"`
 
 	Front []ParetoPoint `json:"front,omitempty"`
+
+	// Record is a model_done event's record trail less its epochs (nil):
+	// with the model's epoch events before it, the event commits it.
+	Record *lineage.Record `json:"record,omitempty"`
 
 	// Alert events (emitted by the health engine; see internal/health).
 	AlertID  string `json:"alert,omitempty"`
@@ -119,6 +131,36 @@ type Event struct {
 	FDs        int     `json:"fds,omitempty"`
 }
 
+// EpochEvent is the epoch event that journals entry e of model's record
+// trail; model belongs to generation gen.
+func EpochEvent(model string, gen int, e *lineage.EpochEntry) Event {
+	return Event{
+		Type:       EventEpoch,
+		Gen:        gen,
+		Model:      model,
+		Epoch:      e.Epoch,
+		ValAcc:     e.ValAccuracy,
+		Loss:       e.TrainLoss,
+		TrainAcc:   e.TrainAccuracy,
+		Predicted:  e.Prediction,
+		HasPred:    e.HasPrediction,
+		SimSeconds: e.SimSeconds,
+	}
+}
+
+// EpochEntry returns the record-trail entry an epoch event journals.
+func (e *Event) EpochEntry() lineage.EpochEntry {
+	return lineage.EpochEntry{
+		Epoch:         e.Epoch,
+		TrainLoss:     e.Loss,
+		TrainAccuracy: e.TrainAcc,
+		ValAccuracy:   e.ValAcc,
+		Prediction:    e.Predicted,
+		HasPrediction: e.HasPred,
+		SimSeconds:    e.SimSeconds,
+	}
+}
+
 // AppendJSON appends e's journal line, the bytes json.Marshal writes, to
 // dst. On error dst comes back as it was.
 func (e *Event) AppendJSON(dst []byte) ([]byte, error) {
@@ -137,12 +179,14 @@ func (e *Event) AppendJSON(dst []byte) ([]byte, error) {
 	w.IntOmitEmpty("devices", int64(e.Devices))
 	w.FloatOmitEmpty("val_acc", e.ValAcc)
 	w.FloatOmitEmpty("loss", e.Loss)
+	w.FloatOmitEmpty("train_acc", e.TrainAcc)
 	w.FloatOmitEmpty("fitness", e.Fitness)
 	w.FloatOmitEmpty("predicted", e.Predicted)
 	w.FloatOmitEmpty("actual", e.Actual)
 	w.IntOmitEmpty("epochs", int64(e.Epochs))
 	w.IntOmitEmpty("saved_epochs", int64(e.SavedEpochs))
 	w.BoolOmitEmpty("terminated", e.Terminated)
+	w.BoolOmitEmpty("has_prediction", e.HasPred)
 	w.FloatOmitEmpty("sim_seconds", e.SimSeconds)
 	w.FloatOmitEmpty("wall_seconds", e.WallSeconds)
 	w.FloatOmitEmpty("idle_seconds", e.IdleSeconds)
@@ -163,6 +207,9 @@ func (e *Event) AppendJSON(dst []byte) ([]byte, error) {
 			w.EndObject()
 		}
 		w.EndArray()
+	}
+	if e.Record != nil {
+		e.Record.WriteJSON(&w, "record")
 	}
 	w.StringOmitEmpty("alert", e.AlertID)
 	w.StringOmitEmpty("monitor", e.Monitor)
@@ -203,6 +250,7 @@ type Journal struct {
 	ring ring[Event]
 	next uint64 // next sequence number to assign (starts at 1)
 	file *durable.Log
+	path string        // the file's path; "" while none is open
 	buf  []byte        // line scratch, reused under mu
 	subs []*Subscriber // live readers of the ring
 
@@ -257,7 +305,7 @@ func (j *Journal) OpenFile(path string) error {
 	}
 	j.mu.Lock()
 	old := j.file
-	j.file = f
+	j.file, j.path = f, path
 	if last >= j.next {
 		j.next = last + 1
 	}
@@ -266,10 +314,23 @@ func (j *Journal) OpenFile(path string) error {
 	return nil
 }
 
-// lastSeq returns the highest valid sequence number in the final window
-// of an events file (0 when the file is missing, empty, or unreadable).
-// Only the tail is scanned, so opening a long-lived journal stays O(1).
-func lastSeq(path string) (last uint64) {
+// Path returns the path of the events file the journal appends to, ""
+// while none is open. Nil-safe.
+func (j *Journal) Path() string {
+	if j == nil {
+		return ""
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.path
+}
+
+// lastSeq returns the sequence number of the last line of an events
+// file that decodes with one (0 when the file is missing, empty, or has
+// none in its final window). The journal numbers its lines in rising
+// order, so that is the highest; only lines from the end back to it are
+// decoded, so opening a long-lived journal stays O(1).
+func lastSeq(path string) uint64 {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0
@@ -292,12 +353,15 @@ func lastSeq(path string) (last uint64) {
 		// The first line of a mid-file window may be partial.
 		_, buf, _ = bytes.Cut(buf, []byte{'\n'})
 	}
-	for _, e := range durable.DecodeJSONL[Event](buf) {
-		if e.Seq > last {
-			last = e.Seq
+	for buf = bytes.TrimRight(buf, "\n"); len(buf) > 0; {
+		line := buf[bytes.LastIndexByte(buf, '\n')+1:]
+		buf = buf[:max(0, len(buf)-len(line)-1)]
+		var e struct{ Seq uint64 }
+		if json.Unmarshal(line, &e) == nil && e.Seq > 0 {
+			return e.Seq
 		}
 	}
-	return last
+	return 0
 }
 
 // Sync forces the attached events file to stable storage (no-op when
@@ -323,7 +387,7 @@ func (j *Journal) Close() error {
 	}
 	j.mu.Lock()
 	f := j.file
-	j.file = nil
+	j.file, j.path = nil, ""
 	for len(j.subs) > 0 {
 		j.detach(0, j.ring.end)
 	}
@@ -334,15 +398,17 @@ func (j *Journal) Close() error {
 // Emit assigns the next sequence number and timestamp to e, appends it
 // to the events file, keeps it in the ring, and wakes live
 // subscribers. Subscribers read in sequence order. Never blocks on
-// slow subscribers. No-op on a nil journal.
-func (j *Journal) Emit(e Event) {
+// slow subscribers. An event whose append fails is counted, returned
+// as the error and goes nowhere else: its sequence number goes to the
+// next event, and the ring never holds what the file lacks. No-op on a
+// nil journal.
+func (j *Journal) Emit(e Event) error {
 	if j == nil {
-		return
+		return nil
 	}
 	e.Time = time.Now().UnixNano()
 	j.mu.Lock()
 	e.Seq = j.next
-	j.next++
 	if j.file != nil {
 		err := chaos.Point(chaos.PointJournalAppend)
 		if err == nil {
@@ -353,9 +419,12 @@ func (j *Journal) Emit(e Event) {
 			}
 		}
 		if err != nil {
+			j.mu.Unlock()
 			j.fileErrs.Inc()
+			return fmt.Errorf("obs: journal %s event: %w", e.Type, err)
 		}
 	}
+	j.next++
 	// The ring and the recorder are fed after the file append so
 	// neither runs ahead of the durable journal: an injected crash at
 	// the append point leaves ring tail == file tail, which the
@@ -363,6 +432,7 @@ func (j *Journal) Emit(e Event) {
 	j.store(e)
 	j.mu.Unlock()
 	j.emitted.Inc()
+	return nil
 }
 
 // AttachRecorder points the journal's flight-recorder hook at r (nil

@@ -4,8 +4,49 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
+
+	"a4nn/internal/chaos"
 )
+
+// TestEmitFailedAppend: an event whose append fails is Emit's error and
+// goes nowhere else, neither into the ring nor past a sequence number,
+// so the ring holds what the file holds, gap-free.
+func TestEmitFailedAppend(t *testing.T) {
+	t.Cleanup(func() { chaos.Install(nil) })
+	path := filepath.Join(t.TempDir(), EventsFile)
+	j := NewJournal(0)
+	if err := j.OpenFile(path); err != nil {
+		t.Fatal(err)
+	}
+	plan, err := chaos.Parse("err=" + chaos.PointJournalAppend + "@2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	chaos.Install(plan)
+	for epoch := 1; epoch <= 3; epoch++ {
+		if err := j.Emit(Event{Type: EventEpoch, Epoch: epoch}); (epoch == 2) != chaos.IsInjected(err) {
+			t.Fatalf("emit %d: %v", epoch, err)
+		}
+	}
+	chaos.Install(nil)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	file, err := ReadEvents(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ring := j.Since(0); len(file) != 2 || !reflect.DeepEqual(ring, file) {
+		t.Fatalf("file %+v, ring %+v", file, ring)
+	}
+	for i, e := range file {
+		if e.Seq != uint64(i+1) || e.Epoch != 2*i+1 {
+			t.Fatalf("line %d: %+v", i+1, e)
+		}
+	}
+}
 
 func TestJournalSeqAndSince(t *testing.T) {
 	j := NewJournal(8)

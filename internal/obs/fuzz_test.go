@@ -7,6 +7,9 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
+
+	"a4nn/internal/lineage"
 )
 
 // FuzzReadEvents asserts the journal reader never panics on torn,
@@ -143,8 +146,8 @@ func fuzzEvent(s string, x, y float64, n int64, mask uint64) Event {
 	e := Event{Seq: uint64(n), Time: n, Type: s}
 	e.Gen, e.Task, e.Device, e.Attempt, e.Model = num(), num(), num(), num(), str()
 	e.Epoch, e.Tasks, e.Devices = num(), num(), num()
-	e.ValAcc, e.Loss, e.Fitness, e.Predicted, e.Actual = flt(), flt(), flt(), flt(), flt()
-	e.Epochs, e.SavedEpochs, e.Terminated = num(), num(), set()
+	e.ValAcc, e.Loss, e.TrainAcc, e.Fitness, e.Predicted, e.Actual = flt(), flt(), flt(), flt(), flt(), flt()
+	e.Epochs, e.SavedEpochs, e.Terminated, e.HasPred = num(), num(), set(), set()
 	e.SimSeconds, e.WallSeconds, e.IdleSeconds, e.LostSeconds, e.MeanQueueWaitSeconds = flt(), flt(), flt(), flt(), flt()
 	e.Retries, e.Faults, e.SlowFactor, e.Err = num(), num(), flt(), str()
 	e.AlertID, e.Monitor, e.Severity, e.Msg, e.Count = str(), str(), str(), str(), num()
@@ -156,6 +159,19 @@ func fuzzEvent(s string, x, y float64, n int64, mask uint64) Event {
 		e.DeviceBusy = []float64{}
 		if set() {
 			e.DeviceBusy = append(e.DeviceBusy, x, y)
+		}
+	}
+	if set() {
+		e.Record = &lineage.Record{ID: str(), Genome: s, NodesPerPhase: num(), Generation: num(), Architecture: str(),
+			NumParams: num(), FLOPs: n, Beam: str(), DeviceID: num(), Attempt: num(), SlowFactor: flt(),
+			Terminated: set(), TerminationEpoch: num(), FinalFitness: flt(),
+			CreatedAt: time.Unix(n%1e10, n%1e9).In(time.FixedZone("", int(n%50000)))}
+		if set() {
+			e.Record.Epochs = []lineage.EpochEntry{{Epoch: num(), TrainLoss: x, ValAccuracy: y, HasPrediction: set()}}
+		}
+		if set() {
+			e.Record.Engine = &lineage.EngineParams{Family: s, CMin: num(), EPred: num(), N: num(),
+				R: flt(), MinFitness: x, MaxFitness: y}
 		}
 	}
 	if set() {

@@ -127,6 +127,9 @@ func TestRecordIDTraversal(t *testing.T) {
 	if err := planted.PutRecord(secret); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := planted.Export(); err != nil {
+		t.Fatal(err)
+	}
 	data, err := os.ReadFile(filepath.Join(planted.Root(), "records", "leaked-secret.json"))
 	if err != nil {
 		t.Fatal(err)

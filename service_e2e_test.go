@@ -164,11 +164,13 @@ func postJobAction(t *testing.T, p *serveProc, id, action string) {
 }
 
 // e2eJob is the submission both service jobs and the reference solo
-// runs share.
+// runs share. Its 40 generations keep a job mid-search until the pause
+// POSTs that follow its submission land: at 8, a job on a loaded 2-vCPU
+// host could finish inside those round trips.
 func e2eJob(id string, seed int64) JobConfig {
 	return JobConfig{
 		ID: id, Beam: "medium", Devices: 1,
-		Population: 6, Offspring: 6, Generations: 8, Epochs: 10, Seed: seed,
+		Population: 6, Offspring: 6, Generations: 40, Epochs: 10, Seed: seed,
 	}
 }
 
