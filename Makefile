@@ -35,7 +35,11 @@ ci: lint build race race-broker race-health race-sched race-obs race-tsdb allocs
 # event stream. Last, TestReachCensus type-checks the module and fails on
 # an internal declaration no command, example, benchmark or a4nn.go
 # export reaches, or a settings field no code sets (DESIGN §10); it skips
-# under -race, so `make race` does not repeat it.
+# under -race, so `make race` does not repeat it. And it refuses a fused
+# multiply-add (VFMADD…, VFMSUB…, VFNMADD…, VFNMSUB…) in the GEMM
+# assembly, internal/tensor/axpy_amd64.s: the axpy and dot kernels must
+# round each product and then each sum, as the Go loops do (exp_amd64.s
+# is exempt, its fused steps are math.Exp's own).
 lint: vet
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -65,6 +69,10 @@ lint: vet
 		| grep -vE '^internal/health/fold\.go:'); \
 	if [ -n "$$cases" ]; then \
 		echo "event type switched on outside internal/health/fold.go (apply it in fold.apply):"; echo "$$cases"; exit 1; \
+	fi
+	@fma=$$(sed 's://.*$$::' internal/tensor/axpy_amd64.s | grep -nE '(^|;)[[:space:]]*VFN?M(ADD|SUB)'); \
+	if [ -n "$$fma" ]; then \
+		echo "fused multiply-add in the GEMM kernels (internal/tensor/axpy_amd64.s):"; echo "$$fma"; exit 1; \
 	fi
 	$(GO) test -count=1 -run '^TestReachCensus$$' .
 

@@ -53,6 +53,7 @@ var censusKeep = []struct{ name, kind, test string }{
 	{"tsdb.Options.SealSamples", "seam", "TestTornTailRecovery"},
 	{"tensor.SetMaxWorkers", "seam", "TestMatMulIntoWorkerInvariance"},
 	{"tensor.UseExpKernel", "seam", "TestTrackerGoldenBits"},
+	{"tensor.UseGEMMKernels", "seam", "TestRealTrainerGoldenBits"},
 }
 
 // TestReachCensus holds internal/ to DESIGN §10's reach rule: every

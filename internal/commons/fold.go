@@ -76,27 +76,32 @@ func (s *Store) read(fn func(*fold)) error {
 		var data []byte
 		data, err = io.ReadAll(io.NewSectionReader(file, f.off, 1<<62))
 		file.Close()
-		// Every complete line but a final one that does not decode yet:
-		// an append in flight, which the next read takes again.
-		for data = data[:bytes.LastIndexByte(data, '\n')+1]; len(data) > 0; {
-			line, rest, _ := bytes.Cut(data, []byte{'\n'})
-			if slices.ContainsFunc(foldedTypes, func(t []byte) bool { return bytes.Contains(line, t) }) {
-				var e obs.Event
-				if json.Unmarshal(line, &e) == nil {
-					f.apply(&e)
-				} else if len(rest) == 0 {
-					break
-				}
-			}
-			f.off += int64(len(line) + 1)
-			data = rest
-		}
+		f.feed(data)
 	}
 	if err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("commons: read %s: %w", path, err)
 	}
 	fn(f)
 	return nil
+}
+
+// feed folds data, the events file's bytes from f.off on, and advances
+// f.off past what it took: every complete line but a final one that does
+// not decode yet, an append in flight, which the next read takes again.
+func (f *fold) feed(data []byte) {
+	for data = data[:bytes.LastIndexByte(data, '\n')+1]; len(data) > 0; {
+		line, rest, _ := bytes.Cut(data, []byte{'\n'})
+		if slices.ContainsFunc(foldedTypes, func(t []byte) bool { return bytes.Contains(line, t) }) {
+			var e obs.Event
+			if json.Unmarshal(line, &e) == nil {
+				f.apply(&e)
+			} else if len(rest) == 0 {
+				return
+			}
+		}
+		f.off += int64(len(line) + 1)
+		data = rest
+	}
 }
 
 // Unfinished returns each model in flight with its contiguous journaled

@@ -205,9 +205,12 @@ func exported(t *testing.T, recs []*lineage.Record) []string {
 	return out
 }
 
-// FuzzRecordFold folds hostile events.jsonl bytes: every record the
-// store serves validates and names one path element, List, All and
-// GetRecord agree, Export writes them, and nothing panics.
+// FuzzRecordFold folds hostile events.jsonl bytes in memory: every
+// record the fold commits validates and names one path element, every
+// chain in flight holds epochs 1..k, the fold takes whole lines only, and
+// nothing panics. The seed corpus also goes through a store on disk,
+// where List, All and GetRecord must agree with the fold and Export must
+// write every record.
 func FuzzRecordFold(f *testing.F) {
 	r := record("m-g00-i01", "low", 90, 2, true)
 	var good []byte
@@ -219,45 +222,79 @@ func FuzzRecordFold(f *testing.F) {
 	done := doneEvent(r)
 	good, _ = done.AppendJSON(good)
 	good = append(good, '\n')
-	f.Add(good)
-	f.Add(good[:len(good)-20])
-	f.Add(append(append([]byte{}, good...), good...))
-	f.Add([]byte(`{"type":"model_resume","model":"m","epoch":-1}` + "\n" + `{"type":"epoch","model":"m","epoch":0}` + "\n"))
-	f.Add([]byte(`{"type":"epoch","model":"../x","epoch":1}` + "\n" +
-		`{"type":"model_done","model":"../x","epochs":1,"record":{"id":"../x","genome":"1"}}` + "\n"))
-	f.Add([]byte(`{"type":"model_done","model":"m","epochs":0,"terminated":true,"record":{"id":"m","genome":""}}` + "\n"))
-	f.Add([]byte("\n\n{\n"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, obs.EventsFile), data, 0o644); err != nil {
-			t.Fatal(err)
+	seeds := [][]byte{
+		good,
+		good[:len(good)-20],
+		append(append([]byte{}, good...), good...),
+		[]byte(`{"type":"model_resume","model":"m","epoch":-1}` + "\n" + `{"type":"epoch","model":"m","epoch":0}` + "\n"),
+		[]byte(`{"type":"epoch","model":"../x","epoch":1}` + "\n" +
+			`{"type":"model_done","model":"../x","epochs":1,"record":{"id":"../x","genome":"1"}}` + "\n"),
+		[]byte(`{"type":"model_done","model":"m","epochs":0,"terminated":true,"record":{"id":"m","genome":""}}` + "\n"),
+		[]byte("\n\n{\n"),
+	}
+	for _, data := range seeds {
+		f.Add(data)
+		checkStoreFold(f, data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) { checkFold(t, data) })
+}
+
+// checkFold folds data in memory and holds the fold to its invariants.
+func checkFold(t testing.TB, data []byte) *fold {
+	fd := newFold()
+	fd.feed(data)
+	if fd.off > int64(len(data)) || fd.off > 0 && data[fd.off-1] != '\n' {
+		t.Fatalf("fold took %d of %d bytes, not whole lines", fd.off, len(data))
+	}
+	for id, rec := range fd.records {
+		if err := rec.Validate(); err != nil {
+			t.Fatalf("committed an invalid record: %v", err)
 		}
-		s, err := Open(dir)
-		if err != nil {
-			t.Fatal(err)
+		if err := checkID(id); err != nil || rec.ID != id {
+			t.Fatalf("record %q filed under %q: %v", rec.ID, id, err)
 		}
-		all, err := s.All()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids, err := s.List()
-		if err != nil || len(ids) != len(all) {
-			t.Fatalf("List = %d ids, %v; All = %d", len(ids), err, len(all))
-		}
-		for i, rec := range all {
-			if err := rec.Validate(); err != nil {
-				t.Fatalf("served an invalid record: %v", err)
+	}
+	for id, chain := range fd.chains {
+		for i, e := range chain {
+			if e.Epoch != i+1 {
+				t.Fatalf("chain of %q holds epoch %d at %d", id, e.Epoch, i)
 			}
-			if err := checkID(rec.ID); err != nil || rec.ID != ids[i] {
-				t.Fatalf("record %q at %d, List has %q: %v", rec.ID, i, ids[i], err)
-			}
-			got, err := s.GetRecord(rec.ID)
-			if err != nil || !reflect.DeepEqual(got, rec) {
-				t.Fatalf("GetRecord(%q) = %+v, %v", rec.ID, got, err)
-			}
 		}
-		if n, err := s.Export(); err != nil || n != len(all) {
-			t.Fatalf("Export = %d, %v", n, err)
+	}
+	return fd
+}
+
+// checkStoreFold writes data as a store's events file and requires the
+// store to serve exactly the fold's records: List, All and GetRecord
+// agree, and Export writes each.
+func checkStoreFold(t testing.TB, data []byte) {
+	want := checkFold(t, data)
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, obs.EventsFile), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all, err := s.All()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids, err := s.List()
+	if err != nil || len(ids) != len(all) || len(all) != len(want.records) {
+		t.Fatalf("List = %d ids, %v; All = %d; the fold commits %d", len(ids), err, len(all), len(want.records))
+	}
+	for i, rec := range all {
+		if rec.ID != ids[i] || !reflect.DeepEqual(rec, want.records[rec.ID]) {
+			t.Fatalf("record %q at %d, List has %q; the fold has %+v", rec.ID, i, ids[i], want.records[rec.ID])
 		}
-	})
+		got, err := s.GetRecord(rec.ID)
+		if err != nil || !reflect.DeepEqual(got, rec) {
+			t.Fatalf("GetRecord(%q) = %+v, %v", rec.ID, got, err)
+		}
+	}
+	if n, err := s.Export(); err != nil || n != len(all) {
+		t.Fatalf("Export = %d, %v", n, err)
+	}
 }

@@ -14,6 +14,7 @@ import (
 	"a4nn/internal/genome"
 	"a4nn/internal/nn"
 	"a4nn/internal/nsga"
+	"a4nn/internal/tensor"
 	"a4nn/internal/xfel"
 )
 
@@ -50,12 +51,29 @@ func highBeamSplit16(t *testing.T, n int) (train, val *dataset.Dataset) {
 // training forward passes (it had been a second, evaluation-mode sweep
 // over the training split); the loss, validation accuracy and state
 // digest did not move. The values hold on amd64 only: other ports fuse
-// multiply-adds, which rounds differently.
+// multiply-adds, which rounds differently. They hold for every set of
+// GEMM kernels the host runs, each trained in a subtest of its own.
 func TestRealTrainerGoldenBits(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("golden bits recorded on amd64")
 	}
-	checkRealGoldenBits(t)
+	eachGEMMKernelSet(t, checkRealGoldenBits)
+}
+
+// eachGEMMKernelSet runs body once per set of GEMM kernels the host runs
+// (tensor.UseGEMMKernels refuses the others), as a subtest named for the
+// set, so that a host with AVX-512 still pins the AVX2 and portable bits.
+func eachGEMMKernelSet(t *testing.T, body func(t *testing.T)) {
+	for _, set := range []string{"avx512", "avx2", "go"} {
+		t.Run(set, func(t *testing.T) {
+			was, err := tensor.UseGEMMKernels(set)
+			if err != nil {
+				t.Skip(err)
+			}
+			defer tensor.UseGEMMKernels(was)
+			body(t)
+		})
+	}
 }
 
 // goldenTrainer returns the trainer and genome of TestRealTrainerGoldenBits.
@@ -223,7 +241,7 @@ func TestMicroGoldenBits(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("training bits recorded on amd64")
 	}
-	checkMicroEpochBits(t)
+	eachGEMMKernelSet(t, checkMicroEpochBits)
 }
 
 // goldenMicroModel builds the micro model of TestMicroGoldenBits.

@@ -13,13 +13,19 @@ func sameFloat(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
 }
 
-// TestAxpyMatchesPortable holds the dispatched axpy kernels (the assembly
-// on an AVX2 machine) to the portable loops bit for bit: every length
-// through the 8-wide, 4-wide and scalar steps, slices starting at every
-// offset of a 32-byte line, c rows longer than b (the excess must not be
-// touched), zero and special scale factors, and denormal, infinite and NaN
-// elements.
+// TestAxpyMatchesPortable holds the axpy kernels of every set the host
+// runs to the portable loops bit for bit: every length through the 16-,
+// 8- and 4-wide steps, the scalar steps and the masked tails, slices
+// starting at every offset of a 64-byte line, c rows longer than b (the
+// excess must not be touched), zero and special scale factors, and
+// denormal, infinite and NaN elements.
 func TestAxpyMatchesPortable(t *testing.T) {
+	for _, set := range kernelSets {
+		t.Run(set.name, func(t *testing.T) { checkAxpy(t, set) })
+	}
+}
+
+func checkAxpy(t *testing.T, set gemmKernels) {
 	specials := []float64{0, math.Copysign(0, -1), 5e-324, -2.5e-310, math.MaxFloat64,
 		math.Inf(1), math.Inf(-1), math.NaN()}
 	scales := [][2]float64{{1.5, -0.75}, {0, 2}, {3, 0}, {0, 0}, {math.Copysign(0, -1), 1},
@@ -27,7 +33,7 @@ func TestAxpyMatchesPortable(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	const pad = 3 // extra elements each c row carries beyond b
 	for n := 0; n <= 67; n++ {
-		for off := 0; off < 4; off++ {
+		for off := 0; off < 8; off++ {
 			for _, v := range scales {
 				b := make([]float64, off+n)[off:]
 				c0 := make([]float64, off+n+pad)[off:]
@@ -51,8 +57,8 @@ func TestAxpyMatchesPortable(t *testing.T) {
 				gotOne := append(make([]float64, off), c0...)[off:]
 				axpy2Go(want0, want1, b, v[0], v[1])
 				axpy1Go(wantOne, b, v[0])
-				axpy2(c0, c1, b, v[0], v[1])
-				axpy1(gotOne, b, v[0])
+				set.axpy2(c0, c1, b, v[0], v[1])
+				set.axpy1(gotOne, b, v[0])
 				for i := range want0 {
 					if !sameFloat(c0[i], want0[i]) || !sameFloat(c1[i], want1[i]) {
 						t.Fatalf("axpy2 n=%d off=%d v=%v element %d: got (%v, %v), want (%v, %v)",
@@ -68,14 +74,20 @@ func TestAxpyMatchesPortable(t *testing.T) {
 	}
 }
 
-// TestDotQuadsMatchesPortable holds the dispatched dot kernel (the
-// assembly on an AVX2 machine) to the portable loop bit for bit: every
-// length through the four-wide steps and the one-at-a-time tail, one to
-// five column quads (whole octets and a last single quad), rows of b
-// further apart than their length, slices starting at every offset of a
-// 32-byte line, c rows longer than the quads (the excess must not be
+// TestDotQuadsMatchesPortable holds the dot kernels (two and four rows of
+// a) of every set the host runs to the portable loop bit for bit: every
+// length 0–40 through the four-wide steps and the one-to-three-p tail,
+// one to five column quads (whole octets and a last single quad), rows of
+// b further apart than their length, slices starting at every offset of a
+// 64-byte line, c rows longer than the quads (the excess must not be
 // touched), and denormal, infinite and NaN elements in a and b.
 func TestDotQuadsMatchesPortable(t *testing.T) {
+	for _, set := range kernelSets {
+		t.Run(set.name, func(t *testing.T) { checkDotQuads(t, set) })
+	}
+}
+
+func checkDotQuads(t *testing.T, set gemmKernels) {
 	specials := []float64{0, math.Copysign(0, -1), 5e-324, -2.5e-310, math.MaxFloat64,
 		math.Inf(1), math.Inf(-1), math.NaN()}
 	rng := rand.New(rand.NewSource(4))
@@ -87,9 +99,9 @@ func TestDotQuadsMatchesPortable(t *testing.T) {
 			}
 		}
 	}
-	for l := 0; l <= 21; l++ {
+	for l := 0; l <= 40; l++ {
 		for quads := 1; quads <= 5; quads++ {
-			for off := 0; off < 4; off++ {
+			for off := 0; off < 8; off++ {
 				for _, special := range []int{0, 5} {
 					ldb := l + off%3
 					nc := 4*quads + off%3 // columns past the last quad stay as they are
@@ -103,13 +115,25 @@ func TestDotQuadsMatchesPortable(t *testing.T) {
 					fill(b, special)
 					fill(c0, 0)
 					fill(c1, 0)
+					// dotQuads4 takes a second pair of rows: a1, a0 into c1's
+					// and c0's copies.
+					c2, c3 := append(make([]float64, 5), c1...)[5:], append(make([]float64, 1), c0...)[1:]
 					want0, want1 := append([]float64(nil), c0...), append([]float64(nil), c1...)
 					dotQuadsGo(want0, want1, a0, a1, b, ldb)
-					dotQuads(c0, c1, a0, a1, b, ldb)
+					want2, want3 := append([]float64(nil), c2...), append([]float64(nil), c3...)
+					dotQuadsGo(want2, want3, a1, a0, b, ldb)
+					got0, got1 := append([]float64(nil), c0...), append([]float64(nil), c1...)
+					set.dotQuads(got0, got1, a0, a1, b, ldb)
+					set.dotQuads4(c0, c1, c2, c3, a0, a1, a1, a0, b, ldb)
 					for i := range want0 {
-						if !sameFloat(c0[i], want0[i]) || !sameFloat(c1[i], want1[i]) {
+						if !sameFloat(got0[i], want0[i]) || !sameFloat(got1[i], want1[i]) {
 							t.Fatalf("dotQuads l=%d quads=%d off=%d special=%d column %d: got (%v, %v), want (%v, %v)",
-								l, quads, off, special, i, c0[i], c1[i], want0[i], want1[i])
+								l, quads, off, special, i, got0[i], got1[i], want0[i], want1[i])
+						}
+						if !sameFloat(c0[i], want0[i]) || !sameFloat(c1[i], want1[i]) ||
+							!sameFloat(c2[i], want2[i]) || !sameFloat(c3[i], want3[i]) {
+							t.Fatalf("dotQuads4 l=%d quads=%d off=%d special=%d column %d: got (%v, %v, %v, %v), want (%v, %v, %v, %v)",
+								l, quads, off, special, i, c0[i], c1[i], c2[i], c3[i], want0[i], want1[i], want2[i], want3[i])
 						}
 					}
 				}

@@ -100,17 +100,29 @@ func requireClose(t *testing.T, got, want *Tensor, relTol float64, label string)
 	}
 }
 
-// bothKernels runs body with the axpy and dot kernels package init
-// selected (the assembly on an AVX2 machine) and again with the portable
-// loops forced, so every bit-equality matrix below holds for both.
-func bothKernels(t *testing.T, body func(t *testing.T)) {
+// eachKernelSet runs body with the axpy and dot kernels package init
+// selected ("dispatched"), then with every other set the host runs forced,
+// the portable loops last ("portable"), so every bit-equality matrix below
+// holds for each.
+func eachKernelSet(t *testing.T, body func(t *testing.T)) {
 	t.Run("dispatched", body)
-	t.Run("portable", func(t *testing.T) {
-		old2, old1, oldDot := axpy2, axpy1, dotQuads
-		axpy2, axpy1, dotQuads = axpy2Go, axpy1Go, dotQuadsGo
-		defer func() { axpy2, axpy1, dotQuads = old2, old1, oldDot }()
-		body(t)
-	})
+	for _, set := range kernelSets {
+		if set.name == kernelSet {
+			continue
+		}
+		name := set.name
+		if name == "go" {
+			name = "portable"
+		}
+		t.Run(name, func(t *testing.T) {
+			was, err := UseGEMMKernels(set.name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer UseGEMMKernels(was)
+			body(t)
+		})
+	}
 }
 
 type gemmShape struct{ m, k, n int }
@@ -128,7 +140,7 @@ var gemmSizes = []gemmShape{
 }
 
 func TestMatMulIntoMatchesNaive(t *testing.T) {
-	bothKernels(t, func(t *testing.T) {
+	eachKernelSet(t, func(t *testing.T) {
 		for _, sz := range gemmSizes {
 			rng := rand.New(rand.NewSource(7))
 			a := Randn(rng, 0, 1, sz.m, sz.k)
@@ -150,7 +162,7 @@ func TestMatMulIntoMatchesNaive(t *testing.T) {
 }
 
 func TestMatMulTransAIntoMatchesNaive(t *testing.T) {
-	bothKernels(t, func(t *testing.T) {
+	eachKernelSet(t, func(t *testing.T) {
 		for _, sz := range gemmSizes {
 			rng := rand.New(rand.NewSource(8))
 			a := Randn(rng, 0, 1, sz.k, sz.m)
@@ -176,7 +188,7 @@ func TestMatMulTransBIntoMatchesNaive(t *testing.T) {
 	// held to the segmented reference bit for bit, and to the plain dot
 	// product within the re-association error.
 	sizes := append(append([]gemmShape{}, gemmSizes...), gemmShape{6, 1500, 11})
-	bothKernels(t, func(t *testing.T) {
+	eachKernelSet(t, func(t *testing.T) {
 		for _, sz := range sizes {
 			rng := rand.New(rand.NewSource(9))
 			a := Randn(rng, 0, 1, sz.m, sz.k)
@@ -253,11 +265,11 @@ var adversarialShapes = []gemmShape{
 }
 
 // TestBlockedAdversarialShapes holds every shape above, every variant,
-// both kernels and 1, 2, 3 and 8 workers to the naive references bit for
+// every kernel set and 1, 2, 3 and 8 workers to the naive references bit for
 // bit — a·b and aᵀ·b to the i-p-j loop, a·bᵀ to the segmented dot product
 // at every k — and at every worker count to the serial result.
 func TestBlockedAdversarialShapes(t *testing.T) {
-	bothKernels(t, func(t *testing.T) {
+	eachKernelSet(t, func(t *testing.T) {
 		for _, sz := range adversarialShapes {
 			rng := rand.New(rand.NewSource(int64(sz.m*1000003 + sz.k*1009 + sz.n)))
 			a := Randn(rng, 0, 1, sz.m, sz.k)

@@ -79,7 +79,7 @@ var convCases = []struct{ n, c, h, w, outC, kh, kw, stride, pad int }{
 // reference: element-wise im2col, the naive i-p-j product, bias; the naive
 // Wᵀ·grad product and element-wise col2im.
 func TestConvFusedMatchesReference(t *testing.T) {
-	bothKernels(t, func(t *testing.T) {
+	eachKernelSet(t, func(t *testing.T) {
 		for _, tc := range convCases {
 			rng := rand.New(rand.NewSource(21))
 			oh, err := ConvOutSize(tc.h, tc.kh, tc.stride, tc.pad)

@@ -129,10 +129,8 @@ func col2imStrided(cols, img []float64, off, rowStride int, g convGeom) {
 					src := row[oy*ow+lo : oy*ow+hi]
 					base := (oy*stride+ky-pad)*w + kx - pad + lo*stride
 					if stride == 1 {
-						dst := out[base:][:len(src)]
-						for j, v := range src {
-							dst[j] += v
-						}
+						// dst[j] += 1·src[j] is dst[j] += src[j] exactly.
+						axpy1(out[base:][:len(src)], src, 1)
 					} else {
 						for j, v := range src {
 							out[base+j*stride] += v

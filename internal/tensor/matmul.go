@@ -12,8 +12,9 @@ import "fmt"
 //     row, keeping the inner loop (axpy2) at three active memory streams.
 //     With the portable Go loop that measured faster than a four-row
 //     tile, which adds two more store streams per loop and stalls the
-//     store ports; the assembly axpy2 keeps the same two-row shape, and
-//     is not to be widened without a number of its own.
+//     store ports. Both assembly forms of axpy2 (AVX2, four lanes, and
+//     AVX-512, eight) keep the two-row shape: a four-row AVX-512 tile
+//     measured slower end to end (DESIGN.md, the axpy micro-kernel).
 //
 // Pairing two rows of A reuses each loaded element of B twice from
 // registers, halving the dominant memory traffic of the naive i-p-j loop.
@@ -204,19 +205,27 @@ func gemmTransAPanel(a, b, c []float64, k, m, n, i0, i1, j0, j1 int) {
 // gemmTransBPanel accumulates C[i0:i1, j0:j1] += A[i0:i1, :]·Bᵀ[:, j0:j1]
 // with b stored (n×k), segment by segment of k: each element's segment sum
 // starts at zero, takes s += a·b in ascending p and is then added to C.
-// Row pairs go to the dot kernel a whole column quad at a time; the columns
-// past the last quad and an unpaired last row take the same sums in Go.
+// Rows go to the dot kernels four, then two at a time, a whole column
+// quad at a time; the columns past the last quad and an unpaired last row
+// take the same sums in Go.
 func gemmTransBPanel(a, b, c []float64, k, n, i0, i1, j0, j1 int) {
 	jq := j0 + (j1-j0)&^3
 	for p0 := 0; p0 < k; p0 += transBBlockK {
 		p1 := min(p0+transBBlockK, k)
+		arow := func(i int) []float64 { return a[i*k+p0 : i*k+p1] }
+		cq := func(i int) []float64 { return c[i*n+j0 : i*n+jq] }
 		i := i0
-		for ; i+2 <= i1; i += 2 {
-			a0, a1 := a[i*k+p0:i*k+p1], a[(i+1)*k+p0:(i+1)*k+p1]
-			c0, c1 := c[i*n:(i+1)*n], c[(i+1)*n:(i+2)*n]
-			if jq > j0 {
-				dotQuads(c0[j0:jq], c1[j0:jq], a0, a1, b[j0*k+p0:], k)
+		if jq > j0 {
+			bq := b[j0*k+p0:]
+			for ; i+4 <= i1; i += 4 {
+				dotQuads4(cq(i), cq(i+1), cq(i+2), cq(i+3), arow(i), arow(i+1), arow(i+2), arow(i+3), bq, k)
 			}
+			for ; i+2 <= i1; i += 2 {
+				dotQuads(cq(i), cq(i+1), arow(i), arow(i+1), bq, k)
+			}
+		}
+		for i = i0; i+2 <= i1; i += 2 {
+			a0, a1, c0, c1 := arow(i), arow(i+1), c[i*n:(i+1)*n], c[(i+1)*n:(i+2)*n]
 			for j := jq; j < j1; j++ {
 				brow := b[j*k+p0 : j*k+p1]
 				var s0, s1 float64
@@ -229,15 +238,14 @@ func gemmTransBPanel(a, b, c []float64, k, n, i0, i1, j0, j1 int) {
 			}
 		}
 		if i < i1 {
-			arow := a[i*k+p0 : i*k+p1]
-			crow := c[i*n : (i+1)*n]
+			a0, c0 := arow(i), c[i*n:(i+1)*n]
 			for j := j0; j < j1; j++ {
 				brow := b[j*k+p0 : j*k+p1]
 				s := 0.0
-				for p, av := range arow {
+				for p, av := range a0 {
 					s += av * brow[p]
 				}
-				crow[j] += s
+				c0[j] += s
 			}
 		}
 	}
